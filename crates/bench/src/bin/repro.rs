@@ -36,12 +36,6 @@
 //! exhaustive sweep unpruned because it needs the full sample
 //! distribution (best/median/average), not just the winners.
 //!
-//! `--no-delta` disables delta re-simulation of exhaustive sweeps
-//! (replaying the shared event prefix of structurally identical
-//! candidates from a checkpoint). Like pruning it never changes any
-//! result — delta replay is bit-identical by construction — only
-//! wall-clock.
-//!
 //! `--levels 3` runs every experiment on the three-level (socketized)
 //! forms of the machines — `[nodes, sockets, cores]` with a cross-socket
 //! bus derating — instead of the paper's flat two-level shapes. The
@@ -97,9 +91,6 @@ struct Cfg {
     levels: usize,
     /// Bound-prune exhaustive sweeps (`--no-prune` turns this off).
     prune: bool,
-    /// Delta re-simulation of exhaustive sweeps (`--no-delta` turns this
-    /// off). Bit-identical either way — only wall-clock changes.
-    delta: bool,
 }
 
 impl Cfg {
@@ -429,7 +420,7 @@ fn fig8(cfg: &Cfg, prune: bool) -> ([han_tuner::TuneResult; 4], Option<Arc<CostC
                 cache.clone(),
                 TuneOpts {
                     prune,
-                    delta: cfg.delta,
+                    ..TuneOpts::default()
                 },
             );
             walls.push(t0.elapsed().as_secs_f64());
@@ -975,7 +966,6 @@ fn synth(cfg: &Cfg) {
     };
     let opts = SynthOpts {
         prune: cfg.prune,
-        delta: cfg.delta,
         ..SynthOpts::default()
     };
     let colls = [Coll::Bcast, Coll::Allreduce, Coll::Reduce];
@@ -1100,7 +1090,7 @@ fn hetero(_cfg: &Cfg) {
             None,
             TuneOpts {
                 prune: true,
-                delta: true,
+                ..TuneOpts::default()
             },
         );
         let han = Han::tuned(Arc::new(tuned.table));
@@ -1168,14 +1158,11 @@ fn main() {
     let mut cache = CacheMode::Mem;
     let mut levels = 2usize;
     let mut prune = true;
-    let mut delta = true;
     let mut what = "all".to_string();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--no-prune" {
             prune = false;
-        } else if a == "--no-delta" {
-            delta = false;
         } else if a == "--allow-clamped" {
             gate::allow_clamped();
         } else if a == "--scale" {
@@ -1214,7 +1201,6 @@ fn main() {
         cache,
         levels,
         prune,
-        delta,
     };
     if levels > 2 {
         // Deep sweeps write results/<fig>_d3.json; two-level files stay put.

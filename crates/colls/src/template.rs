@@ -97,12 +97,8 @@ impl TemplateStore {
     /// traffic at all. The scratch's prior contents are irrelevant.
     ///
     /// Returns the stack's template key for this build (`None` when the
-    /// stack declines templating). Candidates sharing a key normally share
-    /// a DAG *structure* — the precondition for delta re-simulation — so
-    /// the tuner uses the key as a cheap structural hint for prefix
-    /// detection. It is a hint only (an unshareable key can cover distinct
-    /// shapes); the delta executor re-verifies structural equality exactly
-    /// before replaying.
+    /// stack declines templating, in which case the program was
+    /// cold-built).
     pub fn build_into(
         &self,
         stack: &dyn MpiStack,

@@ -4,8 +4,7 @@
 //! the serving daemon (`han-serve`), the verify suite, applications —
 //! only *consumes* them. This crate is that consumption surface, split
 //! out of the tuner so servers and clients link the decision function
-//! without dragging in the search machinery, task benchmarks, or the
-//! delta-simulation engine:
+//! without dragging in the search machinery or task benchmarks:
 //!
 //! * [`table`] — the lookup table (tuning output) and the
 //!   nearest-sample-in-log-space decision function, implementing

@@ -33,7 +33,6 @@ pub mod presets;
 pub mod topology;
 
 pub use flavor::{Flavor, P2pParams};
-pub use han_sim::PoolState;
 pub use machine::Machine;
 pub use params::{coarsen_fs, LevelParams, LevelVec, NetParams, NodeParams, RailPolicy};
 pub use presets::{

@@ -9,7 +9,7 @@
 use crate::params::{LevelVec, NetParams, NodeParams};
 use crate::presets::{uniform_level_params, MachinePreset};
 use crate::topology::Topology;
-use han_sim::{PoolState, ResourcePool, Time};
+use han_sim::{ResourcePool, Time};
 
 /// A simulated cluster ready to execute programs.
 #[derive(Debug)]
@@ -155,23 +155,6 @@ impl Machine {
 
     pub fn pool(&self) -> &ResourcePool {
         &self.pool
-    }
-
-    /// Snapshot every resource's dynamic state (delta re-simulation
-    /// checkpoints).
-    pub fn save_pool(&self) -> PoolState {
-        self.pool.save()
-    }
-
-    /// Snapshot resource state into an existing buffer, reusing its
-    /// allocations.
-    pub fn save_pool_into(&self, out: &mut PoolState) {
-        self.pool.save_into(out)
-    }
-
-    /// Restore a snapshot taken from this machine (same layout).
-    pub fn restore_pool(&mut self, state: &PoolState) {
-        self.pool.restore(state)
     }
 }
 

@@ -303,7 +303,7 @@ impl LevelVec {
 /// at the remaining length), so widening past `m` cannot change a built
 /// program or a simulated time — it only inflated template keys, making
 /// structurally identical sweeps on high-launch presets miss the
-/// template/delta caches.
+/// template cache.
 pub fn coarsen_fs(fs: u64, m: u64, node: &NodeParams, levels: &LevelVec) -> u64 {
     const AMORTIZE: u64 = 8;
     let launch = levels

@@ -30,37 +30,26 @@
 //! for imperfect overlap ("ib and sb share the same CPU resource to
 //! progress").
 //!
-//! ## Executor core v3
+//! ## Executor core
 //!
-//! The executor is a persistent [`Executor`] rather than a per-run stack
-//! value. All per-op state (`ready_at`, pending-dep counts, finish times)
-//! and per-message state live in flat struct-of-arrays vectors indexed by
-//! `u32` arena ids, cleared — not reallocated — between runs. The
-//! dependency structure (children CSR, zero-in-degree roots, message
-//! endpoints) is cached in a `DepGraph` and reused verbatim across
+//! Every execution runs on a persistent, thread-local executor rather than
+//! a per-run stack value. All per-op state (`ready_at`, pending-dep counts,
+//! finish times) and per-message state live in flat struct-of-arrays
+//! vectors indexed by `u32` arena ids, cleared — not reallocated — between
+//! runs. The dependency structure (children CSR, zero-in-degree roots,
+//! message endpoints) is cached in a `DepGraph` and reused verbatim across
 //! template specializations of the same program shape: a sweep over
 //! thousands of candidate configurations rebuilds the CSR only when the
 //! DAG *structure* changes, not when scalars (byte counts, durations)
 //! change.
-//!
-//! On top of structural reuse sits **delta re-simulation**
-//! ([`Executor::run_recorded`] / [`Executor::run_delta`]): a recorded run
-//! keeps periodic checkpoints of all mutable simulation state plus the pop
-//! position of every op's `Ready` event. A structurally identical
-//! neighbor candidate then replays the unchanged event prefix from the
-//! latest checkpoint that precedes the first divergent op and re-simulates
-//! only the suffix — bit-identical to a full run, because op scalars are
-//! first observed at their `Ready` pop and every message-meta read happens
-//! causally after the `Ready` of one of the message's endpoint ops.
 
 use crate::buffer::Memory;
-use crate::datatype::{DataType, ReduceOp};
-use crate::program::{MsgId, MsgMeta, OpId, OpKind, Program};
+use crate::program::{MsgId, OpId, OpKind, Program};
 use han_machine::{Machine, P2pParams, RailPolicy};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use han_sim::{EngineStats, EventQueue, PoolState, QueueSnapshot, Time};
+use han_sim::{EngineStats, EventQueue, Time};
 
 /// How much work the executor does per event.
 ///
@@ -160,8 +149,7 @@ impl Report {
 /// Process-wide event-engine totals, accumulated across every execution
 /// (all threads). `clamped > 0` means some event was scheduled in the past
 /// and silently clamped — a simulator bug that release builds would
-/// otherwise hide. Delta runs accumulate only the suffix they actually
-/// simulated, so these totals honestly measure simulation work done.
+/// otherwise hide.
 static TOTAL_PUSHES: AtomicU64 = AtomicU64::new(0);
 static TOTAL_POPS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_CLAMPED: AtomicU64 = AtomicU64::new(0);
@@ -201,12 +189,12 @@ pub fn reset_engine_totals() {
 }
 
 thread_local! {
-    static TLS_EXEC: RefCell<Executor> = RefCell::new(Executor::new());
+    static TLS_EXEC: RefCell<Executor> = RefCell::new(Executor::default());
 }
 
 /// Execute `prog` on `machine` (resources are reset first).
 ///
-/// Routed through a thread-local persistent [`Executor`], so repeated
+/// Routed through a thread-local persistent executor, so repeated
 /// executions of structurally identical programs reuse the dependency CSR
 /// and every state vector's allocation.
 pub fn execute(machine: &mut Machine, prog: &Program, opts: &ExecOpts) -> Report {
@@ -494,163 +482,15 @@ impl Ctx<'_> {
     }
 }
 
-/// Periodic full-state checkpoint of a recorded run: everything needed to
-/// resume the event loop from pop position `pos`.
-#[derive(Debug)]
-struct Checkpoint {
-    /// Number of events popped before this checkpoint was taken (the pop
-    /// position of the *next* event).
-    pos: u64,
-    queue: QueueSnapshot<Ev>,
-    pool: PoolState,
-    indeg: Vec<u32>,
-    ready_at: Vec<Time>,
-    finish: Vec<Time>,
-    done: Vec<bool>,
-    msg_send_posted: Vec<Time>,
-    msg_recv_posted: Vec<Time>,
-    msg_arrived: Vec<Time>,
-    msg_eff_tx_end: Vec<Time>,
-    completed: usize,
-}
-
-/// Timing projection of one op kind: the dispatch tag plus the scalars the
-/// timing-only executor reads — everything except buffer placement.
-/// `BufRange`s only steer data movement in `ExecMode::Full`, which delta
-/// replay rejects up front, so two ops whose projections are equal produce
-/// identical timing even when their buffer offsets differ.
-fn project_kind(k: &OpKind) -> (u8, u64, u64) {
-    use OpKind::*;
-    match *k {
-        Nop => (0, 0, 0),
-        Delay { dur } => (1, dur.as_ps(), 0),
-        Sleep { dur } => (2, dur.as_ps(), 0),
-        Copy { bytes, .. } => (3, bytes, 0),
-        CrossCopy { from, bytes, .. } => (4, bytes, from as u64),
-        Reduce {
-            bytes,
-            vectorized,
-            op,
-            dtype,
-            ..
-        } => (5, bytes, pack_reduce(vectorized, op, dtype, 0)),
-        ReduceFrom {
-            from,
-            bytes,
-            vectorized,
-            op,
-            dtype,
-            ..
-        } => (6, bytes, pack_reduce(vectorized, op, dtype, from)),
-        Send { msg } => (7, u64::from(msg.0), 0),
-        Recv { msg } => (8, u64::from(msg.0), 0),
-    }
-}
-
-fn pack_reduce(vectorized: bool, op: ReduceOp, dtype: DataType, from: u32) -> u64 {
-    u64::from(vectorized) | (op as u64) << 1 | (dtype as u64) << 8 | u64::from(from) << 16
-}
-
-/// Timing projection of one message meta: endpoints and size; payload
-/// buffer ranges are irrelevant on the timing-only path.
-fn project_msg(m: &MsgMeta) -> (u32, u32, u64) {
-    (m.src, m.dst, m.bytes)
-}
-
-/// Replay log of one full timing run: the simulated program's dependency
-/// structure (exact flat copies of the CSR arrays — no hashing, so no
-/// collisions) and timing-relevant scalars, the pop position of every op's
-/// `Ready` event, periodic `Checkpoint`s, and the final [`Report`].
-/// Produced by [`Executor::run_recorded`], consumed by
-/// [`Executor::run_delta`]. Deliberately does **not** clone the `Program`:
-/// per-op dependency vectors would cost one heap block each, which at
-/// sweep rates would make the recording run ~2x the price of a plain one.
-#[derive(Debug)]
-pub struct Recording {
-    /// Exact structural identity: flat copies of the dependency CSR.
-    op_rank: Vec<u32>,
-    op_msg: Vec<u32>,
-    dep_off: Vec<u32>,
-    dep: Vec<u32>,
-    nmsgs: usize,
-    /// Timing projection of every op kind / message meta.
-    kinds: Vec<(u8, u64, u64)>,
-    msgs: Vec<(u32, u32, u64)>,
-    /// Pop position of `Ready(op)` for every op (`u64::MAX` until popped).
-    ready_pos: Vec<u64>,
-    checkpoints: Vec<Checkpoint>,
-    report: Report,
-}
-
-impl Recording {
-    /// The report of the recorded full run.
-    pub fn report(&self) -> &Report {
-        &self.report
-    }
-
-    /// Number of checkpoints kept (diagnostics).
-    pub fn checkpoint_count(&self) -> usize {
-        self.checkpoints.len()
-    }
-
-    /// Pop position of every op's `Ready` event (diagnostics).
-    pub fn ready_positions(&self) -> &[u64] {
-        &self.ready_pos
-    }
-
-    /// Pop positions of the retained checkpoints (diagnostics).
-    pub fn checkpoint_positions(&self) -> Vec<u64> {
-        self.checkpoints.iter().map(|c| c.pos).collect()
-    }
-}
-
-/// Upper bound on retained checkpoints; once exceeded, every other
-/// checkpoint is dropped and the spacing doubles (logarithmic thinning, so
-/// long runs keep coarse early coverage and fine recent coverage).
-const MAX_CHECKPOINTS: usize = 8;
-
-struct RecState {
-    ready_pos: Vec<u64>,
-    checkpoints: Vec<Checkpoint>,
-    interval: u64,
-    next_mark: u64,
-}
-
-fn take_checkpoint(rs: &mut RecState, st: &Executor, m: &Machine, pos: u64) {
-    rs.checkpoints.push(Checkpoint {
-        pos,
-        queue: st.q.snapshot(),
-        pool: m.save_pool(),
-        indeg: st.indeg.clone(),
-        ready_at: st.ready_at.clone(),
-        finish: st.finish.clone(),
-        done: st.done.clone(),
-        msg_send_posted: st.msg_send_posted.clone(),
-        msg_recv_posted: st.msg_recv_posted.clone(),
-        msg_arrived: st.msg_arrived.clone(),
-        msg_eff_tx_end: st.msg_eff_tx_end.clone(),
-        completed: st.completed,
-    });
-    rs.next_mark = pos + rs.interval;
-    if rs.checkpoints.len() > MAX_CHECKPOINTS {
-        let mut i = 0usize;
-        rs.checkpoints.retain(|_| {
-            let keep = i % 2 == 0;
-            i += 1;
-            keep
-        });
-        rs.interval *= 2;
-    }
-}
-
 /// A persistent, reusable program executor.
 ///
 /// All per-run state lives in flat vectors indexed by op/message id that
 /// are cleared (never reallocated) between runs; the dependency CSR is
 /// cached across structurally identical programs. One `Executor` per
-/// worker thread turns a tuning sweep into a zero-allocation steady state.
+/// thread (behind [`execute`]) turns a tuning sweep into a
+/// zero-allocation steady state.
 #[derive(Debug, Default)]
-pub struct Executor {
+struct Executor {
     q: EventQueue<Ev>,
     graph: DepGraph,
     indeg: Vec<u32>,
@@ -679,17 +519,8 @@ pub struct Executor {
 }
 
 impl Executor {
-    pub fn new() -> Self {
-        Executor::default()
-    }
-
     /// Execute `prog` on `machine` (resources are reset first), reusing
     /// this executor's cached structure and state vectors.
-    pub fn execute(&mut self, machine: &mut Machine, prog: &Program, opts: &ExecOpts) -> Report {
-        let mem = opts.is_full().then(|| Memory::new(&prog.mem_size));
-        self.run(machine, prog, opts, mem).0
-    }
-
     fn run(
         &mut self,
         machine: &mut Machine,
@@ -711,197 +542,6 @@ impl Executor {
         let report = self.finish_report(prog);
         accumulate_engine_totals(&report.engine);
         (report, self.mem.take())
-    }
-
-    /// Execute a timing-only run while recording checkpoints and `Ready`
-    /// pop positions for later delta re-simulation.
-    pub fn run_recorded(
-        &mut self,
-        machine: &mut Machine,
-        prog: &Program,
-        opts: &ExecOpts,
-    ) -> Recording {
-        self.run_recording(machine, prog, opts, true)
-    }
-
-    /// Like [`Executor::run_recorded`] but without checkpoints: only the
-    /// `Ready` pop positions are traced, so the run costs roughly the same
-    /// as a plain [`Executor::execute`]. The resulting [`Recording`] still
-    /// supports exact-match replay (identical program → free report) and
-    /// divergence detection; a partial replay simply finds no usable
-    /// checkpoint and [`Executor::run_delta`] returns `None`.
-    pub fn run_traced(
-        &mut self,
-        machine: &mut Machine,
-        prog: &Program,
-        opts: &ExecOpts,
-    ) -> Recording {
-        self.run_recording(machine, prog, opts, false)
-    }
-
-    fn run_recording(
-        &mut self,
-        machine: &mut Machine,
-        prog: &Program,
-        opts: &ExecOpts,
-        checkpoints: bool,
-    ) -> Recording {
-        assert!(
-            !opts.is_full() && opts.start_times.is_none(),
-            "recording requires the timing-only fast path without start skew"
-        );
-        self.prepare(prog, opts);
-        self.mem = None;
-        machine.reset();
-        let n = self.graph.nops;
-        // Spacing in pop positions. A run pops ~2-3 events per op, so n/2
-        // yields roughly 4-6 marks — what a finer initial spacing would be
-        // thinned down to anyway, at half the snapshot cost. The floor
-        // keeps even tiny programs (whole runs shorter than a coarse
-        // interval would be) checkpointable.
-        let interval = (n as u64 / 2).max(32);
-        let mut rs = RecState {
-            ready_pos: vec![u64::MAX; n],
-            checkpoints: Vec::new(),
-            interval,
-            next_mark: if checkpoints { interval } else { u64::MAX },
-        };
-        let mut cx = Ctx {
-            m: machine,
-            prog,
-            opts,
-        };
-        loop {
-            let pos = self.q.processed();
-            if pos >= rs.next_mark && self.completed < n {
-                take_checkpoint(&mut rs, self, cx.m, pos);
-            }
-            let Some((t, ev)) = self.q.pop() else { break };
-            if let Ev::Ready(op) = ev {
-                rs.ready_pos[op.0 as usize] = pos;
-            }
-            self.handle(&mut cx, t, ev);
-        }
-        let report = self.finish_report(prog);
-        accumulate_engine_totals(&report.engine);
-        Recording {
-            op_rank: self.graph.op_rank.clone(),
-            op_msg: self.graph.op_msg.clone(),
-            dep_off: self.graph.dep_off.clone(),
-            dep: self.graph.dep.clone(),
-            nmsgs: self.graph.nmsgs,
-            kinds: prog.ops.iter().map(|o| project_kind(&o.kind)).collect(),
-            msgs: prog.msgs.iter().map(project_msg).collect(),
-            ready_pos: rs.ready_pos,
-            checkpoints: rs.checkpoints,
-            report,
-        }
-    }
-
-    /// Re-simulate `prog` by replaying the unchanged prefix of `base` and
-    /// simulating only the divergent suffix. Returns `None` when delta
-    /// replay is not applicable (data mode, start skew, different DAG
-    /// structure, or divergence before the first checkpoint) — the caller
-    /// then falls back to a full run.
-    ///
-    /// The returned report is **bit-identical** to a full simulation of
-    /// `prog`: op scalars are first read when their `Ready` event pops,
-    /// and every message-meta read is causally ordered after the `Ready`
-    /// of one of the message's endpoint ops, so restoring any checkpoint
-    /// at or before the first divergent `Ready` position replays exactly
-    /// the events a full run would process.
-    pub fn run_delta(
-        &mut self,
-        machine: &mut Machine,
-        prog: &Program,
-        opts: &ExecOpts,
-        base: &Recording,
-    ) -> Option<Report> {
-        if opts.is_full() || opts.start_times.is_some() {
-            return None;
-        }
-        debug_assert_eq!(prog.validate(), Ok(()));
-        if !self.graph.matches(prog) {
-            self.graph.build(prog);
-        }
-        // Structural identity: exact compare of the flat CSR copies (no
-        // hashing, so no collisions).
-        if self.graph.nmsgs != base.nmsgs
-            || self.graph.op_rank != base.op_rank
-            || self.graph.op_msg != base.op_msg
-            || self.graph.dep_off != base.dep_off
-            || self.graph.dep != base.dep
-        {
-            return None;
-        }
-        // First divergent pop position k*: the earliest Ready of any op
-        // whose timing-relevant scalars differ, or of any endpoint of a
-        // message whose timing-relevant meta differs. Buffer placement
-        // (`BufRange`s) is projected out: the timing-only fast path this
-        // replay is restricted to never reads it, and sweep candidates
-        // that differ only in message size shift every staging-buffer
-        // offset while leaving most of the timeline untouched.
-        let mut kstar = u64::MAX;
-        for (i, op) in prog.ops.iter().enumerate() {
-            if project_kind(&op.kind) != base.kinds[i] {
-                kstar = kstar.min(base.ready_pos[i]);
-            }
-        }
-        for (j, msg) in prog.msgs.iter().enumerate() {
-            if project_msg(msg) != base.msgs[j] {
-                let s = self.graph.msg_send_op[j];
-                let r = self.graph.msg_recv_op[j];
-                if s == NONE_U32 || r == NONE_U32 {
-                    return None;
-                }
-                kstar = kstar.min(base.ready_pos[s as usize]);
-                kstar = kstar.min(base.ready_pos[r as usize]);
-            }
-        }
-        if kstar == u64::MAX {
-            // Identical program: the recorded run *is* the answer. The
-            // machine is untouched and no simulation work is accumulated.
-            return Some(base.report.clone());
-        }
-        let cp = base.checkpoints.iter().rev().find(|c| c.pos <= kstar)?;
-        self.build_kind_tables(prog);
-        self.q.restore(&cp.queue);
-        machine.restore_pool(&cp.pool);
-        self.indeg.clone_from(&cp.indeg);
-        self.ready_at.clone_from(&cp.ready_at);
-        self.finish.clone_from(&cp.finish);
-        self.done.clone_from(&cp.done);
-        self.msg_send_posted.clone_from(&cp.msg_send_posted);
-        self.msg_recv_posted.clone_from(&cp.msg_recv_posted);
-        self.msg_arrived.clone_from(&cp.msg_arrived);
-        self.msg_eff_tx_end.clone_from(&cp.msg_eff_tx_end);
-        self.completed = cp.completed;
-        self.mem = None;
-        self.msg_payload.clear();
-        self.msg_payload.resize_with(self.graph.nmsgs, || None);
-        let s0 = self.q.stats();
-        let mut cx = Ctx {
-            m: machine,
-            prog,
-            opts,
-        };
-        while let Some((t, ev)) = self.q.pop() {
-            self.handle(&mut cx, t, ev);
-        }
-        let report = self.finish_report(prog);
-        // The restored queue stats carry the prefix, so `report.engine` is
-        // full-run-equivalent; process-wide totals get only the suffix
-        // actually simulated.
-        let end = &report.engine;
-        accumulate_engine_totals(&EngineStats {
-            pushes: end.pushes - s0.pushes,
-            pops: end.pops - s0.pops,
-            clamped: end.clamped - s0.clamped,
-            max_depth: end.max_depth,
-            batched_pops: end.batched_pops - s0.batched_pops,
-            max_batch: end.max_batch,
-        });
-        Some(report)
     }
 
     /// Rebuild the compact dispatch tables: the ready handler for the
@@ -1792,11 +1432,9 @@ mod tests {
         assert_eq!(delta, launch, "one Copy pays exactly one launch");
     }
 
-    // ---- Executor core v3: reuse and delta re-simulation ----
-
     #[test]
     fn executor_reuse_across_programs_matches_fresh_execute() {
-        let mut ex = Executor::new();
+        let mut ex = Executor::default();
         let mut m = machine(2, 2);
         let mut b = ProgramBuilder::new(4);
         b.send_recv(0, 1, 4096, None, None, &[], &[]);
@@ -1808,176 +1446,12 @@ mod tests {
         let pb = b.build();
         // Alternate structures so the cached CSR is rebuilt and re-hit.
         for p in [&pa, &pb, &pa, &pb] {
-            let r1 = ex.execute(&mut m, p, &opts());
+            let r1 = ex.run(&mut m, p, &opts(), None).0;
             let r2 = execute(&mut m, p, &opts());
             assert_eq!(r1.makespan, r2.makespan);
             assert_eq!(r1.op_finishes(), r2.op_finishes());
             assert_eq!(r1.rank_finish, r2.rank_finish);
             assert_eq!(r1.events, r2.events);
         }
-    }
-
-    #[test]
-    fn delta_identical_program_returns_recorded_report() {
-        let mut ex = Executor::new();
-        let mut m = machine(2, 1);
-        let mut b = ProgramBuilder::new(2);
-        b.send_recv(0, 1, 1 << 20, None, None, &[], &[]);
-        let p = b.build();
-        let rec = ex.run_recorded(&mut m, &p, &opts());
-        let r = ex
-            .run_delta(&mut m, &p.clone(), &opts(), &rec)
-            .expect("identical program is always a delta hit");
-        assert_eq!(r.makespan, rec.report().makespan);
-        assert_eq!(r.op_finishes(), rec.report().op_finishes());
-        assert_eq!(r.events, rec.report().events);
-    }
-
-    /// A checkpoint-free trace still serves exact-match replay; a
-    /// scalar-divergent replay finds no checkpoint and returns `None`.
-    #[test]
-    fn traced_recording_serves_exact_match_only() {
-        let build = |tail_us: u64| {
-            let mut b = ProgramBuilder::new(1);
-            let mut prev = None;
-            for _ in 0..300u64 {
-                let deps: Vec<_> = prev.into_iter().collect();
-                prev = Some(b.delay(0, Time::from_ns(100), &deps));
-            }
-            b.delay(
-                0,
-                Time::from_us(tail_us),
-                &prev.into_iter().collect::<Vec<_>>(),
-            );
-            b.build()
-        };
-        let mut ex = Executor::new();
-        let mut m = machine(1, 1);
-        let rec = ex.run_traced(&mut m, &build(1), &opts());
-        assert_eq!(rec.checkpoint_count(), 0, "trace takes no checkpoints");
-        let exact = ex
-            .run_delta(&mut m, &build(1), &opts(), &rec)
-            .expect("identical program replays against a trace");
-        assert_eq!(exact.makespan, rec.report().makespan);
-        assert!(
-            ex.run_delta(&mut m, &build(2), &opts(), &rec).is_none(),
-            "partial replay needs checkpoints"
-        );
-    }
-
-    /// A long single-rank delay chain with one op's duration changed near
-    /// the end: divergence lands far past several checkpoints, so delta
-    /// replay restores mid-run and must still be bit-identical.
-    #[test]
-    fn delta_partial_replay_is_bit_identical() {
-        let build = |tail_us: u64| {
-            let mut b = ProgramBuilder::new(2);
-            let mut prev = None;
-            for i in 0..1200u64 {
-                let deps: Vec<_> = prev.into_iter().collect();
-                let dur = if i == 1100 {
-                    Time::from_us(tail_us)
-                } else {
-                    Time::from_ns(100)
-                };
-                prev = Some(b.delay(0, dur, &deps));
-            }
-            b.delay(1, Time::from_us(3), &[]);
-            b.build()
-        };
-        let mut ex = Executor::new();
-        let mut m = machine(1, 2);
-        let rec = ex.run_recorded(&mut m, &build(1), &opts());
-        assert!(rec.checkpoint_count() > 0, "long run must checkpoint");
-        let changed = build(9);
-        let delta = ex
-            .run_delta(&mut m, &changed, &opts(), &rec)
-            .expect("late divergence should find a usable checkpoint");
-        let full = execute(&mut m, &changed, &opts());
-        assert_eq!(delta.makespan, full.makespan);
-        assert_eq!(delta.op_finishes(), full.op_finishes());
-        assert_eq!(delta.rank_finish, full.rank_finish);
-        assert_eq!(delta.events, full.events);
-    }
-
-    /// Changing a message's byte count re-times the whole P2P chain; the
-    /// endpoints become ready only after long per-rank prefixes, so delta
-    /// replay restores a checkpoint and re-simulates just the transfer.
-    #[test]
-    fn delta_message_scalar_change_is_bit_identical() {
-        let build = |bytes: u64| {
-            let mut b = ProgramBuilder::new(2);
-            let mut p0 = None;
-            for _ in 0..400 {
-                let deps: Vec<_> = p0.into_iter().collect();
-                p0 = Some(b.delay(0, Time::from_ns(50), &deps));
-            }
-            let mut p1 = None;
-            for _ in 0..400 {
-                let deps: Vec<_> = p1.into_iter().collect();
-                p1 = Some(b.delay(1, Time::from_ns(50), &deps));
-            }
-            b.send_recv(0, 1, bytes, None, None, &[p0.unwrap()], &[p1.unwrap()]);
-            b.build()
-        };
-        let mut ex = Executor::new();
-        let mut m = machine(2, 1);
-        let rec = ex.run_recorded(&mut m, &build(1 << 20), &opts());
-        // Crossing the eager/rendezvous boundary changes the event chain
-        // itself; the suffix re-simulation must produce the new chain.
-        for bytes in [2 << 20, 512] {
-            let changed = build(bytes);
-            let delta = ex
-                .run_delta(&mut m, &changed, &opts(), &rec)
-                .expect("endpoints ready late: checkpoint available");
-            let full = execute(&mut m, &changed, &opts());
-            assert_eq!(delta.makespan, full.makespan);
-            assert_eq!(delta.op_finishes(), full.op_finishes());
-            assert_eq!(delta.events, full.events);
-        }
-    }
-
-    #[test]
-    fn delta_early_divergence_without_checkpoint_falls_back() {
-        let build = |first_us: u64| {
-            let mut b = ProgramBuilder::new(1);
-            let mut prev = None;
-            for i in 0..600u64 {
-                let deps: Vec<_> = prev.into_iter().collect();
-                let dur = if i == 0 {
-                    Time::from_us(first_us)
-                } else {
-                    Time::from_ns(10)
-                };
-                prev = Some(b.delay(0, dur, &deps));
-            }
-            b.build()
-        };
-        let mut ex = Executor::new();
-        let mut m = machine(1, 1);
-        let rec = ex.run_recorded(&mut m, &build(1), &opts());
-        // Divergence at pop 0 precedes every checkpoint: caller must fall
-        // back to a full run.
-        assert!(ex.run_delta(&mut m, &build(2), &opts(), &rec).is_none());
-    }
-
-    #[test]
-    fn delta_rejects_structural_mismatch_and_skew() {
-        let mut ex = Executor::new();
-        let mut m = machine(1, 2);
-        let mut b = ProgramBuilder::new(2);
-        let a = b.delay(0, Time::from_us(1), &[]);
-        b.nop(1, &[a]);
-        let p = b.build();
-        let rec = ex.run_recorded(&mut m, &p, &opts());
-        // Different DAG structure.
-        let mut b = ProgramBuilder::new(2);
-        b.delay(0, Time::from_us(1), &[]);
-        b.nop(1, &[]);
-        let other = b.build();
-        assert!(ex.run_delta(&mut m, &other, &opts(), &rec).is_none());
-        // Start skew is outside the recorded state space.
-        let skew = opts().with_skew(vec![Time::ZERO, Time::ZERO]);
-        assert!(ex.run_delta(&mut m, &p, &skew, &rec).is_none());
     }
 }

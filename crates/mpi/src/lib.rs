@@ -49,7 +49,7 @@ pub use comm::Comm;
 pub use datatype::{DataType, ReduceOp};
 pub use exec::{
     engine_totals, execute, execute_seeded, execute_with_memory, reset_engine_totals, ExecMode,
-    ExecOpts, Executor, Recording, Report,
+    ExecOpts, Report,
 };
 pub use program::{Op, OpId, OpKind, Program};
 pub use template::ProgramTemplate;

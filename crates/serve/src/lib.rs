@@ -20,7 +20,7 @@
 //!   invalidated by generation counters, bit-identical to direct
 //!   [`han_decide::LookupTable`] lookups.
 //! * [`retune`] — background re-tuning workers driving the existing
-//!   pruned + delta-resimulated sweep, publishing results through the
+//!   pruned exhaustive sweep, publishing results through the
 //!   store's hot-swap path.
 
 pub mod client;

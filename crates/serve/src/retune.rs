@@ -1,11 +1,10 @@
 //! Background re-tuning: rebuild a preset's table through the existing
-//! delta-sweep path and hand it to the store for an atomic hot-swap.
+//! exhaustive-sweep path and hand it to the store for an atomic hot-swap.
 //!
-//! The worker runs the same pruned + delta-resimulated exhaustive sweep
-//! the verify suite trusts (`TuneOpts { prune: true, delta: true }` is
-//! pinned bit-identical to the unpruned full sweep by the
-//! `table-dominance` and `delta-agreement` guidelines), over a compact
-//! serving space. Tuning is CPU-bound and can take seconds; readers keep
+//! The worker runs the same pruned exhaustive sweep the verify suite
+//! trusts (a pruned table is pinned to dominate every candidate of its
+//! space by the `table-dominance` guideline), over a compact serving
+//! space. Tuning is CPU-bound and can take seconds; readers keep
 //! resolving against the previous generation until the swap lands.
 
 use crate::store::TableStore;
@@ -40,7 +39,7 @@ pub fn tune_table(preset: &MachinePreset) -> LookupTable {
         None,
         TuneOpts {
             prune: true,
-            delta: true,
+            ..TuneOpts::default()
         },
     )
     .table

@@ -93,29 +93,6 @@ const EMPTY_BUCKET: Bucket = Bucket {
     min_at: Time::ZERO,
 };
 
-/// A frozen copy of a queue's pending events in exact pop order, plus the
-/// clock and counters needed to continue a run from this point. Taken by
-/// [`EventQueue::snapshot`] and replayed by [`EventQueue::restore`]; the
-/// delta re-simulation checkpoints in `han-mpi` are built on this.
-#[derive(Debug, Clone)]
-pub struct QueueSnapshot<E> {
-    now: Time,
-    stats: EngineStats,
-    /// Pending `(time, payload)` pairs, sorted by pop order.
-    events: Vec<(Time, E)>,
-}
-
-impl<E> QueueSnapshot<E> {
-    /// Number of pending events captured.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
 /// An event queue over payloads of type `E`.
 ///
 /// Node state lives in parallel arrays indexed by `u32` arena slot; freed
@@ -378,7 +355,7 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Insert without stats accounting (shared by `push` and `restore`).
+    /// Insert into the bucket ring or the far heap (no stats accounting).
     fn push_inner(&mut self, at: Time, payload: E) {
         let seq = self.seq;
         self.seq += 1;
@@ -454,79 +431,6 @@ impl<E> EventQueue<E> {
     /// Lifetime engine counters.
     pub fn stats(&self) -> EngineStats {
         self.stats
-    }
-}
-
-impl<E: Clone> EventQueue<E> {
-    /// Freeze the pending events (in exact pop order), clock and counters.
-    /// `restore` of the snapshot on any queue — including this one, later —
-    /// reproduces bit-identical pop behaviour from this point on.
-    pub fn snapshot(&self) -> QueueSnapshot<E> {
-        let mut events: Vec<(Time, E)> = Vec::with_capacity(self.len());
-        // Batch remainder first, already in pop order; same-instant pushes
-        // appended to it are included in their correct FIFO position.
-        for e in self.batch.iter() {
-            events.push((self.batch_at, e.clone()));
-        }
-        let batch_rem = events.len();
-        // Near events in bucket traversal order, then a stable sort by
-        // time. Equal-time events always share a bucket and sit in its list
-        // in sequence order, so the stable sort yields exact pop order
-        // (and keeps the batch remainder ahead of equal-time newcomers).
-        for w in 0..OCC_WORDS {
-            let mut bits = self.occ[w];
-            while bits != 0 {
-                let r = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let mut cur = self.buckets[r].head;
-                while cur != NIL {
-                    let i = cur as usize;
-                    let payload = self.slot[i].clone().expect("live node");
-                    events.push((self.at[i], payload));
-                    cur = self.next[i];
-                }
-            }
-        }
-        events[batch_rem..].sort_by_key(|&(t, _)| t);
-        if !self.batch.is_empty() && events.len() > batch_rem {
-            debug_assert!(events[batch_rem].0 >= self.batch_at);
-        }
-        // Far events are never earlier than near ones; sort by (time, seq)
-        // and append.
-        let mut far: Vec<&Reverse<(Time, u64, u32)>> = self.far.iter().collect();
-        far.sort_by_key(|&&Reverse((t, s, _))| (t, s));
-        for &&Reverse((t, _, i)) in &far {
-            events.push((t, self.slot[i as usize].clone().expect("live node")));
-        }
-        QueueSnapshot {
-            now: self.now,
-            stats: self.stats,
-            events,
-        }
-    }
-
-    /// Replace this queue's entire state with a snapshot's. Pending events
-    /// are re-inserted in pop order (their relative sequence order — the
-    /// only thing FIFO tie-breaking observes — is preserved), the clock and
-    /// counters are restored, and subsequent pushes order after them
-    /// exactly as they would have in the original run.
-    pub fn restore(&mut self, snap: &QueueSnapshot<E>) {
-        self.reset();
-        self.now = snap.now;
-        // Events at `snap.now` must land in the live batch, not a bucket:
-        // the same-instant push fast path appends to the batch, so a
-        // bucketed event at `now` would be drained *after* every later
-        // fast-path push, breaking FIFO. The snapshot lists the batch
-        // remainder first (all at `snap.now`), so appending preserves order.
-        for (t, e) in &snap.events {
-            if *t == snap.now {
-                self.batch_at = snap.now;
-                self.batch.push_back(e.clone());
-            } else {
-                self.push_inner(*t, e.clone());
-            }
-        }
-        self.stats = snap.stats;
     }
 }
 
@@ -764,51 +668,6 @@ mod tests {
         assert_eq!(q.pop(), Some((Time::from_ns(1), 100)));
         assert_eq!(q.pop(), Some((Time::from_ns(2), 200)));
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn snapshot_restore_is_pop_identical() {
-        let w = 1u64 << BUCKET_SHIFT;
-        let ring = NBUCKETS as u64 * w;
-        // Mixed near/far/same-time state, including a half-served batch.
-        let times = [5, 5, 5, 12, w + 3, 2 * ring + 7, 2 * ring + 7, 12];
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(Time::from_ps(t), i);
-        }
-        assert_eq!(q.pop().unwrap().1, 0); // leaves 1, 2 batched
-        let snap = q.snapshot();
-        assert_eq!(snap.len(), q.len());
-        let drain = |q: &mut EventQueue<usize>| -> Vec<(u64, usize)> {
-            std::iter::from_fn(|| q.pop())
-                .map(|(t, p)| (t.as_ps(), p))
-                .collect()
-        };
-        let original = drain(&mut q);
-        let mut r = EventQueue::new();
-        r.restore(&snap);
-        assert_eq!(drain(&mut r), original);
-        // Restoring onto the drained original queue works too.
-        q.restore(&snap);
-        assert_eq!(drain(&mut q), original);
-    }
-
-    #[test]
-    fn restore_preserves_ordering_against_new_pushes() {
-        let mut q = EventQueue::new();
-        let t = Time::from_ns(9);
-        q.push(t, 0);
-        q.push(t, 1);
-        q.pop();
-        let snap = q.snapshot();
-        let mut r = EventQueue::new();
-        r.restore(&snap);
-        assert_eq!(r.now(), t);
-        assert_eq!(r.stats(), q.stats());
-        // A push after restore orders behind the restored equal-time event.
-        r.push(t, 2);
-        assert_eq!(r.pop(), Some((t, 1)));
-        assert_eq!(r.pop(), Some((t, 2)));
     }
 
     #[test]

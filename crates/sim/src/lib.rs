@@ -31,8 +31,8 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{EngineStats, EventQueue, QueueSnapshot};
-pub use resource::{PoolState, Resource, ResourcePool};
+pub use event::{EngineStats, EventQueue};
+pub use resource::{Resource, ResourcePool};
 pub use rng::SimRng;
 pub use stats::{OnlineStats, Summary};
 pub use time::Time;

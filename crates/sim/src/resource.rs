@@ -64,14 +64,6 @@ impl Resource {
     }
 }
 
-/// A frozen copy of every resource's dynamic state in a [`ResourcePool`]
-/// (the names/layout are static and not repeated here). Taken by
-/// [`ResourcePool::save`] and replayed by [`ResourcePool::restore`].
-#[derive(Debug, Clone, Default)]
-pub struct PoolState {
-    states: Vec<Resource>,
-}
-
 /// A named, indexed collection of resources.
 ///
 /// The machine model hands out stable `usize` ids at construction time
@@ -121,29 +113,6 @@ impl ResourcePool {
         for r in &mut self.resources {
             r.reset();
         }
-    }
-
-    /// Copy every resource's dynamic state into `out` (allocation-reusing;
-    /// checkpoint support for delta re-simulation).
-    pub fn save_into(&self, out: &mut PoolState) {
-        out.states.clone_from(&self.resources);
-    }
-
-    /// Snapshot every resource's dynamic state.
-    pub fn save(&self) -> PoolState {
-        let mut s = PoolState::default();
-        self.save_into(&mut s);
-        s
-    }
-
-    /// Restore a snapshot taken from a pool with the same layout.
-    pub fn restore(&mut self, state: &PoolState) {
-        assert_eq!(
-            self.resources.len(),
-            state.states.len(),
-            "pool state from a different machine layout"
-        );
-        self.resources.clone_from(&state.states);
     }
 
     /// `(name, busy, requests)` rows for utilization reports.
@@ -224,23 +193,5 @@ mod tests {
         pool.reset();
         assert_eq!(pool.get(a).busy_time(), Time::ZERO);
         assert_eq!(pool.len(), 2);
-    }
-
-    #[test]
-    fn pool_state_round_trip() {
-        let mut pool = ResourcePool::new();
-        let a = pool.add("cpu0");
-        let b = pool.add("bus0");
-        pool.acquire(a, Time::ZERO, Time::from_ns(3));
-        let snap = pool.save();
-        pool.acquire(a, Time::from_ns(3), Time::from_ns(9));
-        pool.acquire(b, Time::ZERO, Time::from_ns(7));
-        pool.restore(&snap);
-        assert_eq!(pool.get(a).free_at(), Time::from_ns(3));
-        assert_eq!(pool.get(a).requests(), 1);
-        assert_eq!(pool.get(b).requests(), 0);
-        // Continuing from the restored state matches the original timeline.
-        let (s, _) = pool.acquire(a, Time::ZERO, Time::from_ns(1));
-        assert_eq!(s, Time::from_ns(3));
     }
 }

@@ -23,8 +23,8 @@
 //! message), which the pow-2 menu cannot express.
 //!
 //! The search is branch-and-bound with the [`han_tuner::bound`] analytic
-//! lower bound as an admissible heuristic and the delta-capable simulator
-//! as the exact oracle; when the beyond-menu space outgrows
+//! lower bound as an admissible heuristic and the simulator as the exact
+//! oracle; when the beyond-menu space outgrows
 //! [`SynthOpts::beam`] it degrades to beam search over the
 //! cheapest-bounded candidates (menu candidates are *always* simulated,
 //! so the emitted front can never lose to the menu). See

@@ -21,12 +21,12 @@
 use crate::pareto::{pareto_front, Front, FrontPoint};
 use crate::space::{candidates, Candidate};
 use han_colls::stack::Unsupported;
-use han_colls::{Coll, MpiStack, TemplateStore};
+use han_colls::{time_coll_templated, Coll, TemplateStore};
 use han_core::{Han, HanConfig};
 use han_machine::{Machine, MachinePreset};
-use han_mpi::{execute, ExecOpts, Program};
+use han_mpi::Program;
 use han_sim::Time;
-use han_tuner::{lower_bound, DeltaSim, LookupTable, SearchSpace};
+use han_tuner::{lower_bound, LookupTable, SearchSpace};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Knobs for [`synthesize`].
@@ -35,8 +35,6 @@ pub struct SynthOpts {
     /// Skip extras whose bound pair is strictly dominated by a simulated
     /// point (front-preserving; see the module docs).
     pub prune: bool,
-    /// Serve candidates by delta re-simulation (bit-identical results).
-    pub delta: bool,
     /// Worker threads (`None` = available parallelism). The emitted
     /// fronts are bit-identical for every worker count.
     pub workers: Option<usize>,
@@ -53,7 +51,6 @@ impl Default for SynthOpts {
     fn default() -> Self {
         SynthOpts {
             prune: true,
-            delta: true,
             workers: None,
             beam: 96,
             lat_probe: 4096,
@@ -124,28 +121,6 @@ impl SynthResult {
     }
 }
 
-/// Simulate one schedule, template-specialized and (optionally) served
-/// by delta re-simulation — bit-identical either way.
-#[allow(clippy::too_many_arguments)]
-fn sim_cost(
-    machine: &mut Machine,
-    preset: &MachinePreset,
-    coll: Coll,
-    m: u64,
-    cfg: HanConfig,
-    templates: &TemplateStore,
-    scratch: &mut Program,
-    delta: Option<&mut DeltaSim>,
-) -> Result<Time, Unsupported> {
-    let han = Han::with_config(cfg);
-    let key = templates.build_into(&han, preset, coll, m, 0, scratch)?;
-    let opts = ExecOpts::timing(han.flavor().p2p());
-    Ok(match delta {
-        Some(ds) => ds.time(machine, scratch, &opts, key),
-        None => execute(machine, scratch, &opts).makespan,
-    })
-}
-
 struct GroupOut {
     samples: Vec<SynthSample>,
     pruned: u64,
@@ -162,7 +137,6 @@ fn run_group(
     m: u64,
     cands: &[Candidate],
     templates: &TemplateStore,
-    mut delta: Option<&mut DeltaSim>,
     opts: &SynthOpts,
 ) -> GroupOut {
     let lat_m = m.min(opts.lat_probe).max(1);
@@ -199,21 +173,13 @@ fn run_group(
                     bound_bw: Option<Time>,
                     machine: &mut Machine,
                     scratch: &mut Program,
-                    delta: Option<&mut DeltaSim>,
                     out: &mut GroupOut,
                     points: &mut Vec<(Time, Time)>| {
         let Candidate { cfg, menu } = cands[i];
-        let mut delta = delta;
-        let bw = match sim_cost(
-            machine,
-            preset,
-            coll,
-            m,
-            cfg,
-            templates,
-            scratch,
-            delta.as_deref_mut(),
-        ) {
+        let han = Han::with_config(cfg);
+        let mut cost =
+            |m| time_coll_templated(&han, templates, machine, preset, coll, m, 0, scratch);
+        let bw = match cost(m) {
             Ok(t) => t,
             Err(e) => {
                 note_skip(&mut out.skipped, e);
@@ -223,7 +189,7 @@ fn run_group(
         let lat = if lat_m == m {
             bw
         } else {
-            match sim_cost(machine, preset, coll, lat_m, cfg, templates, scratch, delta) {
+            match cost(lat_m) {
                 Ok(t) => t,
                 Err(e) => {
                     note_skip(&mut out.skipped, e);
@@ -246,15 +212,7 @@ fn run_group(
 
     for &i in &menu_idx {
         let b = lower_bound(preset, &cands[i].cfg, coll, m);
-        simulate(
-            i,
-            b,
-            machine,
-            scratch,
-            delta.as_deref_mut(),
-            &mut out,
-            &mut points,
-        );
+        simulate(i, b, machine, scratch, &mut out, &mut points);
     }
     for &(bound_bw, i) in &extras {
         if opts.prune {
@@ -266,15 +224,7 @@ fn run_group(
                 }
             }
         }
-        simulate(
-            i,
-            bound_bw,
-            machine,
-            scratch,
-            delta.as_deref_mut(),
-            &mut out,
-            &mut points,
-        );
+        simulate(i, bound_bw, machine, scratch, &mut out, &mut points);
     }
     out
 }
@@ -290,8 +240,8 @@ fn note_skip(skipped: &mut Vec<Unsupported>, e: Unsupported) {
 ///
 /// Parallelism is work-stealing over groups with per-worker simulator
 /// state and an index-keyed merge (the [`han_tuner`] sweep pattern), so
-/// the result is bit-identical for any worker count, with and without
-/// delta re-simulation, and with pruning on or off.
+/// the result is bit-identical for any worker count and with pruning on
+/// or off.
 pub fn synthesize(
     preset: &MachinePreset,
     space: &SearchSpace,
@@ -315,23 +265,18 @@ pub fn synthesize(
         .max(1);
 
     let templates = TemplateStore::new();
-    let delta_bases = DeltaSim::shared_bases();
     let next = AtomicUsize::new(0);
     let mut outcomes: Vec<GroupOut> = Vec::with_capacity(groups.len());
     std::thread::scope(|s| {
         let groups = &groups;
         let next = &next;
         let templates = &templates;
-        let delta_bases = &delta_bases;
         let opts = &opts;
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(move || {
                     let mut machine = Machine::from_preset(preset);
                     let mut scratch = Program::default();
-                    let mut ds = opts
-                        .delta
-                        .then(|| DeltaSim::with_shared(delta_bases.clone()));
                     let mut out: Vec<(usize, GroupOut)> = Vec::new();
                     loop {
                         let g = next.fetch_add(1, Ordering::Relaxed);
@@ -349,7 +294,6 @@ pub fn synthesize(
                                 *m,
                                 cands,
                                 templates,
-                                ds.as_mut(),
                                 opts,
                             ),
                         ));

@@ -1,6 +1,5 @@
 //! Determinism wall: the emitted Pareto fronts are bit-identical across
-//! worker counts, with and without delta re-simulation, and with the
-//! front-preserving prune on or off.
+//! worker counts and with the front-preserving prune on or off.
 
 use han_colls::{Coll, InterAlg, InterModule, IntraModule};
 use han_machine::{mini, mini3, MachinePreset};
@@ -58,31 +57,6 @@ fn fronts_are_identical_across_worker_counts() {
         for (sa, sb) in one.samples.iter().zip(&many.samples) {
             assert_eq!((sa.cfg, sa.lat, sa.bw), (sb.cfg, sb.lat, sb.bw));
         }
-    }
-}
-
-#[test]
-fn delta_resimulation_is_bit_identical() {
-    let preset = mini(2, 2);
-    let with = run(
-        &preset,
-        SynthOpts {
-            workers: Some(1),
-            delta: true,
-            ..SynthOpts::default()
-        },
-    );
-    let without = run(
-        &preset,
-        SynthOpts {
-            workers: Some(1),
-            delta: false,
-            ..SynthOpts::default()
-        },
-    );
-    assert_same_fronts(&with, &without, "delta vs no-delta");
-    for (sa, sb) in with.samples.iter().zip(&without.samples) {
-        assert_eq!((sa.lat, sa.bw), (sb.lat, sb.bw), "cost for {}", sa.cfg);
     }
 }
 

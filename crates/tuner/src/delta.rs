@@ -1,366 +1,33 @@
-//! Delta re-simulation across sweep candidates.
-//!
-//! The same config at neighbouring message sizes in one segmentation
-//! class builds programs that share their DAG structure and every
-//! config-derived scalar — only the remainder segment's byte counts
-//! differ, so the two timelines are identical until close to the end.
-//! [`DeltaSim`] exploits this: per candidate group (template key, or
-//! structural fingerprint without one) it keeps one recorded base run and
-//! serves subsequent candidates by replaying the unchanged prefix and
-//! re-simulating only the divergent suffix
-//! ([`han_mpi::Executor::run_delta`]) — bit-identical to a full
-//! simulation by construction, falling back to a recording run whenever
-//! delta replay does not apply.
-//!
-//! The first sighting of a group records a checkpointed base outright:
-//! a recording stores flat scalar projections rather than a program
-//! clone and checkpoints at coarse (half-a-run) spacing, so it costs
-//! only ~1.1-1.4x a plain run — cheap enough that even a one-off shape
-//! barely overpays, while a group's first scalar divergence replays
-//! immediately instead of paying a full re-recording run. The base cache
-//! is a small LRU shared across a sweep's workers ([`SharedBases`]), so
-//! one worker's recording serves every worker's replays.
-
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+//! Shim for the benchmark's traced sweep replay. Delta re-simulation was
+//! removed; [`DeltaSim::time`] is a plain full simulation.
 
 use han_machine::Machine;
-use han_mpi::{ExecOpts, Executor, OpKind, Program, Recording};
+use han_mpi::{execute, ExecOpts, Program};
 use han_sim::Time;
 
-/// Cumulative [`DeltaSim`] counters.
+/// [`DeltaSim`] counters; only `full_runs` ever moves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaStats {
-    /// Plain full simulations (non-timing opts bypassing the delta path).
     pub full_runs: u64,
-    /// Full simulations that also recorded a checkpointed base (first
-    /// sighting of a shape, or a replay miss against a stale base).
     pub recorded_runs: u64,
-    /// Runs served by delta replay (including exact-match reuse).
     pub delta_hits: u64,
 }
 
-/// Most recently used bases kept in one cache. Sweeps visit candidates
-/// grouped by `(coll, m)`, so the live working set is the program shapes
-/// of the groups currently in flight across workers.
-const MAX_BASES: usize = 32;
-
-/// Recorded bases shared between the [`DeltaSim`] contexts of a sweep's
-/// worker threads, keyed by candidate group (template key or structural
-/// fingerprint), most recent first.
-/// Sweeps distribute `(coll, m)` groups over workers with an atomic
-/// cursor, so the candidates sharing a DAG structure (the same config at
-/// neighbouring message sizes) usually land on *different* workers —
-/// per-worker caches would never see the repeat. Entries are
-/// `Arc<Recording>` so replay runs without holding the lock.
-pub type SharedBases = Arc<Mutex<Vec<(u64, Arc<Recording>)>>>;
-
-/// A per-worker delta re-simulation context: a persistent [`Executor`]
-/// plus an LRU of recorded bases keyed by structural fingerprint.
 #[derive(Debug, Default)]
-pub struct DeltaSim {
-    exec: Executor,
-    /// LRU of recorded bases, shareable between workers.
-    bases: SharedBases,
-    stats: DeltaStats,
-}
-
-/// Hash of a program's DAG structure — ranks, dependency lists, op-kind
-/// discriminants, message endpoints — excluding every scalar (byte counts,
-/// durations) that delta replay is allowed to vary. Used only to group
-/// candidate programs; [`Executor::run_delta`] re-verifies structural
-/// equality exactly before replaying, so collisions cost a fallback, never
-/// correctness.
-pub fn structural_fingerprint(prog: &Program) -> u64 {
-    let mut h = DefaultHasher::new();
-    prog.nranks.hash(&mut h);
-    prog.msgs.len().hash(&mut h);
-    for op in &prog.ops {
-        op.rank.hash(&mut h);
-        std::mem::discriminant(&op.kind).hash(&mut h);
-        match op.kind {
-            OpKind::Send { msg } | OpKind::Recv { msg } => msg.0.hash(&mut h),
-            _ => {}
-        }
-        op.deps.len().hash(&mut h);
-        for d in &op.deps {
-            d.0.hash(&mut h);
-        }
-    }
-    for m in &prog.msgs {
-        m.src.hash(&mut h);
-        m.dst.hash(&mut h);
-    }
-    h.finish()
-}
+pub struct DeltaSim(DeltaStats);
 
 impl DeltaSim {
     pub fn new() -> Self {
-        DeltaSim::default()
+        Self::default()
     }
 
-    /// A fresh base cache to share between the [`DeltaSim`] contexts of
-    /// several worker threads (see [`DeltaSim::with_shared`]).
-    pub fn shared_bases() -> SharedBases {
-        SharedBases::default()
+    /// `execute(..).makespan`; the template key is ignored.
+    pub fn time(&mut self, m: &mut Machine, p: &Program, o: &ExecOpts, _: Option<u64>) -> Time {
+        self.0.full_runs += 1;
+        execute(m, p, o).makespan
     }
 
-    /// A context whose base cache is `bases`: recordings made by one
-    /// worker serve replays on every other.
-    pub fn with_shared(bases: SharedBases) -> Self {
-        DeltaSim {
-            bases,
-            ..DeltaSim::default()
-        }
-    }
-
-    /// Simulated makespan of `prog` — bit-identical to
-    /// `execute(machine, prog, opts).makespan`, served by delta replay
-    /// when a recorded base for the same candidate group exists.
-    ///
-    /// `key_hint` is the template key from
-    /// [`han_colls::template::TemplateStore::build_into`]. It hashes the
-    /// config, collective and segmentation *class* but not the message
-    /// size, so same-key candidates share their DAG structure and every
-    /// config-derived scalar, differing only in the remainder segment —
-    /// divergence lands near the end of the timeline, where replay saves
-    /// the most. Distinct configs get distinct keys and therefore their
-    /// own bases, so structurally identical but scalar-divergent
-    /// candidates never thrash one base. Without a hint the base is keyed
-    /// by [`structural_fingerprint`]. Either way the key only selects the
-    /// base; [`Executor::run_delta`] re-verifies equivalence exactly, so
-    /// a key covering two shapes costs a fallback, never correctness.
-    pub fn time(
-        &mut self,
-        machine: &mut Machine,
-        prog: &Program,
-        opts: &ExecOpts,
-        key_hint: Option<u64>,
-    ) -> Time {
-        if opts.is_full() || opts.start_times.is_some() {
-            // Outside the recorded state space: plain run.
-            self.stats.full_runs += 1;
-            return self.exec.execute(machine, prog, opts).makespan;
-        }
-        let fp = match key_hint {
-            Some(k) => k,
-            None => structural_fingerprint(prog),
-        };
-        // Clone the base Arc out under the lock; replay itself runs
-        // lock-free so workers only serialize on the LRU bookkeeping.
-        let base = {
-            let mut bases = self.bases.lock().unwrap();
-            match bases.iter().position(|(k, _)| *k == fp) {
-                Some(idx) => {
-                    let b = bases.remove(idx);
-                    let rec = b.1.clone();
-                    bases.insert(0, b);
-                    Some(rec)
-                }
-                None => None,
-            }
-        };
-        if let Some(base) = base {
-            if let Some(rep) = self.exec.run_delta(machine, prog, opts, &base) {
-                self.stats.delta_hits += 1;
-                return rep.makespan;
-            }
-            // Replay not applicable: divergence landed before the first
-            // checkpoint, or the fingerprint covered two shapes. Refresh
-            // the base with this candidate — its neighbourhood of the
-            // space is where the next replays will come from.
-            let rec = self.exec.run_recorded(machine, prog, opts);
-            self.stats.recorded_runs += 1;
-            let mk = rec.report().makespan;
-            self.insert_base(fp, rec);
-            return mk;
-        }
-        // First sighting (or evicted): record a checkpointed base. The
-        // recording is close enough to plain-run cost that a one-off
-        // shape barely overpays, and every later sighting of the group —
-        // identical or scalar-divergent — replays from it.
-        let rec = self.exec.run_recorded(machine, prog, opts);
-        self.stats.recorded_runs += 1;
-        let mk = rec.report().makespan;
-        self.insert_base(fp, rec);
-        mk
-    }
-
-    fn insert_base(&self, fp: u64, rec: Recording) {
-        let mut bases = self.bases.lock().unwrap();
-        bases.retain(|(k, _)| *k != fp);
-        bases.insert(0, (fp, Arc::new(rec)));
-        bases.truncate(MAX_BASES);
-    }
-
-    /// Counters accumulated since construction.
     pub fn stats(&self) -> DeltaStats {
-        self.stats
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use han_colls::stack::Coll;
-    use han_colls::template::TemplateStore;
-    use han_core::{Han, HanConfig};
-    use han_machine::{mini, MachinePreset};
-    use han_mpi::execute;
-
-    fn timing_opts(stack: &Han) -> ExecOpts {
-        use han_colls::MpiStack;
-        ExecOpts::timing(stack.flavor().p2p())
-    }
-
-    /// Sweep one collective across segment sizes three times: every
-    /// candidate timed through DeltaSim must match a fresh full simulation
-    /// exactly; pass 1 records one base per segment size and passes 2 and
-    /// 3 are exact-match delta replays.
-    #[test]
-    fn delta_sweep_is_bit_identical_and_hits() {
-        let preset: MachinePreset = mini(2, 2);
-        let store = TemplateStore::new();
-        let mut ds = DeltaSim::new();
-        let mut machine = Machine::from_preset(&preset);
-        let mut scratch = Program::default();
-        let m = 1 << 20;
-        for _pass in 0..3 {
-            for seg in [64 * 1024u64, 128 * 1024, 256 * 1024] {
-                let cfg = HanConfig {
-                    fs: seg,
-                    ..HanConfig::default()
-                };
-                let han = Han::with_config(cfg);
-                let key = store
-                    .build_into(&han, &preset, Coll::Bcast, m, 0, &mut scratch)
-                    .unwrap();
-                let opts = timing_opts(&han);
-                let got = ds.time(&mut machine, &scratch, &opts, key);
-                let want = execute(&mut machine, &scratch, &opts).makespan;
-                assert_eq!(got, want, "seg={seg}");
-            }
-        }
-        let st = ds.stats();
-        assert_eq!(st.recorded_runs, 3, "{st:?}");
-        assert_eq!(st.delta_hits, 6, "repeat passes should replay: {st:?}");
-        assert_eq!(st.full_runs, 0, "{st:?}");
-    }
-
-    /// Without a template-key hint, grouping falls back to the structural
-    /// fingerprint: configs whose programs are identical (any `fs ≥ m`
-    /// builds the same single-segment program) share one base, and every
-    /// sighting after the first is an exact-match replay.
-    #[test]
-    fn fingerprint_fallback_groups_identical_programs() {
-        let preset: MachinePreset = mini(2, 2);
-        let mut ds = DeltaSim::new();
-        let mut machine = Machine::from_preset(&preset);
-        let m = 16 * 1024;
-        for seg in [64 * 1024u64, 128 * 1024, 256 * 1024, 512 * 1024] {
-            let cfg = HanConfig {
-                fs: seg,
-                ..HanConfig::default()
-            };
-            let han = Han::with_config(cfg);
-            let prog = han_colls::stack::build_coll(&han, &preset, Coll::Bcast, m, 0).unwrap();
-            let opts = timing_opts(&han);
-            let got = ds.time(&mut machine, &prog, &opts, None);
-            let want = execute(&mut machine, &prog, &opts).makespan;
-            assert_eq!(got, want, "seg={seg}");
-        }
-        let st = ds.stats();
-        assert_eq!(
-            st,
-            DeltaStats {
-                full_runs: 0,
-                recorded_runs: 1,
-                delta_hits: 3,
-            }
-        );
-    }
-
-    /// Same config across message sizes in one segmentation class — the
-    /// sweep pattern the template key groups: the first size records a
-    /// base, every further size replays from its checkpoints, and each
-    /// answer matches a fresh full simulation.
-    #[test]
-    fn same_key_across_message_sizes_replays() {
-        let preset: MachinePreset = mini(2, 2);
-        let store = TemplateStore::new();
-        let mut ds = DeltaSim::new();
-        let mut machine = Machine::from_preset(&preset);
-        let mut scratch = Program::default();
-        let han = Han::with_config(HanConfig::default().with_fs(256 * 1024));
-        let sizes: Vec<u64> = (0..6u64).rev().map(|k| (4 << 20) - k * 1024).collect();
-        let mut keys = std::collections::HashSet::new();
-        for &m in &sizes {
-            let key = store
-                .build_into(&han, &preset, Coll::Bcast, m, 0, &mut scratch)
-                .unwrap();
-            keys.insert(key);
-            let opts = timing_opts(&han);
-            let got = ds.time(&mut machine, &scratch, &opts, key);
-            let want = execute(&mut machine, &scratch, &opts).makespan;
-            assert_eq!(got, want, "m={m}");
-        }
-        assert_eq!(keys.len(), 1, "sizes span one template class");
-        let st = ds.stats();
-        assert_eq!(
-            st,
-            DeltaStats {
-                full_runs: 0,
-                recorded_runs: 1,
-                delta_hits: 5,
-            }
-        );
-    }
-
-    /// Same shape, genuinely different scalars: the second and third
-    /// sightings replay the unchanged prefix from the first recording's
-    /// checkpoints — every answer still bit-identical to a fresh full
-    /// simulation.
-    #[test]
-    fn scalar_divergence_replays_from_checkpoints() {
-        let preset: MachinePreset = mini(2, 2);
-        let mut ds = DeltaSim::new();
-        let mut machine = Machine::from_preset(&preset);
-        // Same segment count (u = 16 at fs = 256 KiB), different remainder
-        // scalars: structurally identical, scalar-divergent programs.
-        for m in [(4 << 20) - 4096u64, (4 << 20) - 2048, 4 << 20] {
-            let han = Han::with_config(HanConfig::default().with_fs(256 * 1024));
-            let prog = han_colls::stack::build_coll(&han, &preset, Coll::Bcast, m, 0).unwrap();
-            let opts = timing_opts(&han);
-            let got = ds.time(&mut machine, &prog, &opts, None);
-            let want = execute(&mut machine, &prog, &opts).makespan;
-            assert_eq!(got, want, "m={m}");
-        }
-        let st = ds.stats();
-        assert_eq!(
-            st,
-            DeltaStats {
-                full_runs: 0,
-                recorded_runs: 1,
-                delta_hits: 2,
-            }
-        );
-    }
-
-    #[test]
-    fn full_mode_bypasses_delta() {
-        let preset = mini(1, 2);
-        let mut ds = DeltaSim::new();
-        let mut machine = Machine::from_preset(&preset);
-        let han = Han::with_config(HanConfig::default());
-        let prog = han_colls::stack::build_coll(&han, &preset, Coll::Bcast, 4096, 0).unwrap();
-        use han_colls::MpiStack;
-        let opts = ExecOpts::with_data(han.flavor().p2p());
-        for _ in 0..3 {
-            ds.time(&mut machine, &prog, &opts, None);
-        }
-        let st = ds.stats();
-        assert_eq!(st.full_runs, 3);
-        assert_eq!(st.delta_hits, 0);
+        self.0
     }
 }

@@ -30,10 +30,6 @@
 //! * [`cache`] — a memo table for simulated task and collective costs,
 //!   shared across message sizes, collectives and strategies within a
 //!   run and optionally persisted for warm-started repeated runs.
-//! * [`delta`] — delta re-simulation: sweep candidates sharing a DAG
-//!   structure replay the unchanged event prefix from a recorded
-//!   checkpoint and re-simulate only the divergent suffix,
-//!   bit-identically.
 
 pub mod analytic;
 pub mod bound;
@@ -53,11 +49,11 @@ pub use han_decide::{decision, fingerprint, resolve, table};
 pub use bound::lower_bound;
 pub use cache::{preset_fingerprint, CostCache};
 pub use decision::DecisionTree;
-pub use delta::{structural_fingerprint, DeltaSim, DeltaStats, SharedBases};
+pub use delta::{DeltaSim, DeltaStats};
 pub use resolve::Resolution;
 pub use search::{
-    achieved_latency, achieved_latency_with_cache, candidate_costs, tune, tune_with_cache,
-    tune_with_opts, Strategy, TuneOpts, TuneResult,
+    achieved_latency, achieved_latency_with_cache, candidate_costs, tune, tune_with_opts, Strategy,
+    TuneOpts, TuneResult,
 };
 pub use space::SearchSpace;
 pub use table::LookupTable;

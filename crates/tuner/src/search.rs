@@ -15,17 +15,15 @@
 
 use crate::bound::lower_bound;
 use crate::cache::CostCache;
-use crate::delta::DeltaSim;
 use crate::model::predict;
 use crate::space::SearchSpace;
 use crate::table::LookupTable;
 use crate::taskbench::{TaskBench, BENCH_ITERS};
 use han_colls::stack::{time_coll_on, Coll, Unsupported};
 use han_colls::template::{time_coll_templated, TemplateStore};
-use han_colls::MpiStack;
 use han_core::{Han, HanConfig};
 use han_machine::{Machine, MachinePreset};
-use han_mpi::{ExecOpts, Program};
+use han_mpi::Program;
 use han_sim::Time;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -90,28 +88,16 @@ pub struct TuneResult {
 }
 
 /// Knobs for [`tune_with_opts`] beyond strategy and cache.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TuneOpts {
     /// Skip simulating candidates whose analytic lower bound strictly
     /// exceeds the incumbent best for the same `(coll, m)` group. Winners
     /// are provably identical; `tuning_time`/`searches`/`samples` shrink
     /// to the simulated subset.
     pub prune: bool,
-    /// Serve sweep candidates by delta re-simulation ([`crate::delta`]):
-    /// structurally identical programs replay the unchanged event prefix
-    /// from a recorded checkpoint and re-simulate only the divergent
-    /// suffix. Every reported cost is bit-identical to a full simulation,
-    /// so this defaults to on.
+    /// Ignored: delta re-simulation was removed. Kept only so the
+    /// benchmark's `TuneOpts` literal compiles.
     pub delta: bool,
-}
-
-impl Default for TuneOpts {
-    fn default() -> Self {
-        TuneOpts {
-            prune: false,
-            delta: true,
-        }
-    }
 }
 
 fn note_skip(skipped: &mut Vec<Unsupported>, e: Unsupported) {
@@ -127,25 +113,15 @@ pub fn tune(
     colls: &[Coll],
     strategy: Strategy,
 ) -> TuneResult {
-    tune_with_cache(preset, space, colls, strategy, None)
+    tune_with_opts(preset, space, colls, strategy, None, TuneOpts::default())
 }
 
 /// [`tune`], optionally memoizing simulated costs in a shared
-/// [`CostCache`]. Results (tables, samples, virtual tuning times) are
-/// identical with or without a cache — only host wall-clock differs.
-pub fn tune_with_cache(
-    preset: &MachinePreset,
-    space: &SearchSpace,
-    colls: &[Coll],
-    strategy: Strategy,
-    cache: Option<Arc<CostCache>>,
-) -> TuneResult {
-    tune_with_opts(preset, space, colls, strategy, cache, TuneOpts::default())
-}
-
-/// [`tune_with_cache`] with explicit [`TuneOpts`]. With `prune` enabled
-/// the exhaustive strategies skip provably-losing candidates; the selected
-/// winners are identical either way.
+/// [`CostCache`], with explicit [`TuneOpts`]. Results (tables, samples,
+/// virtual tuning times) are identical with or without a cache — only
+/// host wall-clock differs. With `prune` enabled the exhaustive strategies
+/// skip provably-losing candidates; the selected winners are identical
+/// either way.
 pub fn tune_with_opts(
     preset: &MachinePreset,
     space: &SearchSpace,
@@ -164,11 +140,7 @@ pub fn tune_with_opts(
 /// Simulate (or recall) the latency of one HAN collective configuration.
 /// Sweeps pass a [`TemplateStore`] plus a worker-local scratch program so
 /// repeated shapes specialize an interned template into reused allocations
-/// instead of rebuilding the DAG, and optionally a worker-local
-/// [`DeltaSim`] so structurally identical candidates replay their shared
-/// event prefix instead of re-simulating from scratch — bit-identical
-/// results either way.
-#[allow(clippy::too_many_arguments)]
+/// instead of rebuilding the DAG — bit-identical results either way.
 fn coll_cost(
     machine: &mut Machine,
     preset: &MachinePreset,
@@ -177,22 +149,16 @@ fn coll_cost(
     cfg: HanConfig,
     cache: Option<&CostCache>,
     templates: Option<(&TemplateStore, &mut Program)>,
-    delta: Option<&mut DeltaSim>,
 ) -> Result<Time, Unsupported> {
     if let Some(t) = cache.and_then(|c| c.lookup_coll(coll, &cfg, m)) {
         return Ok(t);
     }
     let han = Han::with_config(cfg);
-    let t = match (templates, delta) {
-        (Some((store, scratch)), Some(ds)) => {
-            let key = store.build_into(&han, preset, coll, m, 0, scratch)?;
-            let opts = ExecOpts::timing(han.flavor().p2p());
-            ds.time(machine, scratch, &opts, key)
-        }
-        (Some((store, scratch)), None) => {
+    let t = match templates {
+        Some((store, scratch)) => {
             time_coll_templated(&han, store, machine, preset, coll, m, 0, scratch)?
         }
-        (None, _) => time_coll_on(&han, machine, preset, coll, m, 0)?,
+        None => time_coll_on(&han, machine, preset, coll, m, 0)?,
     };
     if let Some(c) = cache {
         c.record_coll(coll, &cfg, m, t);
@@ -245,11 +211,6 @@ fn tune_exhaustive(
     // Shared template store: every worker re-stamps interned program
     // shapes instead of cold-building (results are bit-identical).
     let templates = TemplateStore::new();
-    // Shared delta bases: structurally identical candidates usually sit
-    // in different `(coll, m)` groups (same config, neighbouring message
-    // sizes), which the cursor hands to different workers — sharing the
-    // recordings is what lets one worker's base serve another's replay.
-    let delta_bases = DeltaSim::shared_bases();
     let next = AtomicUsize::new(0);
     let mut outcomes: Vec<Vec<Outcome>> = Vec::with_capacity(groups.len());
     std::thread::scope(|s| {
@@ -257,24 +218,15 @@ fn tune_exhaustive(
         let next = &next;
         let cache = cache.as_deref();
         let templates = &templates;
-        let delta_bases = &delta_bases;
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(move || {
-                    // One machine, one scratch program, and (when enabled)
-                    // one delta-resimulation context per worker; the
-                    // machine is reset between jobs by the executor, the
-                    // scratch's allocations are reused by specialization,
-                    // and the DeltaSims pool their recorded bases in the
-                    // shared cache so replays work across groups and
-                    // workers.
+                    // One machine and one scratch program per worker; the
+                    // machine is reset between jobs by the executor and
+                    // the scratch's allocations are reused by
+                    // specialization.
                     let mut machine = Machine::from_preset(preset);
                     let mut scratch = Program::default();
-                    let mut ds = if opts.delta {
-                        Some(DeltaSim::with_shared(delta_bases.clone()))
-                    } else {
-                        None
-                    };
                     let mut out: Vec<(usize, Vec<Outcome>)> = Vec::new();
                     loop {
                         let g = next.fetch_add(1, Ordering::Relaxed);
@@ -293,7 +245,6 @@ fn tune_exhaustive(
                                 cfgs,
                                 cache,
                                 templates,
-                                ds.as_mut(),
                                 opts,
                             ),
                         ));
@@ -369,7 +320,6 @@ fn run_group(
     cfgs: &[HanConfig],
     cache: Option<&CostCache>,
     templates: &TemplateStore,
-    mut delta: Option<&mut DeltaSim>,
     opts: TuneOpts,
 ) -> Vec<Outcome> {
     // Visit candidates cheapest-bound-first: tight early incumbents
@@ -408,7 +358,6 @@ fn run_group(
             cfgs[i],
             cache,
             Some((templates, &mut *scratch)),
-            delta.as_deref_mut(),
         );
         if let Ok(t) = &r {
             incumbent = Some(incumbent.map_or(*t, |inc| inc.min(*t)));
@@ -486,7 +435,7 @@ pub fn candidate_costs(
         .configs_for(m, &preset.topology, heuristic)
         .into_iter()
         .map(|cfg| {
-            let r = coll_cost(&mut machine, preset, coll, m, cfg, None, None, None);
+            let r = coll_cost(&mut machine, preset, coll, m, cfg, None, None);
             (cfg, r)
         })
         .collect()
@@ -514,10 +463,8 @@ pub fn achieved_latency_with_cache(
     cache: Option<&CostCache>,
 ) -> Result<Time, Unsupported> {
     let cfg = table.nearest(coll, m).map(|e| e.cfg).unwrap_or_default();
-    let han = Han::with_config(cfg);
-    let _ = han.name();
     let mut machine = Machine::from_preset(preset);
-    coll_cost(&mut machine, preset, coll, m, cfg, cache, None, None)
+    coll_cost(&mut machine, preset, coll, m, cfg, cache, None)
 }
 
 #[cfg(test)]
@@ -673,38 +620,25 @@ mod tests {
     }
 
     #[test]
-    fn delta_sweep_is_bit_identical_to_full_sweep() {
-        // Delta re-simulation must not change a single sample: every
+    fn sweep_costs_match_cold_built_ground_truth() {
+        // The templated sweep must not change a single sample: every
         // `(coll, m, cfg)` cost — not just the winners — is compared
-        // bit-for-bit against the delta-disabled sweep.
+        // bit-for-bit against `candidate_costs`, which cold-builds each
+        // program without a template store.
         for preset in [mini(2, 4), han_machine::mini3(2, 2, 2)] {
             let space = tiny_space();
             let colls = [Coll::Bcast, Coll::Allreduce];
-            let full = tune_with_opts(
-                &preset,
-                &space,
-                &colls,
-                Strategy::Exhaustive,
-                None,
-                TuneOpts {
-                    prune: false,
-                    delta: false,
-                },
-            );
-            let delta = tune_with_opts(
-                &preset,
-                &space,
-                &colls,
-                Strategy::Exhaustive,
-                None,
-                TuneOpts {
-                    prune: false,
-                    delta: true,
-                },
-            );
-            assert_eq!(full.searches, delta.searches, "{}", preset.name);
-            assert_eq!(full.tuning_time, delta.tuning_time, "{}", preset.name);
-            assert_eq!(full.samples, delta.samples, "{}", preset.name);
+            let swept = tune(&preset, &space, &colls, Strategy::Exhaustive);
+            let mut truth = Vec::new();
+            for &coll in &colls {
+                for &m in &space.msg_sizes {
+                    for (cfg, r) in candidate_costs(&preset, &space, coll, m, false) {
+                        truth.push((coll, m, cfg, r.unwrap()));
+                    }
+                }
+            }
+            assert_eq!(swept.pruned, 0, "{}", preset.name);
+            assert_eq!(swept.samples, truth, "{}", preset.name);
         }
     }
 

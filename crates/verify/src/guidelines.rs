@@ -22,17 +22,17 @@
 //! deliberately broken stacks and watch the guideline catch them.
 
 use crate::report::{GuidelineReport, Violation};
-use han_colls::stack::{build_coll, time_coll, Coll, Unsupported};
+use han_colls::stack::{time_coll, Coll, Unsupported};
 use han_colls::MpiStack;
 use han_core::composed::time_composed;
 use han_core::{classic, Han, HanConfig};
-use han_machine::{Machine, MachinePreset, Topology};
-use han_mpi::{execute, Comm, DataType, ExecOpts, Executor, ProgramBuilder, Recording, ReduceOp};
+use han_machine::{MachinePreset, Topology};
+use han_mpi::{execute, Comm, DataType, ExecOpts, ProgramBuilder, ReduceOp};
 use han_sim::Time;
 use han_synth::SynthResult;
 use han_tuner::model::predict;
 use han_tuner::table::LookupTable;
-use han_tuner::{candidate_costs, lower_bound, structural_fingerprint, SearchSpace, TaskBench};
+use han_tuner::{candidate_costs, lower_bound, SearchSpace, TaskBench};
 
 /// Simulated candidate costs for every `(coll, m)` group of a search
 /// space, shared by the dominance and bound-soundness guidelines so the
@@ -359,60 +359,6 @@ pub fn table_dominance(
                 entry.cost_ps,
                 "table winner config is not in the search space it was tuned over".to_string(),
             ));
-        }
-    }
-    g
-}
-
-/// `delta-agreement`: re-simulating every candidate through the
-/// checkpoint-replay path (`Executor::run_recorded` / `run_delta`) must
-/// reproduce the candidate's independently simulated cost exactly — a
-/// differential oracle with zero tolerance, since the tuner trusts delta
-/// replay to stand in for full simulation bit-for-bit. The first sighting
-/// of each program structure records the base; every later sighting
-/// replays its unchanged prefix from a checkpoint.
-pub fn delta_agreement(preset: &MachinePreset, candidates: &CandidateSet) -> GuidelineReport {
-    let mut g = GuidelineReport::new(
-        "delta-agreement",
-        "delta re-simulation matches the full simulation exactly",
-    );
-    let mut machine = Machine::from_preset(preset);
-    let mut exec = Executor::new();
-    let mut bases: std::collections::HashMap<u64, Recording> = std::collections::HashMap::new();
-    for (coll, m, cands) in candidates {
-        for (cfg, r) in cands {
-            let Ok(t_full) = r else { continue };
-            let stack = Han::with_config(*cfg);
-            let Ok(prog) = build_coll(&stack, preset, *coll, *m, 0) else {
-                continue;
-            };
-            let opts = ExecOpts::timing(stack.flavor().p2p());
-            let fp = structural_fingerprint(&prog);
-            let t_delta = match bases
-                .get(&fp)
-                .and_then(|base| exec.run_delta(&mut machine, &prog, &opts, base))
-            {
-                Some(rep) => rep.makespan,
-                None => {
-                    let rec = exec.run_recorded(&mut machine, &prog, &opts);
-                    let t = rec.report().makespan;
-                    bases.insert(fp, rec);
-                    t
-                }
-            };
-            g.check();
-            if t_delta != *t_full {
-                g.violate(Violation::new(
-                    &g.id.clone(),
-                    preset.name,
-                    coll.name(),
-                    format!("{cfg}"),
-                    *m,
-                    t_delta.as_ps(),
-                    t_full.as_ps(),
-                    format!("delta replay gives {t_delta}, full simulation gives {t_full}"),
-                ));
-            }
         }
     }
     g

@@ -25,7 +25,6 @@
 //! | `task-model-band` | task model within the relative error band |
 //! | `analytic-envelope` | analytic models within a bounded factor |
 //! | `classic-agreement` | N-level builders ≡ classic two-level oracles |
-//! | `delta-agreement` | delta re-simulation ≡ full simulation, exactly |
 //! | `serve-agreement` | han-serve daemon answers ≡ direct table lookups, across hot-swaps |
 //!
 //! Every failed inequality becomes a structured [`Violation`] (guideline

@@ -4,7 +4,7 @@
 
 use crate::guidelines::{
     allreduce_composition, analytic_envelope, bcast_composition, bound_soundness,
-    classic_agreement, delta_agreement, enumerate_candidates, msg_monotonicity, rank_monotonicity,
+    classic_agreement, enumerate_candidates, msg_monotonicity, rank_monotonicity,
     reduce_vs_allreduce, serve_agreement, synth_bound_soundness, synth_dominance, table_dominance,
     task_model_accuracy,
 };
@@ -142,13 +142,12 @@ pub fn run_preset(preset: &MachinePreset, opts: &SuiteOpts) -> Vec<GuidelineRepo
         None,
         TuneOpts {
             prune: true,
-            delta: true,
+            ..TuneOpts::default()
         },
     );
     let cands = enumerate_candidates(preset, &opts.space, &opts.dominance_colls);
     add(table_dominance(preset, &tuned.table, &cands));
     add(bound_soundness(preset, &cands));
-    add(delta_agreement(preset, &cands));
 
     // Schedule synthesis over the same space: front winners must
     // dominate the menu, and the bound steering the search must be

@@ -111,7 +111,7 @@ fn tampered_table_is_caught_as_dominance_violation() {
         None,
         TuneOpts {
             prune: true,
-            delta: true,
+            ..TuneOpts::default()
         },
     );
     let cands = enumerate_candidates(&preset, &space, &colls);
@@ -165,7 +165,7 @@ fn tampered_served_table_is_caught_as_serve_disagreement() {
         None,
         TuneOpts {
             prune: true,
-            delta: true,
+            ..TuneOpts::default()
         },
     )
     .table;

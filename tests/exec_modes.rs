@@ -7,7 +7,7 @@
 //! produced. These tests pin both guarantees.
 
 use han::prelude::*;
-use han::tuner::{tune_with_cache, CostCache};
+use han::tuner::{tune_with_opts, CostCache, TuneOpts};
 use han_tuner::search::achieved_latency_with_cache;
 use std::sync::Arc;
 
@@ -88,10 +88,20 @@ fn warm_cache_returns_same_winners() {
     let space = tiny_space();
     let colls = [Coll::Bcast, Coll::Allreduce];
     for strategy in Strategy::ALL {
-        let uncached = tune_with_cache(&preset, &space, &colls, strategy, None);
+        let run = |cache: Option<Arc<CostCache>>| {
+            tune_with_opts(
+                &preset,
+                &space,
+                &colls,
+                strategy,
+                cache,
+                TuneOpts::default(),
+            )
+        };
+        let uncached = run(None);
         let cache = Arc::new(CostCache::new(&preset));
-        let cold = tune_with_cache(&preset, &space, &colls, strategy, Some(cache.clone()));
-        let warm = tune_with_cache(&preset, &space, &colls, strategy, Some(cache.clone()));
+        let cold = run(Some(cache.clone()));
+        let warm = run(Some(cache.clone()));
         assert!(
             cache.stats().hits > 0,
             "{strategy:?}: second run should hit the cache"
@@ -109,12 +119,13 @@ fn achieved_latency_is_cache_transparent() {
     let space = tiny_space();
     let colls = [Coll::Bcast, Coll::Allreduce];
     let cache = Arc::new(CostCache::new(&preset));
-    let tuned = tune_with_cache(
+    let tuned = tune_with_opts(
         &preset,
         &space,
         &colls,
         Strategy::Exhaustive,
         Some(cache.clone()),
+        TuneOpts::default(),
     );
     for coll in colls {
         for &m in &space.msg_sizes {

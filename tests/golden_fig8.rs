@@ -51,7 +51,7 @@ fn sweep_winners() -> Vec<GoldenRow> {
         None,
         TuneOpts {
             prune: true,
-            delta: true,
+            ..TuneOpts::default()
         },
     );
     assert!(r.skipped.is_empty(), "unexpected skips: {:?}", r.skipped);
