@@ -91,10 +91,9 @@ impl TemplateStore {
     }
 
     /// [`Self::build`] into a caller-owned scratch program. On the
-    /// specialization fast path this reuses the scratch's allocations
-    /// (op vector, per-op dependency lists, messages), so a sweep worker
-    /// that keeps one scratch across candidates re-stamps with no heap
-    /// traffic at all. The scratch's prior contents are irrelevant.
+    /// specialization fast path this copies the template's flat arrays
+    /// and re-stamps their scalars, with no DAG construction. The
+    /// scratch's prior contents are irrelevant.
     ///
     /// Returns the stack's template key for this build (`None` when the
     /// stack declines templating, in which case the program was

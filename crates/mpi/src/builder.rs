@@ -4,6 +4,10 @@
 //! allocates per-rank buffers, creates ops with dependencies, and creates
 //! pre-matched send/recv pairs. Because both halves of every message are
 //! created together, there is no tag ambiguity anywhere in the system.
+//!
+//! Each [`ProgramBuilder::op`] appends the op and its dependency slice to
+//! the program's flat CSR arrays, so a build makes O(log n) amortized
+//! vector growths rather than one allocation per op.
 
 use crate::buffer::BufRange;
 use crate::program::{MsgId, MsgMeta, Op, OpId, OpKind, Program};
@@ -12,53 +16,56 @@ use han_sim::Time;
 /// Incremental builder for a [`Program`].
 #[derive(Debug)]
 pub struct ProgramBuilder {
-    ops: Vec<Op>,
-    msgs: Vec<MsgMeta>,
-    nranks: usize,
-    mem_size: Vec<u64>,
+    prog: Program,
 }
 
 impl ProgramBuilder {
     pub fn new(nranks: usize) -> Self {
         assert!(nranks > 0);
         ProgramBuilder {
-            ops: Vec::new(),
-            msgs: Vec::new(),
-            nranks,
-            mem_size: vec![0; nranks],
+            prog: Program {
+                nranks,
+                mem_size: vec![0; nranks],
+                ..Program::default()
+            },
         }
     }
 
     pub fn nranks(&self) -> usize {
-        self.nranks
+        self.prog.nranks
     }
 
     pub fn num_ops(&self) -> usize {
-        self.ops.len()
+        self.prog.ops.len()
     }
 
     /// Bump-allocate `bytes` in `rank`'s address space.
     pub fn alloc(&mut self, rank: usize, bytes: u64) -> BufRange {
-        let off = self.mem_size[rank];
-        self.mem_size[rank] += bytes;
+        let off = self.prog.mem_size[rank];
+        self.prog.mem_size[rank] += bytes;
         BufRange::new(off, bytes)
     }
 
     /// Allocate the same number of bytes on every rank (e.g. the user
     /// buffer of a collective). Offsets may differ across ranks.
     pub fn alloc_all(&mut self, bytes: u64) -> Vec<BufRange> {
-        (0..self.nranks).map(|r| self.alloc(r, bytes)).collect()
+        (0..self.prog.nranks)
+            .map(|r| self.alloc(r, bytes))
+            .collect()
     }
 
     /// Add an op owned by `rank`, runnable after `deps`.
     pub fn op(&mut self, rank: usize, kind: OpKind, deps: &[OpId]) -> OpId {
-        debug_assert!(rank < self.nranks, "rank {rank} out of range");
-        let id = OpId(self.ops.len() as u32);
-        self.ops.push(Op {
+        debug_assert!(rank < self.prog.nranks, "rank {rank} out of range");
+        let p = &mut self.prog;
+        let id = OpId(u32::try_from(p.ops.len()).expect("more than u32::MAX ops"));
+        p.ops.push(Op {
             rank: rank as u32,
             kind,
-            deps: deps.to_vec(),
         });
+        p.dep.extend_from_slice(deps);
+        p.dep_off
+            .push(u32::try_from(p.dep.len()).expect("more than u32::MAX dependency edges"));
         id
     }
 
@@ -96,8 +103,8 @@ impl ProgramBuilder {
         if let Some(r) = &dbuf {
             debug_assert_eq!(r.len, bytes);
         }
-        let msg = MsgId(self.msgs.len() as u32);
-        self.msgs.push(MsgMeta {
+        let msg = MsgId(self.prog.msgs.len() as u32);
+        self.prog.msgs.push(MsgMeta {
             src: src as u32,
             dst: dst as u32,
             bytes,
@@ -119,14 +126,8 @@ impl ProgramBuilder {
     }
 
     pub fn build(self) -> Program {
-        let p = Program {
-            ops: self.ops,
-            msgs: self.msgs,
-            nranks: self.nranks,
-            mem_size: self.mem_size,
-        };
-        debug_assert_eq!(p.validate(), Ok(()));
-        p
+        debug_assert_eq!(self.prog.validate(), Ok(()));
+        self.prog
     }
 }
 
@@ -189,7 +190,8 @@ mod tests {
         let d = b.sleep(0, Time::from_ns(5), &[a, c]);
         let p = b.build();
         assert_eq!(p.validate(), Ok(()));
-        assert_eq!(p.op(d).deps, vec![a, c]);
+        assert_eq!(p.deps(d), &[a, c]);
+        assert_eq!(p.deps(a), &[]);
     }
 
     #[test]

@@ -276,11 +276,13 @@ const TAG_SLEEP: u8 = 1;
 const TAG_DELAY: u8 = 2;
 const TAG_OTHER: u8 = 3;
 
-/// Cached dependency *structure* of a program: children CSR, flat deps,
-/// message endpoints, zero-in-degree roots. Built once and reused across
-/// every specialization that keeps the same DAG shape — op scalars (byte
-/// counts, durations) and message scalars never enter this structure, so a
-/// sweep that only varies sizes shares one `DepGraph`.
+/// Cached dependency *structure* of a program: a copy of its dependency
+/// CSR and ranks (kept only to recognise the same shape again), plus what
+/// is derived from them — children CSR, message endpoints, zero-in-degree
+/// roots. Built once and reused across every specialization that keeps the
+/// same DAG shape — op scalars (byte counts, durations) and message
+/// scalars never enter this structure, so a sweep that only varies sizes
+/// shares one `DepGraph`.
 #[derive(Debug, Default)]
 struct DepGraph {
     built: bool,
@@ -289,9 +291,9 @@ struct DepGraph {
     /// Children (reverse dependencies) in CSR form.
     child_off: Vec<u32>,
     child: Vec<u32>,
-    /// Flat copy of each op's deps (CSR), kept for exact `matches` compares.
+    /// Copy of the program's dependency CSR, for exact `matches` compares.
     dep_off: Vec<u32>,
-    dep: Vec<u32>,
+    dep: Vec<OpId>,
     op_rank: Vec<u32>,
     /// Structural message tag: `Send{msg}` -> `msg*2`, `Recv{msg}` ->
     /// `msg*2+1`, anything else -> `NONE_U32`.
@@ -304,38 +306,30 @@ struct DepGraph {
     cursor: Vec<u32>,
 }
 
+/// Structural message tag of an op (see `DepGraph::op_msg`).
+#[inline]
+fn msg_tag(kind: &OpKind) -> u32 {
+    match kind {
+        OpKind::Send { msg } => msg.0 * 2,
+        OpKind::Recv { msg } => msg.0 * 2 + 1,
+        _ => NONE_U32,
+    }
+}
+
 impl DepGraph {
-    /// Exact structural equality with `prog` (ranks, dep lists, message
-    /// endpoints). O(ops + deps); no hashing, so no collisions.
+    /// Exact structural equality with `prog` (ranks, dependency CSR,
+    /// message endpoints). O(ops + deps); no hashing, so no collisions.
     fn matches(&self, prog: &Program) -> bool {
-        if !self.built || self.nops != prog.ops.len() || self.nmsgs != prog.msgs.len() {
-            return false;
-        }
-        let mut k = 0usize;
-        for (i, op) in prog.ops.iter().enumerate() {
-            if self.op_rank[i] != op.rank {
-                return false;
-            }
-            let tag = match op.kind {
-                OpKind::Send { msg } => msg.0 * 2,
-                OpKind::Recv { msg } => msg.0 * 2 + 1,
-                _ => NONE_U32,
-            };
-            if self.op_msg[i] != tag {
-                return false;
-            }
-            let ndeps = (self.dep_off[i + 1] - self.dep_off[i]) as usize;
-            if ndeps != op.deps.len() {
-                return false;
-            }
-            for d in &op.deps {
-                if self.dep[k] != d.0 {
-                    return false;
-                }
-                k += 1;
-            }
-        }
-        true
+        self.built
+            && self.nops == prog.ops.len()
+            && self.nmsgs == prog.msgs.len()
+            && self.dep_off == prog.dep_off
+            && self.dep == prog.dep
+            && prog
+                .ops
+                .iter()
+                .enumerate()
+                .all(|(i, op)| self.op_rank[i] == op.rank && self.op_msg[i] == msg_tag(&op.kind))
     }
 
     /// (Re)build from `prog`, reusing every allocation.
@@ -343,45 +337,35 @@ impl DepGraph {
         let n = prog.ops.len();
         self.nops = n;
         self.nmsgs = prog.msgs.len();
+        self.dep_off.clone_from(&prog.dep_off);
+        self.dep.clone_from(&prog.dep);
         self.op_rank.clear();
         self.op_msg.clear();
         self.indeg0.clear();
         self.roots.clear();
-        self.dep.clear();
-        self.dep_off.clear();
-        self.dep_off.push(0);
         self.msg_send_op.clear();
         self.msg_send_op.resize(self.nmsgs, NONE_U32);
         self.msg_recv_op.clear();
         self.msg_recv_op.resize(self.nmsgs, NONE_U32);
         for (i, op) in prog.ops.iter().enumerate() {
             self.op_rank.push(op.rank);
-            let tag = match op.kind {
-                OpKind::Send { msg } => {
-                    self.msg_send_op[msg.0 as usize] = i as u32;
-                    msg.0 * 2
-                }
-                OpKind::Recv { msg } => {
-                    self.msg_recv_op[msg.0 as usize] = i as u32;
-                    msg.0 * 2 + 1
-                }
-                _ => NONE_U32,
-            };
-            self.op_msg.push(tag);
-            self.indeg0.push(op.deps.len() as u32);
-            if op.deps.is_empty() {
+            match op.kind {
+                OpKind::Send { msg } => self.msg_send_op[msg.0 as usize] = i as u32,
+                OpKind::Recv { msg } => self.msg_recv_op[msg.0 as usize] = i as u32,
+                _ => {}
+            }
+            self.op_msg.push(msg_tag(&op.kind));
+            let ndeps = self.dep_off[i + 1] - self.dep_off[i];
+            self.indeg0.push(ndeps);
+            if ndeps == 0 {
                 self.roots.push(i as u32);
             }
-            for d in &op.deps {
-                self.dep.push(d.0);
-            }
-            self.dep_off.push(self.dep.len() as u32);
         }
         // Children CSR by counting sort over the flat dep array.
         self.child_off.clear();
         self.child_off.resize(n + 1, 0);
-        for &d in &self.dep {
-            self.child_off[d as usize + 1] += 1;
+        for d in &self.dep {
+            self.child_off[d.0 as usize + 1] += 1;
         }
         for i in 0..n {
             self.child_off[i + 1] += self.child_off[i];
@@ -390,8 +374,8 @@ impl DepGraph {
         self.child.resize(self.dep.len(), 0);
         self.cursor.clear();
         self.cursor.extend_from_slice(&self.child_off[..n]);
-        for (i, op) in prog.ops.iter().enumerate() {
-            for d in &op.deps {
+        for i in 0..n {
+            for d in &self.dep[self.dep_off[i] as usize..self.dep_off[i + 1] as usize] {
                 let c = &mut self.cursor[d.0 as usize];
                 self.child[*c as usize] = i as u32;
                 *c += 1;
@@ -546,7 +530,7 @@ impl Executor {
 
     /// Rebuild the compact dispatch tables: the ready handler for the
     /// trivial kinds (Nop/Sleep/Delay — the bulk of fine-grained DAGs)
-    /// reads one byte and one `Time` instead of the ~100-byte `Op`.
+    /// reads one byte and one `Time` instead of the much wider `Op`.
     /// Rebuilt per run because scalars move under template re-stamping
     /// even when the cached CSR structure matches.
     fn build_kind_tables(&mut self, prog: &Program) {

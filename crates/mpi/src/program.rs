@@ -6,6 +6,12 @@
 //! build time — each send/recv pair shares a [`MsgId`] — so the executor
 //! never performs tag matching; this both simplifies the transport and
 //! guarantees determinism.
+//!
+//! The dependency edges are stored once per program in compressed sparse
+//! row (CSR) form: op `i` depends on `dep[dep_off[i]..dep_off[i + 1]]`,
+//! read through [`Program::deps`]. Every field is a flat vector of plain
+//! `Copy` data, so building, cloning and dropping a program costs a few
+//! large allocations rather than one per op.
 
 use crate::buffer::BufRange;
 use crate::datatype::{DataType, ReduceOp};
@@ -21,7 +27,7 @@ pub struct MsgId(pub u32);
 
 /// What an op does. Resource costs are derived by the executor from the
 /// machine parameters; `OpKind` carries only semantics and sizes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     /// No-op: join/fork point for dependencies (also used to observe the
     /// completion time of a task).
@@ -79,7 +85,7 @@ pub enum OpKind {
 }
 
 /// A pre-matched point-to-point message.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MsgMeta {
     pub src: u32,
     pub dst: u32,
@@ -88,66 +94,54 @@ pub struct MsgMeta {
     pub dbuf: Option<BufRange>,
 }
 
-/// One operation, owned by `rank`, runnable once all `deps` finished.
-#[derive(Debug, PartialEq, Eq)]
+/// One operation, owned by `rank`. It becomes runnable once every op in
+/// its program's [`Program::deps`] list has finished.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Op {
     pub rank: u32,
     pub kind: OpKind,
-    pub deps: Vec<OpId>,
-}
-
-// Manual impl so `clone_from` reuses the per-op dependency allocation —
-// the dominant cost of cloning a program (one heap block per op). Template
-// re-specialization into a scratch program leans on this.
-impl Clone for Op {
-    fn clone(&self) -> Self {
-        Op {
-            rank: self.rank,
-            kind: self.kind.clone(),
-            deps: self.deps.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.rank = source.rank;
-        self.kind = source.kind.clone();
-        self.deps.clone_from(&source.deps);
-    }
 }
 
 /// A complete program over `nranks` world ranks.
-#[derive(Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     pub ops: Vec<Op>,
+    /// CSR offsets into `dep`, one per op plus a final `dep.len()`:
+    /// op `i`'s dependencies are `dep[dep_off[i]..dep_off[i + 1]]`.
+    pub dep_off: Vec<u32>,
+    /// Every op's dependencies, concatenated in op order.
+    pub dep: Vec<OpId>,
     pub msgs: Vec<MsgMeta>,
     pub nranks: usize,
     /// Bump-allocated address-space size per rank (for data mode).
     pub mem_size: Vec<u64>,
 }
 
-// Field-wise `clone_from` so every vector (including each op's deps, via
-// `Op::clone_from`) reuses its existing allocation.
-impl Clone for Program {
-    fn clone(&self) -> Self {
+/// The empty program over zero ranks (a valid program: `dep_off == [0]`).
+impl Default for Program {
+    fn default() -> Self {
         Program {
-            ops: self.ops.clone(),
-            msgs: self.msgs.clone(),
-            nranks: self.nranks,
-            mem_size: self.mem_size.clone(),
+            ops: Vec::new(),
+            dep_off: vec![0],
+            dep: Vec::new(),
+            msgs: Vec::new(),
+            nranks: 0,
+            mem_size: Vec::new(),
         }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.ops.clone_from(&source.ops);
-        self.msgs.clone_from(&source.msgs);
-        self.nranks = source.nranks;
-        self.mem_size.clone_from(&source.mem_size);
     }
 }
 
 impl Program {
     pub fn op(&self, id: OpId) -> &Op {
         &self.ops[id.0 as usize]
+    }
+
+    /// The ops `id` depends on, in the order they were given to the
+    /// builder.
+    #[inline]
+    pub fn deps(&self, id: OpId) -> &[OpId] {
+        let i = id.0 as usize;
+        &self.dep[self.dep_off[i] as usize..self.dep_off[i + 1] as usize]
     }
 
     pub fn msg(&self, id: MsgId) -> &MsgMeta {
@@ -163,18 +157,20 @@ impl Program {
     }
 
     /// Structural validation; called by the executor in debug builds and by
-    /// tests. Returns a description of the first problem found.
+    /// tests. Returns a description of the first problem found, and never
+    /// panics, whatever the fields hold.
     pub fn validate(&self) -> Result<(), String> {
         if self.mem_size.len() != self.nranks {
             return Err("mem_size length != nranks".into());
         }
+        self.validate_csr()?;
         let mut send_seen = vec![false; self.msgs.len()];
         let mut recv_seen = vec![false; self.msgs.len()];
         for (i, op) in self.ops.iter().enumerate() {
             if op.rank as usize >= self.nranks {
                 return Err(format!("op {i}: rank {} out of range", op.rank));
             }
-            for d in &op.deps {
+            for d in self.deps(OpId(i as u32)) {
                 if d.0 as usize >= self.ops.len() {
                     return Err(format!("op {i}: dep {} out of range", d.0));
                 }
@@ -184,12 +180,10 @@ impl Program {
             }
             let check_buf = |r: &Option<BufRange>, rank: u32, what: &str| -> Result<(), String> {
                 if let Some(r) = r {
-                    if r.end() > self.mem_size[rank as usize] {
+                    if !fits(r, self.mem_size[rank as usize]) {
                         return Err(format!(
-                            "op {i}: {what} range [{}, {}) exceeds rank {rank} memory {}",
-                            r.off,
-                            r.end(),
-                            self.mem_size[rank as usize]
+                            "op {i}: {what} range of {} bytes at {} exceeds rank {rank} memory {}",
+                            r.len, r.off, self.mem_size[rank as usize]
                         ));
                     }
                 }
@@ -277,18 +271,50 @@ impl Program {
                 return Err(format!("msg {m}: self-message"));
             }
             if let Some(r) = &meta.sbuf {
-                if r.end() > self.mem_size[meta.src as usize] {
+                if !fits(r, self.mem_size[meta.src as usize]) {
                     return Err(format!("msg {m}: sbuf out of range"));
                 }
             }
             if let Some(r) = &meta.dbuf {
-                if r.end() > self.mem_size[meta.dst as usize] {
+                if !fits(r, self.mem_size[meta.dst as usize]) {
                     return Err(format!("msg {m}: dbuf out of range"));
                 }
             }
         }
         Ok(())
     }
+
+    /// The CSR invariants [`Self::deps`] relies on: one offset per op plus
+    /// a final one, starting at 0, never decreasing, ending at `dep.len()`.
+    fn validate_csr(&self) -> Result<(), String> {
+        let n = self.ops.len();
+        if self.dep_off.len() != n + 1 {
+            return Err(format!(
+                "dep_off has {} entries, expected ops + 1 = {}",
+                self.dep_off.len(),
+                n + 1
+            ));
+        }
+        if self.dep_off[0] != 0 {
+            return Err(format!("dep_off[0] = {}, expected 0", self.dep_off[0]));
+        }
+        if let Some(i) = self.dep_off.windows(2).position(|w| w[0] > w[1]) {
+            return Err(format!("dep_off decreases at op {i}"));
+        }
+        if self.dep_off[n] as usize != self.dep.len() {
+            return Err(format!(
+                "dep_off ends at {}, but dep has {} entries",
+                self.dep_off[n],
+                self.dep.len()
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// `r` lies within an address space of `size` bytes (overflow-safe).
+fn fits(r: &BufRange, size: u64) -> bool {
+    r.off.checked_add(r.len).is_some_and(|end| end <= size)
 }
 
 #[cfg(test)]
@@ -297,27 +323,67 @@ mod tests {
 
     fn empty_prog(nranks: usize) -> Program {
         Program {
-            ops: vec![],
-            msgs: vec![],
             nranks,
             mem_size: vec![0; nranks],
+            ..Program::default()
         }
+    }
+
+    /// Append an op with `deps` to the CSR, as the builder does.
+    fn push(p: &mut Program, rank: u32, kind: OpKind, deps: &[OpId]) {
+        p.ops.push(Op { rank, kind });
+        p.dep.extend_from_slice(deps);
+        p.dep_off.push(p.dep.len() as u32);
     }
 
     #[test]
     fn empty_program_is_valid() {
         assert!(empty_prog(2).validate().is_ok());
+        assert_eq!(Program::default().validate(), Ok(()));
+        assert!(Program::default().is_empty());
     }
 
     #[test]
     fn forward_dep_rejected() {
         let mut p = empty_prog(1);
-        p.ops.push(Op {
-            rank: 0,
-            kind: OpKind::Nop,
-            deps: vec![OpId(0)],
-        });
-        assert!(p.validate().is_err());
+        push(&mut p, 0, OpKind::Nop, &[OpId(0)]);
+        assert!(p.validate().unwrap_err().contains("forward/self dep"));
+    }
+
+    #[test]
+    fn malformed_csr_is_an_error_not_a_panic() {
+        // A valid base: op 1 depends on op 0.
+        let mut base = empty_prog(1);
+        push(&mut base, 0, OpKind::Nop, &[]);
+        push(&mut base, 0, OpKind::Nop, &[OpId(0)]);
+        assert_eq!(base.validate(), Ok(()));
+        assert_eq!(base.deps(OpId(1)), &[OpId(0)]);
+        type Corrupt = fn(&mut Program);
+        let cases: [(&str, Corrupt, &str); 7] = [
+            ("no offsets", |p| p.dep_off.clear(), "dep_off has 0 entries"),
+            (
+                "offset missing",
+                |p| {
+                    p.dep_off.pop();
+                },
+                "dep_off has 2",
+            ),
+            ("extra offset", |p| p.dep_off.push(1), "dep_off has 4"),
+            ("nonzero start", |p| p.dep_off[0] = 1, "dep_off[0] = 1"),
+            (
+                "decreasing",
+                |p| p.dep_off = vec![0, 1, 0],
+                "dep_off decreases at op 1",
+            ),
+            ("short dep", |p| p.dep.clear(), "dep has 0 entries"),
+            ("dep out of range", |p| p.dep[0] = OpId(7), "out of range"),
+        ];
+        for (name, corrupt, want) in cases {
+            let mut p = base.clone();
+            corrupt(&mut p);
+            let err = p.validate().expect_err(name);
+            assert!(err.contains(want), "{name}: {err}");
+        }
     }
 
     #[test]
@@ -330,11 +396,7 @@ mod tests {
             sbuf: None,
             dbuf: None,
         });
-        p.ops.push(Op {
-            rank: 0,
-            kind: OpKind::Send { msg: MsgId(0) },
-            deps: vec![],
-        });
+        push(&mut p, 0, OpKind::Send { msg: MsgId(0) }, &[]);
         assert!(p.validate().unwrap_err().contains("missing send or recv"));
     }
 
@@ -342,16 +404,16 @@ mod tests {
     fn buffer_overflow_rejected() {
         let mut p = empty_prog(1);
         p.mem_size[0] = 4;
-        p.ops.push(Op {
-            rank: 0,
-            kind: OpKind::Copy {
-                bytes: 8,
-                src: Some(BufRange::new(0, 8)),
-                dst: None,
-            },
-            deps: vec![],
-        });
+        let copy = |src| OpKind::Copy {
+            bytes: 8,
+            src: Some(src),
+            dst: None,
+        };
+        push(&mut p, 0, copy(BufRange::new(0, 8)), &[]);
         assert!(p.validate().is_err());
+        // An end offset past u64::MAX is an error, not an overflow panic.
+        p.ops[0].kind = copy(BufRange::new(u64::MAX, 8));
+        assert!(p.validate().unwrap_err().contains("exceeds rank 0 memory"));
     }
 
     #[test]
@@ -364,16 +426,8 @@ mod tests {
             sbuf: None,
             dbuf: None,
         });
-        p.ops.push(Op {
-            rank: 1,
-            kind: OpKind::Send { msg: MsgId(0) },
-            deps: vec![],
-        });
-        p.ops.push(Op {
-            rank: 1,
-            kind: OpKind::Recv { msg: MsgId(0) },
-            deps: vec![],
-        });
+        push(&mut p, 1, OpKind::Send { msg: MsgId(0) }, &[]);
+        push(&mut p, 1, OpKind::Recv { msg: MsgId(0) }, &[]);
         assert!(p.validate().unwrap_err().contains("self-message"));
     }
 }

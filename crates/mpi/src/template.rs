@@ -11,62 +11,123 @@
 //! counts) are pinned by the template key.
 //!
 //! A [`ProgramTemplate`] is learned from two probe builds at distinct
-//! sizes: the shapes are checked for exact structural equality, each
-//! scalar's slope is recovered by exact integer division (any remainder
-//! rejects the pair as non-affine), and specialization then clones the
-//! base program and re-stamps the scalar stream — no tree construction, no
-//! per-call hash maps, no frontier bookkeeping. The caller (the template
-//! store in `han-colls`) is responsible for keying entries so that builds
-//! with different shapes or non-affine scalars never share a template.
+//! sizes: the shapes are checked for exact structural equality field by
+//! field, each scalar's slope is recovered by exact integer division (any
+//! remainder rejects the pair as non-affine), and specialization then
+//! copies the base program's flat arrays and re-stamps the scalar stream —
+//! no tree construction, no per-call hash maps, no frontier bookkeeping.
+//! The caller (the template store in `han-colls`) is responsible for
+//! keying entries so that builds with different shapes or non-affine
+//! scalars never share a template.
 
-use crate::program::{OpKind, Program};
+use crate::buffer::BufRange;
+use crate::program::{MsgMeta, OpKind, Program};
+
+/// Visit the size-dependent scalars of one op kind: a duration, or a byte
+/// count followed by the source and destination ranges. This and
+/// [`msg_scalars`] are the single definition of the scalar stream's order;
+/// reading and re-stamping both go through them.
+fn kind_scalars(kind: &mut OpKind, f: &mut impl FnMut(&mut u64)) {
+    match kind {
+        OpKind::Nop | OpKind::Send { .. } | OpKind::Recv { .. } => {}
+        OpKind::Delay { dur } | OpKind::Sleep { dur } => f(&mut dur.0),
+        OpKind::Copy { bytes, src, dst }
+        | OpKind::CrossCopy {
+            bytes, src, dst, ..
+        }
+        | OpKind::Reduce {
+            bytes, src, dst, ..
+        }
+        | OpKind::ReduceFrom {
+            bytes, src, dst, ..
+        } => {
+            f(bytes);
+            range_scalars(src, f);
+            range_scalars(dst, f);
+        }
+    }
+}
+
+fn msg_scalars(m: &mut MsgMeta, f: &mut impl FnMut(&mut u64)) {
+    f(&mut m.bytes);
+    range_scalars(&mut m.sbuf, f);
+    range_scalars(&mut m.dbuf, f);
+}
+
+fn range_scalars(r: &mut Option<BufRange>, f: &mut impl FnMut(&mut u64)) {
+    if let Some(r) = r {
+        f(&mut r.off);
+        f(&mut r.len);
+    }
+}
 
 /// Visit every size-dependent scalar of `p` in a fixed deterministic
-/// order: per-op scalars (durations, byte counts, buffer ranges) in op
-/// order, then per-message scalars, then per-rank memory sizes.
+/// order: per-op scalars in op order, then per-message scalars, then
+/// per-rank memory sizes.
 fn for_each_scalar_mut(p: &mut Program, f: &mut impl FnMut(&mut u64)) {
-    fn range(r: &mut Option<crate::buffer::BufRange>, f: &mut impl FnMut(&mut u64)) {
-        if let Some(r) = r {
-            f(&mut r.off);
-            f(&mut r.len);
-        }
-    }
     for op in &mut p.ops {
-        match &mut op.kind {
-            OpKind::Nop | OpKind::Send { .. } | OpKind::Recv { .. } => {}
-            OpKind::Delay { dur } | OpKind::Sleep { dur } => f(&mut dur.0),
-            OpKind::Copy { bytes, src, dst }
-            | OpKind::CrossCopy {
-                bytes, src, dst, ..
-            }
-            | OpKind::Reduce {
-                bytes, src, dst, ..
-            }
-            | OpKind::ReduceFrom {
-                bytes, src, dst, ..
-            } => {
-                f(bytes);
-                range(src, f);
-                range(dst, f);
-            }
-        }
+        kind_scalars(&mut op.kind, f);
     }
     for m in &mut p.msgs {
-        f(&mut m.bytes);
-        range(&mut m.sbuf, f);
-        range(&mut m.dbuf, f);
+        msg_scalars(m, f);
     }
     for sz in &mut p.mem_size {
         f(sz);
     }
 }
 
+/// Read-only [`for_each_scalar_mut`]: op kinds and messages are `Copy`,
+/// so each is visited through a stack copy.
+fn for_each_scalar(p: &Program, f: &mut impl FnMut(u64)) {
+    let mut read = |s: &mut u64| f(*s);
+    for op in &p.ops {
+        let mut kind = op.kind;
+        kind_scalars(&mut kind, &mut read);
+    }
+    for m in &p.msgs {
+        let mut m = *m;
+        msg_scalars(&mut m, &mut read);
+    }
+    p.mem_size.iter().for_each(|&sz| f(sz));
+}
+
 /// The scalar stream of `p` (see `for_each_scalar_mut` for the order).
 pub fn collect_scalars(p: &Program) -> Vec<u64> {
     let mut out = Vec::new();
-    let mut q = p.clone();
-    for_each_scalar_mut(&mut q, &mut |s| out.push(*s));
+    for_each_scalar(p, &mut |s| out.push(s));
     out
+}
+
+/// `kind` with every scalar zeroed: what is left is its shape.
+fn kind_shape(mut kind: OpKind) -> OpKind {
+    kind_scalars(&mut kind, &mut |s| *s = 0);
+    kind
+}
+
+/// `m` with every scalar zeroed: its endpoints and which buffers it has.
+fn msg_shape(mut m: MsgMeta) -> MsgMeta {
+    msg_scalars(&mut m, &mut |s| *s = 0);
+    m
+}
+
+/// `a` and `b` are equal everywhere outside the scalar stream: the same
+/// rank count, dependency CSR, op ranks and kind shapes, and message
+/// shapes.
+fn same_shape(a: &Program, b: &Program) -> bool {
+    a.nranks == b.nranks
+        && a.mem_size.len() == b.mem_size.len()
+        && a.dep_off == b.dep_off
+        && a.dep == b.dep
+        && a.ops.len() == b.ops.len()
+        && a.ops
+            .iter()
+            .zip(&b.ops)
+            .all(|(x, y)| x.rank == y.rank && kind_shape(x.kind) == kind_shape(y.kind))
+        && a.msgs.len() == b.msgs.len()
+        && a.msgs
+            .iter()
+            .zip(&b.msgs)
+            .all(|(x, y)| msg_shape(*x) == msg_shape(*y))
 }
 
 /// A size-invariant program shape plus per-scalar affine coefficients.
@@ -87,25 +148,12 @@ impl ProgramTemplate {
     /// outside the scalar stream) or when any scalar is not exactly affine
     /// in the message size — callers must then fall back to cold builds.
     pub fn learn(m1: u64, p1: &Program, m2: u64, p2: &Program) -> Option<ProgramTemplate> {
-        if m1 == m2 {
+        if m1 == m2 || !same_shape(p1, p2) {
             return None;
         }
+        // Equal shapes have scalar streams of equal length and layout.
         let s1 = collect_scalars(p1);
         let s2 = collect_scalars(p2);
-        if s1.len() != s2.len() {
-            return None;
-        }
-        // Overlaying p1's scalars onto p2's shape must reproduce p1
-        // exactly: that proves the two builds differ *only* in the scalar
-        // stream (ops, deps, ranks, message matching all identical).
-        let mut shape_check = p2.clone();
-        let mut it = s1.iter();
-        for_each_scalar_mut(&mut shape_check, &mut |s| {
-            *s = *it.next().expect("scalar streams same length");
-        });
-        if shape_check != *p1 {
-            return None;
-        }
         let dm = m2 as i128 - m1 as i128;
         let mut coeffs = Vec::with_capacity(s1.len());
         for (&a, &b) in s1.iter().zip(&s2) {
@@ -135,11 +183,11 @@ impl ProgramTemplate {
         p
     }
 
-    /// [`Self::specialize`] into an existing program, reusing its
-    /// allocations (op vector, per-op dependency lists, messages). The
-    /// scratch's prior contents are irrelevant; the result is identical to
-    /// `specialize(m)`. This is the sweep's hot path: after the first call
-    /// a re-specialization performs no heap allocation at all.
+    /// [`Self::specialize`] into an existing program. The scratch's prior
+    /// contents are irrelevant; the result is identical to
+    /// `specialize(m)`. This is the sweep's hot path: the base is copied
+    /// as a handful of flat arrays (ops, dependency CSR, messages, memory
+    /// sizes), then re-stamped in place.
     pub fn specialize_into(&self, m: u64, out: &mut Program) {
         out.clone_from(&self.base);
         self.restamp(m, out);
@@ -165,52 +213,31 @@ impl ProgramTemplate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::BufRange;
-    use crate::program::{MsgId, MsgMeta, Op, OpId};
+    use crate::builder::ProgramBuilder;
     use han_sim::Time;
 
     /// A toy affine program: rank 0 copies m bytes then sends them; rank 1
-    /// receives; a byte-derived delay of 2m ps follows.
+    /// receives; a byte-derived delay of 2m ps follows (after the receive
+    /// when `delay_after_recv`).
+    fn toy_builder(m: u64, delay_after_recv: bool) -> ProgramBuilder {
+        let mut b = ProgramBuilder::new(2);
+        let src = b.alloc(0, m);
+        let sbuf = b.alloc(0, m);
+        let dbuf = b.alloc(1, m);
+        let copy = OpKind::Copy {
+            bytes: m,
+            src: Some(src),
+            dst: Some(sbuf),
+        };
+        let c = b.op(0, copy, &[]);
+        let (_, r) = b.send_recv(0, 1, m, Some(sbuf), Some(dbuf), &[c], &[]);
+        let deps = if delay_after_recv { vec![r] } else { vec![] };
+        b.delay(1, Time::from_ps(2 * m), &deps);
+        b
+    }
+
     fn toy(m: u64) -> Program {
-        Program {
-            ops: vec![
-                Op {
-                    rank: 0,
-                    kind: OpKind::Copy {
-                        bytes: m,
-                        src: Some(BufRange::new(0, m)),
-                        dst: Some(BufRange::new(m, m)),
-                    },
-                    deps: vec![],
-                },
-                Op {
-                    rank: 0,
-                    kind: OpKind::Send { msg: MsgId(0) },
-                    deps: vec![OpId(0)],
-                },
-                Op {
-                    rank: 1,
-                    kind: OpKind::Recv { msg: MsgId(0) },
-                    deps: vec![],
-                },
-                Op {
-                    rank: 1,
-                    kind: OpKind::Delay {
-                        dur: Time::from_ps(2 * m),
-                    },
-                    deps: vec![OpId(2)],
-                },
-            ],
-            msgs: vec![MsgMeta {
-                src: 0,
-                dst: 1,
-                bytes: m,
-                sbuf: Some(BufRange::new(m, m)),
-                dbuf: Some(BufRange::new(0, m)),
-            }],
-            nranks: 2,
-            mem_size: vec![2 * m, m],
-        }
+        toy_builder(m, true).build()
     }
 
     #[test]
@@ -239,19 +266,36 @@ mod tests {
     #[test]
     fn structural_differences_are_rejected() {
         let a = toy(64);
-        let mut b = toy(128);
+        let reject = |b: &Program| assert!(ProgramTemplate::learn(64, &a, 128, b).is_none());
         // Same scalar count, different dependency structure.
-        b.ops[3].deps = vec![];
-        b.ops[1].deps = vec![OpId(0)];
-        assert!(ProgramTemplate::learn(64, &a, 128, &b).is_none());
+        reject(&toy_builder(128, false).build());
         // Different op count.
-        let mut c = toy(128);
-        c.ops.push(Op {
-            rank: 0,
-            kind: OpKind::Nop,
-            deps: vec![],
-        });
-        assert!(ProgramTemplate::learn(64, &a, 128, &c).is_none());
+        let mut c = toy_builder(128, true);
+        c.nop(0, &[]);
+        reject(&c.build());
+        // Different op rank.
+        let mut d = toy(128);
+        d.ops[3].rank = 0;
+        reject(&d);
+        // Different reduction/copy kind with the same scalars.
+        let mut e = toy(128);
+        if let OpKind::Copy { bytes, src, dst } = e.ops[0].kind {
+            e.ops[0].kind = OpKind::CrossCopy {
+                from: 1,
+                bytes,
+                src,
+                dst,
+            };
+        }
+        reject(&e);
+        // A buffer range present in one program and absent in the other.
+        let mut f = toy(128);
+        f.msgs[0].dbuf = None;
+        reject(&f);
+        // Different message endpoint.
+        let mut g = toy(128);
+        g.msgs[0].src = 1;
+        reject(&g);
     }
 
     #[test]

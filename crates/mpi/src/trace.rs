@@ -12,7 +12,7 @@
 //! eligibility to completion.
 
 use crate::exec::{execute, ExecOpts, Report};
-use crate::program::{OpKind, Program};
+use crate::program::{OpId, OpKind, Program};
 use han_machine::Machine;
 use han_sim::Time;
 use std::fmt::Write as _;
@@ -60,8 +60,9 @@ pub fn trace_execution(machine: &mut Machine, prog: &Program, opts: &ExecOpts) -
     // roots start at the rank's start time.
     let mut spans = Vec::with_capacity(prog.ops.len());
     for (i, op) in prog.ops.iter().enumerate() {
-        let start = op
-            .deps
+        let id = OpId(i as u32);
+        let start = prog
+            .deps(id)
             .iter()
             .map(|d| report.finish(*d))
             .max()
@@ -71,7 +72,7 @@ pub fn trace_execution(machine: &mut Machine, prog: &Program, opts: &ExecOpts) -
                     .map(|s| s[op.rank as usize])
                     .unwrap_or(Time::ZERO)
             });
-        let end = report.finish(crate::program::OpId(i as u32));
+        let end = report.finish(id);
         spans.push(Span {
             rank: op.rank,
             name: op_name(prog, i),
