@@ -53,34 +53,67 @@ pub enum ReduceOp {
     Min,
 }
 
-macro_rules! reduce_typed {
-    ($t:ty, $op:expr, $src:expr, $dst:expr) => {{
-        let es = std::mem::size_of::<$t>();
-        debug_assert_eq!($src.len() % es, 0);
-        for (d, s) in $dst.chunks_exact_mut(es).zip($src.chunks_exact(es)) {
-            let a = <$t>::from_le_bytes(d.try_into().unwrap());
-            let b = <$t>::from_le_bytes(s.try_into().unwrap());
-            let r: $t = match $op {
-                ReduceOp::Sum => a + b,
-                ReduceOp::Prod => a * b,
-                ReduceOp::Max => {
-                    if b > a {
-                        b
-                    } else {
-                        a
-                    }
-                }
-                ReduceOp::Min => {
-                    if b < a {
-                        b
-                    } else {
-                        a
-                    }
-                }
-            };
-            d.copy_from_slice(&r.to_le_bytes());
+/// An element type as stored little-endian in a byte buffer, with the
+/// arithmetic reductions use. Integer arithmetic wraps, in debug builds as
+/// in release builds; float arithmetic is IEEE.
+trait Elem: Copy + PartialOrd {
+    const SIZE: usize;
+    fn load(b: &[u8]) -> Self;
+    fn store(self, b: &mut [u8]);
+    fn sum(self, o: Self) -> Self;
+    fn prod(self, o: Self) -> Self;
+}
+
+macro_rules! elem {
+    ($t:ty, $sum:expr, $prod:expr) => {
+        impl Elem for $t {
+            const SIZE: usize = std::mem::size_of::<$t>();
+            #[inline(always)]
+            fn load(b: &[u8]) -> Self {
+                <$t>::from_le_bytes(b.try_into().expect("chunk of SIZE bytes"))
+            }
+            #[inline(always)]
+            fn store(self, b: &mut [u8]) {
+                b.copy_from_slice(&self.to_le_bytes())
+            }
+            #[inline(always)]
+            fn sum(self, o: Self) -> Self {
+                $sum(self, o)
+            }
+            #[inline(always)]
+            fn prod(self, o: Self) -> Self {
+                $prod(self, o)
+            }
         }
-    }};
+    };
+}
+
+elem!(u8, u8::wrapping_add, u8::wrapping_mul);
+elem!(i32, i32::wrapping_add, i32::wrapping_mul);
+elem!(i64, i64::wrapping_add, i64::wrapping_mul);
+elem!(f32, |a: f32, b| a + b, |a: f32, b| a * b);
+elem!(f64, |a: f64, b| a + b, |a: f64, b| a * b);
+
+/// `dst[i] = f(dst[i], src[i])` over whole elements.
+#[inline(always)]
+fn zip_elems<T: Elem>(src: &[u8], dst: &mut [u8], f: impl Fn(T, T) -> T) {
+    for (d, s) in dst.chunks_exact_mut(T::SIZE).zip(src.chunks_exact(T::SIZE)) {
+        f(T::load(d), T::load(s)).store(d);
+    }
+}
+
+/// One loop per operator, so the element loop carries no branch on `op`
+/// and vectorizes. `Max`/`Min` keep `dst` unless `src` compares strictly
+/// greater/less, so ties and NaN operands resolve the same way in every
+/// build. A float `Sum`/`Prod` of two NaNs is a NaN whose payload Rust
+/// leaves unspecified.
+fn reduce_typed<T: Elem>(op: ReduceOp, src: &[u8], dst: &mut [u8]) {
+    match op {
+        ReduceOp::Sum => zip_elems(src, dst, T::sum),
+        ReduceOp::Prod => zip_elems(src, dst, T::prod),
+        ReduceOp::Max => zip_elems(src, dst, |a: T, b: T| if b > a { b } else { a }),
+        ReduceOp::Min => zip_elems(src, dst, |a: T, b: T| if b < a { b } else { a }),
+    }
 }
 
 /// Apply `dst[i] = op(dst[i], src[i])` elementwise over raw little-endian
@@ -99,20 +132,11 @@ pub fn apply_reduce(dtype: DataType, op: ReduceOp, src: &[u8], dst: &mut [u8]) {
         "buffer not a whole number of {dtype} elements"
     );
     match dtype {
-        DataType::Uint8 => {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = match op {
-                    ReduceOp::Sum => d.wrapping_add(*s),
-                    ReduceOp::Prod => d.wrapping_mul(*s),
-                    ReduceOp::Max => (*d).max(*s),
-                    ReduceOp::Min => (*d).min(*s),
-                };
-            }
-        }
-        DataType::Int32 => reduce_typed!(i32, op, src, dst),
-        DataType::Int64 => reduce_typed!(i64, op, src, dst),
-        DataType::Float32 => reduce_typed!(f32, op, src, dst),
-        DataType::Float64 => reduce_typed!(f64, op, src, dst),
+        DataType::Uint8 => reduce_typed::<u8>(op, src, dst),
+        DataType::Int32 => reduce_typed::<i32>(op, src, dst),
+        DataType::Int64 => reduce_typed::<i64>(op, src, dst),
+        DataType::Float32 => reduce_typed::<f32>(op, src, dst),
+        DataType::Float64 => reduce_typed::<f64>(op, src, dst),
     }
 }
 

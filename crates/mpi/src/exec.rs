@@ -493,9 +493,6 @@ struct Executor {
     kind_tag: Vec<u8>,
     kind_dur: Vec<Time>,
     mem: Option<Memory>,
-    /// Reusable operand buffer for Reduce/ReduceFrom in Full mode; the
-    /// executor is single-threaded so one buffer serves every rank.
-    scratch: Vec<u8>,
     /// Free list of payload buffers. Send snapshots pop from here and are
     /// returned when the matching Recv delivers, so steady-state execution
     /// allocates only up to the peak number of in-flight messages.
@@ -979,10 +976,7 @@ impl Executor {
                 ..
             } => {
                 if let (Some(s), Some(d)) = (src, dst) {
-                    self.scratch.clear();
-                    self.scratch.extend_from_slice(mem.read(rank, *s));
-                    let dslice = unsafe_mut_range(mem, rank, *d);
-                    crate::datatype::apply_reduce(*dtype, *rop, &self.scratch, dslice);
+                    mem.reduce(*dtype, *rop, rank, *s, rank, *d);
                 }
             }
             OpKind::ReduceFrom {
@@ -994,10 +988,7 @@ impl Executor {
                 ..
             } => {
                 if let (Some(s), Some(d)) = (src, dst) {
-                    self.scratch.clear();
-                    self.scratch.extend_from_slice(mem.read(*from as usize, *s));
-                    let dslice = unsafe_mut_range(mem, rank, *d);
-                    crate::datatype::apply_reduce(*dtype, *rop, &self.scratch, dslice);
+                    mem.reduce(*dtype, *rop, *from as usize, *s, rank, *d);
                 }
             }
             OpKind::Recv { msg } => {
@@ -1012,15 +1003,6 @@ impl Executor {
             _ => {}
         }
     }
-}
-
-/// Mutable view of a range in a rank's memory. Separate helper because the
-/// borrow checker cannot see that the `tmp` read above was copied out.
-fn unsafe_mut_range(mem: &mut Memory, rank: usize, r: crate::buffer::BufRange) -> &mut [u8] {
-    // Safe: `Memory::read` clones were taken before this call; this is the
-    // only live mutable borrow.
-    let ptr = mem.read(rank, r).as_ptr() as *mut u8;
-    unsafe { std::slice::from_raw_parts_mut(ptr, r.len as usize) }
 }
 
 #[cfg(test)]
