@@ -14,7 +14,8 @@
 //! that does not implement the requested collective is reported as
 //! `unsupported` and skipped; when one stack is requested *explicitly*,
 //! an unsupported combination is an error and the process exits with
-//! code 3 (see `han_bench::gate`).
+//! code 3 (see `han_bench::gate`). An unknown or malformed flag value
+//! exits with code 2 and names the accepted values.
 //!
 //! `--verify` ignores the exploration flags and instead runs the
 //! `han-verify` performance-guideline catalog over the standard presets,
@@ -25,6 +26,7 @@
 //! level-extent vector, outermost first — e.g. `--levels 8,2,4` simulates
 //! 8 nodes of 2 sockets × 4 ranks, with a cross-socket bus derating.
 
+use han_bench::gate::{choose, usage_error};
 use han_colls::stack::{build_coll, Coll, MpiStack};
 use han_colls::{InterAlg, InterModule, IntraModule, TunedOpenMpi, VendorMpi};
 use han_core::{Han, HanConfig};
@@ -43,10 +45,9 @@ fn parse_args() -> std::collections::HashMap<String, String> {
                 map.insert(key.to_string(), "1".to_string());
                 continue;
             }
-            let val = args.next().unwrap_or_else(|| {
-                eprintln!("missing value for --{key}");
-                std::process::exit(2);
-            });
+            let val = args
+                .next()
+                .unwrap_or_else(|| usage_error(format!("missing value for --{key}")));
             map.insert(key.to_string(), val);
         }
     }
@@ -107,6 +108,15 @@ fn run_serve(addr: &str) -> ! {
     std::process::exit(0);
 }
 
+/// `value` of `--flag` as a number; anything else is a usage error.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        usage_error(format!(
+            "--{flag} expects a non-negative integer, got '{value}'"
+        ))
+    })
+}
+
 fn stack_by_name(name: &str, cfg: HanConfig) -> Box<dyn MpiStack> {
     match name {
         "han" => Box::new(Han::with_config(cfg)),
@@ -114,10 +124,9 @@ fn stack_by_name(name: &str, cfg: HanConfig) -> Box<dyn MpiStack> {
         "cray" => Box::new(VendorMpi::cray()),
         "intel" => Box::new(VendorMpi::intel()),
         "mvapich2" => Box::new(VendorMpi::mvapich2()),
-        other => {
-            eprintln!("unknown stack '{other}'");
-            std::process::exit(2);
-        }
+        other => usage_error(format!(
+            "--stack must be one of all|han|tuned|cray|intel|mvapich2, got '{other}'"
+        )),
     }
 }
 
@@ -139,34 +148,27 @@ fn main() {
     }
     let get = |k: &str, d: &str| args.get(k).cloned().unwrap_or_else(|| d.to_string());
 
-    let nodes: usize = get("nodes", "4").parse().expect("--nodes");
-    let ppn: usize = get("ppn", "8").parse().expect("--ppn");
-    let bytes: u64 = get("bytes", "1048576").parse().expect("--bytes");
-    let coll = match get("coll", "bcast").as_str() {
-        "bcast" => Coll::Bcast,
-        "allreduce" => Coll::Allreduce,
-        "reduce" => Coll::Reduce,
-        "gather" => Coll::Gather,
-        "scatter" => Coll::Scatter,
-        "allgather" => Coll::Allgather,
-        "barrier" => Coll::Barrier,
-        other => {
-            eprintln!("unknown collective '{other}'");
-            std::process::exit(2);
-        }
-    };
+    let nodes: usize = number("nodes", &get("nodes", "4"));
+    let ppn: usize = number("ppn", &get("ppn", "8"));
+    let bytes: u64 = number("bytes", &get("bytes", "1048576"));
+    let colls = Coll::ALL.map(|c| (c.name(), c));
+    let coll = choose("coll", &get("coll", "bcast"), &colls);
     let mut preset: MachinePreset = match get("machine", "mini").as_str() {
+        "mini" => mini(nodes, ppn),
         "shaheen2" => shaheen2_ppn(nodes, ppn),
         "stampede2" => stampede2_ppn(nodes, ppn),
-        _ => mini(nodes, ppn),
+        other => usage_error(format!(
+            "--machine must be one of mini|shaheen2|stampede2, got '{other}'"
+        )),
     };
     if let Some(spec) = args.get("levels") {
         let extents: Vec<usize> = spec
             .split(',')
             .map(|s| {
                 s.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("--levels expects comma-separated extents, got '{spec}'");
-                    std::process::exit(2);
+                    usage_error(format!(
+                        "--levels expects comma-separated extents, got '{spec}'"
+                    ))
                 })
             })
             .collect();
@@ -180,40 +182,34 @@ fn main() {
 
     let mut cfg = HanConfig::default();
     if let Some(fs) = args.get("fs") {
-        cfg.fs = fs.parse().expect("--fs");
+        cfg.fs = number("fs", fs);
     }
     if let Some(s) = args.get("smod") {
-        cfg.smod = match s.as_str() {
-            "solo" => IntraModule::Solo,
-            _ => IntraModule::Sm,
-        };
+        let smods = [("sm", IntraModule::Sm), ("solo", IntraModule::Solo)];
+        cfg.smod = choose("smod", s, &smods);
     }
     if let Some(s) = args.get("imod") {
-        cfg.imod = match s.as_str() {
-            "libnbc" => InterModule::Libnbc,
-            _ => InterModule::Adapt,
-        };
+        let imods = [
+            ("adapt", InterModule::Adapt),
+            ("libnbc", InterModule::Libnbc),
+        ];
+        cfg.imod = choose("imod", s, &imods);
     }
     if let Some(a) = args.get("alg") {
-        let alg = match a.as_str() {
-            "chain" => InterAlg::Chain,
-            "binary" => InterAlg::Binary,
-            _ => InterAlg::Binomial,
-        };
+        let algs = [
+            ("chain", InterAlg::Chain),
+            ("binary", InterAlg::Binary),
+            ("binomial", InterAlg::Binomial),
+        ];
+        let alg = choose("alg", a, &algs);
         cfg.ibalg = alg;
         cfg.iralg = alg;
     }
 
     // `timing` (default) skips all payload reads/copies; `full` moves real
     // bytes through simulated memory. Virtual times are identical in both.
-    let mode = match get("mode", "timing").as_str() {
-        "full" => ExecMode::Full,
-        "timing" => ExecMode::TimingOnly,
-        other => {
-            eprintln!("unknown exec mode '{other}' (expected timing|full)");
-            std::process::exit(2);
-        }
-    };
+    let modes = [("timing", ExecMode::TimingOnly), ("full", ExecMode::Full)];
+    let mode = choose("mode", &get("mode", "timing"), &modes);
 
     let which = get("stack", "all");
     let names: Vec<&str> = if which == "all" {

@@ -25,10 +25,12 @@
 //! `--scale mini` shrinks every experiment for quick smoke runs.
 //!
 //! `--cache mem` (default) shares a [`han_tuner::CostCache`] across the
-//! strategies and collectives of one invocation; `--cache disk`
-//! additionally persists it under `results/cache/` so repeated
-//! invocations warm-start; `--cache off` disables memoization. Virtual
-//! times are identical in all three modes — only wall-clock changes.
+//! strategies and collectives of one invocation; `--cache off` disables
+//! memoization. Virtual times are identical in both modes — only
+//! wall-clock changes.
+//!
+//! An unknown `--scale`, `--cache` or `--levels` value exits with code 2
+//! and lists the accepted values.
 //!
 //! `--no-prune` disables the analytic lower-bound pruning of exhaustive
 //! sweeps (Fig. 8). Pruning is on by default and never changes the winner
@@ -77,11 +79,7 @@ enum CacheMode {
     Off,
     /// One shared in-memory cache per invocation.
     Mem,
-    /// In-memory cache, loaded from / saved to `results/cache/`.
-    Disk,
 }
-
-const CACHE_DIR: &str = "results/cache";
 
 struct Cfg {
     scale: Scale,
@@ -98,20 +96,6 @@ impl Cfg {
         match self.cache {
             CacheMode::Off => None,
             CacheMode::Mem => Some(Arc::new(CostCache::new(preset))),
-            CacheMode::Disk => Some(Arc::new(CostCache::load_or_new(
-                std::path::Path::new(CACHE_DIR),
-                preset,
-            ))),
-        }
-    }
-
-    fn persist_cache(&self, cache: Option<&Arc<CostCache>>) {
-        if self.cache == CacheMode::Disk {
-            if let Some(c) = cache {
-                if let Err(e) = c.save_under(std::path::Path::new(CACHE_DIR)) {
-                    eprintln!("[repro] failed to persist cost cache: {e}");
-                }
-            }
         }
     }
 
@@ -468,7 +452,6 @@ fn fig8(cfg: &Cfg, prune: bool) -> ([han_tuner::TuneResult; 4], Option<Arc<CostC
             s.hits, s.misses, s.coll_entries, s.task_entries
         );
     }
-    cfg.persist_cache(cache.as_ref());
     save_json("fig8", &out).ok();
     let results = results
         .try_into()
@@ -532,7 +515,6 @@ fn fig9(cfg: &Cfg) {
         }
         println!("### {}\n{}", coll.name(), t.render());
     }
-    cfg.persist_cache(cache.as_ref());
     save_json("fig9", &out).ok();
 }
 
@@ -1152,6 +1134,14 @@ fn hetero(_cfg: &Cfg) {
     }
 }
 
+/// The next argument, which must be present: the value of `--flag`.
+fn flag_value<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> &'a str {
+    match it.next() {
+        Some(v) => v,
+        None => gate::usage_error(format!("missing value for --{flag}")),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Paper;
@@ -1166,32 +1156,14 @@ fn main() {
         } else if a == "--allow-clamped" {
             gate::allow_clamped();
         } else if a == "--scale" {
-            if let Some(v) = it.next() {
-                scale = if v == "mini" {
-                    Scale::Mini
-                } else {
-                    Scale::Paper
-                };
-            }
+            let scales = [("paper", Scale::Paper), ("mini", Scale::Mini)];
+            scale = gate::choose("scale", flag_value(&mut it, "scale"), &scales);
         } else if a == "--cache" {
-            if let Some(v) = it.next() {
-                cache = match v.as_str() {
-                    "off" => CacheMode::Off,
-                    "disk" => CacheMode::Disk,
-                    _ => CacheMode::Mem,
-                };
-            }
+            let caches = [("mem", CacheMode::Mem), ("off", CacheMode::Off)];
+            cache = gate::choose("cache", flag_value(&mut it, "cache"), &caches);
         } else if a == "--levels" {
-            if let Some(v) = it.next() {
-                levels = match v.as_str() {
-                    "3" => 3,
-                    "2" => 2,
-                    other => {
-                        eprintln!("--levels must be 2 or 3, got '{other}'");
-                        std::process::exit(2);
-                    }
-                };
-            }
+            let depths = [("2", 2), ("3", 3)];
+            levels = gate::choose("levels", flag_value(&mut it, "levels"), &depths);
         } else if !a.starts_with("--") {
             what = a.clone();
         }

@@ -12,8 +12,32 @@ use han_colls::stack::Unsupported;
 use std::sync::Mutex;
 
 /// Exit code for "the run completed but reported unexpected skips or
-/// failures" — distinct from `2` (bad CLI usage).
+/// failures" — distinct from [`USAGE_EXIT_CODE`].
 pub const GATE_EXIT_CODE: i32 = 3;
+
+/// Exit code for a bad command line.
+pub const USAGE_EXIT_CODE: i32 = 2;
+
+/// Print `msg` and exit with [`USAGE_EXIT_CODE`].
+pub fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(USAGE_EXIT_CODE)
+}
+
+/// The value `choices` maps `value` of `--flag` to. Any other value is a
+/// usage error that lists the accepted ones.
+pub fn choose<T: Copy>(flag: &str, value: &str, choices: &[(&str, T)]) -> T {
+    match choices.iter().find(|(name, _)| *name == value) {
+        Some(&(_, v)) => v,
+        None => {
+            let names: Vec<&str> = choices.iter().map(|&(name, _)| name).collect();
+            usage_error(format!(
+                "--{flag} must be one of {}, got '{value}'",
+                names.join("|")
+            ))
+        }
+    }
+}
 
 /// Collects unexpected [`Unsupported`] skips and other recorded failures.
 #[derive(Debug, Default)]

@@ -1,9 +1,10 @@
 //! The skip gate, end to end: an explicitly requested stack/collective
 //! combination the stack does not implement must fail the `hansim`
 //! invocation with the gate's exit code, while the `--stack all`
-//! comparison (where skips are informational) stays green.
+//! comparison (where skips are informational) stays green. Bad flag
+//! values exit with the usage code instead.
 
-use han_bench::gate::GATE_EXIT_CODE;
+use han_bench::gate::{GATE_EXIT_CODE, USAGE_EXIT_CODE};
 use std::process::Command;
 
 fn hansim(args: &[&str]) -> std::process::Output {
@@ -36,4 +37,48 @@ fn all_stack_comparison_tolerates_unsupported() {
 fn supported_combination_exits_zero() {
     let out = hansim(&["--stack", "cray", "--coll", "bcast"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
+}
+
+/// Bad command-line values exit with code 2 and name the accepted values
+/// instead of silently falling back to a default.
+fn assert_usage_error(out: std::process::Output, accepted: &str) {
+    assert_eq!(out.status.code(), Some(USAGE_EXIT_CODE), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(accepted), "stderr: {stderr}");
+}
+
+fn repro(args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("run repro")
+}
+
+#[test]
+fn repro_rejects_bad_flag_values() {
+    for (args, accepted) in [
+        (&["fig8", "--scale", "huge"][..], "paper|mini"),
+        (&["fig8", "--cache", "disk"], "mem|off"),
+        (&["fig8", "--cache", "bogus"], "mem|off"),
+        (&["fig8", "--levels", "4"], "2|3"),
+        (&["fig8", "--scale"], "missing value for --scale"),
+    ] {
+        assert_usage_error(repro(args), accepted);
+    }
+}
+
+#[test]
+fn hansim_rejects_bad_flag_values() {
+    for (args, accepted) in [
+        (&["--machine", "summit"][..], "mini|shaheen2|stampede2"),
+        (&["--smod", "shm"], "sm|solo"),
+        (&["--imod", "tuned"], "adapt|libnbc"),
+        (&["--alg", "ring"], "chain|binary|binomial"),
+        (&["--fs", "64k"], "--fs expects"),
+        (&["--coll", "alltoall"], "bcast|allreduce"),
+        (&["--mode", "fast"], "timing|full"),
+        (&["--stack", "mpich"], "han|tuned"),
+    ] {
+        assert_usage_error(hansim(args), accepted);
+    }
 }

@@ -30,10 +30,8 @@
 //! * [`stack`] — the [`stack::MpiStack`] trait every full MPI
 //!   implementation (including HAN itself, in `han-core`) implements, plus
 //!   the benchmark runner used by IMB-style harnesses.
-//! * [`template`] — the thread-safe [`template::TemplateStore`] interning
-//!   size-invariant program shapes so autotuning sweeps re-stamp scalars
-//!   instead of rebuilding DAGs (keys come from
-//!   [`stack::MpiStack::template_key`]).
+//! * [`template`] — a build shim kept only for the benchmark's traced
+//!   sweep replay.
 
 // Collective builders iterate ranks/leaders by index into several
 // parallel per-rank buffer arrays at once; iterator rewrites of those
@@ -52,7 +50,7 @@ pub mod vendor;
 pub use frontier::Frontier;
 pub use modules::{Adapt, InterAlg, InterModule, IntraModule, Libnbc, Sm, Solo};
 pub use stack::{BuildCtx, Coll, MpiStack};
-pub use template::{time_coll_templated, TemplateStats, TemplateStore};
+pub use template::{TemplateStats, TemplateStore};
 pub use tree::TreeShape;
 pub use tuned::TunedOpenMpi;
 pub use vendor::VendorMpi;

@@ -229,22 +229,6 @@ pub trait MpiStack {
             coll: Coll::Allgather,
         })
     }
-
-    /// Template-sharing key for [`crate::template::TemplateStore`]: two
-    /// `build_coll` calls with equal keys must produce programs of the same
-    /// *shape* whose scalars are affine in the message size (see
-    /// `han_mpi::template`). Returning `None` (the default) opts the build
-    /// out of templating entirely — correct for stacks whose algorithm
-    /// choice depends on the message size in ways the key cannot pin.
-    fn template_key(
-        &self,
-        _preset: &MachinePreset,
-        _coll: Coll,
-        _bytes: u64,
-        _root: usize,
-    ) -> Option<u64> {
-        None
-    }
 }
 
 /// For each sub-comm local rank, its local index within `parent`.

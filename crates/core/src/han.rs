@@ -7,7 +7,7 @@ use crate::config::HanConfig;
 use crate::extend::{build_allgather, build_barrier, build_gather, build_reduce, build_scatter};
 use han_colls::stack::{BuildCtx, Coll, MpiStack, Unsupported};
 use han_colls::Frontier;
-use han_machine::{Flavor, MachinePreset};
+use han_machine::Flavor;
 use han_mpi::{BufRange, Comm, DataType, ReduceOp};
 use std::sync::Arc;
 
@@ -30,10 +30,6 @@ impl ConfigSource for HanConfig {
 pub struct Han {
     source: Arc<dyn ConfigSource>,
     label: String,
-    /// The configuration when it is fixed (tuning sweeps). Only a fixed
-    /// config can be template-keyed: a dynamic source may pick different
-    /// configs for different message sizes, which changes the DAG shape.
-    fixed: Option<HanConfig>,
 }
 
 impl Han {
@@ -42,7 +38,6 @@ impl Han {
         Han {
             source: Arc::new(cfg),
             label: "HAN".into(),
-            fixed: Some(cfg),
         }
     }
 
@@ -51,7 +46,6 @@ impl Han {
         Han {
             source,
             label: "HAN".into(),
-            fixed: None,
         }
     }
 
@@ -166,106 +160,6 @@ impl MpiStack for Han {
         deps: &Frontier,
     ) -> Result<Frontier, Unsupported> {
         Ok(build_barrier(cx, comm, deps))
-    }
-
-    /// HAN's builds are templateable because, for a fixed config, every
-    /// scalar in the program is affine in the message size once the build's
-    /// integer-division decisions are pinned. The key therefore hashes the
-    /// full preset and config (shape inputs) plus, per collective, the
-    /// *ceil determinants*: the HAN segment count `u`, the shared-memory
-    /// fragment count of the short remainder segment, and the ADAPT
-    /// `ibs`/`irs` sub-segment counts of that remainder. Two sizes in the
-    /// same class build programs of identical shape whose scalars differ
-    /// affinely; anything the key fails to pin is caught downstream by
-    /// `ProgramTemplate::learn`'s exact structural/slope checks.
-    ///
-    /// Note: keys assume `build_coll`'s reduction operand conventions
-    /// (`Sum`/`Float32`), which is the only path the template store serves.
-    fn template_key(
-        &self,
-        preset: &MachinePreset,
-        coll: Coll,
-        bytes: u64,
-        root: usize,
-    ) -> Option<u64> {
-        let cfg = self.fixed?;
-        if bytes == 0 {
-            // Zero-length builds hit empty-buffer special cases; never
-            // templated.
-            return None;
-        }
-        let mut h = Fnv1a::new();
-        h.write_str(&serde_json::to_string(preset).ok()?);
-        h.write_str(&serde_json::to_string(&cfg).ok()?);
-        h.write_u64(coll as u64);
-        h.write_u64(root as u64);
-        let node = &preset.node;
-        // Remainder (last-segment) size for segment width `fs`. The
-        // builders coarsen `fs` on launch-charging (GPU-like) levels, so
-        // the key must pin the *effective* segmentation.
-        let lv = preset.level_params();
-        let rem = |fs: u64| bytes - (bytes.div_ceil(fs) - 1) * fs;
-        match coll {
-            Coll::Bcast => {
-                let fs = han_machine::coarsen_fs(cfg.fs.max(1), bytes, node, &lv);
-                let rem = rem(fs);
-                h.write_u64(bytes.div_ceil(fs));
-                h.write_u64(node.sm_fragments(rem));
-                if let Some(ibs) = cfg.ibs {
-                    h.write_u64(rem.div_ceil(ibs.max(1)));
-                }
-            }
-            Coll::Allreduce | Coll::Reduce => {
-                // The builders quantize `fs` to whole elements.
-                let el = DataType::Float32.size() as u64;
-                let fs = han_machine::coarsen_fs((cfg.fs / el).max(1) * el, bytes, node, &lv);
-                let rem = rem(fs);
-                h.write_u64(bytes.div_ceil(fs));
-                h.write_u64(node.sm_fragments(rem));
-                if let Some(ibs) = cfg.ibs {
-                    h.write_u64(rem.div_ceil(ibs.max(1)));
-                }
-                if let Some(irs) = cfg.irs {
-                    h.write_u64(rem.div_ceil(irs.max(1)));
-                }
-            }
-            // Whole-buffer CrossCopy pulls and node-array messages: purely
-            // affine, no integer-division decisions to pin.
-            Coll::Gather | Coll::Scatter => {}
-            Coll::Allgather => {
-                // Phase 3 broadcasts the full n·block array intra-node in
-                // one piece; only its fragment count is a ceil.
-                let n = preset.topology.world_size() as u64;
-                h.write_u64(node.sm_fragments(n.checked_mul(bytes)?));
-            }
-            // Byte-independent by construction.
-            Coll::Barrier => {}
-        }
-        Some(h.finish())
-    }
-}
-
-/// FNV-1a, the same construction `han-tuner` uses for preset fingerprints.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-    fn write_str(&mut self, s: &str) {
-        for b in s.as_bytes() {
-            self.0 ^= *b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

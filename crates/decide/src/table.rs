@@ -160,6 +160,7 @@ impl ConfigSource for LookupTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn table() -> LookupTable {
         let mut t = LookupTable::new(4, 8);
@@ -273,5 +274,37 @@ mod tests {
         let t = table();
         assert_eq!(t.sampled_sizes(Coll::Bcast), vec![1024, 1 << 20]);
         assert_eq!(t.costs(Coll::Bcast).len(), 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A table file cut short anywhere (a torn write) is an error,
+        /// never a panic or a silently smaller table.
+        #[test]
+        fn every_strict_prefix_of_a_table_is_an_error(
+            levels in proptest::collection::vec(1usize..64, 2..4),
+            rows in proptest::collection::vec(
+                (0..Coll::ALL.len(), 0u32..30, 1u64..(1 << 22), any::<u64>()),
+                0..5,
+            ),
+        ) {
+            let topo = han_machine::Topology::from_levels(&levels);
+            let mut t = LookupTable::for_topology(&topo);
+            for (c, log_m, fs, cost) in rows {
+                let cfg = HanConfig::default().with_fs(fs);
+                t.upsert(Coll::ALL[c], 1 << log_m, cfg, Time::from_ps(cost));
+            }
+            for text in [
+                serde_json::to_string_pretty(&t).unwrap(),
+                serde_json::to_string(&t).unwrap(),
+            ] {
+                let back: LookupTable = serde_json::from_str(&text).unwrap();
+                prop_assert_eq!(back.entries.len(), t.entries.len());
+                for k in 0..text.len() {
+                    prop_assert!(serde_json::from_str::<LookupTable>(&text[..k]).is_err());
+                }
+            }
+        }
     }
 }

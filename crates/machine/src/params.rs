@@ -301,9 +301,9 @@ impl LevelVec {
 /// The doubling is clamped at the message size `m`: any `fs ≥ m` yields
 /// exactly one segment of `m` bytes (segmentation caps the last segment
 /// at the remaining length), so widening past `m` cannot change a built
-/// program or a simulated time — it only inflated template keys, making
-/// structurally identical sweeps on high-launch presets miss the
-/// template cache.
+/// program or a simulated time. The clamp keeps the returned width the
+/// one the builders actually use and ends the doubling loop early for
+/// small messages.
 pub fn coarsen_fs(fs: u64, m: u64, node: &NodeParams, levels: &LevelVec) -> u64 {
     const AMORTIZE: u64 = 8;
     let launch = levels
@@ -561,8 +561,7 @@ mod tests {
         // target = 40 us => amortized width 320 KB, rounded up to 512 KB.
         assert_eq!(coarsen_fs(4096, 16 << 20, &n, &lv), 512 * 1024);
         // A 64 KB message must not coarsen to a fragment wider than
-        // itself: any fs >= m is one m-byte segment anyway, and widening
-        // further only skews template keys.
+        // itself: any fs >= m is one m-byte segment anyway.
         assert_eq!(coarsen_fs(4096, 64 * 1024, &n, &lv), 64 * 1024);
         // Non-power-of-two messages clamp exactly at m.
         assert_eq!(coarsen_fs(4096, 100_000, &n, &lv), 100_000);

@@ -29,9 +29,8 @@ pub struct MachinePreset {
 pub const NO_OVERRIDES: [Option<LevelParams>; MAX_LEVELS] = [None; MAX_LEVELS];
 
 // Hand-written serde keeps the historical 4-field JSON form whenever no
-// level is overridden, so uniform preset fingerprints — and the persisted
-// cost caches and tuned tables keyed by them — survive the heterogeneous
-// refactor. Overridden levels append a `level_overrides` list of
+// level is overridden, so uniform preset fingerprints — and the tuned
+// tables keyed by them — survive the heterogeneous refactor. Overridden levels append a `level_overrides` list of
 // `{level, params}` pairs, which also guarantees heterogeneous presets
 // can never alias a uniform fingerprint.
 impl Serialize for MachinePreset {
@@ -511,8 +510,8 @@ mod tests {
     #[test]
     fn uniform_preset_serde_is_byte_stable() {
         // Golden JSON captured before the heterogeneous refactor: the
-        // uniform presets must keep these exact bytes so persisted cache
-        // fingerprints and tuned tables from earlier PRs stay valid.
+        // uniform presets must keep these exact bytes so their
+        // fingerprints and the tuned tables keyed by them stay valid.
         let json = serde_json::to_string(&mini(4, 4)).expect("serialize");
         assert_eq!(
             json,

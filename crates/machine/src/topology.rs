@@ -12,8 +12,8 @@
 //! `stride(k)` is the number of ranks under one level-`k` group.
 //!
 //! Serialization keeps the historical two-level `{nodes, ppn}` JSON form
-//! for depth-2 topologies (so existing preset fingerprints, persisted
-//! cost caches, and tuned tables stay valid) and uses `{levels: [...]}`
+//! for depth-2 topologies (so existing preset fingerprints and tuned
+//! tables stay valid) and uses `{levels: [...]}`
 //! only for deeper hierarchies; deserialization accepts both.
 
 use serde::{Deserialize, Error, Serialize, Value};
@@ -185,7 +185,7 @@ impl Serialize for Topology {
     fn to_value(&self) -> Value {
         if self.depth == 2 {
             // Historical form: keeps preset fingerprints (and therefore
-            // persisted caches and tables) stable for two-level machines.
+            // tuned tables) stable for two-level machines.
             Value::Map(vec![
                 ("nodes".to_string(), Value::UInt(self.nodes() as u64)),
                 ("ppn".to_string(), Value::UInt(self.ppn() as u64)),

@@ -36,12 +36,9 @@
 //! a per-run stack value. All per-op state (`ready_at`, pending-dep counts,
 //! finish times) and per-message state live in flat struct-of-arrays
 //! vectors indexed by `u32` arena ids, cleared — not reallocated — between
-//! runs. The dependency structure (children CSR, zero-in-degree roots,
-//! message endpoints) is cached in a `DepGraph` and reused verbatim across
-//! template specializations of the same program shape: a sweep over
-//! thousands of candidate configurations rebuilds the CSR only when the
-//! DAG *structure* changes, not when scalars (byte counts, durations)
-//! change.
+//! runs. The structure derived from the program's dependency CSR
+//! (children CSR, zero-in-degree roots, message endpoints) lives in a
+//! `DepGraph` that is rebuilt on every run into the same allocations.
 
 use crate::buffer::Memory;
 use crate::program::{MsgId, OpId, OpKind, Program};
@@ -276,28 +273,17 @@ const TAG_SLEEP: u8 = 1;
 const TAG_DELAY: u8 = 2;
 const TAG_OTHER: u8 = 3;
 
-/// Cached dependency *structure* of a program: a copy of its dependency
-/// CSR and ranks (kept only to recognise the same shape again), plus what
-/// is derived from them — children CSR, message endpoints, zero-in-degree
-/// roots. Built once and reused across every specialization that keeps the
-/// same DAG shape — op scalars (byte counts, durations) and message
-/// scalars never enter this structure, so a sweep that only varies sizes
-/// shares one `DepGraph`.
+/// Dependency structure derived from a program's CSR: children CSR,
+/// message endpoints, zero-in-degree roots. Rebuilt from
+/// `prog.dep_off`/`prog.dep` on every run; only the allocations persist.
 #[derive(Debug, Default)]
 struct DepGraph {
-    built: bool,
     nops: usize,
     nmsgs: usize,
     /// Children (reverse dependencies) in CSR form.
     child_off: Vec<u32>,
     child: Vec<u32>,
-    /// Copy of the program's dependency CSR, for exact `matches` compares.
-    dep_off: Vec<u32>,
-    dep: Vec<OpId>,
     op_rank: Vec<u32>,
-    /// Structural message tag: `Send{msg}` -> `msg*2`, `Recv{msg}` ->
-    /// `msg*2+1`, anything else -> `NONE_U32`.
-    op_msg: Vec<u32>,
     msg_send_op: Vec<u32>,
     msg_recv_op: Vec<u32>,
     /// Ops with no dependencies, in op-id order: the ready-queue seeds.
@@ -306,41 +292,13 @@ struct DepGraph {
     cursor: Vec<u32>,
 }
 
-/// Structural message tag of an op (see `DepGraph::op_msg`).
-#[inline]
-fn msg_tag(kind: &OpKind) -> u32 {
-    match kind {
-        OpKind::Send { msg } => msg.0 * 2,
-        OpKind::Recv { msg } => msg.0 * 2 + 1,
-        _ => NONE_U32,
-    }
-}
-
 impl DepGraph {
-    /// Exact structural equality with `prog` (ranks, dependency CSR,
-    /// message endpoints). O(ops + deps); no hashing, so no collisions.
-    fn matches(&self, prog: &Program) -> bool {
-        self.built
-            && self.nops == prog.ops.len()
-            && self.nmsgs == prog.msgs.len()
-            && self.dep_off == prog.dep_off
-            && self.dep == prog.dep
-            && prog
-                .ops
-                .iter()
-                .enumerate()
-                .all(|(i, op)| self.op_rank[i] == op.rank && self.op_msg[i] == msg_tag(&op.kind))
-    }
-
-    /// (Re)build from `prog`, reusing every allocation.
+    /// Rebuild from `prog`, reusing every allocation.
     fn build(&mut self, prog: &Program) {
         let n = prog.ops.len();
         self.nops = n;
         self.nmsgs = prog.msgs.len();
-        self.dep_off.clone_from(&prog.dep_off);
-        self.dep.clone_from(&prog.dep);
         self.op_rank.clear();
-        self.op_msg.clear();
         self.indeg0.clear();
         self.roots.clear();
         self.msg_send_op.clear();
@@ -354,8 +312,7 @@ impl DepGraph {
                 OpKind::Recv { msg } => self.msg_recv_op[msg.0 as usize] = i as u32,
                 _ => {}
             }
-            self.op_msg.push(msg_tag(&op.kind));
-            let ndeps = self.dep_off[i + 1] - self.dep_off[i];
+            let ndeps = prog.dep_off[i + 1] - prog.dep_off[i];
             self.indeg0.push(ndeps);
             if ndeps == 0 {
                 self.roots.push(i as u32);
@@ -364,24 +321,23 @@ impl DepGraph {
         // Children CSR by counting sort over the flat dep array.
         self.child_off.clear();
         self.child_off.resize(n + 1, 0);
-        for d in &self.dep {
+        for d in &prog.dep {
             self.child_off[d.0 as usize + 1] += 1;
         }
         for i in 0..n {
             self.child_off[i + 1] += self.child_off[i];
         }
         self.child.clear();
-        self.child.resize(self.dep.len(), 0);
+        self.child.resize(prog.dep.len(), 0);
         self.cursor.clear();
         self.cursor.extend_from_slice(&self.child_off[..n]);
         for i in 0..n {
-            for d in &self.dep[self.dep_off[i] as usize..self.dep_off[i + 1] as usize] {
+            for d in prog.deps(OpId(i as u32)) {
                 let c = &mut self.cursor[d.0 as usize];
                 self.child[*c as usize] = i as u32;
                 *c += 1;
             }
         }
-        self.built = true;
     }
 }
 
@@ -469,8 +425,7 @@ impl Ctx<'_> {
 /// A persistent, reusable program executor.
 ///
 /// All per-run state lives in flat vectors indexed by op/message id that
-/// are cleared (never reallocated) between runs; the dependency CSR is
-/// cached across structurally identical programs. One `Executor` per
+/// are cleared (never reallocated) between runs. One `Executor` per
 /// thread (behind [`execute`]) turns a tuning sweep into a
 /// zero-allocation steady state.
 #[derive(Debug, Default)]
@@ -489,7 +444,7 @@ struct Executor {
     msg_payload: Vec<Option<Vec<u8>>>,
     completed: usize,
     /// Per-op compact kind tag (`TAG_*`) and Sleep/Delay duration, rebuilt
-    /// by `prepare` for each run (scalars are not part of the cached CSR).
+    /// by `prepare` for each run.
     kind_tag: Vec<u8>,
     kind_dur: Vec<Time>,
     mem: Option<Memory>,
@@ -501,7 +456,7 @@ struct Executor {
 
 impl Executor {
     /// Execute `prog` on `machine` (resources are reset first), reusing
-    /// this executor's cached structure and state vectors.
+    /// this executor's state vectors.
     fn run(
         &mut self,
         machine: &mut Machine,
@@ -528,8 +483,6 @@ impl Executor {
     /// Rebuild the compact dispatch tables: the ready handler for the
     /// trivial kinds (Nop/Sleep/Delay — the bulk of fine-grained DAGs)
     /// reads one byte and one `Time` instead of the much wider `Op`.
-    /// Rebuilt per run because scalars move under template re-stamping
-    /// even when the cached CSR structure matches.
     fn build_kind_tables(&mut self, prog: &Program) {
         self.kind_tag.clear();
         self.kind_dur.clear();
@@ -545,14 +498,12 @@ impl Executor {
         }
     }
 
-    /// Reset all per-run state for `prog` (keeping allocations and, when
-    /// the structure matches, the cached dependency CSR) and seed the
-    /// ready queue from the precomputed zero-in-degree roots.
+    /// Reset all per-run state for `prog` (keeping allocations), rebuild
+    /// its dependency structure and seed the ready queue from the
+    /// zero-in-degree roots.
     fn prepare(&mut self, prog: &Program, opts: &ExecOpts) {
         debug_assert_eq!(prog.validate(), Ok(()));
-        if !self.graph.matches(prog) {
-            self.graph.build(prog);
-        }
+        self.graph.build(prog);
         let n = self.graph.nops;
         let nm = self.graph.nmsgs;
         self.q.reset();
@@ -1410,7 +1361,7 @@ mod tests {
         let a = b.delay(0, Time::from_us(1), &[]);
         b.nop(1, &[a]);
         let pb = b.build();
-        // Alternate structures so the cached CSR is rebuilt and re-hit.
+        // Alternate structures so stale per-run state would show.
         for p in [&pa, &pb, &pa, &pb] {
             let r1 = ex.run(&mut m, p, &opts(), None).0;
             let r2 = execute(&mut m, p, &opts());

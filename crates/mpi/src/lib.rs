@@ -29,9 +29,6 @@
 //!   matching (each send/recv pair shares a unique tag by construction).
 //! * [`comm`] — communicators, including the `MPI_Comm_split_type`
 //!   node-split HAN relies on.
-//! * [`template`] — size-invariant program templates: a program's shape is
-//!   learned once and re-stamped with affine scalars per message size,
-//!   skipping the DAG rebuild on sweep-hot paths.
 //! * [`exec`] — the discrete-event executor.
 
 pub mod buffer;
@@ -40,7 +37,6 @@ pub mod comm;
 pub mod datatype;
 pub mod exec;
 pub mod program;
-pub mod template;
 pub mod trace;
 
 pub use buffer::{BufRange, Memory};
@@ -52,5 +48,4 @@ pub use exec::{
     ExecOpts, Report,
 };
 pub use program::{Op, OpId, OpKind, Program};
-pub use template::ProgramTemplate;
 pub use trace::{trace_execution, Span, Trace};

@@ -20,11 +20,10 @@
 
 use crate::pareto::{pareto_front, Front, FrontPoint};
 use crate::space::{candidates, Candidate};
-use han_colls::stack::Unsupported;
-use han_colls::{time_coll_templated, Coll, TemplateStore};
+use han_colls::stack::{time_coll_on, Unsupported};
+use han_colls::Coll;
 use han_core::{Han, HanConfig};
 use han_machine::{Machine, MachinePreset};
-use han_mpi::Program;
 use han_sim::Time;
 use han_tuner::{lower_bound, LookupTable, SearchSpace};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -128,15 +127,12 @@ struct GroupOut {
     skipped: Vec<Unsupported>,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_group(
     machine: &mut Machine,
-    scratch: &mut Program,
     preset: &MachinePreset,
     coll: Coll,
     m: u64,
     cands: &[Candidate],
-    templates: &TemplateStore,
     opts: &SynthOpts,
 ) -> GroupOut {
     let lat_m = m.min(opts.lat_probe).max(1);
@@ -172,13 +168,11 @@ fn run_group(
     let simulate = |i: usize,
                     bound_bw: Option<Time>,
                     machine: &mut Machine,
-                    scratch: &mut Program,
                     out: &mut GroupOut,
                     points: &mut Vec<(Time, Time)>| {
         let Candidate { cfg, menu } = cands[i];
         let han = Han::with_config(cfg);
-        let mut cost =
-            |m| time_coll_templated(&han, templates, machine, preset, coll, m, 0, scratch);
+        let mut cost = |m| time_coll_on(&han, machine, preset, coll, m, 0);
         let bw = match cost(m) {
             Ok(t) => t,
             Err(e) => {
@@ -212,7 +206,7 @@ fn run_group(
 
     for &i in &menu_idx {
         let b = lower_bound(preset, &cands[i].cfg, coll, m);
-        simulate(i, b, machine, scratch, &mut out, &mut points);
+        simulate(i, b, machine, &mut out, &mut points);
     }
     for &(bound_bw, i) in &extras {
         if opts.prune {
@@ -224,7 +218,7 @@ fn run_group(
                 }
             }
         }
-        simulate(i, bound_bw, machine, scratch, &mut out, &mut points);
+        simulate(i, bound_bw, machine, &mut out, &mut points);
     }
     out
 }
@@ -264,19 +258,16 @@ pub fn synthesize(
         .min(groups.len().max(1))
         .max(1);
 
-    let templates = TemplateStore::new();
     let next = AtomicUsize::new(0);
     let mut outcomes: Vec<GroupOut> = Vec::with_capacity(groups.len());
     std::thread::scope(|s| {
         let groups = &groups;
         let next = &next;
-        let templates = &templates;
         let opts = &opts;
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(move || {
                     let mut machine = Machine::from_preset(preset);
-                    let mut scratch = Program::default();
                     let mut out: Vec<(usize, GroupOut)> = Vec::new();
                     loop {
                         let g = next.fetch_add(1, Ordering::Relaxed);
@@ -284,19 +275,7 @@ pub fn synthesize(
                             break;
                         }
                         let (coll, m, cands) = &groups[g];
-                        out.push((
-                            g,
-                            run_group(
-                                &mut machine,
-                                &mut scratch,
-                                preset,
-                                *coll,
-                                *m,
-                                cands,
-                                templates,
-                                opts,
-                            ),
-                        ));
+                        out.push((g, run_group(&mut machine, preset, *coll, *m, cands, opts)));
                     }
                     out
                 })

@@ -13,15 +13,12 @@
 //!
 //! The cache is shared across message sizes, collectives, and search
 //! strategies within a run (the heuristic search space is a subset of the
-//! full one, so a full sweep warms every heuristic sweep for free), and
-//! can be persisted under `results/cache/` so repeated `repro` invocations
-//! are warm-started.
+//! full one, so a full sweep warms every heuristic sweep for free). It
+//! lives in memory only, for one run.
 //!
-//! **Invalidation rule:** every cache is bound to a fingerprint — a stable
-//! hash of the complete machine preset (topology, node, and network
-//! parameters, floats hashed by shortest decimal representation). A
-//! persisted cache whose fingerprint does not match the current preset is
-//! ignored, never merged.
+//! Every cache is bound to a fingerprint — a stable hash of the complete
+//! machine preset (topology, node, and network parameters, floats hashed
+//! by shortest decimal representation).
 //!
 //! **Fidelity rule:** a cache hit must be observationally identical to a
 //! simulation. Hits return the exact virtual times a simulation would
@@ -36,9 +33,7 @@ use han_core::task::TaskSpec;
 use han_core::HanConfig;
 use han_machine::MachinePreset;
 use han_sim::Time;
-use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -178,154 +173,6 @@ impl CostCache {
             },
         );
     }
-
-    // -----------------------------------------------------------------
-    // Persistence
-
-    /// Canonical on-disk location for a preset's cache.
-    pub fn path_for(dir: &Path, preset: &MachinePreset) -> PathBuf {
-        dir.join(format!(
-            "cost_cache_{:016x}.json",
-            preset_fingerprint(preset)
-        ))
-    }
-
-    /// Load the persisted cache for `preset` from `dir`, or start empty.
-    /// A missing file, unparsable contents, or a fingerprint mismatch all
-    /// yield an empty cache (the invalidation rule). Unparsable files —
-    /// e.g. torn writes from a crashed run under the pre-atomic-rename
-    /// format — are logged and treated as a cold miss, never an error.
-    pub fn load_or_new(dir: &Path, preset: &MachinePreset) -> Self {
-        let path = Self::path_for(dir, preset);
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            match Self::from_json(&text) {
-                Some(cache) => {
-                    if cache.fingerprint == preset_fingerprint(preset) {
-                        return cache;
-                    }
-                }
-                None => {
-                    eprintln!(
-                        "warning: ignoring unparsable cost cache {} (cold start)",
-                        path.display()
-                    );
-                }
-            }
-        }
-        Self::new(preset)
-    }
-
-    /// Persist under `dir` (created if needed) at the canonical path.
-    ///
-    /// The write goes to a process-unique temp file first and lands via
-    /// atomic rename, so concurrent runs (or re-tuning workers) racing on
-    /// the same preset can interleave freely: readers see either the old
-    /// complete file or the new complete file, never torn JSON.
-    pub fn save_under(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("cost_cache_{:016x}.json", self.fingerprint));
-        let tmp = dir.join(format!(
-            ".cost_cache_{:016x}.{}.tmp",
-            self.fingerprint,
-            std::process::id()
-        ));
-        std::fs::write(&tmp, self.to_json())?;
-        match std::fs::rename(&tmp, &path) {
-            Ok(()) => Ok(path),
-            Err(e) => {
-                std::fs::remove_file(&tmp).ok();
-                Err(e)
-            }
-        }
-    }
-
-    pub fn to_json(&self) -> String {
-        let inner = self.inner.lock().unwrap();
-        let coll: Vec<Value> = inner
-            .coll
-            .iter()
-            .map(|(&(coll, cfg, m), &ps)| {
-                Value::Seq(vec![
-                    Value::Str(coll.name().to_string()),
-                    cfg.to_value(),
-                    Value::UInt(m),
-                    Value::UInt(ps),
-                ])
-            })
-            .collect();
-        let task: Vec<Value> = inner
-            .task
-            .iter()
-            .map(|((cfg, spec, seg, skew), entry)| {
-                Value::Seq(vec![
-                    cfg.to_value(),
-                    Value::Seq(
-                        [spec.ib, spec.sb, spec.ir, spec.sr]
-                            .iter()
-                            .map(|&b| Value::Bool(b))
-                            .collect(),
-                    ),
-                    Value::UInt(*seg),
-                    Value::Seq(skew.iter().map(|&s| Value::UInt(s)).collect()),
-                    Value::Seq(entry.cost_ps.iter().map(|&p| Value::UInt(p)).collect()),
-                    Value::UInt(entry.window_ps),
-                ])
-            })
-            .collect();
-        let root = Value::Map(vec![
-            ("fingerprint".to_string(), Value::UInt(self.fingerprint)),
-            ("coll".to_string(), Value::Seq(coll)),
-            ("task".to_string(), Value::Seq(task)),
-        ]);
-        serde_json::to_string_pretty(&root).expect("cache serializes")
-    }
-
-    pub fn from_json(text: &str) -> Option<Self> {
-        let root: Value = serde_json::from_str(text).ok()?;
-        let fingerprint = root["fingerprint"].as_u64()?;
-        let mut inner = Inner::default();
-        for item in root["coll"].as_array()? {
-            let coll = Coll::from_name(item[0].as_str()?)?;
-            let cfg = HanConfig::from_value(&item[1]).ok()?;
-            let m = item[2].as_u64()?;
-            let ps = item[3].as_u64()?;
-            inner.coll.insert((coll, cfg, m), ps);
-        }
-        for item in root["task"].as_array()? {
-            let cfg = HanConfig::from_value(&item[0]).ok()?;
-            let flags = item[1].as_array()?;
-            if flags.len() != 4 {
-                return None;
-            }
-            let spec = TaskSpec {
-                ib: flags[0].as_bool()?,
-                sb: flags[1].as_bool()?,
-                ir: flags[2].as_bool()?,
-                sr: flags[3].as_bool()?,
-            };
-            let seg = item[2].as_u64()?;
-            let skew: Vec<u64> = item[3]
-                .as_array()?
-                .iter()
-                .map(|v| v.as_u64())
-                .collect::<Option<_>>()?;
-            let cost_ps: Vec<u64> = item[4]
-                .as_array()?
-                .iter()
-                .map(|v| v.as_u64())
-                .collect::<Option<_>>()?;
-            let window_ps = item[5].as_u64()?;
-            inner
-                .task
-                .insert((cfg, spec, seg, skew), TaskEntry { cost_ps, window_ps });
-        }
-        Some(CostCache {
-            fingerprint,
-            inner: Mutex::new(inner),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -337,7 +184,7 @@ mod tests {
     fn fingerprint_reexport_is_the_decide_one() {
         // The fingerprint moved to han-decide; the historical
         // `han_tuner::cache::preset_fingerprint` path must keep answering
-        // identically (persisted cache filenames depend on it).
+        // identically.
         assert_eq!(
             preset_fingerprint(&stampede2(4)),
             han_decide::preset_fingerprint(&stampede2(4))
@@ -388,115 +235,5 @@ mod tests {
         assert!(cache
             .lookup_task(&cfg, TaskSpec::IB, 4096, &[0, 501])
             .is_none());
-    }
-
-    #[test]
-    fn json_round_trip_preserves_entries() {
-        let preset = mini(2, 2);
-        let cache = CostCache::new(&preset);
-        let cfg = HanConfig::default().with_fs(4096);
-        cache.record_coll(Coll::Bcast, &cfg, 1 << 20, Time::from_us(42));
-        cache.record_task(
-            &cfg,
-            TaskSpec::SBIB,
-            4096,
-            vec![0, 250],
-            &[Time::from_us(5), Time::from_us(6)],
-            Time::from_us(7),
-        );
-        let json = cache.to_json();
-        let back = CostCache::from_json(&json).expect("parses");
-        assert_eq!(back.fingerprint(), cache.fingerprint());
-        assert_eq!(
-            back.lookup_coll(Coll::Bcast, &cfg, 1 << 20),
-            Some(Time::from_us(42))
-        );
-        let (costs, window) = back
-            .lookup_task(&cfg, TaskSpec::SBIB, 4096, &[0, 250])
-            .unwrap();
-        assert_eq!(costs.len(), 2);
-        assert_eq!(window, Time::from_us(7));
-    }
-
-    #[test]
-    fn persistence_respects_fingerprint() {
-        let dir = std::env::temp_dir().join("han_cost_cache_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let preset = mini(3, 2);
-        let cache = CostCache::new(&preset);
-        let cfg = HanConfig::default();
-        cache.record_coll(Coll::Bcast, &cfg, 4096, Time::from_us(11));
-        let path = cache.save_under(&dir).unwrap();
-        assert!(path.exists());
-
-        // Same preset: warm start.
-        let warm = CostCache::load_or_new(&dir, &preset);
-        assert_eq!(
-            warm.lookup_coll(Coll::Bcast, &cfg, 4096),
-            Some(Time::from_us(11))
-        );
-
-        // Different preset: the invalidation rule yields a cold cache.
-        let other = mini(3, 4);
-        let cold = CostCache::load_or_new(&dir, &other);
-        assert_eq!(cold.lookup_coll(Coll::Bcast, &cfg, 4096), None);
-        assert_eq!(cold.stats().coll_entries, 0);
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn torn_cache_file_is_a_cold_miss() {
-        let dir = std::env::temp_dir().join("han_cost_cache_torn_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let preset = mini(2, 3);
-        let cfg = HanConfig::default();
-
-        // A torn write: a valid prefix of real cache JSON, cut mid-token.
-        let cache = CostCache::new(&preset);
-        cache.record_coll(Coll::Bcast, &cfg, 4096, Time::from_us(5));
-        let full = cache.to_json();
-        let path = CostCache::path_for(&dir, &preset);
-        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-
-        let loaded = CostCache::load_or_new(&dir, &preset);
-        assert_eq!(loaded.lookup_coll(Coll::Bcast, &cfg, 4096), None);
-        assert_eq!(loaded.stats().coll_entries, 0);
-
-        // Saving over the torn file repairs it.
-        cache.save_under(&dir).unwrap();
-        let warm = CostCache::load_or_new(&dir, &preset);
-        assert_eq!(
-            warm.lookup_coll(Coll::Bcast, &cfg, 4096),
-            Some(Time::from_us(5))
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn save_is_atomic_and_leaves_no_temp_files() {
-        let dir = std::env::temp_dir().join("han_cost_cache_atomic_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let preset = mini(2, 5);
-        let cache = CostCache::new(&preset);
-        cache.record_coll(
-            Coll::Allreduce,
-            &HanConfig::default(),
-            1024,
-            Time::from_us(9),
-        );
-        let path = cache.save_under(&dir).unwrap();
-        assert!(path.exists());
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path() != path)
-            .collect();
-        assert!(
-            leftovers.is_empty(),
-            "temp files left behind: {leftovers:?}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -20,10 +20,8 @@ use crate::space::SearchSpace;
 use crate::table::LookupTable;
 use crate::taskbench::{TaskBench, BENCH_ITERS};
 use han_colls::stack::{time_coll_on, Coll, Unsupported};
-use han_colls::template::{time_coll_templated, TemplateStore};
 use han_core::{Han, HanConfig};
 use han_machine::{Machine, MachinePreset};
-use han_mpi::Program;
 use han_sim::Time;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -138,9 +136,6 @@ pub fn tune_with_opts(
 }
 
 /// Simulate (or recall) the latency of one HAN collective configuration.
-/// Sweeps pass a [`TemplateStore`] plus a worker-local scratch program so
-/// repeated shapes specialize an interned template into reused allocations
-/// instead of rebuilding the DAG — bit-identical results either way.
 fn coll_cost(
     machine: &mut Machine,
     preset: &MachinePreset,
@@ -148,18 +143,11 @@ fn coll_cost(
     m: u64,
     cfg: HanConfig,
     cache: Option<&CostCache>,
-    templates: Option<(&TemplateStore, &mut Program)>,
 ) -> Result<Time, Unsupported> {
     if let Some(t) = cache.and_then(|c| c.lookup_coll(coll, &cfg, m)) {
         return Ok(t);
     }
-    let han = Han::with_config(cfg);
-    let t = match templates {
-        Some((store, scratch)) => {
-            time_coll_templated(&han, store, machine, preset, coll, m, 0, scratch)?
-        }
-        None => time_coll_on(&han, machine, preset, coll, m, 0)?,
-    };
+    let t = time_coll_on(&Han::with_config(cfg), machine, preset, coll, m, 0)?;
     if let Some(c) = cache {
         c.record_coll(coll, &cfg, m, t);
     }
@@ -208,25 +196,18 @@ fn tune_exhaustive(
         .unwrap_or(4)
         .min(groups.len().max(1));
 
-    // Shared template store: every worker re-stamps interned program
-    // shapes instead of cold-building (results are bit-identical).
-    let templates = TemplateStore::new();
     let next = AtomicUsize::new(0);
     let mut outcomes: Vec<Vec<Outcome>> = Vec::with_capacity(groups.len());
     std::thread::scope(|s| {
         let groups = &groups;
         let next = &next;
         let cache = cache.as_deref();
-        let templates = &templates;
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(move || {
-                    // One machine and one scratch program per worker; the
-                    // machine is reset between jobs by the executor and
-                    // the scratch's allocations are reused by
-                    // specialization.
+                    // One machine per worker, reset between jobs by the
+                    // executor.
                     let mut machine = Machine::from_preset(preset);
-                    let mut scratch = Program::default();
                     let mut out: Vec<(usize, Vec<Outcome>)> = Vec::new();
                     loop {
                         let g = next.fetch_add(1, Ordering::Relaxed);
@@ -236,17 +217,7 @@ fn tune_exhaustive(
                         let (coll, m, cfgs) = &groups[g];
                         out.push((
                             g,
-                            run_group(
-                                &mut machine,
-                                &mut scratch,
-                                preset,
-                                *coll,
-                                *m,
-                                cfgs,
-                                cache,
-                                templates,
-                                opts,
-                            ),
+                            run_group(&mut machine, preset, *coll, *m, cfgs, cache, opts),
                         ));
                     }
                     out
@@ -310,16 +281,13 @@ fn tune_exhaustive(
 /// tie. The surviving minimum — and, because candidates keep their
 /// enumeration order in the output, the tie-broken winner — is identical
 /// to the unpruned sweep's.
-#[allow(clippy::too_many_arguments)]
 fn run_group(
     machine: &mut Machine,
-    scratch: &mut Program,
     preset: &MachinePreset,
     coll: Coll,
     m: u64,
     cfgs: &[HanConfig],
     cache: Option<&CostCache>,
-    templates: &TemplateStore,
     opts: TuneOpts,
 ) -> Vec<Outcome> {
     // Visit candidates cheapest-bound-first: tight early incumbents
@@ -350,15 +318,7 @@ fn run_group(
                 }
             }
         }
-        let r = coll_cost(
-            machine,
-            preset,
-            coll,
-            m,
-            cfgs[i],
-            cache,
-            Some((templates, &mut *scratch)),
-        );
+        let r = coll_cost(machine, preset, coll, m, cfgs[i], cache);
         if let Ok(t) = &r {
             incumbent = Some(incumbent.map_or(*t, |inc| inc.min(*t)));
         }
@@ -435,7 +395,7 @@ pub fn candidate_costs(
         .configs_for(m, &preset.topology, heuristic)
         .into_iter()
         .map(|cfg| {
-            let r = coll_cost(&mut machine, preset, coll, m, cfg, None, None);
+            let r = coll_cost(&mut machine, preset, coll, m, cfg, None);
             (cfg, r)
         })
         .collect()
@@ -464,7 +424,7 @@ pub fn achieved_latency_with_cache(
 ) -> Result<Time, Unsupported> {
     let cfg = table.nearest(coll, m).map(|e| e.cfg).unwrap_or_default();
     let mut machine = Machine::from_preset(preset);
-    coll_cost(&mut machine, preset, coll, m, cfg, cache, None)
+    coll_cost(&mut machine, preset, coll, m, cfg, cache)
 }
 
 #[cfg(test)]
@@ -621,10 +581,10 @@ mod tests {
 
     #[test]
     fn sweep_costs_match_cold_built_ground_truth() {
-        // The templated sweep must not change a single sample: every
+        // The parallel sweep must not change a single sample: every
         // `(coll, m, cfg)` cost — not just the winners — is compared
-        // bit-for-bit against `candidate_costs`, which cold-builds each
-        // program without a template store.
+        // bit-for-bit against `candidate_costs`, which builds and times
+        // each program on one thread.
         for preset in [mini(2, 4), han_machine::mini3(2, 2, 2)] {
             let space = tiny_space();
             let colls = [Coll::Bcast, Coll::Allreduce];
