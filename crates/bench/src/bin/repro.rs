@@ -9,10 +9,11 @@
 //! verify synth hetero all`.
 //!
 //! `synth` runs schedule synthesis beyond the Table-II menu (han-synth)
-//! on the small presets, re-executes every emitted Pareto-front point
-//! through the full-payload correctness oracle, and writes
-//! `results/synth.json`; any oracle failure, unexpected skip, or a run
-//! with zero strict synth-beats-menu wins exits with code 3.
+//! on the small presets, checks every emitted Pareto-front point with the
+//! symbolic correctness oracle (race-free, and correct in every execution
+//! order its dependencies allow), and writes `results/synth.json`; any
+//! oracle failure, unexpected skip, or a run with zero strict
+//! synth-beats-menu wins exits with code 3.
 //!
 //! `verify` runs the `han-verify` performance-guideline catalog over the
 //! mini / mini3 / socketized presets plus the heterogeneous multi-rail
@@ -925,8 +926,9 @@ type SynthFrontRow = (String, u64, Vec<SynthPointRow>, Option<u64>);
 
 /// `repro synth`: schedule synthesis beyond the Table-II menu
 /// (han-synth) on the standard small presets. Emits the per-group
-/// latency/bandwidth Pareto fronts, re-executes **every** front point
-/// through the full-payload correctness oracle, and persists
+/// latency/bandwidth Pareto fronts, checks **every** front point with
+/// the symbolic correctness oracle ([`han_synth::verify_schedule`]:
+/// race-free, and correct in every legal execution order), and persists
 /// `results/synth.json`. The exit-code gate requires zero correctness
 /// failures, zero unexpected skips, and at least one group where the
 /// synthesized winner strictly beats the best Table-II menu schedule —
@@ -946,10 +948,7 @@ fn synth(cfg: &Cfg) {
             intra: vec![IntraModule::Sm, IntraModule::Solo],
         }
     };
-    let opts = SynthOpts {
-        prune: cfg.prune,
-        ..SynthOpts::default()
-    };
+    let opts = SynthOpts::default();
     let colls = [Coll::Bcast, Coll::Allreduce, Coll::Reduce];
 
     let mut t = Table::new(&[
@@ -957,7 +956,6 @@ fn synth(cfg: &Cfg) {
         "groups",
         "candidates",
         "simulated",
-        "pruned",
         "beamed",
         "pareto pts",
         "strict wins",
@@ -996,7 +994,6 @@ fn synth(cfg: &Cfg) {
             r.fronts.len().to_string(),
             r.candidates.to_string(),
             r.simulated.to_string(),
-            r.pruned.to_string(),
             r.beamed.to_string(),
             points.to_string(),
             wins.to_string(),

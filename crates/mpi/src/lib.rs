@@ -30,6 +30,8 @@
 //! * [`comm`] — communicators, including the `MPI_Comm_split_type`
 //!   node-split HAN relies on.
 //! * [`exec`] — the discrete-event executor.
+//! * [`race`] — the happens-before race checker: a program is correct in
+//!   every execution order its edges allow only if it is race-free.
 
 pub mod buffer;
 pub mod builder;
@@ -37,6 +39,7 @@ pub mod comm;
 pub mod datatype;
 pub mod exec;
 pub mod program;
+pub mod race;
 pub mod trace;
 
 pub use buffer::{BufRange, Memory};
@@ -48,4 +51,5 @@ pub use exec::{
     ExecOpts, Report,
 };
 pub use program::{Op, OpId, OpKind, Program};
+pub use race::check_races;
 pub use trace::{trace_execution, Span, Trace};

@@ -33,7 +33,7 @@ pub struct Trace {
     pub makespan: Time,
 }
 
-fn op_name(prog: &Program, idx: usize) -> String {
+pub(crate) fn op_name(prog: &Program, idx: usize) -> String {
     match &prog.ops[idx].kind {
         OpKind::Nop => "join".into(),
         OpKind::Delay { .. } => "overhead".into(),

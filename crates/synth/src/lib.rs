@@ -22,17 +22,18 @@
 //! Plus non-power-of-two segment sizes (exact k-way splits of the
 //! message), which the pow-2 menu cannot express.
 //!
-//! The search is branch-and-bound with the [`han_tuner::bound`] analytic
-//! lower bound as an admissible heuristic and the simulator as the exact
-//! oracle; when the beyond-menu space outgrows
-//! [`SynthOpts::beam`] it degrades to beam search over the
-//! cheapest-bounded candidates (menu candidates are *always* simulated,
-//! so the emitted front can never lose to the menu). See
-//! [`search::synthesize`] for the pruning-soundness argument.
+//! The search uses the [`han_tuner::bound`] analytic lower bound as an
+//! admissible heuristic and the simulator as the exact cost oracle. It
+//! simulates every menu candidate, then the beyond-menu extras cheapest
+//! bound first; when the extras outgrow [`SynthOpts::beam`], only the
+//! cheapest-bounded are simulated. Menu candidates are *always*
+//! simulated, so the emitted front can never lose to the menu. See
+//! [`search`].
 //!
-//! Every emitted schedule is expected to pass the full-payload
-//! correctness oracle ([`oracle::verify_schedule`]) and the `han-verify`
-//! guideline wall; `repro synth` wires both gates.
+//! Every emitted schedule is expected to pass the symbolic correctness
+//! oracle ([`oracle::verify_schedule`]: race-free, and delivering the
+//! collective's result in every execution order its dependencies allow)
+//! and the `han-verify` guideline wall; `repro synth` wires both gates.
 
 pub mod oracle;
 pub mod pareto;

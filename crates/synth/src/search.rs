@@ -1,22 +1,17 @@
 //! Bound-guided schedule search with an exact simulator oracle.
 //!
-//! # Soundness of the front-preserving prune
+//! Each `(coll, m)` group simulates every Table-II menu candidate, then
+//! the beyond-menu extras in ascending order of their analytic lower
+//! bound at `m` (ties broken by enumeration index). When a group has more
+//! extras than [`SynthOpts::beam`], only the `beam` cheapest-bounded ones
+//! are simulated. The bounds are admissible (`bound ≤ cost`, pinned by
+//! the `synth-bound-soundness` guideline), so the beam drops the extras
+//! least likely to reach the front; it is a heuristic, not exact.
 //!
-//! A candidate `c` is skipped only when some *already simulated* point
-//! `P` strictly dominates `c`'s analytic lower-bound pair in both
-//! objectives: `P.lat < bound_lat(c)` **and** `P.bw < bound_bw(c)`. The
-//! bounds are admissible (`bound ≤ cost`, pinned by the
-//! `synth-bound-soundness` guideline), so `c`'s true costs satisfy
-//! `cost_lat(c) ≥ bound_lat(c) > P.lat` and `cost_bw(c) ≥ bound_bw(c) >
-//! P.bw` — `P` strictly dominates `c`, hence `c` cannot sit on the
-//! Pareto front. The front of the pruned search therefore equals the
-//! front of the unpruned search exactly (the determinism test pins
-//! `prune` on/off to bit-identical fronts).
-//!
-//! Menu candidates are never pruned or beamed: the emitted front always
-//! contains the full Table-II sweep, which is what makes the
-//! `synth-dominance` guideline (front winner never loses to the menu
-//! winner) hold unconditionally.
+//! Menu candidates are never beamed: the emitted front always contains
+//! the full Table-II sweep, which is what makes the `synth-dominance`
+//! guideline (front winner never loses to the menu winner) hold
+//! unconditionally.
 
 use crate::pareto::{pareto_front, Front, FrontPoint};
 use crate::space::{candidates, Candidate};
@@ -31,9 +26,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Knobs for [`synthesize`].
 #[derive(Debug, Clone, Copy)]
 pub struct SynthOpts {
-    /// Skip extras whose bound pair is strictly dominated by a simulated
-    /// point (front-preserving; see the module docs).
-    pub prune: bool,
     /// Worker threads (`None` = available parallelism). The emitted
     /// fronts are bit-identical for every worker count.
     pub workers: Option<usize>,
@@ -49,7 +41,6 @@ pub struct SynthOpts {
 impl Default for SynthOpts {
     fn default() -> Self {
         SynthOpts {
-            prune: true,
             workers: None,
             beam: 96,
             lat_probe: 4096,
@@ -79,9 +70,11 @@ pub struct SynthSample {
 pub struct SynthResult {
     pub fronts: Vec<Front>,
     pub samples: Vec<SynthSample>,
-    /// Candidates enumerated / simulated / bound-pruned / beam-dropped.
+    /// Candidates enumerated / simulated / beam-dropped.
     pub candidates: u64,
     pub simulated: u64,
+    /// Always 0: the search has no bound prune. Kept because the
+    /// benchmark reports it as `synth.pruned`.
     pub pruned: u64,
     pub beamed: u64,
     pub skipped: Vec<Unsupported>,
@@ -122,7 +115,6 @@ impl SynthResult {
 
 struct GroupOut {
     samples: Vec<SynthSample>,
-    pruned: u64,
     beamed: u64,
     skipped: Vec<Unsupported>,
 }
@@ -138,13 +130,12 @@ fn run_group(
     let lat_m = m.min(opts.lat_probe).max(1);
     let mut out = GroupOut {
         samples: Vec::new(),
-        pruned: 0,
         beamed: 0,
         skipped: Vec::new(),
     };
     // Menu candidates in enumeration order, then extras cheapest-bound
     // first (ties broken by index) — the fixed visit order keeps the
-    // pruned set, and therefore the whole scan, deterministic.
+    // beamed set, and therefore the whole scan, deterministic.
     let menu_idx: Vec<usize> = cands
         .iter()
         .enumerate()
@@ -163,13 +154,7 @@ fn run_group(
         extras.truncate(opts.beam);
     }
 
-    // Simulated (lat, bw) points — the dominance incumbents.
-    let mut points: Vec<(Time, Time)> = Vec::new();
-    let simulate = |i: usize,
-                    bound_bw: Option<Time>,
-                    machine: &mut Machine,
-                    out: &mut GroupOut,
-                    points: &mut Vec<(Time, Time)>| {
+    let mut simulate = |i: usize, bound_bw: Option<Time>| {
         let Candidate { cfg, menu } = cands[i];
         let han = Han::with_config(cfg);
         let mut cost = |m| time_coll_on(&han, machine, preset, coll, m, 0);
@@ -191,7 +176,6 @@ fn run_group(
                 }
             }
         };
-        points.push((lat, bw));
         out.samples.push(SynthSample {
             coll,
             m,
@@ -203,22 +187,11 @@ fn run_group(
             bound_bw,
         });
     };
-
     for &i in &menu_idx {
-        let b = lower_bound(preset, &cands[i].cfg, coll, m);
-        simulate(i, b, machine, &mut out, &mut points);
+        simulate(i, lower_bound(preset, &cands[i].cfg, coll, m));
     }
     for &(bound_bw, i) in &extras {
-        if opts.prune {
-            let bound_lat = lower_bound(preset, &cands[i].cfg, coll, lat_m);
-            if let (Some(bl), Some(bb)) = (bound_lat, bound_bw) {
-                if points.iter().any(|&(pl, pb)| pl < bl && pb < bb) {
-                    out.pruned += 1;
-                    continue;
-                }
-            }
-        }
-        simulate(i, bound_bw, machine, &mut out, &mut points);
+        simulate(i, bound_bw);
     }
     out
 }
@@ -234,8 +207,7 @@ fn note_skip(skipped: &mut Vec<Unsupported>, e: Unsupported) {
 ///
 /// Parallelism is work-stealing over groups with per-worker simulator
 /// state and an index-keyed merge (the [`han_tuner`] sweep pattern), so
-/// the result is bit-identical for any worker count and with pruning on
-/// or off.
+/// the result is bit-identical for any worker count.
 pub fn synthesize(
     preset: &MachinePreset,
     space: &SearchSpace,
@@ -301,7 +273,6 @@ pub fn synthesize(
         skipped: Vec::new(),
     };
     for ((coll, m, _), group) in groups.iter().zip(outcomes) {
-        result.pruned += group.pruned;
         result.beamed += group.beamed;
         result.simulated += group.samples.len() as u64;
         for e in group.skipped {

@@ -22,12 +22,12 @@
 //! deliberately broken stacks and watch the guideline catch them.
 
 use crate::report::{GuidelineReport, Violation};
-use han_colls::stack::{time_coll, Coll, Unsupported};
+use han_colls::stack::{build_coll, time_coll, Coll, Unsupported};
 use han_colls::MpiStack;
 use han_core::composed::time_composed;
 use han_core::{classic, Han, HanConfig};
 use han_machine::{MachinePreset, Topology};
-use han_mpi::{execute, Comm, DataType, ExecOpts, ProgramBuilder, ReduceOp};
+use han_mpi::{check_races, execute, Comm, DataType, ExecOpts, ProgramBuilder, ReduceOp};
 use han_sim::Time;
 use han_synth::SynthResult;
 use han_tuner::model::predict;
@@ -464,8 +464,8 @@ pub fn synth_dominance(preset: &MachinePreset, synth: &SynthResult) -> Guideline
 /// `synth-bound-soundness`: the analytic lower bound used to steer the
 /// synthesis search must stay below the simulated cost of every sample
 /// it admitted — at the bandwidth size *and* at the latency probe size,
-/// with zero tolerance, since the front-preserving prune is only exact
-/// when the bounds are admissible in both objectives.
+/// with zero tolerance: the beam keeps the cheapest-bounded extras, which
+/// is only sound when the bounds are admissible in both objectives.
 pub fn synth_bound_soundness(preset: &MachinePreset, synth: &SynthResult) -> GuidelineReport {
     let mut g = GuidelineReport::new(
         "synth-bound-soundness",
@@ -487,6 +487,41 @@ pub fn synth_bound_soundness(preset: &MachinePreset, synth: &SynthResult) -> Gui
                     format!("{what} bound {lb} > simulated cost {cost}"),
                 ));
             }
+        }
+    }
+    g
+}
+
+/// `schedule-race-free`: every schedule `(stack, coll, m)` must be free
+/// of happens-before races ([`check_races`]). A race is two ops touching
+/// the same bytes of one rank, one writing, with no chain of dependency
+/// or message edges between them: the simulator runs them in one order,
+/// but a real machine may run them in the other. Collectives the stack
+/// does not support are skipped.
+pub fn schedule_race_free(
+    preset: &MachinePreset,
+    schedules: &[(&dyn MpiStack, Coll, u64)],
+) -> GuidelineReport {
+    let mut g = GuidelineReport::new(
+        "schedule-race-free",
+        "every conflicting pair of memory accesses in a schedule is ordered by happens-before",
+    );
+    for &(stack, coll, m) in schedules {
+        let Ok(prog) = build_coll(stack, preset, coll, m, 0) else {
+            continue;
+        };
+        g.check();
+        if let Err(e) = check_races(&prog) {
+            g.violate(Violation::new(
+                &g.id.clone(),
+                preset.name,
+                coll.name(),
+                stack.name(),
+                m,
+                0,
+                0,
+                e,
+            ));
         }
     }
     g

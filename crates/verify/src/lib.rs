@@ -26,6 +26,9 @@
 //! | `analytic-envelope` | analytic models within a bounded factor |
 //! | `classic-agreement` | N-level builders ≡ classic two-level oracles |
 //! | `serve-agreement` | han-serve daemon answers ≡ direct table lookups, across hot-swaps |
+//! | `synth-dominance` | synthesized front winners ≤ the Table-II menu winner |
+//! | `synth-bound-soundness` | the synthesis lower bound ≤ simulated cost, both objectives |
+//! | `schedule-race-free` | no happens-before race in any corner or front-point schedule |
 //!
 //! Every failed inequality becomes a structured [`Violation`] (guideline
 //! id, preset, collective, config, sizes, observed vs bound, relative

@@ -5,8 +5,8 @@
 use crate::guidelines::{
     allreduce_composition, analytic_envelope, bcast_composition, bound_soundness,
     classic_agreement, enumerate_candidates, msg_monotonicity, rank_monotonicity,
-    reduce_vs_allreduce, serve_agreement, synth_bound_soundness, synth_dominance, table_dominance,
-    task_model_accuracy,
+    reduce_vs_allreduce, schedule_race_free, serve_agreement, synth_bound_soundness,
+    synth_dominance, table_dominance, task_model_accuracy,
 };
 use crate::report::{GuidelineReport, VerifyReport};
 use han_colls::stack::Coll;
@@ -160,6 +160,29 @@ pub fn run_preset(preset: &MachinePreset, opts: &SuiteOpts) -> Vec<GuidelineRepo
     );
     add(synth_dominance(preset, &synth));
     add(synth_bound_soundness(preset, &synth));
+
+    // Every corner schedule and every synthesized front point must be
+    // race-free: correct in every order its dependencies allow, not just
+    // the one the simulator picks.
+    let han = |cfg: &HanConfig| Han::with_config(*cfg).labeled(format!("HAN {cfg}"));
+    let corners: Vec<Han> = cfgs.iter().map(han).collect();
+    let fronts: Vec<(Han, Coll, u64)> = synth
+        .fronts
+        .iter()
+        .flat_map(|f| f.points.iter().map(move |p| (han(&p.cfg), f.coll, f.m)))
+        .collect();
+    let mut schedules: Vec<(&dyn MpiStack, Coll, u64)> = Vec::new();
+    for stack in &corners {
+        for &coll in &opts.colls {
+            schedules.extend(
+                opts.sizes
+                    .iter()
+                    .map(|&m| (stack as &dyn MpiStack, coll, m)),
+            );
+        }
+    }
+    schedules.extend(fronts.iter().map(|(s, c, m)| (s as &dyn MpiStack, *c, *m)));
+    add(schedule_race_free(preset, &schedules));
 
     // The same tuned table, served over loopback TCP by a live daemon:
     // answers must be bit-identical to direct lookups, before and after

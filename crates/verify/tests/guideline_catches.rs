@@ -1,7 +1,7 @@
 //! The acceptance property of the verification harness itself: a healthy
 //! system passes the whole catalog, and deliberately broken inputs — a
-//! stack whose cost shrinks with message size, a tampered lookup table —
-//! are caught as structured violations.
+//! stack whose cost shrinks with message size, a tampered lookup table,
+//! a stack whose broadcast races — are caught as structured violations.
 
 use han_colls::stack::{BuildCtx, Coll};
 use han_colls::{Frontier, MpiStack};
@@ -10,8 +10,8 @@ use han_machine::{mini, Flavor};
 use han_mpi::{BufRange, Comm};
 use han_tuner::{tune_with_opts, SearchSpace, Strategy, TuneOpts};
 use han_verify::guidelines::{
-    enumerate_candidates, msg_monotonicity, serve_agreement, serve_agreement_against,
-    synth_bound_soundness, synth_dominance, table_dominance,
+    enumerate_candidates, msg_monotonicity, schedule_race_free, serve_agreement,
+    serve_agreement_against, synth_bound_soundness, synth_dominance, table_dominance,
 };
 use han_verify::{run_suite_with, SuiteOpts};
 
@@ -61,6 +61,75 @@ impl MpiStack for ShrinkingBcast {
     ) -> Frontier {
         self.0.allreduce(cx, comm, bufs, op, dtype, deps)
     }
+}
+
+/// A deliberately broken stack: after the HAN broadcast it has the root
+/// zero its user buffer with no edge from the ops that read it — a write
+/// racing with every send and copy of the payload.
+struct RacyBcast(Han);
+
+impl MpiStack for RacyBcast {
+    fn name(&self) -> String {
+        "broken-racy-bcast".into()
+    }
+
+    fn flavor(&self) -> Flavor {
+        Flavor::OpenMpi
+    }
+
+    fn bcast(
+        &self,
+        cx: &mut BuildCtx,
+        comm: &Comm,
+        root: usize,
+        bufs: &[BufRange],
+        deps: &Frontier,
+    ) -> Frontier {
+        let out = self.0.bcast(cx, comm, root, bufs, deps);
+        let wroot = comm.world_rank(root);
+        let scratch = cx.b.alloc(wroot, bufs[root].len);
+        let clobber = han_mpi::OpKind::Copy {
+            bytes: scratch.len,
+            src: Some(scratch),
+            dst: Some(bufs[root]),
+        };
+        cx.b.op(wroot, clobber, &[]);
+        out
+    }
+
+    fn allreduce(
+        &self,
+        cx: &mut BuildCtx,
+        comm: &Comm,
+        bufs: &[BufRange],
+        op: han_mpi::ReduceOp,
+        dtype: han_mpi::DataType,
+        deps: &Frontier,
+    ) -> Frontier {
+        self.0.allreduce(cx, comm, bufs, op, dtype, deps)
+    }
+}
+
+#[test]
+fn racy_stack_is_caught_as_schedule_race() {
+    let preset = mini(2, 2);
+    let honest = Han::with_config(HanConfig::default());
+    let racy = RacyBcast(Han::with_config(HanConfig::default()));
+    let schedules: [(&dyn MpiStack, Coll, u64); 3] = [
+        (&honest, Coll::Bcast, 64 * 1024),
+        (&racy, Coll::Allreduce, 64 * 1024),
+        (&racy, Coll::Bcast, 64 * 1024),
+    ];
+    let g = schedule_race_free(&preset, &schedules);
+    assert_eq!(g.checks, 3);
+    assert_eq!(g.violations.len(), 1, "{:?}", g.violations);
+    let v = &g.violations[0];
+    assert_eq!(v.guideline, "schedule-race-free");
+    assert_eq!(
+        (v.coll.as_str(), v.config.as_str()),
+        ("bcast", "broken-racy-bcast")
+    );
+    assert!(v.detail.starts_with("race on rank 0"), "{}", v.detail);
 }
 
 #[test]
