@@ -120,7 +120,7 @@ pub fn floyd_warshall(n: usize, w: &[i32]) -> Vec<i32> {
 }
 
 /// Functional parallel ASP: actually runs the row broadcasts through the
-/// simulated stack in data mode and performs the relaxations, returning
+/// simulated stack with real payloads and performs the relaxations, returning
 /// the full distance matrix. Used by tests to prove the collective layer
 /// computes correct shortest paths end to end.
 pub fn asp_verify(
@@ -143,7 +143,7 @@ pub fn asp_verify(
     for k in 0..n {
         let owner = k / rows_per_rank;
         let prog = build_coll(stack, preset, Coll::Bcast, row_bytes, owner).expect("bcast");
-        let opts = ExecOpts::with_data(stack.flavor().p2p());
+        let opts = ExecOpts::timing(stack.flavor().p2p());
         // The collective's buffers start at offset 0 on every rank.
         let buf = han_mpi::BufRange::new(0, row_bytes);
         let local_ref = &local;

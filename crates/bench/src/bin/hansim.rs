@@ -5,7 +5,7 @@
 //!        [--stack han|tuned|cray|intel|mvapich2] [--fs 524288]
 //!        [--smod sm|solo] [--imod libnbc|adapt] [--alg chain|binary|binomial]
 //!        [--machine shaheen2|stampede2|mini] [--trace out.json]
-//!        [--mode timing|full] [--levels 8,2,4] [--verify]
+//!        [--levels 8,2,4] [--verify]
 //! ```
 //!
 //! Prints the virtual latency (and per-stack comparison when `--stack all`),
@@ -14,8 +14,9 @@
 //! that does not implement the requested collective is reported as
 //! `unsupported` and skipped; when one stack is requested *explicitly*,
 //! an unsupported combination is an error and the process exits with
-//! code 3 (see `han_bench::gate`). An unknown or malformed flag value
-//! exits with code 2 and names the accepted values.
+//! code 3 (see `han_bench::gate`). An unknown flag, or an unknown or
+//! malformed flag value, exits with code 2 and names the accepted flags
+//! or values.
 //!
 //! `--verify` ignores the exploration flags and instead runs the
 //! `han-verify` performance-guideline catalog over the standard presets,
@@ -31,10 +32,15 @@ use han_colls::stack::{build_coll, Coll, MpiStack};
 use han_colls::{InterAlg, InterModule, IntraModule, TunedOpenMpi, VendorMpi};
 use han_core::{Han, HanConfig};
 use han_machine::{mini, shaheen2_ppn, stampede2_ppn, Machine, MachinePreset, Topology};
-use han_mpi::{trace_execution, ExecMode, ExecOpts};
+use han_mpi::{trace_execution, ExecOpts};
 
 /// Flags that take no value.
 const BOOL_FLAGS: &[&str] = &["verify", "allow-clamped", "serve"];
+/// Flags that take a value.
+const VALUE_FLAGS: &[&str] = &[
+    "nodes", "ppn", "coll", "bytes", "stack", "fs", "smod", "imod", "alg", "machine", "trace",
+    "levels", "addr",
+];
 
 fn parse_args() -> std::collections::HashMap<String, String> {
     let mut map = std::collections::HashMap::new();
@@ -44,6 +50,13 @@ fn parse_args() -> std::collections::HashMap<String, String> {
             if BOOL_FLAGS.contains(&key) {
                 map.insert(key.to_string(), "1".to_string());
                 continue;
+            }
+            if !VALUE_FLAGS.contains(&key) {
+                let accepted: Vec<&str> = VALUE_FLAGS.iter().chain(BOOL_FLAGS).copied().collect();
+                usage_error(format!(
+                    "unknown flag --{key}; accepted flags: --{}",
+                    accepted.join(" --")
+                ));
             }
             let val = args
                 .next()
@@ -206,11 +219,6 @@ fn main() {
         cfg.iralg = alg;
     }
 
-    // `timing` (default) skips all payload reads/copies; `full` moves real
-    // bytes through simulated memory. Virtual times are identical in both.
-    let modes = [("timing", ExecMode::TimingOnly), ("full", ExecMode::Full)];
-    let mode = choose("mode", &get("mode", "timing"), &modes);
-
     let which = get("stack", "all");
     let names: Vec<&str> = if which == "all" {
         vec!["han", "tuned", "cray", "intel", "mvapich2"]
@@ -243,7 +251,7 @@ fn main() {
             }
         };
         let mut machine = Machine::from_preset(&preset);
-        let opts = ExecOpts::with_mode(stack.flavor().p2p(), mode);
+        let opts = ExecOpts::timing(stack.flavor().p2p());
         let (report, trace) = trace_execution(&mut machine, &prog, &opts);
         println!(
             "{:>18}: {:>12}  ({} ops, {} events)",

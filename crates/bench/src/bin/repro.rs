@@ -25,13 +25,12 @@
 //! 128×32 = 4096 ranks; Stampede2: 32×48 = 1536; tuning: 64×12 = 768).
 //! `--scale mini` shrinks every experiment for quick smoke runs.
 //!
-//! `--cache mem` (default) shares a [`han_tuner::CostCache`] across the
-//! strategies and collectives of one invocation; `--cache off` disables
-//! memoization. Virtual times are identical in both modes — only
-//! wall-clock changes.
+//! Fig. 8/9 share one in-memory [`han_tuner::CostCache`] across the
+//! strategies and collectives of one invocation. Virtual times are
+//! identical with or without it — only wall-clock changes.
 //!
-//! An unknown `--scale`, `--cache` or `--levels` value exits with code 2
-//! and lists the accepted values.
+//! An unknown flag, or an unknown `--scale` or `--levels` value, exits
+//! with code 2 and lists the accepted flags or values.
 //!
 //! `--no-prune` disables the analytic lower-bound pruning of exhaustive
 //! sweeps (Fig. 8). Pruning is on by default and never changes the winner
@@ -73,18 +72,8 @@ enum Scale {
     Mini,
 }
 
-/// Where simulated task/collective costs are memoized (see `han_tuner::cache`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CacheMode {
-    /// No memoization (the pre-cache behaviour).
-    Off,
-    /// One shared in-memory cache per invocation.
-    Mem,
-}
-
 struct Cfg {
     scale: Scale,
-    cache: CacheMode,
     /// Hierarchy depth: 2 = the paper's flat node/rank machines, 3 = the
     /// socketized `[nodes, sockets, cores]` forms.
     levels: usize,
@@ -93,13 +82,6 @@ struct Cfg {
 }
 
 impl Cfg {
-    fn cost_cache(&self, preset: &MachinePreset) -> Option<Arc<CostCache>> {
-        match self.cache {
-            CacheMode::Off => None,
-            CacheMode::Mem => Some(Arc::new(CostCache::new(preset))),
-        }
-    }
-
     /// Expose a preset at the requested hierarchy depth: depth 2 returns
     /// it untouched; depth 3 splits each node into two shared-memory
     /// domains with a QPI-like cross-socket derating.
@@ -377,7 +359,7 @@ fn fig6(_cfg: &Cfg) {
 /// Fig. 8: total tuning time of the four strategies. `prune` bound-prunes
 /// the exhaustive sweeps (winner tables are provably unchanged); callers
 /// that consume the full sample distribution must pass `false`.
-fn fig8(cfg: &Cfg, prune: bool) -> ([han_tuner::TuneResult; 4], Option<Arc<CostCache>>) {
+fn fig8(cfg: &Cfg, prune: bool) -> ([han_tuner::TuneResult; 4], Arc<CostCache>) {
     let preset = cfg.tuning();
     println!(
         "## Fig. 8 — total search time, Bcast+Allreduce, {} nodes x {} ppn{}\n",
@@ -391,7 +373,7 @@ fn fig8(cfg: &Cfg, prune: bool) -> ([han_tuner::TuneResult; 4], Option<Arc<CostC
         space.seg_sizes = sizes(16 * 1024, 512 * 1024);
     }
     let colls = [Coll::Bcast, Coll::Allreduce];
-    let cache = cfg.cost_cache(&preset);
+    let cache = Arc::new(CostCache::new(&preset));
     let mut walls = Vec::new();
     let results: Vec<han_tuner::TuneResult> = Strategy::ALL
         .iter()
@@ -402,7 +384,7 @@ fn fig8(cfg: &Cfg, prune: bool) -> ([han_tuner::TuneResult; 4], Option<Arc<CostC
                 &space,
                 &colls,
                 s,
-                cache.clone(),
+                Some(cache.clone()),
                 TuneOpts {
                     prune,
                     ..TuneOpts::default()
@@ -446,13 +428,11 @@ fn fig8(cfg: &Cfg, prune: bool) -> ([han_tuner::TuneResult; 4], Option<Arc<CostC
             gate::note(s);
         }
     }
-    if let Some(c) = &cache {
-        let s = c.stats();
-        println!(
-            "cost cache: {} hits / {} misses ({} coll + {} task entries)\n",
-            s.hits, s.misses, s.coll_entries, s.task_entries
-        );
-    }
+    let s = cache.stats();
+    println!(
+        "cost cache: {} hits / {} misses ({} coll + {} task entries)\n",
+        s.hits, s.misses, s.coll_entries, s.task_entries
+    );
     save_json("fig8", &out).ok();
     let results = results
         .try_into()
@@ -488,14 +468,8 @@ fn fig9(cfg: &Cfg) {
                     .map(|(_, _, _, t)| *t),
             );
             let achieved = |r: &han_tuner::TuneResult| {
-                han_tuner::search::achieved_latency_with_cache(
-                    &preset,
-                    &r.table,
-                    coll,
-                    m,
-                    cache.as_deref(),
-                )
-                .expect("tuned collectives are supported")
+                han_tuner::achieved_latency(&preset, &r.table, coll, m, Some(&cache))
+                    .expect("tuned collectives are supported")
             };
             t.row(vec![
                 size_label(m),
@@ -1142,7 +1116,6 @@ fn flag_value<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> &'a 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Paper;
-    let mut cache = CacheMode::Mem;
     let mut levels = 2usize;
     let mut prune = true;
     let mut what = "all".to_string();
@@ -1155,19 +1128,19 @@ fn main() {
         } else if a == "--scale" {
             let scales = [("paper", Scale::Paper), ("mini", Scale::Mini)];
             scale = gate::choose("scale", flag_value(&mut it, "scale"), &scales);
-        } else if a == "--cache" {
-            let caches = [("mem", CacheMode::Mem), ("off", CacheMode::Off)];
-            cache = gate::choose("cache", flag_value(&mut it, "cache"), &caches);
         } else if a == "--levels" {
             let depths = [("2", 2), ("3", 3)];
             levels = gate::choose("levels", flag_value(&mut it, "levels"), &depths);
-        } else if !a.starts_with("--") {
+        } else if a.starts_with("--") {
+            gate::usage_error(format!(
+                "unknown flag {a}; accepted flags: --scale --levels --no-prune --allow-clamped"
+            ));
+        } else {
             what = a.clone();
         }
     }
     let cfg = Cfg {
         scale,
-        cache,
         levels,
         prune,
     };

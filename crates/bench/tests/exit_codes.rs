@@ -1,8 +1,8 @@
 //! The skip gate, end to end: an explicitly requested stack/collective
 //! combination the stack does not implement must fail the `hansim`
 //! invocation with the gate's exit code, while the `--stack all`
-//! comparison (where skips are informational) stays green. Bad flag
-//! values exit with the usage code instead.
+//! comparison (where skips are informational) stays green. Unknown flags
+//! and bad flag values exit with the usage code instead.
 
 use han_bench::gate::{GATE_EXIT_CODE, USAGE_EXIT_CODE};
 use std::process::Command;
@@ -39,8 +39,8 @@ fn supported_combination_exits_zero() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 }
 
-/// Bad command-line values exit with code 2 and name the accepted values
-/// instead of silently falling back to a default.
+/// Unknown flags and bad command-line values exit with code 2 and name the
+/// accepted flags or values instead of being silently ignored.
 fn assert_usage_error(out: std::process::Output, accepted: &str) {
     assert_eq!(out.status.code(), Some(USAGE_EXIT_CODE), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -58,8 +58,14 @@ fn repro(args: &[&str]) -> std::process::Output {
 fn repro_rejects_bad_flag_values() {
     for (args, accepted) in [
         (&["fig8", "--scale", "huge"][..], "paper|mini"),
-        (&["fig8", "--cache", "disk"], "mem|off"),
-        (&["fig8", "--cache", "bogus"], "mem|off"),
+        (
+            &["fig8", "--cache", "mem"],
+            "unknown flag --cache; accepted flags: --scale",
+        ),
+        (
+            &["fig2", "--scale", "mini", "--no-prun"],
+            "unknown flag --no-prun;",
+        ),
         (&["fig8", "--levels", "4"], "2|3"),
         (&["fig8", "--scale"], "missing value for --scale"),
     ] {
@@ -76,7 +82,11 @@ fn hansim_rejects_bad_flag_values() {
         (&["--alg", "ring"], "chain|binary|binomial"),
         (&["--fs", "64k"], "--fs expects"),
         (&["--coll", "alltoall"], "bcast|allreduce"),
-        (&["--mode", "fast"], "timing|full"),
+        (
+            &["--mode", "full"],
+            "unknown flag --mode; accepted flags: --nodes",
+        ),
+        (&["--nodez", "2"], "unknown flag --nodez;"),
         (&["--stack", "mpich"], "han|tuned"),
     ] {
         assert_usage_error(hansim(args), accepted);

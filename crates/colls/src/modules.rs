@@ -522,12 +522,9 @@ mod tests {
         Sm.bcast(&mut b, &comm, &node, 1, &bufs, &Frontier::empty(4));
         let p = b.build();
         let bufs2 = bufs.clone();
-        let (_, mem) = execute_seeded(
-            &mut m,
-            &p,
-            &ExecOpts::with_data(Flavor::OpenMpi.p2p()),
-            |mm| mm.write(1, bufs2[1], &[7u8; 16]),
-        );
+        let (_, mem) = execute_seeded(&mut m, &p, &ExecOpts::timing(Flavor::OpenMpi.p2p()), |mm| {
+            mm.write(1, bufs2[1], &[7u8; 16])
+        });
         for r in 0..4 {
             assert_eq!(mem.read(r, bufs[r]), &[7u8; 16], "rank {r}");
         }
@@ -542,12 +539,9 @@ mod tests {
         Solo.bcast(&mut b, &comm, &node, 0, &bufs, &Frontier::empty(3));
         let p = b.build();
         let bufs2 = bufs.clone();
-        let (_, mem) = execute_seeded(
-            &mut m,
-            &p,
-            &ExecOpts::with_data(Flavor::OpenMpi.p2p()),
-            |mm| mm.write(0, bufs2[0], &[1, 2, 3, 4, 5, 6, 7, 8]),
-        );
+        let (_, mem) = execute_seeded(&mut m, &p, &ExecOpts::timing(Flavor::OpenMpi.p2p()), |mm| {
+            mm.write(0, bufs2[0], &[1, 2, 3, 4, 5, 6, 7, 8])
+        });
         for r in 0..3 {
             assert_eq!(mem.read(r, bufs[r]), &[1, 2, 3, 4, 5, 6, 7, 8]);
         }
@@ -583,18 +577,13 @@ mod tests {
         };
         let p = b.build();
         let bufs2 = bufs.clone();
-        let (_, mem) = execute_seeded(
-            &mut m,
-            &p,
-            &ExecOpts::with_data(Flavor::OpenMpi.p2p()),
-            |mm| {
-                for r in 0..ppn {
-                    let v = [(r + 1) as i32, ((r + 1) * 10) as i32];
-                    let bytes: Vec<u8> = v.iter().flat_map(|x| x.to_le_bytes()).collect();
-                    mm.write(r, bufs2[r], &bytes);
-                }
-            },
-        );
+        let (_, mem) = execute_seeded(&mut m, &p, &ExecOpts::timing(Flavor::OpenMpi.p2p()), |mm| {
+            for r in 0..ppn {
+                let v = [(r + 1) as i32, ((r + 1) * 10) as i32];
+                let bytes: Vec<u8> = v.iter().flat_map(|x| x.to_le_bytes()).collect();
+                mm.write(r, bufs2[r], &bytes);
+            }
+        });
         let total = (ppn * (ppn + 1) / 2) as i32;
         let expect: Vec<u8> = [total, total * 10]
             .iter()

@@ -752,7 +752,7 @@ mod tests {
         seed: impl FnOnce(&mut han_mpi::Memory),
     ) -> han_mpi::Memory {
         let p = b.build();
-        let o = ExecOpts::with_data(Flavor::OpenMpi.p2p());
+        let o = ExecOpts::timing(Flavor::OpenMpi.p2p());
         let (_, mem) = execute_seeded(m, &p, &o, seed);
         mem
     }

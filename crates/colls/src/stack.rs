@@ -71,8 +71,8 @@ pub enum Coll {
 
 impl Coll {
     /// Every collective the framework knows, in canonical order. Sweep
-    /// harnesses and decision-table distillation iterate this list so a
-    /// newly added collective cannot be silently skipped.
+    /// harnesses iterate this list so a newly added collective cannot be
+    /// silently skipped.
     pub const ALL: [Coll; 7] = [
         Coll::Bcast,
         Coll::Allreduce,

@@ -195,7 +195,7 @@ mod tests {
         let preset = mini(2, 3);
         let prog = build_coll(&TunedOpenMpi, &preset, Coll::Bcast, 64, 0).unwrap();
         let mut m = han_machine::Machine::from_preset(&preset);
-        let o = ExecOpts::with_data(Flavor::OpenMpi.p2p());
+        let o = ExecOpts::timing(Flavor::OpenMpi.p2p());
         // Buffers were allocated rank-major starting at offset 0.
         let buf0 = BufRange::new(0, 64);
         let (_, mem) = execute_seeded(&mut m, &prog, &o, |mm| {
@@ -211,7 +211,7 @@ mod tests {
         let preset = mini(2, 2);
         let prog = build_coll(&TunedOpenMpi, &preset, Coll::Allreduce, 16, 0).unwrap();
         let mut m = han_machine::Machine::from_preset(&preset);
-        let o = ExecOpts::with_data(Flavor::OpenMpi.p2p());
+        let o = ExecOpts::timing(Flavor::OpenMpi.p2p());
         let (_, mem) = execute_seeded(&mut m, &prog, &o, |mm| {
             for r in 0..4 {
                 let vals: Vec<u8> = (0..4)

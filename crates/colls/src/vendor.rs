@@ -307,7 +307,7 @@ mod tests {
         let n = nodes * ppn;
         let prog = build_coll(stack, &preset, Coll::Bcast, 32, root).unwrap();
         let mut m = Machine::from_preset(&preset);
-        let o = ExecOpts::with_data(stack.flavor().p2p());
+        let o = ExecOpts::timing(stack.flavor().p2p());
         let buf = BufRange::new(0, 32);
         let (_, mem) = execute_seeded(&mut m, &prog, &o, |mm| {
             mm.write(root, buf, &[9u8; 32]);
@@ -330,7 +330,7 @@ mod tests {
         let n = nodes * ppn;
         let prog = build_coll(stack, &preset, Coll::Allreduce, bytes, 0).unwrap();
         let mut m = Machine::from_preset(&preset);
-        let o = ExecOpts::with_data(stack.flavor().p2p());
+        let o = ExecOpts::timing(stack.flavor().p2p());
         let buf = BufRange::new(0, bytes);
         let nelem = (bytes / 4) as usize;
         let (_, mem) = execute_seeded(&mut m, &prog, &o, |mm| {

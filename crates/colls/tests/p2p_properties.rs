@@ -64,7 +64,7 @@ proptest! {
         let (_, mem) = execute_seeded(
             &mut m,
             &prog,
-            &ExecOpts::with_data(Flavor::OpenMpi.p2p()),
+            &ExecOpts::timing(Flavor::OpenMpi.p2p()),
             |mm| mm.write(root_world, root_buf, &payload),
         );
         for l in 0..n {
@@ -99,7 +99,7 @@ proptest! {
         let (_, mem) = execute_seeded(
             &mut m,
             &prog,
-            &ExecOpts::with_data(Flavor::OpenMpi.p2p()),
+            &ExecOpts::timing(Flavor::OpenMpi.p2p()),
             |mm| {
                 for l in 0..n {
                     let vals: Vec<u8> = (0..nelem)
@@ -149,7 +149,7 @@ proptest! {
             let (_, mem) = execute_seeded(
                 &mut m,
                 &prog,
-                &ExecOpts::with_data(Flavor::OpenMpi.p2p()),
+                &ExecOpts::timing(Flavor::OpenMpi.p2p()),
                 |mm| {
                     for l in 0..n {
                         let vals: Vec<u8> = (0..nelem)
@@ -189,7 +189,7 @@ proptest! {
         let (_, mem) = execute_seeded(
             &mut m,
             &prog,
-            &ExecOpts::with_data(Flavor::OpenMpi.p2p()),
+            &ExecOpts::timing(Flavor::OpenMpi.p2p()),
             |mm| {
                 for l in 0..n {
                     let mine = bufs2[l].slice(l as u64 * block, block);

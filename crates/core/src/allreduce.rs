@@ -378,7 +378,7 @@ mod tests {
         let (prog, bufs, built) = build(&preset, cfg, bytes);
         assert_eq!(built.segments, cfg.segments(bytes) as usize);
         let mut m = Machine::from_preset(&preset);
-        let o = ExecOpts::with_data(Flavor::OpenMpi.p2p());
+        let o = ExecOpts::timing(Flavor::OpenMpi.p2p());
         let nelem = (bytes / 4) as usize;
         let bufs2 = bufs.clone();
         let (_, mem) = execute_seeded(&mut m, &prog, &o, |mm| {

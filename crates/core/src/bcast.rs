@@ -280,7 +280,7 @@ mod tests {
         let (prog, bufs, built) = build(&preset, cfg, bytes, root);
         assert_eq!(built.segments, cfg.segments(bytes) as usize);
         let mut m = Machine::from_preset(&preset);
-        let o = ExecOpts::with_data(Flavor::OpenMpi.p2p());
+        let o = ExecOpts::timing(Flavor::OpenMpi.p2p());
         let data: Vec<u8> = (0..bytes).map(|i| (i % 251) as u8).collect();
         let root_buf = bufs[root];
         let (_, mem) = execute_seeded(&mut m, &prog, &o, |mm| mm.write(root, root_buf, &data));

@@ -130,7 +130,7 @@ mod tests {
         let (_, mem) = execute_seeded(
             &mut m,
             &prog,
-            &ExecOpts::with_data(han_machine::Flavor::OpenMpi.p2p()),
+            &ExecOpts::timing(han_machine::Flavor::OpenMpi.p2p()),
             |mm| {
                 for r in 0..n {
                     let vals: Vec<u8> = (0..64)
@@ -169,7 +169,7 @@ mod tests {
         let (_, mem) = execute_seeded(
             &mut m,
             &prog,
-            &ExecOpts::with_data(han_machine::Flavor::OpenMpi.p2p()),
+            &ExecOpts::timing(han_machine::Flavor::OpenMpi.p2p()),
             |mm| mm.write(0, bufs2[0], &payload),
         );
         for r in 0..n {

@@ -578,7 +578,7 @@ mod tests {
         let (_, mem) = execute_seeded(
             &mut m,
             &prog,
-            &ExecOpts::with_data(Flavor::OpenMpi.p2p()),
+            &ExecOpts::timing(Flavor::OpenMpi.p2p()),
             |mm| {
                 for r in 0..n {
                     let vals: Vec<u8> = (0..32)
@@ -622,7 +622,7 @@ mod tests {
         let (_, mem) = execute_seeded(
             &mut m,
             &prog,
-            &ExecOpts::with_data(Flavor::OpenMpi.p2p()),
+            &ExecOpts::timing(Flavor::OpenMpi.p2p()),
             |mm| {
                 for r in 0..n {
                     mm.write(r, src2[r], &[r as u8; 4]);
@@ -657,7 +657,7 @@ mod tests {
         let (_, mem) = execute_seeded(
             &mut m,
             &prog,
-            &ExecOpts::with_data(Flavor::OpenMpi.p2p()),
+            &ExecOpts::timing(Flavor::OpenMpi.p2p()),
             |mm| {
                 let all: Vec<u8> = (0..n).flat_map(|r| [(r * 11) as u8; 4]).collect();
                 mm.write(root, src, &all);
@@ -740,7 +740,7 @@ mod tests {
         let (_, mem) = execute_seeded(
             &mut m,
             &prog,
-            &ExecOpts::with_data(Flavor::OpenMpi.p2p()),
+            &ExecOpts::timing(Flavor::OpenMpi.p2p()),
             |mm| {
                 for r in 0..n {
                     let mine = bufs2[r].slice(r as u64 * block, block);

@@ -178,12 +178,9 @@ mod tests {
         let prog = build_coll(&han, &preset, Coll::Bcast, 200, 0).unwrap();
         let mut m = Machine::from_preset(&preset);
         let buf = BufRange::new(0, 200);
-        let (_, mem) = execute_seeded(
-            &mut m,
-            &prog,
-            &ExecOpts::with_data(han.flavor().p2p()),
-            |mm| mm.write(0, buf, &[13u8; 200]),
-        );
+        let (_, mem) = execute_seeded(&mut m, &prog, &ExecOpts::timing(han.flavor().p2p()), |mm| {
+            mm.write(0, buf, &[13u8; 200])
+        });
         for r in 0..9 {
             assert_eq!(mem.read(r, buf), vec![13u8; 200].as_slice(), "rank {r}");
         }

@@ -3,8 +3,8 @@
 //! Each rank owns a flat virtual address space. Collective builders
 //! allocate ranges out of it (user buffers, shared-memory slots, pipeline
 //! scratch) with a bump allocator in [`crate::builder::ProgramBuilder`].
-//! Backing bytes are only materialized in data-verification mode; pure
-//! timing runs never allocate payloads, which is what makes 4096-rank ×
+//! Backing bytes are only materialized by seeded execution
+//! ([`crate::execute_seeded`]); plain `execute` never allocates payloads, which is what makes 4096-rank ×
 //! 128 MB experiments feasible.
 
 use crate::datatype::{apply_reduce, DataType, ReduceOp};
@@ -63,7 +63,7 @@ impl BufRange {
     }
 }
 
-/// The materialized memories of all ranks (data-verification mode only).
+/// The materialized memories of all ranks (seeded execution only).
 #[derive(Debug, Clone)]
 pub struct Memory {
     mems: Vec<Vec<u8>>,

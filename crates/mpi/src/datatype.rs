@@ -3,7 +3,7 @@
 //! The paper's collectives are value-oblivious except for reductions
 //! (`MPI_Allreduce`, `MPI_Reduce`), so this module carries just enough type
 //! information to (a) size elements and (b) apply reduction operators to
-//! raw byte buffers in data-verification mode.
+//! raw byte buffers during seeded execution.
 
 use std::fmt;
 

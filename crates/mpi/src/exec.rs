@@ -1,10 +1,11 @@
 //! The discrete-event executor.
 //!
 //! Runs a [`Program`] against a [`Machine`], producing per-op virtual
-//! completion times (and, in data mode, real buffer contents). The
-//! executor implements the P2P transport — eager and rendezvous protocols
-//! over the NIC/bus/CPU resources — and the dependency propagation that
-//! turns HAN's task DAGs into pipelined execution.
+//! completion times ([`execute`]) and, when the caller seeds memory, real
+//! buffer contents ([`execute_seeded`]). The executor implements the P2P
+//! transport — eager and rendezvous protocols over the NIC/bus/CPU
+//! resources — and the dependency propagation that turns HAN's task DAGs
+//! into pipelined execution.
 //!
 //! ## Transport model
 //!
@@ -48,28 +49,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use han_sim::{EngineStats, EventQueue, Time};
 
-/// How much work the executor does per event.
-///
-/// Virtual times are **bit-identical** across modes: payload movement never
-/// influences resource occupancy, only real wall-clock spent simulating.
-/// Tuning sweeps therefore run `TimingOnly` (no per-rank memories, no
-/// payload copies) while correctness tests keep `Full`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Model resource occupancy only; skip all payload reads/copies.
-    #[default]
-    TimingOnly,
-    /// Additionally materialize per-rank memories and move real bytes.
-    Full,
-}
-
 /// Execution options.
 #[derive(Debug, Clone)]
 pub struct ExecOpts {
     /// Point-to-point protocol parameters (per MPI library flavour).
     pub p2p: P2pParams,
-    /// Timing-only fast path vs. full data movement (correctness mode).
-    pub mode: ExecMode,
     /// Per-rank start skew: ops without dependencies on rank `r` become
     /// ready at `start_times[r]`. Used by the task benchmarks that must
     /// "delay the participation of each process by the duration of the
@@ -78,26 +62,10 @@ pub struct ExecOpts {
 }
 
 impl ExecOpts {
+    /// P2P parameters, no start skew.
     pub fn timing(p2p: P2pParams) -> Self {
         ExecOpts {
             p2p,
-            mode: ExecMode::TimingOnly,
-            start_times: None,
-        }
-    }
-
-    pub fn with_data(p2p: P2pParams) -> Self {
-        ExecOpts {
-            p2p,
-            mode: ExecMode::Full,
-            start_times: None,
-        }
-    }
-
-    pub fn with_mode(p2p: P2pParams, mode: ExecMode) -> Self {
-        ExecOpts {
-            p2p,
-            mode,
             start_times: None,
         }
     }
@@ -105,12 +73,6 @@ impl ExecOpts {
     pub fn with_skew(mut self, start_times: Vec<Time>) -> Self {
         self.start_times = Some(start_times);
         self
-    }
-
-    /// True when real bytes are moved (a [`Memory`] will be produced).
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.mode == ExecMode::Full
     }
 }
 
@@ -189,49 +151,30 @@ thread_local! {
     static TLS_EXEC: RefCell<Executor> = RefCell::new(Executor::default());
 }
 
-/// Execute `prog` on `machine` (resources are reset first).
+/// Execute `prog` on `machine` (resources are reset first), modelling
+/// resource occupancy only: no payload byte is read or copied.
 ///
 /// Routed through a thread-local persistent executor, so repeated
-/// executions of structurally identical programs reuse the dependency CSR
-/// and every state vector's allocation.
+/// executions reuse every state vector's allocation.
 pub fn execute(machine: &mut Machine, prog: &Program, opts: &ExecOpts) -> Report {
-    TLS_EXEC.with(|e| {
-        let mem = opts.is_full().then(|| Memory::new(&prog.mem_size));
-        e.borrow_mut().run(machine, prog, opts, mem).0
-    })
+    TLS_EXEC.with(|e| e.borrow_mut().run(machine, prog, opts, None).0)
 }
 
-/// Execute in data mode and return the final memories as well.
-pub fn execute_with_memory(
-    machine: &mut Machine,
-    prog: &Program,
-    opts: &ExecOpts,
-) -> (Report, Memory) {
-    assert!(
-        opts.is_full(),
-        "execute_with_memory requires ExecMode::Full"
-    );
-    TLS_EXEC.with(|e| {
-        let mem = Memory::new(&prog.mem_size);
-        let (report, mem) = e.borrow_mut().run(machine, prog, opts, Some(mem));
-        (report, mem.expect("data mode produces memory"))
-    })
-}
-
-/// Execute with a closure that seeds initial memory contents (testing and
-/// correctness harnesses).
+/// [`execute`], additionally moving real bytes through per-rank memories
+/// that `seed` initializes; returns the final memories (testing and
+/// correctness harnesses). Virtual times are bit-identical to
+/// [`execute`]'s: payload movement never influences resource occupancy.
 pub fn execute_seeded(
     machine: &mut Machine,
     prog: &Program,
     opts: &ExecOpts,
     seed: impl FnOnce(&mut Memory),
 ) -> (Report, Memory) {
-    assert!(opts.is_full(), "execute_seeded requires ExecMode::Full");
     let mut mem = Memory::new(&prog.mem_size);
     seed(&mut mem);
     TLS_EXEC.with(|e| {
         let (report, mem) = e.borrow_mut().run(machine, prog, opts, Some(mem));
-        (report, mem.expect("data mode produces memory"))
+        (report, mem.expect("seeded execution produces memory"))
     })
 }
 
@@ -1145,7 +1088,7 @@ mod tests {
         let dbuf = b.alloc(1, 8);
         b.send_recv(0, 1, 8, Some(sbuf), Some(dbuf), &[], &[]);
         let p = b.build();
-        let o = ExecOpts::with_data(Flavor::OpenMpi.p2p());
+        let o = ExecOpts::timing(Flavor::OpenMpi.p2p());
         let (_, mem) = execute_seeded(&mut m, &p, &o, |mm| {
             mm.write(0, sbuf, &[1, 2, 3, 4, 5, 6, 7, 8])
         });
@@ -1161,7 +1104,7 @@ mod tests {
         let dbuf = b.alloc(1, bytes);
         b.send_recv(0, 1, bytes, Some(sbuf), Some(dbuf), &[], &[]);
         let p = b.build();
-        let o = ExecOpts::with_data(Flavor::OpenMpi.p2p());
+        let o = ExecOpts::timing(Flavor::OpenMpi.p2p());
         let (_, mem) = execute_seeded(&mut m, &p, &o, |mm| {
             let data: Vec<u8> = (0..bytes).map(|i| (i % 251) as u8).collect();
             mm.write(0, sbuf, &data);
@@ -1189,7 +1132,7 @@ mod tests {
             &[],
         );
         let p = b.build();
-        let o = ExecOpts::with_data(Flavor::OpenMpi.p2p());
+        let o = ExecOpts::timing(Flavor::OpenMpi.p2p());
         let (_, mem) = execute_seeded(&mut m, &p, &o, |mm| {
             mm.write(0, src, &as_i32(&[5, 6]));
             mm.write(0, dst, &as_i32(&[1, 2]));
@@ -1214,7 +1157,7 @@ mod tests {
             &[],
         );
         let p = b.build();
-        let o = ExecOpts::with_data(Flavor::OpenMpi.p2p());
+        let o = ExecOpts::timing(Flavor::OpenMpi.p2p());
         let (_, mem) = execute_seeded(&mut m, &p, &o, |mm| mm.write(0, src, &[9, 9, 8, 8]));
         assert_eq!(mem.read(1, dst), &[9, 9, 8, 8]);
         assert!(m.pool().get(m.bus(0)).busy_time() > Time::ZERO);

@@ -46,10 +46,7 @@ pub use buffer::{BufRange, Memory};
 pub use builder::ProgramBuilder;
 pub use comm::Comm;
 pub use datatype::{DataType, ReduceOp};
-pub use exec::{
-    engine_totals, execute, execute_seeded, execute_with_memory, reset_engine_totals, ExecMode,
-    ExecOpts, Report,
-};
+pub use exec::{engine_totals, execute, execute_seeded, reset_engine_totals, ExecOpts, Report};
 pub use program::{Op, OpId, OpKind, Program};
 pub use race::check_races;
 pub use trace::{trace_execution, Span, Trace};

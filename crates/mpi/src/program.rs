@@ -113,7 +113,7 @@ pub struct Program {
     pub dep: Vec<OpId>,
     pub msgs: Vec<MsgMeta>,
     pub nranks: usize,
-    /// Bump-allocated address-space size per rank (for data mode).
+    /// Bump-allocated address-space size per rank (for seeded execution).
     pub mem_size: Vec<u64>,
 }
 

@@ -9,7 +9,7 @@
 //! reports the first race; a race-free program reads and writes the same
 //! bytes in every execution order its edges allow.
 //!
-//! The accesses are the ones data mode performs:
+//! The accesses are the ones seeded execution performs:
 //!
 //! * `Copy` and `CrossCopy` read `src` (on `from` for `CrossCopy`) and
 //!   write `dst`, when both are present;

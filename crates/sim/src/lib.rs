@@ -18,8 +18,8 @@
 //!   III-A2): concurrent `ib` and `sb` compete for the memory bus and the
 //!   single-threaded MPI progression engine.
 //! * [`rng`] — a seeded RNG wrapper so every run is reproducible.
-//! * [`stats`] — small online statistics helpers used by benchmarking
-//!   harnesses (IMB-style max/min/avg reporting).
+//! * [`stats`] — a retained-sample summary (best/median/average/worst)
+//!   used by benchmarking harnesses.
 //!
 //! Everything is single-threaded and deterministic: the same inputs always
 //! produce bit-identical virtual timings, which is what makes the
@@ -34,5 +34,5 @@ pub mod time;
 pub use event::{EngineStats, EventQueue};
 pub use resource::{Resource, ResourcePool};
 pub use rng::SimRng;
-pub use stats::{OnlineStats, Summary};
+pub use stats::Summary;
 pub use time::Time;

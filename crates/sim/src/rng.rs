@@ -46,12 +46,6 @@ impl SimRng {
         self.inner.random()
     }
 
-    /// Uniform draw in `[lo, hi)`.
-    #[inline]
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        self.inner.random_range(lo..hi)
-    }
-
     /// A multiplicative jitter factor in `[1 - spread, 1 + spread]`.
     #[inline]
     pub fn jitter(&mut self, spread: f64) -> f64 {
@@ -61,18 +55,6 @@ impl SimRng {
         } else {
             1.0 + self.inner.random_range(-spread..=spread)
         }
-    }
-
-    /// Shuffle a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.inner.random_range(0..=i);
-            xs.swap(i, j);
-        }
-    }
-
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        self.inner.fill(buf);
     }
 }
 
@@ -115,15 +97,5 @@ mod tests {
             assert!((0.75..=1.25).contains(&j));
         }
         assert_eq!(r.jitter(0.0), 1.0);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::seeded(11);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

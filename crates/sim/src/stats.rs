@@ -1,78 +1,10 @@
-//! Online statistics for benchmark reporting.
+//! Sample statistics for benchmark reporting.
 //!
 //! The paper reports collective latencies the way IMB and the OSU benchmarks
 //! do: the maximum across processes, and (for the tuning-quality experiment
-//! of Fig. 9) best / median / average across configurations. These helpers
-//! compute those summaries without retaining every sample when not needed.
+//! of Fig. 9) best / median / average across configurations.
 
 use crate::time::Time;
-
-/// Running min/max/mean/variance over `f64` samples (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
 
 /// A retained-sample summary of `Time` values: best / median / average / worst.
 ///
@@ -133,47 +65,11 @@ impl Summary {
         s.sort_unstable();
         s[(s.len() - 1) / 2]
     }
-
-    /// p-th percentile with nearest-rank semantics, `p` in `[0, 100]`.
-    pub fn percentile(&self, p: f64) -> Time {
-        if self.samples.is_empty() {
-            return Time::ZERO;
-        }
-        let mut s = self.samples.clone();
-        s.sort_unstable();
-        let rank = ((p / 100.0) * (s.len() as f64 - 1.0)).round() as usize;
-        s[rank.min(s.len() - 1)]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        // Sample std-dev of this classic dataset is ~2.138.
-        assert!((s.std_dev() - 2.138089935).abs() < 1e-6);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_empty_and_single() {
-        let s = OnlineStats::new();
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-        let mut s = OnlineStats::new();
-        s.push(3.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.mean(), 3.0);
-    }
 
     #[test]
     fn summary_order_statistics() {
@@ -183,14 +79,6 @@ mod tests {
         assert_eq!(s.average(), Time::from_ns(25));
         assert_eq!(s.median(), Time::from_ns(20)); // lower median of 20/30
         assert_eq!(s.len(), 4);
-    }
-
-    #[test]
-    fn summary_percentiles() {
-        let s = Summary::from_iter((1..=100).map(Time::from_ns));
-        assert_eq!(s.percentile(0.0), Time::from_ns(1));
-        assert_eq!(s.percentile(100.0), Time::from_ns(100));
-        assert_eq!(s.percentile(50.0), Time::from_ns(51)); // nearest rank
     }
 
     #[test]

@@ -70,18 +70,8 @@ impl Time {
     }
 
     #[inline]
-    pub fn as_ns_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_NS as f64
-    }
-
-    #[inline]
     pub fn as_us_f64(self) -> f64 {
         self.0 as f64 / PS_PER_US as f64
-    }
-
-    #[inline]
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_MS as f64
     }
 
     #[inline]

@@ -277,7 +277,7 @@ fn provenance(prog: &Program, bufs: &[BufRange], sets: &mut RankSets) -> Result<
 }
 
 /// Op `i` copies `s` on `from` to `d` on `to`. Overlapping distinct
-/// ranges on one rank are an error, as in data mode.
+/// ranges on one rank are an error, as in seeded execution.
 fn copy(
     mem: &mut [Mem],
     i: usize,
@@ -435,7 +435,7 @@ pub fn verify_schedule(
 }
 
 /// The full-payload oracle this module replaced, kept for one release as
-/// a differential check: it executes a schedule in data mode on
+/// a differential check: it executes a schedule with seeded memory on
 /// deterministic payloads and compares every delivered buffer with the
 /// naive reference. It checks the one order the simulator picks.
 #[cfg(test)]
@@ -500,7 +500,7 @@ mod bytes {
         m: u64,
         root: usize,
     ) -> Result<(), String> {
-        let opts = ExecOpts::with_data(Han::with_config(*cfg).flavor().p2p());
+        let opts = ExecOpts::timing(Han::with_config(*cfg).flavor().p2p());
         let mut machine = Machine::from_preset(preset);
         if coll == Coll::Bcast {
             let tile = bcast_tile();

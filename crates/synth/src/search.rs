@@ -18,9 +18,10 @@ use crate::space::{candidates, Candidate};
 use han_colls::stack::{time_coll_on, Unsupported};
 use han_colls::Coll;
 use han_core::{Han, HanConfig};
+use han_decide::LookupTable;
 use han_machine::{Machine, MachinePreset};
 use han_sim::Time;
-use han_tuner::{lower_bound, LookupTable, SearchSpace};
+use han_tuner::{lower_bound, SearchSpace};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Knobs for [`synthesize`].

@@ -37,8 +37,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-pub use han_decide::preset_fingerprint;
-
 type CollKey = (Coll, HanConfig, u64);
 type TaskKey = (HanConfig, TaskSpec, u64, Vec<u64>);
 
@@ -76,15 +74,21 @@ pub struct CacheStats {
 impl CostCache {
     pub fn new(preset: &MachinePreset) -> Self {
         CostCache {
-            fingerprint: preset_fingerprint(preset),
+            fingerprint: han_decide::preset_fingerprint(preset),
             inner: Mutex::new(Inner::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+    /// Panic unless this cache was built for `preset`: its costs would
+    /// otherwise silently stand in for another machine's.
+    pub(crate) fn assert_for(&self, preset: &MachinePreset) {
+        assert_eq!(
+            self.fingerprint,
+            han_decide::preset_fingerprint(preset),
+            "cost cache belongs to a different machine preset"
+        );
     }
 
     pub fn stats(&self) -> CacheStats {
@@ -178,22 +182,7 @@ impl CostCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use han_machine::{mini, stampede2};
-
-    #[test]
-    fn fingerprint_reexport_is_the_decide_one() {
-        // The fingerprint moved to han-decide; the historical
-        // `han_tuner::cache::preset_fingerprint` path must keep answering
-        // identically.
-        assert_eq!(
-            preset_fingerprint(&stampede2(4)),
-            han_decide::preset_fingerprint(&stampede2(4))
-        );
-        assert_ne!(
-            preset_fingerprint(&mini(4, 4)),
-            preset_fingerprint(&stampede2(4))
-        );
-    }
+    use han_machine::mini;
 
     #[test]
     fn coll_memo_round_trip() {

@@ -23,13 +23,12 @@
 //!   exhaustive+heuristics, task-based (HAN), task-based+heuristics.
 //! * [`heuristics`] — the pruning rules of section III-C (SOLO only above
 //!   512 KB segments; chain only with enough segments).
-//! * [`table`]/[`decision`] — the lookup table (tuning output) and its
-//!   distilled decision tree now live in the dependency-light
-//!   [`han_decide`] crate, shared with the serving daemon; they are
-//!   re-exported here under their historical paths.
-//! * [`cache`] — a memo table for simulated task and collective costs,
-//!   shared across message sizes, collectives and strategies within a
-//!   run and optionally persisted for warm-started repeated runs.
+//! * [`cache`] — an in-memory memo table for simulated task and
+//!   collective costs, shared across message sizes, collectives and
+//!   strategies within a run.
+//!
+//! The tuning output, [`LookupTable`], lives in the dependency-light
+//! [`han_decide`] crate, shared with the serving daemon.
 
 pub mod analytic;
 pub mod bound;
@@ -42,19 +41,12 @@ pub mod search;
 pub mod space;
 pub mod taskbench;
 
-// The decision-logic modules moved to `han-decide`; keep the historical
-// `han_tuner::table` / `han_tuner::decision` paths working.
-pub use han_decide::{decision, fingerprint, resolve, table};
-
 pub use bound::lower_bound;
-pub use cache::{preset_fingerprint, CostCache};
-pub use decision::DecisionTree;
+pub use cache::CostCache;
 pub use delta::{DeltaSim, DeltaStats};
-pub use resolve::Resolution;
+pub use han_decide::LookupTable;
 pub use search::{
-    achieved_latency, achieved_latency_with_cache, candidate_costs, tune, tune_with_opts, Strategy,
-    TuneOpts, TuneResult,
+    achieved_latency, candidate_costs, tune, tune_with_opts, Strategy, TuneOpts, TuneResult,
 };
 pub use space::SearchSpace;
-pub use table::LookupTable;
 pub use taskbench::TaskBench;

@@ -17,10 +17,10 @@ use crate::bound::lower_bound;
 use crate::cache::CostCache;
 use crate::model::predict;
 use crate::space::SearchSpace;
-use crate::table::LookupTable;
 use crate::taskbench::{TaskBench, BENCH_ITERS};
 use han_colls::stack::{time_coll_on, Coll, Unsupported};
 use han_core::{Han, HanConfig};
+use han_decide::LookupTable;
 use han_machine::{Machine, MachinePreset};
 use han_sim::Time;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -120,6 +120,10 @@ pub fn tune(
 /// host wall-clock differs. With `prune` enabled the exhaustive strategies
 /// skip provably-losing candidates; the selected winners are identical
 /// either way.
+///
+/// # Panics
+///
+/// If `cache` was built for a different machine preset.
 pub fn tune_with_opts(
     preset: &MachinePreset,
     space: &SearchSpace,
@@ -128,6 +132,9 @@ pub fn tune_with_opts(
     cache: Option<Arc<CostCache>>,
     opts: TuneOpts,
 ) -> TuneResult {
+    if let Some(c) = &cache {
+        c.assert_for(preset);
+    }
     if strategy.task_based() {
         tune_task_based(preset, space, colls, strategy, cache)
     } else {
@@ -403,25 +410,22 @@ pub fn candidate_costs(
 
 /// Measure the *achieved* collective latency of a tuned table: run the
 /// collective with the configuration the table selects (the red/green
-/// bars of Fig. 9).
+/// bars of Fig. 9), optionally recalling the measurement from a shared
+/// [`CostCache`] instead of re-simulating it.
+///
+/// # Panics
+///
+/// If `cache` was built for a different machine preset.
 pub fn achieved_latency(
-    preset: &MachinePreset,
-    table: &LookupTable,
-    coll: Coll,
-    m: u64,
-) -> Result<Time, Unsupported> {
-    achieved_latency_with_cache(preset, table, coll, m, None)
-}
-
-/// [`achieved_latency`], optionally recalling the measurement from a
-/// shared [`CostCache`] instead of re-simulating it.
-pub fn achieved_latency_with_cache(
     preset: &MachinePreset,
     table: &LookupTable,
     coll: Coll,
     m: u64,
     cache: Option<&CostCache>,
 ) -> Result<Time, Unsupported> {
+    if let Some(c) = cache {
+        c.assert_for(preset);
+    }
     let cfg = table.nearest(coll, m).map(|e| e.cfg).unwrap_or_default();
     let mut machine = Machine::from_preset(preset);
     coll_cost(&mut machine, preset, coll, m, cfg, cache)
@@ -477,8 +481,8 @@ mod tests {
         let tk = tune(&preset, &space, &[Coll::Bcast], Strategy::TaskBased);
         for &m in &space.msg_sizes {
             let best = ex.table.get(Coll::Bcast, m).unwrap();
-            let achieved = achieved_latency(&preset, &tk.table, Coll::Bcast, m).unwrap();
-            let optimal = achieved_latency(&preset, &ex.table, Coll::Bcast, m).unwrap();
+            let achieved = achieved_latency(&preset, &tk.table, Coll::Bcast, m, None).unwrap();
+            let optimal = achieved_latency(&preset, &ex.table, Coll::Bcast, m, None).unwrap();
             assert_eq!(
                 Time::from_ps(best.cost_ps),
                 optimal,
@@ -600,6 +604,53 @@ mod tests {
             assert_eq!(swept.pruned, 0, "{}", preset.name);
             assert_eq!(swept.samples, truth, "{}", preset.name);
         }
+    }
+
+    /// Tune `mini(4, 4)` against a cache built for `mini(2, 4)`.
+    fn tune_with_foreign_cache(strategy: Strategy) {
+        let cache = Arc::new(CostCache::new(&mini(2, 4)));
+        let preset = mini(4, 4);
+        let (space, colls) = (tiny_space(), [Coll::Bcast]);
+        tune_with_opts(
+            &preset,
+            &space,
+            &colls,
+            strategy,
+            Some(cache),
+            TuneOpts::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "different machine preset")]
+    fn foreign_cache_panics_exhaustive() {
+        tune_with_foreign_cache(Strategy::Exhaustive);
+    }
+
+    #[test]
+    #[should_panic(expected = "different machine preset")]
+    fn foreign_cache_panics_exhaustive_heuristic() {
+        tune_with_foreign_cache(Strategy::ExhaustiveHeuristic);
+    }
+
+    #[test]
+    #[should_panic(expected = "different machine preset")]
+    fn foreign_cache_panics_task_based() {
+        tune_with_foreign_cache(Strategy::TaskBased);
+    }
+
+    #[test]
+    #[should_panic(expected = "different machine preset")]
+    fn foreign_cache_panics_task_based_heuristic() {
+        tune_with_foreign_cache(Strategy::TaskBasedHeuristic);
+    }
+
+    #[test]
+    #[should_panic(expected = "different machine preset")]
+    fn foreign_cache_panics_achieved_latency() {
+        let cache = CostCache::new(&mini(2, 4));
+        let table = LookupTable::for_topology(&mini(4, 4).topology);
+        let _ = achieved_latency(&mini(4, 4), &table, Coll::Bcast, 4096, Some(&cache));
     }
 
     #[test]

@@ -105,38 +105,6 @@ impl SearchSpace {
         out
     }
 
-    /// Configurations across all segment sizes ignoring the message size
-    /// (the task-based search benchmarks per segment size, not per
-    /// message).
-    pub fn seg_configs(&self, nodes: usize, heuristic: bool) -> Vec<HanConfig> {
-        let mut out = Vec::new();
-        for &fs in &self.seg_sizes {
-            for &(imod, alg) in &self.inter {
-                for &smod in &self.intra {
-                    let cfg = HanConfig {
-                        fs,
-                        imod,
-                        smod,
-                        ibalg: alg,
-                        iralg: alg,
-                        ibs: None,
-                        irs: None,
-                        deep: [None; MAX_DEEP],
-                        route: None,
-                    };
-                    // For seg-level pruning only segment-dependent rules
-                    // apply (the chain rule needs m; use a permissive
-                    // many-segment assumption here and re-check per m).
-                    if heuristic && !heuristics::admit_seg(&cfg, nodes) {
-                        continue;
-                    }
-                    out.push(cfg);
-                }
-            }
-        }
-        out
-    }
-
     /// [`SearchSpace::configs`], generalized to an N-level topology: on a
     /// two-level machine this is byte-identical to `configs`; deeper
     /// machines additionally cross in per-level `deep` submodule overrides
@@ -146,12 +114,6 @@ impl SearchSpace {
     /// of *observably different* per-level assignments, not `|intra|^d`.
     pub fn configs_for(&self, m: u64, topo: &Topology, heuristic: bool) -> Vec<HanConfig> {
         self.deepen(self.configs(m, topo.nodes(), heuristic), topo, heuristic)
-    }
-
-    /// [`SearchSpace::seg_configs`], generalized to an N-level topology
-    /// (same deep-override enumeration as [`SearchSpace::configs_for`]).
-    pub fn seg_configs_for(&self, topo: &Topology, heuristic: bool) -> Vec<HanConfig> {
-        self.deepen(self.seg_configs(topo.nodes(), heuristic), topo, heuristic)
     }
 
     /// Cross a two-level candidate list with per-level `deep` overrides for

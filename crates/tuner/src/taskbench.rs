@@ -98,11 +98,7 @@ impl TaskBench {
 
     /// Attach a shared [`CostCache`] (must be for the same preset).
     pub fn with_shared_cache(mut self, cache: Arc<CostCache>) -> Self {
-        assert_eq!(
-            cache.fingerprint(),
-            crate::cache::preset_fingerprint(&self.preset),
-            "cost cache belongs to a different machine preset"
-        );
+        cache.assert_for(&self.preset);
         self.shared = Some(cache);
         self
     }

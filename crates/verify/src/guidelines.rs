@@ -26,12 +26,12 @@ use han_colls::stack::{build_coll, time_coll, Coll, Unsupported};
 use han_colls::MpiStack;
 use han_core::composed::time_composed;
 use han_core::{classic, Han, HanConfig};
+use han_decide::LookupTable;
 use han_machine::{MachinePreset, Topology};
 use han_mpi::{check_races, execute, Comm, DataType, ExecOpts, ProgramBuilder, ReduceOp};
 use han_sim::Time;
 use han_synth::SynthResult;
 use han_tuner::model::predict;
-use han_tuner::table::LookupTable;
 use han_tuner::{candidate_costs, lower_bound, SearchSpace, TaskBench};
 
 /// Simulated candidate costs for every `(coll, m)` group of a search
@@ -765,7 +765,7 @@ pub fn serve_agreement_against(
         "serve-agreement",
         "han-serve daemon answers are bit-identical to direct table lookups, across hot-swaps",
     );
-    let fp = han_tuner::preset_fingerprint(preset);
+    let fp = han_decide::preset_fingerprint(preset);
     let store = std::sync::Arc::new(han_serve::TableStore::new());
     store.publish(fp, served.clone());
     let mut server = match han_serve::serve("127.0.0.1:0", std::sync::Arc::clone(&store)) {

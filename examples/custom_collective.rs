@@ -3,8 +3,8 @@
 //! The paper's pitch is that hierarchical collectives are *compositions of
 //! tasks over submodules*. This example composes a "reduce-then-broadcast
 //! to a different root" operation (an allreduce variant MPI does not
-//! provide) directly from the public frontier-based builders, runs it in
-//! data mode, and verifies the arithmetic.
+//! provide) directly from the public frontier-based builders, runs it with
+//! real payloads, and verifies the arithmetic.
 //!
 //! ```text
 //! cargo run --release --example custom_collective
@@ -59,7 +59,7 @@ fn main() {
 
     // Run with real data: every rank contributes (rank+1) per element.
     let mut machine = Machine::from_preset(&preset);
-    let opts = ExecOpts::with_data(Flavor::OpenMpi.p2p());
+    let opts = ExecOpts::timing(Flavor::OpenMpi.p2p());
     let bufs2 = bufs.clone();
     let (report, mem) = han::mpi::execute_seeded(&mut machine, &prog, &opts, |mm| {
         for r in 0..n {

@@ -49,12 +49,12 @@ pub mod prelude {
         TunedOpenMpi, VendorMpi,
     };
     pub use han_core::{ConfigSource, Han, HanConfig, MAX_DEEP};
-    pub use han_decide::{preset_fingerprint, DecisionTree, LookupTable, Resolution};
+    pub use han_decide::{preset_fingerprint, LookupTable, Resolution};
     pub use han_machine::{
         self as machine, mini, mini3, shaheen2, shaheen2_ppn, shaheen2_sockets, socketize,
         stampede2, stampede2_ppn, Flavor, Machine, MachinePreset, Topology,
     };
-    pub use han_mpi::{Comm, DataType, ExecMode, ExecOpts, ProgramBuilder, ReduceOp};
+    pub use han_mpi::{Comm, DataType, ExecOpts, ProgramBuilder, ReduceOp};
     pub use han_serve::{Client, Query, TableStore};
     pub use han_sim::Time;
     pub use han_synth::{synthesize, SynthOpts, SynthResult};

@@ -1,14 +1,14 @@
-//! Execution-mode and cost-cache equivalence guarantees.
+//! Data-path and cost-cache equivalence guarantees.
 //!
-//! `ExecMode::TimingOnly` exists purely to save host wall-clock: it skips
-//! every payload read/copy but must leave the simulated schedule — and
-//! therefore every virtual timestamp — untouched. Likewise a warm
-//! `CostCache` must return exactly what a cold simulation would have
-//! produced. These tests pin both guarantees.
+//! `execute` moves no payload bytes; `execute_seeded` moves every byte
+//! through simulated memory. Payload movement must leave the simulated
+//! schedule — and therefore every virtual timestamp — untouched. Likewise
+//! a warm `CostCache` must return exactly what a cold simulation would
+//! have produced. These tests pin both guarantees.
 
+use han::mpi::{execute, execute_seeded};
 use han::prelude::*;
-use han::tuner::{tune_with_opts, CostCache, TuneOpts};
-use han_tuner::search::achieved_latency_with_cache;
+use han::tuner::{achieved_latency, tune_with_opts, CostCache, TuneOpts};
 use std::sync::Arc;
 
 const ALL_COLLS: [Coll; 7] = [
@@ -21,9 +21,9 @@ const ALL_COLLS: [Coll; 7] = [
     Coll::Barrier,
 ];
 
-/// TimingOnly and Full executions of the same program must agree on the
-/// makespan and the number of simulated events — across every collective,
-/// both machine flavors, and multiple message sizes.
+/// Executions with and without payload bytes must agree on the makespan,
+/// the number of simulated events and every op's finish time — across
+/// every collective, both machine flavors, and multiple message sizes.
 #[test]
 fn timing_only_matches_full_virtual_times() {
     let presets = [shaheen2_ppn(4, 4), stampede2_ppn(3, 4), mini(2, 8)];
@@ -33,25 +33,17 @@ fn timing_only_matches_full_virtual_times() {
             for bytes in [4u64, 64 * 1024, 1 << 20] {
                 let prog = build_coll(&stack, preset, coll, bytes, 0)
                     .expect("HAN implements all collectives");
-                let p2p = stack.flavor().p2p();
-                let mut m1 = Machine::from_preset(preset);
-                let timing = han::mpi::execute(
-                    &mut m1,
-                    &prog,
-                    &ExecOpts::with_mode(p2p, ExecMode::TimingOnly),
-                );
-                let mut m2 = Machine::from_preset(preset);
-                let full =
-                    han::mpi::execute(&mut m2, &prog, &ExecOpts::with_mode(p2p, ExecMode::Full));
+                let opts = ExecOpts::timing(stack.flavor().p2p());
+                let mut machine = Machine::from_preset(preset);
+                let timing = execute(&mut machine, &prog, &opts);
+                let (data, _) = execute_seeded(&mut machine, &prog, &opts, |_| {});
+                let what = format!("{} {coll:?} {bytes}B", preset.name);
+                assert_eq!(timing.makespan, data.makespan, "{what}: makespan");
+                assert_eq!(timing.events, data.events, "{what}: event counts");
                 assert_eq!(
-                    timing.makespan, full.makespan,
-                    "{} {coll:?} {bytes}B: TimingOnly makespan must equal Full",
-                    preset.name
-                );
-                assert_eq!(
-                    timing.events, full.events,
-                    "{} {coll:?} {bytes}B: event counts must match",
-                    preset.name
+                    timing.op_finishes(),
+                    data.op_finishes(),
+                    "{what}: op finish times"
                 );
             }
         }
@@ -129,9 +121,9 @@ fn achieved_latency_is_cache_transparent() {
     );
     for coll in colls {
         for &m in &space.msg_sizes {
-            let plain = achieved_latency_with_cache(&preset, &tuned.table, coll, m, None);
+            let plain = achieved_latency(&preset, &tuned.table, coll, m, None);
             let hits_before = cache.stats().hits;
-            let cached = achieved_latency_with_cache(&preset, &tuned.table, coll, m, Some(&cache));
+            let cached = achieved_latency(&preset, &tuned.table, coll, m, Some(&cache));
             assert_eq!(plain, cached, "{coll:?}@{m}: cached probe must match");
             assert!(
                 cache.stats().hits > hits_before,

@@ -28,8 +28,7 @@ fn bcast_correct_under_arrival_imbalance() {
     let buf = BufRange::new(0, 50_000);
     let payload: Vec<u8> = (0..50_000u64).map(|i| (i % 241) as u8).collect();
     for seed in [1, 2, 3] {
-        let opts =
-            ExecOpts::with_data(Flavor::OpenMpi.p2p()).with_skew(skewed_starts(n, 500, seed));
+        let opts = ExecOpts::timing(Flavor::OpenMpi.p2p()).with_skew(skewed_starts(n, 500, seed));
         let (_, mem) = execute_seeded(&mut m, &prog, &opts, |mm| mm.write(0, buf, &payload));
         for r in 0..n {
             assert_eq!(mem.read(r, buf), payload.as_slice(), "seed {seed} rank {r}");
@@ -56,7 +55,7 @@ fn allreduce_correct_under_arrival_imbalance() {
     );
     let prog = b.build();
     let mut m = Machine::from_preset(&preset);
-    let opts = ExecOpts::with_data(Flavor::OpenMpi.p2p()).with_skew(skewed_starts(n, 1_000, 99));
+    let opts = ExecOpts::timing(Flavor::OpenMpi.p2p()).with_skew(skewed_starts(n, 1_000, 99));
     let bufs2 = bufs.clone();
     let (_, mem) = execute_seeded(&mut m, &prog, &opts, |mm| {
         for r in 0..n {
@@ -107,8 +106,7 @@ fn reduce_correct_under_arrival_imbalance() {
         })
         .collect();
     for seed in [11, 12, 13] {
-        let opts =
-            ExecOpts::with_data(Flavor::OpenMpi.p2p()).with_skew(skewed_starts(n, 800, seed));
+        let opts = ExecOpts::timing(Flavor::OpenMpi.p2p()).with_skew(skewed_starts(n, 800, seed));
         let bufs2 = bufs.clone();
         let (_, mem) = execute_seeded(&mut m, &prog, &opts, |mm| {
             for r in 0..n {

@@ -25,7 +25,7 @@ fn check_allreduce(stack: &dyn MpiStack, nodes: usize, ppn: usize, nelem: usize)
     let bytes = (nelem * 4) as u64;
     let prog = build_coll(stack, &preset, Coll::Allreduce, bytes, 0).expect("allreduce");
     let mut m = Machine::from_preset(&preset);
-    let opts = ExecOpts::with_data(stack.flavor().p2p());
+    let opts = ExecOpts::timing(stack.flavor().p2p());
     let buf = BufRange::new(0, bytes);
     let (_, mem) = execute_seeded(&mut m, &prog, &opts, |mm| {
         for r in 0..n {
@@ -107,7 +107,7 @@ fn reduce_gather_scatter_allgather_through_han() {
     let (_, mem) = execute_seeded(
         &mut m,
         &prog,
-        &ExecOpts::with_data(Flavor::OpenMpi.p2p()),
+        &ExecOpts::timing(Flavor::OpenMpi.p2p()),
         |mm| {
             for r in 0..n {
                 let vals: Vec<i32> = (0..16).map(|i| ((r as i32 * 7 + i) % 31) - 15).collect();
@@ -141,7 +141,7 @@ fn reduce_gather_scatter_allgather_through_han() {
     let (_, mem) = execute_seeded(
         &mut m,
         &prog,
-        &ExecOpts::with_data(Flavor::OpenMpi.p2p()),
+        &ExecOpts::timing(Flavor::OpenMpi.p2p()),
         |mm| {
             for r in 0..n {
                 mm.write(r, src2[r], &[(r * 3) as u8; 8]);
@@ -168,7 +168,7 @@ fn reduce_gather_scatter_allgather_through_han() {
     let (_, mem) = execute_seeded(
         &mut m,
         &prog,
-        &ExecOpts::with_data(Flavor::OpenMpi.p2p()),
+        &ExecOpts::timing(Flavor::OpenMpi.p2p()),
         |mm| {
             for r in 0..n {
                 let mine = bufs2[r].slice(r as u64 * block, block);

@@ -11,7 +11,7 @@ fn check_bcast_delivery(stack: &dyn MpiStack, nodes: usize, ppn: usize, bytes: u
     let n = nodes * ppn;
     let prog = build_coll(stack, &preset, Coll::Bcast, bytes, root).expect("bcast");
     let mut m = Machine::from_preset(&preset);
-    let opts = ExecOpts::with_data(stack.flavor().p2p());
+    let opts = ExecOpts::timing(stack.flavor().p2p());
     let buf = BufRange::new(0, bytes);
     let payload: Vec<u8> = (0..bytes).map(|i| (i * 7 % 255) as u8).collect();
     let (report, mem) = execute_seeded(&mut m, &prog, &opts, |mm| mm.write(root, buf, &payload));

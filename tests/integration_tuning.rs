@@ -57,7 +57,7 @@ fn tuned_beats_single_fixed_config_overall() {
     let mut tuned_total = 0f64;
     let mut fixed_total = 0f64;
     for &m in &test_space().msg_sizes {
-        tuned_total += achieved_latency(&preset, &result.table, Coll::Bcast, m)
+        tuned_total += achieved_latency(&preset, &result.table, Coll::Bcast, m, None)
             .unwrap()
             .as_secs_f64();
         fixed_total += time_coll(&fixed, &preset, Coll::Bcast, m, 0)
@@ -100,8 +100,8 @@ fn exhaustive_and_task_based_agree_on_winners() {
     let mut ex_total = 0f64;
     let mut tk_total = 0f64;
     for &m in &space.msg_sizes {
-        let best = achieved_latency(&preset, &ex.table, Coll::Bcast, m).unwrap();
-        let got = achieved_latency(&preset, &tk.table, Coll::Bcast, m).unwrap();
+        let best = achieved_latency(&preset, &ex.table, Coll::Bcast, m, None).unwrap();
+        let got = achieved_latency(&preset, &tk.table, Coll::Bcast, m, None).unwrap();
         assert!(
             got.as_ps() as f64 <= best.as_ps() as f64 * 1.25,
             "m={m}: task pick {got} vs best {best}"

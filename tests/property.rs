@@ -63,7 +63,7 @@ proptest! {
         let (_, mem) = execute_seeded(
             &mut m,
             &prog,
-            &ExecOpts::with_data(Flavor::OpenMpi.p2p()),
+            &ExecOpts::timing(Flavor::OpenMpi.p2p()),
             |mm| mm.write(root, buf, &payload),
         );
         for r in 0..n {
@@ -101,7 +101,7 @@ proptest! {
         let (_, mem) = execute_seeded(
             &mut m,
             &prog,
-            &ExecOpts::with_data(Flavor::OpenMpi.p2p()),
+            &ExecOpts::timing(Flavor::OpenMpi.p2p()),
             |mm| {
                 for r in 0..n {
                     let vals: Vec<u8> = (0..nelem)
@@ -195,7 +195,7 @@ proptest! {
         let (_, mem) = execute_seeded(
             &mut m,
             &prog,
-            &ExecOpts::with_data(Flavor::OpenMpi.p2p()),
+            &ExecOpts::timing(Flavor::OpenMpi.p2p()),
             |mm| mm.write(root, buf, &payload),
         );
         for r in 0..n {
