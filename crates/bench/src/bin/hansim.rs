@@ -5,7 +5,7 @@
 //!        [--stack han|tuned|cray|intel|mvapich2] [--fs 524288]
 //!        [--smod sm|solo] [--imod libnbc|adapt] [--alg chain|binary|binomial]
 //!        [--machine shaheen2|stampede2|mini] [--trace out.json]
-//!        [--levels 8,2,4] [--verify]
+//!        [--levels 8,2,4]
 //! ```
 //!
 //! Prints the virtual latency (and per-stack comparison when `--stack all`),
@@ -17,11 +17,6 @@
 //! code 3 (see `han_bench::gate`). An unknown flag, or an unknown or
 //! malformed flag value, exits with code 2 and names the accepted flags
 //! or values.
-//!
-//! `--verify` ignores the exploration flags and instead runs the
-//! `han-verify` performance-guideline catalog over the standard presets,
-//! writing `results/verify.json` and exiting nonzero on any violation —
-//! the same suite as `repro verify`.
 //!
 //! `--levels` replaces the `--nodes`/`--ppn` pair with an explicit
 //! level-extent vector, outermost first — e.g. `--levels 8,2,4` simulates
@@ -35,7 +30,7 @@ use han_machine::{mini, shaheen2_ppn, stampede2_ppn, Machine, MachinePreset, Top
 use han_mpi::{trace_execution, ExecOpts};
 
 /// Flags that take no value.
-const BOOL_FLAGS: &[&str] = &["verify", "allow-clamped", "serve"];
+const BOOL_FLAGS: &[&str] = &["serve"];
 /// Flags that take a value.
 const VALUE_FLAGS: &[&str] = &[
     "nodes", "ppn", "coll", "bytes", "stack", "fs", "smod", "imod", "alg", "machine", "trace",
@@ -65,37 +60,6 @@ fn parse_args() -> std::collections::HashMap<String, String> {
         }
     }
     map
-}
-
-/// `hansim --verify`: the guideline suite, identical to `repro verify`.
-fn run_verify() -> ! {
-    let report = han_verify::run_suite(&han_verify::standard_presets());
-    for g in &report.guidelines {
-        println!(
-            "{:>20}: {:>5} checks, {} violation(s)",
-            g.id,
-            g.checks,
-            g.violations.len()
-        );
-    }
-    for v in report.violations() {
-        eprintln!(
-            "[violation] {} on {} / {} ({}, m={}): {}",
-            v.guideline, v.preset, v.coll, v.config, v.m, v.detail
-        );
-    }
-    han_bench::report::save_json("verify", &report).ok();
-    println!(
-        "verify: {} checks, {} violation(s) -> results/verify.json",
-        report.total_checks, report.total_violations
-    );
-    if !report.passed() {
-        han_bench::gate::fail(format!(
-            "{} guideline violation(s)",
-            report.total_violations
-        ));
-    }
-    std::process::exit(han_bench::gate::finish("hansim"));
 }
 
 /// `hansim --serve [--addr HOST:PORT]`: the tuning daemon. Binds the
@@ -145,12 +109,6 @@ fn stack_by_name(name: &str, cfg: HanConfig) -> Box<dyn MpiStack> {
 
 fn main() {
     let args = parse_args();
-    if args.contains_key("allow-clamped") {
-        han_bench::gate::allow_clamped();
-    }
-    if args.contains_key("verify") {
-        run_verify();
-    }
     if args.contains_key("serve") {
         run_serve(
             &args

@@ -1123,8 +1123,6 @@ fn main() {
     while let Some(a) = it.next() {
         if a == "--no-prune" {
             prune = false;
-        } else if a == "--allow-clamped" {
-            gate::allow_clamped();
         } else if a == "--scale" {
             let scales = [("paper", Scale::Paper), ("mini", Scale::Mini)];
             scale = gate::choose("scale", flag_value(&mut it, "scale"), &scales);
@@ -1133,7 +1131,7 @@ fn main() {
             levels = gate::choose("levels", flag_value(&mut it, "levels"), &depths);
         } else if a.starts_with("--") {
             gate::usage_error(format!(
-                "unknown flag {a}; accepted flags: --scale --levels --no-prune --allow-clamped"
+                "unknown flag {a}; accepted flags: --scale --levels --no-prune"
             ));
         } else {
             what = a.clone();

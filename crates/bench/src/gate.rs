@@ -46,8 +46,6 @@ pub struct SkipGate {
     expected: Vec<(String, String)>,
     /// Everything that was not allowed.
     unexpected: Vec<String>,
-    /// Clamped engine events are tolerated (explicit opt-in only).
-    clamped_ok: bool,
 }
 
 impl SkipGate {
@@ -55,7 +53,6 @@ impl SkipGate {
         SkipGate {
             expected: Vec::new(),
             unexpected: Vec::new(),
-            clamped_ok: false,
         }
     }
 
@@ -82,23 +79,17 @@ impl SkipGate {
         self.unexpected.push(reason.into());
     }
 
-    /// Opt in to clamped engine events (scenarios that deliberately
-    /// schedule into the past, e.g. stress runs).
-    pub fn allow_clamped(&mut self) {
-        self.clamped_ok = true;
-    }
-
     /// Record an engine's clamped-event count (`EngineStats::clamped`:
     /// events scheduled in the past and snapped to the current virtual
-    /// time — a scheduling bug unless explicitly opted in). Returns
-    /// `true` if the gate tripped.
+    /// time — always a scheduling bug). Returns `true` if the gate
+    /// tripped.
     pub fn note_clamped(&mut self, context: &str, count: u64) -> bool {
-        if count == 0 || self.clamped_ok {
+        if count == 0 {
             return false;
         }
         self.unexpected.push(format!(
             "{context}: {count} event(s) scheduled in the past were clamped \
-             to the current virtual time (pass --allow-clamped to tolerate)"
+             to the current virtual time"
         ));
         true
     }
@@ -133,11 +124,6 @@ pub fn note(skip: &Unsupported) -> bool {
 /// Record a non-skip failure on the process-wide gate.
 pub fn fail(reason: impl Into<String>) {
     GATE.lock().unwrap().fail(reason)
-}
-
-/// Opt the process-wide gate in to clamped engine events.
-pub fn allow_clamped() {
-    GATE.lock().unwrap().allow_clamped()
 }
 
 /// Record a clamped-event count on the process-wide gate; returns `true`
@@ -210,16 +196,5 @@ mod tests {
         assert!(g.note_clamped("engine", 7));
         assert_eq!(g.exit_code(), GATE_EXIT_CODE);
         assert!(g.unexpected()[0].contains("7 event(s)"));
-    }
-
-    #[test]
-    fn clamped_opt_in_is_respected() {
-        let mut g = SkipGate::new();
-        g.allow_clamped();
-        assert!(!g.note_clamped("engine", 7));
-        assert_eq!(g.exit_code(), 0);
-        // The opt-in is clamped-specific: skips still trip it.
-        assert!(g.note(&skip("tuned", Coll::Gather)));
-        assert_eq!(g.exit_code(), GATE_EXIT_CODE);
     }
 }

@@ -68,6 +68,10 @@ fn repro_rejects_bad_flag_values() {
         ),
         (&["fig8", "--levels", "4"], "2|3"),
         (&["fig8", "--scale"], "missing value for --scale"),
+        (
+            &["fig2", "--allow-clamped"],
+            "unknown flag --allow-clamped; accepted flags: --scale",
+        ),
     ] {
         assert_usage_error(repro(args), accepted);
     }
@@ -87,6 +91,7 @@ fn hansim_rejects_bad_flag_values() {
             "unknown flag --mode; accepted flags: --nodes",
         ),
         (&["--nodez", "2"], "unknown flag --nodez;"),
+        (&["--verify"], "unknown flag --verify;"),
         (&["--stack", "mpich"], "han|tuned"),
     ] {
         assert_usage_error(hansim(args), accepted);

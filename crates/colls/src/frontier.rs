@@ -67,17 +67,6 @@ impl Frontier {
             deps: locals.iter().map(|&l| self.deps[l].clone()).collect(),
         }
     }
-
-    /// Lift a sub-communicator frontier back into a parent-sized frontier:
-    /// ranks not in `locals` get empty dependency lists.
-    pub fn lift(&self, locals: &[usize], parent_size: usize) -> Frontier {
-        assert_eq!(self.len(), locals.len());
-        let mut out = Frontier::empty(parent_size);
-        for (sub, &parent_local) in locals.iter().enumerate() {
-            out.deps[parent_local] = self.deps[sub].clone();
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -110,16 +99,12 @@ mod tests {
     }
 
     #[test]
-    fn project_and_lift_roundtrip() {
+    fn project_selects_locals() {
         let f = Frontier::from_ops(vec![OpId(10), OpId(11), OpId(12), OpId(13)]);
         let locals = vec![1, 3];
         let sub = f.project(&locals);
         assert_eq!(sub.get(0), &[OpId(11)]);
         assert_eq!(sub.get(1), &[OpId(13)]);
-        let lifted = sub.lift(&locals, 4);
-        assert_eq!(lifted.get(0), &[] as &[OpId]);
-        assert_eq!(lifted.get(1), &[OpId(11)]);
-        assert_eq!(lifted.get(3), &[OpId(13)]);
     }
 
     #[test]

@@ -55,14 +55,6 @@ pub struct Level {
     pub kind: LevelKind,
 }
 
-impl Level {
-    /// True for the innermost level, where the recursion bottoms out in a
-    /// flat submodule collective.
-    pub fn is_leaf(&self, topo: &Topology) -> bool {
-        self.index + 1 == topo.depth()
-    }
-}
-
 /// The ordered level list for a topology: data descends through it for
 /// one-to-all collectives and ascends for reductions. Level 0 is always
 /// the network; every deeper level is shared memory.
@@ -93,8 +85,6 @@ mod tests {
         assert_eq!(levels.len(), 2);
         assert_eq!(levels[0].kind, LevelKind::Network);
         assert_eq!(levels[1].kind, LevelKind::SharedMemory);
-        assert!(levels[1].is_leaf(&topo));
-        assert!(!levels[0].is_leaf(&topo));
     }
 
     #[test]
@@ -107,7 +97,5 @@ mod tests {
             vec![4, 2, 16]
         );
         assert!(levels[1].kind == LevelKind::SharedMemory);
-        assert!(!levels[1].is_leaf(&topo));
-        assert!(levels[2].is_leaf(&topo));
     }
 }

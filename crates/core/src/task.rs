@@ -113,14 +113,6 @@ impl TaskSpec {
         }
         s
     }
-
-    /// How many distinct segment buffers the task touches.
-    pub fn components(&self) -> usize {
-        [self.sb, self.ib, self.ir, self.sr]
-            .iter()
-            .filter(|&&x| x)
-            .count()
-    }
 }
 
 /// A built task program plus the observation points the tuner reads.
@@ -270,7 +262,6 @@ mod tests {
         assert_eq!(TaskSpec::SBIBIRSR.name(), "sbibirsr");
         assert_eq!(TaskSpec::SBIBIR.name(), "sbibir");
         assert_eq!(TaskSpec::SBSR.name(), "sbsr");
-        assert_eq!(TaskSpec::SBIBIRSR.components(), 4);
     }
 
     fn run_task(spec: TaskSpec, seg: u64) -> Vec<Time> {

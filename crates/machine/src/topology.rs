@@ -22,13 +22,6 @@ use serde::{Deserialize, Error, Serialize, Value};
 /// NUMA, GPUs, tiles, cores).
 pub const MAX_LEVELS: usize = 8;
 
-/// Where a world rank lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Location {
-    pub node: usize,
-    pub local: usize,
-}
-
 /// A cluster layout described by per-level extents. Depth-2 instances
 /// behave exactly like the original `nodes × ppn` grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -133,24 +126,8 @@ impl Topology {
     }
 
     #[inline]
-    pub fn location(&self, rank: usize) -> Location {
-        debug_assert!(rank < self.world_size(), "rank {rank} out of range");
-        let ppn = self.ppn();
-        Location {
-            node: rank / ppn,
-            local: rank % ppn,
-        }
-    }
-
-    #[inline]
     pub fn node_of(&self, rank: usize) -> usize {
         rank / self.ppn()
-    }
-
-    #[inline]
-    pub fn rank_of(&self, node: usize, local: usize) -> usize {
-        debug_assert!(node < self.nodes() && local < self.ppn());
-        node * self.ppn() + local
     }
 
     /// Are two world ranks on the same node?
@@ -241,10 +218,9 @@ mod tests {
     fn block_placement() {
         let t = Topology::new(4, 3);
         assert_eq!(t.world_size(), 12);
-        assert_eq!(t.location(0), Location { node: 0, local: 0 });
-        assert_eq!(t.location(5), Location { node: 1, local: 2 });
-        assert_eq!(t.location(11), Location { node: 3, local: 2 });
-        assert_eq!(t.rank_of(1, 2), 5);
+        assert_eq!(t.node_of(0), 0);
+        assert_eq!(t.node_of(5), 1);
+        assert_eq!(t.node_of(11), 3);
     }
 
     #[test]
@@ -271,15 +247,6 @@ mod tests {
     #[should_panic]
     fn zero_ppn_rejected() {
         Topology::new(4, 0);
-    }
-
-    #[test]
-    fn roundtrip_rank_location() {
-        let t = Topology::new(7, 5);
-        for r in 0..t.world_size() {
-            let loc = t.location(r);
-            assert_eq!(t.rank_of(loc.node, loc.local), r);
-        }
     }
 
     #[test]

@@ -116,15 +116,6 @@ impl ProgramBuilder {
         (s, r)
     }
 
-    /// Join a set of per-rank dependency frontiers into single nops, one
-    /// per rank that appears. Useful for task boundaries.
-    pub fn join_per_rank(&mut self, deps_by_rank: &[(usize, Vec<OpId>)]) -> Vec<(usize, OpId)> {
-        deps_by_rank
-            .iter()
-            .map(|(rank, deps)| (*rank, self.nop(*rank, deps)))
-            .collect()
-    }
-
     pub fn build(self) -> Program {
         debug_assert_eq!(self.prog.validate(), Ok(()));
         self.prog
@@ -192,17 +183,5 @@ mod tests {
         assert_eq!(p.validate(), Ok(()));
         assert_eq!(p.deps(d), &[a, c]);
         assert_eq!(p.deps(a), &[]);
-    }
-
-    #[test]
-    fn join_per_rank_creates_nops() {
-        let mut b = ProgramBuilder::new(2);
-        let a = b.nop(0, &[]);
-        let c = b.nop(1, &[]);
-        let joins = b.join_per_rank(&[(0, vec![a]), (1, vec![c])]);
-        assert_eq!(joins.len(), 2);
-        let p = b.build();
-        assert_eq!(p.op(joins[0].1).rank, 0);
-        assert_eq!(p.op(joins[1].1).rank, 1);
     }
 }

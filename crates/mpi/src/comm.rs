@@ -104,13 +104,6 @@ impl Comm {
         let subs = groups.into_iter().map(Comm::from_ranks).collect();
         (subs, Comm::from_ranks(leaders))
     }
-
-    /// The low comm containing `world` rank, from a `split_node` result.
-    pub fn low_comm_of<'a>(low: &'a [Comm], topo: &Topology, world: usize) -> &'a Comm {
-        low.iter()
-            .find(|c| topo.node_of(c.world_rank(0)) == topo.node_of(world))
-            .expect("rank's node has a low comm")
-    }
 }
 
 #[cfg(test)]
@@ -147,15 +140,6 @@ mod tests {
         assert_eq!(low[0].ranks(), &[2, 3]);
         assert_eq!(low[1].ranks(), &[9, 11]);
         assert_eq!(up.ranks(), &[2, 9]);
-    }
-
-    #[test]
-    fn low_comm_lookup() {
-        let topo = Topology::new(2, 3);
-        let world = Comm::world(6);
-        let (low, _) = world.split_node(&topo);
-        assert_eq!(Comm::low_comm_of(&low, &topo, 4).ranks(), &[3, 4, 5]);
-        assert_eq!(Comm::low_comm_of(&low, &topo, 0).ranks(), &[0, 1, 2]);
     }
 
     #[test]

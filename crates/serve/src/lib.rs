@@ -5,10 +5,10 @@
 //! size)` → configuration at memory speed. This crate is the serving
 //! half of that split (the pure decision logic lives in [`han_decide`]):
 //!
-//! * [`store`] — the authoritative in-memory table store: sharded by
-//!   preset fingerprint, with per-table generation counters and
-//!   arc-swap-style epoch pointers so re-tuned tables hot-swap in
-//!   atomically while readers never take a lock.
+//! * [`store`] — the authoritative in-memory table store: one locked
+//!   map from preset fingerprint to the current generation of its table,
+//!   so a re-tuned table hot-swaps in atomically; a retired generation
+//!   is freed once its last snapshot drops.
 //! * [`proto`] — the wire protocol: length-prefixed JSON frames over
 //!   TCP, batched `Resolve` requests, `Publish`/`Retune` for table
 //!   management.
@@ -33,4 +33,4 @@ pub use client::Client;
 pub use proto::{Answer, Query, ServerStats};
 pub use retune::{serve_space, spawn_retune, tune_table, SERVE_COLLS};
 pub use server::{resolve_batch, serve, ServerHandle};
-pub use store::{EpochCell, TableGen, TableInfo, TableStore};
+pub use store::{TableGen, TableStore};

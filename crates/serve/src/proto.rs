@@ -101,7 +101,7 @@ pub enum Response {
     Done,
 }
 
-/// One `Tables` listing row (wire twin of [`crate::store::TableInfo`]).
+/// One `Tables` listing row: a stored table at its current generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableRow {
     pub fingerprint: u64,

@@ -2,13 +2,13 @@
 //! connection, batched resolution against the shared [`TableStore`].
 //!
 //! Batch semantics: the server groups a batch's queries by fingerprint
-//! and loads each fingerprint's epoch cell snapshot **once per batch**.
+//! and takes each fingerprint's store snapshot **once per batch**.
 //! Every answer for a fingerprint within one batch therefore carries the
 //! same generation, even if a re-tune hot-swaps the table mid-batch —
 //! the swap lands atomically between batches, never inside one.
 
 use crate::proto::{
-    read_frame, write_frame, Answer, Query, Request, Response, ServerStats, TableRow, PROTO_VERSION,
+    read_frame, write_frame, Answer, Query, Request, Response, ServerStats, PROTO_VERSION,
 };
 use crate::retune::spawn_retune;
 use crate::store::{TableGen, TableStore};
@@ -174,16 +174,7 @@ fn dispatch(request: Request, store: &Arc<TableStore>, counters: &Counters) -> R
             Err(message) => Response::Error { message },
         },
         Request::Tables => Response::Tables {
-            tables: store
-                .tables()
-                .into_iter()
-                .map(|t| TableRow {
-                    fingerprint: t.fingerprint,
-                    generation: t.generation,
-                    levels: t.levels,
-                    entries: t.entries as u64,
-                })
-                .collect(),
+            tables: store.tables(),
         },
         Request::Publish { fingerprint, table } => {
             let generation = store.publish(fingerprint, table);

@@ -1,36 +1,20 @@
-//! The authoritative table store: sharded, generation-counted, and
-//! hot-swappable without ever blocking a reader.
+//! The authoritative table store: one `RwLock<HashMap>` from preset
+//! fingerprint to the current [`TableGen`].
 //!
-//! Layout: fingerprints hash (they already *are* FNV hashes) onto a
-//! fixed array of [`SHARDS`] shards, each an `RwLock<HashMap>` from
-//! preset fingerprint to one [`EpochCell`]. The shard lock only guards
-//! the *map* — inserting a new fingerprint or fetching the cell `Arc` —
-//! never a lookup: queries clone the cell `Arc` once and read through
-//! its epoch pointer lock-free.
-//!
-//! An [`EpochCell`] is the arc-swap idea with the retirement problem
-//! solved by retention: an atomic pointer to the current
-//! [`TableGen`], plus a mutex-guarded history holding every `Arc` this
-//! cell ever published. Publishing pushes the new `Arc` into the
-//! history *first*, then stores its pointer with release ordering;
-//! readers load with acquire ordering and bump the strong count. Because
-//! retired generations are never freed while the cell is alive, a reader
-//! holding yesterday's pointer is always safe — and re-tunes are rare
-//! (seconds apart, machine-count many), so retention is bounded in
-//! practice. The history mutex is taken only by writers.
+//! Publishing takes the write lock and replaces the map entry with a new
+//! `Arc` one generation up; a snapshot takes the read lock and clones the
+//! `Arc`. Both hold the lock only for a map probe, so the lock is never
+//! held across a lookup. A reader keeps its snapshot's generation for as
+//! long as it holds the `Arc`, and a retired generation is freed when its
+//! last snapshot drops.
 
+use crate::proto::TableRow;
 use han_decide::LookupTable;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
-/// Number of shards in the store. A small power of two: contention is
-/// per-*fingerprint-map*, not per-query, so this only needs to exceed
-/// plausible concurrent publisher counts.
-pub const SHARDS: usize = 16;
-
-/// One published table version: the generation counter is per-cell,
-/// starts at 1, and increments on every hot-swap.
+/// One published table version: the generation counter is per
+/// fingerprint, starts at 1, and increments on every hot-swap.
 #[derive(Debug)]
 pub struct TableGen {
     pub fingerprint: u64,
@@ -38,135 +22,43 @@ pub struct TableGen {
     pub table: LookupTable,
 }
 
-/// An epoch pointer over [`TableGen`]s (see module docs): lock-free
-/// reads, mutex-serialized writers, retention instead of reclamation.
-pub struct EpochCell {
-    current: AtomicPtr<TableGen>,
-    history: Mutex<Vec<Arc<TableGen>>>,
-}
-
-impl EpochCell {
-    pub fn new(fingerprint: u64, table: LookupTable) -> Self {
-        let first = Arc::new(TableGen {
-            fingerprint,
-            generation: 1,
-            table,
-        });
-        let ptr = Arc::as_ptr(&first) as *mut TableGen;
-        EpochCell {
-            current: AtomicPtr::new(ptr),
-            history: Mutex::new(vec![first]),
-        }
-    }
-
-    /// Snapshot the current generation without taking any lock. The
-    /// returned `Arc` stays valid across any number of concurrent
-    /// [`EpochCell::publish`] calls.
-    pub fn load(&self) -> Arc<TableGen> {
-        let ptr = self.current.load(Ordering::Acquire);
-        // SAFETY: `ptr` was produced by `Arc::as_ptr` on an `Arc` that
-        // `history` retains for the lifetime of the cell (publish pushes
-        // to history *before* storing the pointer, and history entries
-        // are never removed), so the pointee is alive and incrementing
-        // its strong count materializes a second owner.
-        unsafe {
-            Arc::increment_strong_count(ptr);
-            Arc::from_raw(ptr)
-        }
-    }
-
-    /// Hot-swap in a new table version; returns its generation. Readers
-    /// mid-flight keep whatever generation they already loaded.
-    pub fn publish(&self, table: LookupTable) -> u64 {
-        let mut history = self.history.lock().unwrap();
-        let generation = history.last().map(|g| g.generation).unwrap_or(0) + 1;
-        let fingerprint = history.last().map(|g| g.fingerprint).unwrap_or(0);
-        let next = Arc::new(TableGen {
-            fingerprint,
-            generation,
-            table,
-        });
-        let ptr = Arc::as_ptr(&next) as *mut TableGen;
-        history.push(next);
-        self.current.store(ptr, Ordering::Release);
-        generation
-    }
-
-    /// Number of versions ever published (the retention cost).
-    pub fn versions(&self) -> usize {
-        self.history.lock().unwrap().len()
-    }
-}
-
-/// Summary row for one stored table (the `Tables` listing).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableInfo {
-    pub fingerprint: u64,
-    pub generation: u64,
-    pub levels: Vec<usize>,
-    pub entries: usize,
-}
-
-/// The sharded store (see module docs).
+/// The table store (see module docs).
+#[derive(Default)]
 pub struct TableStore {
-    shards: Vec<RwLock<HashMap<u64, Arc<EpochCell>>>>,
-}
-
-impl Default for TableStore {
-    fn default() -> Self {
-        Self::new()
-    }
+    tables: RwLock<HashMap<u64, Arc<TableGen>>>,
 }
 
 impl TableStore {
     pub fn new() -> Self {
-        TableStore {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-        }
-    }
-
-    fn shard(&self, fingerprint: u64) -> &RwLock<HashMap<u64, Arc<EpochCell>>> {
-        // Fingerprints are FNV-1a outputs; their low bits are already
-        // well mixed.
-        &self.shards[(fingerprint as usize) % SHARDS]
+        Self::default()
     }
 
     /// Publish a table under a fingerprint: first publish inserts at
     /// generation 1, subsequent ones hot-swap. Returns the generation.
     pub fn publish(&self, fingerprint: u64, table: LookupTable) -> u64 {
-        if let Some(cell) = self.cell(fingerprint) {
-            return cell.publish(table);
-        }
-        let mut map = self.shard(fingerprint).write().unwrap();
-        // Racing first publishers: the loser swaps into the winner's cell.
-        match map.get(&fingerprint) {
-            Some(cell) => cell.publish(table),
-            None => {
-                map.insert(fingerprint, Arc::new(EpochCell::new(fingerprint, table)));
-                1
-            }
-        }
+        let mut tables = self.tables.write().unwrap();
+        let generation = tables.get(&fingerprint).map_or(0, |g| g.generation) + 1;
+        tables.insert(
+            fingerprint,
+            Arc::new(TableGen {
+                fingerprint,
+                generation,
+                table,
+            }),
+        );
+        generation
     }
 
-    /// The epoch cell for a fingerprint. Batched readers fetch the cell
-    /// (one shard read-lock), then [`EpochCell::load`] once per batch so
-    /// every answer in the batch comes from one generation.
-    pub fn cell(&self, fingerprint: u64) -> Option<Arc<EpochCell>> {
-        self.shard(fingerprint)
-            .read()
-            .unwrap()
-            .get(&fingerprint)
-            .cloned()
-    }
-
-    /// One-shot snapshot of the current generation for a fingerprint.
+    /// Snapshot of the current generation for a fingerprint. Batched
+    /// readers take one per batch so every answer in the batch comes
+    /// from one generation.
     pub fn snapshot(&self, fingerprint: u64) -> Option<Arc<TableGen>> {
-        self.cell(fingerprint).map(|c| c.load())
+        self.tables.read().unwrap().get(&fingerprint).cloned()
     }
 
     /// Number of distinct fingerprints stored.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap().len()).sum()
+        self.tables.read().unwrap().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -174,19 +66,19 @@ impl TableStore {
     }
 
     /// Listing of every stored table at its current generation.
-    pub fn tables(&self) -> Vec<TableInfo> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            for cell in shard.read().unwrap().values() {
-                let gen = cell.load();
-                out.push(TableInfo {
-                    fingerprint: gen.fingerprint,
-                    generation: gen.generation,
-                    levels: gen.table.levels.clone(),
-                    entries: gen.table.entries.len(),
-                });
-            }
-        }
+    pub fn tables(&self) -> Vec<TableRow> {
+        let mut out: Vec<TableRow> = self
+            .tables
+            .read()
+            .unwrap()
+            .values()
+            .map(|g| TableRow {
+                fingerprint: g.fingerprint,
+                generation: g.generation,
+                levels: g.table.levels.clone(),
+                entries: g.table.entries.len() as u64,
+            })
+            .collect();
         out.sort_by_key(|t| t.fingerprint);
         out
     }
@@ -236,7 +128,21 @@ mod tests {
         let new = store.snapshot(1).unwrap();
         assert_eq!(new.generation, 2);
         assert_eq!(new.table.entries[0].cfg.fs, 2048);
-        assert_eq!(store.cell(1).unwrap().versions(), 2);
+    }
+
+    #[test]
+    fn retired_generation_is_freed_with_its_last_snapshot() {
+        let store = TableStore::new();
+        store.publish(1, table(1024));
+        let old = store.snapshot(1).unwrap();
+        let weak = Arc::downgrade(&old);
+        drop(old);
+        store.publish(1, table(2048));
+        assert!(
+            weak.upgrade().is_none(),
+            "generation 1 outlived its readers"
+        );
+        assert_eq!(store.snapshot(1).unwrap().generation, 2);
     }
 
     #[test]
@@ -277,6 +183,5 @@ mod tests {
         }
         let snap = store.snapshot(42).unwrap();
         assert_eq!(snap.generation, 201);
-        assert_eq!(store.cell(42).unwrap().versions(), 201);
     }
 }

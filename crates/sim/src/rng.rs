@@ -8,8 +8,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// A deterministic RNG with convenience helpers for the jitter models used
-/// by the machine layer and the workload generators.
+/// A deterministic RNG with convenience helpers for the workload
+/// generators.
 #[derive(Debug, Clone)]
 pub struct SimRng {
     inner: SmallRng,
@@ -45,17 +45,6 @@ impl SimRng {
     pub fn f64(&mut self) -> f64 {
         self.inner.random()
     }
-
-    /// A multiplicative jitter factor in `[1 - spread, 1 + spread]`.
-    #[inline]
-    pub fn jitter(&mut self, spread: f64) -> f64 {
-        debug_assert!((0.0..1.0).contains(&spread));
-        if spread == 0.0 {
-            1.0
-        } else {
-            1.0 + self.inner.random_range(-spread..=spread)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -87,15 +76,5 @@ mod tests {
         assert_eq!(s3a.u64(u64::MAX), s3b.u64(u64::MAX));
         let mut s4 = root.stream(4);
         assert_ne!(root.stream(3).u64(u64::MAX), s4.u64(u64::MAX));
-    }
-
-    #[test]
-    fn jitter_bounds() {
-        let mut r = SimRng::seeded(9);
-        for _ in 0..1_000 {
-            let j = r.jitter(0.25);
-            assert!((0.75..=1.25).contains(&j));
-        }
-        assert_eq!(r.jitter(0.0), 1.0);
     }
 }

@@ -21,8 +21,7 @@ use han_core::{Han, HanConfig};
 use han_decide::LookupTable;
 use han_machine::{Machine, MachinePreset};
 use han_sim::Time;
-use han_tuner::{lower_bound, SearchSpace};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use han_tuner::{lower_bound, sweep_groups, SearchSpace};
 
 /// Knobs for [`synthesize`].
 #[derive(Debug, Clone, Copy)]
@@ -206,9 +205,8 @@ fn note_skip(skipped: &mut Vec<Unsupported>, e: Unsupported) {
 /// Synthesize schedules for every `(coll, m)` group of `space`,
 /// returning the per-group Pareto fronts plus every simulated sample.
 ///
-/// Parallelism is work-stealing over groups with per-worker simulator
-/// state and an index-keyed merge (the [`han_tuner`] sweep pattern), so
-/// the result is bit-identical for any worker count.
+/// Groups run on [`sweep_groups`] workers, so the result is
+/// bit-identical for any worker count.
 pub fn synthesize(
     preset: &MachinePreset,
     space: &SearchSpace,
@@ -221,47 +219,12 @@ pub fn synthesize(
             groups.push((coll, m, candidates(space, preset, coll, m)));
         }
     }
-    let workers = opts
-        .workers
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-        })
-        .min(groups.len().max(1))
-        .max(1);
-
-    let next = AtomicUsize::new(0);
-    let mut outcomes: Vec<GroupOut> = Vec::with_capacity(groups.len());
-    std::thread::scope(|s| {
-        let groups = &groups;
-        let next = &next;
-        let opts = &opts;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut machine = Machine::from_preset(preset);
-                    let mut out: Vec<(usize, GroupOut)> = Vec::new();
-                    loop {
-                        let g = next.fetch_add(1, Ordering::Relaxed);
-                        if g >= groups.len() {
-                            break;
-                        }
-                        let (coll, m, cands) = &groups[g];
-                        out.push((g, run_group(&mut machine, preset, *coll, *m, cands, opts)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        let mut merged: Vec<Option<GroupOut>> = (0..groups.len()).map(|_| None).collect();
-        for h in handles {
-            for (g, r) in h.join().unwrap() {
-                merged[g] = Some(r);
-            }
-        }
-        outcomes.extend(merged.into_iter().map(|r| r.expect("every group ran")));
-    });
+    let outcomes = sweep_groups(
+        preset,
+        &groups,
+        opts.workers,
+        |machine, (coll, m, cands)| run_group(machine, preset, *coll, *m, cands, &opts),
+    );
 
     let candidates_total = groups.iter().map(|(_, _, c)| c.len() as u64).sum();
     let mut result = SynthResult {

@@ -33,7 +33,6 @@
 pub mod analytic;
 pub mod bound;
 pub mod cache;
-pub mod calibrate;
 pub mod delta;
 pub mod heuristics;
 pub mod model;
@@ -46,7 +45,8 @@ pub use cache::CostCache;
 pub use delta::{DeltaSim, DeltaStats};
 pub use han_decide::LookupTable;
 pub use search::{
-    achieved_latency, candidate_costs, tune, tune_with_opts, Strategy, TuneOpts, TuneResult,
+    achieved_latency, candidate_costs, sweep_groups, tune, tune_with_opts, Strategy, TuneOpts,
+    TuneResult,
 };
 pub use space::SearchSpace;
 pub use taskbench::TaskBench;

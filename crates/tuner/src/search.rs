@@ -167,6 +167,59 @@ enum Outcome {
     Pruned,
 }
 
+/// Run `f` over every group on `workers` threads (`None` = available
+/// parallelism) and return the outputs in group order.
+///
+/// Parallelism is work-stealing over *groups* via an atomic cursor: large
+/// message sizes cost orders of magnitude more than small ones, so static
+/// striping load-imbalances badly. Each worker owns one [`Machine`] (the
+/// executor resets it between jobs), and outputs are merged by group
+/// index, so as long as `f` is deterministic per group the result is
+/// bit-identical for every worker count.
+pub fn sweep_groups<G: Sync, O: Send>(
+    preset: &MachinePreset,
+    groups: &[G],
+    workers: Option<usize>,
+    f: impl Fn(&mut Machine, &G) -> O + Sync,
+) -> Vec<O> {
+    let workers = workers
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(4)
+        })
+        .min(groups.len())
+        .max(1);
+    let next = AtomicUsize::new(0);
+    let mut merged: Vec<Option<O>> = (0..groups.len()).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let (next, f) = (&next, &f);
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(move || {
+                    let mut machine = Machine::from_preset(preset);
+                    let mut out = Vec::new();
+                    loop {
+                        let g = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(group) = groups.get(g) else { break };
+                        out.push((g, f(&mut machine, group)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        for h in handles {
+            for (g, r) in h.join().unwrap() {
+                merged[g] = Some(r);
+            }
+        }
+    });
+    merged
+        .into_iter()
+        .map(|r| r.expect("every group ran"))
+        .collect()
+}
+
 fn tune_exhaustive(
     preset: &MachinePreset,
     space: &SearchSpace,
@@ -182,15 +235,12 @@ fn tune_exhaustive(
     let mut skipped: Vec<Unsupported> = Vec::new();
 
     // Enumerate every `(coll, m)` group with its candidate configs up
-    // front, in deterministic order. Parallelism is work-stealing over
-    // *groups* via an atomic cursor: large message sizes cost orders of
-    // magnitude more than small ones, so static striping load-imbalances
-    // badly. Within a group, candidates run sequentially in ascending
+    // front, in deterministic order, and sweep them with `sweep_groups`.
+    // Within a group, candidates run sequentially in ascending
     // `(lower bound, enumeration index)` order against a running
     // incumbent, so bound pruning is deterministic — the visit order, and
     // therefore the pruned set, never depends on worker count or
-    // completion timing. Results are merged by group index, making the
-    // whole sweep bit-identical to a sequential one.
+    // completion timing.
     let mut groups: Vec<(Coll, u64, Vec<HanConfig>)> = Vec::new();
     for &coll in colls {
         for &m in &space.msg_sizes {
@@ -198,46 +248,9 @@ fn tune_exhaustive(
             groups.push((coll, m, cfgs));
         }
     }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(groups.len().max(1));
-
-    let next = AtomicUsize::new(0);
-    let mut outcomes: Vec<Vec<Outcome>> = Vec::with_capacity(groups.len());
-    std::thread::scope(|s| {
-        let groups = &groups;
-        let next = &next;
-        let cache = cache.as_deref();
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(move || {
-                    // One machine per worker, reset between jobs by the
-                    // executor.
-                    let mut machine = Machine::from_preset(preset);
-                    let mut out: Vec<(usize, Vec<Outcome>)> = Vec::new();
-                    loop {
-                        let g = next.fetch_add(1, Ordering::Relaxed);
-                        if g >= groups.len() {
-                            break;
-                        }
-                        let (coll, m, cfgs) = &groups[g];
-                        out.push((
-                            g,
-                            run_group(&mut machine, preset, *coll, *m, cfgs, cache, opts),
-                        ));
-                    }
-                    out
-                })
-            })
-            .collect();
-        let mut merged: Vec<Option<Vec<Outcome>>> = (0..groups.len()).map(|_| None).collect();
-        for h in handles {
-            for (g, r) in h.join().unwrap() {
-                merged[g] = Some(r);
-            }
-        }
-        outcomes.extend(merged.into_iter().map(|r| r.expect("every group ran")));
+    let cache = cache.as_deref();
+    let outcomes = sweep_groups(preset, &groups, None, |machine, (coll, m, cfgs)| {
+        run_group(machine, preset, *coll, *m, cfgs, cache, opts)
     });
 
     let mut samples = Vec::new();
