@@ -234,10 +234,10 @@ impl Sm {
         deps: &Frontier,
     ) -> Frontier {
         let n = comm.size();
-        let mut out = Frontier::empty(n);
         if n == 1 {
             return deps.clone();
         }
+        let mut out = Frontier::empty(n);
         let bytes = bufs[0].len;
         let wroot = comm.world_rank(root);
         // Root's copy-in to the bounce buffer.
@@ -252,6 +252,7 @@ impl Sm {
             deps.get(root),
         );
         out.push(root, cp_in);
+        let mut ldeps = Vec::new();
         for l in 0..n {
             if l == root {
                 continue;
@@ -259,7 +260,8 @@ impl Sm {
             let wl = comm.world_rank(l);
             // Fragment flags, then the copy-out (depends on the producer's
             // copy-in via a cross-rank flag edge).
-            let mut ldeps: Vec<han_mpi::OpId> = deps.get(l).to_vec();
+            ldeps.clear();
+            ldeps.extend_from_slice(deps.get(l));
             ldeps.push(cp_in);
             let flags = b.delay(wl, Sm::frag_penalty(node, bytes), &ldeps);
             let cp_out = b.op(
@@ -300,6 +302,7 @@ impl Sm {
         let wroot = comm.world_rank(root);
         let mut out = Frontier::empty(n);
         let mut last_red: Option<han_mpi::OpId> = None;
+        let mut rdeps = Vec::new();
         for l in 0..n {
             if l == root {
                 continue;
@@ -320,11 +323,10 @@ impl Sm {
             out.push(l, flags);
             // Root merges this child's slot (scalar rate), serialized with
             // its other merges by the dependency chain.
-            let mut rdeps: Vec<han_mpi::OpId> = deps.get(root).to_vec();
+            rdeps.clear();
+            rdeps.extend_from_slice(deps.get(root));
             rdeps.push(flags);
-            if let Some(r) = last_red {
-                rdeps.push(r);
-            }
+            rdeps.extend(last_red);
             let red = b.op(
                 wroot,
                 OpKind::ReduceFrom {
@@ -373,12 +375,14 @@ impl Solo {
         // Root exposes its buffer (window epoch).
         let expose = b.delay(wroot, node.solo_setup, deps.get(root));
         out.push(root, expose);
+        let mut ldeps = Vec::new();
         for l in 0..n {
             if l == root {
                 continue;
             }
             let wl = comm.world_rank(l);
-            let mut ldeps: Vec<han_mpi::OpId> = deps.get(l).to_vec();
+            ldeps.clear();
+            ldeps.extend_from_slice(deps.get(l));
             ldeps.push(expose);
             let sync = b.delay(wl, node.solo_setup, &ldeps);
             let get = b.op(
@@ -420,6 +424,7 @@ impl Solo {
         let mut last: Option<han_mpi::OpId> = None;
         // Root's own window-sync epoch.
         let root_sync = b.delay(wroot, node.solo_setup, deps.get(root));
+        let mut rdeps = Vec::new();
         for l in 0..n {
             if l == root {
                 continue;
@@ -428,10 +433,9 @@ impl Solo {
             // Child exposes its buffer.
             let expose = b.delay(wl, node.solo_setup, deps.get(l));
             out.push(l, expose);
-            let mut rdeps = vec![root_sync, expose];
-            if let Some(r) = last {
-                rdeps.push(r);
-            }
+            rdeps.clear();
+            rdeps.extend_from_slice(&[root_sync, expose]);
+            rdeps.extend(last);
             let red = b.op(
                 wroot,
                 OpKind::ReduceFrom {

@@ -12,8 +12,8 @@
 //! modules.
 
 use crate::frontier::Frontier;
-use crate::tree::{children, TreeShape};
-use han_mpi::{BufRange, Comm, DataType, OpKind, ProgramBuilder, ReduceOp};
+use crate::tree::{children_into, TreeShape};
+use han_mpi::{BufRange, Comm, DataType, OpId, OpKind, ProgramBuilder, ReduceOp};
 
 /// Segmented tree broadcast from comm-local `root`.
 ///
@@ -37,60 +37,52 @@ pub fn tree_bcast(
     }
     let msg = bufs[0].len;
     let seg = seg.unwrap_or(msg).max(1);
-    let nseg = bufs[0].segments(seg).len();
+    let nseg = bufs[0].nsegments(seg);
     let local = |v: usize| (v + root) % n;
 
-    // recv_done[v][s]: completion of segment s at vrank v (root: None).
-    let mut recv_done: Vec<Vec<han_mpi::OpId>> = vec![Vec::new(); n];
+    // recv_done[v * nseg + s]: completion of segment s at vrank v (unused
+    // for the root). Every parent has a lower vrank than its children, so
+    // a rank's receives exist before it forwards.
+    let mut recv_done = vec![OpId(0); n * nseg];
     let mut out = Frontier::empty(n);
+    let mut kids = Vec::new();
+    let mut sdeps = Vec::new();
 
     for v in 0..n {
         let lv = local(v);
         let wv = comm.world_rank(lv);
-        let kids = children(shape, n, v);
-        let segs_v = bufs[lv].segments(seg);
+        children_into(shape, n, v, &mut kids);
         for &c in &kids {
             let lc = local(c);
             let wc = comm.world_rank(lc);
-            let segs_c = bufs[lc].segments(seg);
             for s in 0..nseg {
-                let mut sdeps: Vec<han_mpi::OpId> = deps.get(lv).to_vec();
+                sdeps.clear();
+                sdeps.extend_from_slice(deps.get(lv));
                 if v != 0 {
-                    sdeps.push(recv_done[v][s]);
+                    sdeps.push(recv_done[v * nseg + s]);
                 }
-                let rdeps = deps.get(lc).to_vec();
+                let seg_v = bufs[lv].segment(seg, s);
                 let (snd, rcv) = b.send_recv(
                     wv,
                     wc,
-                    segs_v[s].len,
-                    Some(segs_v[s]),
-                    Some(segs_c[s]),
+                    seg_v.len,
+                    Some(seg_v),
+                    Some(bufs[lc].segment(seg, s)),
                     &sdeps,
-                    &rdeps,
+                    deps.get(lc),
                 );
-                if recv_done[c].is_empty() {
-                    recv_done[c] = Vec::with_capacity(nseg);
-                }
-                recv_done[c].push(rcv);
+                recv_done[c * nseg + s] = rcv;
                 out.push(lv, snd);
             }
         }
-        if kids.is_empty() && v != 0 {
-            // Leaf: completion is all its receives.
-            for &rcv in &recv_done[v] {
-                out.push(lv, rcv);
-            }
-        } else if v != 0 {
-            // Interior ranks' sends already depend on their receives, but
-            // the *last* segment's receive may finish after the last send
-            // is posted; include receives so the frontier is complete.
-            for &rcv in &recv_done[v] {
-                out.push(lv, rcv);
-            }
+        if v != 0 {
+            // A leaf completes with its receives. An interior rank's sends
+            // already depend on its receives, but the *last* segment's
+            // receive may finish after the last send is posted, so its
+            // receives complete the frontier too.
+            out.extend(lv, &recv_done[v * nseg..(v + 1) * nseg]);
         }
     }
-    // The root's frontier is its sends (already pushed). Ranks with no ops
-    // (n==1 handled above) cannot occur: every non-root receives.
     out
 }
 
@@ -117,40 +109,48 @@ pub fn tree_reduce(
     }
     let msg = bufs[0].len;
     let seg_sz = seg.unwrap_or(msg).max(1);
-    let nseg = bufs[0].segments(seg_sz).len();
+    let nseg = bufs[0].nsegments(seg_sz);
     let local = |v: usize| (v + root) % n;
 
-    // reduce_done[v][s]: ops that must complete before vrank v's segment s
-    // is fully reduced locally (its own children merged in).
-    let mut reduce_done: Vec<Vec<Vec<han_mpi::OpId>>> = vec![vec![Vec::new(); nseg]; n];
+    // Vrank v's local reductions, child-major: the merge of its k-th
+    // child's segment s is `reduces[merged[v].0 + k * nseg + s]`, and
+    // `merged[v].1` is its child count. Segment s at v is fully reduced
+    // once all of v's merges of segment s complete.
+    let mut reduces: Vec<OpId> = Vec::new();
+    let mut merged: Vec<(usize, usize)> = vec![(0, 0); n];
     let mut out = Frontier::empty(n);
+    let mut kids = Vec::new();
+    let mut sdeps = Vec::new();
+    let mut rdeps = Vec::new();
 
     // Process parents in descending vrank order so a child's local
     // reductions exist before the edge to its parent is created.
     for v in (0..n).rev() {
         let lv = local(v);
         let wv = comm.world_rank(lv);
-        let segs_v = bufs[lv].segments(seg_sz);
-        for &c in &children(shape, n, v) {
+        children_into(shape, n, v, &mut kids);
+        merged[v] = (reduces.len(), kids.len());
+        for &c in &kids {
             let lc = local(c);
             let wc = comm.world_rank(lc);
-            let segs_c = bufs[lc].segments(seg_sz);
+            let (c_start, c_kids) = merged[c];
             // One scratch slot per (parent, child), reused across segments.
             let scratch = b.alloc(wv, seg_sz.min(msg.max(1)));
-            let mut prev_reduce: Option<han_mpi::OpId> = None;
+            let mut prev_reduce: Option<OpId> = None;
             for s in 0..nseg {
                 // Child's send: its own subtree must be merged first.
-                let mut sdeps: Vec<han_mpi::OpId> = deps.get(lc).to_vec();
-                sdeps.extend_from_slice(&reduce_done[c][s]);
+                sdeps.clear();
+                sdeps.extend_from_slice(deps.get(lc));
+                sdeps.extend((0..c_kids).map(|k| reduces[c_start + k * nseg + s]));
                 // Parent's recv: scratch slot must be free.
-                let mut rdeps: Vec<han_mpi::OpId> = deps.get(lv).to_vec();
-                if let Some(pr) = prev_reduce {
-                    rdeps.push(pr);
-                }
-                let bytes = segs_c[s].len;
+                rdeps.clear();
+                rdeps.extend_from_slice(deps.get(lv));
+                rdeps.extend(prev_reduce);
+                let seg_c = bufs[lc].segment(seg_sz, s);
+                let bytes = seg_c.len;
                 let slot = scratch.slice(0, bytes);
                 let (snd, rcv) =
-                    b.send_recv(wc, wv, bytes, Some(segs_c[s]), Some(slot), &sdeps, &rdeps);
+                    b.send_recv(wc, wv, bytes, Some(seg_c), Some(slot), &sdeps, &rdeps);
                 let red = b.op(
                     wv,
                     OpKind::Reduce {
@@ -159,25 +159,21 @@ pub fn tree_reduce(
                         op,
                         dtype,
                         src: Some(slot),
-                        dst: Some(segs_v[s]),
+                        dst: Some(bufs[lv].segment(seg_sz, s)),
                     },
                     &[rcv],
                 );
                 prev_reduce = Some(red);
-                reduce_done[v][s].push(red);
+                reduces.push(red);
                 out.push(lc, snd);
             }
         }
-        if v != 0 && children(shape, n, v).is_empty() {
-            // Leaf completion = its sends, pushed at the parent's turn
-            // (which happened earlier in this reversed loop). Nothing to do.
-        }
     }
-    // Root's completion: all its reduces (or, for a root with no children
-    // in a 1-rank tree, handled above).
+    // Root's completion: all its reduces, segment by segment.
+    let (r_start, r_kids) = merged[0];
     for s in 0..nseg {
-        for &r in &reduce_done[0][s] {
-            out.push(local(0), r);
+        for k in 0..r_kids {
+            out.push(local(0), reduces[r_start + k * nseg + s]);
         }
     }
     out
@@ -214,7 +210,7 @@ pub fn rd_allreduce(
     let rem = n - p2;
 
     // Per-local-rank frontier as the algorithm progresses.
-    let mut cur: Vec<Vec<han_mpi::OpId>> = (0..n).map(|l| deps.get(l).to_vec()).collect();
+    let mut cur = deps.clone();
     let mut scratch: Vec<BufRange> = (0..n)
         .map(|l| b.alloc(comm.world_rank(l), msg.max(1)))
         .collect();
@@ -232,8 +228,8 @@ pub fn rd_allreduce(
             msg,
             Some(bufs[even]),
             Some(scratch[odd]),
-            &cur[even],
-            &cur[odd],
+            cur.get(even),
+            cur.get(odd),
         );
         let red = b.op(
             wo,
@@ -247,8 +243,8 @@ pub fn rd_allreduce(
             },
             &[rcv],
         );
-        cur[even] = vec![snd];
-        cur[odd] = vec![red];
+        cur.set(even, &[snd]);
+        cur.set(odd, &[red]);
     }
 
     // Active set: odd ranks of the folded pairs + ranks >= 2*rem.
@@ -258,7 +254,8 @@ pub fn rd_allreduce(
 
     let mut dist = 1;
     while dist < p2 {
-        let mut next: Vec<Vec<han_mpi::OpId>> = vec![Vec::new(); p2];
+        // Each active rank is in exactly one pair per round, so a pair's
+        // results can replace its two frontiers at once.
         for (nr, &l) in active.iter().enumerate() {
             let pnr = nr ^ dist;
             if pnr < nr {
@@ -273,8 +270,8 @@ pub fn rd_allreduce(
                 msg,
                 Some(bufs[l]),
                 Some(scratch[pl]),
-                &cur[l],
-                &cur[pl],
+                cur.get(l),
+                cur.get(pl),
             );
             // pl -> l
             let (s2, r2) = b.send_recv(
@@ -283,8 +280,8 @@ pub fn rd_allreduce(
                 msg,
                 Some(bufs[pl]),
                 Some(scratch[l]),
-                &cur[pl],
-                &cur[l],
+                cur.get(pl),
+                cur.get(l),
             );
             // Reduce after both the local send snapshot and the recv.
             let red_l = b.op(
@@ -311,11 +308,8 @@ pub fn rd_allreduce(
                 },
                 &[r1, s2],
             );
-            next[nr] = vec![red_l];
-            next[pnr] = vec![red_p];
-        }
-        for (nr, &l) in active.iter().enumerate() {
-            cur[l] = std::mem::take(&mut next[nr]);
+            cur.set(l, &[red_l]);
+            cur.set(pl, &[red_p]);
         }
         dist *= 2;
     }
@@ -324,26 +318,20 @@ pub fn rd_allreduce(
     for i in 0..rem {
         let (even, odd) = (2 * i, 2 * i + 1);
         let (we, wo) = (comm.world_rank(even), comm.world_rank(odd));
-        let mut rdeps = cur[even].clone();
-        rdeps.extend_from_slice(&[]);
         let (snd, rcv) = b.send_recv(
             wo,
             we,
             msg,
             Some(bufs[odd]),
             Some(bufs[even]),
-            &cur[odd],
-            &rdeps,
+            cur.get(odd),
+            cur.get(even),
         );
-        cur[odd].push(snd);
-        cur[even] = vec![rcv];
+        cur.push(odd, snd);
+        cur.set(even, &[rcv]);
     }
 
-    let mut out = Frontier::empty(n);
-    for (l, ops) in cur.into_iter().enumerate() {
-        out.set(l, ops);
-    }
-    out
+    cur
 }
 
 /// Rabenseifner allreduce: recursive-halving reduce-scatter followed by a
@@ -372,7 +360,7 @@ pub fn rabenseifner_allreduce(
     let p2 = pow2_floor(n);
     let rem = n - p2;
 
-    let mut cur: Vec<Vec<han_mpi::OpId>> = (0..n).map(|l| deps.get(l).to_vec()).collect();
+    let mut cur = deps.clone();
     let scratch: Vec<BufRange> = (0..n)
         .map(|l| b.alloc(comm.world_rank(l), msg.max(1)).slice(0, msg))
         .collect();
@@ -387,8 +375,8 @@ pub fn rabenseifner_allreduce(
             msg,
             Some(bufs[even]),
             Some(scratch[odd]),
-            &cur[even],
-            &cur[odd],
+            cur.get(even),
+            cur.get(odd),
         );
         let red = b.op(
             wo,
@@ -402,8 +390,8 @@ pub fn rabenseifner_allreduce(
             },
             &[rcv],
         );
-        cur[even] = vec![snd];
-        cur[odd] = vec![red];
+        cur.set(even, &[snd]);
+        cur.set(odd, &[red]);
     }
     let active: Vec<usize> = (0..rem).map(|i| 2 * i + 1).chain(2 * rem..n).collect();
 
@@ -414,7 +402,6 @@ pub fn rabenseifner_allreduce(
     // Reduce-scatter by recursive halving.
     let mut dist = p2 / 2;
     while dist >= 1 {
-        let mut next: Vec<Vec<han_mpi::OpId>> = vec![Vec::new(); p2];
         for nr in 0..p2 {
             let pnr = nr ^ dist;
             if pnr < nr {
@@ -439,8 +426,8 @@ pub fn rabenseifner_allreduce(
                 (give_l.1 - give_l.0) * el,
                 Some(r_of(bufs[l], give_l)),
                 Some(r_of(scratch[pl], keep_p)),
-                &cur[l],
-                &cur[pl],
+                cur.get(l),
+                cur.get(pl),
             );
             let (s2, r2) = b.send_recv(
                 wp,
@@ -448,8 +435,8 @@ pub fn rabenseifner_allreduce(
                 (give_p.1 - give_p.0) * el,
                 Some(r_of(bufs[pl], give_p)),
                 Some(r_of(scratch[l], keep_l)),
-                &cur[pl],
-                &cur[l],
+                cur.get(pl),
+                cur.get(l),
             );
             let red_l = b.op(
                 wl,
@@ -475,15 +462,10 @@ pub fn rabenseifner_allreduce(
                 },
                 &[r1, s2],
             );
-            next[nr] = vec![red_l];
-            next[pnr] = vec![red_p];
+            cur.set(l, &[red_l]);
+            cur.set(pl, &[red_p]);
             own[nr] = keep_l;
             own[pnr] = keep_p;
-        }
-        for nr in 0..p2 {
-            if !next[nr].is_empty() {
-                cur[active[nr]] = std::mem::take(&mut next[nr]);
-            }
         }
         dist /= 2;
     }
@@ -491,7 +473,6 @@ pub fn rabenseifner_allreduce(
     // Allgather by recursive doubling: exchange owned ranges, growing back.
     let mut dist = 1;
     while dist < p2 {
-        let mut next: Vec<Vec<han_mpi::OpId>> = vec![Vec::new(); p2];
         let mut next_own = own.clone();
         for nr in 0..p2 {
             let pnr = nr ^ dist;
@@ -510,8 +491,8 @@ pub fn rabenseifner_allreduce(
                 (hi_l - lo_l) * el,
                 Some(r_of(bufs[l], (lo_l, hi_l))),
                 Some(r_of(bufs[pl], (lo_l, hi_l))),
-                &cur[l],
-                &cur[pl],
+                cur.get(l),
+                cur.get(pl),
             );
             let (s2, r2) = b.send_recv(
                 wp,
@@ -519,19 +500,14 @@ pub fn rabenseifner_allreduce(
                 (hi_p - lo_p) * el,
                 Some(r_of(bufs[pl], (lo_p, hi_p))),
                 Some(r_of(bufs[l], (lo_p, hi_p))),
-                &cur[pl],
-                &cur[l],
+                cur.get(pl),
+                cur.get(l),
             );
             let merged = (lo_l.min(lo_p), hi_l.max(hi_p));
-            next[nr] = vec![s1, r2];
-            next[pnr] = vec![s2, r1];
+            cur.set(l, &[s1, r2]);
+            cur.set(pl, &[s2, r1]);
             next_own[nr] = merged;
             next_own[pnr] = merged;
-        }
-        for nr in 0..p2 {
-            if !next[nr].is_empty() {
-                cur[active[nr]] = std::mem::take(&mut next[nr]);
-            }
         }
         own = next_own;
         dist *= 2;
@@ -547,18 +523,14 @@ pub fn rabenseifner_allreduce(
             msg,
             Some(bufs[odd]),
             Some(bufs[even]),
-            &cur[odd],
-            &cur[even],
+            cur.get(odd),
+            cur.get(even),
         );
-        cur[odd].push(snd);
-        cur[even] = vec![rcv];
+        cur.push(odd, snd);
+        cur.set(even, &[rcv]);
     }
 
-    let mut out = Frontier::empty(n);
-    for (l, ops) in cur.into_iter().enumerate() {
-        out.set(l, ops);
-    }
-    out
+    cur
 }
 
 /// Ring allgather: each local rank `l` contributes `block` bytes at offset
@@ -583,9 +555,10 @@ pub fn ring_allgather(
             "allgather buffer must be n*block"
         );
     }
-    let mut cur: Vec<Vec<han_mpi::OpId>> = (0..n).map(|l| deps.get(l).to_vec()).collect();
+    let mut cur = deps.clone();
+    let mut next = Frontier::empty(n);
     for step in 0..n - 1 {
-        let mut next: Vec<Vec<han_mpi::OpId>> = vec![Vec::new(); n];
+        next.reset(n);
         for l in 0..n {
             let right = (l + 1) % n;
             // l sends the block it received `step` steps ago (its own at 0).
@@ -593,18 +566,21 @@ pub fn ring_allgather(
             let (wl, wr) = (comm.world_rank(l), comm.world_rank(right));
             let sbuf = bufs[l].slice(send_block as u64 * block, block);
             let dbuf = bufs[right].slice(send_block as u64 * block, block);
-            let (snd, rcv) =
-                b.send_recv(wl, wr, block, Some(sbuf), Some(dbuf), &cur[l], &cur[right]);
-            next[l].push(snd);
-            next[right].push(rcv);
+            let (snd, rcv) = b.send_recv(
+                wl,
+                wr,
+                block,
+                Some(sbuf),
+                Some(dbuf),
+                cur.get(l),
+                cur.get(right),
+            );
+            next.push(l, snd);
+            next.push(right, rcv);
         }
-        cur = next;
+        std::mem::swap(&mut cur, &mut next);
     }
-    let mut out = Frontier::empty(n);
-    for (l, ops) in cur.into_iter().enumerate() {
-        out.set(l, ops);
-    }
-    out
+    cur
 }
 
 /// Linear gather to comm-local `root`: every rank sends its `src` block;
@@ -706,10 +682,11 @@ pub fn dissemination_barrier(b: &mut ProgramBuilder, comm: &Comm, deps: &Frontie
     if n == 1 {
         return deps.clone();
     }
-    let mut cur: Vec<Vec<han_mpi::OpId>> = (0..n).map(|l| deps.get(l).to_vec()).collect();
+    let mut cur = deps.clone();
+    let mut next = Frontier::empty(n);
     let mut dist = 1;
     while dist < n {
-        let mut next: Vec<Vec<han_mpi::OpId>> = vec![Vec::new(); n];
+        next.reset(n);
         for l in 0..n {
             let to = (l + dist) % n;
             let (snd, rcv) = b.send_recv(
@@ -718,20 +695,16 @@ pub fn dissemination_barrier(b: &mut ProgramBuilder, comm: &Comm, deps: &Frontie
                 1,
                 None,
                 None,
-                &cur[l],
-                &cur[to],
+                cur.get(l),
+                cur.get(to),
             );
-            next[l].push(snd);
-            next[to].push(rcv);
+            next.push(l, snd);
+            next.push(to, rcv);
         }
-        cur = next;
+        std::mem::swap(&mut cur, &mut next);
         dist *= 2;
     }
-    let mut out = Frontier::empty(n);
-    for (l, ops) in cur.into_iter().enumerate() {
-        out.set(l, ops);
-    }
-    out
+    cur
 }
 
 #[cfg(test)]

@@ -13,7 +13,6 @@ use han_machine::{
 };
 use han_mpi::{execute, BufRange, Comm, DataType, ExecOpts, ProgramBuilder, ReduceOp};
 use han_sim::Time;
-use std::collections::HashMap;
 
 /// Build-time context handed to stack implementations.
 pub struct BuildCtx<'a> {
@@ -231,18 +230,46 @@ pub trait MpiStack {
     }
 }
 
-/// For each sub-comm local rank, its local index within `parent`.
-pub fn sublocals(parent: &Comm, sub: &Comm) -> Vec<usize> {
-    let map: HashMap<usize, usize> = parent
-        .ranks()
-        .iter()
-        .enumerate()
-        .map(|(l, &w)| (w, l))
-        .collect();
-    sub.ranks()
-        .iter()
-        .map(|w| *map.get(w).expect("sub comm must be a subset of parent"))
-        .collect()
+/// The local index of every member of a parent communicator, indexed by
+/// world rank: built once per collective build, it maps any
+/// sub-communicator's members back to parent-local indices in
+/// O(sub size), with one dense vector over the parent's rank span.
+#[derive(Debug)]
+pub struct RankIndex {
+    /// Lowest world rank of the parent.
+    base: usize,
+    /// `pos[w - base]`: parent-local index of world rank `w`, or
+    /// `u32::MAX` for a non-member.
+    pos: Vec<u32>,
+}
+
+impl RankIndex {
+    pub fn new(parent: &Comm) -> Self {
+        let ranks = parent.ranks();
+        let base = ranks.iter().copied().min().unwrap_or(0);
+        let span = ranks.iter().copied().max().map_or(0, |m| m - base + 1);
+        let mut pos = vec![u32::MAX; span];
+        for (l, &w) in ranks.iter().enumerate() {
+            pos[w - base] = l as u32;
+        }
+        RankIndex { base, pos }
+    }
+
+    /// Parent-local index of world rank `world`; panics for a non-member.
+    pub fn local(&self, world: usize) -> usize {
+        let p = world
+            .checked_sub(self.base)
+            .and_then(|i| self.pos.get(i))
+            .copied()
+            .unwrap_or(u32::MAX);
+        assert!(p != u32::MAX, "sub comm must be a subset of parent");
+        p as usize
+    }
+
+    /// For each local rank of `sub`, its local index within the parent.
+    pub fn locals(&self, sub: &Comm) -> Vec<usize> {
+        sub.ranks().iter().map(|&w| self.local(w)).collect()
+    }
 }
 
 /// `split_node`, but the leader of the root's node is the root itself —
@@ -360,10 +387,18 @@ mod tests {
     use han_machine::mini;
 
     #[test]
-    fn sublocals_maps_subset() {
-        let parent = Comm::from_ranks(vec![3, 5, 7, 9]);
-        let sub = Comm::from_ranks(vec![7, 3]);
-        assert_eq!(sublocals(&parent, &sub), vec![2, 0]);
+    fn rank_index_maps_subset() {
+        let parent = Comm::from_ranks(vec![9, 5, 7, 3]);
+        let index = RankIndex::new(&parent);
+        assert_eq!(index.locals(&Comm::from_ranks(vec![7, 3])), vec![2, 3]);
+        assert_eq!(index.local(9), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "subset")]
+    fn rank_index_rejects_a_non_member() {
+        let index = RankIndex::new(&Comm::from_ranks(vec![3, 5]));
+        index.local(4);
     }
 
     #[test]

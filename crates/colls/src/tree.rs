@@ -41,30 +41,33 @@ impl TreeShape {
 /// subtree first, matching Open MPI's convention of sending to the
 /// farthest/biggest subtree first for binomial).
 pub fn children(shape: TreeShape, n: usize, vrank: usize) -> Vec<usize> {
+    let mut c = Vec::new();
+    children_into(shape, n, vrank, &mut c);
+    c
+}
+
+/// [`children`] written into a caller-owned buffer (cleared first), so a
+/// builder walking every rank of a tree reuses one vector.
+pub(crate) fn children_into(shape: TreeShape, n: usize, vrank: usize, c: &mut Vec<usize>) {
     debug_assert!(vrank < n);
+    c.clear();
     match shape {
         TreeShape::Flat => {
             if vrank == 0 {
-                (1..n).collect()
-            } else {
-                Vec::new()
+                c.extend(1..n);
             }
         }
         TreeShape::Chain => {
             if vrank + 1 < n {
-                vec![vrank + 1]
-            } else {
-                Vec::new()
+                c.push(vrank + 1);
             }
         }
         TreeShape::Binary => {
-            let mut c = Vec::new();
             for child in [2 * vrank + 1, 2 * vrank + 2] {
                 if child < n {
                     c.push(child);
                 }
             }
-            c
         }
         TreeShape::Binomial => {
             // vrank v's children are v + 2^k for every 2^k strictly below
@@ -75,7 +78,6 @@ pub fn children(shape: TreeShape, n: usize, vrank: usize) -> Vec<usize> {
             } else {
                 vrank & vrank.wrapping_neg()
             };
-            let mut c = Vec::new();
             let mut k = 1usize;
             while k < n {
                 k <<= 1;
@@ -90,18 +92,15 @@ pub fn children(shape: TreeShape, n: usize, vrank: usize) -> Vec<usize> {
                 }
                 k >>= 1;
             }
-            c
         }
         TreeShape::Kary(kk) => {
             let k = kk as usize;
-            let mut c = Vec::new();
             for i in 0..k {
                 let child = vrank * k + i + 1;
                 if child < n {
                     c.push(child);
                 }
             }
-            c
         }
     }
 }

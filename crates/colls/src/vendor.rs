@@ -15,7 +15,7 @@
 
 use crate::frontier::Frontier;
 use crate::p2p::{rabenseifner_allreduce, rd_allreduce, tree_bcast};
-use crate::stack::{split_with_root, sublocals, BuildCtx, MpiStack};
+use crate::stack::{split_with_root, BuildCtx, MpiStack, RankIndex};
 use crate::tree::TreeShape;
 use han_machine::{Flavor, NodeParams};
 use han_mpi::{BufRange, Comm, DataType, OpKind, ProgramBuilder, ReduceOp};
@@ -82,9 +82,11 @@ fn intra_bcast(
     let mut out = Frontier::empty(n);
     let ready = b.nop(w0, deps.get(0));
     out.push(0, ready);
+    let mut ldeps = Vec::new();
     for l in 1..n {
         let wl = comm.world_rank(l);
-        let mut ldeps: Vec<han_mpi::OpId> = deps.get(l).to_vec();
+        ldeps.clear();
+        ldeps.extend_from_slice(deps.get(l));
         ldeps.push(ready);
         let get = b.op(
             wl,
@@ -120,15 +122,15 @@ fn intra_reduce(
     let w0 = comm.world_rank(0);
     let mut out = Frontier::empty(n);
     let mut last: Option<han_mpi::OpId> = None;
+    let mut rdeps = Vec::new();
     for l in 1..n {
         let wl = comm.world_rank(l);
         let expose = b.nop(wl, deps.get(l));
         out.push(l, expose);
-        let mut rdeps: Vec<han_mpi::OpId> = deps.get(0).to_vec();
+        rdeps.clear();
+        rdeps.extend_from_slice(deps.get(0));
         rdeps.push(expose);
-        if let Some(r) = last {
-            rdeps.push(r);
-        }
+        rdeps.extend(last);
         let red = b.op(
             w0,
             OpKind::ReduceFrom {
@@ -170,11 +172,12 @@ impl MpiStack for VendorMpi {
         let n = comm.size();
         let root_world = comm.world_rank(root);
         let (low, up) = split_with_root(comm, &cx.topo, root_world);
+        let index = RankIndex::new(comm);
         let bytes = bufs[0].len;
         let (shape, seg) = Self::inter_bcast_decision(bytes);
 
         // Phase 1: inter-node broadcast over the leaders.
-        let up_locals = sublocals(comm, &up);
+        let up_locals = index.locals(&up);
         let up_bufs: Vec<BufRange> = up_locals.iter().map(|&l| bufs[l]).collect();
         let up_deps = deps.project(&up_locals);
         let up_root = up.local_rank(root_world).expect("root leads its node");
@@ -183,16 +186,16 @@ impl MpiStack for VendorMpi {
         // Phase 2 (no overlap with phase 1): intra-node broadcast.
         let mut mid = deps.clone();
         for (i, &l) in up_locals.iter().enumerate() {
-            mid.set(l, f_up.get(i).to_vec());
+            mid.set(l, f_up.get(i));
         }
         let mut out = Frontier::empty(n);
         for lc in &low {
-            let locals = sublocals(comm, lc);
+            let locals = index.locals(lc);
             let sub_bufs: Vec<BufRange> = locals.iter().map(|&l| bufs[l]).collect();
             let sub_deps = mid.project(&locals);
             let f = intra_bcast(cx.b, lc, &cx.node, &sub_bufs, &sub_deps);
             for (i, &l) in locals.iter().enumerate() {
-                out.set(l, f.get(i).to_vec());
+                out.set(l, f.get(i));
             }
         }
         out
@@ -211,6 +214,7 @@ impl MpiStack for VendorMpi {
         let bytes = bufs[0].len;
         let nleaders = self.allreduce_leaders(bytes);
         let (low, _up) = comm.split_node(&cx.topo);
+        let index = RankIndex::new(comm);
         let mut out = Frontier::empty(n);
 
         // Partition the message across leaders (multi-leader design); each
@@ -248,19 +252,17 @@ impl MpiStack for VendorMpi {
                 let mut ranks = lc.ranks().to_vec();
                 ranks.swap(0, idx);
                 let lc_k = Comm::from_ranks(ranks);
-                let locals = sublocals(comm, &lc_k);
+                let locals = index.locals(&lc_k);
                 let sub_bufs: Vec<BufRange> = locals.iter().map(|&l| part(bufs[l])).collect();
                 let sub_deps = deps.project(&locals);
                 let f = intra_reduce(cx.b, &lc_k, &cx.node, &sub_bufs, &sub_deps, op, dtype);
                 for (i, &l) in locals.iter().enumerate() {
-                    let mut v = mid.get(l).to_vec();
-                    v.extend_from_slice(f.get(i));
-                    mid.set(l, v);
+                    mid.extend(l, f.get(i));
                 }
             }
 
             // Phase 2: allreduce across the k-leaders.
-            let up_locals = sublocals(comm, &up_k);
+            let up_locals = index.locals(&up_k);
             let up_bufs: Vec<BufRange> = up_locals.iter().map(|&l| part(bufs[l])).collect();
             let up_deps = mid.project(&up_locals);
             let f_up = if hi - lo <= 16 * 1024 {
@@ -269,7 +271,7 @@ impl MpiStack for VendorMpi {
                 rabenseifner_allreduce(cx.b, &up_k, &up_bufs, &up_deps, op, dtype, true)
             };
             for (i, &l) in up_locals.iter().enumerate() {
-                mid.set(l, f_up.get(i).to_vec());
+                mid.set(l, f_up.get(i));
             }
 
             // Phase 3: intra-node broadcast of the partition result.
@@ -279,14 +281,12 @@ impl MpiStack for VendorMpi {
                 let mut ranks = lc.ranks().to_vec();
                 ranks.swap(0, idx);
                 let lc_k = Comm::from_ranks(ranks);
-                let locals = sublocals(comm, &lc_k);
+                let locals = index.locals(&lc_k);
                 let sub_bufs: Vec<BufRange> = locals.iter().map(|&l| part(bufs[l])).collect();
                 let sub_deps = mid.project(&locals);
                 let f = intra_bcast(cx.b, &lc_k, &cx.node, &sub_bufs, &sub_deps);
                 for (i, &l) in locals.iter().enumerate() {
-                    let mut v = out.get(l).to_vec();
-                    v.extend_from_slice(f.get(i));
-                    out.set(l, v);
+                    out.extend(l, f.get(i));
                 }
             }
         }

@@ -14,9 +14,10 @@
 
 use crate::bcast::{descend_bcast, inter_bcast};
 use crate::config::HanConfig;
-use han_colls::stack::{sublocals, BuildCtx};
+use crate::levels::{GroupPlan, NodeSplit};
+use han_colls::stack::BuildCtx;
 use han_colls::{Frontier, InterModule, IntraModule, Libnbc, Sm, Solo};
-use han_machine::{LevelParams, LevelVec, Topology};
+use han_machine::{LevelParams, LevelVec};
 use han_mpi::{BufRange, Comm, DataType, OpId, ProgramBuilder, ReduceOp};
 
 /// Result of building a hierarchical allreduce.
@@ -86,8 +87,8 @@ pub(crate) fn intra_reduce(
     flat_reduce(b, cfg.smod, &node.at_level(lvl), low, bufs, deps, op, dtype)
 }
 
-/// Reduce within a level-`level` group toward its local rank 0, recursing
-/// through the remaining levels — the ascending mirror of
+/// Reduce within a group toward its local rank 0, following the group's
+/// [`GroupPlan`] — the ascending mirror of
 /// [`crate::bcast::descend_bcast`]: each subgroup first folds its own
 /// partial down to its leader, then the leaders run a flat
 /// `smod_at(level)` reduce across subgroup boundaries. On depth-2
@@ -96,80 +97,64 @@ pub(crate) fn intra_reduce(
 pub(crate) fn ascend_reduce(
     b: &mut ProgramBuilder,
     cfg: &HanConfig,
-    topo: &Topology,
     node: &han_machine::NodeParams,
     levels: &LevelVec,
-    level: usize,
+    plan: &GroupPlan,
     gc: &Comm,
     bufs: &[BufRange],
     deps: &Frontier,
     op: ReduceOp,
     dtype: DataType,
 ) -> Frontier {
-    if level + 1 >= topo.depth() {
-        let lnode = node.at_level(levels.get(level));
-        return flat_reduce(b, cfg.smod_at(level), &lnode, gc, bufs, deps, op, dtype);
-    }
-    let (subs, leaders) = gc.split_level(topo, level);
-    if subs.len() == 1 {
-        return ascend_reduce(
-            b,
-            cfg,
-            topo,
-            node,
-            levels,
-            level + 1,
-            gc,
-            bufs,
-            deps,
-            op,
-            dtype,
-        );
-    }
-    let mut out = Frontier::empty(gc.size());
-    let glocals = sublocals(gc, &leaders);
-    let mut ldeps = Frontier::empty(leaders.size());
-    for (si, sc) in subs.iter().enumerate() {
-        let locals = sublocals(gc, sc);
-        let sub_bufs: Vec<BufRange> = locals.iter().map(|&l| bufs[l]).collect();
-        let mut sdeps = Frontier::empty(sc.size());
-        for (j, &l) in locals.iter().enumerate() {
-            sdeps.set(j, deps.get(l).to_vec());
+    let (level, leaders, leader_locals, subs) = match plan {
+        GroupPlan::Flat { level } => {
+            let lnode = node.at_level(levels.get(*level));
+            return flat_reduce(b, cfg.smod_at(*level), &lnode, gc, bufs, deps, op, dtype);
         }
+        GroupPlan::Split {
+            level,
+            leaders,
+            leader_locals,
+            subs,
+        } => (*level, leaders, leader_locals, subs),
+    };
+    let mut out = Frontier::empty(gc.size());
+    let mut ldeps = Frontier::empty(leaders.size());
+    for (si, sub) in subs.iter().enumerate() {
+        let sub_bufs: Vec<BufRange> = sub.locals.iter().map(|&l| bufs[l]).collect();
         let f = ascend_reduce(
             b,
             cfg,
-            topo,
             node,
             levels,
-            level + 1,
-            sc,
+            &sub.plan,
+            &sub.comm,
             &sub_bufs,
-            &sdeps,
+            &deps.project(&sub.locals),
             op,
             dtype,
         );
         // The subgroup's partial (at its leader) feeds the cross-subgroup
         // reduce; non-leader members are done after their own phase.
-        ldeps.set(si, f.get(0).to_vec());
-        for (j, &l) in locals.iter().enumerate().skip(1) {
-            out.set(l, f.get(j).to_vec());
+        ldeps.set(si, f.get(0));
+        for (j, &l) in sub.locals.iter().enumerate().skip(1) {
+            out.set(l, f.get(j));
         }
     }
-    let leader_bufs: Vec<BufRange> = glocals.iter().map(|&l| bufs[l]).collect();
+    let leader_bufs: Vec<BufRange> = leader_locals.iter().map(|&l| bufs[l]).collect();
     let lnode = node.at_level(levels.get(level));
     let f_lead = flat_reduce(
         b,
         cfg.smod_at(level),
         &lnode,
-        &leaders,
+        leaders,
         &leader_bufs,
         &ldeps,
         op,
         dtype,
     );
-    for (i, &l) in glocals.iter().enumerate() {
-        out.set(l, f_lead.get(i).to_vec());
+    for (i, &l) in leader_locals.iter().enumerate() {
+        out.set(l, f_lead.get(i));
     }
     out
 }
@@ -193,70 +178,86 @@ pub fn build_allreduce(
             segments: 1,
         };
     }
-    let (low, up) = comm.split_node(&cx.topo);
-    let up_locals = sublocals(comm, &up);
-    let low_locals: Vec<Vec<usize>> = low.iter().map(|lc| sublocals(comm, lc)).collect();
+    let split = NodeSplit::node(comm, &cx.topo);
+    let up = &split.up;
     let up_root = 0; // same root for ir and ib (paper section III-B)
+    let nl = up.size();
 
     // Segment at datatype granularity: a reduction segment must hold a
     // whole number of elements.
     let node = cx.node;
-    let topo = cx.topo;
     let levels = cx.levels;
     let el = dtype.size() as u64;
     let fs = han_machine::coarsen_fs((cfg.fs / el).max(1) * el, bufs[0].len, &node, &levels);
-    let segs: Vec<Vec<BufRange>> = bufs.iter().map(|bf| bf.segments(fs)).collect();
-    let u = segs[0].len();
-    let nl = up.size();
+    let u = bufs[0].nsegments(fs);
 
-    let mut boundary: Vec<Vec<OpId>> = up_locals.iter().map(|&l| deps.get(l).to_vec()).collect();
-    let mut child_chain: Vec<Vec<OpId>> = (0..n).map(|l| deps.get(l).to_vec()).collect();
+    let mut boundary = deps.project(&split.up_locals);
+    let mut child_chain = deps.clone();
 
-    // Per-segment phase completions needed by the next phase.
-    let mut sr_leader: Vec<Vec<Vec<OpId>>> = vec![vec![Vec::new(); nl]; u]; // [seg][ul]
-    let mut ir_f: Vec<Option<Frontier>> = vec![None; u]; // over up
-    let mut ib_f: Vec<Option<Frontier>> = vec![None; u]; // over up
+    // Per-segment phase completions needed by the next phase, over up.
+    let mut sr_f: Vec<Option<Frontier>> = vec![None; u];
+    let mut ir_f: Vec<Option<Frontier>> = vec![None; u];
+    let mut ib_f: Vec<Option<Frontier>> = vec![None; u];
     let mut boundaries = Vec::with_capacity(u + 3);
+    // Scratch reused by every step: ops issued in the step, per leader and
+    // per non-leader rank, and one phase's buffers and dependencies.
+    let mut issued_leader = Frontier::empty(nl);
+    let mut issued_child = Frontier::empty(n);
+    let mut seg_bufs: Vec<BufRange> = Vec::new();
+    let mut sub_deps = Frontier::default();
+    let mut up_deps = Frontier::default();
 
     for t in 0..u + 3 {
-        // Ops issued in this task, per leader and per non-leader rank.
-        let mut issued_leader: Vec<Vec<OpId>> = vec![Vec::new(); nl];
-        let mut issued_child: Vec<Vec<OpId>> = vec![Vec::new(); n];
+        issued_leader.reset(nl);
+        issued_child.reset(n);
 
         // sr(t): intra-node reduce of segment t.
         if t < u {
-            for (ni, lc) in low.iter().enumerate() {
-                let locals = &low_locals[ni];
-                let sub_bufs: Vec<BufRange> = locals.iter().map(|&l| segs[l][t]).collect();
-                let mut sub_deps = Frontier::empty(lc.size());
-                sub_deps.set(0, boundary[ni].clone());
+            let mut sr = Frontier::empty(nl);
+            for (ni, lc) in split.low.iter().enumerate() {
+                let locals = &split.low_locals[ni];
+                seg_bufs.clear();
+                seg_bufs.extend(locals.iter().map(|&l| bufs[l].segment(fs, t)));
+                sub_deps.reset(lc.size());
+                sub_deps.set(0, boundary.get(ni));
                 for (j, &l) in locals.iter().enumerate().skip(1) {
-                    sub_deps.set(j, child_chain[l].clone());
+                    sub_deps.set(j, child_chain.get(l));
                 }
                 let f = ascend_reduce(
-                    cx.b, cfg, &topo, &node, &levels, 1, lc, &sub_bufs, &sub_deps, op, dtype,
+                    cx.b,
+                    cfg,
+                    &node,
+                    &levels,
+                    &split.plans[ni],
+                    lc,
+                    &seg_bufs,
+                    &sub_deps,
+                    op,
+                    dtype,
                 );
-                sr_leader[t][ni] = f.get(0).to_vec();
-                issued_leader[ni].extend_from_slice(f.get(0));
+                sr.set(ni, f.get(0));
+                issued_leader.extend(ni, f.get(0));
                 for (j, &l) in locals.iter().enumerate().skip(1) {
-                    issued_child[l].extend_from_slice(f.get(j));
+                    issued_child.extend(l, f.get(j));
                 }
             }
+            sr_f[t] = Some(sr);
         }
 
         // ir(t-1): inter-node reduce of segment t-1 to the up-root.
         if t >= 1 && t - 1 < u {
             let i = t - 1;
-            let up_bufs: Vec<BufRange> = up_locals.iter().map(|&l| segs[l][i]).collect();
-            let mut up_deps = Frontier::empty(nl);
+            seg_bufs.clear();
+            seg_bufs.extend(split.up_locals.iter().map(|&l| bufs[l].segment(fs, i)));
+            let prev = sr_f[i].take().expect("sr before ir");
+            up_deps.reset(nl);
             for ul in 0..nl {
-                let mut d = boundary[ul].clone();
-                d.extend_from_slice(&sr_leader[i][ul]);
-                up_deps.set(ul, d);
+                up_deps.set(ul, boundary.get(ul));
+                up_deps.extend(ul, prev.get(ul));
             }
-            let f = inter_reduce(cx.b, cfg, &up, up_root, &up_bufs, &up_deps, op, dtype);
+            let f = inter_reduce(cx.b, cfg, up, up_root, &seg_bufs, &up_deps, op, dtype);
             for ul in 0..nl {
-                issued_leader[ul].extend_from_slice(f.get(ul));
+                issued_leader.extend(ul, f.get(ul));
             }
             ir_f[i] = Some(f);
         }
@@ -264,17 +265,17 @@ pub fn build_allreduce(
         // ib(t-2): inter-node broadcast of the reduced segment t-2.
         if t >= 2 && t - 2 < u {
             let i = t - 2;
-            let up_bufs: Vec<BufRange> = up_locals.iter().map(|&l| segs[l][i]).collect();
+            seg_bufs.clear();
+            seg_bufs.extend(split.up_locals.iter().map(|&l| bufs[l].segment(fs, i)));
             let prev = ir_f[i].take().expect("ir before ib");
-            let mut up_deps = Frontier::empty(nl);
+            up_deps.reset(nl);
             for ul in 0..nl {
-                let mut d = boundary[ul].clone();
-                d.extend_from_slice(prev.get(ul));
-                up_deps.set(ul, d);
+                up_deps.set(ul, boundary.get(ul));
+                up_deps.extend(ul, prev.get(ul));
             }
-            let f = inter_bcast(cx.b, cfg, &up, up_root, &up_bufs, &up_deps, i as u64);
+            let f = inter_bcast(cx.b, cfg, up, up_root, &seg_bufs, &up_deps, i as u64);
             for ul in 0..nl {
-                issued_leader[ul].extend_from_slice(f.get(ul));
+                issued_leader.extend(ul, f.get(ul));
             }
             ib_f[i] = Some(f);
         }
@@ -283,28 +284,34 @@ pub fn build_allreduce(
         if t >= 3 && t - 3 < u {
             let i = t - 3;
             let prev = ib_f[i].take().expect("ib before sb");
-            for (ni, lc) in low.iter().enumerate() {
-                let locals = &low_locals[ni];
-                let sub_bufs: Vec<BufRange> = locals.iter().map(|&l| segs[l][i]).collect();
-                let mut sub_deps = Frontier::empty(lc.size());
-                let mut d = boundary[ni].clone();
-                d.extend_from_slice(prev.get(ni));
-                sub_deps.set(0, d);
+            for (ni, lc) in split.low.iter().enumerate() {
+                let locals = &split.low_locals[ni];
+                seg_bufs.clear();
+                seg_bufs.extend(locals.iter().map(|&l| bufs[l].segment(fs, i)));
+                sub_deps.reset(lc.size());
+                sub_deps.set(0, boundary.get(ni));
+                sub_deps.extend(0, prev.get(ni));
                 for (j, &l) in locals.iter().enumerate().skip(1) {
-                    sub_deps.set(j, child_chain[l].clone());
+                    sub_deps.set(j, child_chain.get(l));
                 }
                 let f = descend_bcast(
-                    cx.b, cfg, &topo, &node, &levels, 1, lc, &sub_bufs, &sub_deps,
+                    cx.b,
+                    cfg,
+                    &node,
+                    &levels,
+                    &split.plans[ni],
+                    lc,
+                    &seg_bufs,
+                    &sub_deps,
                 );
-                for (j, &l) in locals.iter().enumerate() {
-                    if j == 0 {
-                        issued_leader[ni].extend_from_slice(f.get(0));
-                    } else {
-                        issued_child[l].extend_from_slice(f.get(j));
-                        // Leader's task joins the whole node's sb (bounce
-                        // pool flow control), as in bcast.
-                        issued_leader[ni].extend_from_slice(f.get(j));
-                    }
+                issued_leader.extend(ni, f.get(0));
+                for (j, &l) in locals.iter().enumerate().skip(1) {
+                    issued_child.extend(l, f.get(j));
+                }
+                // Leader's task joins the whole node's sb (bounce pool
+                // flow control), as in bcast.
+                for j in 1..locals.len() {
+                    issued_leader.extend(ni, f.get(j));
                 }
             }
         }
@@ -312,30 +319,28 @@ pub fn build_allreduce(
         // Task boundary joins.
         let mut joins = Vec::with_capacity(nl);
         for ul in 0..nl {
-            if issued_leader[ul].is_empty() {
+            let w = up.world_rank(ul);
+            let j = if issued_leader.get(ul).is_empty() {
                 // Degenerate (u < 3 drains some steps early): carry over.
-                joins.push(cx.b.nop(up.world_rank(ul), &boundary[ul]));
+                cx.b.nop(w, boundary.get(ul))
             } else {
-                joins.push(cx.b.nop(up.world_rank(ul), &issued_leader[ul]));
-            }
-            boundary[ul] = vec![joins[ul]];
+                cx.b.nop(w, issued_leader.get(ul))
+            };
+            boundary.set(ul, &[j]);
+            joins.push(j);
         }
         boundaries.push(joins);
         for l in 0..n {
-            if !issued_child[l].is_empty() {
-                child_chain[l] = std::mem::take(&mut issued_child[l]);
+            if !issued_child.get(l).is_empty() {
+                child_chain.set(l, issued_child.get(l));
             }
         }
     }
 
-    let mut frontier = Frontier::empty(n);
-    for (ul, &l) in up_locals.iter().enumerate() {
-        frontier.set(l, boundary[ul].clone());
-    }
-    for l in 0..n {
-        if frontier.get(l).is_empty() {
-            frontier.set(l, child_chain[l].clone());
-        }
+    // Leaders end at their last join, everyone else at its own chain.
+    let mut frontier = child_chain;
+    for (ul, &l) in split.up_locals.iter().enumerate() {
+        frontier.set(l, boundary.get(ul));
     }
     AllreduceBuild {
         frontier,

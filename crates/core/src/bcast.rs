@@ -10,9 +10,10 @@
 //! (Figs. 2 and 3).
 
 use crate::config::HanConfig;
-use han_colls::stack::{split_with_root, sublocals, BuildCtx};
+use crate::levels::{GroupPlan, NodeSplit};
+use han_colls::stack::BuildCtx;
 use han_colls::{Frontier, InterModule, IntraModule, Libnbc, Sm, Solo};
-use han_machine::{LevelParams, LevelVec, Topology};
+use han_machine::{LevelParams, LevelVec};
 use han_mpi::{BufRange, Comm, OpId, ProgramBuilder};
 
 /// Result of building a hierarchical broadcast.
@@ -79,13 +80,12 @@ pub(crate) fn intra_bcast(
     flat_bcast(b, cfg.smod, &node.at_level(lvl), low, bufs, deps)
 }
 
-/// Broadcast within a level-`level` group whose local rank 0 holds the
-/// data, recursing through the remaining levels of the topology.
+/// Broadcast within a group whose local rank 0 holds the data, following
+/// the group's [`GroupPlan`] through the remaining levels.
 ///
-/// At the innermost level (`level == depth - 1`) this is exactly the flat
-/// submodule broadcast of the two-level design — so on depth-2 topologies
-/// the recursion is structurally identical to the classic intra phase.
-/// Above it, the group splits into its level-`level` subgroups, the
+/// At the innermost level this is exactly the flat submodule broadcast of
+/// the two-level design — so on depth-2 topologies the recursion is
+/// structurally identical to the classic intra phase. Above it, the
 /// subgroup leaders run a flat `smod_at(level)` broadcast, and each
 /// subgroup recurses: the segment frontier chains leader-first through
 /// the ordered level list, level by level.
@@ -93,53 +93,48 @@ pub(crate) fn intra_bcast(
 pub(crate) fn descend_bcast(
     b: &mut ProgramBuilder,
     cfg: &HanConfig,
-    topo: &Topology,
     node: &han_machine::NodeParams,
     levels: &LevelVec,
-    level: usize,
+    plan: &GroupPlan,
     gc: &Comm,
     bufs: &[BufRange],
     deps: &Frontier,
 ) -> Frontier {
-    if level + 1 >= topo.depth() {
-        let lnode = node.at_level(levels.get(level));
-        return flat_bcast(b, cfg.smod_at(level), &lnode, gc, bufs, deps);
-    }
-    let (subs, leaders) = gc.split_level(topo, level);
-    if subs.len() == 1 {
-        // Degenerate level (one subgroup): nothing moves here.
-        return descend_bcast(b, cfg, topo, node, levels, level + 1, gc, bufs, deps);
-    }
+    let (level, leaders, leader_locals, subs) = match plan {
+        GroupPlan::Flat { level } => {
+            let lnode = node.at_level(levels.get(*level));
+            return flat_bcast(b, cfg.smod_at(*level), &lnode, gc, bufs, deps);
+        }
+        GroupPlan::Split {
+            level,
+            leaders,
+            leader_locals,
+            subs,
+        } => (*level, leaders, leader_locals, subs),
+    };
     // Cross-subgroup hop among the leaders (gc-local 0 leads subgroup 0,
     // so the leader comm's root is the data holder).
-    let glocals = sublocals(gc, &leaders);
-    let leader_bufs: Vec<BufRange> = glocals.iter().map(|&l| bufs[l]).collect();
-    let mut ldeps = Frontier::empty(leaders.size());
-    for (i, &l) in glocals.iter().enumerate() {
-        ldeps.set(i, deps.get(l).to_vec());
-    }
+    let leader_bufs: Vec<BufRange> = leader_locals.iter().map(|&l| bufs[l]).collect();
     let lnode = node.at_level(levels.get(level));
     let f_lead = flat_bcast(
         b,
         cfg.smod_at(level),
         &lnode,
-        &leaders,
+        leaders,
         &leader_bufs,
-        &ldeps,
+        &deps.project(leader_locals),
     );
     // Recurse into each subgroup from its freshly supplied leader.
     let mut out = Frontier::empty(gc.size());
-    for (si, sc) in subs.iter().enumerate() {
-        let locals = sublocals(gc, sc);
-        let sub_bufs: Vec<BufRange> = locals.iter().map(|&l| bufs[l]).collect();
-        let mut sdeps = Frontier::empty(sc.size());
-        sdeps.set(0, f_lead.get(si).to_vec());
-        for (j, &l) in locals.iter().enumerate().skip(1) {
-            sdeps.set(j, deps.get(l).to_vec());
-        }
-        let f = descend_bcast(b, cfg, topo, node, levels, level + 1, sc, &sub_bufs, &sdeps);
-        for (j, &l) in locals.iter().enumerate() {
-            out.set(l, f.get(j).to_vec());
+    for (si, sub) in subs.iter().enumerate() {
+        let sub_bufs: Vec<BufRange> = sub.locals.iter().map(|&l| bufs[l]).collect();
+        let mut sdeps = deps.project(&sub.locals);
+        sdeps.set(0, f_lead.get(si));
+        let f = descend_bcast(
+            b, cfg, node, levels, &sub.plan, &sub.comm, &sub_bufs, &sdeps,
+        );
+        for (j, &l) in sub.locals.iter().enumerate() {
+            out.set(l, f.get(j));
         }
     }
     out
@@ -164,88 +159,93 @@ pub fn build_bcast(
         };
     }
     let root_world = comm.world_rank(root);
-    let (low, up) = split_with_root(comm, &cx.topo, root_world);
-    let up_locals = sublocals(comm, &up);
-    let low_locals: Vec<Vec<usize>> = low.iter().map(|lc| sublocals(comm, lc)).collect();
+    let split = NodeSplit::rooted(comm, &cx.topo, root_world);
+    let up = &split.up;
     let up_root = up.local_rank(root_world).expect("root leads its node");
+    let nl = up.size();
 
     let node = cx.node;
-    let topo = cx.topo;
     let levels = cx.levels;
     let fs = han_machine::coarsen_fs(cfg.fs, bufs[0].len, &node, &levels);
-    let segs: Vec<Vec<BufRange>> = bufs.iter().map(|bf| bf.segments(fs)).collect();
-    let u = segs[0].len();
+    let u = bufs[0].nsegments(fs);
 
     // Per-leader current boundary (dependency list for the next task) and
     // per-rank intra-broadcast chains.
-    let mut boundary: Vec<Vec<OpId>> = up_locals.iter().map(|&l| deps.get(l).to_vec()).collect();
-    let mut sb_chain: Vec<Vec<OpId>> = (0..n).map(|l| deps.get(l).to_vec()).collect();
+    let mut boundary = deps.project(&split.up_locals);
+    let mut sb_chain = deps.clone();
     // All node ops of the previous segment's sb, per leader (flow control:
     // the leader's task joins the whole node's intra broadcast).
-    let mut sb_node_prev: Vec<Vec<OpId>> = vec![Vec::new(); up.size()];
+    let mut sb_node_prev = Frontier::empty(nl);
     let mut boundaries = Vec::with_capacity(u + 1);
+    // Scratch reused by every segment.
+    let mut seg_bufs: Vec<BufRange> = Vec::new();
+    let mut sub_deps = Frontier::default();
+    let mut join: Vec<OpId> = Vec::new();
 
     for i in 0..u {
         // ib(i) over the leaders, from each leader's current boundary.
-        let mut up_deps = Frontier::empty(up.size());
-        for (ul, dep) in boundary.iter().enumerate() {
-            up_deps.set(ul, dep.clone());
-        }
-        let up_bufs: Vec<BufRange> = up_locals.iter().map(|&l| segs[l][i]).collect();
-        let f_ib = inter_bcast(cx.b, cfg, &up, up_root, &up_bufs, &up_deps, i as u64);
+        seg_bufs.clear();
+        seg_bufs.extend(split.up_locals.iter().map(|&l| bufs[l].segment(fs, i)));
+        let f_ib = inter_bcast(cx.b, cfg, up, up_root, &seg_bufs, &boundary, i as u64);
 
         // Task boundary: join ib(i) with sb(i-1) on each leader.
-        let mut joins = Vec::with_capacity(up.size());
-        for ul in 0..up.size() {
-            let mut ops: Vec<OpId> = f_ib.get(ul).to_vec();
-            ops.extend_from_slice(&sb_node_prev[ul]);
-            let j = cx.b.nop(up.world_rank(ul), &ops);
-            boundary[ul] = vec![j];
+        let mut joins = Vec::with_capacity(nl);
+        for ul in 0..nl {
+            join.clear();
+            join.extend_from_slice(f_ib.get(ul));
+            join.extend_from_slice(sb_node_prev.get(ul));
+            let j = cx.b.nop(up.world_rank(ul), &join);
+            boundary.set(ul, &[j]);
             joins.push(j);
         }
         boundaries.push(joins);
 
         // sb(i) on each node: leader starts from the fresh boundary,
         // non-leaders from their own chains.
-        for (ni, lc) in low.iter().enumerate() {
-            let locals = &low_locals[ni];
-            let sub_bufs: Vec<BufRange> = locals.iter().map(|&l| segs[l][i]).collect();
-            let mut sub_deps = Frontier::empty(lc.size());
-            sub_deps.set(0, boundary[ni].clone());
+        for (ni, lc) in split.low.iter().enumerate() {
+            let locals = &split.low_locals[ni];
+            seg_bufs.clear();
+            seg_bufs.extend(locals.iter().map(|&l| bufs[l].segment(fs, i)));
+            sub_deps.reset(lc.size());
+            sub_deps.set(0, boundary.get(ni));
             for (j, &l) in locals.iter().enumerate().skip(1) {
-                sub_deps.set(j, sb_chain[l].clone());
+                sub_deps.set(j, sb_chain.get(l));
             }
             let f_sb = descend_bcast(
-                cx.b, cfg, &topo, &node, &levels, 1, lc, &sub_bufs, &sub_deps,
+                cx.b,
+                cfg,
+                &node,
+                &levels,
+                &split.plans[ni],
+                lc,
+                &seg_bufs,
+                &sub_deps,
             );
-            let mut node_ops = Vec::new();
+            join.clear();
             for (j, &l) in locals.iter().enumerate() {
-                sb_chain[l] = f_sb.get(j).to_vec();
-                node_ops.extend_from_slice(f_sb.get(j));
+                sb_chain.set(l, f_sb.get(j));
+                join.extend_from_slice(f_sb.get(j));
             }
-            sb_node_prev[ni] = node_ops;
+            sb_node_prev.set(ni, &join);
         }
     }
 
     // Final task sb(u-1): leaders join the last intra broadcast.
-    let mut joins = Vec::with_capacity(up.size());
-    for ul in 0..up.size() {
-        let mut ops = boundary[ul].clone();
-        ops.extend_from_slice(&sb_node_prev[ul]);
-        let j = cx.b.nop(up.world_rank(ul), &ops);
-        boundary[ul] = vec![j];
+    let mut joins = Vec::with_capacity(nl);
+    for ul in 0..nl {
+        join.clear();
+        join.extend_from_slice(boundary.get(ul));
+        join.extend_from_slice(sb_node_prev.get(ul));
+        let j = cx.b.nop(up.world_rank(ul), &join);
+        boundary.set(ul, &[j]);
         joins.push(j);
     }
     boundaries.push(joins);
 
-    let mut frontier = Frontier::empty(n);
-    for (ul, &l) in up_locals.iter().enumerate() {
-        frontier.set(l, boundary[ul].clone());
-    }
-    for l in 0..n {
-        if frontier.get(l).is_empty() {
-            frontier.set(l, sb_chain[l].clone());
-        }
+    // Leaders end at their last join, everyone else at its own chain.
+    let mut frontier = sb_chain;
+    for (ul, &l) in split.up_locals.iter().enumerate() {
+        frontier.set(l, boundary.get(ul));
     }
     BcastBuild {
         frontier,

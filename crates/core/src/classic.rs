@@ -14,7 +14,7 @@ use crate::allreduce::{inter_reduce, intra_reduce, AllreduceBuild};
 use crate::bcast::{inter_bcast, intra_bcast, BcastBuild};
 use crate::config::HanConfig;
 use han_colls::p2p::{dissemination_barrier, ring_allgather};
-use han_colls::stack::{split_with_root, sublocals, BuildCtx};
+use han_colls::stack::{split_with_root, BuildCtx, RankIndex};
 use han_colls::Frontier;
 use han_mpi::{BufRange, Comm, DataType, OpId, OpKind, ReduceOp};
 
@@ -46,8 +46,9 @@ pub fn build_bcast(
     }
     let root_world = comm.world_rank(root);
     let (low, up) = split_with_root(comm, &cx.topo, root_world);
-    let up_locals = sublocals(comm, &up);
-    let low_locals: Vec<Vec<usize>> = low.iter().map(|lc| sublocals(comm, lc)).collect();
+    let index = RankIndex::new(comm);
+    let up_locals = index.locals(&up);
+    let low_locals: Vec<Vec<usize>> = low.iter().map(|lc| index.locals(lc)).collect();
     let up_root = up.local_rank(root_world).expect("root leads its node");
 
     let node = cx.node;
@@ -69,7 +70,7 @@ pub fn build_bcast(
         // ib(i) over the leaders, from each leader's current boundary.
         let mut up_deps = Frontier::empty(up.size());
         for (ul, dep) in boundary.iter().enumerate() {
-            up_deps.set(ul, dep.clone());
+            up_deps.set(ul, dep);
         }
         let up_bufs: Vec<BufRange> = up_locals.iter().map(|&l| segs[l][i]).collect();
         let f_ib = inter_bcast(cx.b, cfg, &up, up_root, &up_bufs, &up_deps, i as u64);
@@ -91,9 +92,9 @@ pub fn build_bcast(
             let locals = &low_locals[ni];
             let sub_bufs: Vec<BufRange> = locals.iter().map(|&l| segs[l][i]).collect();
             let mut sub_deps = Frontier::empty(lc.size());
-            sub_deps.set(0, boundary[ni].clone());
+            sub_deps.set(0, &boundary[ni]);
             for (j, &l) in locals.iter().enumerate().skip(1) {
-                sub_deps.set(j, sb_chain[l].clone());
+                sub_deps.set(j, &sb_chain[l]);
             }
             let f_sb = intra_bcast(cx.b, cfg, &node, &lvl, lc, &sub_bufs, &sub_deps);
             let mut node_ops = Vec::new();
@@ -118,11 +119,11 @@ pub fn build_bcast(
 
     let mut frontier = Frontier::empty(n);
     for (ul, &l) in up_locals.iter().enumerate() {
-        frontier.set(l, boundary[ul].clone());
+        frontier.set(l, &boundary[ul]);
     }
     for l in 0..n {
         if frontier.get(l).is_empty() {
-            frontier.set(l, sb_chain[l].clone());
+            frontier.set(l, &sb_chain[l]);
         }
     }
     BcastBuild {
@@ -152,8 +153,9 @@ pub fn build_allreduce(
         };
     }
     let (low, up) = comm.split_node(&cx.topo);
-    let up_locals = sublocals(comm, &up);
-    let low_locals: Vec<Vec<usize>> = low.iter().map(|lc| sublocals(comm, lc)).collect();
+    let index = RankIndex::new(comm);
+    let up_locals = index.locals(&up);
+    let low_locals: Vec<Vec<usize>> = low.iter().map(|lc| index.locals(lc)).collect();
     let up_root = 0; // same root for ir and ib (paper section III-B)
 
     // Segment at datatype granularity: a reduction segment must hold a
@@ -186,9 +188,9 @@ pub fn build_allreduce(
                 let locals = &low_locals[ni];
                 let sub_bufs: Vec<BufRange> = locals.iter().map(|&l| segs[l][t]).collect();
                 let mut sub_deps = Frontier::empty(lc.size());
-                sub_deps.set(0, boundary[ni].clone());
+                sub_deps.set(0, &boundary[ni]);
                 for (j, &l) in locals.iter().enumerate().skip(1) {
-                    sub_deps.set(j, child_chain[l].clone());
+                    sub_deps.set(j, &child_chain[l]);
                 }
                 let f = intra_reduce(cx.b, cfg, &node, &lvl, lc, &sub_bufs, &sub_deps, op, dtype);
                 sr_leader[t][ni] = f.get(0).to_vec();
@@ -207,7 +209,7 @@ pub fn build_allreduce(
             for ul in 0..nl {
                 let mut d = boundary[ul].clone();
                 d.extend_from_slice(&sr_leader[i][ul]);
-                up_deps.set(ul, d);
+                up_deps.set(ul, &d);
             }
             let f = inter_reduce(cx.b, cfg, &up, up_root, &up_bufs, &up_deps, op, dtype);
             for ul in 0..nl {
@@ -225,7 +227,7 @@ pub fn build_allreduce(
             for ul in 0..nl {
                 let mut d = boundary[ul].clone();
                 d.extend_from_slice(prev.get(ul));
-                up_deps.set(ul, d);
+                up_deps.set(ul, &d);
             }
             let f = inter_bcast(cx.b, cfg, &up, up_root, &up_bufs, &up_deps, i as u64);
             for ul in 0..nl {
@@ -244,9 +246,9 @@ pub fn build_allreduce(
                 let mut sub_deps = Frontier::empty(lc.size());
                 let mut d = boundary[ni].clone();
                 d.extend_from_slice(prev.get(ni));
-                sub_deps.set(0, d);
+                sub_deps.set(0, &d);
                 for (j, &l) in locals.iter().enumerate().skip(1) {
-                    sub_deps.set(j, child_chain[l].clone());
+                    sub_deps.set(j, &child_chain[l]);
                 }
                 let f = intra_bcast(cx.b, cfg, &node, &lvl, lc, &sub_bufs, &sub_deps);
                 for (j, &l) in locals.iter().enumerate() {
@@ -283,11 +285,11 @@ pub fn build_allreduce(
 
     let mut frontier = Frontier::empty(n);
     for (ul, &l) in up_locals.iter().enumerate() {
-        frontier.set(l, boundary[ul].clone());
+        frontier.set(l, &boundary[ul]);
     }
     for l in 0..n {
         if frontier.get(l).is_empty() {
-            frontier.set(l, child_chain[l].clone());
+            frontier.set(l, &child_chain[l]);
         }
     }
     AllreduceBuild {
@@ -316,8 +318,9 @@ pub fn build_reduce(
     }
     let root_world = comm.world_rank(root);
     let (low, up) = split_with_root(comm, &cx.topo, root_world);
-    let up_locals = sublocals(comm, &up);
-    let low_locals: Vec<Vec<usize>> = low.iter().map(|lc| sublocals(comm, lc)).collect();
+    let index = RankIndex::new(comm);
+    let up_locals = index.locals(&up);
+    let low_locals: Vec<Vec<usize>> = low.iter().map(|lc| index.locals(lc)).collect();
     let up_root = up.local_rank(root_world).expect("root leads its node");
     let nl = up.size();
     let node = cx.node;
@@ -342,9 +345,9 @@ pub fn build_reduce(
                 let locals = &low_locals[ni];
                 let sub_bufs: Vec<BufRange> = locals.iter().map(|&l| segs[l][t]).collect();
                 let mut sub_deps = Frontier::empty(lc.size());
-                sub_deps.set(0, boundary[ni].clone());
+                sub_deps.set(0, &boundary[ni]);
                 for (j, &l) in locals.iter().enumerate().skip(1) {
-                    sub_deps.set(j, child_chain[l].clone());
+                    sub_deps.set(j, &child_chain[l]);
                 }
                 let f = intra_reduce(cx.b, cfg, &node, &lvl, lc, &sub_bufs, &sub_deps, op, dtype);
                 sr_leader[t][ni] = f.get(0).to_vec();
@@ -361,7 +364,7 @@ pub fn build_reduce(
             for ul in 0..nl {
                 let mut d = boundary[ul].clone();
                 d.extend_from_slice(&sr_leader[i][ul]);
-                up_deps.set(ul, d);
+                up_deps.set(ul, &d);
             }
             let f = inter_reduce(cx.b, cfg, &up, up_root, &up_bufs, &up_deps, op, dtype);
             for ul in 0..nl {
@@ -378,11 +381,11 @@ pub fn build_reduce(
 
     let mut frontier = Frontier::empty(n);
     for (ul, &l) in up_locals.iter().enumerate() {
-        frontier.set(l, boundary[ul].clone());
+        frontier.set(l, &boundary[ul]);
     }
     for l in 0..n {
         if frontier.get(l).is_empty() {
-            frontier.set(l, child_chain[l].clone());
+            frontier.set(l, &child_chain[l]);
         }
     }
     frontier
@@ -409,6 +412,7 @@ pub fn build_allgather(
         "allgather requires an ascending-rank communicator"
     );
     let (low, up) = comm.split_node(&cx.topo);
+    let index = RankIndex::new(comm);
     let ppn = low[0].size();
     assert!(
         low.iter().all(|lc| lc.size() == ppn),
@@ -418,11 +422,11 @@ pub fn build_allgather(
 
     // Phase 1: gather node blocks into each leader's slice of its own
     // (full-size) buffer.
-    let up_locals = sublocals(comm, &up);
+    let up_locals = index.locals(&up);
     let mut leader_ready: Vec<Vec<OpId>> = Vec::with_capacity(low.len());
     let mut out = Frontier::empty(n);
     for (ni, lc) in low.iter().enumerate() {
-        let locals = sublocals(comm, lc);
+        let locals = index.locals(lc);
         let wleader = lc.world_rank(0);
         let leader_l = up_locals[ni];
         let node_slice = bufs[leader_l].slice(ni as u64 * node_bytes, node_bytes);
@@ -458,25 +462,25 @@ pub fn build_allgather(
     let up_bufs: Vec<BufRange> = up_locals.iter().map(|&l| bufs[l]).collect();
     let mut up_deps = Frontier::empty(up.size());
     for (ul, r) in leader_ready.iter().enumerate() {
-        up_deps.set(ul, r.clone());
+        up_deps.set(ul, r);
     }
     let f_up = ring_allgather(cx.b, &up, &up_bufs, node_bytes, &up_deps);
 
     // Phase 3: intra-node broadcast of the full array.
     for (ni, lc) in low.iter().enumerate() {
-        let locals = sublocals(comm, lc);
+        let locals = index.locals(lc);
         let sub_bufs: Vec<BufRange> = locals.iter().map(|&l| bufs[l]).collect();
         let mut sub_deps = Frontier::empty(lc.size());
-        sub_deps.set(0, f_up.get(ni).to_vec());
+        sub_deps.set(0, f_up.get(ni));
         for (j, &l) in locals.iter().enumerate().skip(1) {
-            sub_deps.set(j, deps.get(l).to_vec());
+            sub_deps.set(j, deps.get(l));
         }
         let lvl = *cx.levels.innermost();
         let f = intra_bcast(cx.b, cfg, &cx.node, &lvl, lc, &sub_bufs, &sub_deps);
         for (j, &l) in locals.iter().enumerate() {
             let mut v = out.get(l).to_vec();
             v.extend_from_slice(f.get(j));
-            out.set(l, v);
+            out.set(l, &v);
         }
     }
     out
@@ -490,11 +494,12 @@ pub fn build_barrier(cx: &mut BuildCtx, comm: &Comm, deps: &Frontier) -> Frontie
         return deps.clone();
     }
     let (low, up) = comm.split_node(&cx.topo);
+    let index = RankIndex::new(comm);
 
     // Phase 1: arrival — each leader joins its node's members.
     let mut up_deps = Frontier::empty(up.size());
     for (ni, lc) in low.iter().enumerate() {
-        let locals = sublocals(comm, lc);
+        let locals = index.locals(lc);
         let wleader = lc.world_rank(0);
         let mut arrive = deps.get(locals[0]).to_vec();
         for (j, &l) in locals.iter().enumerate().skip(1) {
@@ -503,7 +508,7 @@ pub fn build_barrier(cx: &mut BuildCtx, comm: &Comm, deps: &Frontier) -> Frontie
             arrive.push(flag);
         }
         let joined = cx.b.nop(wleader, &arrive);
-        up_deps.set(ni, vec![joined]);
+        up_deps.set(ni, &[joined]);
     }
 
     // Phase 2: inter-node dissemination across leaders.
@@ -512,14 +517,14 @@ pub fn build_barrier(cx: &mut BuildCtx, comm: &Comm, deps: &Frontier) -> Frontie
     // Phase 3: release — children wait on their leader's exit.
     let mut out = Frontier::empty(n);
     for (ni, lc) in low.iter().enumerate() {
-        let locals = sublocals(comm, lc);
+        let locals = index.locals(lc);
         let wleader = lc.world_rank(0);
         let leader_exit = cx.b.nop(wleader, f_up.get(ni));
-        out.set(locals[0], vec![leader_exit]);
+        out.set(locals[0], &[leader_exit]);
         for (j, &l) in locals.iter().enumerate().skip(1) {
             let w = lc.world_rank(j);
             let release = cx.b.nop(w, &[leader_exit]);
-            out.set(l, vec![release]);
+            out.set(l, &[release]);
         }
     }
     out

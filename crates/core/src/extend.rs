@@ -10,10 +10,10 @@
 use crate::allreduce::{ascend_reduce, inter_reduce};
 use crate::bcast::descend_bcast;
 use crate::config::HanConfig;
+use crate::levels::{GroupPlan, NodeSplit};
 use han_colls::p2p::{dissemination_barrier, ring_allgather};
-use han_colls::stack::{split_with_root, sublocals, BuildCtx};
+use han_colls::stack::{split_with_root, BuildCtx, RankIndex};
 use han_colls::Frontier;
-use han_machine::Topology;
 use han_mpi::{BufRange, Comm, DataType, OpId, OpKind, ProgramBuilder, ReduceOp};
 
 /// Hierarchical `MPI_Reduce` to comm-local `root`: a pipelined `sr` → `ir`
@@ -34,113 +34,122 @@ pub fn build_reduce(
         return deps.clone();
     }
     let root_world = comm.world_rank(root);
-    let (low, up) = split_with_root(comm, &cx.topo, root_world);
-    let up_locals = sublocals(comm, &up);
-    let low_locals: Vec<Vec<usize>> = low.iter().map(|lc| sublocals(comm, lc)).collect();
+    let split = NodeSplit::rooted(comm, &cx.topo, root_world);
+    let up = &split.up;
     let up_root = up.local_rank(root_world).expect("root leads its node");
     let nl = up.size();
     let node = cx.node;
 
     // Segment at datatype granularity: a reduction segment must hold a
     // whole number of elements.
-    let topo = cx.topo;
     let levels = cx.levels;
     let el = dtype.size() as u64;
     let fs = han_machine::coarsen_fs((cfg.fs / el).max(1) * el, bufs[0].len, &node, &levels);
-    let segs: Vec<Vec<BufRange>> = bufs.iter().map(|bf| bf.segments(fs)).collect();
-    let u = segs[0].len();
+    let u = bufs[0].nsegments(fs);
 
-    let mut boundary: Vec<Vec<OpId>> = up_locals.iter().map(|&l| deps.get(l).to_vec()).collect();
-    let mut child_chain: Vec<Vec<OpId>> = (0..n).map(|l| deps.get(l).to_vec()).collect();
-    let mut sr_leader: Vec<Vec<Vec<OpId>>> = vec![vec![Vec::new(); nl]; u];
+    let mut boundary = deps.project(&split.up_locals);
+    let mut child_chain = deps.clone();
+    // sr(t)'s completion at each leader, consumed by ir(t) one step later.
+    let mut sr_prev = Frontier::empty(nl);
+    // Scratch reused by every step.
+    let mut sr = Frontier::empty(nl);
+    let mut issued_leader = Frontier::empty(nl);
+    let mut seg_bufs: Vec<BufRange> = Vec::new();
+    let mut sub_deps = Frontier::default();
+    let mut up_deps = Frontier::default();
 
     for t in 0..u + 1 {
-        let mut issued_leader: Vec<Vec<OpId>> = vec![Vec::new(); nl];
+        issued_leader.reset(nl);
 
         if t < u {
-            for (ni, lc) in low.iter().enumerate() {
-                let locals = &low_locals[ni];
-                let sub_bufs: Vec<BufRange> = locals.iter().map(|&l| segs[l][t]).collect();
-                let mut sub_deps = Frontier::empty(lc.size());
-                sub_deps.set(0, boundary[ni].clone());
+            for (ni, lc) in split.low.iter().enumerate() {
+                let locals = &split.low_locals[ni];
+                seg_bufs.clear();
+                seg_bufs.extend(locals.iter().map(|&l| bufs[l].segment(fs, t)));
+                sub_deps.reset(lc.size());
+                sub_deps.set(0, boundary.get(ni));
                 for (j, &l) in locals.iter().enumerate().skip(1) {
-                    sub_deps.set(j, child_chain[l].clone());
+                    sub_deps.set(j, child_chain.get(l));
                 }
                 let f = ascend_reduce(
-                    cx.b, cfg, &topo, &node, &levels, 1, lc, &sub_bufs, &sub_deps, op, dtype,
+                    cx.b,
+                    cfg,
+                    &node,
+                    &levels,
+                    &split.plans[ni],
+                    lc,
+                    &seg_bufs,
+                    &sub_deps,
+                    op,
+                    dtype,
                 );
-                sr_leader[t][ni] = f.get(0).to_vec();
-                issued_leader[ni].extend_from_slice(f.get(0));
+                sr.set(ni, f.get(0));
+                issued_leader.extend(ni, f.get(0));
                 for (j, &l) in locals.iter().enumerate().skip(1) {
-                    child_chain[l] = f.get(j).to_vec();
+                    child_chain.set(l, f.get(j));
                 }
             }
         }
         if t >= 1 {
             let i = t - 1;
-            let up_bufs: Vec<BufRange> = up_locals.iter().map(|&l| segs[l][i]).collect();
-            let mut up_deps = Frontier::empty(nl);
+            seg_bufs.clear();
+            seg_bufs.extend(split.up_locals.iter().map(|&l| bufs[l].segment(fs, i)));
+            up_deps.reset(nl);
             for ul in 0..nl {
-                let mut d = boundary[ul].clone();
-                d.extend_from_slice(&sr_leader[i][ul]);
-                up_deps.set(ul, d);
+                up_deps.set(ul, boundary.get(ul));
+                up_deps.extend(ul, sr_prev.get(ul));
             }
-            let f = inter_reduce(cx.b, cfg, &up, up_root, &up_bufs, &up_deps, op, dtype);
+            let f = inter_reduce(cx.b, cfg, up, up_root, &seg_bufs, &up_deps, op, dtype);
             for ul in 0..nl {
-                issued_leader[ul].extend_from_slice(f.get(ul));
+                issued_leader.extend(ul, f.get(ul));
             }
         }
+        std::mem::swap(&mut sr, &mut sr_prev);
         for ul in 0..nl {
-            if !issued_leader[ul].is_empty() {
-                let j = cx.b.nop(up.world_rank(ul), &issued_leader[ul]);
-                boundary[ul] = vec![j];
+            if !issued_leader.get(ul).is_empty() {
+                let j = cx.b.nop(up.world_rank(ul), issued_leader.get(ul));
+                boundary.set(ul, &[j]);
             }
         }
     }
 
-    let mut frontier = Frontier::empty(n);
-    for (ul, &l) in up_locals.iter().enumerate() {
-        frontier.set(l, boundary[ul].clone());
-    }
-    for l in 0..n {
-        if frontier.get(l).is_empty() {
-            frontier.set(l, child_chain[l].clone());
-        }
+    // Leaders end at their last join, everyone else at its own chain.
+    let mut frontier = child_chain;
+    for (ul, &l) in split.up_locals.iter().enumerate() {
+        frontier.set(l, boundary.get(ul));
     }
     frontier
 }
 
-/// Recursive arrival: fold a level-`level` group's members up to its
-/// leader, one flag join per level. At the innermost level this is the
-/// classic per-node arrive (child flags + one leader join); above it the
-/// subgroup joins chain upward. Returns the group leader's join op.
+/// Recursive arrival: fold a group's members up to its leader along its
+/// [`GroupPlan`], one flag join per level. At the innermost level this is
+/// the classic per-node arrive (child flags + one leader join); above it
+/// the subgroup joins chain upward. `locals[j]` is the comm-local index of
+/// the group's local rank `j`. Returns the group leader's join op.
 fn arrive_level(
     b: &mut ProgramBuilder,
-    topo: &Topology,
-    level: usize,
+    plan: &GroupPlan,
     gc: &Comm,
     locals: &[usize],
     deps: &Frontier,
 ) -> OpId {
     let wleader = gc.world_rank(0);
-    if level + 1 >= topo.depth() {
-        let mut arrive = deps.get(locals[0]).to_vec();
-        for (j, &l) in locals.iter().enumerate().skip(1) {
-            let w = gc.world_rank(j);
-            let flag = b.nop(w, deps.get(l));
-            arrive.push(flag);
+    let subs = match plan {
+        GroupPlan::Flat { .. } => {
+            let mut arrive = deps.get(locals[0]).to_vec();
+            for (j, &l) in locals.iter().enumerate().skip(1) {
+                let w = gc.world_rank(j);
+                let flag = b.nop(w, deps.get(l));
+                arrive.push(flag);
+            }
+            return b.nop(wleader, &arrive);
         }
-        return b.nop(wleader, &arrive);
-    }
-    let (subs, _) = gc.split_level(topo, level);
-    if subs.len() == 1 {
-        return arrive_level(b, topo, level + 1, gc, locals, deps);
-    }
+        GroupPlan::Split { subs, .. } => subs,
+    };
     let mut arrive = Vec::with_capacity(subs.len());
-    for sc in &subs {
-        let sc_in_gc = sublocals(gc, sc);
-        let sc_locals: Vec<usize> = sc_in_gc.iter().map(|&l| locals[l]).collect();
-        arrive.push(arrive_level(b, topo, level + 1, sc, &sc_locals, deps));
+    for sub in subs {
+        let sc_locals: Vec<usize> = sub.locals.iter().map(|&l| locals[l]).collect();
+        arrive.push(arrive_level(b, &sub.plan, &sub.comm, &sc_locals, deps));
     }
     b.nop(wleader, &arrive)
 }
@@ -149,33 +158,29 @@ fn arrive_level(
 /// subgroup leaders wait on it, then release their own members.
 fn release_level(
     b: &mut ProgramBuilder,
-    topo: &Topology,
-    level: usize,
+    plan: &GroupPlan,
     gc: &Comm,
     locals: &[usize],
     entry: &[OpId],
     out: &mut Frontier,
 ) {
-    if level + 1 >= topo.depth() {
-        let wleader = gc.world_rank(0);
-        let leader_exit = b.nop(wleader, entry);
-        out.set(locals[0], vec![leader_exit]);
-        for (j, &l) in locals.iter().enumerate().skip(1) {
-            let w = gc.world_rank(j);
-            let release = b.nop(w, &[leader_exit]);
-            out.set(l, vec![release]);
+    match plan {
+        GroupPlan::Flat { .. } => {
+            let wleader = gc.world_rank(0);
+            let leader_exit = b.nop(wleader, entry);
+            out.set(locals[0], &[leader_exit]);
+            for (j, &l) in locals.iter().enumerate().skip(1) {
+                let w = gc.world_rank(j);
+                let release = b.nop(w, &[leader_exit]);
+                out.set(l, &[release]);
+            }
         }
-        return;
-    }
-    let (subs, _) = gc.split_level(topo, level);
-    if subs.len() == 1 {
-        release_level(b, topo, level + 1, gc, locals, entry, out);
-        return;
-    }
-    for sc in &subs {
-        let sc_in_gc = sublocals(gc, sc);
-        let sc_locals: Vec<usize> = sc_in_gc.iter().map(|&l| locals[l]).collect();
-        release_level(b, topo, level + 1, sc, &sc_locals, entry, out);
+        GroupPlan::Split { subs, .. } => {
+            for sub in subs {
+                let sc_locals: Vec<usize> = sub.locals.iter().map(|&l| locals[l]).collect();
+                release_level(b, &sub.plan, &sub.comm, &sc_locals, entry, out);
+            }
+        }
     }
 }
 
@@ -189,27 +194,26 @@ pub fn build_barrier(cx: &mut BuildCtx, comm: &Comm, deps: &Frontier) -> Frontie
     if n == 1 {
         return deps.clone();
     }
-    let topo = cx.topo;
-    let (low, up) = comm.split_node(&topo);
+    let split = NodeSplit::node(comm, &cx.topo);
 
     // Phase 1: arrival — each leader joins its node's members, level by
     // level.
-    let mut up_deps = Frontier::empty(up.size());
-    for (ni, lc) in low.iter().enumerate() {
-        let locals = sublocals(comm, lc);
-        let joined = arrive_level(cx.b, &topo, 1, lc, &locals, deps);
-        up_deps.set(ni, vec![joined]);
+    let mut up_deps = Frontier::empty(split.up.size());
+    for (ni, lc) in split.low.iter().enumerate() {
+        let locals = &split.low_locals[ni];
+        let joined = arrive_level(cx.b, &split.plans[ni], lc, locals, deps);
+        up_deps.set(ni, &[joined]);
     }
 
     // Phase 2: inter-node dissemination across leaders.
-    let f_up = dissemination_barrier(cx.b, &up, &up_deps);
+    let f_up = dissemination_barrier(cx.b, &split.up, &up_deps);
 
     // Phase 3: release — members wait on their leaders' exits, level by
     // level.
     let mut out = Frontier::empty(n);
-    for (ni, lc) in low.iter().enumerate() {
-        let locals = sublocals(comm, lc);
-        release_level(cx.b, &topo, 1, lc, &locals, f_up.get(ni), &mut out);
+    for (ni, lc) in split.low.iter().enumerate() {
+        let locals = &split.low_locals[ni];
+        release_level(cx.b, &split.plans[ni], lc, locals, f_up.get(ni), &mut out);
     }
     out
 }
@@ -251,18 +255,19 @@ pub fn build_gather(
             },
             deps.get(0),
         );
-        return Frontier::from_ops(vec![cp]);
+        return Frontier::from_ops(&[cp]);
     }
     let root_world = comm.world_rank(root);
     let (low, up) = split_with_root(comm, &cx.topo, root_world);
-    let up_locals = sublocals(comm, &up);
+    let index = RankIndex::new(comm);
+    let up_locals = index.locals(&up);
     let mut out = Frontier::empty(n);
 
     // Phase 1: each leader pulls its node's blocks into a node array.
     let mut node_arrays = Vec::with_capacity(low.len());
     let mut leader_ready: Vec<Vec<OpId>> = Vec::with_capacity(low.len());
     for lc in &low {
-        let locals = sublocals(comm, lc);
+        let locals = index.locals(lc);
         let wleader = lc.world_rank(0);
         let members: Vec<usize> = lc.ranks().to_vec();
         let arr =
@@ -376,10 +381,11 @@ pub fn build_scatter(
             },
             deps.get(0),
         );
-        return Frontier::from_ops(vec![cp]);
+        return Frontier::from_ops(&[cp]);
     }
     let root_world = comm.world_rank(root);
     let (low, _up) = split_with_root(comm, &cx.topo, root_world);
+    let index = RankIndex::new(comm);
     let mut out = Frontier::empty(n);
 
     // Phase 1: root sends each node's slice to its leader.
@@ -403,7 +409,7 @@ pub fn build_scatter(
                 Some(slice),
                 Some(arr),
                 deps.get(root),
-                deps.get(comm.local_rank(wleader).unwrap()),
+                deps.get(index.local(wleader)),
             );
             out.push(root, snd);
             node_arrays.push(arr);
@@ -413,7 +419,7 @@ pub fn build_scatter(
 
     // Phase 2: each rank takes its block from the leader's array.
     for (ni, lc) in low.iter().enumerate() {
-        let locals = sublocals(comm, lc);
+        let locals = index.locals(lc);
         let wleader = lc.world_rank(0);
         let members: Vec<usize> = lc.ranks().to_vec();
         for (j, &l) in locals.iter().enumerate() {
@@ -469,7 +475,8 @@ pub fn build_allgather(
         comm.ranks().windows(2).all(|w| w[0] < w[1]),
         "allgather requires an ascending-rank communicator"
     );
-    let (low, up) = comm.split_node(&cx.topo);
+    let split = NodeSplit::node(comm, &cx.topo);
+    let (low, up, up_locals) = (&split.low, &split.up, &split.up_locals);
     let ppn = low[0].size();
     assert!(
         low.iter().all(|lc| lc.size() == ppn),
@@ -479,11 +486,10 @@ pub fn build_allgather(
 
     // Phase 1: gather node blocks into each leader's slice of its own
     // (full-size) buffer.
-    let up_locals = sublocals(comm, &up);
     let mut leader_ready: Vec<Vec<OpId>> = Vec::with_capacity(low.len());
     let mut out = Frontier::empty(n);
     for (ni, lc) in low.iter().enumerate() {
-        let locals = sublocals(comm, lc);
+        let locals = &split.low_locals[ni];
         let wleader = lc.world_rank(0);
         let leader_l = up_locals[ni];
         let node_slice = bufs[leader_l].slice(ni as u64 * node_bytes, node_bytes);
@@ -519,28 +525,29 @@ pub fn build_allgather(
     let up_bufs: Vec<BufRange> = up_locals.iter().map(|&l| bufs[l]).collect();
     let mut up_deps = Frontier::empty(up.size());
     for (ul, r) in leader_ready.iter().enumerate() {
-        up_deps.set(ul, r.clone());
+        up_deps.set(ul, r);
     }
-    let f_up = ring_allgather(cx.b, &up, &up_bufs, node_bytes, &up_deps);
+    let f_up = ring_allgather(cx.b, up, &up_bufs, node_bytes, &up_deps);
 
     // Phase 3: intra-node broadcast of the full array.
     for (ni, lc) in low.iter().enumerate() {
-        let locals = sublocals(comm, lc);
+        let locals = &split.low_locals[ni];
         let sub_bufs: Vec<BufRange> = locals.iter().map(|&l| bufs[l]).collect();
-        let mut sub_deps = Frontier::empty(lc.size());
-        sub_deps.set(0, f_up.get(ni).to_vec());
-        for (j, &l) in locals.iter().enumerate().skip(1) {
-            sub_deps.set(j, deps.get(l).to_vec());
-        }
-        let topo = cx.topo;
+        let mut sub_deps = deps.project(locals);
+        sub_deps.set(0, f_up.get(ni));
         let levels = cx.levels;
         let f = descend_bcast(
-            cx.b, cfg, &topo, &cx.node, &levels, 1, lc, &sub_bufs, &sub_deps,
+            cx.b,
+            cfg,
+            &cx.node,
+            &levels,
+            &split.plans[ni],
+            lc,
+            &sub_bufs,
+            &sub_deps,
         );
         for (j, &l) in locals.iter().enumerate() {
-            let mut v = out.get(l).to_vec();
-            v.extend_from_slice(f.get(j));
-            out.set(l, v);
+            out.extend(l, f.get(j));
         }
     }
     out

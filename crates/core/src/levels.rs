@@ -33,8 +33,15 @@
 //!   see them.
 //!
 //! [`order`] materializes the list for dispatch, reporting, and docs.
+//!
+//! Builders split a communicator once per build: `NodeSplit` holds the
+//! node groups, their leaders, every member's comm-local index and each
+//! group's `GroupPlan` through the deeper levels. The per-segment loops
+//! walk these instead of re-splitting every subgroup for every segment.
 
+use han_colls::stack::{split_with_root, RankIndex};
 use han_machine::Topology;
+use han_mpi::Comm;
 
 /// What medium a hierarchy level communicates over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,6 +79,101 @@ pub fn order(topo: &Topology) -> Vec<Level> {
             },
         })
         .collect()
+}
+
+/// A communicator split into its node groups (the two-level
+/// `split_type` decomposition), computed once per build.
+pub(crate) struct NodeSplit {
+    /// One intra-node communicator per node with members; local 0 leads.
+    pub low: Vec<Comm>,
+    /// The node leaders; up-local `i` leads `low[i]`.
+    pub up: Comm,
+    /// Comm-local index of each leader, in up-local order.
+    pub up_locals: Vec<usize>,
+    /// `low_locals[i][j]`: comm-local index of `low[i]`'s local rank `j`.
+    pub low_locals: Vec<Vec<usize>>,
+    /// `plans[i]`: how `low[i]` recurses through levels `1..depth`.
+    pub plans: Vec<GroupPlan>,
+}
+
+impl NodeSplit {
+    /// Split by node, each node led by its lowest-local member.
+    pub fn node(comm: &Comm, topo: &Topology) -> Self {
+        let (low, up) = comm.split_node(topo);
+        Self::index(comm, topo, low, up)
+    }
+
+    /// Split by node with the root leading its own node (see
+    /// [`split_with_root`]).
+    pub fn rooted(comm: &Comm, topo: &Topology, root_world: usize) -> Self {
+        let (low, up) = split_with_root(comm, topo, root_world);
+        Self::index(comm, topo, low, up)
+    }
+
+    fn index(comm: &Comm, topo: &Topology, low: Vec<Comm>, up: Comm) -> Self {
+        let index = RankIndex::new(comm);
+        NodeSplit {
+            up_locals: index.locals(&up),
+            low_locals: low.iter().map(|lc| index.locals(lc)).collect(),
+            plans: low.iter().map(|lc| GroupPlan::new(topo, 1, lc)).collect(),
+            low,
+            up,
+        }
+    }
+}
+
+/// How a level-`level` group whose local rank 0 holds (or receives) the
+/// data moves it through the remaining levels — split once per build and
+/// walked by every segment.
+pub(crate) enum GroupPlan {
+    /// The innermost level: one flat submodule operation at `level`.
+    Flat { level: usize },
+    /// A cross-subgroup hop among the subgroup leaders at `level`, then
+    /// each subgroup recurses.
+    Split {
+        level: usize,
+        leaders: Comm,
+        /// Group-local index of each subgroup's leader.
+        leader_locals: Vec<usize>,
+        subs: Vec<SubGroup>,
+    },
+}
+
+/// One subgroup of a [`GroupPlan::Split`].
+pub(crate) struct SubGroup {
+    pub comm: Comm,
+    /// Group-local index of each member; member 0 leads.
+    pub locals: Vec<usize>,
+    pub plan: GroupPlan,
+}
+
+impl GroupPlan {
+    /// Plan group `gc` from level `level` down. A level with a single
+    /// subgroup moves nothing and is skipped.
+    pub fn new(topo: &Topology, level: usize, gc: &Comm) -> Self {
+        if level + 1 >= topo.depth() {
+            return GroupPlan::Flat { level };
+        }
+        let (subs, leaders) = gc.split_level(topo, level);
+        if subs.len() == 1 {
+            return GroupPlan::new(topo, level + 1, gc);
+        }
+        let index = RankIndex::new(gc);
+        let subs: Vec<SubGroup> = subs
+            .into_iter()
+            .map(|comm| SubGroup {
+                locals: index.locals(&comm),
+                plan: GroupPlan::new(topo, level + 1, &comm),
+                comm,
+            })
+            .collect();
+        GroupPlan::Split {
+            level,
+            leaders,
+            leader_locals: subs.iter().map(|s| s.locals[0]).collect(),
+            subs,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,8 @@
 use crate::allreduce::{ascend_reduce, inter_reduce};
 use crate::bcast::{descend_bcast, inter_bcast};
 use crate::config::HanConfig;
-use han_colls::stack::{split_with_root, sublocals, BuildCtx};
+use crate::levels::NodeSplit;
+use han_colls::stack::BuildCtx;
 use han_colls::Frontier;
 use han_machine::MachinePreset;
 use han_mpi::{BufRange, Comm, DataType, OpId, Program, ProgramBuilder, ReduceOp};
@@ -140,9 +141,8 @@ pub fn task_program(
     let mut b = ProgramBuilder::new(n);
     let mut cx = BuildCtx::new(&mut b, preset);
     let levels = cx.levels;
-    let (low, up) = split_with_root(&comm, &cx.topo, root_world);
-    let up_locals = sublocals(&comm, &up);
-    let low_locals: Vec<Vec<usize>> = low.iter().map(|lc| sublocals(&comm, lc)).collect();
+    let split = NodeSplit::rooted(&comm, &cx.topo, root_world);
+    let (low, up, up_locals) = (&split.low, &split.up, &split.up_locals);
     let up_root = up.local_rank(root_world).expect("root leads its node");
     let nl = up.size();
     let node = preset.node;
@@ -161,16 +161,15 @@ pub fn task_program(
     if spec.sr {
         let bufs = alloc_bufs(&mut cx);
         for (ni, lc) in low.iter().enumerate() {
-            let locals = &low_locals[ni];
+            let locals = &split.low_locals[ni];
             let sub_bufs: Vec<BufRange> = locals.iter().map(|&l| bufs[l]).collect();
             let sub_deps = Frontier::empty(lc.size());
             let f = ascend_reduce(
                 cx.b,
                 cfg,
-                &preset.topology,
                 &node,
                 &levels,
-                1,
+                &split.plans[ni],
                 lc,
                 &sub_bufs,
                 &sub_deps,
@@ -188,7 +187,7 @@ pub fn task_program(
         let f = inter_reduce(
             cx.b,
             cfg,
-            &up,
+            up,
             up_root,
             &up_bufs,
             &empty_up,
@@ -205,7 +204,7 @@ pub fn task_program(
         // Task benchmarking probes the primary tree; route-dependent
         // alternates differ only in shape, which the ib task model
         // already captures through the tree-cost terms.
-        let f = inter_bcast(cx.b, cfg, &up, up_root, &up_bufs, &empty_up, 0);
+        let f = inter_bcast(cx.b, cfg, up, up_root, &up_bufs, &empty_up, 0);
         for ul in 0..nl {
             leader_ops[ul].extend_from_slice(f.get(ul));
         }
@@ -213,16 +212,15 @@ pub fn task_program(
     if spec.sb {
         let bufs = alloc_bufs(&mut cx);
         for (ni, lc) in low.iter().enumerate() {
-            let locals = &low_locals[ni];
+            let locals = &split.low_locals[ni];
             let sub_bufs: Vec<BufRange> = locals.iter().map(|&l| bufs[l]).collect();
             let sub_deps = Frontier::empty(lc.size());
             let f = descend_bcast(
                 cx.b,
                 cfg,
-                &preset.topology,
                 &node,
                 &levels,
-                1,
+                &split.plans[ni],
                 lc,
                 &sub_bufs,
                 &sub_deps,

@@ -48,18 +48,29 @@ impl BufRange {
     /// Split into `n` contiguous segments of `seg` bytes (last may be
     /// short), the unit of HAN's pipelining.
     pub fn segments(&self, seg: u64) -> Vec<BufRange> {
+        (0..self.nsegments(seg))
+            .map(|i| self.segment(seg, i))
+            .collect()
+    }
+
+    /// How many segments [`BufRange::segments`] yields (1 for an empty
+    /// range).
+    pub fn nsegments(&self, seg: u64) -> usize {
         assert!(seg > 0, "segment size must be positive");
         if self.len == 0 {
-            return vec![*self];
+            1
+        } else {
+            self.len.div_ceil(seg) as usize
         }
-        let mut out = Vec::with_capacity(self.len.div_ceil(seg) as usize);
-        let mut off = 0;
-        while off < self.len {
-            let len = seg.min(self.len - off);
-            out.push(self.slice(off, len));
-            off += len;
+    }
+
+    /// Segment `i` of [`BufRange::segments`], without building the list.
+    pub fn segment(&self, seg: u64, i: usize) -> BufRange {
+        if self.len == 0 {
+            return *self;
         }
-        out
+        let off = i as u64 * seg;
+        self.slice(off, seg.min(self.len - off))
     }
 }
 

@@ -202,8 +202,8 @@ enum Ev {
 /// "No entry" sentinel for `u32` id slots in [`DepGraph`].
 const NONE_U32: u32 = u32::MAX;
 
-/// "Not yet happened" sentinel for per-message timestamps (the virtual
-/// clock never legitimately reaches `Time::MAX`).
+/// "Not yet happened" sentinel for per-op finish and per-message
+/// timestamps (the virtual clock never legitimately reaches `Time::MAX`).
 const UNSET: Time = Time::MAX;
 
 /// Bus traffic factor for reductions: operands are read and the result
@@ -231,54 +231,31 @@ struct DepGraph {
     msg_recv_op: Vec<u32>,
     /// Ops with no dependencies, in op-id order: the ready-queue seeds.
     roots: Vec<u32>,
-    indeg0: Vec<u32>,
-    cursor: Vec<u32>,
 }
 
 impl DepGraph {
-    /// Rebuild from `prog`, reusing every allocation.
-    fn build(&mut self, prog: &Program) {
-        let n = prog.ops.len();
-        self.nops = n;
-        self.nmsgs = prog.msgs.len();
-        self.op_rank.clear();
-        self.indeg0.clear();
-        self.roots.clear();
-        self.msg_send_op.clear();
-        self.msg_send_op.resize(self.nmsgs, NONE_U32);
-        self.msg_recv_op.clear();
-        self.msg_recv_op.resize(self.nmsgs, NONE_U32);
-        for (i, op) in prog.ops.iter().enumerate() {
-            self.op_rank.push(op.rank);
-            match op.kind {
-                OpKind::Send { msg } => self.msg_send_op[msg.0 as usize] = i as u32,
-                OpKind::Recv { msg } => self.msg_recv_op[msg.0 as usize] = i as u32,
-                _ => {}
-            }
-            let ndeps = prog.dep_off[i + 1] - prog.dep_off[i];
-            self.indeg0.push(ndeps);
-            if ndeps == 0 {
-                self.roots.push(i as u32);
-            }
-        }
-        // Children CSR by counting sort over the flat dep array.
+    /// Rebuild the children CSR from `prog`'s dependency CSR, reusing the
+    /// allocations. A counting sort leaves `child_off[d]` at the end of
+    /// `d`'s block; filling back to front then walks each block down to
+    /// its start, so every list comes out in ascending op order with no
+    /// separate cursor array.
+    fn build_children(&mut self, prog: &Program) {
+        let n = self.nops;
         self.child_off.clear();
         self.child_off.resize(n + 1, 0);
         for d in &prog.dep {
-            self.child_off[d.0 as usize + 1] += 1;
+            self.child_off[d.0 as usize] += 1;
         }
-        for i in 0..n {
-            self.child_off[i + 1] += self.child_off[i];
+        for i in 1..=n {
+            self.child_off[i] += self.child_off[i - 1];
         }
         self.child.clear();
         self.child.resize(prog.dep.len(), 0);
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.child_off[..n]);
-        for i in 0..n {
+        for i in (0..n).rev() {
             for d in prog.deps(OpId(i as u32)) {
-                let c = &mut self.cursor[d.0 as usize];
-                self.child[*c as usize] = i as u32;
-                *c += 1;
+                let end = &mut self.child_off[d.0 as usize];
+                *end -= 1;
+                self.child[*end as usize] = i as u32;
             }
         }
     }
@@ -377,8 +354,8 @@ struct Executor {
     graph: DepGraph,
     indeg: Vec<u32>,
     ready_at: Vec<Time>,
+    /// Finish time per op; `UNSET` until the op finishes.
     finish: Vec<Time>,
-    done: Vec<bool>,
     // Per-message SoA state ("not yet" = UNSET for the timestamps).
     msg_send_posted: Vec<Time>,
     msg_recv_posted: Vec<Time>,
@@ -423,40 +400,58 @@ impl Executor {
         (report, self.mem.take())
     }
 
-    /// Rebuild the compact dispatch tables: the ready handler for the
-    /// trivial kinds (Nop/Sleep/Delay — the bulk of fine-grained DAGs)
-    /// reads one byte and one `Time` instead of the much wider `Op`.
-    fn build_kind_tables(&mut self, prog: &Program) {
-        self.kind_tag.clear();
-        self.kind_dur.clear();
-        for op in &prog.ops {
-            let (tag, dur) = match op.kind {
-                OpKind::Nop => (TAG_NOP, Time::ZERO),
-                OpKind::Sleep { dur } => (TAG_SLEEP, dur),
-                OpKind::Delay { dur } => (TAG_DELAY, dur),
-                _ => (TAG_OTHER, Time::ZERO),
-            };
-            self.kind_tag.push(tag);
-            self.kind_dur.push(dur);
-        }
-    }
-
     /// Reset all per-run state for `prog` (keeping allocations), rebuild
     /// its dependency structure and seed the ready queue from the
     /// zero-in-degree roots.
     fn prepare(&mut self, prog: &Program, opts: &ExecOpts) {
         debug_assert_eq!(prog.validate(), Ok(()));
-        self.graph.build(prog);
-        let n = self.graph.nops;
-        let nm = self.graph.nmsgs;
-        self.q.reset();
-        self.build_kind_tables(prog);
+        let n = prog.ops.len();
+        let nm = prog.msgs.len();
+        let g = &mut self.graph;
+        g.nops = n;
+        g.nmsgs = nm;
+        g.op_rank.clear();
+        g.roots.clear();
+        g.msg_send_op.clear();
+        g.msg_send_op.resize(nm, NONE_U32);
+        g.msg_recv_op.clear();
+        g.msg_recv_op.resize(nm, NONE_U32);
         self.indeg.clear();
-        self.indeg.extend_from_slice(&self.graph.indeg0);
+        self.kind_tag.clear();
+        self.kind_dur.clear();
+        // One walk over the ops fills their ranks, the compact dispatch
+        // tables (the ready handler for the trivial kinds — Nop/Sleep/Delay,
+        // the bulk of fine-grained DAGs — reads one byte and one `Time`
+        // instead of the much wider `Op`), message endpoints, in-degrees
+        // and roots.
+        for (i, op) in prog.ops.iter().enumerate() {
+            g.op_rank.push(op.rank);
+            let (tag, dur) = match op.kind {
+                OpKind::Nop => (TAG_NOP, Time::ZERO),
+                OpKind::Sleep { dur } => (TAG_SLEEP, dur),
+                OpKind::Delay { dur } => (TAG_DELAY, dur),
+                OpKind::Send { msg } => {
+                    g.msg_send_op[msg.0 as usize] = i as u32;
+                    (TAG_OTHER, Time::ZERO)
+                }
+                OpKind::Recv { msg } => {
+                    g.msg_recv_op[msg.0 as usize] = i as u32;
+                    (TAG_OTHER, Time::ZERO)
+                }
+                _ => (TAG_OTHER, Time::ZERO),
+            };
+            self.kind_tag.push(tag);
+            self.kind_dur.push(dur);
+            let ndeps = prog.dep_off[i + 1] - prog.dep_off[i];
+            self.indeg.push(ndeps);
+            if ndeps == 0 {
+                g.roots.push(i as u32);
+            }
+        }
+        g.build_children(prog);
+        self.q.reset();
         self.finish.clear();
-        self.finish.resize(n, Time::ZERO);
-        self.done.clear();
-        self.done.resize(n, false);
+        self.finish.resize(n, UNSET);
         self.ready_at.clear();
         match &opts.start_times {
             // A rank executes nothing before its arrival time: floor every
@@ -808,8 +803,7 @@ impl Executor {
 
     fn on_finish(&mut self, cx: &mut Ctx, t: Time, op: OpId) {
         let idx = op.0 as usize;
-        debug_assert!(!self.done[idx], "op {idx} finished twice");
-        self.done[idx] = true;
+        debug_assert!(self.finish[idx] == UNSET, "op {idx} finished twice");
         self.finish[idx] = t;
         self.completed += 1;
 

@@ -51,8 +51,8 @@ fn main() {
         after_reduce.get(7),
     );
     let mut mid = after_reduce.clone();
-    mid.set(1, vec![snd]);
-    mid.set(7, vec![rcv]);
+    mid.set(1, &[snd]);
+    mid.set(7, &[rcv]);
     build_bcast(&mut cx, &cfg, &comm, 7, &bufs, &mid);
     let prog = b.build();
     println!("program: {} ops over {} ranks", prog.len(), n);

@@ -1,0 +1,320 @@
+//! Golden-file regression for program construction: an FNV-1a digest of
+//! every field the executor reads (`ops`, `dep_off`, `dep`, `msgs`) for
+//! HAN and the baseline stacks on two-level, three-level, multi-rail and
+//! deep GPU presets, pinned in `tests/golden/program_digests.json`.
+//!
+//! A builder refactor must leave every program identical op for op, so
+//! any digest change here is a behaviour change, not noise.
+//!
+//! To re-bless after an *intentional* change:
+//!
+//! ```text
+//! HAN_BLESS=1 cargo test --test golden_programs
+//! ```
+
+use han::machine::{dgx_like, gpu_hier};
+use han::mpi::{BufRange, OpKind, Program};
+use han::prelude::*;
+use serde::{Deserialize, Serialize};
+use std::path::PathBuf;
+use std::sync::Arc;
+
+/// One pinned program.
+#[derive(Debug, Serialize, Deserialize)]
+struct GoldenProgram {
+    case: String,
+    ops: usize,
+    digest: String,
+}
+
+fn golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/program_digests.json")
+}
+
+/// 64-bit FNV-1a.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn buf(&mut self, r: Option<BufRange>) {
+        match r {
+            None => self.u64(u64::MAX),
+            Some(r) => {
+                self.u64(r.off);
+                self.u64(r.len);
+            }
+        }
+    }
+
+    fn kind(&mut self, k: &OpKind) {
+        match *k {
+            OpKind::Nop => self.u64(0),
+            OpKind::Delay { dur } => {
+                self.u64(1);
+                self.u64(dur.as_ps());
+            }
+            OpKind::Sleep { dur } => {
+                self.u64(2);
+                self.u64(dur.as_ps());
+            }
+            OpKind::Copy { bytes, src, dst } => {
+                self.u64(3);
+                self.u64(bytes);
+                self.buf(src);
+                self.buf(dst);
+            }
+            OpKind::CrossCopy {
+                from,
+                bytes,
+                src,
+                dst,
+            } => {
+                self.u64(4);
+                self.u64(u64::from(from));
+                self.u64(bytes);
+                self.buf(src);
+                self.buf(dst);
+            }
+            OpKind::Reduce {
+                bytes,
+                vectorized,
+                op,
+                dtype,
+                src,
+                dst,
+            } => {
+                self.u64(5);
+                self.u64(bytes);
+                self.bytes(format!("{vectorized}{op:?}{dtype:?}").as_bytes());
+                self.buf(src);
+                self.buf(dst);
+            }
+            OpKind::ReduceFrom {
+                from,
+                bytes,
+                vectorized,
+                op,
+                dtype,
+                src,
+                dst,
+            } => {
+                self.u64(6);
+                self.u64(u64::from(from));
+                self.u64(bytes);
+                self.bytes(format!("{vectorized}{op:?}{dtype:?}").as_bytes());
+                self.buf(src);
+                self.buf(dst);
+            }
+            OpKind::Send { msg } => {
+                self.u64(7);
+                self.u64(u64::from(msg.0));
+            }
+            OpKind::Recv { msg } => {
+                self.u64(8);
+                self.u64(u64::from(msg.0));
+            }
+        }
+    }
+}
+
+/// Digest of the op DAG and its message table.
+fn digest(p: &Program) -> String {
+    let mut h = Fnv::new();
+    h.u64(p.nranks as u64);
+    h.u64(p.ops.len() as u64);
+    for op in &p.ops {
+        h.u64(u64::from(op.rank));
+        h.kind(&op.kind);
+    }
+    for &o in &p.dep_off {
+        h.u64(u64::from(o));
+    }
+    for d in &p.dep {
+        h.u64(u64::from(d.0));
+    }
+    h.u64(p.msgs.len() as u64);
+    for m in &p.msgs {
+        h.u64(u64::from(m.src));
+        h.u64(u64::from(m.dst));
+        h.u64(m.bytes);
+        h.buf(m.sbuf);
+        h.buf(m.dbuf);
+    }
+    format!("{:016x}", h.0)
+}
+
+/// Fixed HAN configurations covering every submodule, tree shape,
+/// internal segmentation, segment routing and per-level override.
+fn han_configs() -> Vec<(&'static str, HanConfig)> {
+    vec![
+        ("default", HanConfig::default().with_fs(64 * 1024)),
+        (
+            "libnbc-solo",
+            HanConfig::default()
+                .with_fs(256 * 1024)
+                .with_inter(InterModule::Libnbc, InterAlg::Binomial)
+                .with_intra(IntraModule::Solo),
+        ),
+        (
+            "chain-sm-seg",
+            HanConfig {
+                ibs: Some(16 * 1024),
+                irs: Some(32 * 1024),
+                ..HanConfig::default()
+                    .with_fs(128 * 1024)
+                    .with_inter(InterModule::Adapt, InterAlg::Chain)
+            },
+        ),
+        (
+            "binary-routed-deep",
+            HanConfig::default()
+                .with_fs(32 * 1024)
+                .with_inter(InterModule::Adapt, InterAlg::Binary)
+                .with_route(3, InterAlg::Chain)
+                .with_deep(2, IntraModule::Solo),
+        ),
+    ]
+}
+
+const HAN_COLLS: [Coll; 3] = [Coll::Bcast, Coll::Allreduce, Coll::Reduce];
+
+/// Build one program and pin it; a collective the stack does not
+/// implement is skipped.
+fn push(
+    out: &mut Vec<GoldenProgram>,
+    case: String,
+    stack: &dyn MpiStack,
+    preset: &MachinePreset,
+    coll: Coll,
+    m: u64,
+    root: usize,
+) {
+    if let Ok(p) = build_coll(stack, preset, coll, m, root) {
+        out.push(GoldenProgram {
+            case,
+            ops: p.ops.len(),
+            digest: digest(&p),
+        });
+    }
+}
+
+fn programs() -> Vec<GoldenProgram> {
+    let mut out = Vec::new();
+    let presets = [
+        shaheen2_ppn(16, 12),
+        mini3(2, 2, 2),
+        dgx_like(2, 4),
+        gpu_hier(&[2, 2, 2, 2]),
+    ];
+    let sizes = [4u64, 48 * 1024, 1 << 20];
+    for preset in &presets {
+        let n = preset.topology.world_size();
+        for (label, cfg) in han_configs() {
+            let han = Han::with_config(cfg);
+            for coll in HAN_COLLS {
+                for m in sizes {
+                    // A root that is neither rank 0 nor a node leader.
+                    let root = if coll == Coll::Allreduce { 0 } else { n - 1 };
+                    let case =
+                        format!("{}/han-{label}/{}/{m}/root{root}", preset.name, coll.name());
+                    push(&mut out, case, &han, preset, coll, m, root);
+                }
+            }
+        }
+        // The block-redistribution and barrier collectives, once each.
+        let han = Han::with_config(HanConfig::default());
+        for coll in [Coll::Gather, Coll::Scatter, Coll::Allgather, Coll::Barrier] {
+            let case = format!("{}/han-default/{}/1024/root1", preset.name, coll.name());
+            push(&mut out, case, &han, preset, coll, 1024, 1);
+        }
+    }
+
+    // Paper scale, configured from the committed Shaheen table exactly as
+    // the Fig. 10/13 reproduction does.
+    let table = LookupTable::load(
+        &PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/table_shaheen.json"),
+    )
+    .expect("results/table_shaheen.json loads");
+    let han = Han::tuned(Arc::new(table));
+    let paper = shaheen2_ppn(128, 32);
+    for coll in [Coll::Bcast, Coll::Allreduce] {
+        for m in [4u64, 1 << 20] {
+            let case = format!("{}-128x32/han-table/{}/{m}/root0", paper.name, coll.name());
+            push(&mut out, case, &han, &paper, coll, m, 0);
+        }
+    }
+
+    // The other stacks of the Fig. 10/12 lineups, on every collective.
+    let preset = shaheen2_ppn(16, 12);
+    let stacks: Vec<(&str, Box<dyn MpiStack>)> = vec![
+        ("tuned", Box::new(TunedOpenMpi)),
+        ("cray", Box::new(VendorMpi::cray())),
+        ("intel", Box::new(VendorMpi::intel())),
+        ("mvapich2", Box::new(VendorMpi::mvapich2())),
+    ];
+    for (label, stack) in &stacks {
+        for coll in Coll::ALL {
+            for m in [1024u64, 8 << 20] {
+                let case = format!("{}/{label}/{}/{m}/root5", preset.name, coll.name());
+                push(&mut out, case, stack.as_ref(), &preset, coll, m, 5);
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn built_programs_match_golden_digests() {
+    let got = programs();
+    let path = golden_path();
+    if std::env::var("HAN_BLESS").is_ok() {
+        let json = serde_json::to_string_pretty(&got).unwrap();
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, json + "\n").unwrap();
+        println!("blessed {} programs into {}", got.len(), path.display());
+        return;
+    }
+    let golden: Vec<GoldenProgram> =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "missing golden file {} ({e}); run HAN_BLESS=1",
+                path.display()
+            )
+        }))
+        .expect("golden file parses");
+    assert_eq!(got.len(), golden.len(), "program count changed");
+    let diffs: Vec<String> = got
+        .iter()
+        .zip(&golden)
+        .filter(|(g, w)| {
+            (g.case.as_str(), g.ops, g.digest.as_str())
+                != (w.case.as_str(), w.ops, w.digest.as_str())
+        })
+        .map(|(g, w)| {
+            format!(
+                "{}: got {} ops {} , golden {} {} ops {}",
+                g.case, g.ops, g.digest, w.case, w.ops, w.digest
+            )
+        })
+        .collect();
+    assert!(
+        diffs.is_empty(),
+        "{} programs changed:\n{}",
+        diffs.len(),
+        diffs.join("\n")
+    );
+}
