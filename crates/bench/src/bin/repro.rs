@@ -25,18 +25,18 @@
 //! 128×32 = 4096 ranks; Stampede2: 32×48 = 1536; tuning: 64×12 = 768).
 //! `--scale mini` shrinks every experiment for quick smoke runs.
 //!
-//! Fig. 8/9 share one in-memory [`han_tuner::CostCache`] across the
-//! strategies and collectives of one invocation. Virtual times are
+//! Fig. 8 and Fig. 9 each run one sweep whose strategies and collectives
+//! share one in-memory [`han_tuner::CostCache`]. Virtual times are
 //! identical with or without it — only wall-clock changes.
 //!
 //! An unknown flag, or an unknown `--scale` or `--levels` value, exits
 //! with code 2 and lists the accepted flags or values.
 //!
-//! `--no-prune` disables the analytic lower-bound pruning of exhaustive
-//! sweeps (Fig. 8). Pruning is on by default and never changes the winner
-//! table — only how many candidates are simulated; Fig. 9 always runs the
-//! exhaustive sweep unpruned because it needs the full sample
-//! distribution (best/median/average), not just the winners.
+//! Fig. 8 bound-prunes its exhaustive sweeps: pruning never changes the
+//! winner table, only how many candidates are simulated. Fig. 9 runs its
+//! own unpruned sweep, because it needs the full sample distribution
+//! (best/median/average), not just the winners; it leaves
+//! `results/fig8.json` alone.
 //!
 //! `--levels 3` runs every experiment on the three-level (socketized)
 //! forms of the machines — `[nodes, sockets, cores]` with a cross-socket
@@ -77,8 +77,6 @@ struct Cfg {
     /// Hierarchy depth: 2 = the paper's flat node/rank machines, 3 = the
     /// socketized `[nodes, sockets, cores]` forms.
     levels: usize,
-    /// Bound-prune exhaustive sweeps (`--no-prune` turns this off).
-    prune: bool,
 }
 
 impl Cfg {
@@ -356,17 +354,16 @@ fn fig6(_cfg: &Cfg) {
     save_json("fig6", &out).ok();
 }
 
-/// Fig. 8: total tuning time of the four strategies. `prune` bound-prunes
-/// the exhaustive sweeps (winner tables are provably unchanged); callers
-/// that consume the full sample distribution must pass `false`.
-fn fig8(cfg: &Cfg, prune: bool) -> ([han_tuner::TuneResult; 4], Arc<CostCache>) {
+/// Tune Bcast+Allreduce on the tuning machine with each of the four
+/// strategies, sharing one cost cache; returns the results and each
+/// strategy's wall time. `prune` bound-prunes the exhaustive sweeps
+/// (winner tables are provably unchanged); callers that consume the full
+/// sample distribution must pass `false`.
+fn tune_strategies(
+    cfg: &Cfg,
+    prune: bool,
+) -> ([han_tuner::TuneResult; 4], Vec<f64>, Arc<CostCache>) {
     let preset = cfg.tuning();
-    println!(
-        "## Fig. 8 — total search time, Bcast+Allreduce, {} nodes x {} ppn{}\n",
-        preset.topology.nodes(),
-        preset.topology.ppn(),
-        if prune { " (bound-pruned)" } else { "" }
-    );
     let mut space = SearchSpace::standard();
     if cfg.scale == Scale::Mini {
         space.msg_sizes = sizes(4, 1 << 20);
@@ -394,6 +391,30 @@ fn fig8(cfg: &Cfg, prune: bool) -> ([han_tuner::TuneResult; 4], Arc<CostCache>) 
             r
         })
         .collect();
+    for r in &results {
+        for s in &r.skipped {
+            println!("[skipped] {} ({})", s, r.strategy.name());
+            // Bcast and Allreduce are mandatory on every stack, so any
+            // skip in this sweep is a regression — fail the run.
+            gate::note(s);
+        }
+    }
+    let results = results
+        .try_into()
+        .unwrap_or_else(|_| unreachable!("four strategies"));
+    (results, walls, cache)
+}
+
+/// Fig. 8: total tuning time of the four strategies, with bound-pruned
+/// exhaustive sweeps.
+fn fig8(cfg: &Cfg) {
+    let preset = cfg.tuning();
+    println!(
+        "## Fig. 8 — total search time, Bcast+Allreduce, {} nodes x {} ppn (bound-pruned)\n",
+        preset.topology.nodes(),
+        preset.topology.ppn(),
+    );
+    let (results, walls, cache) = tune_strategies(cfg, true);
     let base = results[0].tuning_time.as_secs_f64();
     let mut t = Table::new(&[
         "strategy",
@@ -420,32 +441,20 @@ fn fig8(cfg: &Cfg, prune: bool) -> ([han_tuner::TuneResult; 4], Arc<CostCache>) 
         ));
     }
     println!("{}", t.render());
-    for r in &results {
-        for s in &r.skipped {
-            println!("[skipped] {} ({})", s, r.strategy.name());
-            // Bcast and Allreduce are mandatory on every stack, so any
-            // skip in this sweep is a regression — fail the run.
-            gate::note(s);
-        }
-    }
     let s = cache.stats();
     println!(
         "cost cache: {} hits / {} misses ({} coll + {} task entries)\n",
         s.hits, s.misses, s.coll_entries, s.task_entries
     );
     save_json("fig8", &out).ok();
-    let results = results
-        .try_into()
-        .unwrap_or_else(|_| unreachable!("four strategies"));
-    (results, cache)
 }
 
 /// Fig. 9: achieved collective latency per tuning method, against the
 /// exhaustive best/median/average.
 fn fig9(cfg: &Cfg) {
     // Fig. 9 reports the exhaustive best/median/average distribution, so
-    // the sweep must sample *every* candidate — pruning is forced off.
-    let (results, cache) = fig8(cfg, false);
+    // the sweep must sample *every* candidate — pruning is off.
+    let (results, _, cache) = tune_strategies(cfg, false);
     let preset = cfg.tuning();
     println!("## Fig. 9 — achieved latency by tuning method (us)\n");
     let probe_sizes: Vec<u64> = results[0]
@@ -1117,13 +1126,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Paper;
     let mut levels = 2usize;
-    let mut prune = true;
     let mut what = "all".to_string();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "--no-prune" {
-            prune = false;
-        } else if a == "--scale" {
+        if a == "--scale" {
             let scales = [("paper", Scale::Paper), ("mini", Scale::Mini)];
             scale = gate::choose("scale", flag_value(&mut it, "scale"), &scales);
         } else if a == "--levels" {
@@ -1131,17 +1137,13 @@ fn main() {
             levels = gate::choose("levels", flag_value(&mut it, "levels"), &depths);
         } else if a.starts_with("--") {
             gate::usage_error(format!(
-                "unknown flag {a}; accepted flags: --scale --levels --no-prune"
+                "unknown flag {a}; accepted flags: --scale --levels"
             ));
         } else {
             what = a.clone();
         }
     }
-    let cfg = Cfg {
-        scale,
-        levels,
-        prune,
-    };
+    let cfg = Cfg { scale, levels };
     if levels > 2 {
         // Deep sweeps write results/<fig>_d3.json; two-level files stay put.
         han_bench::report::set_result_suffix(&format!("_d{levels}"));
@@ -1174,9 +1176,7 @@ fn main() {
         "fig4" => fig4(&cfg),
         "fig6" => fig6(&cfg),
         "fig7" => fig7(&cfg),
-        "fig8" => {
-            fig8(&cfg, cfg.prune);
-        }
+        "fig8" => fig8(&cfg),
         "fig9" => fig9(&cfg),
         "fig10" => fig10(&cfg),
         "fig11" => fig11(&cfg),
@@ -1197,7 +1197,8 @@ fn main() {
             fig4(&cfg);
             fig6(&cfg);
             fig7(&cfg);
-            fig9(&cfg); // includes fig8
+            fig8(&cfg);
+            fig9(&cfg);
             fig10(&cfg);
             fig11(&cfg);
             fig12(&cfg);

@@ -24,8 +24,8 @@ pub fn ping_pong(preset: &MachinePreset, flavor: Flavor, bytes: u64) -> NetpipeR
     let comm = Comm::world(n);
     let peer = comm.world_rank(preset.topology.ppn()); // node 1, local 0
     let mut b = ProgramBuilder::new(n);
-    let (_, r1) = b.send_recv(0, peer, bytes, None, None, &[], &[]);
-    b.send_recv(peer, 0, bytes, None, None, &[r1], &[]);
+    let (_, r1) = b.signal(0, peer, bytes, &[], &[]);
+    b.signal(peer, 0, bytes, &[r1], &[]);
     let prog = b.build();
     let mut machine = Machine::from_preset(preset);
     let rep = execute(&mut machine, &prog, &ExecOpts::timing(flavor.p2p()));

@@ -66,6 +66,10 @@ fn repro_rejects_bad_flag_values() {
             &["fig2", "--scale", "mini", "--no-prun"],
             "unknown flag --no-prun;",
         ),
+        (
+            &["fig8", "--no-prune"],
+            "unknown flag --no-prune; accepted flags: --scale --levels",
+        ),
         (&["fig8", "--levels", "4"], "2|3"),
         (&["fig8", "--scale"], "missing value for --scale"),
         (

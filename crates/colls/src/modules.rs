@@ -245,9 +245,8 @@ impl Sm {
         let cp_in = b.op(
             wroot,
             OpKind::Copy {
-                bytes,
-                src: Some(bufs[root]),
-                dst: Some(bounce),
+                src: bufs[root],
+                dst: bounce,
             },
             deps.get(root),
         );
@@ -268,9 +267,8 @@ impl Sm {
                 wl,
                 OpKind::CrossCopy {
                     from: wroot as u32,
-                    bytes,
-                    src: Some(bounce),
-                    dst: Some(bufs[l]),
+                    src: bounce,
+                    dst: bufs[l],
                 },
                 &[flags],
             );
@@ -313,9 +311,8 @@ impl Sm {
             let cp = b.op(
                 wl,
                 OpKind::Copy {
-                    bytes,
-                    src: Some(bufs[l]),
-                    dst: Some(slot),
+                    src: bufs[l],
+                    dst: slot,
                 },
                 deps.get(l),
             );
@@ -331,12 +328,11 @@ impl Sm {
                 wroot,
                 OpKind::ReduceFrom {
                     from: wl as u32,
-                    bytes,
                     vectorized: false,
                     op,
                     dtype,
-                    src: Some(slot),
-                    dst: Some(bufs[root]),
+                    src: slot,
+                    dst: bufs[root],
                 },
                 &rdeps,
             );
@@ -369,7 +365,6 @@ impl Solo {
         if n == 1 {
             return deps.clone();
         }
-        let bytes = bufs[0].len;
         let wroot = comm.world_rank(root);
         let mut out = Frontier::empty(n);
         // Root exposes its buffer (window epoch).
@@ -389,9 +384,8 @@ impl Solo {
                 wl,
                 OpKind::CrossCopy {
                     from: wroot as u32,
-                    bytes,
-                    src: Some(bufs[root]),
-                    dst: Some(bufs[l]),
+                    src: bufs[root],
+                    dst: bufs[l],
                 },
                 &[sync],
             );
@@ -418,7 +412,6 @@ impl Solo {
         if n == 1 {
             return deps.clone();
         }
-        let bytes = bufs[0].len;
         let wroot = comm.world_rank(root);
         let mut out = Frontier::empty(n);
         let mut last: Option<han_mpi::OpId> = None;
@@ -440,12 +433,11 @@ impl Solo {
                 wroot,
                 OpKind::ReduceFrom {
                     from: wl as u32,
-                    bytes,
                     vectorized: true,
                     op,
                     dtype,
-                    src: Some(bufs[l]),
-                    dst: Some(bufs[root]),
+                    src: bufs[l],
+                    dst: bufs[root],
                 },
                 &rdeps,
             );

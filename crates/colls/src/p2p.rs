@@ -65,9 +65,8 @@ pub fn tree_bcast(
                 let (snd, rcv) = b.send_recv(
                     wv,
                     wc,
-                    seg_v.len,
-                    Some(seg_v),
-                    Some(bufs[lc].segment(seg, s)),
+                    seg_v,
+                    bufs[lc].segment(seg, s),
                     &sdeps,
                     deps.get(lc),
                 );
@@ -149,17 +148,15 @@ pub fn tree_reduce(
                 let seg_c = bufs[lc].segment(seg_sz, s);
                 let bytes = seg_c.len;
                 let slot = scratch.slice(0, bytes);
-                let (snd, rcv) =
-                    b.send_recv(wc, wv, bytes, Some(seg_c), Some(slot), &sdeps, &rdeps);
+                let (snd, rcv) = b.send_recv(wc, wv, seg_c, slot, &sdeps, &rdeps);
                 let red = b.op(
                     wv,
                     OpKind::Reduce {
-                        bytes,
                         vectorized,
                         op,
                         dtype,
-                        src: Some(slot),
-                        dst: Some(bufs[lv].segment(seg_sz, s)),
+                        src: slot,
+                        dst: bufs[lv].segment(seg_sz, s),
                     },
                     &[rcv],
                 );
@@ -225,21 +222,19 @@ pub fn rd_allreduce(
         let (snd, rcv) = b.send_recv(
             we,
             wo,
-            msg,
-            Some(bufs[even]),
-            Some(scratch[odd]),
+            bufs[even],
+            scratch[odd],
             cur.get(even),
             cur.get(odd),
         );
         let red = b.op(
             wo,
             OpKind::Reduce {
-                bytes: msg,
                 vectorized,
                 op,
                 dtype,
-                src: Some(scratch[odd]),
-                dst: Some(bufs[odd]),
+                src: scratch[odd],
+                dst: bufs[odd],
             },
             &[rcv],
         );
@@ -264,47 +259,29 @@ pub fn rd_allreduce(
             let pl = active[pnr];
             let (wl, wp) = (comm.world_rank(l), comm.world_rank(pl));
             // l -> pl
-            let (s1, r1) = b.send_recv(
-                wl,
-                wp,
-                msg,
-                Some(bufs[l]),
-                Some(scratch[pl]),
-                cur.get(l),
-                cur.get(pl),
-            );
+            let (s1, r1) = b.send_recv(wl, wp, bufs[l], scratch[pl], cur.get(l), cur.get(pl));
             // pl -> l
-            let (s2, r2) = b.send_recv(
-                wp,
-                wl,
-                msg,
-                Some(bufs[pl]),
-                Some(scratch[l]),
-                cur.get(pl),
-                cur.get(l),
-            );
+            let (s2, r2) = b.send_recv(wp, wl, bufs[pl], scratch[l], cur.get(pl), cur.get(l));
             // Reduce after both the local send snapshot and the recv.
             let red_l = b.op(
                 wl,
                 OpKind::Reduce {
-                    bytes: msg,
                     vectorized,
                     op,
                     dtype,
-                    src: Some(scratch[l]),
-                    dst: Some(bufs[l]),
+                    src: scratch[l],
+                    dst: bufs[l],
                 },
                 &[r2, s1],
             );
             let red_p = b.op(
                 wp,
                 OpKind::Reduce {
-                    bytes: msg,
                     vectorized,
                     op,
                     dtype,
-                    src: Some(scratch[pl]),
-                    dst: Some(bufs[pl]),
+                    src: scratch[pl],
+                    dst: bufs[pl],
                 },
                 &[r1, s2],
             );
@@ -318,15 +295,7 @@ pub fn rd_allreduce(
     for i in 0..rem {
         let (even, odd) = (2 * i, 2 * i + 1);
         let (we, wo) = (comm.world_rank(even), comm.world_rank(odd));
-        let (snd, rcv) = b.send_recv(
-            wo,
-            we,
-            msg,
-            Some(bufs[odd]),
-            Some(bufs[even]),
-            cur.get(odd),
-            cur.get(even),
-        );
+        let (snd, rcv) = b.send_recv(wo, we, bufs[odd], bufs[even], cur.get(odd), cur.get(even));
         cur.push(odd, snd);
         cur.set(even, &[rcv]);
     }
@@ -372,21 +341,19 @@ pub fn rabenseifner_allreduce(
         let (snd, rcv) = b.send_recv(
             we,
             wo,
-            msg,
-            Some(bufs[even]),
-            Some(scratch[odd]),
+            bufs[even],
+            scratch[odd],
             cur.get(even),
             cur.get(odd),
         );
         let red = b.op(
             wo,
             OpKind::Reduce {
-                bytes: msg,
                 vectorized,
                 op,
                 dtype,
-                src: Some(scratch[odd]),
-                dst: Some(bufs[odd]),
+                src: scratch[odd],
+                dst: bufs[odd],
             },
             &[rcv],
         );
@@ -423,42 +390,38 @@ pub fn rabenseifner_allreduce(
             let (s1, r1) = b.send_recv(
                 wl,
                 wp,
-                (give_l.1 - give_l.0) * el,
-                Some(r_of(bufs[l], give_l)),
-                Some(r_of(scratch[pl], keep_p)),
+                r_of(bufs[l], give_l),
+                r_of(scratch[pl], keep_p),
                 cur.get(l),
                 cur.get(pl),
             );
             let (s2, r2) = b.send_recv(
                 wp,
                 wl,
-                (give_p.1 - give_p.0) * el,
-                Some(r_of(bufs[pl], give_p)),
-                Some(r_of(scratch[l], keep_l)),
+                r_of(bufs[pl], give_p),
+                r_of(scratch[l], keep_l),
                 cur.get(pl),
                 cur.get(l),
             );
             let red_l = b.op(
                 wl,
                 OpKind::Reduce {
-                    bytes: (keep_l.1 - keep_l.0) * el,
                     vectorized,
                     op,
                     dtype,
-                    src: Some(r_of(scratch[l], keep_l)),
-                    dst: Some(r_of(bufs[l], keep_l)),
+                    src: r_of(scratch[l], keep_l),
+                    dst: r_of(bufs[l], keep_l),
                 },
                 &[r2, s1],
             );
             let red_p = b.op(
                 wp,
                 OpKind::Reduce {
-                    bytes: (keep_p.1 - keep_p.0) * el,
                     vectorized,
                     op,
                     dtype,
-                    src: Some(r_of(scratch[pl], keep_p)),
-                    dst: Some(r_of(bufs[pl], keep_p)),
+                    src: r_of(scratch[pl], keep_p),
+                    dst: r_of(bufs[pl], keep_p),
                 },
                 &[r1, s2],
             );
@@ -488,18 +451,16 @@ pub fn rabenseifner_allreduce(
             let (s1, r1) = b.send_recv(
                 wl,
                 wp,
-                (hi_l - lo_l) * el,
-                Some(r_of(bufs[l], (lo_l, hi_l))),
-                Some(r_of(bufs[pl], (lo_l, hi_l))),
+                r_of(bufs[l], (lo_l, hi_l)),
+                r_of(bufs[pl], (lo_l, hi_l)),
                 cur.get(l),
                 cur.get(pl),
             );
             let (s2, r2) = b.send_recv(
                 wp,
                 wl,
-                (hi_p - lo_p) * el,
-                Some(r_of(bufs[pl], (lo_p, hi_p))),
-                Some(r_of(bufs[l], (lo_p, hi_p))),
+                r_of(bufs[pl], (lo_p, hi_p)),
+                r_of(bufs[l], (lo_p, hi_p)),
                 cur.get(pl),
                 cur.get(l),
             );
@@ -517,15 +478,7 @@ pub fn rabenseifner_allreduce(
     for i in 0..rem {
         let (even, odd) = (2 * i, 2 * i + 1);
         let (we, wo) = (comm.world_rank(even), comm.world_rank(odd));
-        let (snd, rcv) = b.send_recv(
-            wo,
-            we,
-            msg,
-            Some(bufs[odd]),
-            Some(bufs[even]),
-            cur.get(odd),
-            cur.get(even),
-        );
+        let (snd, rcv) = b.send_recv(wo, we, bufs[odd], bufs[even], cur.get(odd), cur.get(even));
         cur.push(odd, snd);
         cur.set(even, &[rcv]);
     }
@@ -566,15 +519,7 @@ pub fn ring_allgather(
             let (wl, wr) = (comm.world_rank(l), comm.world_rank(right));
             let sbuf = bufs[l].slice(send_block as u64 * block, block);
             let dbuf = bufs[right].slice(send_block as u64 * block, block);
-            let (snd, rcv) = b.send_recv(
-                wl,
-                wr,
-                block,
-                Some(sbuf),
-                Some(dbuf),
-                cur.get(l),
-                cur.get(right),
-            );
+            let (snd, rcv) = b.send_recv(wl, wr, sbuf, dbuf, cur.get(l), cur.get(right));
             next.push(l, snd);
             next.push(right, rcv);
         }
@@ -605,9 +550,8 @@ pub fn linear_gather(
             let cp = b.op(
                 wroot,
                 OpKind::Copy {
-                    bytes: block,
-                    src: Some(src[l]),
-                    dst: Some(slot),
+                    src: src[l],
+                    dst: slot,
                 },
                 deps.get(l),
             );
@@ -616,9 +560,8 @@ pub fn linear_gather(
             let (snd, rcv) = b.send_recv(
                 comm.world_rank(l),
                 wroot,
-                block,
-                Some(src[l]),
-                Some(slot),
+                src[l],
+                slot,
                 deps.get(l),
                 deps.get(root),
             );
@@ -649,9 +592,8 @@ pub fn linear_scatter(
             let cp = b.op(
                 wroot,
                 OpKind::Copy {
-                    bytes: block,
-                    src: Some(slot),
-                    dst: Some(dst[l]),
+                    src: slot,
+                    dst: dst[l],
                 },
                 deps.get(l),
             );
@@ -660,9 +602,8 @@ pub fn linear_scatter(
             let (snd, rcv) = b.send_recv(
                 wroot,
                 comm.world_rank(l),
-                block,
-                Some(slot),
-                Some(dst[l]),
+                slot,
+                dst[l],
                 deps.get(root),
                 deps.get(l),
             );
@@ -689,12 +630,10 @@ pub fn dissemination_barrier(b: &mut ProgramBuilder, comm: &Comm, deps: &Frontie
         next.reset(n);
         for l in 0..n {
             let to = (l + dist) % n;
-            let (snd, rcv) = b.send_recv(
+            let (snd, rcv) = b.signal(
                 comm.world_rank(l),
                 comm.world_rank(to),
                 1,
-                None,
-                None,
                 cur.get(l),
                 cur.get(to),
             );

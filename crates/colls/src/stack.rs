@@ -8,9 +8,7 @@
 //! figure's "lines" are just different `MpiStack` values.
 
 use crate::frontier::Frontier;
-use han_machine::{
-    uniform_level_params, Flavor, LevelVec, Machine, MachinePreset, NodeParams, Topology,
-};
+use han_machine::{Flavor, LevelVec, Machine, MachinePreset, NodeParams, Topology};
 use han_mpi::{execute, BufRange, Comm, DataType, ExecOpts, ProgramBuilder, ReduceOp};
 use han_sim::Time;
 
@@ -35,23 +33,6 @@ impl<'a> BuildCtx<'a> {
             topo: preset.topology,
             node: preset.node,
             levels: preset.level_params(),
-        }
-    }
-
-    /// Context from raw parts with uniform per-level parameters (the
-    /// historical model; tests and custom collectives use this).
-    pub fn uniform(
-        b: &'a mut ProgramBuilder,
-        topo: Topology,
-        node: NodeParams,
-        net: han_machine::NetParams,
-    ) -> Self {
-        let levels = uniform_level_params(&topo, &node, &net);
-        BuildCtx {
-            b,
-            topo,
-            node,
-            levels,
         }
     }
 }

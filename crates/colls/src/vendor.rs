@@ -77,7 +77,6 @@ fn intra_bcast(
     if n == 1 {
         return deps.clone();
     }
-    let bytes = bufs[0].len;
     let w0 = comm.world_rank(0);
     let mut out = Frontier::empty(n);
     let ready = b.nop(w0, deps.get(0));
@@ -92,9 +91,8 @@ fn intra_bcast(
             wl,
             OpKind::CrossCopy {
                 from: w0 as u32,
-                bytes,
-                src: Some(bufs[0]),
-                dst: Some(bufs[l]),
+                src: bufs[0],
+                dst: bufs[l],
             },
             &ldeps,
         );
@@ -118,7 +116,6 @@ fn intra_reduce(
     if n == 1 {
         return deps.clone();
     }
-    let bytes = bufs[0].len;
     let w0 = comm.world_rank(0);
     let mut out = Frontier::empty(n);
     let mut last: Option<han_mpi::OpId> = None;
@@ -135,12 +132,11 @@ fn intra_reduce(
             w0,
             OpKind::ReduceFrom {
                 from: wl as u32,
-                bytes,
                 vectorized: true,
                 op,
                 dtype,
-                src: Some(bufs[l]),
-                dst: Some(bufs[0]),
+                src: bufs[l],
+                dst: bufs[0],
             },
             &rdeps,
         );

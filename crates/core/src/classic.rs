@@ -445,9 +445,8 @@ pub fn build_allgather(
                     wleader,
                     OpKind::CrossCopy {
                         from: w as u32,
-                        bytes: block,
-                        src: Some(my_block),
-                        dst: Some(slot),
+                        src: my_block,
+                        dst: slot,
                     },
                     &[expose],
                 )

@@ -249,9 +249,8 @@ pub fn build_gather(
         let cp = cx.b.op(
             comm.world_rank(0),
             OpKind::Copy {
-                bytes: block,
-                src: Some(src[0]),
-                dst: Some(dst_root),
+                src: src[0],
+                dst: dst_root,
             },
             deps.get(0),
         );
@@ -281,9 +280,8 @@ pub fn build_gather(
                 cx.b.op(
                     wleader,
                     OpKind::Copy {
-                        bytes: block,
-                        src: Some(src[l]),
-                        dst: Some(slot),
+                        src: src[l],
+                        dst: slot,
                     },
                     deps.get(l),
                 )
@@ -298,9 +296,8 @@ pub fn build_gather(
                     wleader,
                     OpKind::CrossCopy {
                         from: w as u32,
-                        bytes: block,
-                        src: Some(src[l]),
-                        dst: Some(slot),
+                        src: src[l],
+                        dst: slot,
                     },
                     &d,
                 )
@@ -328,9 +325,8 @@ pub fn build_gather(
             let cp = cx.b.op(
                 root_world,
                 OpKind::Copy {
-                    bytes: node_arrays[ul].len,
-                    src: Some(node_arrays[ul]),
-                    dst: Some(up_dst_slots[ul]),
+                    src: node_arrays[ul],
+                    dst: up_dst_slots[ul],
                 },
                 &leader_ready[ul],
             );
@@ -339,9 +335,8 @@ pub fn build_gather(
             let (snd, rcv) = cx.b.send_recv(
                 wleader,
                 root_world,
-                node_arrays[ul].len,
-                Some(node_arrays[ul]),
-                Some(up_dst_slots[ul]),
+                node_arrays[ul],
+                up_dst_slots[ul],
                 &leader_ready[ul],
                 deps.get(root),
             );
@@ -375,9 +370,8 @@ pub fn build_scatter(
         let cp = cx.b.op(
             comm.world_rank(0),
             OpKind::Copy {
-                bytes: block,
-                src: Some(src_root),
-                dst: Some(dst[0]),
+                src: src_root,
+                dst: dst[0],
             },
             deps.get(0),
         );
@@ -405,9 +399,8 @@ pub fn build_scatter(
             let (snd, rcv) = cx.b.send_recv(
                 root_world,
                 wleader,
-                sz,
-                Some(slice),
-                Some(arr),
+                slice,
+                arr,
                 deps.get(root),
                 deps.get(index.local(wleader)),
             );
@@ -429,9 +422,8 @@ pub fn build_scatter(
                 cx.b.op(
                     wleader,
                     OpKind::Copy {
-                        bytes: block,
-                        src: Some(slot),
-                        dst: Some(dst[l]),
+                        src: slot,
+                        dst: dst[l],
                     },
                     &leader_have[ni],
                 )
@@ -442,9 +434,8 @@ pub fn build_scatter(
                     w,
                     OpKind::CrossCopy {
                         from: wleader as u32,
-                        bytes: block,
-                        src: Some(slot),
-                        dst: Some(dst[l]),
+                        src: slot,
+                        dst: dst[l],
                     },
                     &d,
                 )
@@ -508,9 +499,8 @@ pub fn build_allgather(
                     wleader,
                     OpKind::CrossCopy {
                         from: w as u32,
-                        bytes: block,
-                        src: Some(my_block),
-                        dst: Some(slot),
+                        src: my_block,
+                        dst: slot,
                     },
                     &[expose],
                 )

@@ -7,7 +7,7 @@
 //! the machine to idle between benchmark repetitions.
 
 use crate::params::{LevelVec, NetParams, NodeParams};
-use crate::presets::{uniform_level_params, MachinePreset};
+use crate::presets::MachinePreset;
 use crate::topology::Topology;
 use han_sim::{ResourcePool, Time};
 
@@ -30,13 +30,6 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Build a uniform machine: per-level parameters derived from
-    /// `node`/`net` (the historical model).
-    pub fn new(topo: Topology, node: NodeParams, net: NetParams) -> Self {
-        let levels = uniform_level_params(&topo, &node, &net);
-        Machine::with_levels(topo, node, net, levels)
-    }
-
     /// Build a machine with explicit per-level link parameters.
     pub fn with_levels(topo: Topology, node: NodeParams, net: NetParams, levels: LevelVec) -> Self {
         assert_eq!(

@@ -331,24 +331,6 @@ impl NodeParams {
         Time::for_bytes(bytes, self.copy_rate)
     }
 
-    /// Bus occupancy for moving `bytes` across the node memory system.
-    #[inline]
-    pub fn bus_time(&self, bytes: u64) -> Time {
-        Time::for_bytes(bytes, self.bus_bw)
-    }
-
-    /// Bus occupancy for `bytes`, derated by the cross-socket factor when
-    /// the transfer crosses a shared-memory-domain boundary. With the
-    /// neutral factor (1.0) this is exactly [`NodeParams::bus_time`].
-    #[inline]
-    pub fn bus_time_crossing(&self, bytes: u64, cross_domain: bool) -> Time {
-        if cross_domain {
-            Time::for_bytes(bytes, self.bus_bw / self.xsocket_bus_factor)
-        } else {
-            self.bus_time(bytes)
-        }
-    }
-
     /// Local reduction compute time over `bytes`.
     #[inline]
     pub fn reduce_time(&self, bytes: u64, vectorized: bool) -> Time {
@@ -417,7 +399,6 @@ mod tests {
     fn derived_times() {
         let n = node();
         assert_eq!(n.copy_time(8_000_000_000), Time::from_secs_f64(1.0));
-        assert!(n.bus_time(1 << 20) < n.copy_time(1 << 20));
         assert!(n.reduce_time(1 << 20, true) < n.reduce_time(1 << 20, false));
     }
 
@@ -450,7 +431,6 @@ mod tests {
     #[test]
     fn neutral_xsocket_factor_is_free_and_unserialized() {
         let n = node();
-        assert_eq!(n.bus_time_crossing(1 << 20, true), n.bus_time(1 << 20));
         let json = serde_json::to_string(&n).expect("serialize");
         assert!(
             !json.contains("xsocket_bus_factor"),
@@ -607,11 +587,9 @@ mod tests {
     }
 
     #[test]
-    fn xsocket_factor_roundtrips_and_derates_bus() {
+    fn xsocket_factor_roundtrips() {
         let mut n = node();
         n.xsocket_bus_factor = 1.6;
-        assert!(n.bus_time_crossing(1 << 20, true) > n.bus_time(1 << 20));
-        assert_eq!(n.bus_time_crossing(1 << 20, false), n.bus_time(1 << 20));
         let json = serde_json::to_string(&n).expect("serialize");
         let back: NodeParams = serde_json::from_str(&json).expect("parse");
         assert_eq!(back.xsocket_bus_factor, 1.6);

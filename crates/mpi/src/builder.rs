@@ -81,35 +81,52 @@ impl ProgramBuilder {
         self.op(rank, OpKind::Sleep { dur }, deps)
     }
 
-    /// Create a matched send/recv pair carrying `bytes` from `src` to `dst`.
+    /// Create a matched send/recv pair moving the bytes of `sbuf` (on
+    /// `src`) into `dbuf` (on `dst`); the two ranges have equal lengths.
     ///
     /// Returns `(send_op, recv_op)`. The send depends on `sdeps` (data must
     /// be ready), the recv on `rdeps` (receive buffer must be free).
-    #[allow(clippy::too_many_arguments)]
     pub fn send_recv(
         &mut self,
         src: usize,
         dst: usize,
+        sbuf: BufRange,
+        dbuf: BufRange,
+        sdeps: &[OpId],
+        rdeps: &[OpId],
+    ) -> (OpId, OpId) {
+        self.message(src, dst, sbuf.len, Some((sbuf, dbuf)), sdeps, rdeps)
+    }
+
+    /// Create a matched send/recv pair that costs `bytes` on the wire but
+    /// moves no data: a flag, a token or a timing probe.
+    pub fn signal(
+        &mut self,
+        src: usize,
+        dst: usize,
         bytes: u64,
-        sbuf: Option<BufRange>,
-        dbuf: Option<BufRange>,
+        sdeps: &[OpId],
+        rdeps: &[OpId],
+    ) -> (OpId, OpId) {
+        self.message(src, dst, bytes, None, sdeps, rdeps)
+    }
+
+    fn message(
+        &mut self,
+        src: usize,
+        dst: usize,
+        bytes: u64,
+        payload: Option<(BufRange, BufRange)>,
         sdeps: &[OpId],
         rdeps: &[OpId],
     ) -> (OpId, OpId) {
         assert_ne!(src, dst, "self-message from rank {src}");
-        if let Some(r) = &sbuf {
-            debug_assert_eq!(r.len, bytes);
-        }
-        if let Some(r) = &dbuf {
-            debug_assert_eq!(r.len, bytes);
-        }
         let msg = MsgId(self.prog.msgs.len() as u32);
         self.prog.msgs.push(MsgMeta {
             src: src as u32,
             dst: dst as u32,
             bytes,
-            sbuf,
-            dbuf,
+            payload,
         });
         let s = self.op(src, OpKind::Send { msg }, sdeps);
         let r = self.op(dst, OpKind::Recv { msg }, rdeps);
@@ -155,22 +172,27 @@ mod tests {
     #[test]
     fn send_recv_creates_matched_pair() {
         let mut b = ProgramBuilder::new(2);
-        let (s, r) = b.send_recv(0, 1, 64, None, None, &[], &[]);
+        let (sbuf, dbuf) = (b.alloc(0, 64), b.alloc(1, 64));
+        let (s, r) = b.send_recv(0, 1, sbuf, dbuf, &[], &[]);
+        b.signal(1, 0, 8, &[r], &[]);
         let p = b.build();
         assert!(p.validate().is_ok());
         match (&p.op(s).kind, &p.op(r).kind) {
             (OpKind::Send { msg: m1 }, OpKind::Recv { msg: m2 }) => assert_eq!(m1, m2),
             other => panic!("unexpected kinds {other:?}"),
         }
-        assert_eq!(p.msgs.len(), 1);
+        assert_eq!(p.msgs.len(), 2);
         assert_eq!(p.msg(MsgId(0)).bytes, 64);
+        assert_eq!(p.msg(MsgId(0)).payload, Some((sbuf, dbuf)));
+        assert_eq!(p.msg(MsgId(1)).bytes, 8);
+        assert_eq!(p.msg(MsgId(1)).payload, None);
     }
 
     #[test]
     #[should_panic]
     fn self_send_panics() {
         let mut b = ProgramBuilder::new(2);
-        b.send_recv(1, 1, 8, None, None, &[], &[]);
+        b.signal(1, 1, 8, &[], &[]);
     }
 
     #[test]

@@ -538,7 +538,8 @@ impl Executor {
             OpKind::Nop | OpKind::Sleep { .. } | OpKind::Delay { .. } => {
                 unreachable!("trivial kinds dispatch off the tag table")
             }
-            OpKind::Copy { bytes, .. } | OpKind::CrossCopy { bytes, .. } => {
+            OpKind::Copy { src, .. } | OpKind::CrossCopy { src, .. } => {
+                let bytes = src.len;
                 // Local copies use the innermost link; cross-rank copies
                 // the link level joining the two ranks. On uniform
                 // machines both carry exactly the old bus/cross-socket
@@ -561,11 +562,12 @@ impl Executor {
                 self.q.push(e.max(be), Ev::Finish(op));
             }
             OpKind::Reduce {
-                bytes, vectorized, ..
+                vectorized, src, ..
             }
             | OpKind::ReduceFrom {
-                bytes, vectorized, ..
+                vectorized, src, ..
             } => {
+                let bytes = src.len;
                 let mut lvl = cx.m.topo.depth() - 1;
                 if let OpKind::ReduceFrom { from, .. } = o.kind {
                     debug_assert!(
@@ -600,7 +602,7 @@ impl Executor {
         // data is ready, and MPI forbids the sender from touching the
         // buffer until the send completes.
         if let Some(mem) = &self.mem {
-            if let Some(sbuf) = meta.sbuf {
+            if let Some((sbuf, _)) = meta.payload {
                 let mut data = self.payload_pool.pop().unwrap_or_default();
                 data.clear();
                 data.extend_from_slice(mem.read(rank, sbuf));
@@ -846,15 +848,9 @@ impl Executor {
         let mem = self.mem.as_mut().unwrap();
         let rank = o.rank as usize;
         match &o.kind {
-            OpKind::Copy { src, dst, .. } => {
-                if let (Some(s), Some(d)) = (src, dst) {
-                    mem.copy_within_rank(rank, *s, *d);
-                }
-            }
-            OpKind::CrossCopy { from, src, dst, .. } => {
-                if let (Some(s), Some(d)) = (src, dst) {
-                    mem.copy_across(*from as usize, *s, rank, *d);
-                }
+            OpKind::Copy { src, dst } => mem.copy_within_rank(rank, *src, *dst),
+            OpKind::CrossCopy { from, src, dst } => {
+                mem.copy_across(*from as usize, *src, rank, *dst)
             }
             OpKind::Reduce {
                 op: rop,
@@ -862,11 +858,7 @@ impl Executor {
                 src,
                 dst,
                 ..
-            } => {
-                if let (Some(s), Some(d)) = (src, dst) {
-                    mem.reduce(*dtype, *rop, rank, *s, rank, *d);
-                }
-            }
+            } => mem.reduce(*dtype, *rop, rank, *src, rank, *dst),
             OpKind::ReduceFrom {
                 from,
                 op: rop,
@@ -874,14 +866,10 @@ impl Executor {
                 src,
                 dst,
                 ..
-            } => {
-                if let (Some(s), Some(d)) = (src, dst) {
-                    mem.reduce(*dtype, *rop, *from as usize, *s, rank, *d);
-                }
-            }
+            } => mem.reduce(*dtype, *rop, *from as usize, *src, rank, *dst),
             OpKind::Recv { msg } => {
                 let meta = cx.prog.msg(*msg);
-                if let Some(dbuf) = meta.dbuf {
+                if let Some((_, dbuf)) = meta.payload {
                     if let Some(payload) = self.msg_payload[msg.0 as usize].take() {
                         mem.write(rank, dbuf, &payload);
                         self.payload_pool.push(payload);
@@ -958,7 +946,7 @@ mod tests {
     fn inter_node_eager_message_timing() {
         let mut m = machine(2, 1);
         let mut b = ProgramBuilder::new(2);
-        let (s, r) = b.send_recv(0, 1, 1024, None, None, &[], &[]);
+        let (s, r) = b.signal(0, 1, 1024, &[], &[]);
         let p = b.build();
         let rep = execute(&mut m, &p, &opts());
         // Eager send completes locally, before the recv.
@@ -972,7 +960,7 @@ mod tests {
         let mut m = machine(2, 1);
         let mut b = ProgramBuilder::new(2);
         let bytes = 1 << 20; // 1 MiB: rendezvous for every flavour
-        let (s, r) = b.send_recv(0, 1, bytes, None, None, &[], &[]);
+        let (s, r) = b.signal(0, 1, bytes, &[], &[]);
         let p = b.build();
         let rep = execute(&mut m, &p, &opts());
         let wire = m.net.wire_time(bytes);
@@ -990,7 +978,7 @@ mod tests {
         // Receiver sleeps 1 ms before posting.
         let mut b = ProgramBuilder::new(2);
         let z = b.sleep(1, Time::from_ms(1), &[]);
-        let (_, r) = b.send_recv(0, 1, bytes, None, None, &[], &[z]);
+        let (_, r) = b.signal(0, 1, bytes, &[], &[z]);
         let p = b.build();
         let rep = execute(&mut m, &p, &opts());
         assert!(rep.finish(r) > Time::from_ms(1));
@@ -1002,7 +990,7 @@ mod tests {
         let bytes = 512; // eager
         let mut b = ProgramBuilder::new(2);
         let z = b.sleep(1, Time::from_ms(1), &[]);
-        let (_, r) = b.send_recv(0, 1, bytes, None, None, &[], &[z]);
+        let (_, r) = b.signal(0, 1, bytes, &[], &[z]);
         let p = b.build();
         let rep = execute(&mut m, &p, &opts());
         // Data was already there; only the receiver-side completion
@@ -1018,12 +1006,12 @@ mod tests {
         let bytes = 4 << 20;
         let mut m = machine(3, 1);
         let mut b = ProgramBuilder::new(3);
-        b.send_recv(0, 1, bytes, None, None, &[], &[]);
-        b.send_recv(0, 2, bytes, None, None, &[], &[]);
+        b.signal(0, 1, bytes, &[], &[]);
+        b.signal(0, 2, bytes, &[], &[]);
         let two = execute(&mut m, &b.build(), &opts()).makespan;
 
         let mut b = ProgramBuilder::new(3);
-        b.send_recv(0, 1, bytes, None, None, &[], &[]);
+        b.signal(0, 1, bytes, &[], &[]);
         let one = execute(&mut m, &b.build(), &opts()).makespan;
 
         let ratio = two.as_ps() as f64 / one.as_ps() as f64;
@@ -1036,12 +1024,12 @@ mod tests {
         let bytes = 4 << 20;
         let mut m = machine(2, 1);
         let mut b = ProgramBuilder::new(2);
-        b.send_recv(0, 1, bytes, None, None, &[], &[]);
-        b.send_recv(1, 0, bytes, None, None, &[], &[]);
+        b.signal(0, 1, bytes, &[], &[]);
+        b.signal(1, 0, bytes, &[], &[]);
         let duplex = execute(&mut m, &b.build(), &opts()).makespan;
 
         let mut b = ProgramBuilder::new(2);
-        b.send_recv(0, 1, bytes, None, None, &[], &[]);
+        b.signal(0, 1, bytes, &[], &[]);
         let one = execute(&mut m, &b.build(), &opts()).makespan;
 
         let ratio = duplex.as_ps() as f64 / one.as_ps() as f64;
@@ -1053,7 +1041,7 @@ mod tests {
         let bytes = 64 * 1024;
         let mut m = machine(2, 2);
         let mut b = ProgramBuilder::new(4);
-        b.send_recv(0, 1, bytes, None, None, &[], &[]); // same node
+        b.signal(0, 1, bytes, &[], &[]); // same node
         let p = b.build();
         execute(&mut m, &p, &opts());
         assert_eq!(m.pool().get(m.nic_tx(0)).requests(), 0);
@@ -1066,10 +1054,10 @@ mod tests {
         let bytes = 1 << 20;
         let mut m = machine(2, 2);
         let mut b = ProgramBuilder::new(4);
-        b.send_recv(0, 1, bytes, None, None, &[], &[]); // intra
+        b.signal(0, 1, bytes, &[], &[]); // intra
         let intra = execute(&mut m, &b.build(), &opts()).makespan;
         let mut b = ProgramBuilder::new(4);
-        b.send_recv(0, 2, bytes, None, None, &[], &[]); // inter
+        b.signal(0, 2, bytes, &[], &[]); // inter
         let inter = execute(&mut m, &b.build(), &opts()).makespan;
         assert!(intra < inter, "intra {intra} should beat inter {inter}");
     }
@@ -1080,7 +1068,7 @@ mod tests {
         let mut b = ProgramBuilder::new(2);
         let sbuf = b.alloc(0, 8);
         let dbuf = b.alloc(1, 8);
-        b.send_recv(0, 1, 8, Some(sbuf), Some(dbuf), &[], &[]);
+        b.send_recv(0, 1, sbuf, dbuf, &[], &[]);
         let p = b.build();
         let o = ExecOpts::timing(Flavor::OpenMpi.p2p());
         let (_, mem) = execute_seeded(&mut m, &p, &o, |mm| {
@@ -1096,7 +1084,7 @@ mod tests {
         let mut b = ProgramBuilder::new(2);
         let sbuf = b.alloc(0, bytes);
         let dbuf = b.alloc(1, bytes);
-        b.send_recv(0, 1, bytes, Some(sbuf), Some(dbuf), &[], &[]);
+        b.send_recv(0, 1, sbuf, dbuf, &[], &[]);
         let p = b.build();
         let o = ExecOpts::timing(Flavor::OpenMpi.p2p());
         let (_, mem) = execute_seeded(&mut m, &p, &o, |mm| {
@@ -1116,12 +1104,11 @@ mod tests {
         b.op(
             0,
             OpKind::Reduce {
-                bytes: 8,
                 vectorized: true,
                 op: ReduceOp::Sum,
                 dtype: DataType::Int32,
-                src: Some(src),
-                dst: Some(dst),
+                src,
+                dst,
             },
             &[],
         );
@@ -1140,16 +1127,7 @@ mod tests {
         let mut b = ProgramBuilder::new(2);
         let src = b.alloc(0, 4);
         let dst = b.alloc(1, 4);
-        b.op(
-            1,
-            OpKind::CrossCopy {
-                from: 0,
-                bytes: 4,
-                src: Some(src),
-                dst: Some(dst),
-            },
-            &[],
-        );
+        b.op(1, OpKind::CrossCopy { from: 0, src, dst }, &[]);
         let p = b.build();
         let o = ExecOpts::timing(Flavor::OpenMpi.p2p());
         let (_, mem) = execute_seeded(&mut m, &p, &o, |mm| mm.write(0, src, &[9, 9, 8, 8]));
@@ -1183,7 +1161,7 @@ mod tests {
         for policy in [RailPolicy::RoundRobin, RailPolicy::Stripe] {
             let mut m = Machine::from_preset(&mini(2, 1).with_rails(1, policy));
             let mut b = ProgramBuilder::new(2);
-            b.send_recv(0, 1, bytes, None, None, &[], &[]);
+            b.signal(0, 1, bytes, &[], &[]);
             let r = execute(&mut m, &b.build(), &opts());
             times.push((r.makespan, r.events));
         }
@@ -1197,7 +1175,7 @@ mod tests {
         let run = |rails: usize, policy| {
             let mut m = Machine::from_preset(&mini(2, 1).with_rails(rails, policy));
             let mut b = ProgramBuilder::new(2);
-            b.send_recv(0, 1, bytes, None, None, &[], &[]);
+            b.signal(0, 1, bytes, &[], &[]);
             execute(&mut m, &b.build(), &opts()).makespan
         };
         let one = run(1, RailPolicy::RoundRobin);
@@ -1224,8 +1202,8 @@ mod tests {
         let run = |rails: usize| {
             let mut m = Machine::from_preset(&mini(3, 1).with_rails(rails, RailPolicy::RoundRobin));
             let mut b = ProgramBuilder::new(3);
-            b.send_recv(0, 1, bytes, None, None, &[], &[]);
-            b.send_recv(0, 2, bytes, None, None, &[], &[]);
+            b.signal(0, 1, bytes, &[], &[]);
+            b.signal(0, 2, bytes, &[], &[]);
             execute(&mut m, &b.build(), &opts()).makespan
         };
         let serial = run(1);
@@ -1255,7 +1233,7 @@ mod tests {
         let run = |p: &han_machine::MachinePreset| {
             let mut m = Machine::from_preset(p);
             let mut b = ProgramBuilder::new(4);
-            b.send_recv(0, 1, bytes, None, None, &[], &[]); // intra-node
+            b.signal(0, 1, bytes, &[], &[]); // intra-node
             execute(&mut m, &b.build(), &opts()).makespan
         };
         assert!(run(&fast) < run(&base));
@@ -1271,15 +1249,8 @@ mod tests {
         let run = |p: &han_machine::MachinePreset| {
             let mut m = Machine::from_preset(p);
             let mut b = ProgramBuilder::new(2);
-            b.op(
-                0,
-                OpKind::Copy {
-                    bytes: 64,
-                    src: None,
-                    dst: None,
-                },
-                &[],
-            );
+            let (src, dst) = (b.alloc(0, 64), b.alloc(0, 64));
+            b.op(0, OpKind::Copy { src, dst }, &[]);
             execute(&mut m, &b.build(), &opts()).makespan
         };
         let delta = run(&gpu) - run(&base);
@@ -1291,8 +1262,8 @@ mod tests {
         let mut ex = Executor::default();
         let mut m = machine(2, 2);
         let mut b = ProgramBuilder::new(4);
-        b.send_recv(0, 1, 4096, None, None, &[], &[]);
-        b.send_recv(0, 2, 1 << 20, None, None, &[], &[]);
+        b.signal(0, 1, 4096, &[], &[]);
+        b.signal(0, 2, 1 << 20, &[], &[]);
         let pa = b.build();
         let mut b = ProgramBuilder::new(4);
         let a = b.delay(0, Time::from_us(1), &[]);

@@ -37,45 +37,39 @@ pub enum OpKind {
     Delay { dur: Time },
     /// Waits without occupying any resource (benchmark-injected skew).
     Sleep { dur: Time },
-    /// Local memcpy: CPU at `copy_rate` + node memory bus.
-    Copy {
-        bytes: u64,
-        src: Option<BufRange>,
-        dst: Option<BufRange>,
-    },
-    /// One-sided read of `bytes` from another rank **on the same node**
-    /// (shared-memory mapping / XPMEM-style): this rank's CPU + the node
-    /// bus. The dependency edge from the producer supplies the
+    /// Local memcpy of `src` to `dst` (equal lengths): CPU at `copy_rate`
+    /// + node memory bus.
+    Copy { src: BufRange, dst: BufRange },
+    /// One-sided read of `src.len` bytes from another rank **on the same
+    /// node** (shared-memory mapping / XPMEM-style): this rank's CPU + the
+    /// node bus. The dependency edge from the producer supplies the
     /// happens-before flag.
     CrossCopy {
         from: u32,
-        bytes: u64,
         /// Range in `from`'s address space.
-        src: Option<BufRange>,
+        src: BufRange,
         /// Range in this rank's address space.
-        dst: Option<BufRange>,
+        dst: BufRange,
     },
     /// Local reduction `dst = op(dst, src)`: CPU at the scalar or AVX rate
     /// + bus for operand traffic.
     Reduce {
-        bytes: u64,
         vectorized: bool,
         op: ReduceOp,
         dtype: DataType,
-        src: Option<BufRange>,
-        dst: Option<BufRange>,
+        src: BufRange,
+        dst: BufRange,
     },
     /// Reduction reading the source operand one-sided from a same-node
     /// peer: `dst = op(dst, remote src)`. Used by the SM/SOLO reduce paths
     /// where the node leader consumes children's contributions in place.
     ReduceFrom {
         from: u32,
-        bytes: u64,
         vectorized: bool,
         op: ReduceOp,
         dtype: DataType,
-        src: Option<BufRange>,
-        dst: Option<BufRange>,
+        src: BufRange,
+        dst: BufRange,
     },
     /// The sending half of message `msg`.
     Send { msg: MsgId },
@@ -84,14 +78,16 @@ pub enum OpKind {
     Recv { msg: MsgId },
 }
 
-/// A pre-matched point-to-point message.
+/// A pre-matched point-to-point message of `bytes` bytes. A message with
+/// a `payload` moves the bytes of its send range (on `src`) into its
+/// receive range (on `dst`), both `bytes` long; one without only costs
+/// time and orders its receive after its send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MsgMeta {
     pub src: u32,
     pub dst: u32,
     pub bytes: u64,
-    pub sbuf: Option<BufRange>,
-    pub dbuf: Option<BufRange>,
+    pub payload: Option<(BufRange, BufRange)>,
 }
 
 /// One operation, owned by `rank`. It becomes runnable once every op in
@@ -178,61 +174,33 @@ impl Program {
                     return Err(format!("op {i}: forward/self dep on {}", d.0));
                 }
             }
-            let check_buf = |r: &Option<BufRange>, rank: u32, what: &str| -> Result<(), String> {
-                if let Some(r) = r {
-                    if !fits(r, self.mem_size[rank as usize]) {
+            let check_data = |from: u32, src: BufRange, dst: BufRange| -> Result<(), String> {
+                for (r, rank, what) in [(src, from, "src"), (dst, op.rank, "dst")] {
+                    if !fits(&r, self.mem_size[rank as usize]) {
                         return Err(format!(
                             "op {i}: {what} range of {} bytes at {} exceeds rank {rank} memory {}",
                             r.len, r.off, self.mem_size[rank as usize]
                         ));
                     }
                 }
+                if src.len != dst.len {
+                    return Err(format!(
+                        "op {i}: src of {} bytes but dst of {} bytes",
+                        src.len, dst.len
+                    ));
+                }
                 Ok(())
             };
-            match &op.kind {
-                OpKind::Copy { src, dst, bytes } => {
-                    check_buf(src, op.rank, "src")?;
-                    check_buf(dst, op.rank, "dst")?;
-                    for r in [src, dst].into_iter().flatten() {
-                        if r.len != *bytes {
-                            return Err(format!("op {i}: buffer length != bytes"));
-                        }
-                    }
+            match op.kind {
+                OpKind::Copy { src, dst } | OpKind::Reduce { src, dst, .. } => {
+                    check_data(op.rank, src, dst)?;
                 }
-                OpKind::CrossCopy {
-                    from,
-                    src,
-                    dst,
-                    bytes,
-                }
-                | OpKind::ReduceFrom {
-                    from,
-                    src,
-                    dst,
-                    bytes,
-                    ..
-                } => {
-                    if *from as usize >= self.nranks {
+                OpKind::CrossCopy { from, src, dst }
+                | OpKind::ReduceFrom { from, src, dst, .. } => {
+                    if from as usize >= self.nranks {
                         return Err(format!("op {i}: from rank {from} out of range"));
                     }
-                    check_buf(src, *from, "remote src")?;
-                    check_buf(dst, op.rank, "dst")?;
-                    for r in [src, dst].into_iter().flatten() {
-                        if r.len != *bytes {
-                            return Err(format!("op {i}: buffer length != bytes"));
-                        }
-                    }
-                }
-                OpKind::Reduce {
-                    src, dst, bytes, ..
-                } => {
-                    check_buf(src, op.rank, "src")?;
-                    check_buf(dst, op.rank, "dst")?;
-                    for r in [src, dst].into_iter().flatten() {
-                        if r.len != *bytes {
-                            return Err(format!("op {i}: buffer length != bytes"));
-                        }
-                    }
+                    check_data(from, src, dst)?;
                 }
                 OpKind::Send { msg } => {
                     let m = msg.0 as usize;
@@ -270,14 +238,18 @@ impl Program {
             if meta.src == meta.dst {
                 return Err(format!("msg {m}: self-message"));
             }
-            if let Some(r) = &meta.sbuf {
-                if !fits(r, self.mem_size[meta.src as usize]) {
-                    return Err(format!("msg {m}: sbuf out of range"));
+            if let Some((sbuf, dbuf)) = meta.payload {
+                if sbuf.len != meta.bytes || dbuf.len != meta.bytes {
+                    return Err(format!(
+                        "msg {m}: payload ranges of {} and {} bytes in a {}-byte message",
+                        sbuf.len, dbuf.len, meta.bytes
+                    ));
                 }
-            }
-            if let Some(r) = &meta.dbuf {
-                if !fits(r, self.mem_size[meta.dst as usize]) {
-                    return Err(format!("msg {m}: dbuf out of range"));
+                if !fits(&sbuf, self.mem_size[meta.src as usize]) {
+                    return Err(format!("msg {m}: send range out of range"));
+                }
+                if !fits(&dbuf, self.mem_size[meta.dst as usize]) {
+                    return Err(format!("msg {m}: receive range out of range"));
                 }
             }
         }
@@ -393,8 +365,7 @@ mod tests {
             src: 0,
             dst: 1,
             bytes: 8,
-            sbuf: None,
-            dbuf: None,
+            payload: None,
         });
         push(&mut p, 0, OpKind::Send { msg: MsgId(0) }, &[]);
         assert!(p.validate().unwrap_err().contains("missing send or recv"));
@@ -405,15 +376,59 @@ mod tests {
         let mut p = empty_prog(1);
         p.mem_size[0] = 4;
         let copy = |src| OpKind::Copy {
-            bytes: 8,
-            src: Some(src),
-            dst: None,
+            src,
+            dst: BufRange::new(0, 4),
         };
         push(&mut p, 0, copy(BufRange::new(0, 8)), &[]);
         assert!(p.validate().is_err());
         // An end offset past u64::MAX is an error, not an overflow panic.
-        p.ops[0].kind = copy(BufRange::new(u64::MAX, 8));
+        p.ops[0].kind = copy(BufRange::new(u64::MAX, 4));
         assert!(p.validate().unwrap_err().contains("exceeds rank 0 memory"));
+    }
+
+    #[test]
+    fn length_mismatches_are_errors_not_panics() {
+        // A data op whose ranges differ in length.
+        let mut p = empty_prog(1);
+        p.mem_size[0] = 16;
+        let copy = OpKind::Copy {
+            src: BufRange::new(0, 8),
+            dst: BufRange::new(8, 4),
+        };
+        push(&mut p, 0, copy, &[]);
+        let err = p.validate().unwrap_err();
+        assert!(err.contains("src of 8 bytes but dst of 4 bytes"), "{err}");
+        // A message whose payload ranges differ in length, from each other
+        // or from its size.
+        for (slen, dlen) in [(8, 4), (4, 4)] {
+            let p = mismatched_message(slen, dlen);
+            let err = p.validate().unwrap_err();
+            assert!(err.contains("in a 8-byte message"), "{err}");
+        }
+        assert_eq!(mismatched_message(8, 8).validate(), Ok(()));
+    }
+
+    /// An 8-byte message from rank 0 to rank 1 whose payload ranges are
+    /// `slen` and `dlen` bytes long.
+    fn mismatched_message(slen: u64, dlen: u64) -> Program {
+        let mut p = empty_prog(2);
+        p.mem_size = vec![8, 8];
+        p.msgs.push(MsgMeta {
+            src: 0,
+            dst: 1,
+            bytes: 8,
+            payload: Some((BufRange::new(0, slen), BufRange::new(0, dlen))),
+        });
+        push(&mut p, 0, OpKind::Send { msg: MsgId(0) }, &[]);
+        push(&mut p, 1, OpKind::Recv { msg: MsgId(0) }, &[]);
+        p
+    }
+
+    #[test]
+    fn op_is_48_bytes() {
+        // Two ranges, a rank, a peer and the reduction's tags: each size
+        // is stated once.
+        assert_eq!(std::mem::size_of::<Op>(), 48);
     }
 
     #[test]
@@ -423,8 +438,7 @@ mod tests {
             src: 1,
             dst: 1,
             bytes: 8,
-            sbuf: None,
-            dbuf: None,
+            payload: None,
         });
         push(&mut p, 1, OpKind::Send { msg: MsgId(0) }, &[]);
         push(&mut p, 1, OpKind::Recv { msg: MsgId(0) }, &[]);

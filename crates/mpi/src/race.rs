@@ -12,12 +12,10 @@
 //! The accesses are the ones seeded execution performs:
 //!
 //! * `Copy` and `CrossCopy` read `src` (on `from` for `CrossCopy`) and
-//!   write `dst`, when both are present;
-//! * `Reduce` and `ReduceFrom` read `src` and *accumulate* into `dst`,
-//!   when both are present;
-//! * a send reads its message's `sbuf` on the sender;
-//! * a receive writes `dbuf` on the receiver, when the message carries a
-//!   payload (`sbuf` and `dbuf` both present).
+//!   write `dst`;
+//! * `Reduce` and `ReduceFrom` read `src` and *accumulate* into `dst`;
+//! * when a message carries a payload, its send reads the send range on
+//!   the sender and its receive writes the receive range on the receiver.
 //!
 //! An accumulate reads and writes, so it conflicts with every other
 //! access but one: another accumulate with the same operator and element
@@ -191,53 +189,44 @@ fn accesses(prog: &Program) -> Vec<Vec<Access>> {
             }
         };
         match op.kind {
-            OpKind::Copy {
-                src: Some(s),
-                dst: Some(d),
-                ..
-            } => {
-                push(op.rank, s, Mode::Read);
-                push(op.rank, d, Mode::Write);
+            OpKind::Copy { src, dst } => {
+                push(op.rank, src, Mode::Read);
+                push(op.rank, dst, Mode::Write);
             }
-            OpKind::CrossCopy {
-                from,
-                src: Some(s),
-                dst: Some(d),
-                ..
-            } => {
-                push(from, s, Mode::Read);
-                push(op.rank, d, Mode::Write);
+            OpKind::CrossCopy { from, src, dst } => {
+                push(from, src, Mode::Read);
+                push(op.rank, dst, Mode::Write);
             }
             OpKind::Reduce {
                 op: rop,
                 dtype,
-                src: Some(s),
-                dst: Some(d),
+                src,
+                dst,
                 ..
             } => {
-                push(op.rank, s, Mode::Read);
-                push(op.rank, d, Mode::Accumulate(rop, dtype));
+                push(op.rank, src, Mode::Read);
+                push(op.rank, dst, Mode::Accumulate(rop, dtype));
             }
             OpKind::ReduceFrom {
                 from,
                 op: rop,
                 dtype,
-                src: Some(s),
-                dst: Some(d),
+                src,
+                dst,
                 ..
             } => {
-                push(from, s, Mode::Read);
-                push(op.rank, d, Mode::Accumulate(rop, dtype));
+                push(from, src, Mode::Read);
+                push(op.rank, dst, Mode::Accumulate(rop, dtype));
             }
             OpKind::Send { msg } => {
                 let meta = prog.msg(msg);
-                if let Some(s) = meta.sbuf {
+                if let Some((s, _)) = meta.payload {
                     push(meta.src, s, Mode::Read);
                 }
             }
             OpKind::Recv { msg } => {
                 let meta = prog.msg(msg);
-                if let (Some(_), Some(d)) = (meta.sbuf, meta.dbuf) {
+                if let Some((_, d)) = meta.payload {
                     push(meta.dst, d, Mode::Write);
                 }
             }
@@ -284,11 +273,7 @@ mod tests {
     use crate::builder::ProgramBuilder;
 
     fn copy(src: BufRange, dst: BufRange) -> OpKind {
-        OpKind::Copy {
-            bytes: src.len,
-            src: Some(src),
-            dst: Some(dst),
-        }
+        OpKind::Copy { src, dst }
     }
 
     #[test]
@@ -299,7 +284,7 @@ mod tests {
         let z = b.alloc(1, 8);
         let w = b.op(0, copy(x, y), &[]);
         // Reads of `y` after the write, one through a message edge.
-        b.send_recv(0, 1, 8, Some(y), Some(z), &[w], &[]);
+        b.send_recv(0, 1, y, z, &[w], &[]);
         let r = b.op(0, copy(y, x), &[w]);
         // Two readers of `x`'s old contents never conflict with each other.
         b.nop(0, &[r]);
@@ -330,12 +315,11 @@ mod tests {
             let x = b.alloc(0, 8);
             let y = b.alloc(1, 8);
             let w = b.op(0, copy(u, x), &[]);
-            let (_, r) = b.send_recv(0, 1, 0, None, None, &[w], &[]);
+            let (_, r) = b.signal(0, 1, 0, &[w], &[]);
             let pull = OpKind::CrossCopy {
                 from: 0,
-                bytes: 8,
-                src: Some(x),
-                dst: Some(y),
+                src: x,
+                dst: y,
             };
             let deps = if pull_waits { vec![r] } else { vec![] };
             b.op(1, pull, &deps);
@@ -344,12 +328,12 @@ mod tests {
         assert_eq!(check_races(&build(true)), Ok(()));
         let err = check_races(&build(false)).unwrap_err();
         assert!(err.contains("race on rank 0: op 0 (copy 8B)"), "{err}");
-        // Without a payload a receive writes nothing, so a copy reading
-        // its `dbuf` races with nothing.
+        // A signal writes nothing, so a copy on its receiver races with
+        // nothing.
         let mut b = ProgramBuilder::new(2);
         let y = b.alloc(1, 8);
         let z = b.alloc(1, 8);
-        b.send_recv(0, 1, 8, None, Some(y), &[], &[]);
+        b.signal(0, 1, 8, &[], &[]);
         b.op(1, copy(y, z), &[]);
         assert_eq!(check_races(&b.build()), Ok(()));
     }
@@ -360,8 +344,8 @@ mod tests {
         let s0 = b.alloc(0, 8);
         let s1 = b.alloc(1, 8);
         let d = b.alloc(2, 8);
-        b.send_recv(0, 2, 8, Some(s0), Some(d), &[], &[]);
-        b.send_recv(1, 2, 8, Some(s1), Some(d), &[], &[]);
+        b.send_recv(0, 2, s0, d, &[], &[]);
+        b.send_recv(1, 2, s1, d, &[], &[]);
         let err = check_races(&b.build()).unwrap_err();
         assert!(err.contains("race on rank 2: op 1 (recv"), "{err}");
     }
@@ -377,15 +361,14 @@ mod tests {
             let (s1, s2) = (b.alloc(1, 8), b.alloc(2, 8));
             b.alloc(0, 8);
             let sum = |src| OpKind::Reduce {
-                bytes: 8,
                 vectorized: true,
                 op: ReduceOp::Sum,
                 dtype: DataType::Float32,
-                src: Some(src),
-                dst: Some(acc),
+                src,
+                dst: acc,
             };
-            let (_, r1) = b.send_recv(1, 0, 8, Some(s1), Some(t1), &[], &[]);
-            let (_, r2) = b.send_recv(2, 0, 8, Some(s2), Some(t2), &[], &[]);
+            let (_, r1) = b.send_recv(1, 0, s1, t1, &[], &[]);
+            let (_, r2) = b.send_recv(2, 0, s2, t2, &[], &[]);
             b.op(0, sum(t1), &[r1]);
             b.op(0, sum(t2), &[r2]);
             if let Some(k) = extra {
@@ -395,12 +378,11 @@ mod tests {
         };
         assert_eq!(check_races(&build(None)), Ok(()));
         let max = OpKind::Reduce {
-            bytes: 8,
             vectorized: true,
             op: ReduceOp::Max,
             dtype: DataType::Float32,
-            src: Some(BufRange::new(24, 8)),
-            dst: Some(BufRange::new(0, 8)),
+            src: BufRange::new(24, 8),
+            dst: BufRange::new(0, 8),
         };
         let read = copy(BufRange::new(0, 8), BufRange::new(24, 8));
         for extra in [max, read] {
@@ -413,12 +395,27 @@ mod tests {
     fn recv_before_send_is_an_error() {
         let mut p = {
             let mut b = ProgramBuilder::new(2);
-            b.send_recv(0, 1, 8, None, None, &[], &[]);
+            b.signal(0, 1, 8, &[], &[]);
             b.build()
         };
         p.ops.swap(0, 1);
         let err = check_races(&p).unwrap_err();
         assert!(err.contains("recv op 0 precedes its send"), "{err}");
+    }
+
+    #[test]
+    fn length_mismatched_message_is_an_error() {
+        let mut b = ProgramBuilder::new(2);
+        let s = b.alloc(0, 8);
+        let d = b.alloc(1, 8);
+        b.send_recv(0, 1, s, d, &[], &[]);
+        let mut p = b.build();
+        p.msgs[0].payload = Some((s, d.slice(0, 4)));
+        let err = check_races(&p).unwrap_err();
+        assert!(
+            err.contains("msg 0: payload ranges of 8 and 4 bytes"),
+            "{err}"
+        );
     }
 
     #[test]

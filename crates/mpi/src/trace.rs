@@ -38,10 +38,10 @@ pub(crate) fn op_name(prog: &Program, idx: usize) -> String {
         OpKind::Nop => "join".into(),
         OpKind::Delay { .. } => "overhead".into(),
         OpKind::Sleep { .. } => "sleep".into(),
-        OpKind::Copy { bytes, .. } => format!("copy {bytes}B"),
-        OpKind::CrossCopy { from, bytes, .. } => format!("pull {bytes}B from r{from}"),
-        OpKind::Reduce { bytes, .. } => format!("reduce {bytes}B"),
-        OpKind::ReduceFrom { from, bytes, .. } => format!("reduce {bytes}B from r{from}"),
+        OpKind::Copy { src, .. } => format!("copy {}B", src.len),
+        OpKind::CrossCopy { from, src, .. } => format!("pull {}B from r{from}", src.len),
+        OpKind::Reduce { src, .. } => format!("reduce {}B", src.len),
+        OpKind::ReduceFrom { from, src, .. } => format!("reduce {}B from r{from}", src.len),
         OpKind::Send { msg } => {
             let m = prog.msg(*msg);
             format!("send {}B -> r{}", m.bytes, m.dst)
@@ -153,7 +153,7 @@ mod tests {
         let mut b = ProgramBuilder::new(4);
         let a = b.delay(0, Time::from_us(2), &[]);
         b.delay(0, Time::from_us(3), &[a]);
-        b.send_recv(0, 2, 4096, None, None, &[a], &[]);
+        b.signal(0, 2, 4096, &[a], &[]);
         let trace = run_traced(b);
         assert_eq!(trace.spans.len(), 4);
         let r0 = trace.rank_spans(0);
@@ -192,8 +192,8 @@ mod tests {
         // Two independent sends from different ranks: spans overlap in
         // time, which is what the trace is for.
         let mut b = ProgramBuilder::new(4);
-        b.send_recv(0, 2, 1 << 20, None, None, &[], &[]);
-        b.send_recv(1, 3, 1 << 20, None, None, &[], &[]);
+        b.signal(0, 2, 1 << 20, &[], &[]);
+        b.signal(1, 3, 1 << 20, &[], &[]);
         let trace = run_traced(b);
         let s0 = trace.rank_spans(2)[0].clone();
         let s1 = trace.rank_spans(3)[0].clone();

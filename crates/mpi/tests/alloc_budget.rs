@@ -63,20 +63,21 @@ fn allocations(f: impl FnOnce()) -> u64 {
 /// dependency slices on the caller's stack.
 fn build(n: usize) {
     let mut b = ProgramBuilder::new(4);
-    let buf = b.alloc(0, 64);
+    let bufs = b.alloc_all(64);
     let mut prev = b.nop(0, &[]);
     while b.num_ops() < n {
         let r = b.num_ops() % 4;
         let a = b.delay(r, Time::from_ns(1), &[prev]);
         let c = b.sleep(r, Time::from_ns(1), &[]);
         let copy = OpKind::Copy {
-            bytes: 64,
-            src: Some(buf),
-            dst: Some(buf),
+            src: bufs[0],
+            dst: bufs[0],
         };
         let d = b.op(0, copy, &[a, c, prev]);
-        let (s, _) = b.send_recv(0, 1 + r % 3, 64, None, None, &[d], &[]);
-        prev = s;
+        let peer = 1 + r % 3;
+        let (s, _) = b.send_recv(0, peer, bufs[0], bufs[peer], &[d], &[]);
+        let (_, t) = b.signal(peer, 0, 8, &[], &[s]);
+        prev = t;
     }
     let p = std::hint::black_box(b.build());
     assert!(p.len() >= n);

@@ -66,16 +66,13 @@ fn build(specs: &[OpSpec]) -> (Program, Vec<Vec<OpId>>) {
                 b.sleep(rank, Time::from_ps(*x), &deps);
             }
             3 => {
-                let kind = OpKind::Copy {
-                    bytes: *x,
-                    src: None,
-                    dst: None,
-                };
-                b.op(rank, kind, &deps);
+                let (src, dst) = (b.alloc(rank, *x), b.alloc(rank, *x));
+                b.op(rank, OpKind::Copy { src, dst }, &deps);
             }
             _ if peer != rank => {
                 let rdeps = pick_deps(&ranks, peer, picks);
-                b.send_recv(rank, peer, *x, None, None, &deps, &rdeps);
+                let (sbuf, dbuf) = (b.alloc(rank, *x), b.alloc(peer, *x));
+                b.send_recv(rank, peer, sbuf, dbuf, &deps, &rdeps);
                 ranks.push(rank);
                 given.push(deps);
                 ranks.push(peer);

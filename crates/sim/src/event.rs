@@ -66,19 +66,6 @@ pub struct EngineStats {
     pub max_batch: u64,
 }
 
-impl EngineStats {
-    /// Accumulate another engine's counters (max-merges the high-water
-    /// marks `max_depth` and `max_batch`).
-    pub fn merge(&mut self, other: &EngineStats) {
-        self.pushes += other.pushes;
-        self.pops += other.pops;
-        self.clamped += other.clamped;
-        self.max_depth = self.max_depth.max(other.max_depth);
-        self.batched_pops += other.batched_pops;
-        self.max_batch = self.max_batch.max(other.max_batch);
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Bucket {
     head: u32,
@@ -423,11 +410,6 @@ impl<E> EventQueue<E> {
         self.batch.len() + self.near_len + self.far.len()
     }
 
-    /// Total number of events processed so far (engine statistic).
-    pub fn processed(&self) -> u64 {
-        self.stats.pops
-    }
-
     /// Lifetime engine counters.
     pub fn stats(&self) -> EngineStats {
         self.stats
@@ -471,7 +453,7 @@ mod tests {
             assert_eq!(q.now(), t);
             last = t;
         }
-        assert_eq!(q.processed(), 3);
+        assert_eq!(q.stats().pops, 3);
     }
 
     #[test]
@@ -668,37 +650,5 @@ mod tests {
         assert_eq!(q.pop(), Some((Time::from_ns(1), 100)));
         assert_eq!(q.pop(), Some((Time::from_ns(2), 200)));
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn stats_merge_accumulates() {
-        let a = EngineStats {
-            pushes: 3,
-            pops: 2,
-            clamped: 1,
-            max_depth: 5,
-            batched_pops: 1,
-            max_batch: 4,
-        };
-        let mut b = EngineStats {
-            pushes: 10,
-            pops: 10,
-            clamped: 0,
-            max_depth: 2,
-            batched_pops: 6,
-            max_batch: 2,
-        };
-        b.merge(&a);
-        assert_eq!(
-            b,
-            EngineStats {
-                pushes: 13,
-                pops: 12,
-                clamped: 1,
-                max_depth: 5,
-                batched_pops: 7,
-                max_batch: 4,
-            }
-        );
     }
 }

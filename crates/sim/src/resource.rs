@@ -114,14 +114,6 @@ impl ResourcePool {
             r.reset();
         }
     }
-
-    /// `(name, busy, requests)` rows for utilization reports.
-    pub fn utilization(&self) -> impl Iterator<Item = (&str, Time, u64)> + '_ {
-        self.resources
-            .iter()
-            .zip(self.names.iter())
-            .map(|(r, n)| (n.as_str(), r.busy_time(), r.requests()))
-    }
 }
 
 #[cfg(test)]
@@ -188,8 +180,7 @@ mod tests {
         pool.acquire(b, Time::ZERO, Time::from_ns(7));
         assert_eq!(pool.get(a).busy_time(), Time::from_ns(3));
         assert_eq!(pool.name(b), "bus0");
-        let rows: Vec<_> = pool.utilization().collect();
-        assert_eq!(rows[1], ("bus0", Time::from_ns(7), 1));
+        assert_eq!(pool.get(b).requests(), 1);
         pool.reset();
         assert_eq!(pool.get(a).busy_time(), Time::ZERO);
         assert_eq!(pool.len(), 2);

@@ -225,30 +225,25 @@ fn provenance(prog: &Program, bufs: &[BufRange], sets: &mut RankSets) -> Result<
     for (i, op) in prog.ops.iter().enumerate() {
         let rank = op.rank as usize;
         match op.kind {
-            OpKind::Copy {
-                src: Some(s),
-                dst: Some(d),
-                ..
-            } => copy(&mut mem, i, (rank, s), (rank, d))?,
+            OpKind::Copy { src: s, dst: d } => copy(&mut mem, i, (rank, s), (rank, d))?,
             OpKind::CrossCopy {
                 from,
-                src: Some(s),
-                dst: Some(d),
-                ..
+                src: s,
+                dst: d,
             } => copy(&mut mem, i, (from as usize, s), (rank, d))?,
             OpKind::Reduce {
                 op: rop,
                 dtype,
-                src: Some(s),
-                dst: Some(d),
+                src: s,
+                dst: d,
                 ..
             } => reduce(&mut mem, sets, i, (rop, dtype), (rank, s), (rank, d))?,
             OpKind::ReduceFrom {
                 from,
                 op: rop,
                 dtype,
-                src: Some(s),
-                dst: Some(d),
+                src: s,
+                dst: d,
                 ..
             } => reduce(
                 &mut mem,
@@ -260,13 +255,14 @@ fn provenance(prog: &Program, bufs: &[BufRange], sets: &mut RankSets) -> Result<
             )?,
             OpKind::Send { msg } => {
                 let meta = prog.msg(msg);
-                if let Some(s) = meta.sbuf {
+                if let Some((s, _)) = meta.payload {
                     in_flight[msg.0 as usize] = Some(read(&mem[meta.src as usize], s));
                 }
             }
             OpKind::Recv { msg } => {
                 let meta = prog.msg(msg);
-                if let (Some(d), Some(segs)) = (meta.dbuf, in_flight[msg.0 as usize].take()) {
+                if let (Some((_, d)), Some(segs)) = (meta.payload, in_flight[msg.0 as usize].take())
+                {
                     write(&mut mem[meta.dst as usize], d, &segs);
                 }
             }
@@ -651,12 +647,11 @@ mod tests {
         let bufs = b.alloc_all(16);
         let red = OpKind::ReduceFrom {
             from: 1,
-            bytes: 16,
             vectorized: false,
             op,
             dtype: DataType::Float32,
-            src: Some(bufs[1]),
-            dst: Some(bufs[0]),
+            src: bufs[1],
+            dst: bufs[0],
         };
         let first = b.op(0, red, &[]);
         if twice {
@@ -687,12 +682,11 @@ mod tests {
         let bufs = b.alloc_all(16);
         let scratch = b.alloc(0, 16);
         let red = |src: BufRange, dst: BufRange| OpKind::Reduce {
-            bytes: src.len,
             vectorized: true,
             op: ReduceOp::Sum,
             dtype: DataType::Float32,
-            src: Some(src),
-            dst: Some(dst),
+            src,
+            dst,
         };
         b.op(0, red(bufs[0], scratch), &[]);
         let err = check(&b.build(), &bufs, Coll::Reduce, 16, 0).unwrap_err();
@@ -714,33 +708,34 @@ mod tests {
     /// Move the first receive with a payload by one segment (its own
     /// length) within the receiving rank's memory.
     fn shift_recv(prog: &mut Program) {
-        let meta = prog
-            .msgs
-            .iter_mut()
-            .find(|m| m.dbuf.is_some_and(|d| d.len > 0))
-            .expect("a message with a receive buffer");
-        let d = meta.dbuf.unwrap();
-        let shifted = if d.end() + d.len <= prog.mem_size[meta.dst as usize] {
+        let (d, size) = first_recv_range(prog);
+        d.off = if d.end() + d.len <= size {
             d.off + d.len
         } else {
             d.off - d.len
         };
-        meta.dbuf = Some(BufRange::new(shifted, d.len));
     }
 
-    /// Drop the source operand of the first reduction.
-    fn drop_reduce_src(prog: &mut Program) {
-        let src = prog
-            .ops
-            .iter_mut()
-            .find_map(|o| match &mut o.kind {
-                OpKind::Reduce { src, .. } | OpKind::ReduceFrom { src, .. } if src.is_some() => {
-                    Some(src)
-                }
+    /// The receive range of the first message with a non-empty payload,
+    /// and the size of the receiver's memory.
+    fn first_recv_range(prog: &mut Program) -> (&mut BufRange, u64) {
+        let Program { msgs, mem_size, .. } = prog;
+        msgs.iter_mut()
+            .find_map(|m| match &mut m.payload {
+                Some((_, d)) if d.len > 0 => Some((d, mem_size[m.dst as usize])),
                 _ => None,
             })
-            .expect("a reduction with a source");
-        *src = None;
+            .expect("a message with a payload")
+    }
+
+    /// Turn the first reduction into a no-op: its contribution is lost.
+    fn nop_first_reduce(prog: &mut Program) {
+        let op = prog
+            .ops
+            .iter_mut()
+            .find(|o| matches!(o.kind, OpKind::Reduce { .. } | OpKind::ReduceFrom { .. }))
+            .expect("a reduction");
+        op.kind = OpKind::Nop;
     }
 
     /// Append a second copy of the first `ReduceFrom`, after every other
@@ -801,8 +796,7 @@ mod tests {
             src: 0,
             dst: 1,
             bytes: 0,
-            sbuf: None,
-            dbuf: None,
+            payload: None,
         });
         let recv = OpId(prog.ops.len() as u32);
         prog.ops.push(Op {
@@ -820,16 +814,8 @@ mod tests {
 
     /// Point the first receive buffer past the end of its rank's memory.
     fn recv_out_of_range(prog: &mut Program) {
-        let meta = prog
-            .msgs
-            .iter_mut()
-            .find(|m| m.dbuf.is_some())
-            .expect("a message with a receive buffer");
-        let d = meta.dbuf.unwrap();
-        meta.dbuf = Some(BufRange::new(
-            prog.mem_size[meta.dst as usize],
-            d.len.max(1),
-        ));
+        let (d, size) = first_recv_range(prog);
+        d.off = size;
     }
 
     /// Remove op `op`'s `k`-th dependency edge.
@@ -886,10 +872,10 @@ mod tests {
             cases.push((coll, unmatch_recv, "missing send or recv", false));
             cases.push((coll, unmatch_send, "missing send or recv", false));
             cases.push((coll, message_cycle, "precedes its send", false));
-            cases.push((coll, recv_out_of_range, "dbuf out of range", false));
+            cases.push((coll, recv_out_of_range, "receive range out of range", false));
         }
         for coll in [Coll::Allreduce, Coll::Reduce] {
-            cases.push((coll, drop_reduce_src, "", true));
+            cases.push((coll, nop_first_reduce, "", true));
             cases.push((coll, duplicate_reduce_from, "counting some twice", true));
             cases.push((coll, reduce_with_max, "reduces with Max", true));
         }

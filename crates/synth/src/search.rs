@@ -33,17 +33,17 @@ pub struct SynthOpts {
     /// more extras than this, only the `beam` cheapest-bounded survive
     /// (menu candidates are exempt).
     pub beam: usize,
-    /// The latency objective probes each schedule at
-    /// `min(m, lat_probe)` bytes.
-    pub lat_probe: u64,
 }
+
+/// The latency objective probes each schedule at `min(m, LAT_PROBE)`
+/// bytes.
+pub const LAT_PROBE: u64 = 4096;
 
 impl Default for SynthOpts {
     fn default() -> Self {
         SynthOpts {
             workers: None,
             beam: 96,
-            lat_probe: 4096,
         }
     }
 }
@@ -127,7 +127,7 @@ fn run_group(
     cands: &[Candidate],
     opts: &SynthOpts,
 ) -> GroupOut {
-    let lat_m = m.min(opts.lat_probe).max(1);
+    let lat_m = m.clamp(1, LAT_PROBE);
     let mut out = GroupOut {
         samples: Vec::new(),
         beamed: 0,

@@ -89,9 +89,8 @@ impl MpiStack for RacyBcast {
         let wroot = comm.world_rank(root);
         let scratch = cx.b.alloc(wroot, bufs[root].len);
         let clobber = han_mpi::OpKind::Copy {
-            bytes: scratch.len,
-            src: Some(scratch),
-            dst: Some(bufs[root]),
+            src: scratch,
+            dst: bufs[root],
         };
         cx.b.op(wroot, clobber, &[]);
         out

@@ -44,9 +44,8 @@ fn main() {
     let (snd, rcv) = cx.b.send_recv(
         1,
         7,
-        bytes,
-        Some(bufs[1]),
-        Some(bufs[7]),
+        bufs[1],
+        bufs[7],
         after_reduce.get(1),
         after_reduce.get(7),
     );

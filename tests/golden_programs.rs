@@ -71,26 +71,20 @@ impl Fnv {
                 self.u64(2);
                 self.u64(dur.as_ps());
             }
-            OpKind::Copy { bytes, src, dst } => {
+            OpKind::Copy { src, dst } => {
                 self.u64(3);
-                self.u64(bytes);
-                self.buf(src);
-                self.buf(dst);
+                self.u64(src.len);
+                self.buf(Some(src));
+                self.buf(Some(dst));
             }
-            OpKind::CrossCopy {
-                from,
-                bytes,
-                src,
-                dst,
-            } => {
+            OpKind::CrossCopy { from, src, dst } => {
                 self.u64(4);
                 self.u64(u64::from(from));
-                self.u64(bytes);
-                self.buf(src);
-                self.buf(dst);
+                self.u64(src.len);
+                self.buf(Some(src));
+                self.buf(Some(dst));
             }
             OpKind::Reduce {
-                bytes,
                 vectorized,
                 op,
                 dtype,
@@ -98,14 +92,13 @@ impl Fnv {
                 dst,
             } => {
                 self.u64(5);
-                self.u64(bytes);
+                self.u64(src.len);
                 self.bytes(format!("{vectorized}{op:?}{dtype:?}").as_bytes());
-                self.buf(src);
-                self.buf(dst);
+                self.buf(Some(src));
+                self.buf(Some(dst));
             }
             OpKind::ReduceFrom {
                 from,
-                bytes,
                 vectorized,
                 op,
                 dtype,
@@ -114,10 +107,10 @@ impl Fnv {
             } => {
                 self.u64(6);
                 self.u64(u64::from(from));
-                self.u64(bytes);
+                self.u64(src.len);
                 self.bytes(format!("{vectorized}{op:?}{dtype:?}").as_bytes());
-                self.buf(src);
-                self.buf(dst);
+                self.buf(Some(src));
+                self.buf(Some(dst));
             }
             OpKind::Send { msg } => {
                 self.u64(7);
@@ -151,8 +144,8 @@ fn digest(p: &Program) -> String {
         h.u64(u64::from(m.src));
         h.u64(u64::from(m.dst));
         h.u64(m.bytes);
-        h.buf(m.sbuf);
-        h.buf(m.dbuf);
+        h.buf(m.payload.map(|(s, _)| s));
+        h.buf(m.payload.map(|(_, d)| d));
     }
     format!("{:016x}", h.0)
 }
