@@ -1,10 +1,13 @@
-//! Golden-file regression for program construction: an FNV-1a digest of
-//! every field the executor reads (`ops`, `dep_off`, `dep`, `msgs`) for
-//! HAN and the baseline stacks on two-level, three-level, multi-rail and
-//! deep GPU presets, pinned in `tests/golden/program_digests.json`.
+//! Golden-file regression for program construction and execution: an
+//! FNV-1a digest of every field the executor reads (`ops`, `dep_off`,
+//! `dep`, `msgs`) for HAN and the baseline stacks on two-level,
+//! three-level, multi-rail and deep GPU presets, plus the makespan and
+//! event count of executing each program on its own preset, pinned in
+//! `tests/golden/program_digests.json`.
 //!
-//! A builder refactor must leave every program identical op for op, so
-//! any digest change here is a behaviour change, not noise.
+//! A builder refactor must leave every program identical op for op, and an
+//! executor refactor must leave every run identical to the picosecond and
+//! the event, so any change here is a behaviour change, not noise.
 //!
 //! To re-bless after an *intentional* change:
 //!
@@ -13,7 +16,7 @@
 //! ```
 
 use han::machine::{dgx_like, gpu_hier};
-use han::mpi::{BufRange, OpKind, Program};
+use han::mpi::{execute, BufRange, OpKind, Program};
 use han::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -25,6 +28,11 @@ struct GoldenProgram {
     case: String,
     ops: usize,
     digest: String,
+    /// Makespan of one timing run on a fresh machine of the program's
+    /// preset, with the stack's point-to-point parameters.
+    makespan_ps: u64,
+    /// Simulator events that run processed.
+    events: u64,
 }
 
 fn golden_path() -> PathBuf {
@@ -197,10 +205,17 @@ fn push(
     root: usize,
 ) {
     if let Ok(p) = build_coll(stack, preset, coll, m, root) {
+        let report = execute(
+            &mut Machine::from_preset(preset),
+            &p,
+            &ExecOpts::timing(stack.flavor().p2p()),
+        );
         out.push(GoldenProgram {
             case,
             ops: p.ops.len(),
             digest: digest(&p),
+            makespan_ps: report.makespan.as_ps(),
+            events: report.events,
         });
     }
 }
@@ -208,6 +223,7 @@ fn push(
 fn programs() -> Vec<GoldenProgram> {
     let mut out = Vec::new();
     let presets = [
+        mini(2, 4),
         shaheen2_ppn(16, 12),
         mini3(2, 2, 2),
         dgx_like(2, 4),
@@ -294,13 +310,33 @@ fn built_programs_match_golden_digests() {
         .iter()
         .zip(&golden)
         .filter(|(g, w)| {
-            (g.case.as_str(), g.ops, g.digest.as_str())
-                != (w.case.as_str(), w.ops, w.digest.as_str())
+            (
+                g.case.as_str(),
+                g.ops,
+                g.digest.as_str(),
+                g.makespan_ps,
+                g.events,
+            ) != (
+                w.case.as_str(),
+                w.ops,
+                w.digest.as_str(),
+                w.makespan_ps,
+                w.events,
+            )
         })
         .map(|(g, w)| {
             format!(
-                "{}: got {} ops {} , golden {} {} ops {}",
-                g.case, g.ops, g.digest, w.case, w.ops, w.digest
+                "{}: got {} ops {} {} ps {} events, golden {} {} ops {} {} ps {} events",
+                g.case,
+                g.ops,
+                g.digest,
+                g.makespan_ps,
+                g.events,
+                w.case,
+                w.ops,
+                w.digest,
+                w.makespan_ps,
+                w.events
             )
         })
         .collect();
