@@ -9,8 +9,10 @@
 //!
 //! * [`time`] — a picosecond-resolution virtual clock type ([`time::Time`])
 //!   with exact integer arithmetic, plus bandwidth/duration conversions.
-//! * [`event`] — a deterministic event queue ([`event::EventQueue`]) with
-//!   FIFO tie-breaking for simultaneous events.
+//! * [`event`] — a deterministic event queue ([`event::EventQueue`]): a
+//!   monotone radix heap over picosecond timestamps whose bucket 0 is the
+//!   batch of events at the current instant, with FIFO tie-breaking for
+//!   simultaneous events and no stored sequence numbers.
 //! * [`resource`] — FIFO-serialized resources ([`resource::Resource`]): the
 //!   primitive from which CPUs, memory buses and NICs are built. Resource
 //!   serialization is what produces the paper's key observation that

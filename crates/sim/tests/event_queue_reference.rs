@@ -1,71 +1,99 @@
-//! Property test: the calendar event queue is observationally equivalent
+//! Property test: the radix-heap event queue is observationally equivalent
 //! to a plain `BinaryHeap` ordered by `(time, seq)` under arbitrary
-//! interleavings of pushes and pops — including far-future events that
-//! cross the ring horizon and migrate back, and (release builds only)
-//! pushes into the past, which must clamp to the current clock exactly
-//! like the reference model.
+//! interleavings of pushes, pops and resets — including pushes one below,
+//! at and one above every power-of-two offset from the clock (the radix
+//! bucket boundaries) up to 2^50 ps, and (release builds only) pushes into
+//! the past, which must clamp to the current clock exactly like the
+//! reference model.
 
-use han_sim::{EventQueue, Time};
+use han_sim::{EngineStats, EventQueue, Time};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Bucket width and ring span of the calendar queue (mirrors the
-/// constants in `han_sim::event`; the property holds for any values, the
-/// offsets below just aim the generator at the boundaries).
-const BUCKET_W: u64 = 1 << 16;
-const RING: u64 = 1024 * BUCKET_W;
+/// Largest power-of-two offset the generators aim at.
+const MAX_POW: u64 = 50;
 
-/// Reference model: min-heap on `(time_ps, seq)` plus the popped clock.
+/// `2^k - 1`, `2^k` or `2^k + 1` for `k = sel / 3 % (MAX_POW + 1)`.
+fn pow2_offset(sel: u64) -> u64 {
+    let k = (sel / 3) % (MAX_POW + 1);
+    (1u64 << k) + (sel % 3) - 1
+}
+
+/// Reference model: min-heap on `(time_ps, seq)` plus the popped clock,
+/// and the engine counters the queue must report. A pop that finds no
+/// event left at the clock refills a batch with every pending event at the
+/// minimum timestamp; pushes at the clock join the current batch.
 #[derive(Default)]
 struct Model {
     heap: BinaryHeap<Reverse<(u64, u64)>>,
     seq: u64,
     now: u64,
+    /// Pending events at `now`.
+    batch: u64,
+    stats: EngineStats,
 }
 
 impl Model {
     fn push(&mut self, at_ps: u64) {
         self.heap.push(Reverse((at_ps, self.seq)));
         self.seq += 1;
+        self.batch += u64::from(at_ps == self.now);
+        self.stats.pushes += 1;
+        self.stats.max_depth = self.stats.max_depth.max(self.heap.len() as u64);
     }
 
     fn pop(&mut self) -> Option<(u64, u64)> {
-        let Reverse((t, s)) = self.heap.pop()?;
+        let Reverse((t, s)) = *self.heap.peek()?;
+        if self.batch == 0 {
+            let k = self.heap.iter().filter(|e| e.0 .0 == t).count() as u64;
+            self.stats.batched_pops += k - 1;
+            self.stats.max_batch = self.stats.max_batch.max(k);
+            self.batch = k;
+        }
+        self.heap.pop();
+        self.batch -= 1;
+        self.stats.pops += 1;
         self.now = t;
         Some((t, s))
     }
 }
 
-/// One generated operation: `kind` selects push-near / push-far / pop,
-/// `off` is a time offset from the current virtual clock.
+/// One generated operation: `kind` selects push-near / push-at-a-power-
+/// of-two / pop / reset, `off` selects the time offset from the current
+/// virtual clock.
 fn arb_ops() -> impl Strategy<Value = Vec<(u64, u64)>> {
-    proptest::collection::vec((0u64..8, 0u64..3 * RING), 1..250)
+    proptest::collection::vec((0u64..9, 0u64..1 << 20), 1..250)
 }
 
 fn run_against_reference(ops: &[(u64, u64)], past_pushes: bool) {
     let mut q: EventQueue<u64> = EventQueue::new();
     let mut model = Model::default();
-    let mut expect_clamped = 0u64;
     for &(kind, off) in ops {
         match kind {
-            // Frequent near pushes around bucket boundaries.
-            0..=3 => {
-                let at = model.now + off % (4 * BUCKET_W);
+            // Frequent near pushes, duplicates likely.
+            0..=2 => {
+                let at = model.now + off % 64;
                 q.push(Time::from_ps(at), model.seq);
                 model.push(at);
             }
-            // Occasional pushes up to several ring spans out.
-            4..=5 => {
-                let at = model.now + off;
+            // Pushes at the radix bucket boundaries relative to the clock.
+            3..=4 => {
+                let at = model.now + pow2_offset(off);
                 q.push(Time::from_ps(at), model.seq);
                 model.push(at);
+            }
+            // Reset in the middle: the queue must behave like a fresh one,
+            // whatever it still held.
+            5 if off % 8 == 0 => {
+                q.reset();
+                model = Model::default();
             }
             // Release builds clamp past events to `now`; model likewise.
             6 if past_pushes => {
-                let at = model.now.saturating_sub(off % (2 * BUCKET_W));
+                let at = model.now.saturating_sub(pow2_offset(off));
                 if at < model.now {
-                    expect_clamped += 1;
+                    model.stats.clamped += 1;
                 }
                 q.push(Time::from_ps(at), model.seq);
                 model.push(at.max(model.now));
@@ -94,22 +122,20 @@ fn run_against_reference(ops: &[(u64, u64)], past_pushes: bool) {
     }
     assert!(q.pop().is_none());
     assert!(q.is_empty());
-    let stats = q.stats();
-    assert_eq!(stats.pushes, model.seq);
-    assert_eq!(stats.pops, model.seq);
-    assert_eq!(stats.clamped, expect_clamped);
+    assert_eq!(q.stats(), model.stats);
+    assert_eq!(model.stats.pops, model.seq);
 }
 
 /// Burst generator: interleave same-timestamp bursts (the batch-drain
-/// fast path pops these without re-probing the calendar) with single
+/// fast path pops these without another bucket refill) with single
 /// pushes at fresh times and pops. `(kind, burst_len, off)` per op.
 fn arb_burst_ops() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
-    proptest::collection::vec((0u64..8, 1u64..32, 0u64..4 * BUCKET_W), 1..200)
+    proptest::collection::vec((0u64..8, 1u64..32, 0u64..1 << 20), 1..200)
 }
 
-/// Same-timestamp bursts must pop in exact push (seq) order even when the
-/// batch-drain path serves them from a cached bucket slice, and the
-/// `batched_pops`/`max_batch` counters must account for every burst.
+/// Same-timestamp bursts must pop in exact push (seq) order even when a
+/// refill redistributes them from a higher bucket, and the
+/// `batched_pops`/`max_batch` counters must match the model's exactly.
 fn run_bursts_against_reference(ops: &[(u64, u64, u64)]) {
     let mut q: EventQueue<u64> = EventQueue::new();
     let mut model = Model::default();
@@ -118,7 +144,11 @@ fn run_bursts_against_reference(ops: &[(u64, u64, u64)]) {
             // A burst of events sharing one timestamp, possibly at the
             // current clock (drainable immediately), possibly ahead.
             0..=3 => {
-                let at = model.now + off % (2 * BUCKET_W);
+                let at = if off % 4 == 0 {
+                    model.now
+                } else {
+                    model.now + pow2_offset(off)
+                };
                 for _ in 0..burst {
                     q.push(Time::from_ps(at), model.seq);
                     model.push(at);
@@ -149,25 +179,17 @@ fn run_bursts_against_reference(ops: &[(u64, u64, u64)]) {
         assert_eq!((t.as_ps(), p), want);
     }
     assert!(q.pop().is_none());
-    let stats = q.stats();
-    assert_eq!(stats.pushes, model.seq);
-    assert_eq!(stats.pops, model.seq);
     // Batching is an internal accounting of the same pops, never extra
-    // ones: each batch of size k contributes k-1 batched pops, and the
-    // largest observed batch bounds them all.
-    assert!(stats.batched_pops <= stats.pops.saturating_sub(1));
-    assert!(stats.max_batch <= stats.pops);
-    if stats.batched_pops > 0 {
-        assert!(stats.max_batch >= 2);
-        assert!(stats.max_batch <= stats.batched_pops + 1);
-    }
+    // ones: each refill of k events contributes k-1 batched pops.
+    assert_eq!(q.stats(), model.stats);
+    assert_eq!(model.stats.pops, model.seq);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn calendar_queue_matches_binary_heap(ops in arb_ops()) {
+    fn radix_queue_matches_binary_heap(ops in arb_ops()) {
         run_against_reference(&ops, false);
     }
 
@@ -182,7 +204,7 @@ proptest! {
     /// only reachable — and only modeled — in release builds.
     #[test]
     #[cfg(not(debug_assertions))]
-    fn calendar_queue_matches_binary_heap_with_clamps(ops in arb_ops()) {
+    fn radix_queue_matches_binary_heap_with_clamps(ops in arb_ops()) {
         run_against_reference(&ops, true);
     }
 }

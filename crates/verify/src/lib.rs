@@ -3,7 +3,7 @@
 //!
 //! The autotuner's value claim is self-referential: it picks winners by
 //! simulating candidates, so a bug in the sweep engine (bound pruning,
-//! the cost cache, the calendar event queue) can silently corrupt
+//! the cost cache, the radix-heap event queue) can silently corrupt
 //! both the measurements *and* the baseline they are compared against.
 //! This crate breaks the loop with machine-checkable **performance
 //! guidelines** — self-consistency inequalities in the tradition of
