@@ -103,8 +103,9 @@ impl fmt::Display for InterAlg {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Libnbc;
 
-/// Cost of building/initiating a Libnbc schedule on each participant.
-const LIBNBC_SETUP: han_sim::Time = han_sim::Time::from_ns(600);
+/// Cost of building/initiating a Libnbc schedule on each participant: a
+/// CPU delay every participant pays at the start of every call.
+pub const LIBNBC_SETUP: han_sim::Time = han_sim::Time::from_ns(600);
 
 impl Libnbc {
     pub fn ibcast(

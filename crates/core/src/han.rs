@@ -33,6 +33,10 @@ pub struct Han {
 }
 
 impl Han {
+    /// The MPI stack HAN rides: it is built inside Open MPI and uses its
+    /// P2P protocol constants.
+    pub const FLAVOR: Flavor = Flavor::OpenMpi;
+
     /// HAN with one fixed configuration (used while tuning).
     pub fn with_config(cfg: HanConfig) -> Self {
         Han {
@@ -72,8 +76,7 @@ impl MpiStack for Han {
     }
 
     fn flavor(&self) -> Flavor {
-        // HAN is built inside Open MPI and rides its P2P stack.
-        Flavor::OpenMpi
+        Self::FLAVOR
     }
 
     fn bcast(
