@@ -15,6 +15,7 @@ use crate::proto::{read_frame, write_frame, Answer, Query, Request, Response, Se
 use han_colls::Coll;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 
 #[derive(Debug, Clone, Copy)]
@@ -25,7 +26,7 @@ struct Bucket {
 
 /// A connected client with a local decision cache.
 pub struct Client {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
     /// `(fingerprint, coll)` → bucket start `lo` → bucket.
     buckets: HashMap<(u64, Coll), BTreeMap<u64, Bucket>>,
     /// Last generation seen per fingerprint.
@@ -40,7 +41,7 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         let mut c = Client {
-            stream,
+            stream: BufReader::new(stream),
             buckets: HashMap::new(),
             generations: HashMap::new(),
             hits: 0,
@@ -83,7 +84,7 @@ impl Client {
     }
 
     fn roundtrip(&mut self, request: &Request) -> std::io::Result<Response> {
-        write_frame(&mut self.stream, &request.to_value())?;
+        write_frame(self.stream.get_mut(), &request.to_value())?;
         let frame = read_frame(&mut self.stream)?.ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "server closed")
         })?;

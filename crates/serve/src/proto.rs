@@ -113,25 +113,24 @@ pub struct TableRow {
 // ---------------------------------------------------------------------
 // Framing
 
-/// Write one value as a length-prefixed JSON frame.
+/// Write one value as a length-prefixed JSON frame, in a single `write`
+/// so a `TCP_NODELAY` socket sends header and body as one segment.
 pub fn write_frame(w: &mut impl Write, v: &Value) -> std::io::Result<()> {
     let text = serde_json::to_string(v).expect("frame serializes");
-    let bytes = text.as_bytes();
-    let len = u32::try_from(bytes.len())
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "frame too large",
-        ));
-    }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(bytes)?;
+    let len = u32::try_from(text.len())
+        .ok()
+        .filter(|&len| len <= MAX_FRAME)
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
+    let mut frame = Vec::with_capacity(4 + text.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(text.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
 /// Read one length-prefixed JSON frame. `Ok(None)` means the peer closed
-/// the connection cleanly at a frame boundary.
+/// the connection cleanly at a frame boundary. Socket readers should be
+/// buffered, so a frame costs one `recv` rather than one per field.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Value>> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
@@ -571,6 +570,35 @@ mod tests {
         write_frame(&mut framed, &Value::UInt(7)).unwrap();
         framed.truncate(framed.len() - 1);
         assert!(read_frame(&mut framed.as_slice()).is_err());
+    }
+
+    #[test]
+    fn frame_is_one_write() {
+        /// A sink that counts `write` calls and never writes short.
+        #[derive(Default)]
+        struct Counting {
+            bytes: Vec<u8>,
+            writes: usize,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = Counting::default();
+        write_frame(&mut sink, &Request::Hello.to_value()).unwrap();
+        assert_eq!(sink.writes, 1, "header and body must go out together");
+        write_frame(&mut sink, &Value::UInt(7)).unwrap();
+        assert_eq!(sink.writes, 2);
+        let mut r = sink.bytes.as_slice();
+        assert!(read_frame(&mut r).unwrap().is_some());
+        assert_eq!(read_frame(&mut r).unwrap(), Some(Value::UInt(7)));
+        assert!(read_frame(&mut r).unwrap().is_none());
     }
 
     #[test]

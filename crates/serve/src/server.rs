@@ -14,6 +14,7 @@ use crate::retune::spawn_retune;
 use crate::store::{TableGen, TableStore};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -124,15 +125,17 @@ pub fn serve(addr: impl ToSocketAddrs, store: Arc<TableStore>) -> std::io::Resul
 }
 
 fn handle_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     store: &Arc<TableStore>,
     counters: &Counters,
     shutdown: &AtomicBool,
     server_addr: SocketAddr,
 ) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
+    let mut reader = BufReader::new(&stream);
+    let mut writer = &stream;
     loop {
-        let Some(frame) = read_frame(&mut stream)? else {
+        let Some(frame) = read_frame(&mut reader)? else {
             return Ok(()); // peer closed
         };
         let request = match Request::from_value(&frame) {
@@ -141,13 +144,13 @@ fn handle_connection(
                 let resp = Response::Error {
                     message: format!("bad request: {e}"),
                 };
-                write_frame(&mut stream, &resp.to_value())?;
+                write_frame(&mut writer, &resp.to_value())?;
                 continue;
             }
         };
         let stop = matches!(request, Request::Shutdown);
         let response = dispatch(request, store, counters);
-        write_frame(&mut stream, &response.to_value())?;
+        write_frame(&mut writer, &response.to_value())?;
         if stop {
             shutdown.store(true, Ordering::SeqCst);
             // Unblock the accept loop so it observes the flag.

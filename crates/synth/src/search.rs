@@ -21,7 +21,7 @@ use han_core::{Han, HanConfig};
 use han_decide::LookupTable;
 use han_machine::{Machine, MachinePreset};
 use han_sim::Time;
-use han_tuner::{lower_bound, sweep_groups, SearchSpace};
+use han_tuner::{largest_first, lower_bound, sweep_groups, SearchSpace};
 
 /// Knobs for [`synthesize`].
 #[derive(Debug, Clone, Copy)]
@@ -113,87 +113,59 @@ impl SynthResult {
     }
 }
 
-struct GroupOut {
-    samples: Vec<SynthSample>,
+/// One group's visit list: the menu candidates in enumeration order, then
+/// the extras that survive the beam, cheapest bound first — each with its
+/// lower bound at the full message size.
+struct Beam {
+    visit: Vec<(usize, Option<Time>)>,
     beamed: u64,
-    skipped: Vec<Unsupported>,
 }
 
-fn run_group(
+fn beam(preset: &MachinePreset, coll: Coll, m: u64, cands: &[Candidate], width: usize) -> Beam {
+    // Ties are broken by index, so the beamed set — and therefore the
+    // whole scan — is deterministic.
+    let bound = |i: usize| (i, lower_bound(preset, &cands[i].cfg, coll, m));
+    let mut visit: Vec<(usize, Option<Time>)> = (0..cands.len())
+        .filter(|&i| cands[i].menu)
+        .map(bound)
+        .collect();
+    let mut extras: Vec<(usize, Option<Time>)> = (0..cands.len())
+        .filter(|&i| !cands[i].menu)
+        .map(bound)
+        .collect();
+    extras.sort_by_key(|&(i, b)| (b.unwrap_or(Time::ZERO), i));
+    let beamed = extras.len().saturating_sub(width) as u64;
+    extras.truncate(width);
+    visit.extend(extras);
+    Beam { visit, beamed }
+}
+
+/// Simulate one candidate at the full message size and at the latency
+/// probe size.
+fn simulate(
     machine: &mut Machine,
     preset: &MachinePreset,
     coll: Coll,
     m: u64,
-    cands: &[Candidate],
-    opts: &SynthOpts,
-) -> GroupOut {
+    cand: Candidate,
+    bound_bw: Option<Time>,
+) -> Result<SynthSample, Unsupported> {
     let lat_m = m.clamp(1, LAT_PROBE);
-    let mut out = GroupOut {
-        samples: Vec::new(),
-        beamed: 0,
-        skipped: Vec::new(),
-    };
-    // Menu candidates in enumeration order, then extras cheapest-bound
-    // first (ties broken by index) — the fixed visit order keeps the
-    // beamed set, and therefore the whole scan, deterministic.
-    let menu_idx: Vec<usize> = cands
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.menu)
-        .map(|(i, _)| i)
-        .collect();
-    let mut extras: Vec<(Option<Time>, usize)> = cands
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| !c.menu)
-        .map(|(i, c)| (lower_bound(preset, &c.cfg, coll, m), i))
-        .collect();
-    extras.sort_by_key(|&(b, i)| (b.unwrap_or(Time::ZERO), i));
-    if extras.len() > opts.beam {
-        out.beamed = (extras.len() - opts.beam) as u64;
-        extras.truncate(opts.beam);
-    }
-
-    let mut simulate = |i: usize, bound_bw: Option<Time>| {
-        let Candidate { cfg, menu } = cands[i];
-        let han = Han::with_config(cfg);
-        let mut cost = |m| time_coll_on(&han, machine, preset, coll, m, 0);
-        let bw = match cost(m) {
-            Ok(t) => t,
-            Err(e) => {
-                note_skip(&mut out.skipped, e);
-                return;
-            }
-        };
-        let lat = if lat_m == m {
-            bw
-        } else {
-            match cost(lat_m) {
-                Ok(t) => t,
-                Err(e) => {
-                    note_skip(&mut out.skipped, e);
-                    return;
-                }
-            }
-        };
-        out.samples.push(SynthSample {
-            coll,
-            m,
-            cfg,
-            menu,
-            lat,
-            bw,
-            bound_lat: lower_bound(preset, &cfg, coll, lat_m),
-            bound_bw,
-        });
-    };
-    for &i in &menu_idx {
-        simulate(i, lower_bound(preset, &cands[i].cfg, coll, m));
-    }
-    for &(bound_bw, i) in &extras {
-        simulate(i, bound_bw);
-    }
-    out
+    let Candidate { cfg, menu } = cand;
+    let han = Han::with_config(cfg);
+    let mut cost = |m| time_coll_on(&han, machine, preset, coll, m, 0);
+    let bw = cost(m)?;
+    let lat = if lat_m == m { bw } else { cost(lat_m)? };
+    Ok(SynthSample {
+        coll,
+        m,
+        cfg,
+        menu,
+        lat,
+        bw,
+        bound_lat: lower_bound(preset, &cfg, coll, lat_m),
+        bound_bw,
+    })
 }
 
 fn note_skip(skipped: &mut Vec<Unsupported>, e: Unsupported) {
@@ -205,8 +177,10 @@ fn note_skip(skipped: &mut Vec<Unsupported>, e: Unsupported) {
 /// Synthesize schedules for every `(coll, m)` group of `space`,
 /// returning the per-group Pareto fronts plus every simulated sample.
 ///
-/// Groups run on [`sweep_groups`] workers, so the result is
-/// bit-identical for any worker count.
+/// The beam is fixed from the bounds first; then every surviving
+/// candidate is one [`sweep_groups`] job, claimed largest message first
+/// and merged back in visit order, so the result is bit-identical for
+/// any worker count.
 pub fn synthesize(
     preset: &MachinePreset,
     space: &SearchSpace,
@@ -219,12 +193,26 @@ pub fn synthesize(
             groups.push((coll, m, candidates(space, preset, coll, m)));
         }
     }
-    let outcomes = sweep_groups(
-        preset,
-        &groups,
+    let beams: Vec<Beam> = groups
+        .iter()
+        .map(|(coll, m, cands)| beam(preset, *coll, *m, cands, opts.beam))
+        .collect();
+    let jobs: Vec<(usize, usize, Option<Time>)> = beams
+        .iter()
+        .enumerate()
+        .flat_map(|(g, b)| b.visit.iter().map(move |&(i, bound)| (g, i, bound)))
+        .collect();
+    let mut sims = sweep_groups(
+        &jobs,
+        &largest_first(jobs.iter().map(|&(g, _, _)| groups[g].1)),
         opts.workers,
-        |machine, (coll, m, cands)| run_group(machine, preset, *coll, *m, cands, &opts),
-    );
+        || Machine::from_preset(preset),
+        |machine, &(g, i, bound_bw)| {
+            let (coll, m, cands) = &groups[g];
+            simulate(machine, preset, *coll, *m, cands[i], bound_bw)
+        },
+    )
+    .into_iter();
 
     let candidates_total = groups.iter().map(|(_, _, c)| c.len() as u64).sum();
     let mut result = SynthResult {
@@ -236,23 +224,25 @@ pub fn synthesize(
         beamed: 0,
         skipped: Vec::new(),
     };
-    for ((coll, m, _), group) in groups.iter().zip(outcomes) {
-        result.beamed += group.beamed;
-        result.simulated += group.samples.len() as u64;
-        for e in group.skipped {
-            note_skip(&mut result.skipped, e);
+    for ((coll, m, _), b) in groups.iter().zip(&beams) {
+        result.beamed += b.beamed;
+        let mut samples = Vec::new();
+        for r in sims.by_ref().take(b.visit.len()) {
+            match r {
+                Ok(s) => samples.push(s),
+                Err(e) => note_skip(&mut result.skipped, e),
+            }
         }
-        if group.samples.is_empty() {
+        result.simulated += samples.len() as u64;
+        if samples.is_empty() {
             continue;
         }
-        let menu_best_ps = group
-            .samples
+        let menu_best_ps = samples
             .iter()
             .filter(|s| s.menu)
             .map(|s| s.bw.as_ps())
             .min();
-        let points: Vec<FrontPoint> = group
-            .samples
+        let points: Vec<FrontPoint> = samples
             .iter()
             .map(|s| FrontPoint {
                 cfg: s.cfg,
@@ -267,7 +257,7 @@ pub fn synthesize(
             points: pareto_front(points),
             menu_best_ps,
         });
-        result.samples.extend(group.samples);
+        result.samples.extend(samples);
     }
     result
 }

@@ -35,27 +35,48 @@ fn assert_same_fronts(a: &SynthResult, b: &SynthResult, what: &str) {
 #[test]
 fn fronts_are_identical_across_worker_counts() {
     for preset in [mini(2, 2), mini3(2, 2, 2)] {
-        let one = run(
-            &preset,
-            SynthOpts {
-                workers: Some(1),
-                ..SynthOpts::default()
-            },
-        );
-        let many = run(
-            &preset,
-            SynthOpts {
-                workers: Some(4),
-                ..SynthOpts::default()
-            },
-        );
-        assert_same_fronts(&one, &many, "1 vs 4 workers");
-        // The scan itself is deterministic too, not just the front.
-        assert_eq!(one.simulated, many.simulated);
-        assert_eq!(one.beamed, many.beamed);
-        assert_eq!(one.samples.len(), many.samples.len());
-        for (sa, sb) in one.samples.iter().zip(&many.samples) {
-            assert_eq!((sa.cfg, sa.lat, sa.bw), (sb.cfg, sb.lat, sb.bw));
+        let run_on = |workers| {
+            run(
+                &preset,
+                SynthOpts {
+                    workers: Some(workers),
+                    ..SynthOpts::default()
+                },
+            )
+        };
+        let one = run_on(1);
+        for workers in [2, 3, 8] {
+            let many = run_on(workers);
+            let what = format!("{}: 1 vs {workers} workers", preset.name);
+            assert_same_fronts(&one, &many, &what);
+            // The scan itself is deterministic too, not just the front.
+            assert_eq!(one.simulated, many.simulated, "{what}");
+            assert_eq!(one.beamed, many.beamed, "{what}");
+            assert_eq!(one.skipped, many.skipped, "{what}");
+            assert_eq!(one.samples.len(), many.samples.len(), "{what}");
+            for (sa, sb) in one.samples.iter().zip(&many.samples) {
+                assert_eq!(
+                    (
+                        sa.coll,
+                        sa.m,
+                        sa.cfg,
+                        sa.lat,
+                        sa.bw,
+                        sa.bound_lat,
+                        sa.bound_bw
+                    ),
+                    (
+                        sb.coll,
+                        sb.m,
+                        sb.cfg,
+                        sb.lat,
+                        sb.bw,
+                        sb.bound_lat,
+                        sb.bound_bw
+                    ),
+                    "{what}"
+                );
+            }
         }
     }
 }

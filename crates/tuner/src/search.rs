@@ -23,6 +23,7 @@ use han_core::{Han, HanConfig};
 use han_decide::LookupTable;
 use han_machine::{Machine, MachinePreset};
 use han_sim::Time;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -132,13 +133,28 @@ pub fn tune_with_opts(
     cache: Option<Arc<CostCache>>,
     opts: TuneOpts,
 ) -> TuneResult {
+    tune_on(preset, space, colls, strategy, cache, opts, None)
+}
+
+/// [`tune_with_opts`] on `workers` sweep threads (`None` = available
+/// parallelism). Every result is bit-identical for every worker count;
+/// the tests pin that.
+fn tune_on(
+    preset: &MachinePreset,
+    space: &SearchSpace,
+    colls: &[Coll],
+    strategy: Strategy,
+    cache: Option<Arc<CostCache>>,
+    opts: TuneOpts,
+    workers: Option<usize>,
+) -> TuneResult {
     if let Some(c) = &cache {
         c.assert_for(preset);
     }
     if strategy.task_based() {
-        tune_task_based(preset, space, colls, strategy, cache)
+        tune_task_based(preset, space, colls, strategy, cache, workers)
     } else {
-        tune_exhaustive(preset, space, colls, strategy, cache, opts)
+        tune_exhaustive(preset, space, colls, strategy, cache, opts, workers)
     }
 }
 
@@ -167,57 +183,89 @@ enum Outcome {
     Pruned,
 }
 
-/// Run `f` over every group on `workers` threads (`None` = available
-/// parallelism) and return the outputs in group order.
+/// Run `f` over every job on `workers` threads (`None` = available
+/// parallelism) and return the outputs in job order.
 ///
-/// Parallelism is work-stealing over *groups* via an atomic cursor: large
-/// message sizes cost orders of magnitude more than small ones, so static
-/// striping load-imbalances badly. Each worker owns one [`Machine`] (the
-/// executor resets it between jobs), and outputs are merged by group
-/// index, so as long as `f` is deterministic per group the result is
-/// bit-identical for every worker count.
-pub fn sweep_groups<G: Sync, O: Send>(
-    preset: &MachinePreset,
-    groups: &[G],
+/// A job is whatever unit the caller can run independently: a whole
+/// bound-pruned `(coll, m)` group, a single candidate, or one
+/// task-based configuration. Workers claim jobs from one atomic cursor
+/// walking `order`, a permutation of the job indices the caller chooses
+/// so that expensive jobs start first and the sweep does not tail on
+/// them. Each worker owns one state built by `init` (typically a
+/// [`Machine`], which the executor resets between jobs), and outputs are
+/// merged by job index, so as long as `f` is deterministic per job the
+/// result is bit-identical for every worker count and claim order.
+///
+/// # Panics
+///
+/// If `order` is not a permutation of `0..jobs.len()`.
+pub fn sweep_groups<J: Sync, S, O: Send>(
+    jobs: &[J],
+    order: &[usize],
     workers: Option<usize>,
-    f: impl Fn(&mut Machine, &G) -> O + Sync,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, &J) -> O + Sync,
 ) -> Vec<O> {
+    assert_eq!(order.len(), jobs.len(), "claim order must cover every job");
     let workers = workers
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|p| p.get())
                 .unwrap_or(4)
         })
-        .min(groups.len())
+        .min(jobs.len())
         .max(1);
     let next = AtomicUsize::new(0);
-    let mut merged: Vec<Option<O>> = (0..groups.len()).map(|_| None).collect();
+    let mut merged: Vec<Option<O>> = (0..jobs.len()).map(|_| None).collect();
     std::thread::scope(|s| {
-        let (next, f) = (&next, &f);
+        let (next, init, f) = (&next, &init, &f);
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(move || {
-                    let mut machine = Machine::from_preset(preset);
+                    let mut state = init();
                     let mut out = Vec::new();
-                    loop {
-                        let g = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(group) = groups.get(g) else { break };
-                        out.push((g, f(&mut machine, group)));
+                    while let Some(&j) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        out.push((j, f(&mut state, &jobs[j])));
                     }
                     out
                 })
             })
             .collect();
         for h in handles {
-            for (g, r) in h.join().unwrap() {
-                merged[g] = Some(r);
+            for (j, r) in h.join().unwrap() {
+                assert!(merged[j].replace(r).is_none(), "job {j} claimed twice");
             }
         }
     });
     merged
         .into_iter()
-        .map(|r| r.expect("every group ran"))
+        .map(|r| r.expect("every job ran"))
         .collect()
+}
+
+/// The claim order that starts the largest message sizes first (ties in
+/// job order): simulation cost grows with `m` by orders of magnitude.
+pub fn largest_first(sizes: impl IntoIterator<Item = u64>) -> Vec<usize> {
+    let mut order: Vec<(u64, usize)> = sizes.into_iter().zip(0..).collect();
+    order.sort_by_key(|&(m, j)| (std::cmp::Reverse(m), j));
+    order.into_iter().map(|(_, j)| j).collect()
+}
+
+/// Simulate (or recall) every `(coll, m, cfg)` job, one candidate per
+/// job, largest message first.
+fn cost_each(
+    preset: &MachinePreset,
+    jobs: &[(Coll, u64, HanConfig)],
+    cache: Option<&CostCache>,
+    workers: Option<usize>,
+) -> Vec<Result<Time, Unsupported>> {
+    sweep_groups(
+        jobs,
+        &largest_first(jobs.iter().map(|j| j.1)),
+        workers,
+        || Machine::from_preset(preset),
+        |machine, &(coll, m, cfg)| coll_cost(machine, preset, coll, m, cfg, cache),
+    )
 }
 
 fn tune_exhaustive(
@@ -227,6 +275,7 @@ fn tune_exhaustive(
     strategy: Strategy,
     cache: Option<Arc<CostCache>>,
     opts: TuneOpts,
+    workers: Option<usize>,
 ) -> TuneResult {
     let mut table = LookupTable::for_topology(&preset.topology);
     let mut tuning_time = Time::ZERO;
@@ -235,12 +284,12 @@ fn tune_exhaustive(
     let mut skipped: Vec<Unsupported> = Vec::new();
 
     // Enumerate every `(coll, m)` group with its candidate configs up
-    // front, in deterministic order, and sweep them with `sweep_groups`.
-    // Within a group, candidates run sequentially in ascending
-    // `(lower bound, enumeration index)` order against a running
-    // incumbent, so bound pruning is deterministic — the visit order, and
-    // therefore the pruned set, never depends on worker count or
-    // completion timing.
+    // front, in deterministic order. A pruned group is one job: its
+    // candidates run sequentially in ascending `(lower bound, enumeration
+    // index)` order against a running incumbent, so the pruned set never
+    // depends on worker count or completion timing. Without pruning every
+    // candidate is its own job. Either way outcomes come back in
+    // enumeration order.
     let mut groups: Vec<(Coll, u64, Vec<HanConfig>)> = Vec::new();
     for &coll in colls {
         for &m in &space.msg_sizes {
@@ -248,23 +297,39 @@ fn tune_exhaustive(
             groups.push((coll, m, cfgs));
         }
     }
+    let jobs: Vec<(Coll, u64, HanConfig)> = groups
+        .iter()
+        .flat_map(|(coll, m, cfgs)| cfgs.iter().map(|cfg| (*coll, *m, *cfg)))
+        .collect();
     let cache = cache.as_deref();
-    let outcomes = sweep_groups(preset, &groups, None, |machine, (coll, m, cfgs)| {
-        run_group(machine, preset, *coll, *m, cfgs, cache, opts)
-    });
+    let outcomes: Vec<Outcome> = if opts.prune {
+        sweep_groups(
+            &groups,
+            &largest_first(groups.iter().map(|g| g.1)),
+            workers,
+            || Machine::from_preset(preset),
+            |machine, (coll, m, cfgs)| run_group(machine, preset, *coll, *m, cfgs, cache),
+        )
+        .into_iter()
+        .flatten()
+        .collect()
+    } else {
+        cost_each(preset, &jobs, cache, workers)
+            .into_iter()
+            .map(Outcome::Cost)
+            .collect()
+    };
 
     let mut samples = Vec::new();
-    for ((coll, m, cfgs), results) in groups.iter().zip(&outcomes) {
-        for (cfg, r) in cfgs.iter().zip(results) {
-            match r {
-                Outcome::Cost(Ok(t)) => {
-                    tuning_time += *t * BENCH_ITERS;
-                    searches += 1;
-                    samples.push((*coll, *m, *cfg, *t));
-                }
-                Outcome::Cost(Err(e)) => note_skip(&mut skipped, e.clone()),
-                Outcome::Pruned => pruned += 1,
+    for (&(coll, m, cfg), r) in jobs.iter().zip(outcomes) {
+        match r {
+            Outcome::Cost(Ok(t)) => {
+                tuning_time += t * BENCH_ITERS;
+                searches += 1;
+                samples.push((coll, m, cfg, t));
             }
+            Outcome::Cost(Err(e)) => note_skip(&mut skipped, e),
+            Outcome::Pruned => pruned += 1,
         }
     }
 
@@ -291,8 +356,8 @@ fn tune_exhaustive(
     }
 }
 
-/// Benchmark one `(coll, m)` group, optionally pruning candidates whose
-/// analytic lower bound exceeds the incumbent best.
+/// Benchmark one `(coll, m)` group, pruning candidates whose analytic
+/// lower bound exceeds the incumbent best.
 ///
 /// Soundness of the winner set: the true optimum `c*` has
 /// `bound(c*) ≤ cost(c*) ≤ incumbent` at every point of the scan, so it is
@@ -308,34 +373,24 @@ fn run_group(
     m: u64,
     cfgs: &[HanConfig],
     cache: Option<&CostCache>,
-    opts: TuneOpts,
 ) -> Vec<Outcome> {
     // Visit candidates cheapest-bound-first: tight early incumbents
     // maximize later prunes, and the fixed `(bound, index)` key keeps the
-    // scan deterministic. Without pruning the visit order is irrelevant
-    // (results are keyed by index), so skip the bound computation
-    // entirely — it would be pure overhead on warm-cache sweeps.
-    let order: Vec<(Option<Time>, usize)> = if opts.prune {
-        let mut order: Vec<(Option<Time>, usize)> = cfgs
-            .iter()
-            .enumerate()
-            .map(|(i, cfg)| (lower_bound(preset, cfg, coll, m), i))
-            .collect();
-        order.sort_by_key(|&(b, i)| (b.unwrap_or(Time::ZERO), i));
-        order
-    } else {
-        (0..cfgs.len()).map(|i| (None, i)).collect()
-    };
+    // scan deterministic.
+    let mut order: Vec<(Option<Time>, usize)> = cfgs
+        .iter()
+        .enumerate()
+        .map(|(i, cfg)| (lower_bound(preset, cfg, coll, m), i))
+        .collect();
+    order.sort_by_key(|&(b, i)| (b.unwrap_or(Time::ZERO), i));
 
     let mut results: Vec<Option<Outcome>> = (0..cfgs.len()).map(|_| None).collect();
     let mut incumbent: Option<Time> = None;
     for (bound, i) in order {
-        if opts.prune {
-            if let (Some(b), Some(inc)) = (bound, incumbent) {
-                if b > inc {
-                    results[i] = Some(Outcome::Pruned);
-                    continue;
-                }
+        if let (Some(b), Some(inc)) = (bound, incumbent) {
+            if b > inc {
+                results[i] = Some(Outcome::Pruned);
+                continue;
             }
         }
         let r = coll_cost(machine, preset, coll, m, cfgs[i], cache);
@@ -350,48 +405,110 @@ fn run_group(
         .collect()
 }
 
+/// One task-based job: a configuration and every `(coll, m)` the serial
+/// walk predicts for it, in walk order.
+struct ConfigJob {
+    cfg: HanConfig,
+    calls: Vec<(Coll, u64)>,
+}
+
+/// One job's predictions plus the benchmark time and runs it charged.
+struct ConfigOut {
+    predicted: Vec<Result<Time, Unsupported>>,
+    spent: Time,
+    runs: u64,
+}
+
 fn tune_task_based(
     preset: &MachinePreset,
     space: &SearchSpace,
     colls: &[Coll],
     strategy: Strategy,
     cache: Option<Arc<CostCache>>,
+    workers: Option<usize>,
 ) -> TuneResult {
-    let mut table = LookupTable::for_topology(&preset.topology);
-    let mut tb = TaskBench::new(preset);
-    if let Some(cache) = cache {
-        tb = tb.with_shared_cache(cache);
-    }
-    let mut samples = Vec::new();
-    let mut skipped: Vec<Unsupported> = Vec::new();
-
+    // The serial walk is `coll → m → cfg`. Every `TaskBench` memo is keyed
+    // by configuration, so grouping the walk's calls by configuration
+    // (one job each, one `TaskBench` per worker) replays exactly the
+    // calls the walk makes for that configuration; `spent` and `runs`
+    // are sums, hence order-free.
+    let mut groups: Vec<(Coll, u64, Vec<usize>)> = Vec::new();
+    let mut jobs: Vec<ConfigJob> = Vec::new();
+    let mut job_of: HashMap<HanConfig, usize> = HashMap::new();
     for &coll in colls {
         for &m in &space.msg_sizes {
-            let mut best: Option<(HanConfig, Time)> = None;
+            let mut cands = Vec::new();
             for cfg in space.configs_for(m, &preset.topology, strategy.heuristic()) {
-                let t = match predict(&mut tb, &cfg, coll, m) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        note_skip(&mut skipped, e);
-                        continue;
+                let j = *job_of.entry(cfg).or_insert_with(|| {
+                    jobs.push(ConfigJob {
+                        cfg,
+                        calls: Vec::new(),
+                    });
+                    jobs.len() - 1
+                });
+                jobs[j].calls.push((coll, m));
+                cands.push(j);
+            }
+            groups.push((coll, m, cands));
+        }
+    }
+    let order: Vec<usize> = (0..jobs.len()).collect();
+    let outs = sweep_groups(
+        &jobs,
+        &order,
+        workers,
+        || {
+            let tb = TaskBench::new(preset);
+            match &cache {
+                Some(c) => tb.with_shared_cache(c.clone()),
+                None => tb,
+            }
+        },
+        |tb, job| {
+            let (spent, runs) = (tb.spent, tb.runs);
+            let predicted = job
+                .calls
+                .iter()
+                .map(|&(coll, m)| predict(tb, &job.cfg, coll, m))
+                .collect();
+            ConfigOut {
+                predicted,
+                spent: tb.spent - spent,
+                runs: tb.runs - runs,
+            }
+        },
+    );
+
+    let tuning_time = outs.iter().fold(Time::ZERO, |acc, o| acc + o.spent);
+    let searches = outs.iter().map(|o| o.runs).sum();
+    let mut predicted: Vec<_> = outs.into_iter().map(|o| o.predicted.into_iter()).collect();
+    let mut table = LookupTable::for_topology(&preset.topology);
+    let mut samples = Vec::new();
+    let mut skipped: Vec<Unsupported> = Vec::new();
+    for (coll, m, cands) in groups {
+        let mut best: Option<(HanConfig, Time)> = None;
+        for j in cands {
+            let cfg = jobs[j].cfg;
+            match predicted[j].next().expect("one prediction per call") {
+                Ok(t) => {
+                    samples.push((coll, m, cfg, t));
+                    if best.map(|(_, bt)| t < bt).unwrap_or(true) {
+                        best = Some((cfg, t));
                     }
-                };
-                samples.push((coll, m, cfg, t));
-                if best.map(|(_, bt)| t < bt).unwrap_or(true) {
-                    best = Some((cfg, t));
                 }
+                Err(e) => note_skip(&mut skipped, e),
             }
-            if let Some((cfg, cost)) = best {
-                table.insert(coll, m, cfg, cost);
-            }
+        }
+        if let Some((cfg, cost)) = best {
+            table.insert(coll, m, cfg, cost);
         }
     }
 
     TuneResult {
         strategy,
         table,
-        tuning_time: tb.spent,
-        searches: tb.runs,
+        tuning_time,
+        searches,
         samples,
         skipped,
         pruned: 0,
@@ -410,14 +527,10 @@ pub fn candidate_costs(
     m: u64,
     heuristic: bool,
 ) -> Vec<(HanConfig, Result<Time, Unsupported>)> {
-    let mut machine = Machine::from_preset(preset);
-    space
-        .configs_for(m, &preset.topology, heuristic)
-        .into_iter()
-        .map(|cfg| {
-            let r = coll_cost(&mut machine, preset, coll, m, cfg, None);
-            (cfg, r)
-        })
+    let cfgs = space.configs_for(m, &preset.topology, heuristic);
+    let jobs: Vec<(Coll, u64, HanConfig)> = cfgs.iter().map(|&cfg| (coll, m, cfg)).collect();
+    cfgs.into_iter()
+        .zip(cost_each(preset, &jobs, None, None))
         .collect()
 }
 
@@ -616,6 +729,72 @@ mod tests {
             }
             assert_eq!(swept.pruned, 0, "{}", preset.name);
             assert_eq!(swept.samples, truth, "{}", preset.name);
+        }
+    }
+
+    #[test]
+    fn results_are_identical_for_every_worker_count() {
+        // Jobs are merged by index, never in completion order, so every
+        // strategy's table, sample order, virtual tuning time and counters
+        // must not depend on how many workers claimed the jobs.
+        type Fingerprint = (
+            Vec<usize>,
+            Vec<(String, u64, HanConfig, u64)>,
+            Vec<(Coll, u64, HanConfig, Time)>,
+            Time,
+            u64,
+            u64,
+            Vec<Unsupported>,
+        );
+        fn fingerprint(r: TuneResult) -> Fingerprint {
+            let entries = r.table.entries;
+            (
+                r.table.levels,
+                entries
+                    .into_iter()
+                    .map(|e| (e.coll, e.m, e.cfg, e.cost_ps))
+                    .collect(),
+                r.samples,
+                r.tuning_time,
+                r.searches,
+                r.pruned,
+                r.skipped,
+            )
+        }
+        let mut space = tiny_space();
+        space.msg_sizes = pow2_range(4 * 1024, 4 << 20);
+        space.intra = vec![han_colls::IntraModule::Sm, han_colls::IntraModule::Solo];
+        let colls = [Coll::Bcast, Coll::Allreduce, Coll::Reduce];
+        for preset in [mini(2, 4), han_machine::mini3(2, 2, 2)] {
+            for strategy in Strategy::ALL {
+                for prune in [false, true] {
+                    let opts = TuneOpts {
+                        prune,
+                        ..TuneOpts::default()
+                    };
+                    let run = |w| {
+                        fingerprint(tune_on(
+                            &preset,
+                            &space,
+                            &colls,
+                            strategy,
+                            None,
+                            opts,
+                            Some(w),
+                        ))
+                    };
+                    let one = run(1);
+                    assert!(!one.2.is_empty());
+                    for w in [2, 3, 8] {
+                        assert!(
+                            run(w) == one,
+                            "{} {} prune={prune}: {w} workers differ from 1",
+                            preset.name,
+                            strategy.name()
+                        );
+                    }
+                }
+            }
         }
     }
 
