@@ -13,7 +13,6 @@
 
 use crate::proto::{read_frame, write_frame, Answer, Query, Request, Response, ServerStats};
 use han_colls::Coll;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -84,11 +83,11 @@ impl Client {
     }
 
     fn roundtrip(&mut self, request: &Request) -> std::io::Result<Response> {
-        write_frame(self.stream.get_mut(), &request.to_value())?;
-        let frame = read_frame(&mut self.stream)?.ok_or_else(|| {
+        write_frame(self.stream.get_mut(), &request.encode())?;
+        let body = read_frame(&mut self.stream)?.ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "server closed")
         })?;
-        Response::from_value(&frame)
+        Response::decode(&body)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
     }
 

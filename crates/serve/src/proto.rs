@@ -1,18 +1,62 @@
-//! The wire protocol: length-prefixed JSON frames over TCP.
+//! The wire protocol: length-prefixed frames over TCP, a binary lookup
+//! pair and JSON for everything else.
 //!
-//! Framing is a 4-byte big-endian byte length followed by one JSON
-//! document — trivially parseable from any language, and torn-write
-//! immune because a frame is only acted on once fully read. Messages are
-//! hand-serialized through the vendored [`serde::Value`] tree (the
-//! vendored derive macro does not support data-carrying enum variants),
-//! following the same pattern as `HanConfig`'s hand-written serde.
+//! A frame is a 4-byte big-endian body length followed by the body. A
+//! frame is only acted on once fully read, so a torn write never
+//! half-applies. Every message has exactly one encoding, told apart by
+//! the body's first byte:
 //!
-//! The protocol is deliberately request/response (no streaming, no
-//! server push): a client sends one `Request` frame and reads exactly
-//! one `Response` frame. Batched resolution amortizes the round-trip.
+//! | first byte | body                                              |
+//! |------------|---------------------------------------------------|
+//! | `0x01`     | `Request::Resolve`: binary query list             |
+//! | `0x02`     | `Response::Resolved`: binary answer list          |
+//! | `{`        | any other message: one JSON object with a `type`  |
+//!
+//! The binary bodies are fixed-width and little-endian. After the tag
+//! byte comes a `u32` item count, then exactly that many items; the
+//! body length must equal `5 + count * width`.
+//!
+//! A query (`width` 17):
+//!
+//! | offset | size | field                                   |
+//! |--------|------|-----------------------------------------|
+//! | 0      | 8    | `fp`: preset fingerprint, `u64`         |
+//! | 8      | 1    | `coll`: index in `Coll::ALL`            |
+//! | 9      | 8    | `m`: message bytes, `u64`               |
+//!
+//! An answer (`width` 96):
+//!
+//! | offset | size | field                                                  |
+//! |--------|------|--------------------------------------------------------|
+//! | 0      | 8    | `fp`, `u64`                                            |
+//! | 8      | 1    | `coll`: index in `Coll::ALL`                           |
+//! | 9      | 8    | `m`: the queried size, `u64`                           |
+//! | 17     | 8    | `gen`: table generation, `u64`                         |
+//! | 25     | 8    | `cfg.fs`, `u64`                                        |
+//! | 33     | 1    | `cfg.imod`: index in `InterModule::ALL`                |
+//! | 34     | 1    | `cfg.smod`: index in `IntraModule::ALL`                |
+//! | 35     | 1    | `cfg.ibalg`: index in `InterAlg::ALL`                  |
+//! | 36     | 1    | `cfg.iralg`: index in `InterAlg::ALL`                  |
+//! | 37     | 1+8  | `cfg.ibs`: flag (`0` none, `1` some), then `u64`       |
+//! | 46     | 1+8  | `cfg.irs`: flag, then `u64`                            |
+//! | 55     | 6    | `cfg.deep[0..6]`: index in `IntraModule::ALL`, or `0xFF` for none |
+//! | 61     | 1+1+1| `cfg.route`: flag, then `pri` (`u8`), then `alt` (index in `InterAlg::ALL`) |
+//! | 64     | 8    | `sample`: the sampled size resolved to, `u64`          |
+//! | 72     | 8    | `lo`: bucket start (inclusive), `u64`                  |
+//! | 80     | 8    | `hi`: bucket end (inclusive), `u64`                    |
+//! | 88     | 8    | `cost_ps`, `u64`                                       |
+//!
+//! With a flag of `0`, the bytes it guards must be zero, so every value
+//! has exactly one encoding. Decoding checks everything — the count
+//! against the body length before allocating, every enum index and flag
+//! byte, no trailing bytes — and returns an error rather than panicking.
+//!
+//! The protocol is request/response (no streaming, no server push): a
+//! client sends one `Request` frame and reads exactly one `Response`
+//! frame. Batched resolution amortizes the round trip.
 
-use han_colls::Coll;
-use han_core::HanConfig;
+use han_colls::{Coll, InterAlg, InterModule, IntraModule};
+use han_core::{HanConfig, SegRoute, MAX_DEEP};
 use han_decide::LookupTable;
 use han_machine::MachinePreset;
 use serde::{Deserialize, Error, Serialize, Value};
@@ -20,11 +64,22 @@ use std::io::{Read, Write};
 
 /// Protocol version, exchanged in `Hello` so mismatched binaries fail
 /// loudly instead of misparsing.
-pub const PROTO_VERSION: u64 = 1;
+pub const PROTO_VERSION: u64 = 2;
 
 /// Largest accepted frame (64 MiB): a defense against garbage length
 /// prefixes, not a practical limit — a full lookup table is kilobytes.
 pub const MAX_FRAME: u32 = 64 << 20;
+
+/// First body byte of a binary resolve request.
+const RESOLVE_TAG: u8 = 0x01;
+/// First body byte of a binary answer list.
+const ANSWERS_TAG: u8 = 0x02;
+/// Tag byte plus `u32` count.
+const LIST_HEADER: usize = 5;
+const QUERY_BYTES: usize = 17;
+const ANSWER_BYTES: usize = 90 + MAX_DEEP;
+/// A `deep` byte meaning "no override at this level".
+const NO_DEEP: u8 = 0xFF;
 
 /// One decision query: which machine (by fingerprint), which collective,
 /// how many bytes.
@@ -113,25 +168,24 @@ pub struct TableRow {
 // ---------------------------------------------------------------------
 // Framing
 
-/// Write one value as a length-prefixed JSON frame, in a single `write`
-/// so a `TCP_NODELAY` socket sends header and body as one segment.
-pub fn write_frame(w: &mut impl Write, v: &Value) -> std::io::Result<()> {
-    let text = serde_json::to_string(v).expect("frame serializes");
-    let len = u32::try_from(text.len())
+/// Write one body as a length-prefixed frame, in a single `write` so a
+/// `TCP_NODELAY` socket sends header and body as one segment.
+pub fn write_frame(w: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
+    let len = u32::try_from(body.len())
         .ok()
         .filter(|&len| len <= MAX_FRAME)
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
-    let mut frame = Vec::with_capacity(4 + text.len());
+    let mut frame = Vec::with_capacity(4 + body.len());
     frame.extend_from_slice(&len.to_be_bytes());
-    frame.extend_from_slice(text.as_bytes());
+    frame.extend_from_slice(body);
     w.write_all(&frame)?;
     w.flush()
 }
 
-/// Read one length-prefixed JSON frame. `Ok(None)` means the peer closed
-/// the connection cleanly at a frame boundary. Socket readers should be
-/// buffered, so a frame costs one `recv` rather than one per field.
-pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Value>> {
+/// Read one length-prefixed frame's body. `Ok(None)` means the peer
+/// closed the connection cleanly at a frame boundary. Socket readers
+/// should be buffered, so a frame costs one `recv` rather than two.
+pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
     while filled < len_buf.len() {
@@ -154,90 +208,253 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Value>> {
             format!("frame length {len} exceeds limit"),
         ));
     }
-    let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf)?;
-    let text = String::from_utf8(buf)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    let v = serde_json::from_str(&text)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    Ok(Some(v))
+    let mut body = vec![0u8; len as usize];
+    r.read_exact(&mut body)?;
+    Ok(Some(body))
 }
 
 // ---------------------------------------------------------------------
-// Message (de)serialization
+// Binary lookup pair
 
-fn tagged(tag: &str, mut fields: Vec<(String, Value)>) -> Value {
+/// Bounds-checked little-endian reads over one item's bytes.
+struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl Reader<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], Error> {
+        if self.rest.len() < N {
+            return Err(Error::custom("truncated item"));
+        }
+        let (head, tail) = self.rest.split_at(N);
+        self.rest = tail;
+        Ok(head.try_into().expect("split_at gave N bytes"))
+    }
+
+    fn u8(&mut self) -> Result<u8, Error> {
+        Ok(self.take::<1>()?[0])
+    }
+
+    fn u64(&mut self) -> Result<u64, Error> {
+        Ok(u64::from_le_bytes(self.take()?))
+    }
+
+    /// The enum variant at the next byte's index in `all`.
+    fn index<T: Copy>(&mut self, all: &[T], what: &str) -> Result<T, Error> {
+        variant(all, self.u8()?, what)
+    }
+
+    /// A flag byte: `0` or `1`.
+    fn flag(&mut self) -> Result<bool, Error> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            f => Err(Error::custom(format!("flag byte {f}"))),
+        }
+    }
+
+    fn opt_u64(&mut self) -> Result<Option<u64>, Error> {
+        let some = self.flag()?;
+        let v = self.u64()?;
+        match (some, v) {
+            (true, v) => Ok(Some(v)),
+            (false, 0) => Ok(None),
+            (false, _) => Err(Error::custom("payload behind a none flag")),
+        }
+    }
+}
+
+/// The enum variant at index `i` of its `ALL` list.
+fn variant<T: Copy>(all: &[T], i: u8, what: &str) -> Result<T, Error> {
+    all.get(i as usize)
+        .copied()
+        .ok_or_else(|| Error::custom(format!("{what} index {i} out of range")))
+}
+
+/// Index of `x` in an enum's `ALL` list, as its wire byte.
+fn index_of<T: PartialEq>(all: &[T], x: &T) -> u8 {
+    all.iter()
+        .position(|a| a == x)
+        .expect("ALL lists every variant") as u8
+}
+
+/// Index of a collective in [`Coll::ALL`].
+pub(crate) fn coll_index(coll: Coll) -> usize {
+    index_of(&Coll::ALL, &coll) as usize
+}
+
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
+    out.push(v.is_some() as u8);
+    put_u64(out, v.unwrap_or(0));
+}
+
+fn put_query(out: &mut Vec<u8>, q: &Query) {
+    put_u64(out, q.fingerprint);
+    out.push(coll_index(q.coll) as u8);
+    put_u64(out, q.m);
+}
+
+fn get_query(r: &mut Reader) -> Result<Query, Error> {
+    Ok(Query {
+        fingerprint: r.u64()?,
+        coll: r.index(&Coll::ALL, "collective")?,
+        m: r.u64()?,
+    })
+}
+
+fn put_config(out: &mut Vec<u8>, c: &HanConfig) {
+    put_u64(out, c.fs);
+    out.push(index_of(&InterModule::ALL, &c.imod));
+    out.push(index_of(&IntraModule::ALL, &c.smod));
+    out.push(index_of(&InterAlg::ALL, &c.ibalg));
+    out.push(index_of(&InterAlg::ALL, &c.iralg));
+    put_opt_u64(out, c.ibs);
+    put_opt_u64(out, c.irs);
+    for d in &c.deep {
+        out.push(d.map_or(NO_DEEP, |m| index_of(&IntraModule::ALL, &m)));
+    }
+    out.extend_from_slice(&match c.route {
+        None => [0, 0, 0],
+        Some(r) => [1, r.pri, index_of(&InterAlg::ALL, &r.alt)],
+    });
+}
+
+fn get_config(r: &mut Reader) -> Result<HanConfig, Error> {
+    let fs = r.u64()?;
+    let imod = r.index(&InterModule::ALL, "imod")?;
+    let smod = r.index(&IntraModule::ALL, "smod")?;
+    let ibalg = r.index(&InterAlg::ALL, "ibalg")?;
+    let iralg = r.index(&InterAlg::ALL, "iralg")?;
+    let ibs = r.opt_u64()?;
+    let irs = r.opt_u64()?;
+    let mut deep = [None; MAX_DEEP];
+    for d in &mut deep {
+        *d = match r.u8()? {
+            NO_DEEP => None,
+            i => Some(variant(&IntraModule::ALL, i, "deep")?),
+        };
+    }
+    let route = match (r.flag()?, r.u8()?, r.u8()?) {
+        (true, pri, alt) => Some(SegRoute {
+            pri,
+            alt: variant(&InterAlg::ALL, alt, "route alt")?,
+        }),
+        (false, 0, 0) => None,
+        (false, ..) => return Err(Error::custom("payload behind a none flag")),
+    };
+    Ok(HanConfig {
+        fs,
+        imod,
+        smod,
+        ibalg,
+        iralg,
+        ibs,
+        irs,
+        deep,
+        route,
+    })
+}
+
+fn put_answer(out: &mut Vec<u8>, a: &Answer) {
+    put_u64(out, a.fingerprint);
+    out.push(coll_index(a.coll) as u8);
+    put_u64(out, a.m);
+    put_u64(out, a.generation);
+    put_config(out, &a.cfg);
+    for v in [a.sample, a.lo, a.hi, a.cost_ps] {
+        put_u64(out, v);
+    }
+}
+
+fn get_answer(r: &mut Reader) -> Result<Answer, Error> {
+    Ok(Answer {
+        fingerprint: r.u64()?,
+        coll: r.index(&Coll::ALL, "collective")?,
+        m: r.u64()?,
+        generation: r.u64()?,
+        cfg: get_config(r)?,
+        sample: r.u64()?,
+        lo: r.u64()?,
+        hi: r.u64()?,
+        cost_ps: r.u64()?,
+    })
+}
+
+/// A tagged, counted list of fixed-width items.
+fn encode_list<T>(tag: u8, items: &[T], width: usize, put: fn(&mut Vec<u8>, &T)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(LIST_HEADER + items.len() * width);
+    out.push(tag);
+    // A longer list is far past MAX_FRAME, which `write_frame` refuses.
+    let count = u32::try_from(items.len()).unwrap_or(u32::MAX);
+    out.extend_from_slice(&count.to_le_bytes());
+    for item in items {
+        put(&mut out, item);
+    }
+    debug_assert_eq!(out.len(), LIST_HEADER + items.len() * width);
+    out
+}
+
+/// Decode a list body whose tag byte the caller has matched. The count
+/// is checked against the body length before anything is allocated.
+fn decode_list<T>(
+    body: &[u8],
+    width: usize,
+    get: fn(&mut Reader) -> Result<T, Error>,
+) -> Result<Vec<T>, Error> {
+    let count = body
+        .get(1..LIST_HEADER)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("4 count bytes")))
+        .ok_or_else(|| Error::custom("truncated list header"))?;
+    let items = &body[LIST_HEADER..];
+    if items.len() as u64 != u64::from(count) * width as u64 {
+        return Err(Error::custom(format!(
+            "{count} items of {width} bytes need {} body bytes, got {}",
+            u64::from(count) * width as u64,
+            items.len()
+        )));
+    }
+    items
+        .chunks_exact(width)
+        .map(|item| get(&mut Reader { rest: item }))
+        .collect()
+}
+
+// ---------------------------------------------------------------------
+// JSON messages
+
+fn json_body(tag: &str, fields: Vec<(&str, Value)>) -> Vec<u8> {
     let mut map = vec![("type".to_string(), Value::Str(tag.to_string()))];
-    map.append(&mut fields);
-    Value::Map(map)
+    map.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+    serde_json::to_string(&Value::Map(map))
+        .expect("JSON prints")
+        .into_bytes()
 }
 
-fn coll_to_value(c: Coll) -> Value {
-    Value::Str(c.name().to_string())
-}
-
-fn coll_from_value(v: &Value) -> Result<Coll, Error> {
-    v.as_str()
-        .and_then(Coll::from_name)
-        .ok_or_else(|| Error::custom("bad collective name"))
+/// Parse a JSON body and return it with its `type` tag.
+fn json_message(body: &[u8]) -> Result<(Value, String), Error> {
+    if body.first() != Some(&b'{') {
+        return Err(Error::custom(match body.first() {
+            Some(b) => format!("unknown body tag {b:#04x}"),
+            None => "empty body".to_string(),
+        }));
+    }
+    let text = std::str::from_utf8(body).map_err(Error::custom)?;
+    let v: Value = serde_json::from_str(text).map_err(Error::custom)?;
+    let tag = v["type"]
+        .as_str()
+        .ok_or_else(|| Error::custom("missing type tag"))?
+        .to_string();
+    Ok((v, tag))
 }
 
 fn need_u64(v: &Value, key: &str) -> Result<u64, Error> {
     v[key]
         .as_u64()
         .ok_or_else(|| Error::custom(format!("missing u64 field `{key}`")))
-}
-
-impl Serialize for Query {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("fp".to_string(), Value::UInt(self.fingerprint)),
-            ("coll".to_string(), coll_to_value(self.coll)),
-            ("m".to_string(), Value::UInt(self.m)),
-        ])
-    }
-}
-
-impl Deserialize for Query {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(Query {
-            fingerprint: need_u64(v, "fp")?,
-            coll: coll_from_value(&v["coll"])?,
-            m: need_u64(v, "m")?,
-        })
-    }
-}
-
-impl Serialize for Answer {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("fp".to_string(), Value::UInt(self.fingerprint)),
-            ("coll".to_string(), coll_to_value(self.coll)),
-            ("m".to_string(), Value::UInt(self.m)),
-            ("gen".to_string(), Value::UInt(self.generation)),
-            ("cfg".to_string(), self.cfg.to_value()),
-            ("sample".to_string(), Value::UInt(self.sample)),
-            ("lo".to_string(), Value::UInt(self.lo)),
-            ("hi".to_string(), Value::UInt(self.hi)),
-            ("cost_ps".to_string(), Value::UInt(self.cost_ps)),
-        ])
-    }
-}
-
-impl Deserialize for Answer {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(Answer {
-            fingerprint: need_u64(v, "fp")?,
-            coll: coll_from_value(&v["coll"])?,
-            m: need_u64(v, "m")?,
-            generation: need_u64(v, "gen")?,
-            cfg: HanConfig::from_value(&v["cfg"])?,
-            sample: need_u64(v, "sample")?,
-            lo: need_u64(v, "lo")?,
-            hi: need_u64(v, "hi")?,
-            cost_ps: need_u64(v, "cost_ps")?,
-        })
-    }
 }
 
 impl Serialize for ServerStats {
@@ -296,55 +513,45 @@ impl Deserialize for TableRow {
     }
 }
 
-fn seq_of<T: Serialize>(items: &[T]) -> Value {
-    Value::Seq(items.iter().map(|i| i.to_value()).collect())
-}
+// ---------------------------------------------------------------------
+// Messages
 
-fn vec_of<T: Deserialize>(v: &Value) -> Result<Vec<T>, Error> {
-    v.as_array()
-        .ok_or_else(|| Error::custom("expected sequence"))?
-        .iter()
-        .map(T::from_value)
-        .collect()
-}
-
-impl Serialize for Request {
-    fn to_value(&self) -> Value {
-        match self {
-            Request::Hello => tagged("hello", vec![]),
+impl Request {
+    /// This request as one frame body.
+    pub fn encode(&self) -> Vec<u8> {
+        let (tag, fields) = match self {
             Request::Resolve { queries } => {
-                tagged("resolve", vec![("queries".to_string(), seq_of(queries))])
+                return encode_list(RESOLVE_TAG, queries, QUERY_BYTES, put_query)
             }
-            Request::Tables => tagged("tables", vec![]),
-            Request::Publish { fingerprint, table } => tagged(
+            Request::Hello => ("hello", vec![]),
+            Request::Tables => ("tables", vec![]),
+            Request::Publish { fingerprint, table } => (
                 "publish",
                 vec![
-                    ("fp".to_string(), Value::UInt(*fingerprint)),
-                    ("table".to_string(), table.to_value()),
+                    ("fp", Value::UInt(*fingerprint)),
+                    ("table", table.to_value()),
                 ],
             ),
-            Request::Retune { preset } => {
-                tagged("retune", vec![("preset".to_string(), preset.to_value())])
-            }
-            Request::Stats => tagged("stats", vec![]),
-            Request::Shutdown => tagged("shutdown", vec![]),
-        }
+            Request::Retune { preset } => ("retune", vec![("preset", preset.to_value())]),
+            Request::Stats => ("stats", vec![]),
+            Request::Shutdown => ("shutdown", vec![]),
+        };
+        json_body(tag, fields)
     }
-}
 
-impl Deserialize for Request {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let tag = v["type"]
-            .as_str()
-            .ok_or_else(|| Error::custom("missing type tag"))?;
-        Ok(match tag {
+    /// Decode one frame body; any malformed body is an error.
+    pub fn decode(body: &[u8]) -> Result<Self, Error> {
+        if body.first() == Some(&RESOLVE_TAG) {
+            return Ok(Request::Resolve {
+                queries: decode_list(body, QUERY_BYTES, get_query)?,
+            });
+        }
+        let (v, tag) = json_message(body)?;
+        Ok(match tag.as_str() {
             "hello" => Request::Hello,
-            "resolve" => Request::Resolve {
-                queries: vec_of(&v["queries"])?,
-            },
             "tables" => Request::Tables,
             "publish" => Request::Publish {
-                fingerprint: need_u64(v, "fp")?,
+                fingerprint: need_u64(&v, "fp")?,
                 table: LookupTable::from_value(&v["table"])?,
             },
             "retune" => Request::Retune {
@@ -357,70 +564,76 @@ impl Deserialize for Request {
     }
 }
 
-impl Serialize for Response {
-    fn to_value(&self) -> Value {
-        match self {
-            Response::Hello { proto, tables } => tagged(
+impl Response {
+    /// This response as one frame body.
+    pub fn encode(&self) -> Vec<u8> {
+        let (tag, fields) = match self {
+            Response::Resolved { answers } => {
+                return encode_list(ANSWERS_TAG, answers, ANSWER_BYTES, put_answer)
+            }
+            Response::Hello { proto, tables } => (
                 "hello",
                 vec![
-                    ("proto".to_string(), Value::UInt(*proto)),
-                    ("tables".to_string(), Value::UInt(*tables)),
+                    ("proto", Value::UInt(*proto)),
+                    ("tables", Value::UInt(*tables)),
                 ],
             ),
-            Response::Resolved { answers } => {
-                tagged("resolved", vec![("answers".to_string(), seq_of(answers))])
-            }
-            Response::Tables { tables } => {
-                tagged("tables", vec![("tables".to_string(), seq_of(tables))])
-            }
+            Response::Tables { tables } => (
+                "tables",
+                vec![(
+                    "tables",
+                    Value::Seq(tables.iter().map(|t| t.to_value()).collect()),
+                )],
+            ),
             Response::Published {
                 fingerprint,
                 generation,
-            } => tagged(
+            } => (
                 "published",
                 vec![
-                    ("fp".to_string(), Value::UInt(*fingerprint)),
-                    ("gen".to_string(), Value::UInt(*generation)),
+                    ("fp", Value::UInt(*fingerprint)),
+                    ("gen", Value::UInt(*generation)),
                 ],
             ),
-            Response::Retuning { fingerprint } => tagged(
-                "retuning",
-                vec![("fp".to_string(), Value::UInt(*fingerprint))],
-            ),
-            Response::Stats { stats } => {
-                tagged("stats", vec![("stats".to_string(), stats.to_value())])
+            Response::Retuning { fingerprint } => {
+                ("retuning", vec![("fp", Value::UInt(*fingerprint))])
             }
-            Response::Error { message } => tagged(
-                "error",
-                vec![("message".to_string(), Value::Str(message.clone()))],
-            ),
-            Response::Done => tagged("done", vec![]),
-        }
+            Response::Stats { stats } => ("stats", vec![("stats", stats.to_value())]),
+            Response::Error { message } => {
+                ("error", vec![("message", Value::Str(message.clone()))])
+            }
+            Response::Done => ("done", vec![]),
+        };
+        json_body(tag, fields)
     }
-}
 
-impl Deserialize for Response {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let tag = v["type"]
-            .as_str()
-            .ok_or_else(|| Error::custom("missing type tag"))?;
-        Ok(match tag {
+    /// Decode one frame body; any malformed body is an error.
+    pub fn decode(body: &[u8]) -> Result<Self, Error> {
+        if body.first() == Some(&ANSWERS_TAG) {
+            return Ok(Response::Resolved {
+                answers: decode_list(body, ANSWER_BYTES, get_answer)?,
+            });
+        }
+        let (v, tag) = json_message(body)?;
+        Ok(match tag.as_str() {
             "hello" => Response::Hello {
-                proto: need_u64(v, "proto")?,
-                tables: need_u64(v, "tables")?,
-            },
-            "resolved" => Response::Resolved {
-                answers: vec_of(&v["answers"])?,
+                proto: need_u64(&v, "proto")?,
+                tables: need_u64(&v, "tables")?,
             },
             "tables" => Response::Tables {
-                tables: vec_of(&v["tables"])?,
+                tables: v["tables"]
+                    .as_array()
+                    .ok_or_else(|| Error::custom("missing tables"))?
+                    .iter()
+                    .map(TableRow::from_value)
+                    .collect::<Result<_, _>>()?,
             },
             "published" => Response::Published {
-                fingerprint: need_u64(v, "fp")?,
-                generation: need_u64(v, "gen")?,
+                fingerprint: need_u64(&v, "fp")?,
+                generation: need_u64(&v, "gen")?,
             },
             "retuning" => Response::Retuning {
-                fingerprint: need_u64(v, "fp")?,
+                fingerprint: need_u64(&v, "fp")?,
             },
             "stats" => Response::Stats {
                 stats: ServerStats::from_value(&v["stats"])?,
@@ -442,38 +655,72 @@ mod tests {
     use super::*;
     use han_machine::mini;
 
-    fn roundtrip_req(r: &Request) -> Request {
-        Request::from_value(&r.to_value()).expect("request roundtrips")
-    }
-
-    fn roundtrip_resp(r: &Response) -> Response {
-        Response::from_value(&r.to_value()).expect("response roundtrips")
-    }
-
-    #[test]
-    fn query_and_answer_roundtrip() {
-        let q = Query {
-            fingerprint: 0xdead_beef,
-            coll: Coll::Allreduce,
-            m: 1 << 20,
-        };
-        assert_eq!(Query::from_value(&q.to_value()).unwrap(), q);
-        let a = Answer {
-            fingerprint: 1,
-            coll: Coll::Bcast,
-            m: 4096,
-            generation: 3,
-            cfg: HanConfig::default().with_fs(65536),
-            sample: 4096,
-            lo: 0,
-            hi: u64::MAX,
-            cost_ps: 123_456,
-        };
-        assert_eq!(Answer::from_value(&a.to_value()).unwrap(), a);
+    /// A config exercising every optional field.
+    fn full_config() -> HanConfig {
+        let mut cfg = HanConfig::default().with_fs(65536);
+        cfg.ibs = Some(4096);
+        cfg.irs = Some(u64::MAX);
+        cfg.deep[0] = Some(IntraModule::Solo);
+        cfg.deep[MAX_DEEP - 1] = Some(IntraModule::Sm);
+        cfg.route = Some(SegRoute {
+            pri: 5,
+            alt: InterAlg::Chain,
+        });
+        cfg
     }
 
     #[test]
-    fn requests_roundtrip_through_json_frames() {
+    fn lookup_pair_roundtrips_at_its_documented_widths() {
+        let queries = vec![
+            Query {
+                fingerprint: 0xdead_beef,
+                coll: Coll::Allreduce,
+                m: 1 << 20,
+            },
+            Query {
+                fingerprint: u64::MAX,
+                coll: Coll::Barrier,
+                m: 0,
+            },
+        ];
+        let body = Request::Resolve {
+            queries: queries.clone(),
+        }
+        .encode();
+        assert_eq!(body.len(), 5 + 2 * 17);
+        assert_eq!(&body[..5], &[RESOLVE_TAG, 2, 0, 0, 0]);
+        match Request::decode(&body).unwrap() {
+            Request::Resolve { queries: back } => assert_eq!(back, queries),
+            other => panic!("{other:?}"),
+        }
+        let answers: Vec<Answer> = [HanConfig::default(), full_config()]
+            .iter()
+            .map(|&cfg| Answer {
+                fingerprint: 1,
+                coll: Coll::Bcast,
+                m: 4096,
+                generation: 3,
+                cfg,
+                sample: 4096,
+                lo: 0,
+                hi: u64::MAX,
+                cost_ps: 123_456,
+            })
+            .collect();
+        let body = Response::Resolved {
+            answers: answers.clone(),
+        }
+        .encode();
+        assert_eq!(ANSWER_BYTES, 96);
+        assert_eq!(body.len(), 5 + 2 * 96);
+        match Response::decode(&body).unwrap() {
+            Response::Resolved { answers: back } => assert_eq!(back, answers),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn requests_roundtrip_through_frames() {
         let mut table = LookupTable::new(2, 2);
         table.insert(
             Coll::Bcast,
@@ -502,17 +749,12 @@ mod tests {
             Request::Shutdown,
         ];
         for r in &reqs {
-            // Through full framing, not just the value tree.
+            // Through full framing, not just the body.
             let mut buf = Vec::new();
-            write_frame(&mut buf, &r.to_value()).unwrap();
-            let v = read_frame(&mut buf.as_slice()).unwrap().unwrap();
-            let back = Request::from_value(&v).unwrap();
-            assert_eq!(
-                serde_json::to_string(&back.to_value()).unwrap(),
-                serde_json::to_string(&r.to_value()).unwrap()
-            );
+            write_frame(&mut buf, &r.encode()).unwrap();
+            let body = read_frame(&mut buf.as_slice()).unwrap().unwrap();
+            assert_eq!(Request::decode(&body).unwrap().encode(), r.encode());
         }
-        let _ = roundtrip_req(&reqs[0]);
     }
 
     #[test]
@@ -551,12 +793,24 @@ mod tests {
             Response::Done,
         ];
         for r in &resps {
-            let back = roundtrip_resp(r);
-            assert_eq!(
-                serde_json::to_string(&back.to_value()).unwrap(),
-                serde_json::to_string(&r.to_value()).unwrap()
-            );
+            let body = r.encode();
+            let binary = matches!(r, Response::Resolved { .. });
+            assert_eq!(body[0] == b'{', !binary, "{r:?}");
+            assert_eq!(Response::decode(&body).unwrap().encode(), body);
         }
+    }
+
+    #[test]
+    fn json_resolve_is_no_longer_spoken() {
+        let old = br#"{"type":"resolve","queries":[]}"#;
+        assert!(Request::decode(old).is_err());
+        let old = br#"{"type":"resolved","answers":[]}"#;
+        assert!(Response::decode(old).is_err());
+        // Each side decodes only its own binary body.
+        let q = Request::Resolve { queries: vec![] }.encode();
+        let a = Response::Resolved { answers: vec![] }.encode();
+        assert!(Response::decode(&q).is_err());
+        assert!(Request::decode(&a).is_err());
     }
 
     #[test]
@@ -567,7 +821,7 @@ mod tests {
         let torn: &[u8] = &[0, 0];
         assert!(read_frame(&mut &*torn).is_err());
         let mut framed = Vec::new();
-        write_frame(&mut framed, &Value::UInt(7)).unwrap();
+        write_frame(&mut framed, b"{}").unwrap();
         framed.truncate(framed.len() - 1);
         assert!(read_frame(&mut framed.as_slice()).is_err());
     }
@@ -591,13 +845,13 @@ mod tests {
             }
         }
         let mut sink = Counting::default();
-        write_frame(&mut sink, &Request::Hello.to_value()).unwrap();
+        write_frame(&mut sink, &Request::Hello.encode()).unwrap();
         assert_eq!(sink.writes, 1, "header and body must go out together");
-        write_frame(&mut sink, &Value::UInt(7)).unwrap();
+        write_frame(&mut sink, &[7]).unwrap();
         assert_eq!(sink.writes, 2);
         let mut r = sink.bytes.as_slice();
         assert!(read_frame(&mut r).unwrap().is_some());
-        assert_eq!(read_frame(&mut r).unwrap(), Some(Value::UInt(7)));
+        assert_eq!(read_frame(&mut r).unwrap(), Some(vec![7]));
         assert!(read_frame(&mut r).unwrap().is_none());
     }
 

@@ -12,7 +12,6 @@ use crate::proto::{
 };
 use crate::retune::spawn_retune;
 use crate::store::{TableGen, TableStore};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -135,22 +134,22 @@ fn handle_connection(
     let mut reader = BufReader::new(&stream);
     let mut writer = &stream;
     loop {
-        let Some(frame) = read_frame(&mut reader)? else {
+        let Some(body) = read_frame(&mut reader)? else {
             return Ok(()); // peer closed
         };
-        let request = match Request::from_value(&frame) {
+        let request = match Request::decode(&body) {
             Ok(r) => r,
             Err(e) => {
                 let resp = Response::Error {
                     message: format!("bad request: {e}"),
                 };
-                write_frame(&mut writer, &resp.to_value())?;
+                write_frame(&mut writer, &resp.encode())?;
                 continue;
             }
         };
         let stop = matches!(request, Request::Shutdown);
         let response = dispatch(request, store, counters);
-        write_frame(&mut writer, &response.to_value())?;
+        write_frame(&mut writer, &response.encode())?;
         if stop {
             shutdown.store(true, Ordering::SeqCst);
             // Unblock the accept loop so it observes the flag.
@@ -215,7 +214,7 @@ pub fn resolve_batch(store: &TableStore, queries: &[Query]) -> Result<Vec<Answer
                 snapshots.entry(q.fingerprint).or_insert(s)
             }
         };
-        let r = snap.table.resolve(q.coll, q.m).ok_or_else(|| {
+        let r = snap.resolve(q.coll, q.m).ok_or_else(|| {
             format!(
                 "no entries for {} in table {:016x}",
                 q.coll.name(),

@@ -2,10 +2,15 @@
 //! bit-identical to direct `han_decide::LookupTable` lookups, across
 //! presets, random batches, client caching, and mid-flight hot-swaps.
 
+use han_colls::Coll;
+use han_core::HanConfig;
 use han_decide::{preset_fingerprint, LookupTable};
 use han_machine::{dgx_like, mini, mini3, MachinePreset};
 use han_serve::{serve, tune_table, Client, Query, TableStore, SERVE_COLLS};
+use han_sim::Time;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::sync::{Arc, OnceLock};
 
 struct Fixture {
@@ -309,4 +314,81 @@ fn remote_retune_hot_swaps_in() {
         }
     }
     server.shutdown();
+}
+
+/// A table with uneven, non-power-of-two samples, including the corner
+/// cases of `nearest`: 0 and 1 (equal log), two huge samples one apart
+/// (equal f64 log), and a duplicated sample (the first entry wins).
+fn uneven_table() -> LookupTable {
+    let mut t = LookupTable::new(3, 5);
+    let sizes = [
+        0u64,
+        1,
+        3,
+        100,
+        1000,
+        1500,
+        77_777,
+        (1 << 20) + 5,
+        123_456_789,
+        1 << 60,
+        (1 << 60) + 1,
+        u64::MAX - 1,
+    ];
+    for (i, &m) in sizes.iter().enumerate() {
+        let coll = [Coll::Bcast, Coll::Gather][i % 2];
+        for c in [Coll::Allreduce, coll] {
+            t.insert(
+                c,
+                m,
+                HanConfig::default().with_fs(1 + i as u64),
+                Time::from_ps(1000 + i as u64),
+            );
+        }
+    }
+    t.insert(
+        Coll::Allreduce,
+        1500,
+        HanConfig::default().with_fs(999),
+        Time::from_ps(1),
+    );
+    t
+}
+
+/// A generation's bucket index answers exactly like
+/// `LookupTable::resolve`: at every sample, on both sides of every
+/// bucket edge, at the extremes and at 10,000 seeded random sizes; and a
+/// collective the table lacks resolves to `None`.
+#[test]
+fn bucket_index_matches_lookup_table_resolve() {
+    let fx = fixture();
+    let tables: Vec<LookupTable> = fx.tables.iter().cloned().chain([uneven_table()]).collect();
+    let store = TableStore::new();
+    let mut rng = SmallRng::seed_from_u64(0x5eed);
+    for (fp, table) in tables.iter().enumerate() {
+        store.publish(fp as u64, table.clone());
+        let snap = store.snapshot(fp as u64).unwrap();
+        let mut lacking = 0;
+        for coll in Coll::ALL {
+            let samples = table.sampled_sizes(coll);
+            if samples.is_empty() {
+                lacking += 1;
+            }
+            let mut sizes = vec![0, 1, u64::MAX];
+            for &s in &samples {
+                let r = table.resolve(coll, s).unwrap();
+                sizes.extend([s, r.lo.wrapping_sub(1), r.lo, r.hi, r.hi.wrapping_add(1)]);
+            }
+            // Log-uniform over the whole axis.
+            sizes.extend((0..10_000).map(|_| rng.random::<u64>() >> rng.random_range(0..64u32)));
+            for m in sizes {
+                assert_eq!(
+                    snap.resolve(coll, m),
+                    table.resolve(coll, m),
+                    "table {fp} {coll:?} m={m}"
+                );
+            }
+        }
+        assert!(lacking > 0, "table {fp} covers every collective");
+    }
 }
