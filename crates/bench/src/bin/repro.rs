@@ -939,6 +939,7 @@ fn synth(cfg: &Cfg) {
         "groups",
         "candidates",
         "simulated",
+        "runs",
         "beamed",
         "pareto pts",
         "strict wins",
@@ -977,6 +978,7 @@ fn synth(cfg: &Cfg) {
             r.fronts.len().to_string(),
             r.candidates.to_string(),
             r.simulated.to_string(),
+            r.runs.to_string(),
             r.beamed.to_string(),
             points.to_string(),
             wins.to_string(),

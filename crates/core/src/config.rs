@@ -1,6 +1,8 @@
 //! HAN's tuned parameter set — the *output* of autotuning (paper Table II).
 
-use han_colls::{Adapt, InterAlg, InterModule, IntraModule};
+use han_colls::{Adapt, Coll, InterAlg, InterModule, IntraModule};
+use han_machine::Topology;
+use han_mpi::DataType;
 use serde::{Deserialize, Error, Serialize, Value};
 use std::fmt;
 
@@ -257,6 +259,76 @@ impl HanConfig {
     pub fn with_deep(mut self, level: usize, smod: IntraModule) -> Self {
         self.deep[level - 2] = Some(smod);
         self
+    }
+
+    /// This configuration with every field that cannot change the program
+    /// [`han_colls::stack::build_coll`] emits for `coll` at `m` bytes on
+    /// `topo` reset to one canonical value (the [`HanConfig::default`]
+    /// field, or `None`). Two configs with equal effective configs build
+    /// equal programs for any root on `topo`, so a sweep that keys its
+    /// simulations by the effective config runs each distinct program
+    /// once. The rules:
+    ///
+    /// * an `fs` past the message is one segment, so it is clamped to `m`
+    ///   (rounded up to whole `Float32` elements for reductions, which
+    ///   segment at element granularity);
+    /// * Libnbc reads no ADAPT field (`ibalg`, `iralg`, `ibs`, `irs`,
+    ///   `route`); a collective without an inter broadcast phase (all but
+    ///   Bcast and Allreduce) reads no `ibalg`/`ibs`/`route`, and one
+    ///   without an inter reduce phase (all but Reduce and Allreduce) no
+    ///   `iralg`/`irs`;
+    /// * with at most two nodes every ADAPT tree is the same single edge,
+    ///   so the algorithms and the route do not matter;
+    /// * an `ibs`/`irs` at least `m` long means no sub-segmentation. The
+    ///   test is against `m`, not `fs`: on a machine with launch costs
+    ///   [`han_machine::coarsen_fs`] widens segments past `fs`, never
+    ///   past `m`;
+    /// * a route whose `alt` is `ibalg` routes nothing, and neither does
+    ///   one whose `pri` no segment index reaches within a period
+    ///   (coarsening only lowers the segment count);
+    /// * a `deep` entry equal to `smod`, or for a level `topo` lacks, is
+    ///   the fallback.
+    pub fn effective(&self, topo: &Topology, coll: Coll, m: u64) -> HanConfig {
+        let canon = HanConfig::default();
+        let mut c = *self;
+        let ib = matches!(coll, Coll::Bcast | Coll::Allreduce);
+        let ir = matches!(coll, Coll::Reduce | Coll::Allreduce);
+        let el = if ir {
+            DataType::Float32.size() as u64
+        } else {
+            1
+        };
+        c.fs = c.fs.min(m.max(1).next_multiple_of(el));
+        let adapt = c.imod == InterModule::Adapt;
+        let trees = adapt && topo.nodes() > 2;
+        if !(ib && trees) {
+            c.ibalg = canon.ibalg;
+        }
+        if !(ir && trees) {
+            c.iralg = canon.iralg;
+        }
+        if !(ib && adapt) || c.ibs.is_some_and(|s| s >= m) {
+            c.ibs = None;
+        }
+        if !(ir && adapt) || c.irs.is_some_and(|s| s >= m) {
+            c.irs = None;
+        }
+        let segments = if m == 0 {
+            1
+        } else {
+            m.div_ceil((c.fs / el).max(1) * el)
+        };
+        if let Some(r) = c.route {
+            if !(ib && trees) || r.alt == c.ibalg || r.pri as u64 >= segments.min(ROUTE_PERIOD) {
+                c.route = None;
+            }
+        }
+        for (k, d) in c.deep.iter_mut().enumerate() {
+            if *d == Some(c.smod) || k + 2 >= topo.depth() {
+                *d = None;
+            }
+        }
+        c
     }
 
     /// Stripe the inter broadcast segment stream across two trees:

@@ -12,6 +12,13 @@
 //! the full Table-II sweep, which is what makes the `synth-dominance`
 //! guideline (front winner never loses to the menu winner) hold
 //! unconditionally.
+//!
+//! Every visited candidate is costed at `m` and at the latency probe,
+//! but one simulation serves every candidate that builds the same
+//! program: costs are keyed by `(coll, size, effective config)`
+//! ([`HanConfig::effective`]), so a tree choice on a two-node machine,
+//! a sub-segment past the message or a route that routes nothing costs
+//! no extra run. [`SynthResult::runs`] counts the distinct programs.
 
 use crate::pareto::{pareto_front, Front, FrontPoint};
 use crate::space::{candidates, Candidate};
@@ -22,6 +29,7 @@ use han_decide::LookupTable;
 use han_machine::{Machine, MachinePreset};
 use han_sim::Time;
 use han_tuner::{largest_first, lower_bound, sweep_groups, SearchSpace};
+use std::collections::HashMap;
 
 /// Knobs for [`synthesize`].
 #[derive(Debug, Clone, Copy)]
@@ -70,12 +78,19 @@ pub struct SynthSample {
 pub struct SynthResult {
     pub fronts: Vec<Front>,
     pub samples: Vec<SynthSample>,
-    /// Candidates enumerated / simulated / beam-dropped.
+    /// Candidates enumerated.
     pub candidates: u64,
+    /// Candidates costed: each visited candidate whose collective the
+    /// stack supports, one sample each.
     pub simulated: u64,
+    /// Distinct programs simulated: each visited candidate needs two
+    /// costs (at `m` and at the latency probe), and candidates whose
+    /// effective configs agree share them.
+    pub runs: u64,
     /// Always 0: the search has no bound prune. Kept because the
     /// benchmark reports it as `synth.pruned`.
     pub pruned: u64,
+    /// Candidates the beam dropped.
     pub beamed: u64,
     pub skipped: Vec<Unsupported>,
 }
@@ -140,34 +155,6 @@ fn beam(preset: &MachinePreset, coll: Coll, m: u64, cands: &[Candidate], width: 
     Beam { visit, beamed }
 }
 
-/// Simulate one candidate at the full message size and at the latency
-/// probe size.
-fn simulate(
-    machine: &mut Machine,
-    preset: &MachinePreset,
-    coll: Coll,
-    m: u64,
-    cand: Candidate,
-    bound_bw: Option<Time>,
-) -> Result<SynthSample, Unsupported> {
-    let lat_m = m.clamp(1, LAT_PROBE);
-    let Candidate { cfg, menu } = cand;
-    let han = Han::with_config(cfg);
-    let mut cost = |m| time_coll_on(&han, machine, preset, coll, m, 0);
-    let bw = cost(m)?;
-    let lat = if lat_m == m { bw } else { cost(lat_m)? };
-    Ok(SynthSample {
-        coll,
-        m,
-        cfg,
-        menu,
-        lat,
-        bw,
-        bound_lat: lower_bound(preset, &cfg, coll, lat_m),
-        bound_bw,
-    })
-}
-
 fn note_skip(skipped: &mut Vec<Unsupported>, e: Unsupported) {
     if !skipped.contains(&e) {
         skipped.push(e);
@@ -177,10 +164,12 @@ fn note_skip(skipped: &mut Vec<Unsupported>, e: Unsupported) {
 /// Synthesize schedules for every `(coll, m)` group of `space`,
 /// returning the per-group Pareto fronts plus every simulated sample.
 ///
-/// The beam is fixed from the bounds first; then every surviving
-/// candidate is one [`sweep_groups`] job, claimed largest message first
-/// and merged back in visit order, so the result is bit-identical for
-/// any worker count.
+/// The beam is fixed from the bounds first. Each visited candidate then
+/// needs two costs, at `m` and at the latency probe; each is keyed by
+/// `(coll, size, effective config)` ([`HanConfig::effective`]), and every
+/// distinct key is one [`sweep_groups`] job, claimed largest message
+/// first. The samples are assembled from the job results in visit order,
+/// so the result is bit-identical for any worker count.
 pub fn synthesize(
     preset: &MachinePreset,
     space: &SearchSpace,
@@ -197,22 +186,38 @@ pub fn synthesize(
         .iter()
         .map(|(coll, m, cands)| beam(preset, *coll, *m, cands, opts.beam))
         .collect();
-    let jobs: Vec<(usize, usize, Option<Time>)> = beams
+
+    // The distinct programs, in first-occurrence order, and each visited
+    // candidate's pair of job indices (full size, latency probe).
+    let mut keys: Vec<(Coll, u64, HanConfig)> = Vec::new();
+    let mut index: HashMap<(Coll, u64, HanConfig), usize> = HashMap::new();
+    let mut job = |coll: Coll, m: u64, cfg: &HanConfig| {
+        let key = (coll, m, cfg.effective(&preset.topology, coll, m));
+        *index.entry(key).or_insert_with(|| {
+            keys.push(key);
+            keys.len() - 1
+        })
+    };
+    let pairs: Vec<Vec<(usize, usize)>> = groups
         .iter()
-        .enumerate()
-        .flat_map(|(g, b)| b.visit.iter().map(move |&(i, bound)| (g, i, bound)))
+        .zip(&beams)
+        .map(|(&(coll, m, ref cands), b)| {
+            let lat_m = m.clamp(1, LAT_PROBE);
+            b.visit
+                .iter()
+                .map(|&(i, _)| (job(coll, m, &cands[i].cfg), job(coll, lat_m, &cands[i].cfg)))
+                .collect()
+        })
         .collect();
-    let mut sims = sweep_groups(
-        &jobs,
-        &largest_first(jobs.iter().map(|&(g, _, _)| groups[g].1)),
+    let costs = sweep_groups(
+        &keys,
+        &largest_first(keys.iter().map(|&(_, m, _)| m)),
         opts.workers,
         || Machine::from_preset(preset),
-        |machine, &(g, i, bound_bw)| {
-            let (coll, m, cands) = &groups[g];
-            simulate(machine, preset, *coll, *m, cands[i], bound_bw)
+        |machine, &(coll, m, cfg)| {
+            time_coll_on(&Han::with_config(cfg), machine, preset, coll, m, 0)
         },
-    )
-    .into_iter();
+    );
 
     let candidates_total = groups.iter().map(|(_, _, c)| c.len() as u64).sum();
     let mut result = SynthResult {
@@ -220,17 +225,31 @@ pub fn synthesize(
         samples: Vec::new(),
         candidates: candidates_total,
         simulated: 0,
+        runs: keys.len() as u64,
         pruned: 0,
         beamed: 0,
         skipped: Vec::new(),
     };
-    for ((coll, m, _), b) in groups.iter().zip(&beams) {
+    for ((&(coll, m, ref cands), b), pairs) in groups.iter().zip(&beams).zip(&pairs) {
         result.beamed += b.beamed;
+        let lat_m = m.clamp(1, LAT_PROBE);
         let mut samples = Vec::new();
-        for r in sims.by_ref().take(b.visit.len()) {
-            match r {
-                Ok(s) => samples.push(s),
-                Err(e) => note_skip(&mut result.skipped, e),
+        for (&(i, bound_bw), &(bw, lat)) in b.visit.iter().zip(pairs) {
+            match (&costs[bw], &costs[lat]) {
+                (Ok(bw), Ok(lat)) => {
+                    let Candidate { cfg, menu } = cands[i];
+                    samples.push(SynthSample {
+                        coll,
+                        m,
+                        cfg,
+                        menu,
+                        lat: *lat,
+                        bw: *bw,
+                        bound_lat: lower_bound(preset, &cfg, coll, lat_m),
+                        bound_bw,
+                    });
+                }
+                (Err(e), _) | (_, Err(e)) => note_skip(&mut result.skipped, e.clone()),
             }
         }
         result.simulated += samples.len() as u64;
@@ -252,8 +271,8 @@ pub fn synthesize(
             })
             .collect();
         result.fronts.push(Front {
-            coll: *coll,
-            m: *m,
+            coll,
+            m,
             points: pareto_front(points),
             menu_best_ps,
         });
@@ -266,7 +285,8 @@ pub fn synthesize(
 mod tests {
     use super::*;
     use crate::space::default_space;
-    use han_machine::mini;
+    use han_colls::{InterAlg, InterModule, IntraModule};
+    use han_machine::{mini, mini3};
 
     #[test]
     fn fronts_cover_groups_and_dominate_menu() {
@@ -320,5 +340,30 @@ mod tests {
         for f in &r.fronts {
             assert!(f.menu_best_ps.is_some(), "menu always simulated");
         }
+    }
+
+    #[test]
+    fn equal_trees_cost_one_run() {
+        // One 1 KiB segment: the only candidates are the menu's three
+        // ADAPT trees, plus (for Allreduce) every decoupled reduce tree.
+        let space = SearchSpace {
+            msg_sizes: vec![1024],
+            seg_sizes: vec![1024],
+            inter: InterAlg::ALL
+                .iter()
+                .map(|&alg| (InterModule::Adapt, alg))
+                .collect(),
+            intra: vec![IntraModule::Sm],
+        };
+        let colls = [Coll::Bcast, Coll::Allreduce];
+        let counts = |preset| {
+            let r = synthesize(&preset, &space, &colls, SynthOpts::default());
+            (r.simulated, r.runs)
+        };
+        // Two nodes: every tree is the same single edge, so Chain, Binary
+        // and Binomial cost one run per collective (the probe size is `m`).
+        assert_eq!(counts(mini3(2, 2, 2)), (3 + 9, 2));
+        // Four nodes: the trees differ, and every candidate is its own run.
+        assert_eq!(counts(mini(4, 4)), (3 + 9, 3 + 9));
     }
 }

@@ -51,6 +51,7 @@ fn fronts_are_identical_across_worker_counts() {
             assert_same_fronts(&one, &many, &what);
             // The scan itself is deterministic too, not just the front.
             assert_eq!(one.simulated, many.simulated, "{what}");
+            assert_eq!(one.runs, many.runs, "{what}");
             assert_eq!(one.beamed, many.beamed, "{what}");
             assert_eq!(one.skipped, many.skipped, "{what}");
             assert_eq!(one.samples.len(), many.samples.len(), "{what}");
