@@ -20,6 +20,15 @@ pub enum DataType {
 }
 
 impl DataType {
+    /// Every element type, in declaration order.
+    pub const ALL: [DataType; 5] = [
+        DataType::Uint8,
+        DataType::Int32,
+        DataType::Int64,
+        DataType::Float32,
+        DataType::Float64,
+    ];
+
     #[inline]
     pub fn size(self) -> usize {
         match self {
@@ -51,6 +60,11 @@ pub enum ReduceOp {
     Prod,
     Max,
     Min,
+}
+
+impl ReduceOp {
+    /// Every operator, in declaration order.
+    pub const ALL: [ReduceOp; 4] = [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Max, ReduceOp::Min];
 }
 
 /// An element type as stored little-endian in a byte buffer, with the

@@ -42,12 +42,15 @@
 //! (children CSR, zero-in-degree roots, message endpoints) lives in a
 //! `DepGraph` that is rebuilt on every run into the same allocations.
 //!
-//! Before a run, `prepare` resolves every op once: it gets a one-byte
-//! dispatch tag and a `u32` argument. For Sleep, Delay and the
-//! four data kinds the argument indexes a per-program table of distinct
-//! `(cpu, bus)` durations; for Send and Recv it is the message id. The
-//! ready handler then charges resources from the table without reading
-//! the `Op` or the topology again.
+//! Before a run, `prepare` resolves every op once: it decodes the op's
+//! 16-byte record with [`Program::kind`] (a data op's ranges come from the
+//! program's operands side table) and gives it a one-byte dispatch tag
+//! and a `u32` argument. For Sleep, Delay and the four data kinds the
+//! argument indexes a per-program table of distinct `(cpu, bus)`
+//! durations; for Send and Recv it is the message id. The ready handler
+//! then charges resources from the table without reading the `Op`, the
+//! operands or the topology again; only seeded execution decodes a data
+//! op a second time, to move its bytes.
 
 use crate::buffer::Memory;
 use crate::program::{MsgId, OpId, OpKind, Program};
@@ -552,6 +555,10 @@ impl Executor {
     /// Reset all per-run state for `prog` (keeping allocations), rebuild
     /// its dependency structure, resolve every op's dispatch tag and cost
     /// on `m`, and seed the ready queue from the zero-in-degree roots.
+    /// Kept out of line so that its size does not change how the event
+    /// loop in `run` is compiled: inlined, it slowed that loop by about a
+    /// tenth on synthesis-sized programs.
+    #[inline(never)]
     fn prepare(&mut self, m: &Machine, prog: &Program, opts: &ExecOpts) {
         debug_assert_eq!(prog.validate(), Ok(()));
         let nm = prog.msgs.len();
@@ -573,7 +580,7 @@ impl Executor {
             // A data op pulling from another rank uses the level linking
             // the two ranks; a local one the innermost level.
             let level = |from: u32| self.ranks.link_level(m, from, rank);
-            let (tag, arg) = match op.kind {
+            let (tag, arg) = match prog.kind(OpId(i as u32)) {
                 OpKind::Nop => (TAG_NOP, 0),
                 OpKind::Sleep { dur } => (TAG_SLEEP, cost(CLASS_FIXED, 0, dur.as_ps())),
                 OpKind::Delay { dur } => (TAG_DELAY, cost(CLASS_FIXED, 0, dur.as_ps())),
@@ -937,22 +944,22 @@ impl Executor {
         }
     }
 
+    /// Move op `op`'s bytes in seeded execution. Kept out of line: the
+    /// timing-only hot loop never calls it.
+    #[inline(never)]
     fn apply_data(&mut self, cx: &Ctx, op: OpId) {
-        let o = &cx.prog.ops[op.0 as usize];
         let mem = self.mem.as_mut().unwrap();
-        let rank = o.rank as usize;
-        match &o.kind {
-            OpKind::Copy { src, dst } => mem.copy_within_rank(rank, *src, *dst),
-            OpKind::CrossCopy { from, src, dst } => {
-                mem.copy_across(*from as usize, *src, rank, *dst)
-            }
+        let rank = cx.prog.op(op).rank as usize;
+        match cx.prog.kind(op) {
+            OpKind::Copy { src, dst } => mem.copy_within_rank(rank, src, dst),
+            OpKind::CrossCopy { from, src, dst } => mem.copy_across(from as usize, src, rank, dst),
             OpKind::Reduce {
                 op: rop,
                 dtype,
                 src,
                 dst,
                 ..
-            } => mem.reduce(*dtype, *rop, rank, *src, rank, *dst),
+            } => mem.reduce(dtype, rop, rank, src, rank, dst),
             OpKind::ReduceFrom {
                 from,
                 op: rop,
@@ -960,9 +967,9 @@ impl Executor {
                 src,
                 dst,
                 ..
-            } => mem.reduce(*dtype, *rop, *from as usize, *src, rank, *dst),
+            } => mem.reduce(dtype, rop, from as usize, src, rank, dst),
             OpKind::Recv { msg } => {
-                let meta = cx.prog.msg(*msg);
+                let meta = cx.prog.msg(msg);
                 if let Some((_, dbuf)) = meta.payload {
                     if let Some(payload) = self.msg_payload[msg.0 as usize].take() {
                         mem.write(rank, dbuf, &payload);

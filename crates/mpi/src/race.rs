@@ -111,7 +111,7 @@ pub fn check_races(prog: &Program) -> Result<(), String> {
         for i in c0 + 1..=last {
             let (before, rest) = anc.split_at_mut((i - c0) * words);
             let row = &mut rest[..words];
-            let msg_edge = match prog.ops[i].kind {
+            let msg_edge = match prog.kind(OpId(i as u32)) {
                 OpKind::Recv { msg } => Some(OpId(send_op[msg.0 as usize])),
                 _ => None,
             };
@@ -157,8 +157,8 @@ pub fn check_races(prog: &Program) -> Result<(), String> {
 fn send_ops(prog: &Program) -> Result<Vec<u32>, String> {
     const NONE: u32 = u32::MAX;
     let mut send_op = vec![NONE; prog.msgs.len()];
-    for (i, op) in prog.ops.iter().enumerate() {
-        match op.kind {
+    for i in 0..prog.ops.len() {
+        match prog.kind(OpId(i as u32)) {
             OpKind::Send { msg } => send_op[msg.0 as usize] = i as u32,
             OpKind::Recv { msg } if send_op[msg.0 as usize] == NONE => {
                 return Err(format!(
@@ -188,7 +188,7 @@ fn accesses(prog: &Program) -> Vec<Vec<Access>> {
                 });
             }
         };
-        match op.kind {
+        match prog.kind(OpId(i as u32)) {
             OpKind::Copy { src, dst } => {
                 push(op.rank, src, Mode::Read);
                 push(op.rank, dst, Mode::Write);

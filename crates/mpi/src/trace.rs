@@ -36,7 +36,7 @@ pub struct Trace {
 }
 
 pub(crate) fn op_name(prog: &Program, idx: usize) -> String {
-    match &prog.ops[idx].kind {
+    match prog.kind(OpId(idx as u32)) {
         OpKind::Nop => "join".into(),
         OpKind::Delay { .. } => "overhead".into(),
         OpKind::Sleep { .. } => "sleep".into(),
@@ -45,11 +45,11 @@ pub(crate) fn op_name(prog: &Program, idx: usize) -> String {
         OpKind::Reduce { src, .. } => format!("reduce {}B", src.len),
         OpKind::ReduceFrom { from, src, .. } => format!("reduce {}B from r{from}", src.len),
         OpKind::Send { msg } => {
-            let m = prog.msg(*msg);
+            let m = prog.msg(msg);
             format!("send {}B -> r{}", m.bytes, m.dst)
         }
         OpKind::Recv { msg } => {
-            let m = prog.msg(*msg);
+            let m = prog.msg(msg);
             format!("recv {}B <- r{}", m.bytes, m.src)
         }
     }

@@ -1,11 +1,16 @@
-//! Property tests for the flat dependency layout: for random DAGs built
+//! Property tests for the flat program layout: for random DAGs built
 //! through `ProgramBuilder`, every op's CSR dependency slice is exactly the
-//! slice handed to the builder, and a cloned program — including one
-//! cloned into a scratch that previously held a larger, different program
-//! — executes identically to the original.
+//! slice handed to the builder and its decoded kind is exactly the
+//! `OpKind` handed to it, and a cloned program — including one cloned
+//! into a scratch that previously held a larger, different program —
+//! executes identically to the original. Kinds also round-trip through
+//! the 16-byte record at the extremes of every field.
 
 use han_machine::{mini, Flavor, Machine};
-use han_mpi::{execute, ExecOpts, OpId, OpKind, Program, ProgramBuilder, Report};
+use han_mpi::program::MsgId;
+use han_mpi::{
+    execute, BufRange, DataType, ExecOpts, OpId, OpKind, Program, ProgramBuilder, ReduceOp, Report,
+};
 use han_sim::Time;
 use proptest::prelude::*;
 
@@ -14,17 +19,30 @@ const NODES: usize = 2;
 const PPN: usize = 2;
 
 /// One sampled op: (kind selector, rank, peer rank, dependency picks,
-/// bytes or duration).
-type OpSpec = (u32, usize, usize, Vec<usize>, u64);
+/// bytes or duration, reduction tags).
+type OpSpec = (u32, usize, usize, Vec<usize>, u64, Red);
+
+/// A reduction's `vectorized` flag and indices into `ReduceOp::ALL` and
+/// `DataType::ALL`.
+type Red = (bool, usize, usize);
+
+fn arb_red() -> impl Strategy<Value = Red> {
+    (
+        any::<bool>(),
+        0..ReduceOp::ALL.len(),
+        0..DataType::ALL.len(),
+    )
+}
 
 fn arb_ops() -> impl Strategy<Value = Vec<OpSpec>> {
     proptest::collection::vec(
         (
-            0u32..5,
+            0u32..8,
             0..NODES * PPN,
             0..NODES * PPN,
             proptest::collection::vec(any::<usize>(), 0..4),
             1u64..200_000,
+            arb_red(),
         ),
         1..60,
     )
@@ -46,47 +64,189 @@ fn pick_deps(ranks: &[usize], rank: usize, picks: &[usize]) -> Vec<OpId> {
     deps
 }
 
-/// Build a random DAG; returns the program and, per op, the dependency
-/// slice it was given.
-fn build(specs: &[OpSpec]) -> (Program, Vec<Vec<OpId>>) {
+/// What the builder was handed for one op.
+struct Given {
+    deps: Vec<OpId>,
+    kind: OpKind,
+}
+
+/// Build a random DAG over all nine kinds; returns the program and what
+/// each op was given. One-sided reads pull from a rank on the same node.
+fn build(specs: &[OpSpec]) -> (Program, Vec<Given>) {
     let mut b = ProgramBuilder::new(NODES * PPN);
     let mut ranks: Vec<usize> = Vec::new();
-    let mut given: Vec<Vec<OpId>> = Vec::new();
-    for (sel, rank, peer, picks, x) in specs {
+    let mut given: Vec<Given> = Vec::new();
+    let mut msgs = 0;
+    for (sel, rank, peer, picks, x, (vectorized, op, dtype)) in specs {
         let (rank, peer) = (*rank, *peer);
         let deps = pick_deps(&ranks, rank, picks);
-        match sel {
-            0 => {
-                b.nop(rank, &deps);
-            }
-            1 => {
-                b.delay(rank, Time::from_ps(*x), &deps);
-            }
-            2 => {
-                b.sleep(rank, Time::from_ps(*x), &deps);
-            }
-            3 => {
-                let (src, dst) = (b.alloc(rank, *x), b.alloc(rank, *x));
-                b.op(rank, OpKind::Copy { src, dst }, &deps);
-            }
+        let from = (rank / PPN * PPN + peer % PPN) as u32;
+        let (vectorized, op, dtype) = (*vectorized, ReduceOp::ALL[*op], DataType::ALL[*dtype]);
+        let kind = match sel {
+            0 => OpKind::Nop,
+            1 => OpKind::Delay {
+                dur: Time::from_ps(*x),
+            },
+            2 => OpKind::Sleep {
+                dur: Time::from_ps(*x),
+            },
+            3 => OpKind::Copy {
+                src: b.alloc(rank, *x),
+                dst: b.alloc(rank, *x),
+            },
+            4 => OpKind::CrossCopy {
+                from,
+                src: b.alloc(from as usize, *x),
+                dst: b.alloc(rank, *x),
+            },
+            5 => OpKind::Reduce {
+                vectorized,
+                op,
+                dtype,
+                src: b.alloc(rank, *x),
+                dst: b.alloc(rank, *x),
+            },
+            6 => OpKind::ReduceFrom {
+                from,
+                vectorized,
+                op,
+                dtype,
+                src: b.alloc(from as usize, *x),
+                dst: b.alloc(rank, *x),
+            },
             _ if peer != rank => {
                 let rdeps = pick_deps(&ranks, peer, picks);
                 let (sbuf, dbuf) = (b.alloc(rank, *x), b.alloc(peer, *x));
                 b.send_recv(rank, peer, sbuf, dbuf, &deps, &rdeps);
+                let msg = MsgId(msgs);
+                msgs += 1;
                 ranks.push(rank);
-                given.push(deps);
+                given.push(Given {
+                    deps,
+                    kind: OpKind::Send { msg },
+                });
                 ranks.push(peer);
-                given.push(rdeps);
+                given.push(Given {
+                    deps: rdeps,
+                    kind: OpKind::Recv { msg },
+                });
                 continue;
             }
-            _ => {
-                b.nop(rank, &deps);
-            }
-        }
+            _ => OpKind::Nop,
+        };
+        b.op(rank, kind, &deps);
         ranks.push(rank);
-        given.push(deps);
+        given.push(Given { deps, kind });
     }
     (b.build(), given)
+}
+
+/// A range at or near the ends of `u64`, or anywhere.
+fn arb_range() -> impl Strategy<Value = BufRange> {
+    let edge = || {
+        prop_oneof![
+            Just(0),
+            Just(1),
+            Just(u64::MAX - 1),
+            Just(u64::MAX),
+            any::<u64>()
+        ]
+    };
+    (edge(), edge()).prop_map(|(off, len)| BufRange::new(off, len))
+}
+
+/// A rank at or near the ends of `u32`, or anywhere.
+fn arb_rank() -> impl Strategy<Value = u32> {
+    prop_oneof![Just(0), Just(u32::MAX - 1), Just(u32::MAX), any::<u32>()]
+}
+
+/// Any op kind, with every field free: nothing here has to validate.
+fn arb_kind() -> impl Strategy<Value = OpKind> {
+    let dur = || prop_oneof![Just(0), Just(u64::MAX), any::<u64>()].prop_map(Time::from_ps);
+    let msg = || prop_oneof![Just(u32::MAX), any::<u32>()].prop_map(MsgId);
+    let red = || arb_red().prop_map(|(v, op, dt)| (v, ReduceOp::ALL[op], DataType::ALL[dt]));
+    prop_oneof![
+        Just(OpKind::Nop),
+        dur().prop_map(|dur| OpKind::Delay { dur }),
+        dur().prop_map(|dur| OpKind::Sleep { dur }),
+        (arb_range(), arb_range()).prop_map(|(src, dst)| OpKind::Copy { src, dst }),
+        (arb_rank(), arb_range(), arb_range()).prop_map(|(from, src, dst)| OpKind::CrossCopy {
+            from,
+            src,
+            dst
+        }),
+        (red(), arb_range(), arb_range()).prop_map(|((vectorized, op, dtype), src, dst)| {
+            OpKind::Reduce {
+                vectorized,
+                op,
+                dtype,
+                src,
+                dst,
+            }
+        }),
+        (arb_rank(), red(), arb_range(), arb_range()).prop_map(
+            |(from, (vectorized, op, dtype), src, dst)| OpKind::ReduceFrom {
+                from,
+                vectorized,
+                op,
+                dtype,
+                src,
+                dst,
+            }
+        ),
+        msg().prop_map(|msg| OpKind::Send { msg }),
+        msg().prop_map(|msg| OpKind::Recv { msg }),
+    ]
+}
+
+/// Every reduction kind: both ops, every operator and element type,
+/// vectorized or not, pulling from the largest rank.
+fn every_reduction() -> Vec<OpKind> {
+    let (src, dst) = (BufRange::new(u64::MAX, 0), BufRange::new(0, u64::MAX));
+    let mut kinds = Vec::new();
+    for op in ReduceOp::ALL {
+        for dtype in DataType::ALL {
+            for vectorized in [false, true] {
+                kinds.push(OpKind::Reduce {
+                    vectorized,
+                    op,
+                    dtype,
+                    src,
+                    dst,
+                });
+                kinds.push(OpKind::ReduceFrom {
+                    from: u32::MAX,
+                    vectorized,
+                    op,
+                    dtype,
+                    src,
+                    dst,
+                });
+            }
+        }
+    }
+    kinds
+}
+
+/// Append `(rank, kind)` ops to an empty program, as the builder does,
+/// and check each decodes to exactly what it was given.
+fn assert_round_trip(ops: &[(u32, OpKind)]) {
+    let mut p = Program::default();
+    for (i, &(rank, kind)) in ops.iter().enumerate() {
+        assert_eq!(p.push_op(rank, kind, &[]), OpId(i as u32));
+    }
+    for (i, &(rank, kind)) in ops.iter().enumerate() {
+        let id = OpId(i as u32);
+        assert_eq!((p.op(id).rank, p.kind(id)), (rank, kind), "op {i}");
+    }
+}
+
+#[test]
+fn every_reduction_tag_round_trips() {
+    let kinds = every_reduction();
+    assert_eq!(kinds.len(), 2 * 4 * 5 * 2);
+    let ops: Vec<(u32, OpKind)> = kinds.into_iter().map(|k| (u32::MAX, k)).collect();
+    assert_round_trip(&ops);
 }
 
 fn run(p: &Program) -> Report {
@@ -110,9 +270,18 @@ proptest! {
         prop_assert_eq!(p.validate(), Ok(()));
         prop_assert_eq!(p.len(), given.len());
         prop_assert_eq!(p.dep_off.len(), p.len() + 1);
-        for (i, deps) in given.iter().enumerate() {
-            prop_assert_eq!(p.deps(OpId(i as u32)), deps.as_slice());
+        for (i, g) in given.iter().enumerate() {
+            let id = OpId(i as u32);
+            prop_assert_eq!(p.deps(id), g.deps.as_slice());
+            prop_assert_eq!(p.kind(id), g.kind);
         }
+    }
+
+    #[test]
+    fn kinds_round_trip_at_the_extremes(
+        ops in proptest::collection::vec((arb_rank(), arb_kind()), 1..80),
+    ) {
+        assert_round_trip(&ops);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! ```
 
 use han::machine::{dgx_like, gpu_hier};
-use han::mpi::{execute, BufRange, OpKind, Program};
+use han::mpi::{execute, BufRange, OpId, OpKind, Program};
 use han::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -137,9 +137,9 @@ fn digest(p: &Program) -> String {
     let mut h = Fnv::new();
     h.u64(p.nranks as u64);
     h.u64(p.ops.len() as u64);
-    for op in &p.ops {
+    for (i, op) in p.ops.iter().enumerate() {
         h.u64(u64::from(op.rank));
-        h.kind(&op.kind);
+        h.kind(&p.kind(OpId(i as u32)));
     }
     for &o in &p.dep_off {
         h.u64(u64::from(o));

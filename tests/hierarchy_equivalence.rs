@@ -12,7 +12,7 @@ use han::colls::stack::{build_coll, BuildCtx};
 use han::core::allreduce::build_allreduce;
 use han::core::bcast::build_bcast;
 use han::core::{classic, extend};
-use han::mpi::{execute, trace_execution, BufRange, OpKind, Program};
+use han::mpi::{execute, trace_execution, BufRange, OpId, OpKind, Program};
 use han::prelude::*;
 use han::tuner::{tune, SearchSpace, Strategy};
 
@@ -269,9 +269,9 @@ fn spans_by_level(
 ) -> Vec<Vec<(Time, Time)>> {
     let mut by_level = vec![Vec::new(); topo.depth()];
     for (i, op) in prog.ops.iter().enumerate() {
-        let edge = match &op.kind {
+        let edge = match prog.kind(OpId(i as u32)) {
             OpKind::CrossCopy { from, .. } | OpKind::ReduceFrom { from, .. } => {
-                Some((op.rank as usize, *from as usize))
+                Some((op.rank as usize, from as usize))
             }
             OpKind::Send { msg } | OpKind::Recv { msg } => {
                 let meta = &prog.msgs[msg.0 as usize];
