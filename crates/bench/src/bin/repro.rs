@@ -60,6 +60,7 @@ use han_colls::{InterAlg, InterModule, IntraModule, TunedOpenMpi, VendorMpi};
 use han_core::task::TaskSpec;
 use han_core::{Han, HanConfig};
 use han_machine::{shaheen2_ppn, socketize, stampede2_ppn, Flavor, Machine, MachinePreset};
+use han_mpi::Program;
 use han_sim::{Summary, Time};
 use han_tuner::{
     tune, tune_with_opts, CostCache, LookupTable, SearchSpace, Strategy, TaskBench, TuneOpts,
@@ -273,6 +274,7 @@ fn model_validation(cfg: &Cfg, coll: Coll, fig: &str) {
     let mut best_act: Option<(Time, HanConfig)> = None;
     let mut tb = TaskBench::new(&preset);
     let mut machine = Machine::from_preset(&preset);
+    let mut spare = Program::default();
     let mut out = Vec::new();
     for smod in [IntraModule::Sm, IntraModule::Solo] {
         for (imod, alg, name) in inter_combos() {
@@ -281,7 +283,8 @@ fn model_validation(cfg: &Cfg, coll: Coll, fig: &str) {
                 let hc = combo_cfg(imod, alg, smod, fs);
                 let est = han_tuner::model::predict(&mut tb, &hc, coll, m).expect("modelled coll");
                 let han = Han::with_config(hc);
-                let act = time_coll_on(&han, &mut machine, &preset, coll, m, 0).expect("supported");
+                let act = time_coll_on(&han, &mut machine, &preset, coll, m, 0, &mut spare)
+                    .expect("supported");
                 let err = 100.0 * (est.as_ps() as f64 - act.as_ps() as f64) / act.as_ps() as f64;
                 t.row(vec![size_label(fs), us(est), us(act), format!("{err:+.1}")]);
                 if best_est.map(|(b, _)| est < b).unwrap_or(true) {
@@ -306,7 +309,8 @@ fn model_validation(cfg: &Cfg, coll: Coll, fig: &str) {
     println!("best estimated config: {ce}");
     println!("best actual    config: {ca}  ({})", us(ta));
     let han_est = Han::with_config(ce);
-    let achieved = time_coll_on(&han_est, &mut machine, &preset, coll, m, 0).expect("supported");
+    let achieved =
+        time_coll_on(&han_est, &mut machine, &preset, coll, m, 0, &mut spare).expect("supported");
     println!(
         "model-picked config achieves {} = {:.1}% of true optimum\n",
         us(achieved),
@@ -814,6 +818,7 @@ fn ablation_models(cfg: &Cfg) {
     let preset = cfg.tuning();
     let mut tb = TaskBench::new(&preset);
     let mut machine = Machine::from_preset(&preset);
+    let mut spare = Program::default();
     let mut rows: Vec<(String, Vec<(Time, Time)>)> = han_tuner::analytic::AnalyticModel::ALL
         .iter()
         .map(|m| (m.name().to_string(), Vec::new()))
@@ -829,8 +834,8 @@ fn ablation_models(cfg: &Cfg) {
                     IntraModule::Sm
                 });
             let han = Han::with_config(hc);
-            let actual =
-                time_coll_on(&han, &mut machine, &preset, Coll::Bcast, m, 0).expect("supported");
+            let actual = time_coll_on(&han, &mut machine, &preset, Coll::Bcast, m, 0, &mut spare)
+                .expect("supported");
             for (i, model) in han_tuner::analytic::AnalyticModel::ALL.iter().enumerate() {
                 let p = han_tuner::analytic::predict_bcast(*model, &preset, &hc, m);
                 rows[i].1.push((p, actual));

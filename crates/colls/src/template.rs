@@ -1,5 +1,6 @@
 //! Shim for the benchmark's traced sweep replay. Program templates were
-//! removed; [`TemplateStore::build_into`] is a plain [`build_coll`].
+//! removed; [`TemplateStore::build_into`] is a plain
+//! [`build_coll`](crate::stack::build_coll) into the caller's program.
 //! Nothing else in the workspace calls it.
 
 use std::cell::Cell;
@@ -7,7 +8,7 @@ use std::cell::Cell;
 use han_machine::MachinePreset;
 use han_mpi::Program;
 
-use crate::stack::{build_coll, Coll, MpiStack, Unsupported};
+use crate::stack::{build_into, Coll, MpiStack, Unsupported};
 
 /// [`TemplateStore`] counters; only `misses` ever moves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -24,7 +25,8 @@ impl TemplateStore {
         Self::default()
     }
 
-    /// `*out = build_coll(..)`; counts a miss and returns no template key.
+    /// `*out = build_coll(..)`, built into `out`'s arrays; counts a miss
+    /// and returns no template key.
     pub fn build_into(
         &self,
         stack: &dyn MpiStack,
@@ -34,7 +36,7 @@ impl TemplateStore {
         root: usize,
         out: &mut Program,
     ) -> Result<Option<u64>, Unsupported> {
-        *out = build_coll(stack, preset, coll, bytes, root)?;
+        build_into(out, stack, preset, coll, bytes, root)?;
         self.0.set(self.0.get() + 1);
         Ok(None)
     }
