@@ -29,8 +29,12 @@
 //! share one in-memory [`han_tuner::CostCache`]. Virtual times are
 //! identical with or without it — only wall-clock changes.
 //!
-//! An unknown flag, or an unknown `--scale` or `--levels` value, exits
-//! with code 2 and lists the accepted flags or values.
+//! An unknown target or flag, or an unknown `--scale` or `--levels`
+//! value, exits with code 2 and lists the accepted targets, flags or
+//! values.
+//!
+//! Each target's wall time and event-engine counters go to stderr as it
+//! finishes; `all` ends with their sum.
 //!
 //! Fig. 8 bound-prunes its exhaustive sweeps: pruning never changes the
 //! winner table, only how many candidates are simulated. Fig. 9 runs its
@@ -60,8 +64,7 @@ use han_colls::{InterAlg, InterModule, IntraModule, TunedOpenMpi, VendorMpi};
 use han_core::task::TaskSpec;
 use han_core::{Han, HanConfig};
 use han_machine::{shaheen2_ppn, socketize, stampede2_ppn, Flavor, Machine, MachinePreset};
-use han_mpi::Program;
-use han_sim::{Summary, Time};
+use han_sim::{EngineStats, Summary, Time};
 use han_tuner::{
     tune, tune_with_opts, CostCache, LookupTable, SearchSpace, Strategy, TaskBench, TuneOpts,
 };
@@ -274,7 +277,6 @@ fn model_validation(cfg: &Cfg, coll: Coll, fig: &str) {
     let mut best_act: Option<(Time, HanConfig)> = None;
     let mut tb = TaskBench::new(&preset);
     let mut machine = Machine::from_preset(&preset);
-    let mut spare = Program::default();
     let mut out = Vec::new();
     for smod in [IntraModule::Sm, IntraModule::Solo] {
         for (imod, alg, name) in inter_combos() {
@@ -283,8 +285,7 @@ fn model_validation(cfg: &Cfg, coll: Coll, fig: &str) {
                 let hc = combo_cfg(imod, alg, smod, fs);
                 let est = han_tuner::model::predict(&mut tb, &hc, coll, m).expect("modelled coll");
                 let han = Han::with_config(hc);
-                let act = time_coll_on(&han, &mut machine, &preset, coll, m, 0, &mut spare)
-                    .expect("supported");
+                let act = time_coll_on(&han, &mut machine, &preset, coll, m, 0).expect("supported");
                 let err = 100.0 * (est.as_ps() as f64 - act.as_ps() as f64) / act.as_ps() as f64;
                 t.row(vec![size_label(fs), us(est), us(act), format!("{err:+.1}")]);
                 if best_est.map(|(b, _)| est < b).unwrap_or(true) {
@@ -309,8 +310,7 @@ fn model_validation(cfg: &Cfg, coll: Coll, fig: &str) {
     println!("best estimated config: {ce}");
     println!("best actual    config: {ca}  ({})", us(ta));
     let han_est = Han::with_config(ce);
-    let achieved =
-        time_coll_on(&han_est, &mut machine, &preset, coll, m, 0, &mut spare).expect("supported");
+    let achieved = time_coll_on(&han_est, &mut machine, &preset, coll, m, 0).expect("supported");
     println!(
         "model-picked config achieves {} = {:.1}% of true optimum\n",
         us(achieved),
@@ -818,7 +818,6 @@ fn ablation_models(cfg: &Cfg) {
     let preset = cfg.tuning();
     let mut tb = TaskBench::new(&preset);
     let mut machine = Machine::from_preset(&preset);
-    let mut spare = Program::default();
     let mut rows: Vec<(String, Vec<(Time, Time)>)> = han_tuner::analytic::AnalyticModel::ALL
         .iter()
         .map(|m| (m.name().to_string(), Vec::new()))
@@ -834,8 +833,8 @@ fn ablation_models(cfg: &Cfg) {
                     IntraModule::Sm
                 });
             let han = Han::with_config(hc);
-            let actual = time_coll_on(&han, &mut machine, &preset, Coll::Bcast, m, 0, &mut spare)
-                .expect("supported");
+            let actual =
+                time_coll_on(&han, &mut machine, &preset, Coll::Bcast, m, 0).expect("supported");
             for (i, model) in han_tuner::analytic::AnalyticModel::ALL.iter().enumerate() {
                 let p = han_tuner::analytic::predict_bcast(*model, &preset, &hc, m);
                 rows[i].1.push((p, actual));
@@ -1129,6 +1128,47 @@ fn flag_value<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> &'a 
     }
 }
 
+/// A target's name and the function that runs it.
+type Target = (&'static str, fn(&Cfg));
+
+/// Every target, in the order `all` runs them.
+const TARGETS: [Target; 20] = [
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("table3", table3),
+    ("ablation-pipeline", ablation_pipeline),
+    ("ablation-irib", ablation_irib),
+    ("ablation-models", ablation_models),
+    ("verify", verify),
+    ("synth", synth),
+    ("hetero", hetero),
+];
+
+/// Print `what`'s wall time and event-engine counters to stderr.
+fn report_engine(what: &str, wall: f64, eng: &EngineStats) {
+    eprintln!(
+        "[repro] {what} done in {wall:.1}s wall; event engine: {} pushes, {} pops \
+         ({:.2}M events/s), {} batched pops (max burst {}), max queue depth {}",
+        eng.pushes,
+        eng.pops,
+        eng.pops as f64 / wall.max(1e-9) / 1e6,
+        eng.batched_pops,
+        eng.max_batch,
+        eng.max_depth
+    );
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Paper;
@@ -1150,6 +1190,17 @@ fn main() {
             what = a.clone();
         }
     }
+    let targets = match TARGETS.iter().find(|&&(name, _)| name == what) {
+        Some(&target) => vec![target],
+        None if what == "all" => TARGETS.to_vec(),
+        None => {
+            let names: Vec<&str> = TARGETS.iter().map(|&(name, _)| name).collect();
+            gate::usage_error(format!(
+                "unknown target '{what}'; expected {}|all",
+                names.join("|")
+            ))
+        }
+    };
     let cfg = Cfg { scale, levels };
     if levels > 2 {
         // Deep sweeps write results/<fig>_d3.json; two-level files stay put.
@@ -1176,76 +1227,35 @@ fn main() {
     }
     println!();
 
+    // Each target runs on freshly reset engine counters; `all` also
+    // reports their sum (the depth and burst columns are maxima).
     let start = std::time::Instant::now();
-    match what.as_str() {
-        "fig2" => fig2(&cfg),
-        "fig3" => fig3(&cfg),
-        "fig4" => fig4(&cfg),
-        "fig6" => fig6(&cfg),
-        "fig7" => fig7(&cfg),
-        "fig8" => fig8(&cfg),
-        "fig9" => fig9(&cfg),
-        "fig10" => fig10(&cfg),
-        "fig11" => fig11(&cfg),
-        "fig12" => fig12(&cfg),
-        "fig13" => fig13(&cfg),
-        "fig14" => fig14(&cfg),
-        "fig15" => fig15(&cfg),
-        "table3" => table3(&cfg),
-        "ablation-pipeline" => ablation_pipeline(&cfg),
-        "ablation-irib" => ablation_irib(&cfg),
-        "ablation-models" => ablation_models(&cfg),
-        "verify" => verify(&cfg),
-        "synth" => synth(&cfg),
-        "hetero" => hetero(&cfg),
-        "all" => {
-            fig2(&cfg);
-            fig3(&cfg);
-            fig4(&cfg);
-            fig6(&cfg);
-            fig7(&cfg);
-            fig8(&cfg);
-            fig9(&cfg);
-            fig10(&cfg);
-            fig11(&cfg);
-            fig12(&cfg);
-            fig13(&cfg);
-            fig14(&cfg);
-            fig15(&cfg);
-            table3(&cfg);
-            ablation_pipeline(&cfg);
-            ablation_irib(&cfg);
-            ablation_models(&cfg);
-            verify(&cfg);
-            synth(&cfg);
-            hetero(&cfg);
-        }
-        other => {
+    let mut total = EngineStats::default();
+    for (name, run) in targets {
+        han_mpi::reset_engine_totals();
+        let t0 = std::time::Instant::now();
+        run(&cfg);
+        let eng = han_mpi::engine_totals();
+        report_engine(name, t0.elapsed().as_secs_f64(), &eng);
+        if eng.clamped > 0 {
             eprintln!(
-                "unknown target '{other}'; expected fig2|fig3|fig4|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|table3|ablation-*|verify|synth|hetero|all"
+                "[repro] WARNING: {} event(s) were scheduled in the past and clamped \
+                 to the current virtual time — simulation results may be suspect",
+                eng.clamped
             );
-            std::process::exit(2);
+            gate::note_clamped(&format!("repro {name} event engine"), eng.clamped);
         }
+        total = EngineStats {
+            pushes: total.pushes + eng.pushes,
+            pops: total.pops + eng.pops,
+            clamped: total.clamped + eng.clamped,
+            max_depth: total.max_depth.max(eng.max_depth),
+            batched_pops: total.batched_pops + eng.batched_pops,
+            max_batch: total.max_batch.max(eng.max_batch),
+        };
     }
-    let wall = start.elapsed().as_secs_f64();
-    let eng = han_mpi::engine_totals();
-    eprintln!(
-        "[repro] {what} done in {wall:.1}s wall; event engine: {} pushes, {} pops \
-         ({:.2}M events/s), {} batched pops (max burst {}), max queue depth {}",
-        eng.pushes,
-        eng.pops,
-        eng.pops as f64 / wall.max(1e-9) / 1e6,
-        eng.batched_pops,
-        eng.max_batch,
-        eng.max_depth
-    );
-    if eng.clamped > 0 {
-        eprintln!(
-            "[repro] WARNING: {} event(s) were scheduled in the past and clamped \
-             to the current virtual time — simulation results may be suspect",
-            eng.clamped
-        );
-        gate::note_clamped("repro event engine", eng.clamped);
+    if what == "all" {
+        report_engine("all", start.elapsed().as_secs_f64(), &total);
     }
     let code = gate::finish("repro");
     if code != 0 {

@@ -7,7 +7,6 @@
 
 use han_colls::stack::{time_coll_on, Coll, MpiStack};
 use han_machine::{Machine, MachinePreset};
-use han_mpi::Program;
 use han_sim::Time;
 
 /// One sweep row: a message size and each stack's latency. A stack that
@@ -45,7 +44,6 @@ pub fn imb_sweep(
     sizes: &[u64],
 ) -> Vec<ImbRow> {
     let mut machine = Machine::from_preset(preset);
-    let mut spare = Program::default();
     sizes
         .iter()
         .map(|&bytes| ImbRow {
@@ -55,7 +53,7 @@ pub fn imb_sweep(
                 .map(|s| {
                     (
                         s.name(),
-                        time_coll_on(*s, &mut machine, preset, coll, bytes, 0, &mut spare).ok(),
+                        time_coll_on(*s, &mut machine, preset, coll, bytes, 0).ok(),
                     )
                 })
                 .collect(),

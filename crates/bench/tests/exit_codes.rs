@@ -76,6 +76,10 @@ fn repro_rejects_bad_flag_values() {
             &["fig2", "--allow-clamped"],
             "unknown flag --allow-clamped; accepted flags: --scale",
         ),
+        (
+            &["fig99", "--scale", "mini"],
+            "unknown target 'fig99'; expected fig2|fig3|",
+        ),
     ] {
         assert_usage_error(repro(args), accepted);
     }

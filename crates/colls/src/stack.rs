@@ -6,6 +6,12 @@
 //! protocol parameters it runs over. The IMB-style harness in `han-bench`
 //! and the applications in `han-apps` are generic over this trait, so every
 //! figure's "lines" are just different `MpiStack` values.
+//!
+//! [`build_coll`] compiles one collective over a whole machine;
+//! [`time_coll`] and [`time_coll_on`] build it and time it. Every build
+//! refills the arrays of the largest program its thread has dropped (see
+//! [`han_mpi::program`]), so a sweep that builds, runs and drops thousands
+//! of programs keeps nothing between calls but its [`Machine`].
 
 use crate::frontier::Frontier;
 use han_machine::{Flavor, LevelVec, Machine, MachinePreset, NodeParams, Topology};
@@ -283,45 +289,22 @@ pub fn build_coll(
     root: usize,
 ) -> Result<Program, Unsupported> {
     let n = preset.topology.world_size();
-    // Not `build_into`: an empty spare allocates its offsets before the
-    // communicator and the memory sizes, and in that order the 4096-rank
-    // Fig. 10/13 runs peaked 18 MB higher (DESIGN §10).
     let comm = Comm::world(n);
-    build_with(
-        ProgramBuilder::new(n),
-        &comm,
-        stack,
-        preset,
-        coll,
-        bytes,
-        root,
-    )
-}
-
-/// [`build_coll`] of `comm`, the whole machine, into the program that `b`
-/// builds.
-fn build_with(
-    mut b: ProgramBuilder,
-    comm: &Comm,
-    stack: &dyn MpiStack,
-    preset: &MachinePreset,
-    coll: Coll,
-    bytes: u64,
-    root: usize,
-) -> Result<Program, Unsupported> {
-    let n = comm.size();
+    // The builder refills the arrays of the largest program this thread
+    // has dropped; a sweep's builds after its first grow nothing.
+    let mut b = ProgramBuilder::new(n);
     let deps = Frontier::empty(n);
     let mut cx = BuildCtx::new(&mut b, preset);
     match coll {
         Coll::Bcast => {
             let bufs = cx.b.alloc_all(bytes);
-            stack.bcast(&mut cx, comm, root, &bufs, &deps);
+            stack.bcast(&mut cx, &comm, root, &bufs, &deps);
         }
         Coll::Allreduce => {
             let bufs = cx.b.alloc_all(bytes);
             stack.allreduce(
                 &mut cx,
-                comm,
+                &comm,
                 &bufs,
                 ReduceOp::Sum,
                 DataType::Float32,
@@ -332,7 +315,7 @@ fn build_with(
             let bufs = cx.b.alloc_all(bytes);
             stack.reduce(
                 &mut cx,
-                comm,
+                &comm,
                 root,
                 &bufs,
                 ReduceOp::Sum,
@@ -343,19 +326,19 @@ fn build_with(
         Coll::Gather => {
             let src: Vec<BufRange> = (0..n).map(|r| cx.b.alloc(r, bytes)).collect();
             let dst = cx.b.alloc(root, bytes * n as u64);
-            stack.gather(&mut cx, comm, root, &src, dst, &deps)?;
+            stack.gather(&mut cx, &comm, root, &src, dst, &deps)?;
         }
         Coll::Scatter => {
             let src = cx.b.alloc(root, bytes * n as u64);
             let dst: Vec<BufRange> = (0..n).map(|r| cx.b.alloc(r, bytes)).collect();
-            stack.scatter(&mut cx, comm, root, src, &dst, &deps)?;
+            stack.scatter(&mut cx, &comm, root, src, &dst, &deps)?;
         }
         Coll::Allgather => {
             let bufs = cx.b.alloc_all(bytes * n as u64);
-            stack.allgather(&mut cx, comm, &bufs, bytes, &deps)?;
+            stack.allgather(&mut cx, &comm, &bufs, bytes, &deps)?;
         }
         Coll::Barrier => {
-            stack.barrier(&mut cx, comm, &deps)?;
+            stack.barrier(&mut cx, &comm, &deps)?;
         }
     }
     Ok(b.build())
@@ -370,15 +353,11 @@ pub fn time_coll(
     root: usize,
 ) -> Result<Time, Unsupported> {
     let mut machine = Machine::from_preset(preset);
-    let mut spare = Program::default();
-    time_coll_on(stack, &mut machine, preset, coll, bytes, root, &mut spare)
+    time_coll_on(stack, &mut machine, preset, coll, bytes, root)
 }
 
-/// Time one collective reusing an existing machine and `spare`'s arrays,
-/// and leave the program it built in `spare`. A sweep keeps one spare per
-/// worker: thousands of small builds in a row otherwise grow and free
-/// their arrays each time, and the allocator hands that memory back to
-/// the kernel and faults it in again.
+/// Time one collective on an existing machine: [`build_coll`] plus a
+/// timing-only [`execute`].
 pub fn time_coll_on(
     stack: &dyn MpiStack,
     machine: &mut Machine,
@@ -386,28 +365,10 @@ pub fn time_coll_on(
     coll: Coll,
     bytes: u64,
     root: usize,
-    spare: &mut Program,
 ) -> Result<Time, Unsupported> {
-    build_into(spare, stack, preset, coll, bytes, root)?;
+    let prog = build_coll(stack, preset, coll, bytes, root)?;
     let opts = ExecOpts::timing(stack.flavor().p2p());
-    Ok(execute(machine, spare, &opts).makespan)
-}
-
-/// [`build_coll`] into `spare`'s arrays, replacing the program they held.
-/// An unsupported collective leaves `spare` empty.
-pub(crate) fn build_into(
-    spare: &mut Program,
-    stack: &dyn MpiStack,
-    preset: &MachinePreset,
-    coll: Coll,
-    bytes: u64,
-    root: usize,
-) -> Result<(), Unsupported> {
-    let n = preset.topology.world_size();
-    let comm = Comm::world(n);
-    let b = ProgramBuilder::reusing(std::mem::take(spare), n);
-    *spare = build_with(b, &comm, stack, preset, coll, bytes, root)?;
-    Ok(())
+    Ok(execute(machine, &prog, &opts).makespan)
 }
 
 #[cfg(test)]
@@ -417,16 +378,36 @@ mod tests {
     use han_machine::mini;
 
     #[test]
-    fn a_spare_from_a_larger_program_times_and_builds_the_same_program() {
+    fn building_in_a_larger_dropped_programs_arrays_matches_a_fresh_thread() {
         let (big, small) = (mini(3, 4), mini(2, 2));
+        let colls = [Coll::Bcast, Coll::Allreduce, Coll::Reduce];
+        // Each collective built and timed on a thread that has dropped no
+        // program, so its arrays start empty.
+        let fresh: Vec<(Program, Time)> = colls
+            .iter()
+            .map(|&coll| {
+                std::thread::spawn(move || {
+                    let p = build_coll(&TunedOpenMpi, &small, coll, 4096, 1).unwrap();
+                    (p, time_coll(&TunedOpenMpi, &small, coll, 4096, 1).unwrap())
+                })
+                .join()
+                .unwrap()
+            })
+            .collect();
         let mut m = Machine::from_preset(&small);
-        let mut spare = build_coll(&TunedOpenMpi, &big, Coll::Allreduce, 1 << 16, 0).unwrap();
-        for coll in [Coll::Bcast, Coll::Allreduce, Coll::Reduce] {
-            let want = time_coll(&TunedOpenMpi, &small, coll, 4096, 1);
-            let got = time_coll_on(&TunedOpenMpi, &mut m, &small, coll, 4096, 1, &mut spare);
-            assert_eq!(got, want, "{}", coll.name());
-            let fresh = build_coll(&TunedOpenMpi, &small, coll, 4096, 1).unwrap();
-            assert_eq!(spare, fresh, "{}", coll.name());
+        for (&coll, (want_prog, want_t)) in colls.iter().zip(&fresh) {
+            // This thread's slot now holds the larger program's arrays.
+            let larger = build_coll(&TunedOpenMpi, &big, Coll::Allreduce, 1 << 16, 0).unwrap();
+            let cap = larger.ops.capacity();
+            assert!(cap > want_prog.ops.len());
+            drop(larger);
+            let got = build_coll(&TunedOpenMpi, &small, coll, 4096, 1).unwrap();
+            assert_eq!(&got, want_prog, "{}", coll.name());
+            assert_eq!(got.ops.capacity(), cap, "{}", coll.name());
+            drop(got);
+            let t = time_coll_on(&TunedOpenMpi, &mut m, &small, coll, 4096, 1);
+            assert_eq!(t, Ok(*want_t), "{}", coll.name());
+            assert_eq!(time_coll(&TunedOpenMpi, &small, coll, 4096, 1), Ok(*want_t));
         }
     }
 

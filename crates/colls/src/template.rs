@@ -1,14 +1,14 @@
 //! Shim for the benchmark's traced sweep replay. Program templates were
-//! removed; [`TemplateStore::build_into`] is a plain
-//! [`build_coll`](crate::stack::build_coll) into the caller's program.
-//! Nothing else in the workspace calls it.
+//! removed; [`TemplateStore::build_into`] assigns a plain
+//! [`build_coll`] result to the caller's program. Nothing else in the
+//! workspace calls it.
 
 use std::cell::Cell;
 
 use han_machine::MachinePreset;
 use han_mpi::Program;
 
-use crate::stack::{build_into, Coll, MpiStack, Unsupported};
+use crate::stack::{build_coll, Coll, MpiStack, Unsupported};
 
 /// [`TemplateStore`] counters; only `misses` ever moves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -25,8 +25,8 @@ impl TemplateStore {
         Self::default()
     }
 
-    /// `*out = build_coll(..)`, built into `out`'s arrays; counts a miss
-    /// and returns no template key.
+    /// `*out = build_coll(..)`; counts a miss and returns no template key.
+    /// An unsupported collective leaves `out` as it was.
     pub fn build_into(
         &self,
         stack: &dyn MpiStack,
@@ -36,7 +36,7 @@ impl TemplateStore {
         root: usize,
         out: &mut Program,
     ) -> Result<Option<u64>, Unsupported> {
-        build_into(out, stack, preset, coll, bytes, root)?;
+        *out = build_coll(stack, preset, coll, bytes, root)?;
         self.0.set(self.0.get() + 1);
         Ok(None)
     }

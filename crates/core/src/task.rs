@@ -128,19 +128,17 @@ pub struct TaskProgram {
 /// machine: each enabled component runs on its own `seg`-byte buffers,
 /// all components start concurrently (no cross dependencies), and a join
 /// nop per node leader observes the task completion time — "issue an ib
-/// with an sb simultaneously and wait for them to complete". The program
-/// is built into `spare`'s arrays ([`ProgramBuilder::reusing`]).
+/// with an sb simultaneously and wait for them to complete".
 pub fn task_program(
     preset: &MachinePreset,
     cfg: &HanConfig,
     spec: TaskSpec,
     seg: u64,
     root_world: usize,
-    spare: Program,
 ) -> TaskProgram {
     let n = preset.topology.world_size();
     let comm = Comm::world(n);
-    let mut b = ProgramBuilder::reusing(spare, n);
+    let mut b = ProgramBuilder::new(n);
     let mut cx = BuildCtx::new(&mut b, preset);
     let levels = cx.levels;
     let split = NodeSplit::rooted(&comm, &cx.topo, root_world);
@@ -267,7 +265,7 @@ mod tests {
     fn run_task(spec: TaskSpec, seg: u64) -> Vec<Time> {
         let preset = mini(4, 4);
         let cfg = HanConfig::default();
-        let tp = task_program(&preset, &cfg, spec, seg, 0, Program::default());
+        let tp = task_program(&preset, &cfg, spec, seg, 0);
         let mut m = Machine::from_preset(&preset);
         let rep = execute(
             &mut m,
@@ -333,7 +331,7 @@ mod tests {
         let preset = mini(4, 4);
         let cfg = HanConfig::default();
         let seg = 256 * 1024;
-        let tp_ib = task_program(&preset, &cfg, TaskSpec::IB, seg, 0, Program::default());
+        let tp_ib = task_program(&preset, &cfg, TaskSpec::IB, seg, 0);
         let mut m = Machine::from_preset(&preset);
         let rep = execute(
             &mut m,
@@ -344,7 +342,7 @@ mod tests {
         for &(w, op) in &tp_ib.observers {
             skew[w] = rep.finish(op);
         }
-        let tp = task_program(&preset, &cfg, TaskSpec::SBIB, seg, 0, Program::default());
+        let tp = task_program(&preset, &cfg, TaskSpec::SBIB, seg, 0);
         let plain = execute(
             &mut m,
             &tp.program,

@@ -9,9 +9,10 @@
 //! data op's two ranges go to the program's operands side table) and
 //! appends it and its dependency slice to the program's flat arrays, so a
 //! build makes O(log n) amortized vector growths rather than one
-//! allocation per op. [`ProgramBuilder::reusing`] refills a dropped
-//! program's arrays instead, for sweeps that build thousands of programs
-//! in a row.
+//! allocation per op. [`ProgramBuilder::new`] starts from the arrays of
+//! the largest program dropped on its thread (see [`crate::program`]), so
+//! a thread that builds programs in a row grows them only when a build
+//! outgrows every earlier one.
 
 use crate::buffer::BufRange;
 use crate::program::{MsgId, MsgMeta, OpId, OpKind, Program};
@@ -24,41 +25,13 @@ pub struct ProgramBuilder {
 }
 
 impl ProgramBuilder {
+    /// A builder for a program over `nranks` ranks, refilling the arrays
+    /// of the largest program dropped on this thread.
     pub fn new(nranks: usize) -> Self {
         assert!(nranks > 0);
         ProgramBuilder {
-            prog: Program {
-                nranks,
-                mem_size: vec![0; nranks],
-                ..Program::default()
-            },
+            prog: Program::recycled(nranks),
         }
-    }
-
-    /// A builder for a program over `nranks` ranks that refills `spare`'s
-    /// arrays instead of growing new ones. A sweep that builds and runs
-    /// thousands of programs passes the last one back in.
-    pub fn reusing(mut spare: Program, nranks: usize) -> Self {
-        assert!(nranks > 0);
-        let Program {
-            ops,
-            operands,
-            dep_off,
-            dep,
-            msgs,
-            nranks: n,
-            mem_size,
-        } = &mut spare;
-        ops.clear();
-        operands.clear();
-        dep_off.clear();
-        dep_off.push(0);
-        dep.clear();
-        msgs.clear();
-        *n = nranks;
-        mem_size.clear();
-        mem_size.resize(nranks, 0);
-        ProgramBuilder { prog: spare }
     }
 
     pub fn nranks(&self) -> usize {

@@ -19,10 +19,21 @@
 //! read through [`Program::deps`]. Every field is a flat vector of plain
 //! `Copy` data, so building, cloning and dropping a program costs a few
 //! large allocations rather than one per op.
+//!
+//! Program storage is a per-thread resource, as the executor's state is.
+//! A dropped program hands its six arrays to a one-slot thread-local,
+//! which keeps the larger of the set it held and the one it is given, and
+//! [`ProgramBuilder::new`](crate::ProgramBuilder::new) refills that set.
+//! A thread that builds, runs and drops programs in a row therefore grows
+//! its arrays once instead of faulting fresh pages in for every build.
+//! The slot holds at most the largest program dropped on its thread and
+//! is freed with the thread.
 
 use crate::buffer::BufRange;
 use crate::datatype::{DataType, ReduceOp};
 use han_sim::Time;
+use std::cell::Cell;
+use std::mem::{size_of, take};
 
 /// Index of an op within a program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -172,7 +183,100 @@ impl Default for Program {
     }
 }
 
+/// A program's six arrays, without the program: what a dropped
+/// [`Program`] leaves in its thread's slot.
+#[derive(Default)]
+struct Storage {
+    ops: Vec<Op>,
+    operands: Vec<Operands>,
+    dep_off: Vec<u32>,
+    dep: Vec<OpId>,
+    msgs: Vec<MsgMeta>,
+    mem_size: Vec<u64>,
+}
+
+impl Storage {
+    const EMPTY: Storage = Storage {
+        ops: Vec::new(),
+        operands: Vec::new(),
+        dep_off: Vec::new(),
+        dep: Vec::new(),
+        msgs: Vec::new(),
+        mem_size: Vec::new(),
+    };
+
+    /// Heap bytes the arrays hold, used or not.
+    fn bytes(&self) -> usize {
+        self.ops.capacity() * size_of::<Op>()
+            + self.operands.capacity() * size_of::<Operands>()
+            + self.dep_off.capacity() * size_of::<u32>()
+            + self.dep.capacity() * size_of::<OpId>()
+            + self.msgs.capacity() * size_of::<MsgMeta>()
+            + self.mem_size.capacity() * size_of::<u64>()
+    }
+}
+
+thread_local! {
+    /// The arrays of the largest program dropped on this thread and not
+    /// yet refilled.
+    static SLOT: Cell<Storage> = const { Cell::new(Storage::EMPTY) };
+}
+
+/// Hands the arrays to this thread's slot, which keeps the larger set.
+/// During thread-local teardown the slot is gone and the arrays are
+/// simply freed.
+impl Drop for Program {
+    fn drop(&mut self) {
+        let freed = Storage {
+            ops: take(&mut self.ops),
+            operands: take(&mut self.operands),
+            dep_off: take(&mut self.dep_off),
+            dep: take(&mut self.dep),
+            msgs: take(&mut self.msgs),
+            mem_size: take(&mut self.mem_size),
+        };
+        let _ = SLOT.try_with(|slot| {
+            let held = slot.take();
+            slot.set(if freed.bytes() >= held.bytes() {
+                freed
+            } else {
+                held
+            });
+        });
+    }
+}
+
 impl Program {
+    /// The empty program over `nranks` ranks, in the arrays this thread's
+    /// slot holds (cleared), or in new ones when it holds none.
+    pub(crate) fn recycled(nranks: usize) -> Program {
+        let Storage {
+            mut ops,
+            mut operands,
+            mut dep_off,
+            mut dep,
+            mut msgs,
+            mut mem_size,
+        } = SLOT.try_with(Cell::take).unwrap_or_default();
+        ops.clear();
+        operands.clear();
+        dep_off.clear();
+        dep_off.push(0);
+        dep.clear();
+        msgs.clear();
+        mem_size.clear();
+        mem_size.resize(nranks, 0);
+        Program {
+            ops,
+            operands,
+            dep_off,
+            dep,
+            msgs,
+            nranks,
+            mem_size,
+        }
+    }
+
     pub fn op(&self, id: OpId) -> &Op {
         &self.ops[id.0 as usize]
     }
@@ -490,11 +594,10 @@ mod tests {
     use super::*;
 
     fn empty_prog(nranks: usize) -> Program {
-        Program {
-            nranks,
-            mem_size: vec![0; nranks],
-            ..Program::default()
-        }
+        let mut p = Program::default();
+        p.nranks = nranks;
+        p.mem_size = vec![0; nranks];
+        p
     }
 
     #[test]
@@ -653,6 +756,40 @@ mod tests {
         // ranges, each size stated once, live in the side table.
         assert_eq!(std::mem::size_of::<Op>(), 16);
         assert_eq!(std::mem::size_of::<Operands>(), 32);
+    }
+
+    #[test]
+    fn dropping_a_program_during_thread_local_teardown_does_not_panic() {
+        /// Drops a program, and builds and drops another, from a
+        /// thread-local destructor.
+        struct Holder(Program);
+        impl Drop for Holder {
+            fn drop(&mut self) {
+                drop(take(&mut self.0));
+                let mut b = crate::ProgramBuilder::new(2);
+                b.nop(1, &[]);
+                drop(b.build());
+            }
+        }
+        thread_local! {
+            static HELD: std::cell::RefCell<Option<Holder>> = const { std::cell::RefCell::new(None) };
+        }
+        // Thread-locals are destroyed in reverse order of first use, so
+        // the two orders drop the holder before and after the slot.
+        for slot_first in [true, false] {
+            std::thread::spawn(move || {
+                let hold = || HELD.with(|h| *h.borrow_mut() = Some(Holder(empty_prog(3))));
+                if slot_first {
+                    drop(empty_prog(1));
+                    hold();
+                } else {
+                    hold();
+                    drop(empty_prog(1));
+                }
+            })
+            .join()
+            .expect("thread teardown does not panic");
+        }
     }
 
     #[test]

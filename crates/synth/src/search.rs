@@ -27,7 +27,6 @@ use han_colls::Coll;
 use han_core::{Han, HanConfig};
 use han_decide::LookupTable;
 use han_machine::{Machine, MachinePreset};
-use han_mpi::Program;
 use han_sim::Time;
 use han_tuner::{largest_first, lower_bound, sweep_groups, SearchSpace};
 use std::collections::HashMap;
@@ -214,9 +213,9 @@ pub fn synthesize(
         &keys,
         &largest_first(keys.iter().map(|&(_, m, _)| m)),
         opts.workers,
-        || (Machine::from_preset(preset), Program::default()),
-        |(machine, spare), &(coll, m, cfg)| {
-            time_coll_on(&Han::with_config(cfg), machine, preset, coll, m, 0, spare)
+        || Machine::from_preset(preset),
+        |machine, &(coll, m, cfg)| {
+            time_coll_on(&Han::with_config(cfg), machine, preset, coll, m, 0)
         },
     );
 

@@ -22,7 +22,6 @@ use han_colls::stack::{time_coll_on, Coll, Unsupported};
 use han_core::{Han, HanConfig};
 use han_decide::LookupTable;
 use han_machine::{Machine, MachinePreset};
-use han_mpi::Program;
 use han_sim::Time;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -160,9 +159,9 @@ fn tune_on(
 }
 
 /// Simulate (or recall) the latency of one HAN collective configuration
-/// on a worker's machine, building into its spare program.
+/// on a worker's machine.
 fn coll_cost(
-    (machine, spare): &mut (Machine, Program),
+    machine: &mut Machine,
     preset: &MachinePreset,
     coll: Coll,
     m: u64,
@@ -172,7 +171,7 @@ fn coll_cost(
     if let Some(t) = cache.and_then(|c| c.lookup_coll(coll, &cfg, m)) {
         return Ok(t);
     }
-    let t = time_coll_on(&Han::with_config(cfg), machine, preset, coll, m, 0, spare)?;
+    let t = time_coll_on(&Han::with_config(cfg), machine, preset, coll, m, 0)?;
     if let Some(c) = cache {
         c.record_coll(coll, &cfg, m, t);
     }
@@ -265,8 +264,8 @@ fn cost_each(
         jobs,
         &largest_first(jobs.iter().map(|j| j.1)),
         workers,
-        || (Machine::from_preset(preset), Program::default()),
-        |worker, &(coll, m, cfg)| coll_cost(worker, preset, coll, m, cfg, cache),
+        || Machine::from_preset(preset),
+        |machine, &(coll, m, cfg)| coll_cost(machine, preset, coll, m, cfg, cache),
     )
 }
 
@@ -309,8 +308,8 @@ fn tune_exhaustive(
             &groups,
             &largest_first(groups.iter().map(|g| g.1)),
             workers,
-            || (Machine::from_preset(preset), Program::default()),
-            |worker, (coll, m, cfgs)| run_group(worker, preset, *coll, *m, cfgs, cache),
+            || Machine::from_preset(preset),
+            |machine, (coll, m, cfgs)| run_group(machine, preset, *coll, *m, cfgs, cache),
         )
         .into_iter()
         .flatten()
@@ -369,7 +368,7 @@ fn tune_exhaustive(
 /// enumeration order in the output, the tie-broken winner — is identical
 /// to the unpruned sweep's.
 fn run_group(
-    worker: &mut (Machine, Program),
+    machine: &mut Machine,
     preset: &MachinePreset,
     coll: Coll,
     m: u64,
@@ -395,7 +394,7 @@ fn run_group(
                 continue;
             }
         }
-        let r = coll_cost(worker, preset, coll, m, cfgs[i], cache);
+        let r = coll_cost(machine, preset, coll, m, cfgs[i], cache);
         if let Ok(t) = &r {
             incumbent = Some(incumbent.map_or(*t, |inc| inc.min(*t)));
         }
@@ -555,8 +554,8 @@ pub fn achieved_latency(
         c.assert_for(preset);
     }
     let cfg = table.nearest(coll, m).map(|e| e.cfg).unwrap_or_default();
-    let mut worker = (Machine::from_preset(preset), Program::default());
-    coll_cost(&mut worker, preset, coll, m, cfg, cache)
+    let mut machine = Machine::from_preset(preset);
+    coll_cost(&mut machine, preset, coll, m, cfg, cache)
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use crate::cache::CostCache;
 use han_core::task::{task_program, TaskSpec};
 use han_core::HanConfig;
 use han_machine::{Flavor, Machine, MachinePreset};
-use han_mpi::{execute, ExecOpts, Program};
+use han_mpi::{execute, ExecOpts};
 use han_sim::Time;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -50,8 +50,6 @@ fn skew_key(skew: &[Time]) -> Vec<u64> {
 pub struct TaskBench {
     preset: MachinePreset,
     machine: Machine,
-    /// The last task program, whose arrays the next one is built into.
-    spare: Program,
     cache: HashMap<Key, Vec<Time>>,
     /// `(cfg, spec, seg)` → `(occurrence threshold, stabilized cost)`:
     /// occurrences at or beyond the threshold reuse the stabilized cost.
@@ -87,7 +85,6 @@ impl TaskBench {
         TaskBench {
             preset: *preset,
             machine: Machine::from_preset(preset),
-            spare: Program::default(),
             cache: HashMap::new(),
             frozen: HashMap::new(),
             last_measured: HashMap::new(),
@@ -135,8 +132,7 @@ impl TaskBench {
                 return cost;
             }
         }
-        let spare = std::mem::take(&mut self.spare);
-        let tp = task_program(&self.preset, cfg, spec, seg, 0, spare);
+        let tp = task_program(&self.preset, cfg, spec, seg, 0);
         let topo = self.preset.topology;
         let mut start = vec![Time::ZERO; topo.world_size()];
         for (node, &s) in skew.iter().enumerate() {
@@ -161,7 +157,6 @@ impl TaskBench {
             .enumerate()
             .map(|(ul, &(_, op))| rep.finish(op).saturating_sub(skew[ul]))
             .collect();
-        self.spare = tp.program;
         if let Some(shared) = &self.shared {
             shared.record_task(cfg, spec, seg, rel, &cost, window);
         }

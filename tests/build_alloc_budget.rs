@@ -1,10 +1,12 @@
 //! Allocation and storage budget of HAN program construction at paper
 //! scale: building the Fig. 10/13 Bcast and Allreduce on 4096 ranks makes
-//! O(ranks + log ops) heap allocations, not one or more per op, and the
-//! built program stores a bounded number of bytes per op.
+//! O(ranks + log ops) heap allocations, not one or more per op, the
+//! built program stores a bounded number of bytes per op, and a build
+//! after a dropped one refills its arrays instead of growing new ones.
 //!
-//! This file is its own test binary with a counting global allocator; it
-//! holds a single test so no other test allocates while it counts.
+//! This file is its own test binary with a counting global allocator.
+//! The counters are per thread, so a test counts only its own
+//! allocations.
 
 use han::mpi::program::{MsgMeta, Op, OpId, Operands, Program};
 use han::prelude::*;
@@ -16,15 +18,33 @@ use std::sync::Arc;
 
 struct Counting;
 
-thread_local! {
-    /// Allocations made by this thread while counting is on.
-    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+/// What one thread allocated while counting was on.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
+    /// Heap allocations, reallocations included.
+    allocs: u64,
+    /// Bytes requested: each allocation's size, plus what each
+    /// reallocation grew by.
+    bytes: u64,
+    /// Bytes still held: `bytes`, less what reallocations shrank by and
+    /// what was freed.
+    held: i64,
 }
 
-fn bump() {
+thread_local! {
+    /// This thread's counts while counting is on.
+    static COUNT: Cell<Option<Counts>> = const { Cell::new(None) };
+}
+
+/// Count one allocator call that took `old` bytes and left `new`.
+fn bump(old: usize, new: usize) {
     COUNT.with(|c| {
         if let Some(n) = c.get() {
-            c.set(Some(n + 1));
+            c.set(Some(Counts {
+                allocs: n.allocs + u64::from(new > 0),
+                bytes: n.bytes + new.saturating_sub(old) as u64,
+                held: n.held + new as i64 - old as i64,
+            }));
         }
     });
 }
@@ -33,21 +53,22 @@ fn bump() {
 // counter has no destructor and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(0, layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(0, layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(layout.size(), new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        bump(layout.size(), 0);
         System.dealloc(ptr, layout)
     }
 }
@@ -55,15 +76,24 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Heap allocations (including reallocations) made by `f` on this thread,
-/// and `f`'s result.
-fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    COUNT.with(|c| c.set(Some(0)));
+/// What `f` allocated on this thread, and `f`'s result.
+fn allocations<T>(f: impl FnOnce() -> T) -> (Counts, T) {
+    COUNT.with(|c| c.set(Some(Counts::default())));
     let out = f();
     (
         COUNT.with(|c| c.replace(None)).expect("counting was on"),
         out,
     )
+}
+
+/// HAN configured from the committed Shaheen II table, and the 4096-rank
+/// machine of Figs. 10/13.
+fn paper_han() -> (Han, MachinePreset) {
+    let table = LookupTable::load(
+        &PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/table_shaheen.json"),
+    )
+    .expect("results/table_shaheen.json loads");
+    (Han::tuned(Arc::new(table)), shaheen2_ppn(128, 32))
 }
 
 /// Allocations per built op allowed. A 4096-rank build needs a handful of
@@ -91,18 +121,14 @@ fn storage_bytes(p: &Program) -> usize {
 
 #[test]
 fn paper_scale_han_build_allocates_per_rank_not_per_op() {
-    let table = LookupTable::load(
-        &PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/table_shaheen.json"),
-    )
-    .expect("results/table_shaheen.json loads");
-    let han = Han::tuned(Arc::new(table));
-    let preset = shaheen2_ppn(128, 32);
+    let (han, preset) = paper_han();
     let mut report = Vec::new();
     let (mut worst, mut widest) = (0.0f64, 0.0f64);
     for coll in [Coll::Bcast, Coll::Allreduce] {
         for m in [1u64 << 20, 16 << 20] {
-            let (allocs, prog) = allocations(|| build_coll(&han, &preset, coll, m, 0));
+            let (counts, prog) = allocations(|| build_coll(&han, &preset, coll, m, 0));
             let prog = prog.expect("HAN builds Bcast and Allreduce");
+            let allocs = counts.allocs;
             let ops = prog.ops.len();
             let per_op = allocs as f64 / ops as f64;
             let bytes_per_op = storage_bytes(&prog) as f64 / ops as f64;
@@ -126,4 +152,37 @@ fn paper_scale_han_build_allocates_per_rank_not_per_op() {
         report.join("\n")
     );
     println!("{}", report.join("\n"));
+}
+
+/// Bytes per op a build may newly hold when its thread has already
+/// dropped a program at least as large. Only the memory sizes and a few
+/// per-rank vectors may be new; the program's arrays are the dropped
+/// ones. (The builders' transient scratch, such as the frontier each
+/// intra-node phase returns per node and segment, is allocated and freed
+/// within the build and comes to about 5.5 B/op requested.)
+const REFILL_BYTES_PER_OP: f64 = 1.0;
+
+#[test]
+fn a_build_after_a_dropped_one_refills_its_arrays() {
+    let (han, preset) = paper_han();
+    let build = || build_coll(&han, &preset, Coll::Allreduce, 16 << 20, 0).unwrap();
+    let (first, prog) = allocations(build);
+    let (ops, stored) = (prog.ops.len(), storage_bytes(&prog));
+    drop(prog);
+    let (second, prog) = allocations(build);
+    assert_eq!(prog.ops.len(), ops);
+    let per_op = |b: i64| b as f64 / ops as f64;
+    let report = format!(
+        "Allreduce 16 MiB, {ops} ops storing {stored} B: the first build requested \
+         {} B and holds {} B ({:.1} B/op); the second requested {} B and holds {} B \
+         ({:.2} B/op)",
+        first.bytes,
+        first.held,
+        per_op(first.held),
+        second.bytes,
+        second.held,
+        per_op(second.held)
+    );
+    assert!(per_op(second.held) < REFILL_BYTES_PER_OP, "{report}");
+    println!("{report}");
 }
