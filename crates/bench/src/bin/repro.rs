@@ -57,14 +57,16 @@
 //! fidelity (who wins, by what factor, where the crossovers are), not the
 //! testbeds' absolute microseconds. See `EXPERIMENTS.md`.
 
-use han_bench::report::{save_json, size_label, us, Table};
-use han_bench::{gate, imb_sweep, netpipe_sweep, sizes};
+use han_bench::report::{save_json, us, Table};
+use han_bench::{gate, imb_sweep, netpipe_sweep};
 use han_colls::stack::{time_coll, time_coll_on, Coll, MpiStack};
 use han_colls::{InterAlg, InterModule, IntraModule, TunedOpenMpi, VendorMpi};
+use han_core::config::human_size;
 use han_core::task::TaskSpec;
 use han_core::{Han, HanConfig};
 use han_machine::{shaheen2_ppn, socketize, stampede2_ppn, Flavor, Machine, MachinePreset};
 use han_sim::{EngineStats, Summary, Time};
+use han_tuner::space::pow2_range;
 use han_tuner::{
     tune, tune_with_opts, CostCache, LookupTable, SearchSpace, Strategy, TaskBench, TuneOpts,
 };
@@ -177,7 +179,7 @@ fn tuned_table(preset: &MachinePreset, label: &str) -> LookupTable {
         }
     }
     let mut space = SearchSpace::standard();
-    space.msg_sizes = sizes(4, 128 << 20);
+    space.msg_sizes = pow2_range(4, 128 << 20);
     let result = tune(preset, &space, &colls, Strategy::TaskBasedHeuristic);
     std::fs::create_dir_all("results").ok();
     result.table.save(&path).ok();
@@ -245,7 +247,7 @@ fn fig3(cfg: &Cfg) {
             let cells: Vec<String> = series.iter().map(|t| us(*t)).collect();
             println!(
                 "{name:>16} seg={:>5}:  {}",
-                size_label(seg),
+                human_size(seg),
                 cells.join("  ")
             );
             out.push((
@@ -268,11 +270,11 @@ fn model_validation(cfg: &Cfg, coll: Coll, fig: &str) {
     println!(
         "## {fig} — {} cost model validation ({} message, {} nodes x {} ppn)\n",
         coll.name(),
-        size_label(m),
+        human_size(m),
         preset.topology.nodes(),
         preset.topology.ppn()
     );
-    let seg_sizes = sizes(16 * 1024, m.min(4 << 20));
+    let seg_sizes = pow2_range(16 * 1024, m.min(4 << 20));
     let mut best_est: Option<(Time, HanConfig)> = None;
     let mut best_act: Option<(Time, HanConfig)> = None;
     let mut tb = TaskBench::new(&preset);
@@ -287,7 +289,7 @@ fn model_validation(cfg: &Cfg, coll: Coll, fig: &str) {
                 let han = Han::with_config(hc);
                 let act = time_coll_on(&han, &mut machine, &preset, coll, m, 0).expect("supported");
                 let err = 100.0 * (est.as_ps() as f64 - act.as_ps() as f64) / act.as_ps() as f64;
-                t.row(vec![size_label(fs), us(est), us(act), format!("{err:+.1}")]);
+                t.row(vec![human_size(fs), us(est), us(act), format!("{err:+.1}")]);
                 if best_est.map(|(b, _)| est < b).unwrap_or(true) {
                     best_est = Some((est, hc));
                 }
@@ -370,8 +372,8 @@ fn tune_strategies(
     let preset = cfg.tuning();
     let mut space = SearchSpace::standard();
     if cfg.scale == Scale::Mini {
-        space.msg_sizes = sizes(4, 1 << 20);
-        space.seg_sizes = sizes(16 * 1024, 512 * 1024);
+        space.msg_sizes = pow2_range(4, 1 << 20);
+        space.seg_sizes = pow2_range(16 * 1024, 512 * 1024);
     }
     let colls = [Coll::Bcast, Coll::Allreduce];
     let cache = Arc::new(CostCache::new(&preset));
@@ -485,7 +487,7 @@ fn fig9(cfg: &Cfg) {
                     .expect("tuned collectives are supported")
             };
             t.row(vec![
-                size_label(m),
+                human_size(m),
                 us(dist.best()),
                 us(dist.median()),
                 us(dist.average()),
@@ -521,12 +523,12 @@ fn imb_figure(
         preset.topology.world_size()
     );
     let refs: Vec<&dyn MpiStack> = stacks.iter().map(|b| b.as_ref()).collect();
-    let rows = imb_sweep(&refs, preset, coll, &sizes(4, max_msg));
+    let rows = imb_sweep(&refs, preset, coll, &pow2_range(4, max_msg));
     let mut header = vec!["size".to_string()];
     header.extend(stacks.iter().map(|s| s.name()));
     let mut t = Table::new(&header.iter().map(|s| s.as_str()).collect::<Vec<_>>());
     for row in &rows {
-        let mut cells = vec![size_label(row.bytes)];
+        let mut cells = vec![human_size(row.bytes)];
         cells.extend(
             row.results
                 .iter()
@@ -588,14 +590,14 @@ fn fig10(cfg: &Cfg) {
 fn fig11(_cfg: &Cfg) {
     println!("## Fig. 11 — Netpipe P2P bandwidth on Shaheen II (GB/s)\n");
     let preset = shaheen2_ppn(2, 32);
-    let szs = sizes(1, 64 << 20);
+    let szs = pow2_range(1, 64 << 20);
     let ompi = netpipe_sweep(&preset, Flavor::OpenMpi, &szs);
     let cray = netpipe_sweep(&preset, Flavor::CrayMpi, &szs);
     let mut t = Table::new(&["size", "Open MPI", "Cray MPI", "ratio"]);
     let mut out = Vec::new();
     for (o, c) in ompi.iter().zip(&cray) {
         t.row(vec![
-            size_label(o.bytes),
+            human_size(o.bytes),
             format!("{:.3}", o.bandwidth / 1e9),
             format!("{:.3}", c.bandwidth / 1e9),
             format!("{:.2}", c.bandwidth / o.bandwidth),
@@ -759,7 +761,7 @@ fn ablation_pipeline(cfg: &Cfg) {
     let preset = cfg.tuning();
     let m = cfg.validation_msg().max(4 << 20);
     let mut t = Table::new(&["fs", "bcast", "allreduce"]);
-    let mut fss = sizes(64 * 1024, m);
+    let mut fss = pow2_range(64 * 1024, m);
     if *fss.last().unwrap() != m {
         fss.push(m); // the no-pipeline point
     }
@@ -773,7 +775,7 @@ fn ablation_pipeline(cfg: &Cfg) {
             });
         let han = Han::with_config(hc);
         t.row(vec![
-            size_label(fs),
+            human_size(fs),
             us(time_coll(&han, &preset, Coll::Bcast, m, 0).expect("supported")),
             us(time_coll(&han, &preset, Coll::Allreduce, m, 0).expect("supported")),
         ]);
@@ -823,7 +825,7 @@ fn ablation_models(cfg: &Cfg) {
         .map(|m| (m.name().to_string(), Vec::new()))
         .collect();
     rows.push(("task-based (HAN)".into(), Vec::new()));
-    for &m in &sizes(256 * 1024, cfg.validation_msg()) {
+    for &m in &pow2_range(256 * 1024, cfg.validation_msg()) {
         for fs in [128 * 1024u64, 512 * 1024] {
             let hc = HanConfig::default()
                 .with_fs(fs)

@@ -61,16 +61,6 @@ pub fn imb_sweep(
         .collect()
 }
 
-/// The paper's "small" message range: 4 B – 128 KB.
-pub fn small_sizes() -> Vec<u64> {
-    crate::sizes(4, 128 * 1024)
-}
-
-/// The paper's "large" message range: 256 KB – 128 MB.
-pub fn large_sizes() -> Vec<u64> {
-    crate::sizes(256 * 1024, 128 << 20)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,12 +102,5 @@ mod tests {
         // An unsupported stack reads as absent, never as a zero latency.
         assert_eq!(row.of("C-unsupported"), None);
         assert_eq!(row.speedup("A", "C-unsupported"), None);
-    }
-
-    #[test]
-    fn size_ranges_match_paper() {
-        assert_eq!(small_sizes().first(), Some(&4));
-        assert_eq!(small_sizes().last(), Some(&(128 * 1024)));
-        assert_eq!(large_sizes().last(), Some(&(128 << 20)));
     }
 }

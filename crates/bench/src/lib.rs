@@ -22,24 +22,3 @@ pub mod report;
 pub use imb::{imb_sweep, ImbRow};
 pub use netpipe::{netpipe_sweep, NetpipeRow};
 pub use report::Table;
-
-/// Power-of-two message sizes from `lo` to `hi` inclusive (the IMB
-/// convention the paper's x-axes use).
-pub fn sizes(lo: u64, hi: u64) -> Vec<u64> {
-    let mut v = Vec::new();
-    let mut x = lo;
-    while x <= hi {
-        v.push(x);
-        x *= 2;
-    }
-    v
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn sizes_are_powers_of_two() {
-        assert_eq!(crate::sizes(4, 32), vec![4, 8, 16, 32]);
-        assert!(crate::sizes(8, 4).is_empty());
-    }
-}

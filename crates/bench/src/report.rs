@@ -69,11 +69,6 @@ pub fn us(t: Time) -> String {
     }
 }
 
-/// Compact byte-size label (4, 1K, 2M, ...).
-pub fn size_label(bytes: u64) -> String {
-    han_core::config::human_size(bytes)
-}
-
 /// Persist a serializable result under `results/<name><suffix>.json`,
 /// where the suffix comes from [`set_result_suffix`] (e.g. `_d3` for
 /// three-level sweeps, so deep runs never clobber the two-level files).
@@ -126,6 +121,5 @@ mod tests {
         assert_eq!(us(Time::from_us(3)), "3.00");
         assert_eq!(us(Time::from_us(42)), "42.0");
         assert_eq!(us(Time::from_ms(5)), "5000");
-        assert_eq!(size_label(64 * 1024), "64K");
     }
 }

@@ -80,11 +80,6 @@ impl Coll {
             Coll::Barrier => "barrier",
         }
     }
-
-    /// Inverse of [`Coll::name`], for wire formats and persisted tables.
-    pub fn from_name(name: &str) -> Option<Coll> {
-        Coll::ALL.iter().copied().find(|c| c.name() == name)
-    }
 }
 
 /// A stack was asked for a collective it does not implement. Sweeps and

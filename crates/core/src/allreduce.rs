@@ -9,8 +9,8 @@
 //!
 //! The leader task sequence is `sr(0), irsr(1), ibirsr(2),
 //! sbibirsr(3..u-1), sbibir, sbib, sb` — a 4-stage software pipeline.
-//! Non-leaders run the `sbsr` chain. As in [`crate::bcast`], per-task
-//! leader joins are emitted for the autotuner.
+//! Non-leaders run the `sbsr` chain. As in [`crate::bcast`], each
+//! pipeline step ends in an explicit join op on every leader.
 
 use crate::bcast::{descend_bcast, inter_bcast};
 use crate::config::HanConfig;
@@ -18,17 +18,7 @@ use crate::levels::{GroupPlan, NodeSplit};
 use han_colls::stack::BuildCtx;
 use han_colls::{Frontier, InterModule, IntraModule, Libnbc, Sm, Solo};
 use han_machine::{LevelParams, LevelVec};
-use han_mpi::{BufRange, Comm, DataType, OpId, ProgramBuilder, ReduceOp};
-
-/// Result of building a hierarchical allreduce.
-#[derive(Debug)]
-pub struct AllreduceBuild {
-    pub frontier: Frontier,
-    /// `boundaries[t][ul]`: leader `ul`'s join after pipeline step `t`
-    /// (`u + 3` steps: phase `sr` enters at `t`, `sb` drains at `t+3`).
-    pub boundaries: Vec<Vec<OpId>>,
-    pub segments: usize,
-}
+use han_mpi::{BufRange, Comm, DataType, ProgramBuilder, ReduceOp};
 
 /// Dispatch an inter-node reduce (to up-local `root`) through the
 /// configured submodule.
@@ -91,7 +81,7 @@ pub(crate) fn intra_reduce(
 /// [`GroupPlan`] — the ascending mirror of
 /// [`crate::bcast::descend_bcast`]: each subgroup first folds its own
 /// partial down to its leader, then the leaders run a flat
-/// `smod_at(level)` reduce across subgroup boundaries. On depth-2
+/// `smod_at(level)` reduce across the subgroups. On depth-2
 /// topologies this collapses to exactly the classic intra reduce.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ascend_reduce(
@@ -168,28 +158,20 @@ pub fn build_allreduce(
     op: ReduceOp,
     dtype: DataType,
     deps: &Frontier,
-) -> AllreduceBuild {
+) -> Frontier {
     let n = comm.size();
     assert_eq!(bufs.len(), n);
     if n == 1 {
-        return AllreduceBuild {
-            frontier: deps.clone(),
-            boundaries: Vec::new(),
-            segments: 1,
-        };
+        return deps.clone();
     }
     let split = NodeSplit::node(comm, &cx.topo);
     let up = &split.up;
     let up_root = 0; // same root for ir and ib (paper section III-B)
     let nl = up.size();
 
-    // Segment at datatype granularity: a reduction segment must hold a
-    // whole number of elements.
     let node = cx.node;
     let levels = cx.levels;
-    let el = dtype.size() as u64;
-    let fs = han_machine::coarsen_fs((cfg.fs / el).max(1) * el, bufs[0].len, &node, &levels);
-    let u = bufs[0].nsegments(fs);
+    let (fs, u) = cfg.segmentation(dtype, bufs[0].len, &node, &levels);
 
     let mut boundary = deps.project(&split.up_locals);
     let mut child_chain = deps.clone();
@@ -198,7 +180,6 @@ pub fn build_allreduce(
     let mut sr_f: Vec<Option<Frontier>> = vec![None; u];
     let mut ir_f: Vec<Option<Frontier>> = vec![None; u];
     let mut ib_f: Vec<Option<Frontier>> = vec![None; u];
-    let mut boundaries = Vec::with_capacity(u + 3);
     // Scratch reused by every step: ops issued in the step, per leader and
     // per non-leader rank, and one phase's buffers and dependencies.
     let mut issued_leader = Frontier::empty(nl);
@@ -317,7 +298,6 @@ pub fn build_allreduce(
         }
 
         // Task boundary joins.
-        let mut joins = Vec::with_capacity(nl);
         for ul in 0..nl {
             let w = up.world_rank(ul);
             let j = if issued_leader.get(ul).is_empty() {
@@ -327,9 +307,7 @@ pub fn build_allreduce(
                 cx.b.nop(w, issued_leader.get(ul))
             };
             boundary.set(ul, &[j]);
-            joins.push(j);
         }
-        boundaries.push(joins);
         for l in 0..n {
             if !issued_child.get(l).is_empty() {
                 child_chain.set(l, issued_child.get(l));
@@ -342,11 +320,7 @@ pub fn build_allreduce(
     for (ul, &l) in split.up_locals.iter().enumerate() {
         frontier.set(l, boundary.get(ul));
     }
-    AllreduceBuild {
-        frontier,
-        boundaries,
-        segments: u,
-    }
+    frontier
 }
 
 #[cfg(test)]
@@ -359,13 +333,13 @@ mod tests {
         preset: &han_machine::MachinePreset,
         cfg: &HanConfig,
         bytes: u64,
-    ) -> (han_mpi::Program, Vec<BufRange>, AllreduceBuild) {
+    ) -> (han_mpi::Program, Vec<BufRange>) {
         let n = preset.topology.world_size();
         let comm = Comm::world(n);
         let mut b = ProgramBuilder::new(n);
         let bufs = b.alloc_all(bytes);
         let mut cx = BuildCtx::new(&mut b, preset);
-        let built = build_allreduce(
+        build_allreduce(
             &mut cx,
             cfg,
             &comm,
@@ -374,14 +348,13 @@ mod tests {
             DataType::Int32,
             &Frontier::empty(n),
         );
-        (b.build(), bufs, built)
+        (b.build(), bufs)
     }
 
     fn check_sum(cfg: &HanConfig, nodes: usize, ppn: usize, bytes: u64) {
         let preset = mini(nodes, ppn);
         let n = nodes * ppn;
-        let (prog, bufs, built) = build(&preset, cfg, bytes);
-        assert_eq!(built.segments, cfg.segments(bytes) as usize);
+        let (prog, bufs) = build(&preset, cfg, bytes);
         let mut m = Machine::from_preset(&preset);
         let o = ExecOpts::timing(Flavor::OpenMpi.p2p());
         let nelem = (bytes / 4) as usize;
@@ -467,15 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn boundary_count_is_u_plus_3() {
-        let preset = mini(3, 2);
-        let cfg = HanConfig::default().with_fs(100);
-        let (_, _, built) = build(&preset, &cfg, 600); // u = 6
-        assert_eq!(built.segments, 6);
-        assert_eq!(built.boundaries.len(), 9);
-    }
-
-    #[test]
     fn ir_ib_overlap_helps() {
         // Breaking inter-node allreduce into ir+ib and pipelining must beat
         // the unsegmented variant for large messages (paper section III-B).
@@ -487,7 +451,7 @@ mod tests {
                 smod: han_colls::IntraModule::Solo,
                 ..HanConfig::default()
             };
-            let (prog, _, _) = build(&preset, &cfg, bytes);
+            let (prog, _) = build(&preset, &cfg, bytes);
             let mut m = Machine::from_preset(&preset);
             execute(&mut m, &prog, &ExecOpts::timing(Flavor::OpenMpi.p2p())).makespan
         };
@@ -502,8 +466,7 @@ mod tests {
     #[test]
     fn single_rank_trivial() {
         let preset = mini(1, 1);
-        let (prog, _, built) = build(&preset, &HanConfig::default(), 64);
-        assert!(built.boundaries.is_empty());
+        let (prog, _) = build(&preset, &HanConfig::default(), 64);
         assert_eq!(prog.len(), 0);
     }
 }

@@ -5,28 +5,17 @@
 //! when *all* of its component operations complete — `sbib(i)` joins the
 //! intra-node broadcast of segment `i-1` (including the consumers' copies,
 //! the shared bounce pool's flow control) with the inter-node broadcast of
-//! segment `i` — and the next task starts from that join. The join ops are
-//! returned as `boundaries` so the autotuner can time individual tasks
-//! (Figs. 2 and 3).
+//! segment `i` — and the next task starts from that join, an explicit
+//! no-op on each leader. The autotuner times individual tasks (Figs. 2
+//! and 3) through standalone task programs ([`crate::task`]), not through
+//! these joins.
 
 use crate::config::HanConfig;
 use crate::levels::{GroupPlan, NodeSplit};
 use han_colls::stack::BuildCtx;
 use han_colls::{Frontier, InterModule, IntraModule, Libnbc, Sm, Solo};
 use han_machine::{LevelParams, LevelVec};
-use han_mpi::{BufRange, Comm, OpId, ProgramBuilder};
-
-/// Result of building a hierarchical broadcast.
-#[derive(Debug)]
-pub struct BcastBuild {
-    /// Completion frontier over the original communicator.
-    pub frontier: Frontier,
-    /// `boundaries[t][ul]` = leader `ul`'s join op after task `t`.
-    /// Tasks are `ib(0), sbib(1), …, sbib(u-1), sb(u-1)` — `u+1` entries.
-    pub boundaries: Vec<Vec<OpId>>,
-    /// Number of HAN segments `u`.
-    pub segments: usize,
-}
+use han_mpi::{BufRange, Comm, DataType, OpId, ProgramBuilder};
 
 /// Dispatch an inter-node broadcast of HAN segment `seg` through the
 /// configured submodule. ADAPT honours the config's segment routing:
@@ -148,15 +137,11 @@ pub fn build_bcast(
     root: usize,
     bufs: &[BufRange],
     deps: &Frontier,
-) -> BcastBuild {
+) -> Frontier {
     let n = comm.size();
     assert_eq!(bufs.len(), n);
     if n == 1 {
-        return BcastBuild {
-            frontier: deps.clone(),
-            boundaries: Vec::new(),
-            segments: 1,
-        };
+        return deps.clone();
     }
     let root_world = comm.world_rank(root);
     let split = NodeSplit::rooted(comm, &cx.topo, root_world);
@@ -166,8 +151,7 @@ pub fn build_bcast(
 
     let node = cx.node;
     let levels = cx.levels;
-    let fs = han_machine::coarsen_fs(cfg.fs, bufs[0].len, &node, &levels);
-    let u = bufs[0].nsegments(fs);
+    let (fs, u) = cfg.segmentation(DataType::Uint8, bufs[0].len, &node, &levels);
 
     // Per-leader current boundary (dependency list for the next task) and
     // per-rank intra-broadcast chains.
@@ -176,7 +160,6 @@ pub fn build_bcast(
     // All node ops of the previous segment's sb, per leader (flow control:
     // the leader's task joins the whole node's intra broadcast).
     let mut sb_node_prev = Frontier::empty(nl);
-    let mut boundaries = Vec::with_capacity(u + 1);
     // Scratch reused by every segment.
     let mut seg_bufs: Vec<BufRange> = Vec::new();
     let mut sub_deps = Frontier::default();
@@ -189,16 +172,13 @@ pub fn build_bcast(
         let f_ib = inter_bcast(cx.b, cfg, up, up_root, &seg_bufs, &boundary, i as u64);
 
         // Task boundary: join ib(i) with sb(i-1) on each leader.
-        let mut joins = Vec::with_capacity(nl);
         for ul in 0..nl {
             join.clear();
             join.extend_from_slice(f_ib.get(ul));
             join.extend_from_slice(sb_node_prev.get(ul));
             let j = cx.b.nop(up.world_rank(ul), &join);
             boundary.set(ul, &[j]);
-            joins.push(j);
         }
-        boundaries.push(joins);
 
         // sb(i) on each node: leader starts from the fresh boundary,
         // non-leaders from their own chains.
@@ -231,27 +211,20 @@ pub fn build_bcast(
     }
 
     // Final task sb(u-1): leaders join the last intra broadcast.
-    let mut joins = Vec::with_capacity(nl);
     for ul in 0..nl {
         join.clear();
         join.extend_from_slice(boundary.get(ul));
         join.extend_from_slice(sb_node_prev.get(ul));
         let j = cx.b.nop(up.world_rank(ul), &join);
         boundary.set(ul, &[j]);
-        joins.push(j);
     }
-    boundaries.push(joins);
 
     // Leaders end at their last join, everyone else at its own chain.
     let mut frontier = sb_chain;
     for (ul, &l) in split.up_locals.iter().enumerate() {
         frontier.set(l, boundary.get(ul));
     }
-    BcastBuild {
-        frontier,
-        boundaries,
-        segments: u,
-    }
+    frontier
 }
 
 #[cfg(test)]
@@ -265,20 +238,19 @@ mod tests {
         cfg: &HanConfig,
         bytes: u64,
         root: usize,
-    ) -> (han_mpi::Program, Vec<BufRange>, BcastBuild) {
+    ) -> (han_mpi::Program, Vec<BufRange>) {
         let n = preset.topology.world_size();
         let comm = Comm::world(n);
         let mut b = ProgramBuilder::new(n);
         let bufs = b.alloc_all(bytes);
         let mut cx = BuildCtx::new(&mut b, preset);
-        let built = build_bcast(&mut cx, cfg, &comm, root, &bufs, &Frontier::empty(n));
-        (b.build(), bufs, built)
+        build_bcast(&mut cx, cfg, &comm, root, &bufs, &Frontier::empty(n));
+        (b.build(), bufs)
     }
 
     fn check_delivery(cfg: &HanConfig, nodes: usize, ppn: usize, bytes: u64, root: usize) {
         let preset = mini(nodes, ppn);
-        let (prog, bufs, built) = build(&preset, cfg, bytes, root);
-        assert_eq!(built.segments, cfg.segments(bytes) as usize);
+        let (prog, bufs) = build(&preset, cfg, bytes, root);
         let mut m = Machine::from_preset(&preset);
         let o = ExecOpts::timing(Flavor::OpenMpi.p2p());
         let data: Vec<u8> = (0..bytes).map(|i| (i % 251) as u8).collect();
@@ -359,32 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn boundary_count_matches_task_list() {
-        let preset = mini(3, 2);
-        let cfg = HanConfig::default().with_fs(100);
-        let (_, _, built) = build(&preset, &cfg, 450, 0); // 5 segments
-        assert_eq!(built.segments, 5);
-        // ib(0), sbib(1..4), sb(4) = 6 boundaries, one per leader each.
-        assert_eq!(built.boundaries.len(), 6);
-        assert!(built.boundaries.iter().all(|b| b.len() == 3));
-    }
-
-    #[test]
-    fn boundaries_are_monotone_per_leader() {
-        let preset = mini(4, 4);
-        let cfg = HanConfig::default().with_fs(64 * 1024);
-        let (prog, _, built) = build(&preset, &cfg, 512 * 1024, 0);
-        let mut m = Machine::from_preset(&preset);
-        let rep = execute(&mut m, &prog, &ExecOpts::timing(Flavor::OpenMpi.p2p()));
-        for ul in 0..4 {
-            let times: Vec<_> = built.boundaries.iter().map(|t| rep.finish(t[ul])).collect();
-            for w in times.windows(2) {
-                assert!(w[0] <= w[1], "leader {ul}: boundaries must be ordered");
-            }
-        }
-    }
-
-    #[test]
     fn pipelining_beats_sequential_phases() {
         // The same message broadcast with one giant segment (no pipeline)
         // must be slower than with segments (overlapped ib/sb), for a
@@ -393,7 +339,7 @@ mod tests {
         let bytes = 8 << 20;
         let time_of = |fs: u64| {
             let cfg = HanConfig::default().with_fs(fs);
-            let (prog, _, _) = build(&preset, &cfg, bytes, 0);
+            let (prog, _) = build(&preset, &cfg, bytes, 0);
             let mut m = Machine::from_preset(&preset);
             execute(&mut m, &prog, &ExecOpts::timing(Flavor::OpenMpi.p2p())).makespan
         };
@@ -408,8 +354,7 @@ mod tests {
     #[test]
     fn single_rank_comm_is_trivial() {
         let preset = mini(1, 1);
-        let (prog, _, built) = build(&preset, &HanConfig::default(), 1024, 0);
-        assert!(built.boundaries.is_empty());
+        let (prog, _) = build(&preset, &HanConfig::default(), 1024, 0);
         assert_eq!(prog.len(), 0);
     }
 }

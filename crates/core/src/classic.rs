@@ -6,25 +6,19 @@
 //! the topology's level list. Its non-negotiable invariant is that every
 //! two-level machine produces bit-identical virtual times and tuned
 //! winners before and after the refactor — so the exact pre-refactor
-//! builders live on here, unmodified, and `tests/hierarchy_equivalence.rs`
-//! pins the generalized path against them config by config. Nothing else
-//! should call this module.
+//! builders live on here, changed only to return just their frontier, and
+//! `tests/hierarchy_equivalence.rs` pins the generalized path against them
+//! config by config. They keep their own copy of the segmentation rule,
+//! so the agreement also checks [`crate::HanConfig::segmentation`].
+//! Nothing else should call this module.
 
-use crate::allreduce::{inter_reduce, intra_reduce, AllreduceBuild};
-use crate::bcast::{inter_bcast, intra_bcast, BcastBuild};
+use crate::allreduce::{inter_reduce, intra_reduce};
+use crate::bcast::{inter_bcast, intra_bcast};
 use crate::config::HanConfig;
 use han_colls::p2p::{dissemination_barrier, ring_allgather};
 use han_colls::stack::{split_with_root, BuildCtx, RankIndex};
 use han_colls::Frontier;
 use han_mpi::{BufRange, Comm, DataType, OpId, OpKind, ReduceOp};
-
-/// World-rank-ordered slot index of `world` within its node's members.
-#[allow(dead_code)]
-fn node_slot(members: &[usize], world: usize) -> usize {
-    let mut sorted = members.to_vec();
-    sorted.sort_unstable();
-    sorted.iter().position(|&r| r == world).expect("member")
-}
 
 /// Build the HAN broadcast from comm-local `root` over `comm`.
 pub fn build_bcast(
@@ -34,15 +28,11 @@ pub fn build_bcast(
     root: usize,
     bufs: &[BufRange],
     deps: &Frontier,
-) -> BcastBuild {
+) -> Frontier {
     let n = comm.size();
     assert_eq!(bufs.len(), n);
     if n == 1 {
-        return BcastBuild {
-            frontier: deps.clone(),
-            boundaries: Vec::new(),
-            segments: 1,
-        };
+        return deps.clone();
     }
     let root_world = comm.world_rank(root);
     let (low, up) = split_with_root(comm, &cx.topo, root_world);
@@ -64,7 +54,6 @@ pub fn build_bcast(
     // All node ops of the previous segment's sb, per leader (flow control:
     // the leader's task joins the whole node's intra broadcast).
     let mut sb_node_prev: Vec<Vec<OpId>> = vec![Vec::new(); up.size()];
-    let mut boundaries = Vec::with_capacity(u + 1);
 
     for i in 0..u {
         // ib(i) over the leaders, from each leader's current boundary.
@@ -76,15 +65,12 @@ pub fn build_bcast(
         let f_ib = inter_bcast(cx.b, cfg, &up, up_root, &up_bufs, &up_deps, i as u64);
 
         // Task boundary: join ib(i) with sb(i-1) on each leader.
-        let mut joins = Vec::with_capacity(up.size());
         for ul in 0..up.size() {
             let mut ops: Vec<OpId> = f_ib.get(ul).to_vec();
             ops.extend_from_slice(&sb_node_prev[ul]);
             let j = cx.b.nop(up.world_rank(ul), &ops);
             boundary[ul] = vec![j];
-            joins.push(j);
         }
-        boundaries.push(joins);
 
         // sb(i) on each node: leader starts from the fresh boundary,
         // non-leaders from their own chains.
@@ -107,15 +93,12 @@ pub fn build_bcast(
     }
 
     // Final task sb(u-1): leaders join the last intra broadcast.
-    let mut joins = Vec::with_capacity(up.size());
     for ul in 0..up.size() {
         let mut ops = boundary[ul].clone();
         ops.extend_from_slice(&sb_node_prev[ul]);
         let j = cx.b.nop(up.world_rank(ul), &ops);
         boundary[ul] = vec![j];
-        joins.push(j);
     }
-    boundaries.push(joins);
 
     let mut frontier = Frontier::empty(n);
     for (ul, &l) in up_locals.iter().enumerate() {
@@ -126,11 +109,7 @@ pub fn build_bcast(
             frontier.set(l, &sb_chain[l]);
         }
     }
-    BcastBuild {
-        frontier,
-        boundaries,
-        segments: u,
-    }
+    frontier
 }
 
 /// Build the HAN allreduce (in place over `bufs`, commutative `op`).
@@ -142,15 +121,11 @@ pub fn build_allreduce(
     op: ReduceOp,
     dtype: DataType,
     deps: &Frontier,
-) -> AllreduceBuild {
+) -> Frontier {
     let n = comm.size();
     assert_eq!(bufs.len(), n);
     if n == 1 {
-        return AllreduceBuild {
-            frontier: deps.clone(),
-            boundaries: Vec::new(),
-            segments: 1,
-        };
+        return deps.clone();
     }
     let (low, up) = comm.split_node(&cx.topo);
     let index = RankIndex::new(comm);
@@ -175,7 +150,6 @@ pub fn build_allreduce(
     let mut sr_leader: Vec<Vec<Vec<OpId>>> = vec![vec![Vec::new(); nl]; u]; // [seg][ul]
     let mut ir_f: Vec<Option<Frontier>> = vec![None; u]; // over up
     let mut ib_f: Vec<Option<Frontier>> = vec![None; u]; // over up
-    let mut boundaries = Vec::with_capacity(u + 3);
 
     for t in 0..u + 3 {
         // Ops issued in this task, per leader and per non-leader rank.
@@ -265,17 +239,15 @@ pub fn build_allreduce(
         }
 
         // Task boundary joins.
-        let mut joins = Vec::with_capacity(nl);
         for ul in 0..nl {
-            if issued_leader[ul].is_empty() {
+            let j = if issued_leader[ul].is_empty() {
                 // Degenerate (u < 3 drains some steps early): carry over.
-                joins.push(cx.b.nop(up.world_rank(ul), &boundary[ul]));
+                cx.b.nop(up.world_rank(ul), &boundary[ul])
             } else {
-                joins.push(cx.b.nop(up.world_rank(ul), &issued_leader[ul]));
-            }
-            boundary[ul] = vec![joins[ul]];
+                cx.b.nop(up.world_rank(ul), &issued_leader[ul])
+            };
+            boundary[ul] = vec![j];
         }
-        boundaries.push(joins);
         for l in 0..n {
             if !issued_child[l].is_empty() {
                 child_chain[l] = std::mem::take(&mut issued_child[l]);
@@ -292,11 +264,7 @@ pub fn build_allreduce(
             frontier.set(l, &child_chain[l]);
         }
     }
-    AllreduceBuild {
-        frontier,
-        boundaries,
-        segments: u,
-    }
+    frontier
 }
 
 /// Hierarchical `MPI_Reduce` to comm-local `root`: a pipelined `sr` → `ir`

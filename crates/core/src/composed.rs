@@ -36,7 +36,7 @@ pub fn composed_allreduce(
     deps: &Frontier,
 ) -> Frontier {
     let f = build_reduce(cx, cfg, comm, 0, bufs, op, dtype, deps);
-    build_bcast(cx, cfg, comm, 0, bufs, &f).frontier
+    build_bcast(cx, cfg, comm, 0, bufs, &f)
 }
 
 /// `Bcast` as `Scatter` chained into `Allgather`: the root scatters one

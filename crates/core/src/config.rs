@@ -1,7 +1,7 @@
 //! HAN's tuned parameter set — the *output* of autotuning (paper Table II).
 
 use han_colls::{Adapt, Coll, InterAlg, InterModule, IntraModule};
-use han_machine::Topology;
+use han_machine::{LevelVec, NodeParams, Topology};
 use han_mpi::DataType;
 use serde::{Deserialize, Error, Serialize, Value};
 use std::fmt;
@@ -222,6 +222,30 @@ impl HanConfig {
         }
     }
 
+    /// `fs` floored at one `dtype` element: a segment holds a whole,
+    /// nonzero number of elements.
+    fn element_fs(&self, dtype: DataType) -> u64 {
+        let el = dtype.size() as u64;
+        (self.fs / el).max(1) * el
+    }
+
+    /// HAN's segmentation rule: the segment width and count `u` for an
+    /// `m`-byte payload of `dtype` elements. The builders emit these
+    /// segments, the task model prices them and the lower bound assumes
+    /// them. `fs` is floored at one element (`element_fs`), then
+    /// widened by [`han_machine::coarsen_fs`] on machines whose
+    /// inner levels charge a launch overhead.
+    pub fn segmentation(
+        &self,
+        dtype: DataType,
+        m: u64,
+        node: &NodeParams,
+        levels: &LevelVec,
+    ) -> (u64, usize) {
+        let fs = han_machine::coarsen_fs(self.element_fs(dtype), m, node, levels);
+        (fs, m.div_ceil(fs).max(1) as usize)
+    }
+
     pub fn with_fs(mut self, fs: u64) -> Self {
         self.fs = fs;
         self
@@ -293,12 +317,12 @@ impl HanConfig {
         let mut c = *self;
         let ib = matches!(coll, Coll::Bcast | Coll::Allreduce);
         let ir = matches!(coll, Coll::Reduce | Coll::Allreduce);
-        let el = if ir {
-            DataType::Float32.size() as u64
+        let dtype = if ir {
+            DataType::Float32
         } else {
-            1
+            DataType::Uint8
         };
-        c.fs = c.fs.min(m.max(1).next_multiple_of(el));
+        c.fs = c.fs.min(m.max(1).next_multiple_of(dtype.size() as u64));
         let adapt = c.imod == InterModule::Adapt;
         let trees = adapt && topo.nodes() > 2;
         if !(ib && trees) {
@@ -313,11 +337,7 @@ impl HanConfig {
         if !(ir && adapt) || c.irs.is_some_and(|s| s >= m) {
             c.irs = None;
         }
-        let segments = if m == 0 {
-            1
-        } else {
-            m.div_ceil((c.fs / el).max(1) * el)
-        };
+        let segments = m.div_ceil(c.element_fs(dtype)).max(1);
         if let Some(r) = c.route {
             if !(ib && trees) || r.alt == c.ibalg || r.pri as u64 >= segments.min(ROUTE_PERIOD) {
                 c.route = None;

@@ -39,13 +39,8 @@ pub fn build_reduce(
     let up_root = up.local_rank(root_world).expect("root leads its node");
     let nl = up.size();
     let node = cx.node;
-
-    // Segment at datatype granularity: a reduction segment must hold a
-    // whole number of elements.
     let levels = cx.levels;
-    let el = dtype.size() as u64;
-    let fs = han_machine::coarsen_fs((cfg.fs / el).max(1) * el, bufs[0].len, &node, &levels);
-    let u = bufs[0].nsegments(fs);
+    let (fs, u) = cfg.segmentation(dtype, bufs[0].len, &node, &levels);
 
     let mut boundary = deps.project(&split.up_locals);
     let mut child_chain = deps.clone();

@@ -88,7 +88,7 @@ impl MpiStack for Han {
         deps: &Frontier,
     ) -> Frontier {
         let cfg = self.cfg(cx, Coll::Bcast, bufs[0].len);
-        build_bcast(cx, &cfg, comm, root, bufs, deps).frontier
+        build_bcast(cx, &cfg, comm, root, bufs, deps)
     }
 
     fn allreduce(
@@ -101,7 +101,7 @@ impl MpiStack for Han {
         deps: &Frontier,
     ) -> Frontier {
         let cfg = self.cfg(cx, Coll::Allreduce, bufs[0].len);
-        build_allreduce(cx, &cfg, comm, bufs, op, dtype, deps).frontier
+        build_allreduce(cx, &cfg, comm, bufs, op, dtype, deps)
     }
 
     fn reduce(
@@ -187,6 +187,16 @@ mod tests {
         for r in 0..9 {
             assert_eq!(mem.read(r, buf), vec![13u8; 200].as_slice(), "rank {r}");
         }
+    }
+
+    #[test]
+    fn zero_fs_bcast_builds_the_one_byte_program() {
+        let preset = mini(2, 2);
+        let build = |fs| {
+            let han = Han::with_config(HanConfig::default().with_fs(fs));
+            build_coll(&han, &preset, Coll::Bcast, 8, 0).unwrap()
+        };
+        assert_eq!(build(0), build(1));
     }
 
     #[test]

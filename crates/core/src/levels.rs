@@ -32,8 +32,6 @@
 //!   virtual time, and the tuner's per-level sums (eqs. 1–4 generalized)
 //!   see them.
 //!
-//! [`order`] materializes the list for dispatch, reporting, and docs.
-//!
 //! Builders split a communicator once per build: `NodeSplit` holds the
 //! node groups, their leaders, every member's comm-local index and each
 //! group's `GroupPlan` through the deeper levels. The per-segment loops
@@ -42,44 +40,6 @@
 use han_colls::stack::{split_with_root, RankIndex};
 use han_machine::Topology;
 use han_mpi::Comm;
-
-/// What medium a hierarchy level communicates over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LevelKind {
-    /// Across nodes, over the interconnect (Libnbc / ADAPT submodules).
-    Network,
-    /// Within a node, over shared memory (SM / SOLO submodules).
-    SharedMemory,
-}
-
-/// One level of the machine hierarchy, outermost first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Level {
-    /// Index into the topology's level list (0 = outermost).
-    pub index: usize,
-    /// Number of level-`index` units inside one unit of the parent level.
-    pub extent: usize,
-    pub kind: LevelKind,
-}
-
-/// The ordered level list for a topology: data descends through it for
-/// one-to-all collectives and ascends for reductions. Level 0 is always
-/// the network; every deeper level is shared memory.
-pub fn order(topo: &Topology) -> Vec<Level> {
-    topo.levels()
-        .iter()
-        .enumerate()
-        .map(|(index, &extent)| Level {
-            index,
-            extent,
-            kind: if index == 0 {
-                LevelKind::Network
-            } else {
-                LevelKind::SharedMemory
-            },
-        })
-        .collect()
-}
 
 /// A communicator split into its node groups (the two-level
 /// `split_type` decomposition), computed once per build.
@@ -173,31 +133,5 @@ impl GroupPlan {
             leader_locals: subs.iter().map(|s| s.locals[0]).collect(),
             subs,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn two_level_order_matches_paper() {
-        let topo = Topology::new(4, 8);
-        let levels = order(&topo);
-        assert_eq!(levels.len(), 2);
-        assert_eq!(levels[0].kind, LevelKind::Network);
-        assert_eq!(levels[1].kind, LevelKind::SharedMemory);
-    }
-
-    #[test]
-    fn deep_order_is_data_driven() {
-        let topo = Topology::from_levels(&[4, 2, 16]);
-        let levels = order(&topo);
-        assert_eq!(levels.len(), 3);
-        assert_eq!(
-            levels.iter().map(|l| l.extent).collect::<Vec<_>>(),
-            vec![4, 2, 16]
-        );
-        assert!(levels[1].kind == LevelKind::SharedMemory);
     }
 }

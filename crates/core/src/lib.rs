@@ -21,10 +21,12 @@
 //! full-duplex network. The steady-state leader task is `sbibirsr(i)`:
 //! `sb(i-3) ∥ ib(i-2) ∥ ir(i-1) ∥ sr(i)`.
 //!
-//! Both builders emit explicit per-task join ops ("boundaries") on each
-//! node leader; the autotuner's task benchmarks (`han-tuner`) read their
-//! completion times directly, exactly as the paper benchmarks tasks rather
-//! than whole collectives.
+//! Both builders end every task in an explicit join op on each node
+//! leader and return only their completion frontier. Both segment the
+//! message by one rule, [`HanConfig::segmentation`], which the task-based
+//! cost model and the lower bound in `han-tuner` share. The autotuner
+//! benchmarks tasks rather than whole collectives, as the paper does,
+//! through the standalone task programs in [`task`].
 //!
 //! ## N-level hierarchy
 //!

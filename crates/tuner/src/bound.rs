@@ -622,15 +622,14 @@ pub fn lower_bound(preset: &MachinePreset, cfg: &HanConfig, coll: Coll, m: u64) 
         return Some(Time::ZERO);
     }
     let md = Model::new(preset, cfg);
-    let fs = if coll == Coll::Bcast {
-        cfg.fs.max(1)
+    // Sweeps reduce `Float32` elements.
+    let dtype = if coll == Coll::Bcast {
+        DataType::Uint8
     } else {
-        // Reductions segment at whole elements.
-        let el = DataType::Float32.size() as u64;
-        (cfg.fs / el).max(1) * el
+        DataType::Float32
     };
-    let fs = han_machine::coarsen_fs(fs, m, &md.node, &md.lv);
-    let u = m.div_ceil(fs).max(1);
+    let (fs, u) = cfg.segmentation(dtype, m, &md.node, &md.lv);
+    let u = u as u64;
     let nl = topo.nodes();
     let (ib_shape, ir_shape) = match cfg.imod {
         InterModule::Libnbc => (TreeShape::Binomial, TreeShape::Binomial),

@@ -21,6 +21,7 @@ use han_colls::stack::Unsupported;
 use han_colls::Coll;
 use han_core::task::TaskSpec;
 use han_core::HanConfig;
+use han_mpi::DataType;
 use han_sim::Time;
 
 /// The pipeline step sequence for a broadcast of `u` segments.
@@ -57,14 +58,9 @@ pub fn predict(
     coll: Coll,
     m: u64,
 ) -> Result<Time, Unsupported> {
-    // The builders coarsen `fs` on launch-charging (GPU-like) levels; the
-    // model must count the tasks they actually emit.
-    let preset = *tb.preset();
-    let fs = han_machine::coarsen_fs(cfg.fs.max(1), m, &preset.node, &preset.level_params());
-    let u = if m == 0 { 1 } else { m.div_ceil(fs) } as usize;
-    let seq = match coll {
-        Coll::Bcast => bcast_sequence(u),
-        Coll::Allreduce => allreduce_sequence(u),
+    let (sequence, dtype): (fn(usize) -> Vec<TaskSpec>, _) = match coll {
+        Coll::Bcast => (bcast_sequence, DataType::Uint8),
+        Coll::Allreduce => (allreduce_sequence, DataType::Float32),
         other => {
             return Err(Unsupported {
                 stack: "HAN task-based cost model".to_string(),
@@ -72,6 +68,10 @@ pub fn predict(
             })
         }
     };
+    // The model counts the segments the builders actually emit.
+    let preset = *tb.preset();
+    let (fs, u) = cfg.segmentation(dtype, m, &preset.node, &preset.level_params());
+    let seq = sequence(u);
     let seg = fs.min(m.max(1));
     let nl = tb.leaders();
     let mut acc = vec![Time::ZERO; nl];
@@ -192,6 +192,19 @@ mod tests {
         let err = predict(&mut tb, &HanConfig::default(), Coll::Gather, 1024).unwrap_err();
         assert_eq!(err.coll, Coll::Gather);
         assert!(err.to_string().contains("not implemented"), "{err}");
+    }
+
+    #[test]
+    fn off_grid_fs_is_priced_at_the_built_segments() {
+        // A reduction segments at whole elements, so `fs = 4097` builds
+        // the `fs = 4096` program and must be priced like it.
+        let preset = mini(4, 4);
+        let mut tb = TaskBench::new(&preset);
+        let mut at = |fs| {
+            let cfg = HanConfig::default().with_fs(fs);
+            predict(&mut tb, &cfg, Coll::Allreduce, 64 * 1024).unwrap()
+        };
+        assert_eq!(at(4097), at(4096));
     }
 
     #[test]

@@ -15,8 +15,16 @@ use han_core::{Han, HanConfig};
 use han_machine::{dgx_like, gpu_hier, mini, mini3, socketize, MachinePreset};
 use han_tuner::{tune_with_opts, SearchSpace, Strategy, TuneOpts};
 
-/// Suite knobs: sizes, the dominance search space, and tolerances. The
-/// defaults are what `repro verify` and CI run; tests shrink them.
+/// Relative tolerance for the inequality guidelines.
+const TOL: f64 = 0.02;
+/// Relative error band for the task-based cost model.
+const MODEL_BAND: f64 = 0.25;
+/// Multiplicative envelope for the analytic models.
+const ENVELOPE: f64 = 64.0;
+
+/// Suite knobs: sizes and the dominance search space. The defaults are
+/// what `repro verify` and CI run; tests shrink them. The monotonicity
+/// and race-freedom guidelines cover every collective.
 #[derive(Debug, Clone)]
 pub struct SuiteOpts {
     /// Message sizes for the monotonicity / composition / model checks.
@@ -24,16 +32,8 @@ pub struct SuiteOpts {
     /// Search space for the table-dominance and bound-soundness checks
     /// (every candidate in it gets simulated — keep it small).
     pub space: SearchSpace,
-    /// Collectives for the monotonicity guidelines.
-    pub colls: Vec<Coll>,
     /// Collectives tuned and dominated over `space`.
     pub dominance_colls: Vec<Coll>,
-    /// Relative tolerance for the inequality guidelines.
-    pub tol: f64,
-    /// Relative error band for the task-based cost model.
-    pub model_band: f64,
-    /// Multiplicative envelope for the analytic models.
-    pub envelope: f64,
 }
 
 impl Default for SuiteOpts {
@@ -49,11 +49,7 @@ impl Default for SuiteOpts {
                 ],
                 intra: vec![IntraModule::Sm, IntraModule::Solo],
             },
-            colls: Coll::ALL.to_vec(),
             dominance_colls: vec![Coll::Bcast, Coll::Allreduce, Coll::Reduce],
-            tol: 0.02,
-            model_band: 0.25,
-            envelope: 64.0,
         }
     }
 }
@@ -103,9 +99,9 @@ pub fn run_preset(preset: &MachinePreset, opts: &SuiteOpts) -> Vec<GuidelineRepo
             preset,
             &stack,
             &format!("HAN {cfg}"),
-            &opts.colls,
+            &Coll::ALL,
             &opts.sizes,
-            opts.tol,
+            TOL,
         ));
     }
     let tuned = TunedOpenMpi;
@@ -113,22 +109,22 @@ pub fn run_preset(preset: &MachinePreset, opts: &SuiteOpts) -> Vec<GuidelineRepo
         preset,
         &tuned,
         &tuned.name(),
-        &opts.colls,
+        &Coll::ALL,
         &opts.sizes,
-        opts.tol,
+        TOL,
     ));
     add(rank_monotonicity(
         preset,
         &cfgs[0],
-        &opts.colls,
+        &Coll::ALL,
         &opts.sizes,
-        opts.tol,
+        TOL,
     ));
 
     // Composition bounds.
-    add(allreduce_composition(preset, &cfgs, &opts.sizes, opts.tol));
-    add(bcast_composition(preset, &cfgs, &opts.sizes, opts.tol));
-    add(reduce_vs_allreduce(preset, &cfgs, &opts.sizes, opts.tol));
+    add(allreduce_composition(preset, &cfgs, &opts.sizes, TOL));
+    add(bcast_composition(preset, &cfgs, &opts.sizes, TOL));
+    add(reduce_vs_allreduce(preset, &cfgs, &opts.sizes, TOL));
 
     // Tuned-table dominance + bound soundness, sharing one candidate
     // enumeration. The table comes from a *pruned* exhaustive sweep so a
@@ -173,7 +169,7 @@ pub fn run_preset(preset: &MachinePreset, opts: &SuiteOpts) -> Vec<GuidelineRepo
         .collect();
     let mut schedules: Vec<(&dyn MpiStack, Coll, u64)> = Vec::new();
     for stack in &corners {
-        for &coll in &opts.colls {
+        for coll in Coll::ALL {
             schedules.extend(
                 opts.sizes
                     .iter()
@@ -190,13 +186,8 @@ pub fn run_preset(preset: &MachinePreset, opts: &SuiteOpts) -> Vec<GuidelineRepo
     add(serve_agreement(preset, &tuned.table, &opts.dominance_colls));
 
     // Model-vs-simulation error bands.
-    add(task_model_accuracy(
-        preset,
-        &cfgs,
-        &opts.sizes,
-        opts.model_band,
-    ));
-    add(analytic_envelope(preset, &cfgs, &opts.sizes, opts.envelope));
+    add(task_model_accuracy(preset, &cfgs, &opts.sizes, MODEL_BAND));
+    add(analytic_envelope(preset, &cfgs, &opts.sizes, ENVELOPE));
 
     // Differential oracle (two-level presets only; reports 0 checks
     // elsewhere).

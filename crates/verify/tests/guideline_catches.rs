@@ -301,7 +301,6 @@ fn tiny_suite_runs_green() {
         sizes: vec![4 * 1024, 64 * 1024, 512 * 1024],
         space: tiny_space(),
         dominance_colls: vec![Coll::Bcast, Coll::Allreduce],
-        ..SuiteOpts::default()
     };
     let report = run_suite_with(&[mini(2, 2)], &opts);
     assert!(
