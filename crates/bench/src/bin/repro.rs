@@ -1157,11 +1157,13 @@ const TARGETS: [Target; 20] = [
     ("hetero", hetero),
 ];
 
-/// Print `what`'s wall time and event-engine counters to stderr.
-fn report_engine(what: &str, wall: f64, eng: &EngineStats) {
+/// Print `what`'s wall time, event-engine counters and, when known, peak
+/// resident set to stderr.
+fn report_engine(what: &str, wall: f64, eng: &EngineStats, peak_mb: Option<f64>) {
+    let peak = peak_mb.map_or(String::new(), |mb| format!(", peak RSS {mb:.1} MB"));
     eprintln!(
         "[repro] {what} done in {wall:.1}s wall; event engine: {} pushes, {} pops \
-         ({:.2}M events/s), {} batched pops (max burst {}), max queue depth {}",
+         ({:.2}M events/s), {} batched pops (max burst {}), max queue depth {}{peak}",
         eng.pushes,
         eng.pops,
         eng.pops as f64 / wall.max(1e-9) / 1e6,
@@ -1169,6 +1171,21 @@ fn report_engine(what: &str, wall: f64, eng: &EngineStats) {
         eng.max_batch,
         eng.max_depth
     );
+}
+
+/// Reset this process's peak resident set (`VmHWM`) to its current one;
+/// false where the kernel offers no reset.
+fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
+}
+
+/// This process's peak resident set (`VmHWM`) in MiB, the unit of the
+/// benchmark's `peak_rss_mb`.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 fn main() {
@@ -1229,16 +1246,23 @@ fn main() {
     }
     println!();
 
-    // Each target runs on freshly reset engine counters; `all` also
-    // reports their sum (the depth and burst columns are maxima).
+    // Each target runs on freshly reset engine counters and peak resident
+    // set; `all` also reports their sum (the depth, burst and peak columns
+    // are maxima).
     let start = std::time::Instant::now();
     let mut total = EngineStats::default();
+    let mut total_peak = None;
     for (name, run) in targets {
         han_mpi::reset_engine_totals();
+        let reset = reset_peak_rss();
         let t0 = std::time::Instant::now();
         run(&cfg);
         let eng = han_mpi::engine_totals();
-        report_engine(name, t0.elapsed().as_secs_f64(), &eng);
+        let peak = peak_rss_mb().filter(|_| reset);
+        if let Some(p) = peak {
+            total_peak = Some(total_peak.map_or(p, |t: f64| t.max(p)));
+        }
+        report_engine(name, t0.elapsed().as_secs_f64(), &eng, peak);
         if eng.clamped > 0 {
             eprintln!(
                 "[repro] WARNING: {} event(s) were scheduled in the past and clamped \
@@ -1257,7 +1281,7 @@ fn main() {
         };
     }
     if what == "all" {
-        report_engine("all", start.elapsed().as_secs_f64(), &total);
+        report_engine("all", start.elapsed().as_secs_f64(), &total, total_peak);
     }
     let code = gate::finish("repro");
     if code != 0 {

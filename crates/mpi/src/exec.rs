@@ -35,12 +35,21 @@
 //!
 //! Every execution runs on a persistent, thread-local executor rather than
 //! a per-run stack value. All per-op and per-message state lives in flat
-//! vectors indexed by `u32` ids, cleared — not reallocated — between runs.
+//! vectors indexed by `u32` ids, cleared — not reallocated — between runs
+//! (the per-op records make the round trip through the report, below).
 //! The state an op's dependencies update (ready time, pending-dependency
 //! count, rank) is one 16-byte record, so releasing a child touches one
 //! record. The structure derived from the program's dependency CSR
 //! (children CSR, zero-in-degree roots, message endpoints) lives in a
 //! `DepGraph` that is rebuilt on every run into the same allocations.
+//!
+//! When an op finishes, its record's ready time becomes its finish time,
+//! and its rank's finish time takes the max with it. The [`Report`] then
+//! takes the per-op records themselves rather than a copy of their finish
+//! times. A dropped report hands the records back to a one-slot
+//! thread-local that keeps the larger array it is given, and the next run
+//! on that thread refills them; while a report is alive, the next run on
+//! its thread allocates a fresh array.
 //!
 //! Before a run, `prepare` resolves every op once: it decodes the op's
 //! 16-byte record with [`Program::kind`] (a data op's ranges come from the
@@ -55,8 +64,9 @@
 use crate::buffer::Memory;
 use crate::program::{MsgId, OpId, OpKind, Program};
 use han_machine::{Machine, P2pParams, RailPolicy, MAX_LEVELS};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::mem::take;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use han_sim::{EngineStats, EventQueue, Time};
@@ -96,9 +106,13 @@ impl ExecOpts {
 }
 
 /// Result of executing a program.
+///
+/// A report owns the executor's per-op records, each holding its op's
+/// finish time; dropping it hands them back to its thread for the next
+/// run to refill.
 #[derive(Debug, Clone)]
 pub struct Report {
-    op_finish: Vec<Time>,
+    ops: Vec<OpState>,
     /// Completion time of the last op on each rank.
     pub rank_finish: Vec<Time>,
     /// Completion time of the whole program: `max(rank_finish)`. This is
@@ -115,12 +129,29 @@ pub struct Report {
 impl Report {
     /// Finish time of a specific op (e.g. a task's join nop).
     pub fn finish(&self, op: OpId) -> Time {
-        self.op_finish[op.0 as usize]
+        self.ops[op.0 as usize].at
     }
 
-    /// Finish time of every op, indexed by op id (differential oracles).
-    pub fn op_finishes(&self) -> &[Time] {
-        &self.op_finish
+    /// Finish time of every op, in op-id order (differential oracles).
+    pub fn op_finishes(&self) -> impl ExactSizeIterator<Item = Time> + '_ {
+        self.ops.iter().map(|op| op.at)
+    }
+}
+
+/// Hands the per-op records to this thread's slot, which keeps the
+/// larger array. During thread-local teardown the slot is gone and the
+/// records are simply freed.
+impl Drop for Report {
+    fn drop(&mut self) {
+        let freed = take(&mut self.ops);
+        let _ = SPARE_OPS.try_with(|slot| {
+            let held = slot.take();
+            slot.set(if freed.capacity() >= held.capacity() {
+                freed
+            } else {
+                held
+            });
+        });
     }
 }
 
@@ -168,6 +199,9 @@ pub fn reset_engine_totals() {
 
 thread_local! {
     static TLS_EXEC: RefCell<Executor> = RefCell::new(Executor::default());
+    /// The per-op records of the largest report dropped on this thread
+    /// and not yet refilled.
+    static SPARE_OPS: Cell<Vec<OpState>> = const { Cell::new(Vec::new()) };
 }
 
 /// Execute `prog` on `machine` (resources are reset first), modelling
@@ -498,14 +532,18 @@ impl Ctx<'_> {
 /// A persistent, reusable program executor.
 ///
 /// All per-run state lives in flat vectors indexed by op/message id that
-/// are cleared (never reallocated) between runs. One `Executor` per
+/// are cleared (never reallocated) between runs; the per-op records go
+/// out with each report and come back when it drops. One `Executor` per
 /// thread (behind [`execute`]) turns a tuning sweep into a
 /// zero-allocation steady state.
 #[derive(Debug, Default)]
 struct Executor {
     q: EventQueue<Ev>,
     graph: DepGraph,
+    /// Per-op records; empty between runs, as the report takes them.
     ops: Vec<OpState>,
+    /// Latest finish so far on each rank.
+    rank_finish: Vec<Time>,
     /// Per-op dispatch tag (`TAG_*`) and argument: an index into `costs`,
     /// or the message id of a Send/Recv.
     tag: Vec<u8>,
@@ -547,12 +585,13 @@ impl Executor {
         while let Some((t, ev)) = self.q.pop() {
             self.handle(&mut cx, t, ev);
         }
-        let report = self.finish_report(prog);
+        let report = self.finish_report();
         accumulate_engine_totals(&report.engine);
         (report, self.mem.take())
     }
 
-    /// Reset all per-run state for `prog` (keeping allocations), rebuild
+    /// Reset all per-run state for `prog` (keeping allocations, and taking
+    /// the per-op records of the last report dropped on this thread), rebuild
     /// its dependency structure, resolve every op's dispatch tag and cost
     /// on `m`, and seed the ready queue from the zero-in-degree roots.
     /// Kept out of line so that its size does not change how the event
@@ -568,7 +607,13 @@ impl Executor {
         g.msg_send_op.resize(nm, NONE_U32);
         g.msg_recv_op.clear();
         g.msg_recv_op.resize(nm, NONE_U32);
+        let spare = SPARE_OPS.try_with(Cell::take).unwrap_or_default();
+        if spare.capacity() > self.ops.capacity() {
+            self.ops = spare;
+        }
         self.ops.clear();
+        self.rank_finish.clear();
+        self.rank_finish.resize(prog.nranks, Time::ZERO);
         self.tag.clear();
         self.arg.clear();
         self.costs.clear();
@@ -644,23 +689,20 @@ impl Executor {
         }
     }
 
-    fn finish_report(&self, prog: &Program) -> Report {
+    /// Move the per-op records, whose ready times are now finish times,
+    /// into the report.
+    fn finish_report(&mut self) -> Report {
         let n = self.ops.len();
         assert_eq!(
             self.completed, n,
             "deadlock: {} of {n} ops completed (dependency cycle or unmatched message)",
             self.completed
         );
-        let mut rank_finish = vec![Time::ZERO; prog.nranks];
-        for op in &self.ops {
-            let r = op.rank as usize;
-            rank_finish[r] = rank_finish[r].max(op.at);
-        }
-        let makespan = rank_finish.iter().copied().max().unwrap_or(Time::ZERO);
+        let makespan = self.rank_finish.iter().copied().max().unwrap_or(Time::ZERO);
         let engine = self.q.stats();
         Report {
-            op_finish: self.ops.iter().map(|op| op.at).collect(),
-            rank_finish,
+            ops: take(&mut self.ops),
+            rank_finish: self.rank_finish.clone(),
             makespan,
             events: engine.pops,
             engine,
@@ -922,14 +964,17 @@ impl Executor {
 
     fn on_finish(&mut self, cx: &mut Ctx, t: Time, op: OpId) {
         let idx = op.0 as usize;
-        self.ops[idx].at = t;
+        let state = &mut self.ops[idx];
+        state.at = t;
+        let rank = state.rank;
+        let last = &mut self.rank_finish[rank as usize];
+        *last = (*last).max(t);
         self.completed += 1;
 
         if self.mem.is_some() {
             self.apply_data(cx, op);
         }
 
-        let rank = self.ops[idx].rank;
         let (lo, hi) = (
             self.graph.child_off[idx] as usize,
             self.graph.child_off[idx + 1] as usize,
@@ -1363,6 +1408,26 @@ mod tests {
         assert_eq!(std::mem::size_of::<OpState>(), 16);
     }
 
+    /// `a` and `b` report the same run.
+    fn assert_same_run(a: &Report, b: &Report) {
+        assert_eq!(a.makespan, b.makespan);
+        assert!(a.op_finishes().eq(b.op_finishes()));
+        assert_eq!(a.rank_finish, b.rank_finish);
+        assert_eq!(a.events, b.events);
+    }
+
+    /// `r`'s rank finishes are the latest op finish on each rank of `p`,
+    /// and its makespan the latest of all.
+    fn assert_rank_finishes_are_op_maxima(p: &Program, r: &Report) {
+        let mut latest = vec![Time::ZERO; p.nranks];
+        for (i, t) in r.op_finishes().enumerate() {
+            let rank = p.op(OpId(i as u32)).rank as usize;
+            latest[rank] = latest[rank].max(t);
+        }
+        assert_eq!(r.rank_finish, latest);
+        assert_eq!(r.makespan, latest.into_iter().max().unwrap_or(Time::ZERO));
+    }
+
     #[test]
     fn executor_reuse_across_programs_matches_fresh_execute() {
         let mut ex = Executor::default();
@@ -1375,14 +1440,59 @@ mod tests {
         let a = b.delay(0, Time::from_us(1), &[]);
         b.nop(1, &[a]);
         let pb = b.build();
-        // Alternate structures so stale per-run state would show.
-        for p in [&pa, &pb, &pa, &pb] {
+        // Alternate structures so stale per-run state would show, and
+        // keep every report alive across the runs after it.
+        let progs = [&pa, &pb, &pa, &pb];
+        let mut held = Vec::new();
+        for p in progs {
             let r1 = ex.run(&mut m, p, &opts(), None).0;
             let r2 = execute(&mut m, p, &opts());
-            assert_eq!(r1.makespan, r2.makespan);
-            assert_eq!(r1.op_finishes(), r2.op_finishes());
-            assert_eq!(r1.rank_finish, r2.rank_finish);
-            assert_eq!(r1.events, r2.events);
+            assert_same_run(&r1, &r2);
+            assert_rank_finishes_are_op_maxima(p, &r1);
+            held.push((r1, r2));
+        }
+        for (p, (r1, r2)) in progs.into_iter().zip(&held) {
+            let fresh = execute(&mut m, p, &opts());
+            for r in [r1, r2] {
+                assert_same_run(r, &fresh);
+                for i in 0..p.ops.len() as u32 {
+                    assert_eq!(r.finish(OpId(i)), fresh.finish(OpId(i)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dropping_a_report_during_thread_local_teardown_does_not_panic() {
+        /// Drops a report from a thread-local destructor.
+        struct Holder(Option<Report>);
+        impl Drop for Holder {
+            fn drop(&mut self) {
+                drop(self.0.take());
+            }
+        }
+        thread_local! {
+            static HELD: RefCell<Holder> = const { RefCell::new(Holder(None)) };
+        }
+        fn run() -> Report {
+            let mut b = ProgramBuilder::new(2);
+            b.nop(1, &[]);
+            execute(&mut machine(1, 2), &b.build(), &opts())
+        }
+        // Thread-locals are destroyed in reverse order of first use, so
+        // the two orders drop the holder before and after the slot.
+        for slot_first in [true, false] {
+            std::thread::spawn(move || {
+                if slot_first {
+                    drop(run());
+                } else {
+                    HELD.with(|_| {});
+                }
+                let report = run();
+                HELD.with(|h| h.borrow_mut().0 = Some(report));
+            })
+            .join()
+            .expect("thread teardown does not panic");
         }
     }
 }

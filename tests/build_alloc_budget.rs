@@ -1,13 +1,15 @@
 //! Allocation and storage budget of HAN program construction at paper
 //! scale: building the Fig. 10/13 Bcast and Allreduce on 4096 ranks makes
 //! O(ranks + log ops) heap allocations, not one or more per op, the
-//! built program stores a bounded number of bytes per op, and a build
-//! after a dropped one refills its arrays instead of growing new ones.
+//! built program stores a bounded number of bytes per op, a build after
+//! a dropped one refills its arrays instead of growing new ones, and an
+//! execution after a dropped report refills that report's per-op records.
 //!
 //! This file is its own test binary with a counting global allocator.
 //! The counters are per thread, so a test counts only its own
 //! allocations.
 
+use han::mpi::execute;
 use han::mpi::program::{MsgMeta, Op, OpId, Operands, Program};
 use han::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -184,5 +186,32 @@ fn a_build_after_a_dropped_one_refills_its_arrays() {
         per_op(second.held)
     );
     assert!(per_op(second.held) < REFILL_BYTES_PER_OP, "{report}");
+    println!("{report}");
+}
+
+/// Bytes per op a second execution may request when its thread has
+/// dropped the report of the first. The per-op records are the dropped
+/// report's; only per-rank vectors, such as the report's rank finishes,
+/// are new. A copy of every op's finish time would be 8.
+const REEXEC_BYTES_PER_OP: f64 = 1.0;
+
+#[test]
+fn an_execution_after_a_dropped_report_refills_its_records() {
+    let (han, preset) = paper_han();
+    let prog = build_coll(&han, &preset, Coll::Allreduce, 16 << 20, 0).unwrap();
+    let opts = ExecOpts::timing(han.flavor().p2p());
+    let mut machine = Machine::from_preset(&preset);
+    let mut run = || execute(&mut machine, &prog, &opts).makespan;
+    let (first, makespan) = allocations(&mut run);
+    let (second, again) = allocations(&mut run);
+    assert_eq!(again, makespan);
+    let ops = prog.ops.len();
+    let per_op = second.bytes as f64 / ops as f64;
+    let report = format!(
+        "Allreduce 16 MiB, {ops} ops: the first execution requested {} B, the \
+         second {} B ({per_op:.2} B/op)",
+        first.bytes, second.bytes
+    );
+    assert!(per_op < REEXEC_BYTES_PER_OP, "{report}");
     println!("{report}");
 }

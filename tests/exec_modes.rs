@@ -6,7 +6,8 @@
 //! a warm `CostCache` must return exactly what a cold simulation would
 //! have produced. These tests pin both guarantees.
 
-use han::mpi::{execute, execute_seeded};
+use han::mpi::program::{OpId, Program};
+use han::mpi::{execute, execute_seeded, Report};
 use han::prelude::*;
 use han::tuner::{achieved_latency, tune_with_opts, CostCache, TuneOpts};
 use std::sync::Arc;
@@ -40,14 +41,32 @@ fn timing_only_matches_full_virtual_times() {
                 let what = format!("{} {coll:?} {bytes}B", preset.name);
                 assert_eq!(timing.makespan, data.makespan, "{what}: makespan");
                 assert_eq!(timing.events, data.events, "{what}: event counts");
-                assert_eq!(
-                    timing.op_finishes(),
-                    data.op_finishes(),
+                assert!(
+                    timing.op_finishes().eq(data.op_finishes()),
                     "{what}: op finish times"
                 );
+                for report in [&timing, &data] {
+                    assert_rank_finishes_are_op_maxima(&prog, report, &what);
+                }
             }
         }
     }
+}
+
+/// `r`'s rank finishes are the latest op finish on each rank of `prog`,
+/// and its makespan the latest of all.
+fn assert_rank_finishes_are_op_maxima(prog: &Program, r: &Report, what: &str) {
+    let mut latest = vec![Time::ZERO; prog.nranks];
+    for (i, t) in r.op_finishes().enumerate() {
+        let rank = prog.op(OpId(i as u32)).rank as usize;
+        latest[rank] = latest[rank].max(t);
+    }
+    assert_eq!(r.rank_finish, latest, "{what}: rank finishes");
+    assert_eq!(
+        r.makespan,
+        latest.into_iter().max().unwrap_or(Time::ZERO),
+        "{what}: makespan"
+    );
 }
 
 fn tiny_space() -> SearchSpace {
