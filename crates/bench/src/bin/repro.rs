@@ -25,6 +25,14 @@
 //! 128×32 = 4096 ranks; Stampede2: 32×48 = 1536; tuning: 64×12 = 768).
 //! `--scale mini` shrinks every experiment for quick smoke runs.
 //!
+//! Output layout: a paper-scale two-level run writes
+//! `results/<name>.json`, the committed set that paper-scale `all`
+//! reproduces byte for byte. `--scale mini` writes under `results/mini/`
+//! and `--levels 3` under a further `d3/` (`results/d3/`,
+//! `results/mini/d3/`), so no smoke run touches a committed file. A write
+//! that fails, or a tuned table that exists but does not load, exits
+//! with code 3.
+//!
 //! Fig. 8 and Fig. 9 each run one sweep whose strategies and collectives
 //! share one in-memory [`han_tuner::CostCache`]. Virtual times are
 //! identical with or without it — only wall-clock changes.
@@ -70,6 +78,9 @@ use han_tuner::space::pow2_range;
 use han_tuner::{
     tune, tune_with_opts, CostCache, LookupTable, SearchSpace, Strategy, TaskBench, TuneOpts,
 };
+use serde::Serialize;
+use std::io::ErrorKind;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,6 +141,31 @@ impl Cfg {
             Scale::Mini => 1 << 20,
         }
     }
+
+    /// Where output `name` goes: `results/<name>.json` for paper-scale
+    /// two-level runs (the committed set), under `results/mini/` at mini
+    /// scale and under a further `d3/` on three-level machines, so no
+    /// smoke run touches a committed file.
+    fn out(&self, name: &str) -> PathBuf {
+        let mut dir = PathBuf::from("results");
+        if self.scale == Scale::Mini {
+            dir.push("mini");
+        }
+        if self.levels > 2 {
+            dir.push(format!("d{}", self.levels));
+        }
+        dir.join(format!("{name}.json"))
+    }
+
+    /// Write `value` to [`Cfg::out`]`(name)` and return the path; a failed
+    /// write fails the run.
+    fn save<T: Serialize>(&self, name: &str, value: &T) -> PathBuf {
+        let path = self.out(name);
+        if let Err(e) = save_json(&path, value) {
+            gate::fail(format!("cannot write {}: {e}", path.display()));
+        }
+        path
+    }
 }
 
 /// The (imod, algorithm) combinations the paper's task figures sweep.
@@ -159,42 +195,47 @@ fn combo_cfg(imod: InterModule, alg: InterAlg, smod: IntraModule, fs: u64) -> Ha
 /// Tune (or load a cached) lookup table for a preset via the task-based
 /// strategy — how HAN is configured in every end-to-end figure. Tables
 /// always cover both collectives over the full 4 B – 128 MB range so the
-/// cache is valid for every figure that shares the machine.
-fn tuned_table(preset: &MachinePreset, label: &str) -> LookupTable {
-    // Three-level machines tune to their own table files; two-level paths
-    // are unchanged so existing caches stay warm.
-    let file = if preset.topology.depth() > 2 {
-        format!("table_{label}_d{}.json", preset.topology.depth())
-    } else {
-        format!("table_{label}.json")
-    };
-    let path = std::path::Path::new("results").join(file);
+/// cache is valid for every figure that shares the machine. A missing,
+/// incomplete or other-depth table is retuned and saved; one that exists
+/// but does not load fails the run and is left as it is.
+fn tuned_table(cfg: &Cfg, preset: &MachinePreset, label: &str) -> LookupTable {
+    let name = format!("table_{label}");
+    let path = cfg.out(&name);
     let colls = [Coll::Bcast, Coll::Allreduce];
-    if let Ok(t) = LookupTable::load(&path) {
-        let complete = colls
-            .iter()
-            .all(|&c| t.sampled_sizes(c).last().copied().unwrap_or(0) >= 128 << 20);
-        if t.levels == preset.topology.levels() && complete {
-            return t;
+    let save = match LookupTable::load(&path) {
+        Ok(t) => {
+            let complete = colls
+                .iter()
+                .all(|&c| t.sampled_sizes(c).last().copied().unwrap_or(0) >= 128 << 20);
+            if t.levels == preset.topology.levels() && complete {
+                return t;
+            }
+            true
         }
-    }
+        Err(e) if e.kind() == ErrorKind::NotFound => true,
+        Err(e) => {
+            gate::fail(format!("cannot load {}: {e}", path.display()));
+            false
+        }
+    };
     let mut space = SearchSpace::standard();
     space.msg_sizes = pow2_range(4, 128 << 20);
     let result = tune(preset, &space, &colls, Strategy::TaskBasedHeuristic);
-    std::fs::create_dir_all("results").ok();
-    result.table.save(&path).ok();
+    if save {
+        cfg.save(&name, &result.table);
+    }
     result.table
 }
 
-fn han_for(preset: &MachinePreset, label: &str) -> Han {
-    Han::tuned(Arc::new(tuned_table(preset, label)))
+fn han_for(cfg: &Cfg, preset: &MachinePreset, label: &str) -> Han {
+    Han::tuned(Arc::new(tuned_table(cfg, preset, label)))
 }
 
 // ---------------------------------------------------------------- figures
 
 /// Fig. 2: cost of tasks ib, sb, ib∥sb and sbib (with ib(0) start skew)
 /// on each node leader, 64 KB segments, 6 nodes, rank 0 as root.
-fn fig2(_cfg: &Cfg) {
+fn fig2(cfg: &Cfg) {
     println!("## Fig. 2 — cost of tasks ib, sb, ib||sb, sbib per node leader");
     println!("   (64KB segments, 6 nodes x 12 ranks, root 0; times in us)\n");
     let preset = shaheen2_ppn(6, 12);
@@ -228,7 +269,7 @@ fn fig2(_cfg: &Cfg) {
             ));
         }
     }
-    save_json("fig2", &out).ok();
+    cfg.save("fig2", &out);
 }
 
 /// Fig. 3: cost of sbib(i), i = 1..8, on one node leader — the
@@ -258,7 +299,7 @@ fn fig3(cfg: &Cfg) {
         }
     }
     println!("\n(columns are sbib(1) .. sbib(8); values stabilize after the first few)\n");
-    save_json("fig3", &out).ok();
+    cfg.save("fig3", &out);
 }
 
 /// Figs. 4/7 shared: model-estimated vs actual time across segment sizes
@@ -318,7 +359,7 @@ fn model_validation(cfg: &Cfg, coll: Coll, fig: &str) {
         us(achieved),
         100.0 * ta.as_ps() as f64 / achieved.as_ps() as f64
     );
-    save_json(fig, &out).ok();
+    cfg.save(fig, &out);
 }
 
 fn fig4(cfg: &Cfg) {
@@ -330,7 +371,7 @@ fn fig7(cfg: &Cfg) {
 }
 
 /// Fig. 6: overlap between ib and ir (opposite network directions).
-fn fig6(_cfg: &Cfg) {
+fn fig6(cfg: &Cfg) {
     println!("## Fig. 6 — overlap between ib and ir (root 0; times in us)\n");
     let preset = shaheen2_ppn(6, 12);
     let seg = 512 * 1024;
@@ -357,7 +398,7 @@ fn fig6(_cfg: &Cfg) {
         println!("### {name}\n{}", t.render());
         out.push((name.to_string(), ib.len()));
     }
-    save_json("fig6", &out).ok();
+    cfg.save("fig6", &out);
 }
 
 /// Tune Bcast+Allreduce on the tuning machine with each of the four
@@ -452,7 +493,7 @@ fn fig8(cfg: &Cfg) {
         "cost cache: {} hits / {} misses ({} coll + {} task entries)\n",
         s.hits, s.misses, s.coll_entries, s.task_entries
     );
-    save_json("fig8", &out).ok();
+    cfg.save("fig8", &out);
 }
 
 /// Fig. 9: achieved collective latency per tuning method, against the
@@ -505,17 +546,30 @@ fn fig9(cfg: &Cfg) {
         }
         println!("### {}\n{}", coll.name(), t.render());
     }
-    save_json("fig9", &out).ok();
+    cfg.save("fig9", &out);
 }
 
-/// Shared driver for the four IMB comparison figures (10, 12, 13, 14).
-fn imb_figure(
-    fig: &str,
-    preset: &MachinePreset,
-    coll: Coll,
-    stacks: Vec<Box<dyn MpiStack>>,
-    max_msg: u64,
-) {
+/// Shared driver for the four IMB comparison figures: tuned HAN against
+/// default Open MPI and Cray MPI on Shaheen II (Figs. 10, 13), or against
+/// Intel MPI, MVAPICH2 and default Open MPI on Stampede2 (Figs. 12, 14).
+fn imb_figure(cfg: &Cfg, fig: &str, machine: &str, coll: Coll) {
+    let shaheen = machine == "shaheen";
+    let preset = if shaheen {
+        cfg.shaheen()
+    } else {
+        cfg.stampede()
+    };
+    let han: Box<dyn MpiStack> = Box::new(han_for(cfg, &preset, machine));
+    let stacks: Vec<Box<dyn MpiStack>> = if shaheen {
+        vec![han, Box::new(TunedOpenMpi), Box::new(VendorMpi::cray())]
+    } else {
+        vec![
+            han,
+            Box::new(VendorMpi::intel()),
+            Box::new(VendorMpi::mvapich2()),
+            Box::new(TunedOpenMpi),
+        ]
+    };
     println!(
         "## {fig} — {} on {} ({} procs); latency in us\n",
         coll.name(),
@@ -523,7 +577,7 @@ fn imb_figure(
         preset.topology.world_size()
     );
     let refs: Vec<&dyn MpiStack> = stacks.iter().map(|b| b.as_ref()).collect();
-    let rows = imb_sweep(&refs, preset, coll, &pow2_range(4, max_msg));
+    let rows = imb_sweep(&refs, &preset, coll, &pow2_range(4, cfg.max_msg()));
     let mut header = vec!["size".to_string()];
     header.extend(stacks.iter().map(|s| s.name()));
     let mut t = Table::new(&header.iter().map(|s| s.as_str()).collect::<Vec<_>>());
@@ -568,26 +622,14 @@ fn imb_figure(
             )
         })
         .collect();
-    save_json(fig, &json).ok();
+    cfg.save(fig, &json);
 }
 
 fn fig10(cfg: &Cfg) {
-    let preset = cfg.shaheen();
-    let han = han_for(&preset, "shaheen");
-    imb_figure(
-        "fig10",
-        &preset,
-        Coll::Bcast,
-        vec![
-            Box::new(han),
-            Box::new(TunedOpenMpi),
-            Box::new(VendorMpi::cray()),
-        ],
-        cfg.max_msg(),
-    );
+    imb_figure(cfg, "fig10", "shaheen", Coll::Bcast);
 }
 
-fn fig11(_cfg: &Cfg) {
+fn fig11(cfg: &Cfg) {
     println!("## Fig. 11 — Netpipe P2P bandwidth on Shaheen II (GB/s)\n");
     let preset = shaheen2_ppn(2, 32);
     let szs = pow2_range(1, 64 << 20);
@@ -605,57 +647,19 @@ fn fig11(_cfg: &Cfg) {
         out.push((o.bytes, o.bandwidth, c.bandwidth));
     }
     println!("{}", t.render());
-    save_json("fig11", &out).ok();
+    cfg.save("fig11", &out);
 }
 
 fn fig12(cfg: &Cfg) {
-    let preset = cfg.stampede();
-    let han = han_for(&preset, "stampede");
-    imb_figure(
-        "fig12",
-        &preset,
-        Coll::Bcast,
-        vec![
-            Box::new(han),
-            Box::new(VendorMpi::intel()),
-            Box::new(VendorMpi::mvapich2()),
-            Box::new(TunedOpenMpi),
-        ],
-        cfg.max_msg(),
-    );
+    imb_figure(cfg, "fig12", "stampede", Coll::Bcast);
 }
 
 fn fig13(cfg: &Cfg) {
-    let preset = cfg.shaheen();
-    let han = han_for(&preset, "shaheen");
-    imb_figure(
-        "fig13",
-        &preset,
-        Coll::Allreduce,
-        vec![
-            Box::new(han),
-            Box::new(TunedOpenMpi),
-            Box::new(VendorMpi::cray()),
-        ],
-        cfg.max_msg(),
-    );
+    imb_figure(cfg, "fig13", "shaheen", Coll::Allreduce);
 }
 
 fn fig14(cfg: &Cfg) {
-    let preset = cfg.stampede();
-    let han = han_for(&preset, "stampede");
-    imb_figure(
-        "fig14",
-        &preset,
-        Coll::Allreduce,
-        vec![
-            Box::new(han),
-            Box::new(VendorMpi::intel()),
-            Box::new(VendorMpi::mvapich2()),
-            Box::new(TunedOpenMpi),
-        ],
-        cfg.max_msg(),
-    );
+    imb_figure(cfg, "fig14", "stampede", Coll::Allreduce);
 }
 
 /// Fig. 15: Horovod/AlexNet throughput scaling.
@@ -674,7 +678,10 @@ fn fig15(cfg: &Cfg) {
     let mut out = Vec::new();
     for &nodes in &node_counts {
         let preset = stampede2_ppn(nodes, ppn);
-        let han = han_for(&preset, &format!("stampede_{nodes}x{ppn}"));
+        // The Figs. 12/14 machine shares their table.
+        let label = format!("stampede_{nodes}x{ppn}");
+        let same = preset.topology.levels() == cfg.stampede().topology.levels();
+        let han = han_for(cfg, &preset, if same { "stampede" } else { &label });
         let h = han_apps::run_horovod(&han, &preset, &hv);
         let i = han_apps::run_horovod(&VendorMpi::intel(), &preset, &hv);
         let o = han_apps::run_horovod(&TunedOpenMpi, &preset, &hv);
@@ -699,7 +706,7 @@ fn fig15(cfg: &Cfg) {
             100.0 * (h / o - 1.0)
         );
     }
-    save_json("fig15", &out).ok();
+    cfg.save("fig15", &out);
 }
 
 /// Table III: ASP on 1536 processes.
@@ -715,7 +722,7 @@ fn table3(cfg: &Cfg) {
         flops: 1.2e9,
         iterations: Some(world),
     };
-    let han = han_for(&preset, "stampede");
+    let han = han_for(cfg, &preset, "stampede");
     let stacks: Vec<(&str, Box<dyn MpiStack>)> = vec![
         ("HAN", Box::new(han)),
         ("Intel MPI", Box::new(VendorMpi::intel())),
@@ -752,7 +759,7 @@ fn table3(cfg: &Cfg) {
         .iter()
         .map(|(n, r)| (n.clone(), r.total.as_ps(), r.comm.as_ps(), r.comm_ratio()))
         .collect();
-    save_json("table3", &json).ok();
+    cfg.save("table3", &json);
 }
 
 /// Ablation: HAN's cross-level pipelining (fs sweep up to "one segment").
@@ -862,7 +869,7 @@ fn ablation_models(cfg: &Cfg) {
 /// over the standard mini / mini3 / socketized presets and persist the
 /// structured report. Violations are recorded on the exit-code gate so
 /// the process ends nonzero — this is what the CI smoke job runs.
-fn verify(_cfg: &Cfg) {
+fn verify(cfg: &Cfg) {
     println!("## verify — performance-guideline catalog (han-verify)\n");
     let presets = han_verify::standard_presets();
     let report = han_verify::run_suite(&presets);
@@ -891,14 +898,14 @@ fn verify(_cfg: &Cfg) {
             v.rel_slack
         );
     }
-    save_json("verify", &report).ok();
+    let path = cfg.save("verify", &report);
     println!(
-        "verify: {} presets, {} guidelines, {} checks, {} violation(s) \
-         -> results/verify.json",
+        "verify: {} presets, {} guidelines, {} checks, {} violation(s) -> {}",
         report.presets.len(),
         report.guidelines.len(),
         report.total_checks,
-        report.total_violations
+        report.total_violations,
+        path.display()
     );
     if !report.passed() {
         gate::fail(format!(
@@ -1009,11 +1016,12 @@ fn synth(cfg: &Cfg) {
         ));
     }
     println!("{}", t.render());
-    save_json("synth", &json).ok();
+    let path = cfg.save("synth", &json);
     println!(
         "synth: {} presets, {total_points} pareto points, {total_wins} strict \
-         synth-beats-menu win(s) -> results/synth.json",
-        presets.len()
+         synth-beats-menu win(s) -> {}",
+        presets.len(),
+        path.display()
     );
     if oracle_failures > 0 {
         gate::fail(format!(
@@ -1037,7 +1045,7 @@ fn synth(cfg: &Cfg) {
 /// reference stack, which sees none of the hierarchy. The hierarchical
 /// margin must grow with depth — a non-monotone depth column trips the
 /// exit-code gate, so CI can run this target the way it runs `verify`.
-fn hetero(_cfg: &Cfg) {
+fn hetero(cfg: &Cfg) {
     use han_machine::{dgx_like, gpu_hier, RailPolicy};
     println!("## hetero — depth scaling on heterogeneous machines + NIC striping\n");
     let shapes: [&[usize]; 3] = [&[4, 4], &[4, 4, 4], &[4, 4, 4, 4]];
@@ -1105,8 +1113,8 @@ fn hetero(_cfg: &Cfg) {
         rail_speedup
     );
 
-    save_json("hetero", &(&rows, rail_speedup)).ok();
-    println!("hetero: {} rows -> results/hetero.json", rows.len());
+    let path = cfg.save("hetero", &(&rows, rail_speedup));
+    println!("hetero: {} rows -> {}", rows.len(), path.display());
 
     for (ci, coll) in colls.iter().enumerate() {
         let s = &speedups[ci];
@@ -1221,10 +1229,6 @@ fn main() {
         }
     };
     let cfg = Cfg { scale, levels };
-    if levels > 2 {
-        // Deep sweeps write results/<fig>_d3.json; two-level files stay put.
-        han_bench::report::set_result_suffix(&format!("_d{levels}"));
-    }
 
     // Report the hierarchy actually in use (the tuning machine is
     // representative; all presets share the same depth).

@@ -69,26 +69,16 @@ pub fn us(t: Time) -> String {
     }
 }
 
-/// Persist a serializable result under `results/<name><suffix>.json`,
-/// where the suffix comes from [`set_result_suffix`] (e.g. `_d3` for
-/// three-level sweeps, so deep runs never clobber the two-level files).
-pub fn save_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<()> {
-    let dir = Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let suffix = RESULT_SUFFIX.lock().map(|s| s.clone()).unwrap_or_default();
+/// Persist a serializable result as pretty JSON at `path`, creating its
+/// directory.
+pub fn save_json<T: Serialize>(path: &Path, value: &T) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
     std::fs::write(
-        dir.join(format!("{name}{suffix}.json")),
+        path,
         serde_json::to_string_pretty(value).expect("serialize"),
     )
-}
-
-static RESULT_SUFFIX: std::sync::Mutex<String> = std::sync::Mutex::new(String::new());
-
-/// Set a filename suffix appended to every subsequent [`save_json`] name.
-pub fn set_result_suffix(suffix: &str) {
-    if let Ok(mut s) = RESULT_SUFFIX.lock() {
-        *s = suffix.to_string();
-    }
 }
 
 #[cfg(test)]
