@@ -282,7 +282,7 @@ fn fig3(cfg: &Cfg) {
     for (imod, alg, name) in inter_combos() {
         for seg in [64 * 1024u64, 512 * 1024] {
             let hc = combo_cfg(imod, alg, IntraModule::Sm, seg);
-            let mut tb = TaskBench::new(&preset).with_max_occurrences(8);
+            let mut tb = TaskBench::new(&preset);
             let trace = tb.occurrence_trace(&hc, &[TaskSpec::IB], TaskSpec::SBIB, seg, 8);
             let series: Vec<Time> = trace.iter().map(|occ| occ[leader]).collect();
             let cells: Vec<String> = series.iter().map(|t| us(*t)).collect();

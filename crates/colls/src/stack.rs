@@ -99,6 +99,16 @@ impl std::fmt::Display for Unsupported {
 
 impl std::error::Error for Unsupported {}
 
+impl Unsupported {
+    /// Add `self` to a sweep's skip list unless an equal entry is already
+    /// there: a sweep reports each declined collective once.
+    pub fn note_in(self, skipped: &mut Vec<Unsupported>) {
+        if !skipped.contains(&self) {
+            skipped.push(self);
+        }
+    }
+}
+
 /// A complete MPI implementation under test.
 pub trait MpiStack {
     /// Display name for report rows ("HAN", "Cray MPI", ...).

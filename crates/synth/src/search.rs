@@ -155,12 +155,6 @@ fn beam(preset: &MachinePreset, coll: Coll, m: u64, cands: &[Candidate], width: 
     Beam { visit, beamed }
 }
 
-fn note_skip(skipped: &mut Vec<Unsupported>, e: Unsupported) {
-    if !skipped.contains(&e) {
-        skipped.push(e);
-    }
-}
-
 /// Synthesize schedules for every `(coll, m)` group of `space`,
 /// returning the per-group Pareto fronts plus every simulated sample.
 ///
@@ -249,7 +243,7 @@ pub fn synthesize(
                         bound_bw,
                     });
                 }
-                (Err(e), _) | (_, Err(e)) => note_skip(&mut result.skipped, e.clone()),
+                (Err(e), _) | (_, Err(e)) => e.clone().note_in(&mut result.skipped),
             }
         }
         result.simulated += samples.len() as u64;

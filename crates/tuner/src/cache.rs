@@ -2,8 +2,9 @@
 //!
 //! The paper's tuning-time argument is that measured task costs are
 //! *reused* across message sizes and collectives. [`TaskBench`] already
-//! reuses costs within one session; this module extends the same idea to
-//! the simulator's wall-clock: a [`CostCache`] memoizes
+//! reuses each measurement within one session (one memo, keyed like the
+//! task key below); this module extends the same idea across sessions and
+//! strategies, for the simulator's wall-clock: a [`CostCache`] memoizes
 //!
 //! * **collective costs** — `(collective, config, message size)` → virtual
 //!   latency, the unit of work of the exhaustive sweeps behind Figs. 8/9;

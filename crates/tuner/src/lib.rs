@@ -10,10 +10,11 @@
 //!
 //! * [`space`] — the autotuning inputs (Table I) and configuration
 //!   enumeration (Table II outputs).
-//! * [`taskbench`] — task benchmarking, including the delayed-start
-//!   technique ("we need to delay the participation of each process by
-//!   the duration of the ib(0) step") and stabilized-cost iteration
-//!   (Fig. 3).
+//! * [`taskbench`] — task benchmarking: each task once per configuration
+//!   and segment size, with the delayed-start technique ("we need to
+//!   delay the participation of each process by the duration of the ib(0)
+//!   step") in a context fixed by the task, plus the per-occurrence
+//!   stabilization trace of Fig. 3.
 //! * [`model`] — the cost model: eq. (3) for Bcast, eq. (4) for
 //!   Allreduce, generalized to short pipelines.
 //! * [`analytic`] — conventional cost models (Hockney, LogP, LogGP,

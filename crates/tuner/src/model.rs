@@ -10,10 +10,10 @@
 //!   eq. (4) — generalized to short pipelines (`u < 4`) by deriving each
 //!   pipeline step's component set directly.
 //!
-//! Task costs come from [`crate::taskbench::TaskBench`], which measures
-//! each occurrence with the delayed-start method and freezes stabilized
-//! costs; this function merely replays the sequence, so predicting a new
-//! message size after the tasks are cached costs *zero* additional
+//! Each task's cost is [`TaskBench::task_cost`]: benchmarked once per
+//! `(config, segment size)` in a context fixed by the task alone, so
+//! [`predict`] is a pure function of its arguments, and predicting a new
+//! message size after the tasks are measured costs *zero* additional
 //! benchmarking — the heart of the paper's tuning-time reduction.
 
 use crate::taskbench::TaskBench;
@@ -48,10 +48,11 @@ pub fn allreduce_sequence(u: usize) -> Vec<TaskSpec> {
         .collect()
 }
 
-/// Predict the cost of `coll` on message size `m` under `cfg`, using (and
-/// populating) the task benchmark cache. The paper derives task sequences
-/// only for Bcast (eq. 3) and Allreduce (eq. 4); any other collective is
-/// reported as [`Unsupported`] so sweeps skip it rather than panic.
+/// Predict the cost of `coll` on message size `m` under `cfg`,
+/// benchmarking on `tb` any task it has not measured yet. The paper
+/// derives task sequences only for Bcast (eq. 3) and Allreduce (eq. 4);
+/// any other collective is reported as [`Unsupported`] so sweeps skip it
+/// rather than panic.
 pub fn predict(
     tb: &mut TaskBench,
     cfg: &HanConfig,
@@ -71,15 +72,18 @@ pub fn predict(
     // The model counts the segments the builders actually emit.
     let preset = *tb.preset();
     let (fs, u) = cfg.segmentation(dtype, m, &preset.node, &preset.level_params());
-    let seq = sequence(u);
     let seg = fs.min(m.max(1));
-    let nl = tb.leaders();
-    let mut acc = vec![Time::ZERO; nl];
-    for spec in seq {
-        let cost = tb.pipeline_cost(cfg, spec, seg, &acc);
-        for (a, c) in acc.iter_mut().zip(&cost) {
-            *a += *c;
+    // Eqs. (3)/(4): per leader, each task's cost times its number of
+    // (consecutive) occurrences.
+    let seq = sequence(u);
+    let mut acc = vec![Time::ZERO; tb.leaders()];
+    let mut i = 0;
+    while i < seq.len() {
+        let n = seq[i..].iter().take_while(|&&s| s == seq[i]).count();
+        for (a, c) in acc.iter_mut().zip(tb.task_cost(cfg, seq[i], seg)) {
+            *a += c * n as u64;
         }
+        i += n;
     }
     Ok(acc.into_iter().max().unwrap_or(Time::ZERO))
 }

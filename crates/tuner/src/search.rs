@@ -99,12 +99,6 @@ pub struct TuneOpts {
     pub delta: bool,
 }
 
-fn note_skip(skipped: &mut Vec<Unsupported>, e: Unsupported) {
-    if !skipped.contains(&e) {
-        skipped.push(e);
-    }
-}
-
 /// Run autotuning over `space` for the given collectives.
 pub fn tune(
     preset: &MachinePreset,
@@ -329,7 +323,7 @@ fn tune_exhaustive(
                 searches += 1;
                 samples.push((coll, m, cfg, t));
             }
-            Outcome::Cost(Err(e)) => note_skip(&mut skipped, e),
+            Outcome::Cost(Err(e)) => e.note_in(&mut skipped),
             Outcome::Pruned => pruned += 1,
         }
     }
@@ -406,8 +400,8 @@ fn run_group(
         .collect()
 }
 
-/// One task-based job: a configuration and every `(coll, m)` the serial
-/// walk predicts for it, in walk order.
+/// One task-based job: a configuration and every `(coll, m)` predicted
+/// for it.
 struct ConfigJob {
     cfg: HanConfig,
     calls: Vec<(Coll, u64)>,
@@ -428,11 +422,8 @@ fn tune_task_based(
     cache: Option<Arc<CostCache>>,
     workers: Option<usize>,
 ) -> TuneResult {
-    // The serial walk is `coll → m → cfg`. Every `TaskBench` memo is keyed
-    // by configuration, so grouping the walk's calls by configuration
-    // (one job each, one `TaskBench` per worker) replays exactly the
-    // calls the walk makes for that configuration; `spent` and `runs`
-    // are sums, hence order-free.
+    // One job per configuration: every task measurement belongs to one
+    // configuration, so each is taken, and charged, exactly once.
     let mut groups: Vec<(Coll, u64, Vec<usize>)> = Vec::new();
     let mut jobs: Vec<ConfigJob> = Vec::new();
     let mut job_of: HashMap<HanConfig, usize> = HashMap::new();
@@ -497,7 +488,7 @@ fn tune_task_based(
                         best = Some((cfg, t));
                     }
                 }
-                Err(e) => note_skip(&mut skipped, e),
+                Err(e) => e.note_in(&mut skipped),
             }
         }
         if let Some((cfg, cost)) = best {
@@ -795,6 +786,43 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn collective_order_is_invisible_to_the_task_based_tuner() {
+        // Every task cost is measured in a context fixed by the task, so
+        // tuning `[Bcast, Allreduce, Reduce]` or its reverse must pick the
+        // same entries and charge the same runs and virtual time.
+        let mut space = tiny_space();
+        space.msg_sizes = pow2_range(4, 4 << 20);
+        space.intra = vec![han_colls::IntraModule::Sm, han_colls::IntraModule::Solo];
+        let colls = [Coll::Bcast, Coll::Allreduce, Coll::Reduce];
+        let mut reversed = colls;
+        reversed.reverse();
+        for preset in [mini(2, 4), han_machine::shaheen2_ppn(8, 4)] {
+            for strategy in [Strategy::TaskBased, Strategy::TaskBasedHeuristic] {
+                let a = tune(&preset, &space, &colls, strategy);
+                let b = tune(&preset, &space, &reversed, strategy);
+                for &coll in &colls {
+                    for &m in &space.msg_sizes {
+                        assert_eq!(
+                            a.table.get(coll, m).map(|e| (e.cfg, e.cost_ps)),
+                            b.table.get(coll, m).map(|e| (e.cfg, e.cost_ps)),
+                            "{} {} {coll:?} m={m}: entry depends on the order",
+                            preset.name,
+                            strategy.name()
+                        );
+                    }
+                }
+                assert_eq!(
+                    (a.searches, a.tuning_time),
+                    (b.searches, b.tuning_time),
+                    "{} {}",
+                    preset.name,
+                    strategy.name()
+                );
             }
         }
     }

@@ -3,19 +3,22 @@
 //! Measures the cost of HAN tasks on each node leader, reproducing the
 //! paper's methodology:
 //!
-//! * simple tasks (`ib(0)`, `sb(0)`) are timed by running them alone —
-//!   "a simple benchmark using a loop around a timed task";
-//! * tasks that follow other tasks are timed with *delayed participation*:
-//!   each node starts at the virtual time its leader finished the
-//!   preceding tasks ("we need to delay the participation of each process
-//!   by the duration of the ib(0) step to simulate the different starting
-//!   time of sbib(1)");
-//! * repeated tasks are re-measured occurrence by occurrence until their
-//!   cost stabilizes (Fig. 3), and the stabilized cost is reused.
+//! * each task type is benchmarked once per `(config, segment size)`
+//!   ([`TaskBench::task_cost`]), and that cost is reused for every message
+//!   size and collective;
+//! * a task that follows other tasks is timed with *delayed
+//!   participation*: each node starts at the virtual time its leader
+//!   finished the tasks that [`context`] puts before it ("we need to delay
+//!   the participation of each process by the duration of the ib(0) step
+//!   to simulate the different starting time of sbib(1)"). The context
+//!   depends only on the task, so a cost never depends on what the bench
+//!   measured before;
+//! * [`TaskBench::occurrence_trace`] re-measures a repeated task
+//!   occurrence by occurrence until its cost stabilizes (Fig. 3).
 //!
 //! Every actual benchmark run adds its virtual duration (× the repetition
 //! count a real harness would use) to [`TaskBench::spent`] — the quantity
-//! Fig. 8 compares across tuning strategies. Cache hits cost nothing,
+//! Fig. 8 compares across tuning strategies. Memo hits cost nothing,
 //! which is exactly how task reuse across message sizes and collectives
 //! saves tuning time.
 
@@ -35,7 +38,41 @@ pub const BENCH_ITERS: u64 = 10;
 /// consecutive occurrence measurements count as stabilized.
 const STABLE_TOL: f64 = 0.03;
 
-/// Cache key: configuration, task, segment size, and the *relative* start
+/// Bcast's steady pipeline: the place of every task without a reduce
+/// phase.
+const BCAST_STEADY: [TaskSpec; 3] = [TaskSpec::IB, TaskSpec::SBIB, TaskSpec::SB];
+
+/// Allreduce's steady pipeline: the place of every other task.
+const ALLREDUCE_STEADY: [TaskSpec; 5] = [
+    TaskSpec::SR,
+    TaskSpec::IRSR,
+    TaskSpec::IBIRSR,
+    TaskSpec::SBIBIRSR,
+    TaskSpec::SBIBIR,
+];
+
+/// The tasks that run before `spec` when it is benchmarked: its
+/// predecessors in the steady pipeline it belongs to. `ir` and `ibir`
+/// appear only in 1- and 2-segment Allreduces, and follow `sr` and
+/// `sr, irsr` as they do there. A task in neither pipeline runs alone.
+///
+/// Every context is a prefix of one pipeline, and each task in it has the
+/// shorter prefix before it as its own context.
+pub fn context(spec: TaskSpec) -> &'static [TaskSpec] {
+    let pipeline: &'static [TaskSpec] = if spec.ir || spec.sr {
+        &ALLREDUCE_STEADY
+    } else {
+        &BCAST_STEADY
+    };
+    let at = match spec {
+        TaskSpec::IR => 1,
+        TaskSpec::IBIR => 2,
+        _ => pipeline.iter().position(|&p| p == spec).unwrap_or(0),
+    };
+    &pipeline[..at]
+}
+
+/// Memo key: configuration, task, segment size, and the *relative* start
 /// skew pattern (costs are invariant under a uniform shift of all nodes,
 /// but not under changes of the inter-node skew shape — that is the whole
 /// point of the delayed-participation benchmark).
@@ -46,33 +83,21 @@ fn skew_key(skew: &[Time]) -> Vec<u64> {
     skew.iter().map(|s| (*s - min).as_ps()).collect()
 }
 
+fn delay(skew: &mut [Time], cost: &[Time]) {
+    for (s, d) in skew.iter_mut().zip(cost) {
+        *s += *d;
+    }
+}
+
 /// A benchmarking session over one machine preset.
 pub struct TaskBench {
     preset: MachinePreset,
     machine: Machine,
-    cache: HashMap<Key, Vec<Time>>,
-    /// `(cfg, spec, seg)` → `(occurrence threshold, stabilized cost)`:
-    /// occurrences at or beyond the threshold reuse the stabilized cost.
-    frozen: HashMap<(HanConfig, TaskSpec, u64), (u32, Vec<Time>)>,
-    /// Last actually-measured occurrence per task, for the stabilization
-    /// comparison.
-    last_measured: HashMap<(HanConfig, TaskSpec, u64), (u32, Vec<Time>)>,
-    /// Global occurrence counter per task across all cost-model walks:
-    /// once a task type has been benchmarked (to `max_occurrences` depth),
-    /// every later pipeline — any message size, any collective — reuses
-    /// its cost, exactly the paper's reuse argument.
-    global_occ: HashMap<(HanConfig, TaskSpec, u64), u32>,
-    /// Occurrence index at which a repeated task's cost is frozen as
-    /// stabilized even if still drifting. The default (1) is the paper's
-    /// scheme — each task type is benchmarked once, with the
-    /// delayed-participation skew standing in for its predecessors (so the
-    /// single `sbib` measurement *is* `sbib(1)`), giving exactly `T`
-    /// benchmark types per configuration (3 for Bcast, 8 for Allreduce).
-    /// Raise it to study the Fig. 3 stabilization trend.
-    pub max_occurrences: u32,
+    /// Every measurement this session has taken, by its full context.
+    memo: HashMap<Key, Vec<Time>>,
     /// Total virtual time spent in actual benchmark runs.
     pub spent: Time,
-    /// Number of actual benchmark runs (cache misses).
+    /// Number of actual benchmark runs (memo misses).
     pub runs: u64,
     /// Optional cross-run memo: measurements found here skip the
     /// simulation but are accounted (`spent`, `runs`) exactly as if they
@@ -85,11 +110,7 @@ impl TaskBench {
         TaskBench {
             preset: *preset,
             machine: Machine::from_preset(preset),
-            cache: HashMap::new(),
-            frozen: HashMap::new(),
-            last_measured: HashMap::new(),
-            global_occ: HashMap::new(),
-            max_occurrences: 1,
+            memo: HashMap::new(),
             spent: Time::ZERO,
             runs: 0,
             shared: None,
@@ -103,13 +124,6 @@ impl TaskBench {
         self
     }
 
-    /// Measure repeated tasks up to `n` occurrences before freezing
-    /// (Fig. 3 studies; the tuner default is 1).
-    pub fn with_max_occurrences(mut self, n: u32) -> Self {
-        self.max_occurrences = n.max(1);
-        self
-    }
-
     pub fn preset(&self) -> &MachinePreset {
         &self.preset
     }
@@ -119,19 +133,45 @@ impl TaskBench {
         self.preset.topology.nodes()
     }
 
-    /// Measure one task occurrence: run `spec` with per-node start skew
-    /// and return each leader's cost (finish − its skew).
-    fn measure(&mut self, cfg: &HanConfig, spec: TaskSpec, seg: u64, skew: &[Time]) -> Vec<Time> {
-        // Warm path: a prior run (possibly a previous process) already
-        // simulated this exact measurement. Account for it identically.
-        let rel = skew_key(skew);
-        if let Some(shared) = &self.shared {
-            if let Some((cost, window)) = shared.lookup_task(cfg, spec, seg, &rel) {
-                self.spent += window * BENCH_ITERS;
-                self.runs += 1;
-                return cost;
-            }
+    /// Run `spec` with per-node start skew and return each leader's cost
+    /// (finish − its skew). Every run is charged to `spent` and `runs`;
+    /// a measurement this bench already took is a free memo hit.
+    fn measured(&mut self, cfg: &HanConfig, spec: TaskSpec, seg: u64, skew: &[Time]) -> Vec<Time> {
+        let key = (*cfg, spec, seg, skew_key(skew));
+        if let Some(c) = self.memo.get(&key) {
+            return c.clone();
         }
+        // Warm path: another bench sharing the cache already simulated
+        // this exact measurement. Account for it identically.
+        let recalled = self
+            .shared
+            .as_ref()
+            .and_then(|shared| shared.lookup_task(cfg, spec, seg, &key.3));
+        let (cost, window) = match recalled {
+            Some(r) => r,
+            None => {
+                let r = self.simulate(cfg, spec, seg, skew);
+                if let Some(shared) = &self.shared {
+                    shared.record_task(cfg, spec, seg, key.3.clone(), &r.0, r.1);
+                }
+                r
+            }
+        };
+        self.spent += window * BENCH_ITERS;
+        self.runs += 1;
+        self.memo.insert(key, cost.clone());
+        cost
+    }
+
+    /// Simulate one measurement: each leader's cost plus the window the
+    /// benchmark occupies the cluster.
+    fn simulate(
+        &mut self,
+        cfg: &HanConfig,
+        spec: TaskSpec,
+        seg: u64,
+        skew: &[Time],
+    ) -> (Vec<Time>, Time) {
         let tp = task_program(&self.preset, cfg, spec, seg, 0);
         let topo = self.preset.topology;
         let mut start = vec![Time::ZERO; topo.world_size()];
@@ -149,96 +189,46 @@ impl TaskBench {
         let window = rep
             .makespan
             .saturating_sub(skew.iter().copied().min().unwrap_or(Time::ZERO));
-        self.spent += window * BENCH_ITERS;
-        self.runs += 1;
-        let cost: Vec<Time> = tp
+        let cost = tp
             .observers
             .iter()
             .enumerate()
             .map(|(ul, &(_, op))| rep.finish(op).saturating_sub(skew[ul]))
             .collect();
-        if let Some(shared) = &self.shared {
-            shared.record_task(cfg, spec, seg, rel, &cost, window);
-        }
-        cost
+        (cost, window)
     }
 
-    /// Cost of the `occ`-th occurrence of `spec` within a task pipeline
-    /// whose preceding tasks account for `skew` virtual time per node.
-    ///
-    /// Occurrences at or beyond the stabilization point reuse the frozen
-    /// stabilized cost (Fig. 3). Identical `(cfg, spec, seg, relative
-    /// skew)` combinations are served from cache — this is the task-cost
-    /// reuse across message sizes and collectives.
-    pub fn occurrence_cost(
-        &mut self,
-        cfg: &HanConfig,
-        spec: TaskSpec,
-        seg: u64,
-        occ: u32,
-        skew: &[Time],
-    ) -> Vec<Time> {
-        let fkey = (*cfg, spec, seg);
-        if let Some((at, cost)) = self.frozen.get(&fkey) {
-            if occ >= *at {
-                return cost.clone();
-            }
+    /// Each leader's finish time after running `leadin` in order from a
+    /// common start, each task delayed by the ones before it.
+    fn after(&mut self, cfg: &HanConfig, leadin: &[TaskSpec], seg: u64) -> Vec<Time> {
+        let mut skew = vec![Time::ZERO; self.leaders()];
+        for &pre in leadin {
+            let c = self.measured(cfg, pre, seg, &skew);
+            delay(&mut skew, &c);
         }
-        let key = (*cfg, spec, seg, skew_key(skew));
-        if let Some(c) = self.cache.get(&key) {
-            return c.clone();
-        }
-        let cost = self.measure(cfg, spec, seg, skew);
-        // Stabilization: freeze after the configured number of
-        // occurrences, or earlier if consecutive measurements agree. The
-        // threshold never reaches down to occurrence 0, so first
-        // occurrences in a *different* skew context (e.g. the unskewed
-        // `ib∥sb` probe of Fig. 2 vs the pipeline's `sbib(1)`) are always
-        // measured on their own terms.
-        if occ + 1 >= self.max_occurrences {
-            self.frozen.insert(fkey, (occ.max(1), cost.clone()));
-        } else if let Some((prev_occ, prev)) = self.last_measured.get(&fkey) {
-            if occ == prev_occ + 1 {
-                let a = prev.iter().max().copied().unwrap_or(Time::ZERO);
-                let b = cost.iter().max().copied().unwrap_or(Time::ZERO);
-                let rel = (a.as_ps() as f64 - b.as_ps() as f64).abs() / (b.as_ps().max(1) as f64);
-                if rel < STABLE_TOL {
-                    self.frozen.insert(fkey, (occ, cost.clone()));
-                }
-            }
-        }
-        self.last_measured.insert(fkey, (occ, cost.clone()));
-        self.cache.insert(key, cost.clone());
-        cost
+        skew
     }
 
-    /// Cost of the next pipeline occurrence of `spec`, with a global
-    /// per-task occurrence counter: the cost-model walks in
-    /// [`crate::model::predict`] call this, so task costs are benchmarked
-    /// once and reused across message sizes and collectives.
-    pub fn pipeline_cost(
-        &mut self,
-        cfg: &HanConfig,
-        spec: TaskSpec,
-        seg: u64,
-        skew: &[Time],
-    ) -> Vec<Time> {
-        let fkey = (*cfg, spec, seg);
-        let occ = self.global_occ.get(&fkey).copied().unwrap_or(0);
-        let cost = self.occurrence_cost(cfg, spec, seg, occ, skew);
-        self.global_occ.insert(fkey, occ + 1);
-        cost
+    /// The cost of `spec` on each leader, benchmarked once per
+    /// `(cfg, seg)` after the tasks of its [`context`] — each of which,
+    /// having the prefix before it as its own context, is priced by
+    /// `task_cost` too. A pure function of its arguments.
+    pub fn task_cost(&mut self, cfg: &HanConfig, spec: TaskSpec, seg: u64) -> Vec<Time> {
+        let skew = self.after(cfg, context(spec), seg);
+        self.measured(cfg, spec, seg, &skew)
     }
 
     /// Direct cost of a task with no predecessor (e.g. `ib(0)`, the blue
     /// bars of Fig. 2).
     pub fn first_cost(&mut self, cfg: &HanConfig, spec: TaskSpec, seg: u64) -> Vec<Time> {
-        let skew = vec![Time::ZERO; self.leaders()];
-        self.occurrence_cost(cfg, spec, seg, 0, &skew)
+        let skew = self.after(cfg, &[], seg);
+        self.measured(cfg, spec, seg, &skew)
     }
 
     /// The per-occurrence cost trace of a repeated task following a
     /// lead-in sequence — the data of Fig. 3. Returns `count` cost vectors.
+    /// Once two consecutive occurrences agree within 3 %, later
+    /// occurrences reuse the stabilized cost instead of being measured.
     pub fn occurrence_trace(
         &mut self,
         cfg: &HanConfig,
@@ -247,24 +237,31 @@ impl TaskBench {
         seg: u64,
         count: u32,
     ) -> Vec<Vec<Time>> {
-        let nl = self.leaders();
-        let mut skew = vec![Time::ZERO; nl];
-        for (occ, &pre) in leadin.iter().enumerate() {
-            let c = self.occurrence_cost(cfg, pre, seg, occ as u32, &skew);
-            for (s, d) in skew.iter_mut().zip(&c) {
-                *s += *d;
-            }
-        }
-        let mut out = Vec::with_capacity(count as usize);
-        for occ in 0..count {
-            let c = self.occurrence_cost(cfg, spec, seg, occ, &skew);
-            for (s, d) in skew.iter_mut().zip(&c) {
-                *s += *d;
-            }
+        let mut skew = self.after(cfg, leadin, seg);
+        let mut out: Vec<Vec<Time>> = Vec::with_capacity(count as usize);
+        let mut stable = false;
+        for _ in 0..count {
+            let c = match out.last() {
+                Some(prev) if stable => prev.clone(),
+                prev => {
+                    let c = self.measured(cfg, spec, seg, &skew);
+                    stable = prev.is_some_and(|p| agree(p, &c));
+                    c
+                }
+            };
+            delay(&mut skew, &c);
             out.push(c);
         }
         out
     }
+}
+
+/// Whether two occurrences' slowest-leader costs agree within
+/// [`STABLE_TOL`].
+fn agree(prev: &[Time], cost: &[Time]) -> bool {
+    let a = prev.iter().max().copied().unwrap_or(Time::ZERO);
+    let b = cost.iter().max().copied().unwrap_or(Time::ZERO);
+    (a.as_ps() as f64 - b.as_ps() as f64).abs() / (b.as_ps().max(1) as f64) < STABLE_TOL
 }
 
 #[cfg(test)]
@@ -311,26 +308,66 @@ mod tests {
 
     #[test]
     fn occurrence_trace_stabilizes() {
-        let mut tb = bench().with_max_occurrences(4);
-        let cfg = HanConfig::default();
-        let trace = tb.occurrence_trace(&cfg, &[TaskSpec::IB], TaskSpec::SBIB, 128 * 1024, 8);
-        assert_eq!(trace.len(), 8);
-        // Later occurrences must be identical (frozen stabilized cost).
-        assert_eq!(trace[6], trace[7], "stabilized cost reused");
-        // And the whole trace costs at most max_occurrences runs of sbib
-        // plus one ib run.
-        assert!(tb.runs <= 4 + 1, "runs={}", tb.runs);
-    }
-
-    #[test]
-    fn default_freezes_after_single_measurement() {
-        // The paper's scheme: one benchmark per task type — T=3 for bcast.
         let mut tb = bench();
         let cfg = HanConfig::default();
         let trace = tb.occurrence_trace(&cfg, &[TaskSpec::IB], TaskSpec::SBIB, 128 * 1024, 8);
         assert_eq!(trace.len(), 8);
-        assert_eq!(trace[0], trace[7], "sbib(1) reused as sbib(s)");
+        // Once two consecutive occurrences agree, the rest reuse the
+        // stabilized cost and are not measured.
+        let at = (1..8)
+            .find(|&i| agree(&trace[i - 1], &trace[i]))
+            .expect("sbib stabilizes within 8 occurrences");
+        assert!(trace[at..].iter().all(|c| *c == trace[at]));
+        assert_eq!(tb.runs, 1 + at as u64 + 1, "one ib plus sbib(1..=at)");
+    }
+
+    #[test]
+    fn each_task_is_benchmarked_once_in_its_fixed_context() {
+        // The paper's scheme: one benchmark per task type, the
+        // delayed-participation skew standing in for its predecessors, so
+        // the single `sbib` measurement *is* `sbib(1)` after `ib(0)`.
+        let mut tb = bench();
+        let cfg = HanConfig::default();
+        let seg = 128 * 1024;
+        let sbib = tb.task_cost(&cfg, TaskSpec::SBIB, seg);
         assert_eq!(tb.runs, 2, "one ib + one sbib measurement");
+        assert_eq!(
+            sbib,
+            tb.occurrence_trace(&cfg, &[TaskSpec::IB], TaskSpec::SBIB, seg, 1)[0]
+        );
+        let sb = tb.task_cost(&cfg, TaskSpec::SB, seg);
+        assert_eq!(tb.runs, 3, "sb after ib, sbib adds one measurement");
+        assert_eq!(
+            sb,
+            tb.occurrence_trace(&cfg, &[TaskSpec::IB, TaskSpec::SBIB], TaskSpec::SB, seg, 1)[0]
+        );
+        let spent = tb.spent;
+        for spec in [TaskSpec::IB, TaskSpec::SBIB, TaskSpec::SB] {
+            tb.task_cost(&cfg, spec, seg);
+        }
+        assert_eq!((tb.runs, tb.spent), (3, spent), "later calls are memo hits");
+    }
+
+    #[test]
+    fn contexts_are_pipeline_prefixes() {
+        let names = |spec| context(spec).iter().map(|s| s.name()).collect::<Vec<_>>();
+        assert!(names(TaskSpec::IB).is_empty());
+        assert_eq!(names(TaskSpec::SB), ["ib", "sbib"]);
+        assert!(names(TaskSpec::SR).is_empty());
+        assert_eq!(names(TaskSpec::IR), ["sr"]);
+        assert_eq!(names(TaskSpec::IBIR), ["sr", "irsr"]);
+        assert_eq!(
+            names(TaskSpec::SBIBIR),
+            ["sr", "irsr", "ibirsr", "sbibirsr"]
+        );
+        // Each context task's own context is the prefix before it, so
+        // `task_cost` prices every predecessor by `task_cost` too.
+        for spec in crate::model::allreduce_sequence(3) {
+            let ctx = context(spec);
+            for (i, &pre) in ctx.iter().enumerate() {
+                assert_eq!(context(pre), &ctx[..i], "{}", spec.name());
+            }
+        }
     }
 
     #[test]

@@ -91,28 +91,32 @@ fn tuned_config_switches_with_message_size() {
 #[test]
 fn exhaustive_and_task_based_agree_on_winners() {
     // Fig. 9's claim: the task-based pick achieves (nearly) the exhaustive
-    // best in most cases. Allow 25% slack per size, and require the
-    // aggregate to be within 10%.
+    // best in most cases. Tuned with Allreduce first, so a cost measured
+    // in one collective's pipeline would leak into the other's picks:
+    // allow 3% slack per size and 1% in aggregate, per collective.
     let preset = mini(4, 4);
     let space = test_space();
-    let ex = tune(&preset, &space, &[Coll::Bcast], Strategy::Exhaustive);
-    let tk = tune(&preset, &space, &[Coll::Bcast], Strategy::TaskBased);
-    let mut ex_total = 0f64;
-    let mut tk_total = 0f64;
-    for &m in &space.msg_sizes {
-        let best = achieved_latency(&preset, &ex.table, Coll::Bcast, m, None).unwrap();
-        let got = achieved_latency(&preset, &tk.table, Coll::Bcast, m, None).unwrap();
+    let colls = [Coll::Allreduce, Coll::Bcast];
+    let ex = tune(&preset, &space, &colls, Strategy::Exhaustive);
+    let tk = tune(&preset, &space, &colls, Strategy::TaskBased);
+    for coll in colls {
+        let mut ex_total = 0f64;
+        let mut tk_total = 0f64;
+        for &m in &space.msg_sizes {
+            let best = achieved_latency(&preset, &ex.table, coll, m, None).unwrap();
+            let got = achieved_latency(&preset, &tk.table, coll, m, None).unwrap();
+            assert!(
+                got.as_ps() as f64 <= best.as_ps() as f64 * 1.03,
+                "{coll:?} m={m}: task pick {got} vs best {best}"
+            );
+            ex_total += best.as_secs_f64();
+            tk_total += got.as_secs_f64();
+        }
         assert!(
-            got.as_ps() as f64 <= best.as_ps() as f64 * 1.25,
-            "m={m}: task pick {got} vs best {best}"
+            tk_total <= ex_total * 1.01,
+            "{coll:?}: {tk_total:.6} vs {ex_total:.6}"
         );
-        ex_total += best.as_secs_f64();
-        tk_total += got.as_secs_f64();
     }
-    assert!(
-        tk_total <= ex_total * 1.10,
-        "{tk_total:.6} vs {ex_total:.6}"
-    );
 }
 
 #[test]
