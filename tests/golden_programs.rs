@@ -5,6 +5,12 @@
 //! event count of executing each program on its own preset, pinned in
 //! `tests/golden/program_digests.json`.
 //!
+//! The two-level reference grid (every corner configuration on six
+//! two-level shapes, the extended collectives, and the verify suite's
+//! corners at its sizes) is pinned one rolled-up entry per (preset,
+//! config); these digests are the reference the N-level builders answer
+//! to on two-level machines.
+//!
 //! A builder refactor must leave every program identical op for op, and an
 //! executor refactor must leave every run identical to the picosecond and
 //! the event, so any change here is a behaviour change, not noise.
@@ -18,9 +24,12 @@
 use han::machine::{dgx_like, gpu_hier};
 use han::mpi::{execute, BufRange, OpId, OpKind, Program};
 use han::prelude::*;
+use han::verify::SuiteOpts;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::Arc;
+
+mod common;
 
 /// One pinned program.
 #[derive(Debug, Serialize, Deserialize)]
@@ -220,6 +229,36 @@ fn push(
     }
 }
 
+/// Pin one grid cell, `cfg` on `preset` over `runs` of `(coll, m, root)`,
+/// as a single entry: its digest folds every program's digest, makespan
+/// and event count in order; ops, makespan and events are the totals.
+fn push_cell(
+    out: &mut Vec<GoldenProgram>,
+    grid: &str,
+    preset: &MachinePreset,
+    cfg: HanConfig,
+    runs: impl IntoIterator<Item = (Coll, u64, usize)>,
+) {
+    let han = Han::with_config(cfg);
+    let mut cell = Vec::new();
+    for (coll, m, root) in runs {
+        push(&mut cell, String::new(), &han, preset, coll, m, root);
+    }
+    let mut h = Fnv::new();
+    for p in &cell {
+        h.bytes(p.digest.as_bytes());
+        h.u64(p.makespan_ps);
+        h.u64(p.events);
+    }
+    out.push(GoldenProgram {
+        case: format!("{grid}/{}{:?}/{cfg}", preset.name, preset.topology.levels()),
+        ops: cell.iter().map(|p| p.ops).sum(),
+        digest: format!("{:016x}", h.0),
+        makespan_ps: cell.iter().map(|p| p.makespan_ps).sum(),
+        events: cell.iter().map(|p| p.events).sum(),
+    });
+}
+
 fn programs() -> Vec<GoldenProgram> {
     let mut out = Vec::new();
     let presets = [
@@ -281,6 +320,50 @@ fn programs() -> Vec<GoldenProgram> {
                 let case = format!("{}/{label}/{}/{m}/root5", preset.name, coll.name());
                 push(&mut out, case, stack.as_ref(), &preset, coll, m, 5);
             }
+        }
+    }
+
+    // The two-level reference grid. Every corner configuration on six
+    // two-level shapes: Bcast from rank 0 and from a middle rank, and
+    // Allreduce, at 64 KiB and 2 MiB.
+    let two_level = [
+        mini(4, 4),
+        mini(3, 5),
+        mini(1, 6),
+        mini(6, 1),
+        shaheen2_ppn(4, 8),
+        stampede2_ppn(3, 4),
+    ];
+    for preset in &two_level {
+        let mid = (preset.topology.world_size() - 1) / 2;
+        for cfg in common::corner_configs() {
+            let runs = [64 * 1024u64, 2 << 20].into_iter().flat_map(|m| {
+                [
+                    (Coll::Bcast, m, 0),
+                    (Coll::Bcast, m, mid),
+                    (Coll::Allreduce, m, 0),
+                ]
+            });
+            push_cell(&mut out, "corner", preset, cfg, runs);
+        }
+    }
+    // The extended collectives on two more shapes.
+    for preset in [mini(3, 4), shaheen2_ppn(2, 6)] {
+        let runs = [
+            (Coll::Reduce, 256 * 1024, 1),
+            (Coll::Allgather, 4 * 1024, 0),
+            (Coll::Barrier, 64, 0),
+        ];
+        let cfg = HanConfig::default().with_fs(64 * 1024);
+        push_cell(&mut out, "extended", &preset, cfg, runs);
+    }
+    // The verify suite's corners at its sizes on its two-level presets.
+    for preset in [mini(4, 4), dgx_like(2, 4)] {
+        for cfg in han::verify::corner_configs() {
+            let runs = SuiteOpts::default().sizes.into_iter().flat_map(|m| {
+                [Coll::Bcast, Coll::Allreduce, Coll::Reduce].map(|coll| (coll, m, 0))
+            });
+            push_cell(&mut out, "verify", &preset, cfg, runs);
         }
     }
     out
