@@ -17,7 +17,7 @@ use crate::config::HanConfig;
 use crate::levels::{GroupPlan, NodeSplit};
 use han_colls::stack::BuildCtx;
 use han_colls::{Frontier, InterModule, IntraModule, Libnbc, Sm, Solo};
-use han_machine::{LevelParams, LevelVec};
+use han_machine::LevelVec;
 use han_mpi::{BufRange, Comm, DataType, ProgramBuilder, ReduceOp};
 
 /// Dispatch an inter-node reduce (to up-local `root`) through the
@@ -58,31 +58,12 @@ pub(crate) fn flat_reduce(
     }
 }
 
-/// Dispatch an intra-node reduce (to local 0) through the configured
-/// submodule, at the link parameters of one hierarchy level. On a
-/// two-level topology this *is* the whole intra phase;
-/// [`ascend_reduce`] generalizes it to arbitrary depth.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn intra_reduce(
-    b: &mut ProgramBuilder,
-    cfg: &HanConfig,
-    node: &han_machine::NodeParams,
-    lvl: &LevelParams,
-    low: &Comm,
-    bufs: &[BufRange],
-    deps: &Frontier,
-    op: ReduceOp,
-    dtype: DataType,
-) -> Frontier {
-    flat_reduce(b, cfg.smod, &node.at_level(lvl), low, bufs, deps, op, dtype)
-}
-
 /// Reduce within a group toward its local rank 0, following the group's
 /// [`GroupPlan`] — the ascending mirror of
 /// [`crate::bcast::descend_bcast`]: each subgroup first folds its own
 /// partial down to its leader, then the leaders run a flat
 /// `smod_at(level)` reduce across the subgroups. On depth-2
-/// topologies this collapses to exactly the classic intra reduce.
+/// topologies this collapses to exactly the two-level intra reduce.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ascend_reduce(
     b: &mut ProgramBuilder,

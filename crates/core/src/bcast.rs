@@ -14,7 +14,7 @@ use crate::config::HanConfig;
 use crate::levels::{GroupPlan, NodeSplit};
 use han_colls::stack::BuildCtx;
 use han_colls::{Frontier, InterModule, IntraModule, Libnbc, Sm, Solo};
-use han_machine::{LevelParams, LevelVec};
+use han_machine::LevelVec;
 use han_mpi::{BufRange, Comm, DataType, OpId, ProgramBuilder};
 
 /// Dispatch an inter-node broadcast of HAN segment `seg` through the
@@ -53,28 +53,12 @@ pub(crate) fn flat_bcast(
     }
 }
 
-/// Dispatch an intra-node broadcast (root = local 0) through the
-/// configured submodule, at the link parameters of one hierarchy level.
-/// On a two-level topology this *is* the whole intra phase;
-/// [`descend_bcast`] generalizes it to arbitrary depth.
-pub(crate) fn intra_bcast(
-    b: &mut ProgramBuilder,
-    cfg: &HanConfig,
-    node: &han_machine::NodeParams,
-    lvl: &LevelParams,
-    low: &Comm,
-    bufs: &[BufRange],
-    deps: &Frontier,
-) -> Frontier {
-    flat_bcast(b, cfg.smod, &node.at_level(lvl), low, bufs, deps)
-}
-
 /// Broadcast within a group whose local rank 0 holds the data, following
 /// the group's [`GroupPlan`] through the remaining levels.
 ///
 /// At the innermost level this is exactly the flat submodule broadcast of
 /// the two-level design — so on depth-2 topologies the recursion is
-/// structurally identical to the classic intra phase. Above it, the
+/// structurally identical to the paper's intra phase. Above it, the
 /// subgroup leaders run a flat `smod_at(level)` broadcast, and each
 /// subgroup recurses: the segment frontier chains leader-first through
 /// the ordered level list, level by level.

@@ -421,6 +421,37 @@ mod tests {
     }
 
     #[test]
+    fn segmentation_rule() {
+        let seg = |p: &han_machine::MachinePreset, fs, dtype, m| {
+            HanConfig::default()
+                .with_fs(fs)
+                .segmentation(dtype, m, &p.node, &p.level_params())
+        };
+        let (f32, u8) = (DataType::Float32, DataType::Uint8);
+        // Uniform levels charge no launch: `fs` is only floored at one
+        // element, a whole number of them.
+        let mini = han_machine::mini(4, 4);
+        assert_eq!(seg(&mini, 0, f32, 1 << 20), (4, 1 << 18));
+        assert_eq!(seg(&mini, 5, f32, 10), (4, 3));
+        assert_eq!(seg(&mini, 4097, f32, 1 << 20), (4096, 256));
+        assert_eq!(seg(&mini, 0, u8, 10), (1, 10));
+        assert_eq!(seg(&mini, 48 * 1024, f32, 1 << 20), (48 * 1024, 22));
+        // One segment once `fs` covers the message, and for an empty one.
+        assert_eq!(seg(&mini, 64 * 1024, f32, 1000), (64 * 1024, 1));
+        assert_eq!(seg(&mini, 64 * 1024, f32, 0), (64 * 1024, 1));
+        // dgx_like's device level charges a 3 us launch, so a segment
+        // doubles until copying it at 40 GB/s takes 8 launches (24 us,
+        // 960,000 B): 64 KiB and 4 B both widen to 1 MiB.
+        let dgx = han_machine::dgx_like(2, 4);
+        assert_eq!(seg(&dgx, 64 * 1024, f32, 4 << 20), (1 << 20, 4));
+        assert_eq!(seg(&dgx, 5, f32, 4 << 20), (1 << 20, 4));
+        // A width that already amortizes the launch stays.
+        assert_eq!(seg(&dgx, 2 << 20, f32, 8 << 20), (2 << 20, 4));
+        // Widening stops at the message: 512 KiB is clamped to m.
+        assert_eq!(seg(&dgx, 64 * 1024, f32, 300_000), (300_000, 1));
+    }
+
+    #[test]
     fn builder_helpers() {
         let c = HanConfig::default()
             .with_fs(1 << 20)

@@ -20,8 +20,8 @@
 //!   through levels `1..depth`, moving each segment across one level's
 //!   subgroup leaders before recursing into the subgroups. On a depth-2
 //!   topology the recursion bottoms out immediately and is structurally
-//!   identical to the classic intra phase (pinned by
-//!   `tests/hierarchy_equivalence.rs` against [`crate::classic`]).
+//!   identical to the paper's intra phase (pinned op for op by the
+//!   golden program digests of `tests/golden_programs.rs`).
 //! * **Configuration** — [`crate::HanConfig::smod_at`] selects the
 //!   submodule per level: level 1 is the Table-II `smod`, deeper levels
 //!   use the `deep` entries and fall back to `smod`, so every two-level

@@ -37,9 +37,9 @@
 //! its subgroup leaders with a per-level submodule
 //! ([`config::HanConfig::smod_at`]), then recurses into the subgroups.
 //! On two-level machines the recursion is structurally identical to the
-//! classic intra phase; [`classic`] preserves the pre-refactor builders
-//! verbatim and `tests/hierarchy_equivalence.rs` pins bit-identical
-//! virtual times against them. See [`levels`] for the design.
+//! paper's intra phase; the golden program digests of
+//! `tests/golden_programs.rs` are the two-level reference, pinning every
+//! corner configuration op for op. See [`levels`] for the design.
 //!
 //! ## Modules
 //!
@@ -56,8 +56,6 @@
 //!   pluggable decision source (the autotuner's lookup table).
 //! * [`levels`] — the ordered hierarchy-level list and how it threads
 //!   through splitting, composition, configuration and cost.
-//! * [`classic`] — the pre-generalization two-level builders, kept
-//!   verbatim as regression oracles.
 //! * [`composed`] — composed reference collectives (Reduce+Bcast,
 //!   Scatter+Allgather) backing `han-verify`'s composition guidelines.
 
@@ -68,7 +66,6 @@
 
 pub mod allreduce;
 pub mod bcast;
-pub mod classic;
 pub mod composed;
 pub mod config;
 pub mod extend;

@@ -14,9 +14,8 @@
 //!   table winner must not lose to any candidate of its own search
 //!   space, and analytic lower bounds must stay below simulated cost;
 //! * **differential oracles** — independent implementations of the same
-//!   semantics must agree (generalized N-level builders vs the classic
-//!   two-level oracles, exactly; cost models vs simulation, within an
-//!   error band).
+//!   semantics must agree (daemon answers vs direct table lookups,
+//!   exactly; cost models vs simulation, within an error band).
 //!
 //! Functions take `&dyn MpiStack` where it makes sense so tests can feed
 //! deliberately broken stacks and watch the guideline catch them.
@@ -25,10 +24,10 @@ use crate::report::{GuidelineReport, Violation};
 use han_colls::stack::{build_coll, time_coll, Coll, Unsupported};
 use han_colls::MpiStack;
 use han_core::composed::time_composed;
-use han_core::{classic, Han, HanConfig};
+use han_core::{Han, HanConfig};
 use han_decide::LookupTable;
 use han_machine::{MachinePreset, Topology};
-use han_mpi::{check_races, execute, Comm, DataType, ExecOpts, ProgramBuilder, ReduceOp};
+use han_mpi::check_races;
 use han_sim::Time;
 use han_synth::SynthResult;
 use han_tuner::model::predict;
@@ -625,109 +624,6 @@ pub fn analytic_envelope(
                              (ratio {ratio:.2} outside ±{envelope}×)",
                             model.name()
                         ),
-                    ));
-                }
-            }
-        }
-    }
-    g
-}
-
-/// Makespan of a program built by `f` on a fresh machine.
-fn makespan(preset: &MachinePreset, f: impl FnOnce(&mut ProgramBuilder, &Comm)) -> Time {
-    let n = preset.topology.world_size();
-    let comm = Comm::world(n);
-    let mut b = ProgramBuilder::new(n);
-    f(&mut b, &comm);
-    let prog = b.build();
-    let mut m = han_machine::Machine::from_preset(preset);
-    let opts = ExecOpts::timing(han_machine::Flavor::OpenMpi.p2p());
-    execute(&mut m, &prog, &opts).makespan
-}
-
-/// `classic-agreement`: on two-level machines the generalized N-level
-/// builders must agree with the pre-refactor classic oracles to the
-/// picosecond — a differential oracle with zero tolerance. Presets with
-/// more than two levels have no classic counterpart and report zero
-/// checks.
-pub fn classic_agreement(
-    preset: &MachinePreset,
-    cfgs: &[HanConfig],
-    sizes: &[u64],
-) -> GuidelineReport {
-    let mut g = GuidelineReport::new(
-        "classic-agreement",
-        "generalized builders match the classic two-level oracles exactly",
-    );
-    if preset.topology.depth() != 2 {
-        return g;
-    }
-    let n = preset.topology.world_size();
-    for cfg in cfgs {
-        let stack = Han::with_config(*cfg);
-        for &m in sizes {
-            let pairs: [(Coll, Time); 3] = [
-                (Coll::Bcast, {
-                    makespan(preset, |b, comm| {
-                        let bufs = b.alloc_all(m);
-                        let mut cx = han_colls::stack::BuildCtx::new(b, preset);
-                        classic::build_bcast(
-                            &mut cx,
-                            cfg,
-                            comm,
-                            0,
-                            &bufs,
-                            &han_colls::Frontier::empty(n),
-                        );
-                    })
-                }),
-                (Coll::Allreduce, {
-                    makespan(preset, |b, comm| {
-                        let bufs = b.alloc_all(m);
-                        let mut cx = han_colls::stack::BuildCtx::new(b, preset);
-                        classic::build_allreduce(
-                            &mut cx,
-                            cfg,
-                            comm,
-                            &bufs,
-                            ReduceOp::Sum,
-                            DataType::Float32,
-                            &han_colls::Frontier::empty(n),
-                        );
-                    })
-                }),
-                (Coll::Reduce, {
-                    makespan(preset, |b, comm| {
-                        let bufs = b.alloc_all(m);
-                        let mut cx = han_colls::stack::BuildCtx::new(b, preset);
-                        classic::build_reduce(
-                            &mut cx,
-                            cfg,
-                            comm,
-                            0,
-                            &bufs,
-                            ReduceOp::Sum,
-                            DataType::Float32,
-                            &han_colls::Frontier::empty(n),
-                        );
-                    })
-                }),
-            ];
-            for (coll, t_classic) in pairs {
-                let Ok(t_new) = time_coll(&stack, preset, coll, m, 0) else {
-                    continue;
-                };
-                g.check();
-                if t_new != t_classic {
-                    g.violate(Violation::new(
-                        &g.id.clone(),
-                        preset.name,
-                        coll.name(),
-                        format!("{cfg}"),
-                        m,
-                        t_new.as_ps(),
-                        t_classic.as_ps(),
-                        format!("generalized builder {t_new} != classic oracle {t_classic}"),
                     ));
                 }
             }

@@ -24,7 +24,6 @@
 //! | `bound-soundness` | pruning lower bound ≤ simulated cost |
 //! | `task-model-band` | task model within the relative error band |
 //! | `analytic-envelope` | analytic models within a bounded factor |
-//! | `classic-agreement` | N-level builders ≡ classic two-level oracles |
 //! | `serve-agreement` | han-serve daemon answers ≡ direct table lookups, across hot-swaps |
 //! | `synth-dominance` | synthesized front winners ≤ the Table-II menu winner |
 //! | `synth-bound-soundness` | the synthesis lower bound ≤ simulated cost, both objectives |

@@ -4,9 +4,9 @@
 
 use crate::guidelines::{
     allreduce_composition, analytic_envelope, bcast_composition, bound_soundness,
-    classic_agreement, enumerate_candidates, msg_monotonicity, rank_monotonicity,
-    reduce_vs_allreduce, schedule_race_free, serve_agreement, synth_bound_soundness,
-    synth_dominance, table_dominance, task_model_accuracy,
+    enumerate_candidates, msg_monotonicity, rank_monotonicity, reduce_vs_allreduce,
+    schedule_race_free, serve_agreement, synth_bound_soundness, synth_dominance, table_dominance,
+    task_model_accuracy,
 };
 use crate::report::{GuidelineReport, VerifyReport};
 use han_colls::stack::Coll;
@@ -188,10 +188,6 @@ pub fn run_preset(preset: &MachinePreset, opts: &SuiteOpts) -> Vec<GuidelineRepo
     // Model-vs-simulation error bands.
     add(task_model_accuracy(preset, &cfgs, &opts.sizes, MODEL_BAND));
     add(analytic_envelope(preset, &cfgs, &opts.sizes, ENVELOPE));
-
-    // Differential oracle (two-level presets only; reports 0 checks
-    // elsewhere).
-    add(classic_agreement(preset, &cfgs, &opts.sizes));
 
     out
 }
