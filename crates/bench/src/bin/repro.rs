@@ -44,11 +44,13 @@
 //! Each target's wall time and event-engine counters go to stderr as it
 //! finishes; `all` ends with their sum.
 //!
-//! Fig. 8 bound-prunes its exhaustive sweeps: pruning never changes the
-//! winner table, only how many candidates are simulated. Fig. 9 runs its
-//! own unpruned sweep, because it needs the full sample distribution
-//! (best/median/average), not just the winners; it leaves
-//! `results/fig8.json` alone.
+//! The exhaustive strategies always bound-prune: pruning never changes
+//! the winner table, only how many candidates are simulated. Fig. 9 runs
+//! the same pruned sweep as Fig. 8 for its winners, then measures every
+//! candidate through [`han_tuner::candidate_costs`] (sharing the sweep's
+//! cache) for the best/median/average distribution, and prints the
+//! unpruned Fig. 8 totals from those costs; it leaves `results/fig8.json`
+//! alone.
 //!
 //! `--levels 3` runs every experiment on the three-level (socketized)
 //! forms of the machines — `[nodes, sockets, cores]` with a cross-socket
@@ -75,8 +77,10 @@ use han_core::{Han, HanConfig};
 use han_machine::{shaheen2_ppn, socketize, stampede2_ppn, Flavor, Machine, MachinePreset};
 use han_sim::{EngineStats, Summary, Time};
 use han_tuner::space::pow2_range;
+use han_tuner::taskbench::BENCH_ITERS;
 use han_tuner::{
-    tune, tune_with_opts, CostCache, LookupTable, SearchSpace, Strategy, TaskBench, TuneOpts,
+    candidate_costs, tune, tune_with_opts, CostCache, LookupTable, SearchSpace, Strategy,
+    TaskBench, TuneOpts, TuneResult,
 };
 use serde::Serialize;
 use std::io::ErrorKind;
@@ -401,38 +405,39 @@ fn fig6(cfg: &Cfg) {
     cfg.save("fig6", &out);
 }
 
-/// Tune Bcast+Allreduce on the tuning machine with each of the four
-/// strategies, sharing one cost cache; returns the results and each
-/// strategy's wall time. `prune` bound-prunes the exhaustive sweeps
-/// (winner tables are provably unchanged); callers that consume the full
-/// sample distribution must pass `false`.
-fn tune_strategies(
-    cfg: &Cfg,
-    prune: bool,
-) -> ([han_tuner::TuneResult; 4], Vec<f64>, Arc<CostCache>) {
-    let preset = cfg.tuning();
+/// The collectives Figs. 8 and 9 tune.
+const TUNED_COLLS: [Coll; 2] = [Coll::Bcast, Coll::Allreduce];
+
+/// The search space Figs. 8 and 9 tune over.
+fn tuning_space(cfg: &Cfg) -> SearchSpace {
     let mut space = SearchSpace::standard();
     if cfg.scale == Scale::Mini {
         space.msg_sizes = pow2_range(4, 1 << 20);
         space.seg_sizes = pow2_range(16 * 1024, 512 * 1024);
     }
-    let colls = [Coll::Bcast, Coll::Allreduce];
+    space
+}
+
+/// Tune Bcast+Allreduce on the tuning machine with each of the four
+/// strategies, sharing one cost cache; returns the results and each
+/// strategy's wall time. The exhaustive sweeps bound-prune, which never
+/// changes a winner table.
+fn tune_strategies(cfg: &Cfg) -> ([TuneResult; 4], Vec<f64>, Arc<CostCache>) {
+    let preset = cfg.tuning();
+    let space = tuning_space(cfg);
     let cache = Arc::new(CostCache::new(&preset));
     let mut walls = Vec::new();
-    let results: Vec<han_tuner::TuneResult> = Strategy::ALL
+    let results: Vec<TuneResult> = Strategy::ALL
         .iter()
         .map(|&s| {
             let t0 = std::time::Instant::now();
             let r = tune_with_opts(
                 &preset,
                 &space,
-                &colls,
+                &TUNED_COLLS,
                 s,
                 Some(cache.clone()),
-                TuneOpts {
-                    prune,
-                    ..TuneOpts::default()
-                },
+                TuneOpts::default(),
             );
             walls.push(t0.elapsed().as_secs_f64());
             r
@@ -461,7 +466,7 @@ fn fig8(cfg: &Cfg) {
         preset.topology.nodes(),
         preset.topology.ppn(),
     );
-    let (results, walls, cache) = tune_strategies(cfg, true);
+    let (results, walls, cache) = tune_strategies(cfg);
     let base = results[0].tuning_time.as_secs_f64();
     let mut t = Table::new(&[
         "strategy",
@@ -497,12 +502,43 @@ fn fig8(cfg: &Cfg) {
 }
 
 /// Fig. 9: achieved collective latency per tuning method, against the
-/// exhaustive best/median/average.
+/// exhaustive best/median/average of every candidate.
 fn fig9(cfg: &Cfg) {
-    // Fig. 9 reports the exhaustive best/median/average distribution, so
-    // the sweep must sample *every* candidate — pruning is off.
-    let (results, _, cache) = tune_strategies(cfg, false);
+    let (results, _, cache) = tune_strategies(cfg);
     let preset = cfg.tuning();
+    let space = tuning_space(cfg);
+    // Every candidate's cost at every `(coll, m)`, duplicates included,
+    // for both exhaustive strategies; the sweep's cache serves the
+    // candidates it simulated.
+    let full = |heuristic| -> Vec<(Coll, u64, Vec<Time>)> {
+        let mut out = Vec::new();
+        for coll in TUNED_COLLS {
+            for &m in &space.msg_sizes {
+                let costs = candidate_costs(&preset, &space, coll, m, heuristic, Some(&cache));
+                let costs = costs.into_iter().filter_map(|(_, r)| r.ok()).collect();
+                out.push((coll, m, costs));
+            }
+        }
+        out
+    };
+    let exhaustive = full(false);
+
+    println!("## Fig. 8 without bound pruning — every candidate simulated\n");
+    let mut t = Table::new(&["strategy", "searches", "virtual time"]);
+    for (r, costs) in results.iter().zip([&exhaustive, &full(true)]) {
+        let runs: usize = costs.iter().map(|(_, _, c)| c.len()).sum();
+        let spent = costs
+            .iter()
+            .flat_map(|(_, _, c)| c)
+            .fold(Time::ZERO, |acc, &c| acc + c * BENCH_ITERS);
+        t.row(vec![
+            r.strategy.name().to_string(),
+            runs.to_string(),
+            format!("{:.2}s", spent.as_secs_f64()),
+        ]);
+    }
+    println!("{}", t.render());
+
     println!("## Fig. 9 — achieved latency by tuning method (us)\n");
     let probe_sizes: Vec<u64> = results[0]
         .table
@@ -511,19 +547,18 @@ fn fig9(cfg: &Cfg) {
         .filter(|&m| m >= 64 * 1024)
         .collect();
     let mut out = Vec::new();
-    for coll in [Coll::Bcast, Coll::Allreduce] {
+    for coll in TUNED_COLLS {
         let mut t = Table::new(&[
             "size", "best", "median", "average", "HAN", "exh+heur", "HAN+heur",
         ]);
         for &m in &probe_sizes {
             let dist = Summary::from_iter(
-                results[0]
-                    .samples
+                exhaustive
                     .iter()
-                    .filter(|(c, mm, _, _)| *c == coll && *mm == m)
-                    .map(|(_, _, _, t)| *t),
+                    .filter(|(c, mm, _)| *c == coll && *mm == m)
+                    .flat_map(|(_, _, costs)| costs.iter().copied()),
             );
-            let achieved = |r: &han_tuner::TuneResult| {
+            let achieved = |r: &TuneResult| {
                 han_tuner::achieved_latency(&preset, &r.table, coll, m, Some(&cache))
                     .expect("tuned collectives are supported")
             };
@@ -1060,17 +1095,7 @@ fn hetero(cfg: &Cfg) {
     let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); colls.len()];
     for shape in shapes {
         let preset = gpu_hier(shape);
-        let tuned = tune_with_opts(
-            &preset,
-            &space,
-            &colls,
-            Strategy::Exhaustive,
-            None,
-            TuneOpts {
-                prune: true,
-                ..TuneOpts::default()
-            },
-        );
+        let tuned = tune(&preset, &space, &colls, Strategy::Exhaustive);
         let han = Han::tuned(Arc::new(tuned.table));
         for (ci, &coll) in colls.iter().enumerate() {
             let th = time_coll(&han, &preset, coll, m, 0).expect("HAN");

@@ -13,14 +13,15 @@ use std::sync::Arc;
 
 /// Where HAN gets its configuration for a given collective invocation —
 /// the second autotuning step of section III-C: "use the lookup table …
-/// to generate decisions for any inputs (n, p, m and t)".
+/// to generate decisions for any inputs (n, p, m and t)". A source
+/// serves one machine, so it is keyed by collective and size only.
 pub trait ConfigSource: Send + Sync {
-    fn config(&self, coll: Coll, nodes: usize, ppn: usize, bytes: u64) -> HanConfig;
+    fn config(&self, coll: Coll, bytes: u64) -> HanConfig;
 }
 
 /// A fixed configuration is itself a (degenerate) source.
 impl ConfigSource for HanConfig {
-    fn config(&self, _coll: Coll, _nodes: usize, _ppn: usize, _bytes: u64) -> HanConfig {
+    fn config(&self, _coll: Coll, _bytes: u64) -> HanConfig {
         *self
     }
 }
@@ -58,9 +59,8 @@ impl Han {
         self
     }
 
-    fn cfg(&self, cx: &BuildCtx, coll: Coll, bytes: u64) -> HanConfig {
-        self.source
-            .config(coll, cx.topo.nodes(), cx.topo.ppn(), bytes)
+    fn cfg(&self, coll: Coll, bytes: u64) -> HanConfig {
+        self.source.config(coll, bytes)
     }
 }
 
@@ -87,7 +87,7 @@ impl MpiStack for Han {
         bufs: &[BufRange],
         deps: &Frontier,
     ) -> Frontier {
-        let cfg = self.cfg(cx, Coll::Bcast, bufs[0].len);
+        let cfg = self.cfg(Coll::Bcast, bufs[0].len);
         build_bcast(cx, &cfg, comm, root, bufs, deps)
     }
 
@@ -100,7 +100,7 @@ impl MpiStack for Han {
         dtype: DataType,
         deps: &Frontier,
     ) -> Frontier {
-        let cfg = self.cfg(cx, Coll::Allreduce, bufs[0].len);
+        let cfg = self.cfg(Coll::Allreduce, bufs[0].len);
         build_allreduce(cx, &cfg, comm, bufs, op, dtype, deps)
     }
 
@@ -114,7 +114,7 @@ impl MpiStack for Han {
         dtype: DataType,
         deps: &Frontier,
     ) -> Result<Frontier, Unsupported> {
-        let cfg = self.cfg(cx, Coll::Reduce, bufs[0].len);
+        let cfg = self.cfg(Coll::Reduce, bufs[0].len);
         Ok(build_reduce(cx, &cfg, comm, root, bufs, op, dtype, deps))
     }
 
@@ -127,7 +127,7 @@ impl MpiStack for Han {
         dst_root: BufRange,
         deps: &Frontier,
     ) -> Result<Frontier, Unsupported> {
-        let cfg = self.cfg(cx, Coll::Gather, src[0].len);
+        let cfg = self.cfg(Coll::Gather, src[0].len);
         Ok(build_gather(cx, &cfg, comm, root, src, dst_root, deps))
     }
 
@@ -140,7 +140,7 @@ impl MpiStack for Han {
         dst: &[BufRange],
         deps: &Frontier,
     ) -> Result<Frontier, Unsupported> {
-        let cfg = self.cfg(cx, Coll::Scatter, dst[0].len);
+        let cfg = self.cfg(Coll::Scatter, dst[0].len);
         Ok(build_scatter(cx, &cfg, comm, root, src_root, dst, deps))
     }
 
@@ -152,7 +152,7 @@ impl MpiStack for Han {
         block: u64,
         deps: &Frontier,
     ) -> Result<Frontier, Unsupported> {
-        let cfg = self.cfg(cx, Coll::Allgather, block);
+        let cfg = self.cfg(Coll::Allgather, block);
         Ok(build_allgather(cx, &cfg, comm, bufs, block, deps))
     }
 
@@ -226,7 +226,7 @@ mod tests {
     fn dynamic_source_is_consulted() {
         struct BySize;
         impl ConfigSource for BySize {
-            fn config(&self, _c: Coll, _n: usize, _p: usize, bytes: u64) -> HanConfig {
+            fn config(&self, _c: Coll, bytes: u64) -> HanConfig {
                 if bytes > 1024 {
                     HanConfig::default().with_fs(512)
                 } else {

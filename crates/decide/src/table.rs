@@ -152,7 +152,7 @@ impl LookupTable {
 }
 
 impl ConfigSource for LookupTable {
-    fn config(&self, coll: Coll, _nodes: usize, _ppn: usize, bytes: u64) -> HanConfig {
+    fn config(&self, coll: Coll, bytes: u64) -> HanConfig {
         self.nearest(coll, bytes).map(|e| e.cfg).unwrap_or_default()
     }
 }
@@ -201,10 +201,10 @@ mod tests {
     #[test]
     fn config_source_serves_decisions() {
         let t = table();
-        let cfg = t.config(Coll::Bcast, 4, 8, 2 << 20);
+        let cfg = t.config(Coll::Bcast, 2 << 20);
         assert_eq!(cfg.fs, 128 * 1024);
         // Unknown collective: falls back to the default config.
-        let cfg = t.config(Coll::Gather, 4, 8, 64);
+        let cfg = t.config(Coll::Gather, 64);
         assert_eq!(cfg, HanConfig::default());
     }
 

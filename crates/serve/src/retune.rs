@@ -11,7 +11,7 @@ use crate::store::TableStore;
 use han_colls::Coll;
 use han_decide::{preset_fingerprint, LookupTable};
 use han_machine::MachinePreset;
-use han_tuner::{tune_with_opts, SearchSpace, Strategy, TuneOpts};
+use han_tuner::{tune, SearchSpace, Strategy};
 use std::sync::Arc;
 
 /// Collectives a served table covers by default: the ones the paper
@@ -31,18 +31,7 @@ pub fn serve_space() -> SearchSpace {
 
 /// Tune a fresh table for `preset` over [`serve_space`].
 pub fn tune_table(preset: &MachinePreset) -> LookupTable {
-    tune_with_opts(
-        preset,
-        &serve_space(),
-        &SERVE_COLLS,
-        Strategy::Exhaustive,
-        None,
-        TuneOpts {
-            prune: true,
-            ..TuneOpts::default()
-        },
-    )
-    .table
+    tune(preset, &serve_space(), &SERVE_COLLS, Strategy::Exhaustive).table
 }
 
 /// Tune `preset` on a detached worker thread and hot-swap the result

@@ -160,8 +160,8 @@ fn hot_swap_never_mixes_generations() {
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 store.publish(fp, versions[v % 2].clone());
                 v += 1;
-                // Throttled: the epoch cell retains every published
-                // generation, so keep the churn to a few hundred swaps.
+                // Throttled so the publisher leaves the server and the
+                // client a core to run on.
                 std::thread::sleep(std::time::Duration::from_micros(200));
             }
         })
@@ -170,7 +170,19 @@ fn hot_swap_never_mixes_generations() {
     let mut client = Client::connect(server.addr()).unwrap();
     let sizes: Vec<u64> = (0..14).map(|i| 1u64 << i).chain([100, 77777]).collect();
     let mut last_gen = 0u64;
-    for round in 0..200 {
+    // At least 200 rounds, then on until the client has seen a swap:
+    // past round 200 each round flushes the local cache, so it asks the
+    // server, which answers from the latest generation.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let mut round = 0usize;
+    while round < 200 || last_gen <= 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "client saw no swap by round {round}"
+        );
+        if round >= 200 {
+            client.flush_cache();
+        }
         let queries: Vec<Query> = sizes
             .iter()
             .enumerate()
@@ -199,6 +211,7 @@ fn hot_swap_never_mixes_generations() {
             assert_eq!(a.sample, e.m);
             assert_eq!(a.cost_ps, e.cost_ps);
         }
+        round += 1;
     }
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     publisher.join().unwrap();

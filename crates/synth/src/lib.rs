@@ -25,14 +25,14 @@
 //! The search uses the [`han_tuner::bound`] analytic lower bound as an
 //! admissible heuristic and the simulator as the exact cost oracle. It
 //! simulates every menu candidate, then the beyond-menu extras cheapest
-//! bound first; when the extras outgrow [`SynthOpts::beam`], only the
+//! bound first; when the extras outgrow [`search::BEAM`], only the
 //! cheapest-bounded are simulated. Menu candidates are *always*
 //! simulated, so the emitted front can never lose to the menu. Each
 //! candidate is costed at two sizes, and candidates whose
 //! [`han_core::HanConfig::effective`] configs agree build the same
-//! program, so the search simulates each distinct program once: 1,780
-//! runs for the 3,840 paper-scale candidates instead of 7,680. See
-//! [`search`].
+//! program, so the tuner's full-space sweep ([`han_tuner::cost_each`])
+//! simulates each distinct program once: 1,780 runs for the 3,840
+//! paper-scale candidates instead of 7,680. See [`search`].
 //!
 //! Every emitted schedule is expected to pass the symbolic correctness
 //! oracle ([`oracle::verify_schedule`]: race-free, and delivering the

@@ -3,8 +3,8 @@
 //! Each `(coll, m)` group simulates every Table-II menu candidate, then
 //! the beyond-menu extras in ascending order of their analytic lower
 //! bound at `m` (ties broken by enumeration index). When a group has more
-//! extras than [`SynthOpts::beam`], only the `beam` cheapest-bounded ones
-//! are simulated. The bounds are admissible (`bound ≤ cost`, pinned by
+//! extras than [`BEAM`], only the `BEAM` cheapest-bounded ones are
+//! simulated. The bounds are admissible (`bound ≤ cost`, pinned by
 //! the `synth-bound-soundness` guideline), so the beam drops the extras
 //! least likely to reach the front; it is a heuristic, not exact.
 //!
@@ -13,48 +13,40 @@
 //! guideline (front winner never loses to the menu winner) hold
 //! unconditionally.
 //!
-//! Every visited candidate is costed at `m` and at the latency probe,
-//! but one simulation serves every candidate that builds the same
-//! program: costs are keyed by `(coll, size, effective config)`
+//! Every visited candidate is costed at `m` and at the latency probe
+//! through the tuner's full-space sweep ([`cost_each`]), where one
+//! simulation serves every candidate that builds the same program: costs
+//! are keyed by `(coll, size, effective config)`
 //! ([`HanConfig::effective`]), so a tree choice on a two-node machine,
 //! a sub-segment past the message or a route that routes nothing costs
 //! no extra run. [`SynthResult::runs`] counts the distinct programs.
 
 use crate::pareto::{pareto_front, Front, FrontPoint};
 use crate::space::{candidates, Candidate};
-use han_colls::stack::{time_coll_on, Unsupported};
+use han_colls::stack::Unsupported;
 use han_colls::Coll;
-use han_core::{Han, HanConfig};
+use han_core::HanConfig;
 use han_decide::LookupTable;
-use han_machine::{Machine, MachinePreset};
+use han_machine::MachinePreset;
 use han_sim::Time;
-use han_tuner::{largest_first, lower_bound, sweep_groups, SearchSpace};
-use std::collections::HashMap;
+use han_tuner::{cost_each, lower_bound, SearchSpace};
 
 /// Knobs for [`synthesize`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SynthOpts {
     /// Worker threads (`None` = available parallelism). The emitted
     /// fronts are bit-identical for every worker count.
     pub workers: Option<usize>,
-    /// Beam width over the beyond-menu extras: when a group enumerates
-    /// more extras than this, only the `beam` cheapest-bounded survive
-    /// (menu candidates are exempt).
-    pub beam: usize,
 }
+
+/// Beam width over the beyond-menu extras: when a group enumerates more
+/// extras than this, only the `BEAM` cheapest-bounded survive (menu
+/// candidates are exempt).
+pub const BEAM: usize = 96;
 
 /// The latency objective probes each schedule at `min(m, LAT_PROBE)`
 /// bytes.
 pub const LAT_PROBE: u64 = 4096;
-
-impl Default for SynthOpts {
-    fn default() -> Self {
-        SynthOpts {
-            workers: None,
-            beam: 96,
-        }
-    }
-}
 
 /// One simulated schedule (kept for the verify guidelines and reports).
 #[derive(Debug, Clone)]
@@ -136,7 +128,7 @@ struct Beam {
     beamed: u64,
 }
 
-fn beam(preset: &MachinePreset, coll: Coll, m: u64, cands: &[Candidate], width: usize) -> Beam {
+fn beam(preset: &MachinePreset, coll: Coll, m: u64, cands: &[Candidate]) -> Beam {
     // Ties are broken by index, so the beamed set — and therefore the
     // whole scan — is deterministic.
     let bound = |i: usize| (i, lower_bound(preset, &cands[i].cfg, coll, m));
@@ -149,8 +141,8 @@ fn beam(preset: &MachinePreset, coll: Coll, m: u64, cands: &[Candidate], width: 
         .map(bound)
         .collect();
     extras.sort_by_key(|&(i, b)| (b.unwrap_or(Time::ZERO), i));
-    let beamed = extras.len().saturating_sub(width) as u64;
-    extras.truncate(width);
+    let beamed = extras.len().saturating_sub(BEAM) as u64;
+    extras.truncate(BEAM);
     visit.extend(extras);
     Beam { visit, beamed }
 }
@@ -159,11 +151,10 @@ fn beam(preset: &MachinePreset, coll: Coll, m: u64, cands: &[Candidate], width: 
 /// returning the per-group Pareto fronts plus every simulated sample.
 ///
 /// The beam is fixed from the bounds first. Each visited candidate then
-/// needs two costs, at `m` and at the latency probe; each is keyed by
-/// `(coll, size, effective config)` ([`HanConfig::effective`]), and every
-/// distinct key is one [`sweep_groups`] job, claimed largest message
-/// first. The samples are assembled from the job results in visit order,
-/// so the result is bit-identical for any worker count.
+/// needs two costs, at `m` and at the latency probe, and [`cost_each`]
+/// simulates every distinct program among them once. The samples are
+/// assembled from its results in visit order, so the result is
+/// bit-identical for any worker count.
 pub fn synthesize(
     preset: &MachinePreset,
     space: &SearchSpace,
@@ -178,40 +169,20 @@ pub fn synthesize(
     }
     let beams: Vec<Beam> = groups
         .iter()
-        .map(|(coll, m, cands)| beam(preset, *coll, *m, cands, opts.beam))
+        .map(|(coll, m, cands)| beam(preset, *coll, *m, cands))
         .collect();
 
-    // The distinct programs, in first-occurrence order, and each visited
-    // candidate's pair of job indices (full size, latency probe).
-    let mut keys: Vec<(Coll, u64, HanConfig)> = Vec::new();
-    let mut index: HashMap<(Coll, u64, HanConfig), usize> = HashMap::new();
-    let mut job = |coll: Coll, m: u64, cfg: &HanConfig| {
-        let key = (coll, m, cfg.effective(&preset.topology, coll, m));
-        *index.entry(key).or_insert_with(|| {
-            keys.push(key);
-            keys.len() - 1
-        })
-    };
-    let pairs: Vec<Vec<(usize, usize)>> = groups
-        .iter()
-        .zip(&beams)
-        .map(|(&(coll, m, ref cands), b)| {
-            let lat_m = m.clamp(1, LAT_PROBE);
-            b.visit
-                .iter()
-                .map(|&(i, _)| (job(coll, m, &cands[i].cfg), job(coll, lat_m, &cands[i].cfg)))
-                .collect()
-        })
-        .collect();
-    let costs = sweep_groups(
-        &keys,
-        &largest_first(keys.iter().map(|&(_, m, _)| m)),
-        opts.workers,
-        || Machine::from_preset(preset),
-        |machine, &(coll, m, cfg)| {
-            time_coll_on(&Han::with_config(cfg), machine, preset, coll, m, 0)
-        },
-    );
+    // Each visited candidate's pair of jobs, in visit order: full size,
+    // then latency probe.
+    let mut jobs: Vec<(Coll, u64, HanConfig)> = Vec::new();
+    for (&(coll, m, ref cands), b) in groups.iter().zip(&beams) {
+        for &(i, _) in &b.visit {
+            jobs.push((coll, m, cands[i].cfg));
+            jobs.push((coll, m.clamp(1, LAT_PROBE), cands[i].cfg));
+        }
+    }
+    let (costs, runs) = cost_each(preset, &jobs, None, opts.workers);
+    let mut pairs = costs.chunks_exact(2);
 
     let candidates_total = groups.iter().map(|(_, _, c)| c.len() as u64).sum();
     let mut result = SynthResult {
@@ -219,17 +190,17 @@ pub fn synthesize(
         samples: Vec::new(),
         candidates: candidates_total,
         simulated: 0,
-        runs: keys.len() as u64,
+        runs,
         pruned: 0,
         beamed: 0,
         skipped: Vec::new(),
     };
-    for ((&(coll, m, ref cands), b), pairs) in groups.iter().zip(&beams).zip(&pairs) {
+    for (&(coll, m, ref cands), b) in groups.iter().zip(&beams) {
         result.beamed += b.beamed;
         let lat_m = m.clamp(1, LAT_PROBE);
         let mut samples = Vec::new();
-        for (&(i, bound_bw), &(bw, lat)) in b.visit.iter().zip(pairs) {
-            match (&costs[bw], &costs[lat]) {
+        for (&(i, bound_bw), pair) in b.visit.iter().zip(pairs.by_ref()) {
+            match (&pair[0], &pair[1]) {
                 (Ok(bw), Ok(lat)) => {
                     let Candidate { cfg, menu } = cands[i];
                     samples.push(SynthSample {
@@ -323,16 +294,29 @@ mod tests {
 
     #[test]
     fn beam_drops_extras_never_menu() {
-        let preset = mini(2, 2);
-        let space = default_space();
-        let tight = SynthOpts {
-            beam: 2,
-            ..SynthOpts::default()
+        // The paper-scale space on `mini(4, 4)` enumerates more extras
+        // than the beam keeps; building the beam computes bounds only.
+        let preset = mini(4, 4);
+        let space = SearchSpace {
+            msg_sizes: vec![8 << 20],
+            seg_sizes: vec![32 * 1024, 256 * 1024, 1 << 20],
+            inter: SearchSpace::standard().inter,
+            intra: vec![IntraModule::Sm, IntraModule::Solo],
         };
-        let r = synthesize(&preset, &space, &[Coll::Allreduce], tight);
-        assert!(r.beamed > 0, "tight beam must drop extras");
-        for f in &r.fronts {
-            assert!(f.menu_best_ps.is_some(), "menu always simulated");
+        let coll = Coll::Allreduce;
+        let m = space.msg_sizes[0];
+        let cands = candidates(&space, &preset, coll, m);
+        let menu = cands.iter().filter(|c| c.menu).count();
+        let extras = cands.len() - menu;
+        assert!(extras > BEAM, "{extras} extras must exceed the beam");
+        let b = beam(&preset, coll, m, &cands);
+        assert_eq!(b.beamed, (extras - BEAM) as u64);
+        assert_eq!(b.visit.len(), menu + BEAM);
+        let visited: Vec<usize> = b.visit.iter().map(|&(i, _)| i).collect();
+        for (i, c) in cands.iter().enumerate() {
+            if c.menu {
+                assert!(visited.contains(&i), "menu candidate {i} was beamed");
+            }
         }
     }
 

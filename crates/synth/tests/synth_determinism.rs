@@ -40,7 +40,6 @@ fn fronts_are_identical_across_worker_counts() {
                 &preset,
                 SynthOpts {
                     workers: Some(workers),
-                    ..SynthOpts::default()
                 },
             )
         };

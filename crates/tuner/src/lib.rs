@@ -46,8 +46,8 @@ pub use cache::CostCache;
 pub use delta::{DeltaSim, DeltaStats};
 pub use han_decide::LookupTable;
 pub use search::{
-    achieved_latency, candidate_costs, largest_first, sweep_groups, tune, tune_with_opts, Strategy,
-    TuneOpts, TuneResult,
+    achieved_latency, candidate_costs, cost_each, tune, tune_with_opts, Strategy, TuneOpts,
+    TuneResult,
 };
 pub use space::SearchSpace;
 pub use taskbench::TaskBench;

@@ -74,32 +74,31 @@ pub struct TuneResult {
     pub tuning_time: Time,
     /// Number of benchmark runs executed.
     pub searches: u64,
-    /// For the exhaustive strategies: every measured `(coll, m, cfg, cost)`
-    /// sample, enabling best/median/average analysis (Fig. 9).
-    pub samples: Vec<(Coll, u64, HanConfig, Time)>,
     /// Collectives the stack or cost model declined, deduplicated — the
     /// sweep skips them and reports here instead of panicking.
     pub skipped: Vec<Unsupported>,
     /// Candidate configurations skipped because their analytic lower bound
     /// already exceeded the incumbent best (see [`crate::bound`]); always
-    /// zero unless [`TuneOpts::prune`] is set.
+    /// zero for the task-based strategies.
     pub pruned: u64,
 }
 
-/// Knobs for [`tune_with_opts`] beyond strategy and cache.
+/// Former knobs of [`tune_with_opts`], both ignored. Kept only so the
+/// benchmark's `TuneOpts` literal compiles.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TuneOpts {
-    /// Skip simulating candidates whose analytic lower bound strictly
-    /// exceeds the incumbent best for the same `(coll, m)` group. Winners
-    /// are provably identical; `tuning_time`/`searches`/`samples` shrink
-    /// to the simulated subset.
+    /// Ignored: the exhaustive strategies always bound-prune. The full
+    /// candidate set is measured by [`candidate_costs`].
     pub prune: bool,
-    /// Ignored: delta re-simulation was removed. Kept only so the
-    /// benchmark's `TuneOpts` literal compiles.
+    /// Ignored: delta re-simulation was removed.
     pub delta: bool,
 }
 
-/// Run autotuning over `space` for the given collectives.
+/// Run autotuning over `space` for the given collectives. The exhaustive
+/// strategies bound-prune: they skip simulating every candidate whose
+/// analytic lower bound strictly exceeds the incumbent best of its
+/// `(coll, m)` group, which provably leaves the winners unchanged, so
+/// `tuning_time` and `searches` count the simulated subset.
 pub fn tune(
     preset: &MachinePreset,
     space: &SearchSpace,
@@ -110,11 +109,9 @@ pub fn tune(
 }
 
 /// [`tune`], optionally memoizing simulated costs in a shared
-/// [`CostCache`], with explicit [`TuneOpts`]. Results (tables, samples,
-/// virtual tuning times) are identical with or without a cache — only
-/// host wall-clock differs. With `prune` enabled the exhaustive strategies
-/// skip provably-losing candidates; the selected winners are identical
-/// either way.
+/// [`CostCache`]. Results (tables, virtual tuning times, counters) are
+/// identical with or without a cache — only host wall-clock differs.
+/// `opts` is ignored.
 ///
 /// # Panics
 ///
@@ -125,9 +122,9 @@ pub fn tune_with_opts(
     colls: &[Coll],
     strategy: Strategy,
     cache: Option<Arc<CostCache>>,
-    opts: TuneOpts,
+    _opts: TuneOpts,
 ) -> TuneResult {
-    tune_on(preset, space, colls, strategy, cache, opts, None)
+    tune_on(preset, space, colls, strategy, cache, None)
 }
 
 /// [`tune_with_opts`] on `workers` sweep threads (`None` = available
@@ -139,7 +136,6 @@ fn tune_on(
     colls: &[Coll],
     strategy: Strategy,
     cache: Option<Arc<CostCache>>,
-    opts: TuneOpts,
     workers: Option<usize>,
 ) -> TuneResult {
     if let Some(c) = &cache {
@@ -148,7 +144,7 @@ fn tune_on(
     if strategy.task_based() {
         tune_task_based(preset, space, colls, strategy, cache, workers)
     } else {
-        tune_exhaustive(preset, space, colls, strategy, cache, opts, workers)
+        tune_exhaustive(preset, space, colls, strategy, cache, workers)
     }
 }
 
@@ -182,7 +178,7 @@ enum Outcome {
 /// parallelism) and return the outputs in job order.
 ///
 /// A job is whatever unit the caller can run independently: a whole
-/// bound-pruned `(coll, m)` group, a single candidate, or one
+/// bound-pruned `(coll, m)` group, a single distinct program, or one
 /// task-based configuration. Workers claim jobs from one atomic cursor
 /// walking `order`, a permutation of the job indices the caller chooses
 /// so that expensive jobs start first and the sweep does not tail on
@@ -194,7 +190,7 @@ enum Outcome {
 /// # Panics
 ///
 /// If `order` is not a permutation of `0..jobs.len()`.
-pub fn sweep_groups<J: Sync, S, O: Send>(
+fn sweep_groups<J: Sync, S, O: Send>(
     jobs: &[J],
     order: &[usize],
     workers: Option<usize>,
@@ -240,27 +236,56 @@ pub fn sweep_groups<J: Sync, S, O: Send>(
 
 /// The claim order that starts the largest message sizes first (ties in
 /// job order): simulation cost grows with `m` by orders of magnitude.
-pub fn largest_first(sizes: impl IntoIterator<Item = u64>) -> Vec<usize> {
+fn largest_first(sizes: impl IntoIterator<Item = u64>) -> Vec<usize> {
     let mut order: Vec<(u64, usize)> = sizes.into_iter().zip(0..).collect();
     order.sort_by_key(|&(m, j)| (std::cmp::Reverse(m), j));
     order.into_iter().map(|(_, j)| j).collect()
 }
 
-/// Simulate (or recall) every `(coll, m, cfg)` job, one candidate per
-/// job, largest message first.
-fn cost_each(
+/// Simulate (or recall) the cost of every `(coll, m, cfg)` job, in job
+/// order, plus the number of distinct programs simulated.
+///
+/// Jobs whose effective configs ([`HanConfig::effective`]) agree build
+/// the same program, so they share one run: jobs are deduplicated by
+/// `(coll, m, effective config)` in first-occurrence order, each distinct
+/// program is simulated once with its first job's config (one
+/// `sweep_groups` job, claimed largest message first) and the result is
+/// fanned back out to every job that shares it. The output is
+/// bit-identical for every worker count.
+///
+/// # Panics
+///
+/// If `cache` was built for a different machine preset.
+pub fn cost_each(
     preset: &MachinePreset,
     jobs: &[(Coll, u64, HanConfig)],
     cache: Option<&CostCache>,
     workers: Option<usize>,
-) -> Vec<Result<Time, Unsupported>> {
-    sweep_groups(
-        jobs,
-        &largest_first(jobs.iter().map(|j| j.1)),
+) -> (Vec<Result<Time, Unsupported>>, u64) {
+    if let Some(c) = cache {
+        c.assert_for(preset);
+    }
+    let mut distinct: Vec<(Coll, u64, HanConfig)> = Vec::new();
+    let mut index: HashMap<(Coll, u64, HanConfig), usize> = HashMap::new();
+    let slots: Vec<usize> = jobs
+        .iter()
+        .map(|&(coll, m, cfg)| {
+            let key = (coll, m, cfg.effective(&preset.topology, coll, m));
+            *index.entry(key).or_insert_with(|| {
+                distinct.push((coll, m, cfg));
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    let costs = sweep_groups(
+        &distinct,
+        &largest_first(distinct.iter().map(|j| j.1)),
         workers,
         || Machine::from_preset(preset),
         |machine, &(coll, m, cfg)| coll_cost(machine, preset, coll, m, cfg, cache),
-    )
+    );
+    let out = slots.into_iter().map(|k| costs[k].clone()).collect();
+    (out, distinct.len() as u64)
 }
 
 fn tune_exhaustive(
@@ -269,21 +294,13 @@ fn tune_exhaustive(
     colls: &[Coll],
     strategy: Strategy,
     cache: Option<Arc<CostCache>>,
-    opts: TuneOpts,
     workers: Option<usize>,
 ) -> TuneResult {
-    let mut table = LookupTable::for_topology(&preset.topology);
-    let mut tuning_time = Time::ZERO;
-    let mut searches = 0u64;
-    let mut pruned = 0u64;
-    let mut skipped: Vec<Unsupported> = Vec::new();
-
     // Enumerate every `(coll, m)` group with its candidate configs up
-    // front, in deterministic order. A pruned group is one job: its
-    // candidates run sequentially in ascending `(lower bound, enumeration
-    // index)` order against a running incumbent, so the pruned set never
-    // depends on worker count or completion timing. Without pruning every
-    // candidate is its own job. Either way outcomes come back in
+    // front, in deterministic order. A group is one job: its candidates
+    // run sequentially in ascending `(lower bound, enumeration index)`
+    // order against a running incumbent, so the pruned set never depends
+    // on worker count or completion timing, and outcomes come back in
     // enumeration order.
     let mut groups: Vec<(Coll, u64, Vec<HanConfig>)> = Vec::new();
     for &coll in colls {
@@ -292,63 +309,43 @@ fn tune_exhaustive(
             groups.push((coll, m, cfgs));
         }
     }
-    let jobs: Vec<(Coll, u64, HanConfig)> = groups
-        .iter()
-        .flat_map(|(coll, m, cfgs)| cfgs.iter().map(|cfg| (*coll, *m, *cfg)))
-        .collect();
     let cache = cache.as_deref();
-    let outcomes: Vec<Outcome> = if opts.prune {
-        sweep_groups(
-            &groups,
-            &largest_first(groups.iter().map(|g| g.1)),
-            workers,
-            || Machine::from_preset(preset),
-            |machine, (coll, m, cfgs)| run_group(machine, preset, *coll, *m, cfgs, cache),
-        )
-        .into_iter()
-        .flatten()
-        .collect()
-    } else {
-        cost_each(preset, &jobs, cache, workers)
-            .into_iter()
-            .map(Outcome::Cost)
-            .collect()
-    };
+    let outcomes = sweep_groups(
+        &groups,
+        &largest_first(groups.iter().map(|g| g.1)),
+        workers,
+        || Machine::from_preset(preset),
+        |machine, (coll, m, cfgs)| run_group(machine, preset, *coll, *m, cfgs, cache),
+    );
 
-    let mut samples = Vec::new();
-    for (&(coll, m, cfg), r) in jobs.iter().zip(outcomes) {
-        match r {
-            Outcome::Cost(Ok(t)) => {
-                tuning_time += t * BENCH_ITERS;
-                searches += 1;
-                samples.push((coll, m, cfg, t));
-            }
-            Outcome::Cost(Err(e)) => e.note_in(&mut skipped),
-            Outcome::Pruned => pruned += 1,
-        }
-    }
-
-    for &coll in colls {
-        for &m in &space.msg_sizes {
-            if let Some((_, _, cfg, cost)) = samples
-                .iter()
-                .filter(|(c, mm, _, _)| *c == coll && *mm == m)
-                .min_by_key(|(_, _, _, t)| *t)
-            {
-                table.insert(coll, m, *cfg, *cost);
-            }
-        }
-    }
-
-    TuneResult {
+    let mut result = TuneResult {
         strategy,
-        table,
-        tuning_time,
-        searches,
-        samples,
-        skipped,
-        pruned,
+        table: LookupTable::for_topology(&preset.topology),
+        tuning_time: Time::ZERO,
+        searches: 0,
+        skipped: Vec::new(),
+        pruned: 0,
+    };
+    for ((coll, m, cfgs), outcomes) in groups.iter().zip(outcomes) {
+        let mut best: Option<(HanConfig, Time)> = None;
+        for (&cfg, r) in cfgs.iter().zip(outcomes) {
+            match r {
+                Outcome::Cost(Ok(t)) => {
+                    result.tuning_time += t * BENCH_ITERS;
+                    result.searches += 1;
+                    if best.map(|(_, bt)| t < bt).unwrap_or(true) {
+                        best = Some((cfg, t));
+                    }
+                }
+                Outcome::Cost(Err(e)) => e.note_in(&mut result.skipped),
+                Outcome::Pruned => result.pruned += 1,
+            }
+        }
+        if let Some((cfg, cost)) = best {
+            result.table.insert(*coll, *m, cfg, cost);
+        }
     }
+    result
 }
 
 /// Benchmark one `(coll, m)` group, pruning candidates whose analytic
@@ -475,7 +472,6 @@ fn tune_task_based(
     let searches = outs.iter().map(|o| o.runs).sum();
     let mut predicted: Vec<_> = outs.into_iter().map(|o| o.predicted.into_iter()).collect();
     let mut table = LookupTable::for_topology(&preset.topology);
-    let mut samples = Vec::new();
     let mut skipped: Vec<Unsupported> = Vec::new();
     for (coll, m, cands) in groups {
         let mut best: Option<(HanConfig, Time)> = None;
@@ -483,7 +479,6 @@ fn tune_task_based(
             let cfg = jobs[j].cfg;
             match predicted[j].next().expect("one prediction per call") {
                 Ok(t) => {
-                    samples.push((coll, m, cfg, t));
                     if best.map(|(_, bt)| t < bt).unwrap_or(true) {
                         best = Some((cfg, t));
                     }
@@ -501,29 +496,34 @@ fn tune_task_based(
         table,
         tuning_time,
         searches,
-        samples,
         skipped,
         pruned: 0,
     }
 }
 
-/// Simulate every candidate configuration `space` enumerates for one
-/// `(coll, m)` group — unpruned, in enumeration order. This is the ground
-/// truth a tuned table must dominate: `han_verify`'s table-dominance
-/// guideline checks the table winner against every `(cfg, cost)` pair
-/// returned here, pinning bound-pruning soundness end-to-end.
+/// Simulate (or recall from `cache`) every candidate configuration
+/// `space` enumerates for one `(coll, m)` group — unpruned, in
+/// enumeration order, duplicates included. This is the full space: the
+/// ground truth a tuned table must dominate (`han_verify`'s
+/// table-dominance guideline checks the table winner against every
+/// `(cfg, cost)` pair returned here, pinning bound-pruning soundness
+/// end-to-end) and the exhaustive distribution of Fig. 9.
+///
+/// # Panics
+///
+/// If `cache` was built for a different machine preset.
 pub fn candidate_costs(
     preset: &MachinePreset,
     space: &SearchSpace,
     coll: Coll,
     m: u64,
     heuristic: bool,
+    cache: Option<&CostCache>,
 ) -> Vec<(HanConfig, Result<Time, Unsupported>)> {
     let cfgs = space.configs_for(m, &preset.topology, heuristic);
     let jobs: Vec<(Coll, u64, HanConfig)> = cfgs.iter().map(|&cfg| (coll, m, cfg)).collect();
-    cfgs.into_iter()
-        .zip(cost_each(preset, &jobs, None, None))
-        .collect()
+    let (costs, _) = cost_each(preset, &jobs, cache, None);
+    cfgs.into_iter().zip(costs).collect()
 }
 
 /// Measure the *achieved* collective latency of a tuned table: run the
@@ -553,6 +553,7 @@ pub fn achieved_latency(
 mod tests {
     use super::*;
     use crate::space::pow2_range;
+    use han_colls::stack::time_coll;
     use han_machine::mini;
 
     fn tiny_space() -> SearchSpace {
@@ -650,89 +651,86 @@ mod tests {
     #[test]
     fn pruned_sweep_selects_identical_winners() {
         // Pruning may only skip candidates that provably cannot win or
-        // tie, so the resulting lookup table — winner configs *and*
-        // costs — must be byte-for-byte the unpruned table's, on both
-        // two- and three-level machines.
+        // tie, so every table entry — winner config *and* cost — must be
+        // the first minimum of the full candidate set, on both two- and
+        // three-level machines, and every candidate is either simulated
+        // or pruned.
         for preset in [mini(2, 4), han_machine::mini3(2, 2, 2)] {
             let mut space = tiny_space();
             space.intra = vec![han_colls::IntraModule::Sm, han_colls::IntraModule::Solo];
             let colls = [Coll::Bcast, Coll::Allreduce, Coll::Reduce];
-            let plain = tune_with_opts(
-                &preset,
-                &space,
-                &colls,
-                Strategy::Exhaustive,
-                None,
-                TuneOpts {
-                    prune: false,
-                    ..TuneOpts::default()
-                },
-            );
-            let fast = tune_with_opts(
-                &preset,
-                &space,
-                &colls,
-                Strategy::Exhaustive,
-                None,
-                TuneOpts {
-                    prune: true,
-                    ..TuneOpts::default()
-                },
-            );
-            assert_eq!(plain.pruned, 0);
+            let fast = tune(&preset, &space, &colls, Strategy::Exhaustive);
             assert!(
                 fast.pruned > 0,
                 "{}: pruning should fire on this space",
                 preset.name
             );
-            assert_eq!(fast.searches + fast.pruned, plain.searches);
+            let mut candidates = 0;
             for &coll in &colls {
                 for &m in &space.msg_sizes {
-                    let a = plain.table.get(coll, m);
-                    let b = fast.table.get(coll, m);
+                    let mut best: Option<(HanConfig, u64)> = None;
+                    for (cfg, r) in candidate_costs(&preset, &space, coll, m, false, None) {
+                        let t = r.unwrap().as_ps();
+                        candidates += 1;
+                        if best.map(|(_, bt)| t < bt).unwrap_or(true) {
+                            best = Some((cfg, t));
+                        }
+                    }
                     assert_eq!(
-                        a.map(|e| (e.cfg, e.cost_ps)),
-                        b.map(|e| (e.cfg, e.cost_ps)),
+                        fast.table.get(coll, m).map(|e| (e.cfg, e.cost_ps)),
+                        best,
                         "{} {coll:?} m={m}: pruned winner differs",
                         preset.name
                     );
                 }
             }
+            assert_eq!(fast.searches + fast.pruned, candidates, "{}", preset.name);
         }
     }
 
     #[test]
     fn sweep_costs_match_cold_built_ground_truth() {
-        // The parallel sweep must not change a single sample: every
-        // `(coll, m, cfg)` cost — not just the winners — is compared
-        // bit-for-bit against `candidate_costs`, which builds and times
-        // each program on one thread.
+        // The parallel, deduplicating sweep must not change a single
+        // cost: every `(coll, m, cfg)` cost `candidate_costs` returns —
+        // cold, and recalled from a cache a pruned sweep warmed — is
+        // compared bit-for-bit against building and timing that
+        // candidate's own program.
         for preset in [mini(2, 4), han_machine::mini3(2, 2, 2)] {
             let space = tiny_space();
             let colls = [Coll::Bcast, Coll::Allreduce];
-            let swept = tune(&preset, &space, &colls, Strategy::Exhaustive);
-            let mut truth = Vec::new();
+            let cache = Arc::new(CostCache::new(&preset));
+            let swept = tune_with_opts(
+                &preset,
+                &space,
+                &colls,
+                Strategy::Exhaustive,
+                Some(cache.clone()),
+                TuneOpts::default(),
+            );
+            assert!(swept.pruned > 0, "{}", preset.name);
             for &coll in &colls {
                 for &m in &space.msg_sizes {
-                    for (cfg, r) in candidate_costs(&preset, &space, coll, m, false) {
-                        truth.push((coll, m, cfg, r.unwrap()));
+                    let cold = candidate_costs(&preset, &space, coll, m, false, None);
+                    let warm = candidate_costs(&preset, &space, coll, m, false, Some(&cache));
+                    assert_eq!(cold, warm, "{} {coll:?} m={m}", preset.name);
+                    for (cfg, r) in cold {
+                        let truth = time_coll(&Han::with_config(cfg), &preset, coll, m, 0);
+                        assert_eq!(r, truth, "{} {coll:?} m={m} {cfg}", preset.name);
                     }
                 }
             }
-            assert_eq!(swept.pruned, 0, "{}", preset.name);
-            assert_eq!(swept.samples, truth, "{}", preset.name);
         }
     }
 
     #[test]
     fn results_are_identical_for_every_worker_count() {
         // Jobs are merged by index, never in completion order, so every
-        // strategy's table, sample order, virtual tuning time and counters
-        // must not depend on how many workers claimed the jobs.
+        // strategy's table, virtual tuning time and counters — and every
+        // cost of the full-space sweep — must not depend on how many
+        // workers claimed the jobs.
         type Fingerprint = (
             Vec<usize>,
             Vec<(String, u64, HanConfig, u64)>,
-            Vec<(Coll, u64, HanConfig, Time)>,
             Time,
             u64,
             u64,
@@ -746,7 +744,6 @@ mod tests {
                     .into_iter()
                     .map(|e| (e.coll, e.m, e.cfg, e.cost_ps))
                     .collect(),
-                r.samples,
                 r.tuning_time,
                 r.searches,
                 r.pruned,
@@ -759,33 +756,35 @@ mod tests {
         let colls = [Coll::Bcast, Coll::Allreduce, Coll::Reduce];
         for preset in [mini(2, 4), han_machine::mini3(2, 2, 2)] {
             for strategy in Strategy::ALL {
-                for prune in [false, true] {
-                    let opts = TuneOpts {
-                        prune,
-                        ..TuneOpts::default()
-                    };
-                    let run = |w| {
-                        fingerprint(tune_on(
-                            &preset,
-                            &space,
-                            &colls,
-                            strategy,
-                            None,
-                            opts,
-                            Some(w),
-                        ))
-                    };
-                    let one = run(1);
-                    assert!(!one.2.is_empty());
-                    for w in [2, 3, 8] {
-                        assert!(
-                            run(w) == one,
-                            "{} {} prune={prune}: {w} workers differ from 1",
-                            preset.name,
-                            strategy.name()
-                        );
+                let run =
+                    |w| fingerprint(tune_on(&preset, &space, &colls, strategy, None, Some(w)));
+                let one = run(1);
+                assert!(!one.1.is_empty());
+                for w in [2, 3, 8] {
+                    assert!(
+                        run(w) == one,
+                        "{} {}: {w} workers differ from 1",
+                        preset.name,
+                        strategy.name()
+                    );
+                }
+            }
+            let mut jobs = Vec::new();
+            for &coll in &colls {
+                for &m in &space.msg_sizes {
+                    for cfg in space.configs_for(m, &preset.topology, false) {
+                        jobs.push((coll, m, cfg));
                     }
                 }
+            }
+            let one = cost_each(&preset, &jobs, None, Some(1));
+            assert_eq!(one.0.len(), jobs.len());
+            for w in [2, 3, 8] {
+                assert!(
+                    cost_each(&preset, &jobs, None, Some(w)) == one,
+                    "{}: cost_each on {w} workers differs from 1",
+                    preset.name
+                );
             }
         }
     }

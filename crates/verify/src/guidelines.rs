@@ -47,7 +47,11 @@ pub fn enumerate_candidates(
     let mut out = Vec::new();
     for &coll in colls {
         for &m in &space.msg_sizes {
-            out.push((coll, m, candidate_costs(preset, space, coll, m, false)));
+            out.push((
+                coll,
+                m,
+                candidate_costs(preset, space, coll, m, false, None),
+            ));
         }
     }
     out

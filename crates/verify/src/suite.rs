@@ -13,7 +13,7 @@ use han_colls::stack::Coll;
 use han_colls::{InterAlg, InterModule, IntraModule, MpiStack, TunedOpenMpi};
 use han_core::{Han, HanConfig};
 use han_machine::{dgx_like, gpu_hier, mini, mini3, socketize, MachinePreset};
-use han_tuner::{tune_with_opts, SearchSpace, Strategy, TuneOpts};
+use han_tuner::{tune, SearchSpace, Strategy};
 
 /// Relative tolerance for the inequality guidelines.
 const TOL: f64 = 0.02;
@@ -130,16 +130,11 @@ pub fn run_preset(preset: &MachinePreset, opts: &SuiteOpts) -> Vec<GuidelineRepo
     // enumeration. The table comes from a *pruned* exhaustive sweep so a
     // pruning bug that discards the optimum surfaces as a dominance
     // violation here.
-    let tuned = tune_with_opts(
+    let tuned = tune(
         preset,
         &opts.space,
         &opts.dominance_colls,
         Strategy::Exhaustive,
-        None,
-        TuneOpts {
-            prune: true,
-            ..TuneOpts::default()
-        },
     );
     let cands = enumerate_candidates(preset, &opts.space, &opts.dominance_colls);
     add(table_dominance(preset, &tuned.table, &cands));

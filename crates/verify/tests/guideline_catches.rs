@@ -8,7 +8,7 @@ use han_colls::{Frontier, MpiStack};
 use han_core::{Han, HanConfig};
 use han_machine::{mini, Flavor};
 use han_mpi::{BufRange, Comm};
-use han_tuner::{tune_with_opts, SearchSpace, Strategy, TuneOpts};
+use han_tuner::{tune, SearchSpace, Strategy};
 use han_verify::guidelines::{
     enumerate_candidates, msg_monotonicity, schedule_race_free, serve_agreement,
     serve_agreement_against, synth_bound_soundness, synth_dominance, table_dominance,
@@ -171,17 +171,7 @@ fn tampered_table_is_caught_as_dominance_violation() {
     let preset = mini(2, 2);
     let space = tiny_space();
     let colls = [Coll::Bcast];
-    let tuned = tune_with_opts(
-        &preset,
-        &space,
-        &colls,
-        Strategy::Exhaustive,
-        None,
-        TuneOpts {
-            prune: true,
-            ..TuneOpts::default()
-        },
-    );
+    let tuned = tune(&preset, &space, &colls, Strategy::Exhaustive);
     let cands = enumerate_candidates(&preset, &space, &colls);
 
     // The honest (pruned) table dominates its own search space.
@@ -225,18 +215,7 @@ fn tampered_table_is_caught_as_dominance_violation() {
 fn tampered_served_table_is_caught_as_serve_disagreement() {
     let preset = mini(2, 2);
     let colls = [Coll::Bcast];
-    let tuned = tune_with_opts(
-        &preset,
-        &tiny_space(),
-        &colls,
-        Strategy::Exhaustive,
-        None,
-        TuneOpts {
-            prune: true,
-            ..TuneOpts::default()
-        },
-    )
-    .table;
+    let tuned = tune(&preset, &tiny_space(), &colls, Strategy::Exhaustive).table;
 
     // A daemon serving the honest table agrees bit-for-bit.
     let ok = serve_agreement(&preset, &tuned, &colls);

@@ -79,7 +79,7 @@ fn tiny_space() -> SearchSpace {
 fn assert_same_result(a: &han_tuner::TuneResult, b: &han_tuner::TuneResult, what: &str) {
     assert_eq!(a.tuning_time, b.tuning_time, "{what}: tuning_time differs");
     assert_eq!(a.searches, b.searches, "{what}: search count differs");
-    assert_eq!(a.samples, b.samples, "{what}: samples differ");
+    assert_eq!(a.pruned, b.pruned, "{what}: pruned count differs");
     for coll in [Coll::Bcast, Coll::Allreduce] {
         for &m in &a.table.sampled_sizes(coll) {
             let ea = a.table.get(coll, m).expect("entry in a");

@@ -11,7 +11,6 @@
 //! ```
 
 use han::prelude::*;
-use han::tuner::{tune_with_opts, TuneOpts};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
@@ -43,16 +42,11 @@ fn sweep_winners() -> Vec<GoldenRow> {
     let mut space = SearchSpace::standard();
     space.msg_sizes = vec![4 * 1024, 64 * 1024, 1 << 20];
     space.seg_sizes = vec![16 * 1024, 128 * 1024, 512 * 1024];
-    let r = tune_with_opts(
+    let r = tune(
         &preset,
         &space,
         &[Coll::Bcast, Coll::Allreduce],
         Strategy::Exhaustive,
-        None,
-        TuneOpts {
-            prune: true,
-            ..TuneOpts::default()
-        },
     );
     assert!(r.skipped.is_empty(), "unexpected skips: {:?}", r.skipped);
     r.table
