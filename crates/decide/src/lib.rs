@@ -6,16 +6,16 @@
 //! out of the tuner so servers and clients link the decision function
 //! without dragging in the search machinery or task benchmarks:
 //!
-//! * [`table`] — the lookup table (tuning output) and the
-//!   nearest-sample-in-log-space decision function, implementing
-//!   [`han_core::ConfigSource`].
+//! * [`table`] — the lookup table (tuning output), implementing
+//!   [`han_core::ConfigSource`] through [`LookupTable::resolve`].
 //! * [`fingerprint`] — stable FNV-1a fingerprints of machine presets:
 //!   the key under which tables are served, and the check that a cost
 //!   cache belongs to the machine it is used on.
-//! * [`resolve`] — size-bucket resolution: for a query, the *maximal
-//!   interval* of message sizes that resolve to the same table entry,
-//!   so clients can cache one answer per bucket instead of one per
-//!   byte count, bit-identically.
+//! * [`resolve`] — the decision function: nearest sample in log space,
+//!   ties to the smaller sample, computed exactly in integers as one
+//!   size bucket `[lo, hi]` per sample. Every answer carries its bucket,
+//!   so clients can cache one answer per bucket instead of one per byte
+//!   count, bit-identically.
 
 pub mod fingerprint;
 pub mod resolve;

@@ -1,15 +1,21 @@
 //! Size-bucket resolution: one answer per *interval*, not per byte count.
 //!
-//! [`LookupTable::nearest`] partitions the message-size axis into
-//! buckets — every query inside a bucket resolves to the same table
-//! entry. A client that learns the bucket once can answer every future
-//! query inside it locally, bit-identically, without another round-trip.
-//! [`LookupTable::resolve`] computes the bucket by binary search **using
-//! the exact comparator `nearest` uses** (log-space distance, ties to
-//! the smaller sample). The comparator is monotone along the size axis,
-//! so the search is exact: for every `x` in `[lo, hi]`,
-//! `nearest(coll, x)` returns the resolved entry — there is no
-//! tolerance, no epsilon, no disagreement window.
+//! The decision function is "nearest sample in log space, ties to the
+//! smaller sample", computed exactly in integers. Take a collective's
+//! distinct samples `s_0 < … < s_k`, with `0` and `1` collapsed onto the
+//! smaller one and a duplicated sample keeping its first entry (as
+//! [`LookupTable::get`] does), and write `s' = max(s, 1)`. A query `x`
+//! lies nearer `s_i` than `s_{i+1}`, or exactly between them, iff
+//! `max(x, 1)² ≤ s_i'·s_{i+1}'`. So bucket `i` is `[lo_i, hi_i]` with
+//! `lo_0 = 0`, `hi_i = ⌊√(s_i'·s_{i+1}')⌋` (in `u128`),
+//! `lo_{i+1} = hi_i + 1` and `hi_k = u64::MAX`: the buckets tile the
+//! axis, and each holds its own sample.
+//!
+//! [`LookupTable::buckets`] is the one construction.
+//! [`LookupTable::resolve`], the table's `ConfigSource` impl and
+//! `han-serve`'s published bucket lists all read it, so a client that
+//! learns a bucket once answers every later query inside it locally and
+//! bit-identically.
 
 use crate::table::LookupTable;
 use han_colls::Coll;
@@ -38,77 +44,52 @@ impl Resolution {
     }
 }
 
-/// Absolute log-space distance between a sampled size and a query — the
-/// exact expression inside [`LookupTable::nearest`]'s comparator.
-fn log_dist(sample: u64, m: u64) -> f64 {
-    ((sample.max(1) as f64).log2() - (m.max(1) as f64).log2()).abs()
-}
-
-/// The sample `nearest` would choose for query `m` among `samples`
-/// (sorted ascending, distinct): minimal `(log distance, sample)`.
-fn pick(samples: &[u64], m: u64) -> u64 {
-    *samples
-        .iter()
-        .min_by(|&&a, &&b| {
-            log_dist(a, m)
-                .partial_cmp(&log_dist(b, m))
-                .unwrap()
-                .then_with(|| a.cmp(&b))
-        })
-        .expect("samples non-empty")
+/// `⌊√n⌋`: an f64 estimate, then one integer Newton step, which lands on
+/// or just above the root, then an exact correction down (`u128::isqrt`
+/// is newer than the crate's MSRV).
+fn floor_sqrt(n: u128) -> u64 {
+    let r = ((n as f64).sqrt() as u128).max(1);
+    let mut r = ((r + n / r) / 2).min(u128::from(u64::MAX)) as u64;
+    while u128::from(r) * u128::from(r) > n {
+        r -= 1;
+    }
+    r
 }
 
 impl LookupTable {
+    /// Every bucket of `coll`, ascending: they tile `[0, u64::MAX]` (see
+    /// module docs). Empty when the table has no entry for `coll`.
+    pub fn buckets(&self, coll: Coll) -> Vec<Resolution> {
+        let mut buckets: Vec<Resolution> = self
+            .entries
+            .iter()
+            .filter(|e| e.coll == coll.name())
+            .map(|e| Resolution {
+                cfg: e.cfg,
+                m: e.m,
+                lo: 0,
+                hi: u64::MAX,
+                cost_ps: e.cost_ps,
+            })
+            .collect();
+        // Stable, so equal samples keep entry order and the first wins.
+        buckets.sort_by_key(|r| (r.m.max(1), r.m));
+        buckets.dedup_by_key(|r| r.m.max(1));
+        for i in 1..buckets.len() {
+            let (a, b) = (buckets[i - 1].m.max(1), buckets[i].m.max(1));
+            let hi = floor_sqrt(u128::from(a) * u128::from(b));
+            buckets[i - 1].hi = hi;
+            buckets[i].lo = hi + 1;
+        }
+        buckets
+    }
+
     /// Resolve a query to its entry *and* the maximal interval
     /// `[lo, hi]` of sizes that resolve identically (see module docs).
     pub fn resolve(&self, coll: Coll, m: u64) -> Option<Resolution> {
-        let e = self.nearest(coll, m)?;
-        let samples = self.sampled_sizes(coll);
-        let s = e.m;
-        let i = samples.iter().position(|&x| x == s).expect("sampled");
-
-        // Below the first sample every query resolves to it; otherwise
-        // binary-search the smallest x with pick(x) == s. The bracket is
-        // valid because pick at a sample is that sample (nearest returned
-        // s, so no equal-log smaller sample shadows it) and pick is
-        // monotone in x (log2 and the distance comparator both are).
-        let lo = if i == 0 {
-            0
-        } else {
-            let mut out = samples[i - 1]; // pick(out) != s
-            let mut inside = s; // pick(inside) == s
-            while inside - out > 1 {
-                let mid = out + (inside - out) / 2;
-                if pick(&samples, mid) == s {
-                    inside = mid;
-                } else {
-                    out = mid;
-                }
-            }
-            inside
-        };
-        let hi = if i + 1 == samples.len() {
-            u64::MAX
-        } else {
-            let mut inside = s; // pick(inside) == s
-            let mut out = samples[i + 1]; // pick(out) != s
-            while out - inside > 1 {
-                let mid = inside + (out - inside) / 2;
-                if pick(&samples, mid) == s {
-                    inside = mid;
-                } else {
-                    out = mid;
-                }
-            }
-            inside
-        };
-        Some(Resolution {
-            cfg: e.cfg,
-            m: s,
-            lo,
-            hi,
-            cost_ps: e.cost_ps,
-        })
+        let buckets = self.buckets(coll);
+        let i = buckets.partition_point(|r| r.lo <= m);
+        i.checked_sub(1).map(|i| buckets[i])
     }
 }
 
@@ -116,62 +97,75 @@ impl LookupTable {
 mod tests {
     use super::*;
     use han_sim::Time;
+    use proptest::prelude::*;
 
+    /// Bcast entries at `sizes`, each with its own config.
     fn table(sizes: &[u64]) -> LookupTable {
         let mut t = LookupTable::new(4, 8);
-        for &m in sizes {
-            t.insert(
-                Coll::Bcast,
-                m,
-                HanConfig::default().with_fs(m.max(4)),
-                Time::from_us(1),
-            );
+        for (i, &m) in sizes.iter().enumerate() {
+            let cfg = HanConfig::default().with_fs(1 + i as u64);
+            t.insert(Coll::Bcast, m, cfg, Time::from_us(1));
         }
         t
+    }
+
+    /// Brute force: a linear scan over every Bcast entry with the exact
+    /// pairwise rule. For samples `a' < b'` (`s' = max(s, 1)`), `x` goes
+    /// to `a` iff `max(x, 1)² ≤ a'·b'`; equal `s'` keep the smaller
+    /// sample, then the first entry.
+    fn reference(t: &LookupTable, x: u64) -> Option<(u64, HanConfig)> {
+        let (x, s) = (u128::from(x.max(1)), |m: u64| u128::from(m.max(1)));
+        let bcast = t.entries.iter().filter(|e| e.coll == Coll::Bcast.name());
+        bcast
+            .reduce(|best, e| {
+                let mut pair = [best, e];
+                pair.sort_by_key(|e| (s(e.m), e.m));
+                let [a, b] = pair;
+                if s(a.m) == s(b.m) || x * x <= s(a.m) * s(b.m) {
+                    a
+                } else {
+                    b
+                }
+            })
+            .map(|e| (e.m, e.cfg))
+    }
+
+    fn agrees(t: &LookupTable, x: u64) -> bool {
+        t.resolve(Coll::Bcast, x).map(|r| (r.m, r.cfg)) == reference(t, x)
     }
 
     #[test]
     fn buckets_tile_the_axis() {
         let t = table(&[1024, 1 << 20, 16 << 20]);
-        let r0 = t.resolve(Coll::Bcast, 4).unwrap();
+        let [r0, r1, r2] = [4, 64 * 1024, 1 << 30].map(|m| t.resolve(Coll::Bcast, m).unwrap());
         assert_eq!((r0.m, r0.lo), (1024, 0));
-        let r2 = t.resolve(Coll::Bcast, 1 << 30).unwrap();
         assert_eq!((r2.m, r2.hi), (16 << 20, u64::MAX));
         // Adjacent buckets share a boundary with no gap and no overlap.
-        let r1 = t.resolve(Coll::Bcast, 64 * 1024).unwrap();
-        assert_eq!(r0.hi + 1, r1.lo);
-        assert_eq!(r1.hi + 1, r2.lo);
+        assert_eq!((r0.hi + 1, r1.hi + 1), (r1.lo, r2.lo));
+        assert_eq!(t.buckets(Coll::Bcast), vec![r0, r1, r2]);
     }
 
     #[test]
-    fn boundary_is_exactly_nearests_boundary() {
+    fn boundary_is_the_geometric_midpoint() {
         let t = table(&[1024, 1 << 20]);
         let r = t.resolve(Coll::Bcast, 2048).unwrap();
         // Geometric midpoint of 1K and 1M is 32K; ties go to the smaller
         // sample, so 32K itself still resolves small.
-        assert_eq!(r.m, 1024);
-        assert_eq!(t.nearest(Coll::Bcast, r.hi).unwrap().m, 1024);
-        assert_eq!(t.nearest(Coll::Bcast, r.hi + 1).unwrap().m, 1 << 20);
-        assert!(r.contains(32 * 1024));
-        assert!(!r.contains(33 * 1024));
+        assert_eq!((r.m, r.hi), (1024, 32 * 1024));
+        assert_eq!(t.resolve(Coll::Bcast, r.hi + 1).unwrap().m, 1 << 20);
+        assert!(agrees(&t, r.hi) && agrees(&t, r.hi + 1));
     }
 
     #[test]
-    fn every_query_in_bucket_agrees_with_nearest() {
+    fn every_query_in_bucket_agrees_with_the_reference() {
         let t = table(&[4, 4096, 65536, 1 << 24]);
         for q in [0u64, 1, 3, 4, 5, 511, 513, 4096, 60000, 70000, 1 << 30] {
             let r = t.resolve(Coll::Bcast, q).unwrap();
             assert!(r.contains(q), "bucket must contain its own query ({q})");
-            for x in [
-                r.lo,
-                r.lo + 1,
-                r.lo + (r.hi - r.lo) / 2,
-                r.hi.saturating_sub(1),
-                r.hi,
-            ] {
-                let n = t.nearest(Coll::Bcast, x).unwrap();
-                assert_eq!(n.m, r.m, "query {x} must resolve like {q}");
-                assert_eq!(n.cfg, r.cfg);
+            let mid = r.lo + (r.hi - r.lo) / 2;
+            for x in [r.lo, r.lo + 1, mid, r.hi.saturating_sub(1), r.hi] {
+                assert_eq!(t.resolve(Coll::Bcast, x), Some(r), "{x} vs {q}");
+                assert!(agrees(&t, x), "query {x} must resolve like {q}");
             }
         }
     }
@@ -186,12 +180,67 @@ mod tests {
 
     #[test]
     fn zero_and_one_byte_queries() {
-        // log2 treats 0 and 1 identically (m.max(1)); both land in the
-        // smallest bucket.
+        // 0 and 1 sit at the same log position (`max(m, 1)`); both land
+        // in the smallest bucket.
         let t = table(&[0, 16]);
         let r = t.resolve(Coll::Bcast, 1).unwrap();
-        assert_eq!(r.m, 0);
-        assert_eq!(r.lo, 0);
-        assert_eq!(t.nearest(Coll::Bcast, r.hi + 1).unwrap().m, 16);
+        assert_eq!((r.m, r.lo, r.hi), (0, 0, 4));
+        assert_eq!(t.resolve(Coll::Bcast, r.hi + 1).unwrap().m, 16);
+    }
+
+    #[test]
+    fn samples_one_apart_at_the_top_of_the_axis_get_their_own_buckets() {
+        let sizes = [1 << 60, (1 << 60) + 1, u64::MAX - 1, u64::MAX];
+        let t = table(&sizes);
+        for s in sizes {
+            assert_eq!(t.resolve(Coll::Bcast, s).unwrap().m, s);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random sample sets with 0, 1, repeats and values within 2 of
+        /// `u64::MAX`, against the brute-force reference.
+        #[test]
+        fn buckets_match_the_brute_force_reference(
+            mut sizes in proptest::collection::vec(prop_oneof![
+                Just(0u64),
+                Just(1),
+                (u64::MAX - 2)..=u64::MAX,
+                2u64..40,
+                (any::<u64>(), 0u32..64).prop_map(|(v, s)| v >> s),
+            ], 1..10),
+            repeats in 0usize..4,
+            queries in proptest::collection::vec(
+                (any::<u64>(), 0u32..64).prop_map(|(v, s)| v >> s),
+                16,
+            ),
+        ) {
+            // Repeat some samples under new configs: the first entry wins.
+            sizes.extend(sizes[..repeats.min(sizes.len())].to_vec());
+            let t = table(&sizes);
+            let buckets = t.buckets(Coll::Bcast);
+
+            // The buckets tile [0, u64::MAX]: no gap, no overlap.
+            prop_assert_eq!(buckets[0].lo, 0);
+            prop_assert_eq!(buckets[buckets.len() - 1].hi, u64::MAX);
+            for w in buckets.windows(2) {
+                prop_assert!(w[0].lo <= w[0].hi && w[0].hi + 1 == w[1].lo);
+            }
+
+            // Every sample resolves to its first entry; 1 next to 0 is 0.
+            for &s in &sizes {
+                let own = if s == 1 && sizes.contains(&0) { 0 } else { s };
+                let r = t.resolve(Coll::Bcast, s).unwrap();
+                prop_assert_eq!((r.m, r.cfg), (own, t.get(Coll::Bcast, own).unwrap().cfg));
+            }
+
+            // Bucket edges, samples and random sizes match brute force.
+            let edges = buckets.iter().flat_map(|r| [r.lo, r.hi]);
+            for x in edges.chain(sizes.iter().copied()).chain(queries) {
+                prop_assert!(agrees(&t, x), "query {}", x);
+            }
+        }
     }
 }

@@ -4,16 +4,16 @@
 //! `(n, p, m, t)`, the estimated-best configuration — "stores the
 //! estimated best configuration for each input to a lookup table in a
 //! file". Step 2 serves arbitrary inputs from the table; this
-//! implementation uses nearest-sample-in-log-space selection, the simplest
-//! of the schemes the paper cites (quadtree encoding and decision trees
-//! are refinements of this step, which the paper explicitly does not
-//! focus on).
+//! implementation picks the nearest sample in log space, ties to the
+//! smaller sample, the simplest of the schemes the paper cites (quadtree
+//! encoding and decision trees are refinements of this step, which the
+//! paper explicitly does not focus on). The rule is computed exactly in
+//! integers, as one size bucket per sample: see [`crate::resolve`].
 
 use han_colls::Coll;
 use han_core::{ConfigSource, HanConfig};
 use han_sim::Time;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::path::Path;
 
 /// One tuned entry: inputs (t, m) → output configuration (+ the cost the
@@ -104,20 +104,6 @@ impl LookupTable {
             .find(|e| e.coll == coll.name() && e.m == m)
     }
 
-    /// Decision function: the entry whose sampled message size is nearest
-    /// to `m` in log space (ties prefer the smaller sample).
-    pub fn nearest(&self, coll: Coll, m: u64) -> Option<&Entry> {
-        let lm = (m.max(1) as f64).log2();
-        self.entries
-            .iter()
-            .filter(|e| e.coll == coll.name())
-            .min_by(|a, b| {
-                let da = ((a.m.max(1) as f64).log2() - lm).abs();
-                let db = ((b.m.max(1) as f64).log2() - lm).abs();
-                da.partial_cmp(&db).unwrap().then_with(|| a.m.cmp(&b.m))
-            })
-    }
-
     /// All sampled message sizes for a collective, ascending.
     pub fn sampled_sizes(&self, coll: Coll) -> Vec<u64> {
         let mut v: Vec<u64> = self
@@ -129,15 +115,6 @@ impl LookupTable {
         v.sort_unstable();
         v.dedup();
         v
-    }
-
-    /// Tuned cost per sampled size (for reporting/validation).
-    pub fn costs(&self, coll: Coll) -> HashMap<u64, Time> {
-        self.entries
-            .iter()
-            .filter(|e| e.coll == coll.name())
-            .map(|e| (e.m, Time::from_ps(e.cost_ps)))
-            .collect()
     }
 
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
@@ -153,7 +130,7 @@ impl LookupTable {
 
 impl ConfigSource for LookupTable {
     fn config(&self, coll: Coll, bytes: u64) -> HanConfig {
-        self.nearest(coll, bytes).map(|e| e.cfg).unwrap_or_default()
+        self.resolve(coll, bytes).map(|r| r.cfg).unwrap_or_default()
     }
 }
 
@@ -186,16 +163,16 @@ mod tests {
     }
 
     #[test]
-    fn exact_and_nearest_lookup() {
+    fn exact_and_resolved_lookup() {
         let t = table();
         assert_eq!(t.get(Coll::Bcast, 1024).unwrap().cfg.fs, 1024);
         assert!(t.get(Coll::Bcast, 2048).is_none());
         // 8 KB is nearer (log-space) to 1 KB than to 1 MB.
-        assert_eq!(t.nearest(Coll::Bcast, 8 * 1024).unwrap().m, 1024);
+        assert_eq!(t.resolve(Coll::Bcast, 8 * 1024).unwrap().m, 1024);
         // 512 KB is nearer to 1 MB.
-        assert_eq!(t.nearest(Coll::Bcast, 512 * 1024).unwrap().m, 1 << 20);
+        assert_eq!(t.resolve(Coll::Bcast, 512 * 1024).unwrap().m, 1 << 20);
         // Collectives do not bleed into each other.
-        assert_eq!(t.nearest(Coll::Allreduce, 4).unwrap().m, 1 << 20);
+        assert_eq!(t.resolve(Coll::Allreduce, 4).unwrap().m, 1 << 20);
     }
 
     #[test]
@@ -273,7 +250,6 @@ mod tests {
     fn sampled_sizes_sorted() {
         let t = table();
         assert_eq!(t.sampled_sizes(Coll::Bcast), vec![1024, 1 << 20]);
-        assert_eq!(t.costs(Coll::Bcast).len(), 2);
     }
 
     proptest! {

@@ -3,8 +3,10 @@
 //! Every server answer carries its size bucket `[lo, hi]` and table
 //! generation, so the client caches one entry per *bucket* per
 //! `(fingerprint, collective)` and answers every subsequent query inside
-//! the bucket locally — bit-identical to the server by the
-//! [`han_decide::resolve`] construction. Buckets are invalidated by
+//! the bucket locally, bit-identically: a bucket is exact, from the one
+//! integer rule in [`han_decide::resolve`] (a query `x` goes to sample
+//! `a` rather than the next sample `b` iff `max(x, 1)² ≤ a·b`). Buckets
+//! are invalidated by
 //! generation: the first server answer carrying a newer generation for a
 //! fingerprint flushes that fingerprint's buckets (and any answers
 //! already assembled from them in the in-flight batch, which are then
@@ -17,17 +19,11 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 
-#[derive(Debug, Clone, Copy)]
-struct Bucket {
-    hi: u64,
-    answer: Answer,
-}
-
 /// A connected client with a local decision cache.
 pub struct Client {
     stream: BufReader<TcpStream>,
-    /// `(fingerprint, coll)` → bucket start `lo` → bucket.
-    buckets: HashMap<(u64, Coll), BTreeMap<u64, Bucket>>,
+    /// `(fingerprint, coll)` → bucket start `lo` → the bucket's answer.
+    buckets: HashMap<(u64, Coll), BTreeMap<u64, Answer>>,
     /// Last generation seen per fingerprint.
     generations: HashMap<u64, u64>,
     hits: u64,
@@ -93,11 +89,11 @@ impl Client {
 
     fn local(&self, q: &Query) -> Option<Answer> {
         let tree = self.buckets.get(&(q.fingerprint, q.coll))?;
-        let (_, bucket) = tree.range(..=q.m).next_back()?;
-        if q.m > bucket.hi {
+        let (_, &answer) = tree.range(..=q.m).next_back()?;
+        if q.m > answer.hi {
             return None;
         }
-        let mut a = bucket.answer;
+        let mut a = answer;
         a.m = q.m;
         Some(a)
     }
@@ -110,13 +106,10 @@ impl Client {
             self.buckets.retain(|(f, _), _| *f != fp);
             self.generations.insert(fp, answer.generation);
         }
-        self.buckets.entry((fp, answer.coll)).or_default().insert(
-            answer.lo,
-            Bucket {
-                hi: answer.hi,
-                answer,
-            },
-        );
+        self.buckets
+            .entry((fp, answer.coll))
+            .or_default()
+            .insert(answer.lo, answer);
     }
 
     /// Resolve a batch. Answers come back in query order; for each

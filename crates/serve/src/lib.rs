@@ -8,8 +8,8 @@
 //! * [`store`] — the authoritative in-memory table store: one locked
 //!   map from preset fingerprint to the current generation of its table,
 //!   so a re-tuned table hot-swaps in atomically; a retired generation
-//!   is freed once its last snapshot drops. Each generation carries a
-//!   bucket index, so a lookup is one binary search.
+//!   is freed once its last snapshot drops. Each generation carries its
+//!   table's size buckets, so a lookup is one binary search.
 //! * [`proto`] — the wire protocol: length-prefixed frames over TCP,
 //!   fixed-width binary bodies for batched `Resolve` requests and their
 //!   answers, JSON for the rest (`Publish`/`Retune` for table

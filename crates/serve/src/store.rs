@@ -8,10 +8,10 @@
 //! long as it holds the `Arc`, and a retired generation is freed when its
 //! last snapshot drops.
 //!
-//! Each generation carries a bucket index built before the write lock is
-//! taken: every bucket of its table, per collective, in size order. A
-//! lookup is then one binary search, not the bisection
-//! [`LookupTable::resolve`] runs over every sample.
+//! Each generation carries its table's [`LookupTable::buckets`], per
+//! collective, built before the write lock is taken. A lookup is then
+//! one binary search over them, where [`LookupTable::resolve`] rebuilds
+//! the buckets on every call.
 
 use crate::proto::{coll_index, TableRow};
 use han_colls::Coll;
@@ -26,9 +26,8 @@ pub struct TableGen {
     pub fingerprint: u64,
     pub generation: u64,
     pub table: LookupTable,
-    /// Per collective (indexed like `Coll::ALL`), the resolution at each
-    /// of `table`'s buckets, ascending and distinct by `lo`.
-    buckets: Vec<Vec<Resolution>>,
+    /// Per collective (indexed like `Coll::ALL`), `table`'s buckets.
+    buckets: [Vec<Resolution>; Coll::ALL.len()],
 }
 
 impl TableGen {
@@ -39,33 +38,6 @@ impl TableGen {
         let i = buckets.partition_point(|r| r.lo <= m);
         i.checked_sub(1).map(|i| buckets[i])
     }
-}
-
-/// Every bucket of `table`, per collective, from `resolve` at each
-/// sample. Query `m` resolves to the sample `s` that `nearest` picks, so
-/// `resolve(m)` is `resolve(s)`, and `m` lies at or after that bucket's
-/// `lo` and before the next one's: the last bucket with `lo <= m` is
-/// `resolve(m)` for every `m`. The first `lo` is 0, so a collective with
-/// samples always finds one.
-fn bucket_index(table: &LookupTable) -> Vec<Vec<Resolution>> {
-    Coll::ALL
-        .iter()
-        .map(|&coll| {
-            let mut buckets: Vec<Resolution> = table
-                .sampled_sizes(coll)
-                .into_iter()
-                .map(|s| {
-                    table
-                        .resolve(coll, s)
-                        .expect("a sampled collective resolves")
-                })
-                .collect();
-            // A sample `nearest` never picks (its f64 log equals a
-            // smaller sample's) resolves to that sample's bucket again.
-            buckets.dedup();
-            buckets
-        })
-        .collect()
 }
 
 /// The table store (see module docs).
@@ -82,7 +54,7 @@ impl TableStore {
     /// Publish a table under a fingerprint: first publish inserts at
     /// generation 1, subsequent ones hot-swap. Returns the generation.
     pub fn publish(&self, fingerprint: u64, table: LookupTable) -> u64 {
-        let buckets = bucket_index(&table);
+        let buckets = Coll::ALL.map(|c| table.buckets(c));
         let mut tables = self.tables.write().unwrap();
         let generation = tables.get(&fingerprint).map_or(0, |g| g.generation) + 1;
         tables.insert(

@@ -6,7 +6,7 @@ use han_colls::Coll;
 use han_core::HanConfig;
 use han_decide::{preset_fingerprint, LookupTable};
 use han_machine::{dgx_like, mini, mini3, MachinePreset};
-use han_serve::{serve, tune_table, Client, Query, TableStore, SERVE_COLLS};
+use han_serve::{serve, tune_table, Answer, Client, Query, TableStore, SERVE_COLLS};
 use han_sim::Time;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -43,10 +43,16 @@ fn store_with_tables() -> Arc<TableStore> {
     store
 }
 
-/// The direct answer the served one must match bit-for-bit.
-fn direct(table: &LookupTable, q: &Query) -> (u64, han_core::HanConfig, u64) {
-    let e = table.nearest(q.coll, q.m).expect("tuned collective");
-    (e.m, e.cfg, e.cost_ps)
+/// The direct answer the served one must match bit-for-bit, bucket
+/// included: sample, config, cost, `lo`, `hi`.
+fn direct(table: &LookupTable, coll: Coll, m: u64) -> (u64, HanConfig, u64, u64, u64) {
+    let r = table.resolve(coll, m).expect("tuned collective");
+    (r.m, r.cfg, r.cost_ps, r.lo, r.hi)
+}
+
+/// The same fields of a served answer.
+fn served(a: &Answer) -> (u64, HanConfig, u64, u64, u64) {
+    (a.sample, a.cfg, a.cost_ps, a.lo, a.hi)
 }
 
 proptest! {
@@ -77,13 +83,8 @@ proptest! {
         prop_assert_eq!(answers.len(), queries.len());
         for (q, a) in queries.iter().zip(&answers) {
             let p = fx.fingerprints.iter().position(|f| *f == a.fingerprint).unwrap();
-            let (sample, cfg, cost_ps) = direct(&fx.tables[p], q);
-            prop_assert_eq!(a.m, q.m);
-            prop_assert_eq!(a.coll, q.coll);
-            prop_assert_eq!(a.generation, 1);
-            prop_assert_eq!(a.sample, sample);
-            prop_assert_eq!(a.cfg, cfg);
-            prop_assert_eq!(a.cost_ps, cost_ps);
+            prop_assert_eq!((a.m, a.coll, a.generation), (q.m, q.coll, 1));
+            prop_assert_eq!(served(a), direct(&fx.tables[p], q.coll, q.m));
             prop_assert!(a.lo <= q.m && q.m <= a.hi);
         }
         server.shutdown();
@@ -206,10 +207,8 @@ fn hot_swap_never_mixes_generations() {
         // generation g carries versions[(g-1) % 2].
         let table = &versions[((generation - 1) % 2) as usize];
         for (q, a) in queries.iter().zip(&answers) {
-            let e = table.nearest(q.coll, q.m).unwrap();
-            assert_eq!(a.cfg, e.cfg, "wrong config for generation {generation}");
-            assert_eq!(a.sample, e.m);
-            assert_eq!(a.cost_ps, e.cost_ps);
+            let want = direct(table, q.coll, q.m);
+            assert_eq!(served(a), want, "wrong answer for generation {generation}");
         }
         round += 1;
     }
@@ -230,10 +229,8 @@ fn hot_swap_never_mixes_generations() {
         })
         .unwrap();
     assert_eq!(a.generation, settled + 1);
-    let e = versions[(settled % 2) as usize]
-        .nearest(SERVE_COLLS[0], 999_999)
-        .unwrap();
-    assert_eq!(a.cfg, e.cfg);
+    let want = direct(&versions[(settled % 2) as usize], SERVE_COLLS[0], 999_999);
+    assert_eq!(served(&a), want);
     server.shutdown();
 }
 
@@ -256,9 +253,8 @@ fn fingerprints_do_not_cross_talk() {
                         m,
                     })
                     .unwrap();
-                let e = fx.tables[p].nearest(coll, m).unwrap();
-                assert_eq!(a.cfg, e.cfg, "preset {p} {coll:?} m={m}");
-                assert_eq!(a.sample, e.m);
+                let want = direct(&fx.tables[p], coll, m);
+                assert_eq!(served(&a), want, "preset {p} {coll:?} m={m}");
             }
         }
     }
@@ -321,17 +317,18 @@ fn remote_retune_hot_swaps_in() {
                 })
                 .unwrap();
             assert_eq!(a.generation, 2);
-            let e = fx.tables[0].nearest(coll, m).unwrap();
-            assert_eq!(a.cfg, e.cfg, "{coll:?} m={m}");
-            assert_eq!(a.sample, e.m);
+            let want = direct(&fx.tables[0], coll, m);
+            assert_eq!(served(&a), want, "{coll:?} m={m}");
         }
     }
     server.shutdown();
 }
 
 /// A table with uneven, non-power-of-two samples, including the corner
-/// cases of `nearest`: 0 and 1 (equal log), two huge samples one apart
-/// (equal f64 log), and a duplicated sample (the first entry wins).
+/// cases of the decision rule: 0 and 1 (the same log position, so 0
+/// wins), two samples one apart near 2^60 (only integer arithmetic
+/// separates them), one within 2 of `u64::MAX`, and a duplicated sample
+/// (the first entry wins).
 fn uneven_table() -> LookupTable {
     let mut t = LookupTable::new(3, 5);
     let sizes = [
@@ -368,12 +365,33 @@ fn uneven_table() -> LookupTable {
     t
 }
 
-/// A generation's bucket index answers exactly like
-/// `LookupTable::resolve`: at every sample, on both sides of every
-/// bucket edge, at the extremes and at 10,000 seeded random sizes; and a
-/// collective the table lacks resolves to `None`.
+/// Brute force: the entry a linear scan over every sample picks with the
+/// exact pairwise rule. For samples `a' < b'` (`s' = max(s, 1)`), `x`
+/// goes to `a` iff `max(x, 1)² ≤ a'·b'`; equal `s'` keep the smaller
+/// sample, then the first entry.
+fn reference(t: &LookupTable, coll: Coll, x: u64) -> Option<(u64, HanConfig, u64)> {
+    let (x, s) = (u128::from(x.max(1)), |m: u64| u128::from(m.max(1)));
+    let entries = t.entries.iter().filter(|e| e.coll == coll.name());
+    entries
+        .reduce(|best, e| {
+            let mut pair = [best, e];
+            pair.sort_by_key(|e| (s(e.m), e.m));
+            let [a, b] = pair;
+            if s(a.m) == s(b.m) || x * x <= s(a.m) * s(b.m) {
+                a
+            } else {
+                b
+            }
+        })
+        .map(|e| (e.m, e.cfg, e.cost_ps))
+}
+
+/// A published generation answers like the brute-force reference, with
+/// a bucket that holds the query: at every sample, on both sides of
+/// every bucket edge, at the extremes and at 10,000 seeded random sizes;
+/// and a collective the table lacks resolves to `None`.
 #[test]
-fn bucket_index_matches_lookup_table_resolve() {
+fn table_gen_matches_the_brute_force_reference() {
     let fx = fixture();
     let tables: Vec<LookupTable> = fx.tables.iter().cloned().chain([uneven_table()]).collect();
     let store = TableStore::new();
@@ -383,21 +401,25 @@ fn bucket_index_matches_lookup_table_resolve() {
         let snap = store.snapshot(fp as u64).unwrap();
         let mut lacking = 0;
         for coll in Coll::ALL {
-            let samples = table.sampled_sizes(coll);
-            if samples.is_empty() {
+            let buckets = table.buckets(coll);
+            if buckets.is_empty() {
                 lacking += 1;
             }
             let mut sizes = vec![0, 1, u64::MAX];
-            for &s in &samples {
-                let r = table.resolve(coll, s).unwrap();
-                sizes.extend([s, r.lo.wrapping_sub(1), r.lo, r.hi, r.hi.wrapping_add(1)]);
+            sizes.extend(table.sampled_sizes(coll));
+            for r in &buckets {
+                sizes.extend([r.lo.wrapping_sub(1), r.lo, r.hi, r.hi.wrapping_add(1)]);
             }
             // Log-uniform over the whole axis.
             sizes.extend((0..10_000).map(|_| rng.random::<u64>() >> rng.random_range(0..64u32)));
             for m in sizes {
+                let got = snap.resolve(coll, m);
+                if let Some(r) = got {
+                    assert!(r.contains(m), "table {fp} {coll:?} m={m}");
+                }
                 assert_eq!(
-                    snap.resolve(coll, m),
-                    table.resolve(coll, m),
+                    got.map(|r| (r.m, r.cfg, r.cost_ps)),
+                    reference(table, coll, m),
                     "table {fp} {coll:?} m={m}"
                 );
             }

@@ -19,7 +19,7 @@ use crate::model::predict;
 use crate::space::SearchSpace;
 use crate::taskbench::{TaskBench, BENCH_ITERS};
 use han_colls::stack::{time_coll_on, Coll, Unsupported};
-use han_core::{Han, HanConfig};
+use han_core::{ConfigSource, Han, HanConfig};
 use han_decide::LookupTable;
 use han_machine::{Machine, MachinePreset};
 use han_sim::Time;
@@ -544,7 +544,7 @@ pub fn achieved_latency(
     if let Some(c) = cache {
         c.assert_for(preset);
     }
-    let cfg = table.nearest(coll, m).map(|e| e.cfg).unwrap_or_default();
+    let cfg = table.config(coll, m);
     let mut machine = Machine::from_preset(preset);
     coll_cost(&mut machine, preset, coll, m, cfg, cache)
 }

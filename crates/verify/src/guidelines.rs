@@ -638,10 +638,10 @@ pub fn analytic_envelope(
 
 /// `serve-agreement`: answers served by a live `han-serve` daemon (over
 /// real loopback TCP, through the caching client) must be bit-identical
-/// to direct [`LookupTable::nearest`] lookups on the same table — no
-/// tolerance. The whole probe set runs twice: once against the first
-/// published generation, then again after a second generation hot-swaps
-/// in mid-flight, so the epoch-pointer swap and the client's
+/// to direct [`LookupTable::resolve`] lookups on the same table, bucket
+/// included — no tolerance. The whole probe set runs twice: once against
+/// the first published generation, then again after a second generation
+/// hot-swaps in mid-flight, so the store's swap and the client's
 /// generation-flush path are both on the hook for exactness.
 pub fn serve_agreement(
     preset: &MachinePreset,
@@ -656,11 +656,10 @@ pub fn serve_agreement(
 /// serving a tampered table is flagged.
 pub fn serve_agreement_against(
     preset: &MachinePreset,
-    direct: &LookupTable,
+    table: &LookupTable,
     served: &LookupTable,
     colls: &[Coll],
 ) -> GuidelineReport {
-    let table = direct;
     let mut g = GuidelineReport::new(
         "serve-agreement",
         "han-serve daemon answers are bit-identical to direct table lookups, across hot-swaps",
@@ -668,37 +667,19 @@ pub fn serve_agreement_against(
     let fp = han_decide::preset_fingerprint(preset);
     let store = std::sync::Arc::new(han_serve::TableStore::new());
     store.publish(fp, served.clone());
-    let mut server = match han_serve::serve("127.0.0.1:0", std::sync::Arc::clone(&store)) {
-        Ok(s) => s,
-        Err(e) => {
+    let daemon = han_serve::serve("127.0.0.1:0", std::sync::Arc::clone(&store))
+        .map_err(|e| format!("cannot bind loopback daemon: {e}"))
+        .and_then(|server| {
+            let client = han_serve::Client::connect(server.addr())
+                .map_err(|e| format!("cannot connect to daemon: {e}"))?;
+            Ok((server, client))
+        });
+    let (mut server, mut client) = match daemon {
+        Ok(pair) => pair,
+        Err(why) => {
             g.check();
-            g.violate(Violation::new(
-                &g.id.clone(),
-                preset.name,
-                "-",
-                "han-serve",
-                0,
-                0,
-                0,
-                format!("cannot bind loopback daemon: {e}"),
-            ));
-            return g;
-        }
-    };
-    let mut client = match han_serve::Client::connect(server.addr()) {
-        Ok(c) => c,
-        Err(e) => {
-            g.check();
-            g.violate(Violation::new(
-                &g.id.clone(),
-                preset.name,
-                "-",
-                "han-serve",
-                0,
-                0,
-                0,
-                format!("cannot connect to daemon: {e}"),
-            ));
+            let v = Violation::new(&g.id.clone(), preset.name, "-", "han-serve", 0, 0, 0, why);
+            g.violate(v);
             return g;
         }
     };
@@ -710,19 +691,19 @@ pub fn serve_agreement_against(
             client.flush_cache();
         }
         for &coll in colls {
-            let samples = table.sampled_sizes(coll);
-            // Probe each sample, its neighbourhood, the geometric
-            // midpoints where `nearest` flips winners, and the extremes.
+            // Probe each sample and its neighbours, both sides of every
+            // bucket edge where the winner flips, and the extremes.
             let mut probes: Vec<u64> = vec![1, 3, (1 << 30) + 7];
-            for &s in &samples {
+            for s in table.sampled_sizes(coll) {
                 probes.extend([s.saturating_sub(1), s, s + 1]);
             }
-            for w in samples.windows(2) {
-                let mid = ((w[0] as f64) * (w[1] as f64)).sqrt() as u64;
-                probes.extend([mid.saturating_sub(1), mid, mid + 1]);
+            if let Some((_, inner)) = table.buckets(coll).split_last() {
+                for b in inner {
+                    probes.extend([b.hi - 1, b.hi, b.hi + 1]);
+                }
             }
             for m in probes {
-                let Some(e) = table.nearest(coll, m) else {
+                let Some(e) = table.resolve(coll, m) else {
                     continue;
                 };
                 g.check();
@@ -735,6 +716,7 @@ pub fn serve_agreement_against(
                         if a.cfg != e.cfg
                             || a.sample != e.m
                             || a.cost_ps != e.cost_ps
+                            || (a.lo, a.hi) != (e.lo, e.hi)
                             || a.generation != generation
                         {
                             g.violate(Violation::new(
@@ -746,9 +728,8 @@ pub fn serve_agreement_against(
                                 a.cost_ps,
                                 e.cost_ps,
                                 format!(
-                                    "served answer (cfg {}, sample {}, gen {}) disagrees with \
-                                     direct lookup (cfg {}, sample {}, gen {generation})",
-                                    a.cfg, a.sample, a.generation, e.cfg, e.m
+                                    "served answer {a:?} disagrees with direct lookup {e:?} \
+                                     (generation {generation})"
                                 ),
                             ));
                         }

@@ -38,7 +38,7 @@ fn tuned_table_round_trips_and_serves_han() {
     assert_eq!(table.entries.len(), result.table.entries.len());
 
     // Drive HAN through the tuned decision source, including sizes never
-    // sampled (decision function interpolates to the nearest sample).
+    // sampled (each is served the sample nearest it in log space).
     let han = Han::tuned(Arc::new(table));
     for bytes in [4 * 1024u64, 100_000, 3 << 20, 32 << 20] {
         let t = time_coll(&han, &preset, Coll::Bcast, bytes, 0).unwrap();
@@ -82,8 +82,8 @@ fn tuned_config_switches_with_message_size() {
         &[Coll::Bcast],
         Strategy::TaskBasedHeuristic,
     );
-    let small = result.table.nearest(Coll::Bcast, 4 * 1024).unwrap().cfg;
-    let large = result.table.nearest(Coll::Bcast, 8 << 20).unwrap().cfg;
+    let small = result.table.resolve(Coll::Bcast, 4 * 1024).unwrap().cfg;
+    let large = result.table.resolve(Coll::Bcast, 8 << 20).unwrap().cfg;
     assert!(small.fs <= large.fs, "small {small} vs large {large}");
     assert_ne!(small, large, "table must differentiate sizes");
 }
