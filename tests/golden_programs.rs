@@ -305,6 +305,13 @@ fn programs() -> Vec<GoldenProgram> {
             push(&mut out, case, &han, &paper, coll, m, 0);
         }
     }
+    // Reduce from rank 0 and from the last rank, which leads no node.
+    for root in [0, paper.topology.world_size() - 1] {
+        for m in [4u64, 1 << 20] {
+            let case = format!("{}-128x32/han-table/reduce/{m}/root{root}", paper.name);
+            push(&mut out, case, &han, &paper, Coll::Reduce, m, root);
+        }
+    }
 
     // The other stacks of the Fig. 10/12 lineups, on every collective.
     let preset = shaheen2_ppn(16, 12);
