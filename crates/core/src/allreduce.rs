@@ -1,4 +1,5 @@
-//! Hierarchical task-pipelined `MPI_Allreduce` (paper Fig. 5).
+//! Hierarchical task-pipelined `MPI_Allreduce` (paper Fig. 5) and
+//! `MPI_Reduce`, from one pipeline.
 //!
 //! Four phases per segment — `sr` (intra-node reduce), `ir` (inter-node
 //! reduce), `ib` (inter-node broadcast), `sb` (intra-node broadcast) —
@@ -10,7 +11,10 @@
 //! The leader task sequence is `sr(0), irsr(1), ibirsr(2),
 //! sbibirsr(3..u-1), sbibir, sbib, sb` — a 4-stage software pipeline.
 //! Non-leaders run the `sbsr` chain. As in [`crate::bcast`], each
-//! pipeline step ends in an explicit join op on every leader.
+//! pipeline step ends in an explicit join op on every leader. Reduce is
+//! the first two stages of the same pipeline, `sr(0), irsr(1..u-1), ir`,
+//! toward the root's node — the paper's extension of the design to
+//! "other collective operations … divided into a serial of tasks".
 
 use crate::bcast::{descend_bcast, inter_bcast};
 use crate::config::HanConfig;
@@ -130,7 +134,9 @@ pub(crate) fn ascend_reduce(
     out
 }
 
-/// Build the HAN allreduce (in place over `bufs`, commutative `op`).
+/// Build the HAN allreduce (in place over `bufs`, commutative `op`): all
+/// four stages of the reduction pipeline, with the same root for `ir` and
+/// `ib` (paper section III-B).
 pub fn build_allreduce(
     cx: &mut BuildCtx,
     cfg: &HanConfig,
@@ -140,27 +146,72 @@ pub fn build_allreduce(
     dtype: DataType,
     deps: &Frontier,
 ) -> Frontier {
-    let n = comm.size();
-    assert_eq!(bufs.len(), n);
-    if n == 1 {
+    assert_eq!(bufs.len(), comm.size());
+    if comm.size() == 1 {
         return deps.clone();
     }
     let split = NodeSplit::node(comm, &cx.topo);
-    let up = &split.up;
-    let up_root = 0; // same root for ir and ib (paper section III-B)
-    let nl = up.size();
+    pipeline(cx, cfg, &split, 0, 4, bufs, op, dtype, deps)
+}
 
-    let node = cx.node;
-    let levels = cx.levels;
+/// Build the HAN `MPI_Reduce` to comm-local `root`: the first two stages
+/// of the reduction pipeline, `sr` and `ir`, with the root leading its
+/// node and the up-communicator (in place at the root; interior buffers
+/// clobbered).
+#[allow(clippy::too_many_arguments)]
+pub fn build_reduce(
+    cx: &mut BuildCtx,
+    cfg: &HanConfig,
+    comm: &Comm,
+    root: usize,
+    bufs: &[BufRange],
+    op: ReduceOp,
+    dtype: DataType,
+    deps: &Frontier,
+) -> Frontier {
+    assert_eq!(bufs.len(), comm.size());
+    if comm.size() == 1 {
+        return deps.clone();
+    }
+    let root_world = comm.world_rank(root);
+    let split = NodeSplit::rooted(comm, &cx.topo, root_world);
+    let up_root = split
+        .up
+        .local_rank(root_world)
+        .expect("root leads its node");
+    pipeline(cx, cfg, &split, up_root, 2, bufs, op, dtype, deps)
+}
+
+/// The hierarchical reduction pipeline over `split`, the only step loop
+/// behind [`build_reduce`] (`stages == 2`) and [`build_allreduce`]
+/// (`stages == 4`). Step `t` issues `sr(t)`, `ir(t-1)` to up-local
+/// `up_root`, `ib(t-2)` from it and `sb(t-3)`, each for the segments and
+/// stages that exist, then joins each leader's ops of the step.
+#[allow(clippy::too_many_arguments)]
+fn pipeline(
+    cx: &mut BuildCtx,
+    cfg: &HanConfig,
+    split: &NodeSplit,
+    up_root: usize,
+    stages: usize,
+    bufs: &[BufRange],
+    op: ReduceOp,
+    dtype: DataType,
+    deps: &Frontier,
+) -> Frontier {
+    let n = bufs.len();
+    let up = &split.up;
+    let nl = up.size();
+    let (node, levels) = (cx.node, cx.levels);
     let (fs, u) = cfg.segmentation(dtype, bufs[0].len, &node, &levels);
 
     let mut boundary = deps.project(&split.up_locals);
     let mut child_chain = deps.clone();
-
-    // Per-segment phase completions needed by the next phase, over up.
-    let mut sr_f: Vec<Option<Frontier>> = vec![None; u];
-    let mut ir_f: Vec<Option<Frontier>> = vec![None; u];
-    let mut ib_f: Vec<Option<Frontier>> = vec![None; u];
+    // One-step carries over up: `made[k]` is what stage k (sr, ir, ib)
+    // completed in this step, `last[k]` what it completed in the previous
+    // one, where stage k + 1 of the same segment reads it.
+    let mut made: [Frontier; 3] = Default::default();
+    let mut last: [Frontier; 3] = Default::default();
     // Scratch reused by every step: ops issued in the step, per leader and
     // per non-leader rank, and one phase's buffers and dependencies.
     let mut issued_leader = Frontier::empty(nl);
@@ -169,131 +220,90 @@ pub fn build_allreduce(
     let mut sub_deps = Frontier::default();
     let mut up_deps = Frontier::default();
 
-    for t in 0..u + 3 {
+    for t in 0..u + stages - 1 {
         issued_leader.reset(nl);
         issued_child.reset(n);
-
-        // sr(t): intra-node reduce of segment t.
-        if t < u {
-            let mut sr = Frontier::empty(nl);
-            for (ni, lc) in split.low.iter().enumerate() {
-                let locals = &split.low_locals[ni];
+        // Stage k works on segment t - k: sr(t), ir(t-1), ib(t-2), sb(t-3).
+        for k in 0..stages {
+            let Some(i) = t.checked_sub(k).filter(|&i| i < u) else {
+                continue;
+            };
+            if k == 1 || k == 2 {
+                // ir: inter-node reduce to the up-root; ib: inter-node
+                // broadcast of the reduced segment from it.
                 seg_bufs.clear();
-                seg_bufs.extend(locals.iter().map(|&l| bufs[l].segment(fs, t)));
-                sub_deps.reset(lc.size());
-                sub_deps.set(0, boundary.get(ni));
-                for (j, &l) in locals.iter().enumerate().skip(1) {
-                    sub_deps.set(j, child_chain.get(l));
+                seg_bufs.extend(split.up_locals.iter().map(|&l| bufs[l].segment(fs, i)));
+                up_deps.reset(nl);
+                for ul in 0..nl {
+                    up_deps.set(ul, boundary.get(ul));
+                    up_deps.extend(ul, last[k - 1].get(ul));
                 }
-                let f = ascend_reduce(
-                    cx.b,
-                    cfg,
-                    &node,
-                    &levels,
-                    &split.plans[ni],
-                    lc,
-                    &seg_bufs,
-                    &sub_deps,
-                    op,
-                    dtype,
-                );
-                sr.set(ni, f.get(0));
-                issued_leader.extend(ni, f.get(0));
-                for (j, &l) in locals.iter().enumerate().skip(1) {
-                    issued_child.extend(l, f.get(j));
+                made[k] = if k == 1 {
+                    inter_reduce(cx.b, cfg, up, up_root, &seg_bufs, &up_deps, op, dtype)
+                } else {
+                    inter_bcast(cx.b, cfg, up, up_root, &seg_bufs, &up_deps, i as u64)
+                };
+                for ul in 0..nl {
+                    issued_leader.extend(ul, made[k].get(ul));
                 }
+                continue;
             }
-            sr_f[t] = Some(sr);
-        }
-
-        // ir(t-1): inter-node reduce of segment t-1 to the up-root.
-        if t >= 1 && t - 1 < u {
-            let i = t - 1;
-            seg_bufs.clear();
-            seg_bufs.extend(split.up_locals.iter().map(|&l| bufs[l].segment(fs, i)));
-            let prev = sr_f[i].take().expect("sr before ir");
-            up_deps.reset(nl);
-            for ul in 0..nl {
-                up_deps.set(ul, boundary.get(ul));
-                up_deps.extend(ul, prev.get(ul));
+            // sr: intra-node reduce; sb: intra-node broadcast of the final
+            // segment, which the leader starts once ib delivered it.
+            if k == 0 {
+                made[0].reset(nl);
             }
-            let f = inter_reduce(cx.b, cfg, up, up_root, &seg_bufs, &up_deps, op, dtype);
-            for ul in 0..nl {
-                issued_leader.extend(ul, f.get(ul));
-            }
-            ir_f[i] = Some(f);
-        }
-
-        // ib(t-2): inter-node broadcast of the reduced segment t-2.
-        if t >= 2 && t - 2 < u {
-            let i = t - 2;
-            seg_bufs.clear();
-            seg_bufs.extend(split.up_locals.iter().map(|&l| bufs[l].segment(fs, i)));
-            let prev = ir_f[i].take().expect("ir before ib");
-            up_deps.reset(nl);
-            for ul in 0..nl {
-                up_deps.set(ul, boundary.get(ul));
-                up_deps.extend(ul, prev.get(ul));
-            }
-            let f = inter_bcast(cx.b, cfg, up, up_root, &seg_bufs, &up_deps, i as u64);
-            for ul in 0..nl {
-                issued_leader.extend(ul, f.get(ul));
-            }
-            ib_f[i] = Some(f);
-        }
-
-        // sb(t-3): intra-node broadcast of the final segment t-3.
-        if t >= 3 && t - 3 < u {
-            let i = t - 3;
-            let prev = ib_f[i].take().expect("ib before sb");
             for (ni, lc) in split.low.iter().enumerate() {
                 let locals = &split.low_locals[ni];
                 seg_bufs.clear();
                 seg_bufs.extend(locals.iter().map(|&l| bufs[l].segment(fs, i)));
                 sub_deps.reset(lc.size());
                 sub_deps.set(0, boundary.get(ni));
-                sub_deps.extend(0, prev.get(ni));
                 for (j, &l) in locals.iter().enumerate().skip(1) {
                     sub_deps.set(j, child_chain.get(l));
                 }
-                let f = descend_bcast(
-                    cx.b,
-                    cfg,
-                    &node,
-                    &levels,
-                    &split.plans[ni],
-                    lc,
-                    &seg_bufs,
-                    &sub_deps,
-                );
-                issued_leader.extend(ni, f.get(0));
+                let plan = &split.plans[ni];
+                let f = if k == 0 {
+                    ascend_reduce(
+                        cx.b, cfg, &node, &levels, plan, lc, &seg_bufs, &sub_deps, op, dtype,
+                    )
+                } else {
+                    sub_deps.extend(0, last[2].get(ni));
+                    descend_bcast(cx.b, cfg, &node, &levels, plan, lc, &seg_bufs, &sub_deps)
+                };
                 for (j, &l) in locals.iter().enumerate().skip(1) {
                     issued_child.extend(l, f.get(j));
                 }
-                // Leader's task joins the whole node's sb (bounce pool
-                // flow control), as in bcast.
-                for j in 1..locals.len() {
-                    issued_leader.extend(ni, f.get(j));
+                if k == 0 {
+                    made[0].set(ni, f.get(0));
+                    issued_leader.extend(ni, f.get(0));
+                } else {
+                    // Leader's task joins the whole node's sb (bounce pool
+                    // flow control), as in bcast.
+                    for j in 0..locals.len() {
+                        issued_leader.extend(ni, f.get(j));
+                    }
                 }
             }
         }
 
-        // Task boundary joins.
+        // Task boundary joins: each leader's next step starts from one op
+        // joining everything it issued in this one. For u ≥ 1 every step
+        // issues a phase on every leader, and a phase of a one-rank group
+        // hands back its dependencies, so a leader's list is empty only at
+        // step 0 on a node with one rank and no incoming dependencies,
+        // where the join has none either. Reduce shares this rule.
         for ul in 0..nl {
-            let w = up.world_rank(ul);
-            let j = if issued_leader.get(ul).is_empty() {
-                // Degenerate (u < 3 drains some steps early): carry over.
-                cx.b.nop(w, boundary.get(ul))
-            } else {
-                cx.b.nop(w, issued_leader.get(ul))
-            };
+            let j = cx.b.nop(up.world_rank(ul), issued_leader.get(ul));
             boundary.set(ul, &[j]);
         }
+        // A non-leader that issued nothing carries its chain over.
         for l in 0..n {
             if !issued_child.get(l).is_empty() {
                 child_chain.set(l, issued_child.get(l));
             }
         }
+        std::mem::swap(&mut made, &mut last);
     }
 
     // Leaders end at their last join, everyone else at its own chain.
@@ -308,58 +318,119 @@ pub fn build_allreduce(
 mod tests {
     use super::*;
     use han_machine::{mini, Flavor, Machine};
-    use han_mpi::{execute, execute_seeded, ExecOpts};
+    use han_mpi::{execute, execute_seeded, ExecOpts, Memory, Program, Report};
 
-    fn build(
+    /// Build over the world of `preset` with `bytes` per rank through
+    /// `coll`, which gets the context, the world, the buffers and no
+    /// dependencies.
+    fn build_with(
         preset: &han_machine::MachinePreset,
-        cfg: &HanConfig,
         bytes: u64,
-    ) -> (han_mpi::Program, Vec<BufRange>) {
+        coll: impl FnOnce(&mut BuildCtx, &Comm, &[BufRange], &Frontier),
+    ) -> (Program, Vec<BufRange>) {
         let n = preset.topology.world_size();
-        let comm = Comm::world(n);
         let mut b = ProgramBuilder::new(n);
         let bufs = b.alloc_all(bytes);
-        let mut cx = BuildCtx::new(&mut b, preset);
-        build_allreduce(
-            &mut cx,
-            cfg,
-            &comm,
+        coll(
+            &mut BuildCtx::new(&mut b, preset),
+            &Comm::world(n),
             &bufs,
-            ReduceOp::Sum,
-            DataType::Int32,
             &Frontier::empty(n),
         );
         (b.build(), bufs)
     }
 
-    fn check_sum(cfg: &HanConfig, nodes: usize, ppn: usize, bytes: u64) {
-        let preset = mini(nodes, ppn);
-        let n = nodes * ppn;
-        let (prog, bufs) = build(&preset, cfg, bytes);
-        let mut m = Machine::from_preset(&preset);
-        let o = ExecOpts::timing(Flavor::OpenMpi.p2p());
-        let nelem = (bytes / 4) as usize;
-        let bufs2 = bufs.clone();
-        let (_, mem) = execute_seeded(&mut m, &prog, &o, |mm| {
-            for r in 0..n {
-                let vals: Vec<u8> = (0..nelem)
-                    .flat_map(|i| ((r * 7 + i) as i32).to_le_bytes())
-                    .collect();
-                mm.write(r, bufs2[r], &vals);
-            }
-        });
-        let expect: Vec<u8> = (0..nelem)
+    fn build(
+        preset: &han_machine::MachinePreset,
+        cfg: &HanConfig,
+        bytes: u64,
+    ) -> (Program, Vec<BufRange>) {
+        build_with(preset, bytes, |cx, comm, bufs, deps| {
+            build_allreduce(cx, cfg, comm, bufs, ReduceOp::Sum, DataType::Int32, deps);
+        })
+    }
+
+    /// Execute `prog` with element `i` of rank `r` seeded to `7r + i`
+    /// (Int32); returns the report, the memory and the expected sums.
+    fn run_summing(
+        preset: &han_machine::MachinePreset,
+        prog: &Program,
+        bufs: &[BufRange],
+    ) -> (Report, Memory, Vec<u8>) {
+        let n = bufs.len();
+        let nelem = bufs[0].len as usize / 4;
+        let (rep, mem) = execute_seeded(
+            &mut Machine::from_preset(preset),
+            prog,
+            &ExecOpts::timing(Flavor::OpenMpi.p2p()),
+            |mm| {
+                for r in 0..n {
+                    let vals: Vec<u8> = (0..nelem)
+                        .flat_map(|i| ((r * 7 + i) as i32).to_le_bytes())
+                        .collect();
+                    mm.write(r, bufs[r], &vals);
+                }
+            },
+        );
+        let expect = (0..nelem)
             .flat_map(|i| {
                 let s: i32 = (0..n).map(|r| (r * 7 + i) as i32).sum();
                 s.to_le_bytes()
             })
             .collect();
-        for r in 0..n {
+        (rep, mem, expect)
+    }
+
+    fn check_sum(cfg: &HanConfig, nodes: usize, ppn: usize, bytes: u64) {
+        let preset = mini(nodes, ppn);
+        let (prog, bufs) = build(&preset, cfg, bytes);
+        let (_, mem, expect) = run_summing(&preset, &prog, &bufs);
+        for r in 0..nodes * ppn {
             assert_eq!(
                 mem.read(r, bufs[r]),
                 expect.as_slice(),
                 "cfg {cfg} rank {r} ({nodes}x{ppn}, {bytes}B)"
             );
+        }
+    }
+
+    #[test]
+    fn reduce_pipeline_sums() {
+        use han_machine::mini3;
+        // Root sums on two-level, one-rank-per-node, single-node and
+        // three-level machines, from the first, a middle and the last
+        // rank. `mini(6,1)` also pins its makespans (ps) per size.
+        let cases = [
+            (mini(3, 2), None),
+            (mini(6, 1), Some([4_014_199, 5_244_796, 8_893_990])),
+            (mini(1, 6), None),
+            (mini3(2, 2, 2), None),
+        ];
+        let cfg = HanConfig::default().with_fs(32);
+        // Sizes giving 1, 2 and 5 segments.
+        let sizes = [(16u64, 1), (64, 2), (160, 5)];
+        for (preset, pinned) in &cases {
+            let n = preset.topology.world_size();
+            for root in [0, (n - 1) / 2, n - 1] {
+                for (si, &(bytes, segs)) in sizes.iter().enumerate() {
+                    let case = format!(
+                        "{}{:?} root {root} {bytes} B",
+                        preset.name,
+                        preset.topology.levels()
+                    );
+                    let (prog, bufs) = build_with(preset, bytes, |cx, comm, bufs, deps| {
+                        let (_, u) = cfg.segmentation(DataType::Int32, bytes, &cx.node, &cx.levels);
+                        assert_eq!(u, segs, "{case}");
+                        let (op, dtype) = (ReduceOp::Sum, DataType::Int32);
+                        build_reduce(cx, &cfg, comm, root, bufs, op, dtype, deps);
+                    });
+                    let (rep, mem, expect) = run_summing(preset, &prog, &bufs);
+                    assert_eq!(mem.read(root, bufs[root]), expect.as_slice(), "{case}");
+                    if let Some(ps) = pinned {
+                        assert_eq!(rep.makespan.as_ps(), ps[si], "{case}");
+                    }
+                }
+            }
         }
     }
 

@@ -10,9 +10,10 @@
 //! production paths, and `han-verify` simulates both sides of each
 //! inequality on the same machine.
 
+use crate::allreduce::build_reduce;
 use crate::bcast::build_bcast;
 use crate::config::HanConfig;
-use crate::extend::{build_allgather, build_reduce, build_scatter};
+use crate::extend::{build_allgather, build_scatter};
 use han_colls::stack::{BuildCtx, Coll};
 use han_colls::Frontier;
 use han_machine::{Machine, MachinePreset};

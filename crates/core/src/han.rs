@@ -1,10 +1,10 @@
 //! The HAN facade: an [`MpiStack`] backed by either a fixed configuration
 //! or an autotuned decision source (the lookup table from `han-tuner`).
 
-use crate::allreduce::build_allreduce;
+use crate::allreduce::{build_allreduce, build_reduce};
 use crate::bcast::build_bcast;
 use crate::config::HanConfig;
-use crate::extend::{build_allgather, build_barrier, build_gather, build_reduce, build_scatter};
+use crate::extend::{build_allgather, build_barrier, build_gather, build_scatter};
 use han_colls::stack::{BuildCtx, Coll, MpiStack, Unsupported};
 use han_colls::Frontier;
 use han_machine::Flavor;

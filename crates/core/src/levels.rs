@@ -14,7 +14,8 @@
 //!   communicator by the topology's level-`k` groups, generalizing the
 //!   `split_type(COMM_TYPE_SHARED)` two-level split (level 0 ≡ nodes).
 //! * **Composition** — the builders in [`crate::bcast`] and
-//!   [`crate::allreduce`] keep the paper's task pipeline at level 0
+//!   [`crate::allreduce`] (one reduction pipeline for Reduce and
+//!   Allreduce) keep the paper's task pipeline at level 0
 //!   (`ib`/`ir` over node leaders) and treat everything below as one
 //!   *composite deep phase*: `descend_bcast` / `ascend_reduce` recurse
 //!   through levels `1..depth`, moving each segment across one level's

@@ -19,10 +19,12 @@
 //! intra-node broadcast (`sb`) — with `ir` and `ib` deliberately using the
 //! same algorithm and root so they overlap on opposite directions of the
 //! full-duplex network. The steady-state leader task is `sbibirsr(i)`:
-//! `sb(i-3) ∥ ib(i-2) ∥ ir(i-1) ∥ sr(i)`.
+//! `sb(i-3) ∥ ib(i-2) ∥ ir(i-1) ∥ sr(i)`. `MPI_Reduce` runs the first two
+//! stages of that pipeline, `irsr(i)`: `ir(i-1) ∥ sr(i)`, toward the
+//! root's node.
 //!
-//! Both builders end every task in an explicit join op on each node
-//! leader and return only their completion frontier. Both segment the
+//! The builders end every task in an explicit join op on each node
+//! leader and return only their completion frontier. All segment the
 //! message by one rule, [`HanConfig::segmentation`], which the task-based
 //! cost model and the lower bound in `han-tuner` share. The autotuner
 //! benchmarks tasks rather than whole collectives, as the paper does,
@@ -45,8 +47,9 @@
 //!
 //! * [`config`] — [`config::HanConfig`], the tuned parameter set of
 //!   Table II (`fs`, `imod`, `smod`, `ibalg`, `iralg`, `ibs`, `irs`).
-//! * [`bcast`] / [`allreduce`] — the task-pipelined builders.
-//! * [`extend`] — Reduce / Gather / Scatter / Allgather via the same
+//! * [`bcast`] / [`allreduce`] — the task-pipelined builders; Reduce and
+//!   Allreduce share one step loop in [`allreduce`].
+//! * [`extend`] — Gather / Scatter / Allgather / Barrier via the same
 //!   two-level composition (the paper: "similar designs can be extended to
 //!   other collective operations").
 //! * [`task`] — standalone single-task programs for the autotuner's

@@ -14,8 +14,8 @@
 #![allow(clippy::needless_range_loop)]
 
 use han::colls::stack::BuildCtx;
+use han::core::allreduce::build_reduce;
 use han::core::bcast::build_bcast;
-use han::core::extend::build_reduce;
 use han::prelude::*;
 
 fn main() {
