@@ -8,8 +8,8 @@
 //! * [`store`] — the authoritative in-memory table store: one locked
 //!   map from preset fingerprint to the current generation of its table,
 //!   so a re-tuned table hot-swaps in atomically; a retired generation
-//!   is freed once its last snapshot drops. Each generation carries its
-//!   table's size buckets, so a lookup is one binary search.
+//!   is freed once its last snapshot drops. A lookup is
+//!   [`han_decide::LookupTable::resolve`] on the snapshot's table.
 //! * [`proto`] — the wire protocol: length-prefixed frames over TCP,
 //!   fixed-width binary bodies for batched `Resolve` requests and their
 //!   answers, JSON for the rest (`Publish`/`Retune` for table
@@ -17,10 +17,9 @@
 //! * [`server`] — the daemon: std-thread-per-connection accept loop,
 //!   per-batch generation snapshots (a batch never mixes generations
 //!   for a fingerprint).
-//! * [`client`] — the caching client: one cache entry per size *bucket*
-//!   (served answers carry the maximal interval they hold on),
-//!   invalidated by generation counters, bit-identical to direct
-//!   [`han_decide::LookupTable`] lookups.
+//! * [`client`] — the client: one round trip per batch, no cache.
+//!   Every answer carries its size bucket `[lo, hi]` and generation, so
+//!   a caller may cache it exactly.
 //! * [`retune`] — background re-tuning workers driving the existing
 //!   pruned exhaustive sweep, publishing results through the
 //!   store's hot-swap path.

@@ -279,7 +279,7 @@ fn index_of<T: PartialEq>(all: &[T], x: &T) -> u8 {
 }
 
 /// Index of a collective in [`Coll::ALL`].
-pub(crate) fn coll_index(coll: Coll) -> usize {
+fn coll_index(coll: Coll) -> usize {
     index_of(&Coll::ALL, &coll) as usize
 }
 

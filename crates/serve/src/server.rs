@@ -214,7 +214,7 @@ pub fn resolve_batch(store: &TableStore, queries: &[Query]) -> Result<Vec<Answer
                 snapshots.entry(q.fingerprint).or_insert(s)
             }
         };
-        let r = snap.resolve(q.coll, q.m).ok_or_else(|| {
+        let r = snap.table.resolve(q.coll, q.m).ok_or_else(|| {
             format!(
                 "no entries for {} in table {:016x}",
                 q.coll.name(),

@@ -7,15 +7,9 @@
 //! held across a lookup. A reader keeps its snapshot's generation for as
 //! long as it holds the `Arc`, and a retired generation is freed when its
 //! last snapshot drops.
-//!
-//! Each generation carries its table's [`LookupTable::buckets`], per
-//! collective, built before the write lock is taken. A lookup is then
-//! one binary search over them, where [`LookupTable::resolve`] rebuilds
-//! the buckets on every call.
 
-use crate::proto::{coll_index, TableRow};
-use han_colls::Coll;
-use han_decide::{LookupTable, Resolution};
+use crate::proto::TableRow;
+use han_decide::LookupTable;
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
@@ -26,18 +20,6 @@ pub struct TableGen {
     pub fingerprint: u64,
     pub generation: u64,
     pub table: LookupTable,
-    /// Per collective (indexed like `Coll::ALL`), `table`'s buckets.
-    buckets: [Vec<Resolution>; Coll::ALL.len()],
-}
-
-impl TableGen {
-    /// Exactly `self.table.resolve(coll, m)`, by binary search over the
-    /// buckets.
-    pub fn resolve(&self, coll: Coll, m: u64) -> Option<Resolution> {
-        let buckets = &self.buckets[coll_index(coll)];
-        let i = buckets.partition_point(|r| r.lo <= m);
-        i.checked_sub(1).map(|i| buckets[i])
-    }
 }
 
 /// The table store (see module docs).
@@ -54,7 +36,6 @@ impl TableStore {
     /// Publish a table under a fingerprint: first publish inserts at
     /// generation 1, subsequent ones hot-swap. Returns the generation.
     pub fn publish(&self, fingerprint: u64, table: LookupTable) -> u64 {
-        let buckets = Coll::ALL.map(|c| table.buckets(c));
         let mut tables = self.tables.write().unwrap();
         let generation = tables.get(&fingerprint).map_or(0, |g| g.generation) + 1;
         tables.insert(
@@ -63,7 +44,6 @@ impl TableStore {
                 fingerprint,
                 generation,
                 table,
-                buckets,
             }),
         );
         generation

@@ -1,6 +1,6 @@
 //! Serve-path equivalence: batched answers served over TCP must be
 //! bit-identical to direct `han_decide::LookupTable` lookups, across
-//! presets, random batches, client caching, and mid-flight hot-swaps.
+//! presets, random batches and mid-flight hot-swaps.
 
 use han_colls::Coll;
 use han_core::HanConfig;
@@ -9,8 +9,6 @@ use han_machine::{dgx_like, mini, mini3, MachinePreset};
 use han_serve::{serve, tune_table, Answer, Client, Query, TableStore, SERVE_COLLS};
 use han_sim::Time;
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::sync::{Arc, OnceLock};
 
 struct Fixture {
@@ -58,8 +56,8 @@ fn served(a: &Answer) -> (u64, HanConfig, u64, u64, u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random batches over all presets, served over real TCP through the
-    /// caching client, agree bit-identically with direct table lookups.
+    /// Random batches over all presets, served over real TCP, agree
+    /// bit-identically with direct table lookups.
     #[test]
     fn served_batches_match_direct_lookups(
         raw in proptest::collection::vec(
@@ -89,42 +87,14 @@ proptest! {
         }
         server.shutdown();
     }
-
-    /// The client cache never changes an answer: replaying the same
-    /// batch (now mostly cache hits) returns identical answers, and the
-    /// hit rate climbs.
-    #[test]
-    fn cached_replay_is_bit_identical(
-        raw in proptest::collection::vec((0usize..3, 0u64..(64 << 20)), 8..64),
-    ) {
-        let fx = fixture();
-        let store = store_with_tables();
-        let mut server = serve("127.0.0.1:0", store).unwrap();
-        let mut client = Client::connect(server.addr()).unwrap();
-        let queries: Vec<Query> = raw
-            .iter()
-            .map(|&(c, m)| Query {
-                fingerprint: fx.fingerprints[c % 3],
-                coll: SERVE_COLLS[c],
-                m,
-            })
-            .collect();
-        let first = client.resolve_batch(&queries).unwrap();
-        let misses_after_first = client.misses();
-        let second = client.resolve_batch(&queries).unwrap();
-        prop_assert_eq!(&first, &second);
-        // The replay is answered entirely from the bucket cache.
-        prop_assert_eq!(client.misses(), misses_after_first);
-        prop_assert!(client.hit_rate() > 0.0);
-        server.shutdown();
-    }
 }
 
 /// Hot-swap consistency: while a publisher thread keeps swapping table
 /// versions, every served batch stays internally consistent — one
 /// generation per fingerprint per batch, every answer bit-identical to
 /// the table version of *that* generation. Old-generation answers are
-/// fine mid-swap; mixed-generation batches are not.
+/// fine mid-swap; mixed-generation batches are not. This pins the
+/// server's rule: one store snapshot per fingerprint per batch.
 #[test]
 fn hot_swap_never_mixes_generations() {
     let fx = fixture();
@@ -171,9 +141,7 @@ fn hot_swap_never_mixes_generations() {
     let mut client = Client::connect(server.addr()).unwrap();
     let sizes: Vec<u64> = (0..14).map(|i| 1u64 << i).chain([100, 77777]).collect();
     let mut last_gen = 0u64;
-    // At least 200 rounds, then on until the client has seen a swap:
-    // past round 200 each round flushes the local cache, so it asks the
-    // server, which answers from the latest generation.
+    // At least 200 rounds, then on until the client has seen a swap.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
     let mut round = 0usize;
     while round < 200 || last_gen <= 1 {
@@ -181,9 +149,6 @@ fn hot_swap_never_mixes_generations() {
             std::time::Instant::now() < deadline,
             "client saw no swap by round {round}"
         );
-        if round >= 200 {
-            client.flush_cache();
-        }
         let queries: Vec<Query> = sizes
             .iter()
             .enumerate()
@@ -220,7 +185,6 @@ fn hot_swap_never_mixes_generations() {
     let settled = store.snapshot(fp).unwrap().generation;
     assert!(settled > 1, "publisher never landed a swap");
     store.publish(fp, versions[(settled % 2) as usize].clone());
-    client.flush_cache(); // force a round-trip; buckets tile the axis
     let a = client
         .resolve(Query {
             fingerprint: fp,
@@ -285,12 +249,7 @@ fn remote_retune_hot_swaps_in() {
     // Start from a deliberately stale table (one entry) so the swap is
     // observable.
     let mut stale = LookupTable::for_topology(&preset.topology);
-    stale.insert(
-        han_colls::Coll::Bcast,
-        1024,
-        han_core::HanConfig::default(),
-        han_sim::Time::from_us(1),
-    );
+    stale.insert(Coll::Bcast, 1024, HanConfig::default(), Time::from_us(1));
     store.publish(fp, stale);
     let mut server = serve("127.0.0.1:0", Arc::clone(&store)).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
@@ -322,108 +281,4 @@ fn remote_retune_hot_swaps_in() {
         }
     }
     server.shutdown();
-}
-
-/// A table with uneven, non-power-of-two samples, including the corner
-/// cases of the decision rule: 0 and 1 (the same log position, so 0
-/// wins), two samples one apart near 2^60 (only integer arithmetic
-/// separates them), one within 2 of `u64::MAX`, and a duplicated sample
-/// (the first entry wins).
-fn uneven_table() -> LookupTable {
-    let mut t = LookupTable::new(3, 5);
-    let sizes = [
-        0u64,
-        1,
-        3,
-        100,
-        1000,
-        1500,
-        77_777,
-        (1 << 20) + 5,
-        123_456_789,
-        1 << 60,
-        (1 << 60) + 1,
-        u64::MAX - 1,
-    ];
-    for (i, &m) in sizes.iter().enumerate() {
-        let coll = [Coll::Bcast, Coll::Gather][i % 2];
-        for c in [Coll::Allreduce, coll] {
-            t.insert(
-                c,
-                m,
-                HanConfig::default().with_fs(1 + i as u64),
-                Time::from_ps(1000 + i as u64),
-            );
-        }
-    }
-    t.insert(
-        Coll::Allreduce,
-        1500,
-        HanConfig::default().with_fs(999),
-        Time::from_ps(1),
-    );
-    t
-}
-
-/// Brute force: the entry a linear scan over every sample picks with the
-/// exact pairwise rule. For samples `a' < b'` (`s' = max(s, 1)`), `x`
-/// goes to `a` iff `max(x, 1)² ≤ a'·b'`; equal `s'` keep the smaller
-/// sample, then the first entry.
-fn reference(t: &LookupTable, coll: Coll, x: u64) -> Option<(u64, HanConfig, u64)> {
-    let (x, s) = (u128::from(x.max(1)), |m: u64| u128::from(m.max(1)));
-    let entries = t.entries.iter().filter(|e| e.coll == coll.name());
-    entries
-        .reduce(|best, e| {
-            let mut pair = [best, e];
-            pair.sort_by_key(|e| (s(e.m), e.m));
-            let [a, b] = pair;
-            if s(a.m) == s(b.m) || x * x <= s(a.m) * s(b.m) {
-                a
-            } else {
-                b
-            }
-        })
-        .map(|e| (e.m, e.cfg, e.cost_ps))
-}
-
-/// A published generation answers like the brute-force reference, with
-/// a bucket that holds the query: at every sample, on both sides of
-/// every bucket edge, at the extremes and at 10,000 seeded random sizes;
-/// and a collective the table lacks resolves to `None`.
-#[test]
-fn table_gen_matches_the_brute_force_reference() {
-    let fx = fixture();
-    let tables: Vec<LookupTable> = fx.tables.iter().cloned().chain([uneven_table()]).collect();
-    let store = TableStore::new();
-    let mut rng = SmallRng::seed_from_u64(0x5eed);
-    for (fp, table) in tables.iter().enumerate() {
-        store.publish(fp as u64, table.clone());
-        let snap = store.snapshot(fp as u64).unwrap();
-        let mut lacking = 0;
-        for coll in Coll::ALL {
-            let buckets = table.buckets(coll);
-            if buckets.is_empty() {
-                lacking += 1;
-            }
-            let mut sizes = vec![0, 1, u64::MAX];
-            sizes.extend(table.sampled_sizes(coll));
-            for r in &buckets {
-                sizes.extend([r.lo.wrapping_sub(1), r.lo, r.hi, r.hi.wrapping_add(1)]);
-            }
-            // Log-uniform over the whole axis.
-            sizes.extend((0..10_000).map(|_| rng.random::<u64>() >> rng.random_range(0..64u32)));
-            for m in sizes {
-                let got = snap.resolve(coll, m);
-                if let Some(r) = got {
-                    assert!(r.contains(m), "table {fp} {coll:?} m={m}");
-                }
-                assert_eq!(
-                    got.map(|r| (r.m, r.cfg, r.cost_ps)),
-                    reference(table, coll, m),
-                    "table {fp} {coll:?} m={m}"
-                );
-            }
-        }
-        assert!(lacking > 0, "table {fp} covers every collective");
-    }
 }

@@ -637,12 +637,12 @@ pub fn analytic_envelope(
 }
 
 /// `serve-agreement`: answers served by a live `han-serve` daemon (over
-/// real loopback TCP, through the caching client) must be bit-identical
-/// to direct [`LookupTable::resolve`] lookups on the same table, bucket
-/// included — no tolerance. The whole probe set runs twice: once against
-/// the first published generation, then again after a second generation
-/// hot-swaps in mid-flight, so the store's swap and the client's
-/// generation-flush path are both on the hook for exactness.
+/// real loopback TCP) must be bit-identical to direct
+/// [`LookupTable::resolve`] lookups on the same table, bucket included —
+/// no tolerance. The whole probe set runs twice: once against the first
+/// published generation, then again after a second generation hot-swaps
+/// in while the client is connected, so the store's swap is on the hook
+/// for exactness too.
 pub fn serve_agreement(
     preset: &MachinePreset,
     table: &LookupTable,
@@ -685,10 +685,8 @@ pub fn serve_agreement_against(
     };
     for generation in 1..=2u64 {
         if generation == 2 {
-            // Hot-swap a second generation in while the client is live,
-            // and flush its buckets so every probe below round-trips.
+            // Hot-swap a second generation in while the client is live.
             store.publish(fp, served.clone());
-            client.flush_cache();
         }
         for &coll in colls {
             // Probe each sample and its neighbours, both sides of every
