@@ -205,20 +205,17 @@ fn pipeline(
     let (node, levels) = (cx.node, cx.levels);
     let (fs, u) = cfg.segmentation(dtype, bufs[0].len, &node, &levels);
 
+    // Each leader's join of its previous step. It takes every op the
+    // leader issued there, so stage k + 1 of a segment, issued one step
+    // after stage k, is ordered after it through this join alone.
     let mut boundary = deps.project(&split.up_locals);
     let mut child_chain = deps.clone();
-    // One-step carries over up: `made[k]` is what stage k (sr, ir, ib)
-    // completed in this step, `last[k]` what it completed in the previous
-    // one, where stage k + 1 of the same segment reads it.
-    let mut made: [Frontier; 3] = Default::default();
-    let mut last: [Frontier; 3] = Default::default();
     // Scratch reused by every step: ops issued in the step, per leader and
     // per non-leader rank, and one phase's buffers and dependencies.
     let mut issued_leader = Frontier::empty(nl);
     let mut issued_child = Frontier::empty(n);
     let mut seg_bufs: Vec<BufRange> = Vec::new();
     let mut sub_deps = Frontier::default();
-    let mut up_deps = Frontier::default();
 
     for t in 0..u + stages - 1 {
         issued_leader.reset(nl);
@@ -233,26 +230,18 @@ fn pipeline(
                 // broadcast of the reduced segment from it.
                 seg_bufs.clear();
                 seg_bufs.extend(split.up_locals.iter().map(|&l| bufs[l].segment(fs, i)));
-                up_deps.reset(nl);
-                for ul in 0..nl {
-                    up_deps.set(ul, boundary.get(ul));
-                    up_deps.extend(ul, last[k - 1].get(ul));
-                }
-                made[k] = if k == 1 {
-                    inter_reduce(cx.b, cfg, up, up_root, &seg_bufs, &up_deps, op, dtype)
+                let f = if k == 1 {
+                    inter_reduce(cx.b, cfg, up, up_root, &seg_bufs, &boundary, op, dtype)
                 } else {
-                    inter_bcast(cx.b, cfg, up, up_root, &seg_bufs, &up_deps, i as u64)
+                    inter_bcast(cx.b, cfg, up, up_root, &seg_bufs, &boundary, i as u64)
                 };
                 for ul in 0..nl {
-                    issued_leader.extend(ul, made[k].get(ul));
+                    issued_leader.extend(ul, f.get(ul));
                 }
                 continue;
             }
             // sr: intra-node reduce; sb: intra-node broadcast of the final
             // segment, which the leader starts once ib delivered it.
-            if k == 0 {
-                made[0].reset(nl);
-            }
             for (ni, lc) in split.low.iter().enumerate() {
                 let locals = &split.low_locals[ni];
                 seg_bufs.clear();
@@ -268,14 +257,12 @@ fn pipeline(
                         cx.b, cfg, &node, &levels, plan, lc, &seg_bufs, &sub_deps, op, dtype,
                     )
                 } else {
-                    sub_deps.extend(0, last[2].get(ni));
                     descend_bcast(cx.b, cfg, &node, &levels, plan, lc, &seg_bufs, &sub_deps)
                 };
                 for (j, &l) in locals.iter().enumerate().skip(1) {
                     issued_child.extend(l, f.get(j));
                 }
                 if k == 0 {
-                    made[0].set(ni, f.get(0));
                     issued_leader.extend(ni, f.get(0));
                 } else {
                     // Leader's task joins the whole node's sb (bounce pool
@@ -303,7 +290,6 @@ fn pipeline(
                 child_chain.set(l, issued_child.get(l));
             }
         }
-        std::mem::swap(&mut made, &mut last);
     }
 
     // Leaders end at their last join, everyone else at its own chain.
