@@ -13,7 +13,7 @@ use crate::bcast::descend_bcast;
 use crate::config::HanConfig;
 use crate::levels::{GroupPlan, NodeSplit};
 use han_colls::p2p::{dissemination_barrier, ring_allgather};
-use han_colls::stack::{split_with_root, BuildCtx, RankIndex};
+use han_colls::stack::BuildCtx;
 use han_colls::Frontier;
 use han_mpi::{BufRange, Comm, OpId, OpKind, ProgramBuilder};
 
@@ -153,16 +153,14 @@ pub fn build_gather(
         return Frontier::from_ops(&[cp]);
     }
     let root_world = comm.world_rank(root);
-    let (low, up) = split_with_root(comm, &cx.topo, root_world);
-    let index = RankIndex::new(comm);
-    let up_locals = index.locals(&up);
+    let split = NodeSplit::rooted(comm, &cx.topo, root_world);
+    let low = &split.low;
     let mut out = Frontier::empty(n);
 
     // Phase 1: each leader pulls its node's blocks into a node array.
     let mut node_arrays = Vec::with_capacity(low.len());
     let mut leader_ready: Vec<Vec<OpId>> = Vec::with_capacity(low.len());
-    for lc in &low {
-        let locals = index.locals(lc);
+    for (lc, locals) in low.iter().zip(&split.low_locals) {
         let wleader = lc.world_rank(0);
         let members: Vec<usize> = lc.ranks().to_vec();
         let arr =
@@ -208,15 +206,15 @@ pub fn build_gather(
     // Comm-local order is node-major (ascending ranks), so each node's
     // array lands contiguously.
     let mut offset = 0u64;
-    let mut up_dst_slots = Vec::with_capacity(up.size());
-    for lc in &low {
+    let mut up_dst_slots = Vec::with_capacity(low.len());
+    for lc in low {
         let sz = block * lc.size() as u64;
         up_dst_slots.push(dst_root.slice(offset, sz));
         offset += sz;
     }
     for (ul, lc) in low.iter().enumerate() {
         let wleader = lc.world_rank(0);
-        let leader_comm_local = up_locals[ul];
+        let leader_comm_local = split.up_locals[ul];
         if wleader == root_world {
             let cp = cx.b.op(
                 root_world,
@@ -274,15 +272,15 @@ pub fn build_scatter(
         return Frontier::from_ops(&[cp]);
     }
     let root_world = comm.world_rank(root);
-    let (low, _up) = split_with_root(comm, &cx.topo, root_world);
-    let index = RankIndex::new(comm);
+    let split = NodeSplit::rooted(comm, &cx.topo, root_world);
+    let low = &split.low;
     let mut out = Frontier::empty(n);
 
     // Phase 1: root sends each node's slice to its leader.
     let mut offset = 0u64;
     let mut node_arrays = Vec::with_capacity(low.len());
     let mut leader_have: Vec<Vec<OpId>> = Vec::with_capacity(low.len());
-    for lc in &low {
+    for (lc, &leader_local) in low.iter().zip(&split.up_locals) {
         let sz = block * lc.size() as u64;
         let slice = src_root.slice(offset, sz);
         offset += sz;
@@ -298,7 +296,7 @@ pub fn build_scatter(
                 slice,
                 arr,
                 deps.get(root),
-                deps.get(index.local(wleader)),
+                deps.get(leader_local),
             );
             out.push(root, snd);
             node_arrays.push(arr);
@@ -308,10 +306,9 @@ pub fn build_scatter(
 
     // Phase 2: each rank takes its block from the leader's array.
     for (ni, lc) in low.iter().enumerate() {
-        let locals = index.locals(lc);
         let wleader = lc.world_rank(0);
         let members: Vec<usize> = lc.ranks().to_vec();
-        for (j, &l) in locals.iter().enumerate() {
+        for (j, &l) in split.low_locals[ni].iter().enumerate() {
             let w = lc.world_rank(j);
             let slot = node_arrays[ni].slice(node_slot(&members, w) as u64 * block, block);
             let op = if j == 0 {
