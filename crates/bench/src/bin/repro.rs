@@ -83,7 +83,6 @@ use han_tuner::{
     TaskBench, TuneOpts, TuneResult,
 };
 use serde::Serialize;
-use std::io::ErrorKind;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -196,39 +195,18 @@ fn combo_cfg(imod: InterModule, alg: InterAlg, smod: IntraModule, fs: u64) -> Ha
     }
 }
 
-/// Tune (or load a cached) lookup table for a preset via the task-based
-/// strategy — how HAN is configured in every end-to-end figure. Tables
-/// always cover both collectives over the full 4 B – 128 MB range so the
-/// cache is valid for every figure that shares the machine. A missing,
-/// incomplete or other-depth table is retuned and saved; one that exists
-/// but does not load fails the run and is left as it is.
+/// Tune a lookup table for a preset via the task-based strategy — how
+/// HAN is configured in every end-to-end figure — and save it. Tables
+/// cover both collectives over the full 4 B – 128 MB range. The saved
+/// file is an output only: every call tunes afresh, so a table always
+/// belongs to the preset as it is now.
 fn tuned_table(cfg: &Cfg, preset: &MachinePreset, label: &str) -> LookupTable {
-    let name = format!("table_{label}");
-    let path = cfg.out(&name);
-    let colls = [Coll::Bcast, Coll::Allreduce];
-    let save = match LookupTable::load(&path) {
-        Ok(t) => {
-            let complete = colls
-                .iter()
-                .all(|&c| t.sampled_sizes(c).last().copied().unwrap_or(0) >= 128 << 20);
-            if t.levels == preset.topology.levels() && complete {
-                return t;
-            }
-            true
-        }
-        Err(e) if e.kind() == ErrorKind::NotFound => true,
-        Err(e) => {
-            gate::fail(format!("cannot load {}: {e}", path.display()));
-            false
-        }
-    };
     let mut space = SearchSpace::standard();
     space.msg_sizes = pow2_range(4, 128 << 20);
-    let result = tune(preset, &space, &colls, Strategy::TaskBasedHeuristic);
-    if save {
-        cfg.save(&name, &result.table);
-    }
-    result.table
+    let colls = [Coll::Bcast, Coll::Allreduce];
+    let table = tune(preset, &space, &colls, Strategy::TaskBasedHeuristic).table;
+    cfg.save(&format!("table_{label}"), &table);
+    table
 }
 
 fn han_for(cfg: &Cfg, preset: &MachinePreset, label: &str) -> Han {

@@ -1,8 +1,8 @@
 //! Where `repro` writes, end to end: paper-scale two-level runs own the
 //! committed `results/<name>.json` files, mini runs write under
 //! `results/mini/` and three-level runs under a further `d3/`. A write
-//! that fails, or a tuned table that exists but does not load, fails the
-//! run with the gate's exit code instead of leaving a stale file behind.
+//! that fails fails the run with the gate's exit code instead of leaving
+//! a stale file behind, and a saved table is an output, never an input.
 
 use han_bench::gate::GATE_EXIT_CODE;
 use std::path::{Path, PathBuf};
@@ -73,17 +73,27 @@ fn a_failed_write_fails_the_run() {
 }
 
 #[test]
-fn a_table_that_does_not_load_fails_the_run_and_is_kept() {
-    let dir = scratch("bad-table");
-    let garbage = "{ this is not a lookup table";
-    write(&dir, "results/mini/table_stampede.json", garbage);
-    let out = repro_in(&dir, &["fig12", "--scale", "mini"]);
-    assert_eq!(out.status.code(), Some(GATE_EXIT_CODE), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+fn a_saved_table_is_retuned_not_reused() {
+    let fresh = scratch("fresh-table");
+    let out = repro_in(&fresh, &["fig12", "--scale", "mini"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let table = read(&fresh, "results/mini/table_stampede.json");
+    let fig = read(&fresh, "results/mini/fig12.json");
+
+    // A complete table for the right machine, with every entry's
+    // intra-node module swapped: only a retune undoes it.
+    let planted = scratch("planted-table");
+    let tampered = table.replace("\"smod\": \"Sm\"", "\"smod\": \"Solo\"");
+    assert_ne!(tampered, table, "the fresh table has no SM entry to tamper");
+    write(&planted, "results/mini/table_stampede.json", &tampered);
+    let out = repro_in(&planted, &["fig12", "--scale", "mini"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let kept = read(&planted, "results/mini/table_stampede.json");
+    assert!(kept == table, "the planted table was reused, not retuned");
     assert!(
-        stderr.contains("cannot load results/mini/table_stampede.json"),
-        "stderr: {stderr}"
+        read(&planted, "results/mini/fig12.json") == fig,
+        "fig12 differs"
     );
-    assert_eq!(read(&dir, "results/mini/table_stampede.json"), garbage);
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&fresh);
+    let _ = std::fs::remove_dir_all(&planted);
 }
