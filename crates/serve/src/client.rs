@@ -1,11 +1,13 @@
-//! The client: one connection, one round trip per batch.
+//! The client: one connection, one round trip per batch. It polls for
+//! each response before it blocks ([`crate::spin`]).
 //!
 //! The server answers each fingerprint of a batch from one store
 //! snapshot, so every answer in a returned batch carries one generation
 //! per fingerprint. Each answer also carries its size bucket `[lo, hi]`,
 //! so a caller may cache it exactly; this client keeps no cache.
 
-use crate::proto::{read_frame, write_frame, Answer, Query, Request, Response, ServerStats};
+use crate::proto::{write_frame, Answer, Query, Request, Response, ServerStats};
+use crate::spin;
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -37,7 +39,9 @@ impl Client {
 
     fn roundtrip(&mut self, request: &Request) -> std::io::Result<Response> {
         write_frame(self.stream.get_mut(), &request.encode())?;
-        let body = read_frame(&mut self.stream)?.ok_or_else(|| {
+        // The answer is due within one round trip, so always poll for it.
+        let (frame, _) = spin::read_frame(&mut self.stream, true)?;
+        let body = frame.ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "server closed")
         })?;
         Response::decode(&body)

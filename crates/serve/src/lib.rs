@@ -16,18 +16,23 @@
 //!   management, listings, counters).
 //! * [`server`] — the daemon: std-thread-per-connection accept loop,
 //!   per-batch generation snapshots (a batch never mixes generations
-//!   for a fingerprint).
-//! * [`client`] — the client: one round trip per batch, no cache.
-//!   Every answer carries its size bucket `[lo, hi]` and generation, so
-//!   a caller may cache it exactly.
+//!   for a fingerprint). A connection whose requests arrive back to back
+//!   polls for the next one; an idle one blocks.
+//! * [`client`] — the client: one round trip per batch, no cache, and
+//!   it polls for each response. Every answer carries its size bucket
+//!   `[lo, hi]` and generation, so a caller may cache it exactly.
+//! * [`spin`] — the spin-then-block frame reader both ends use, and the
+//!   rule for who may poll: never on one core, never more threads than
+//!   cores.
 //! * [`retune`] — background re-tuning workers driving the existing
 //!   pruned exhaustive sweep, publishing results through the
-//!   store's hot-swap path.
+//!   store's hot-swap path; the daemon runs at most one per preset.
 
 pub mod client;
 pub mod proto;
 pub mod retune;
 pub mod server;
+pub mod spin;
 pub mod store;
 
 pub use client::Client;

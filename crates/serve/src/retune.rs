@@ -6,13 +6,19 @@
 //! space by the `table-dominance` guideline), over a compact serving
 //! space. Tuning is CPU-bound and can take seconds; readers keep
 //! resolving against the previous generation until the swap lands.
+//!
+//! The daemon starts its workers through `Retuning`, which runs at
+//! most one worker per fingerprint: a retune asked for while the same
+//! preset is being tuned starts nothing, since the running worker will
+//! publish the same table.
 
 use crate::store::TableStore;
 use han_colls::Coll;
 use han_decide::{preset_fingerprint, LookupTable};
 use han_machine::MachinePreset;
 use han_tuner::{tune, SearchSpace, Strategy};
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Collectives a served table covers by default: the ones the paper
 /// tunes (and the verify suite's dominance set).
@@ -50,6 +56,65 @@ pub fn spawn_retune(
     (fingerprint, handle)
 }
 
+/// The fingerprints a retune worker is tuning now. The preset determines
+/// the fingerprint and tuning is deterministic, so a second worker for a
+/// fingerprint in the set would only publish the same table again.
+#[derive(Debug, Default)]
+pub(crate) struct Retuning(Mutex<HashSet<u64>>);
+
+impl Retuning {
+    /// Tune `preset` on a detached worker and hot-swap the result into
+    /// `store`, unless a worker is already tuning its fingerprint.
+    /// Returns the fingerprint the table will land under.
+    pub(crate) fn start(self: &Arc<Self>, store: &Arc<TableStore>, preset: MachinePreset) -> u64 {
+        let fingerprint = preset_fingerprint(&preset);
+        if let Some(claim) = self.claim(fingerprint) {
+            let store = Arc::clone(store);
+            std::thread::spawn(move || claim.publish(&store, tune_table(&preset)));
+        }
+        fingerprint
+    }
+
+    /// Enter `fingerprint` into the set; `None` if it is already there.
+    fn claim(self: &Arc<Self>, fingerprint: u64) -> Option<Claim> {
+        self.lock().insert(fingerprint).then(|| Claim {
+            retuning: Arc::clone(self),
+            fingerprint,
+        })
+    }
+
+    /// Every update is one insert or remove, so a set poisoned by a
+    /// panic is still valid; and [`Claim`]'s `drop` must not panic.
+    fn lock(&self) -> MutexGuard<'_, HashSet<u64>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A worker's place in [`Retuning`]. Dropping it without publishing (a
+/// worker that panicked) frees the fingerprint too.
+struct Claim {
+    retuning: Arc<Retuning>,
+    fingerprint: u64,
+}
+
+impl Claim {
+    /// Publish `table` and leave the set under one lock, so a retune
+    /// asked for meanwhile finds either a worker that has yet to publish
+    /// or no worker at all.
+    fn publish(self, store: &TableStore, table: LookupTable) -> u64 {
+        let mut tuning = self.retuning.lock();
+        let generation = store.publish(self.fingerprint, table);
+        tuning.remove(&self.fingerprint);
+        generation
+    }
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        self.retuning.lock().remove(&self.fingerprint);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,5 +142,28 @@ mod tests {
         let (_, handle) = spawn_retune(Arc::clone(&store), preset);
         assert_eq!(handle.join().unwrap(), 2);
         assert_eq!(store.snapshot(fp).unwrap().generation, 2);
+    }
+
+    #[test]
+    fn one_claim_per_fingerprint_until_it_publishes() {
+        let retuning = Arc::new(Retuning::default());
+        let store = TableStore::new();
+        let table = LookupTable::new(2, 2);
+        let first = retuning
+            .claim(7)
+            .expect("an empty set takes any fingerprint");
+        assert!(retuning.claim(7).is_none(), "7 is being tuned");
+        let other = retuning.claim(8).expect("8 is not being tuned");
+        assert_eq!(first.publish(&store, table.clone()), 1);
+        assert_eq!(store.snapshot(7).unwrap().generation, 1);
+        // Published, so a retune of 7 may start a worker again.
+        let again = retuning.claim(7).expect("7 published");
+        assert_eq!(again.publish(&store, table), 2);
+        // A claim dropped without publishing (a panicked worker) frees
+        // its fingerprint and publishes nothing.
+        drop(other);
+        assert!(store.snapshot(8).is_none());
+        assert!(retuning.claim(8).is_some());
+        assert!(retuning.lock().is_empty());
     }
 }

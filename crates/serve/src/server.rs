@@ -7,10 +7,9 @@
 //! same generation, even if a re-tune hot-swaps the table mid-batch —
 //! the swap lands atomically between batches, never inside one.
 
-use crate::proto::{
-    read_frame, write_frame, Answer, Query, Request, Response, ServerStats, PROTO_VERSION,
-};
-use crate::retune::spawn_retune;
+use crate::proto::{write_frame, Answer, Query, Request, Response, ServerStats, PROTO_VERSION};
+use crate::retune::Retuning;
+use crate::spin;
 use crate::store::{TableGen, TableStore};
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -93,6 +92,7 @@ pub fn serve(addr: impl ToSocketAddrs, store: Arc<TableStore>) -> std::io::Resul
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let counters = Arc::new(Counters::default());
+    let retuning = Arc::new(Retuning::default());
     let shutdown = Arc::new(AtomicBool::new(false));
 
     let accept_store = Arc::clone(&store);
@@ -106,10 +106,12 @@ pub fn serve(addr: impl ToSocketAddrs, store: Arc<TableStore>) -> std::io::Resul
             let Ok(stream) = stream else { continue };
             let store = Arc::clone(&accept_store);
             let counters = Arc::clone(&accept_counters);
+            let retuning = Arc::clone(&retuning);
             let shutdown = Arc::clone(&accept_shutdown);
             let server_addr = addr;
             std::thread::spawn(move || {
-                let _ = handle_connection(stream, &store, &counters, &shutdown, server_addr);
+                let _ =
+                    handle_connection(stream, &store, &counters, &retuning, &shutdown, server_addr);
             });
         }
     });
@@ -127,14 +129,20 @@ fn handle_connection(
     stream: TcpStream,
     store: &Arc<TableStore>,
     counters: &Counters,
+    retuning: &Arc<Retuning>,
     shutdown: &AtomicBool,
     server_addr: SocketAddr,
 ) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(&stream);
     let mut writer = &stream;
+    // Hot while each request arrives within the spin budget of the read
+    // that waited for it; only a hot connection polls.
+    let mut hot = false;
     loop {
-        let Some(body) = read_frame(&mut reader)? else {
+        let (frame, prompt) = spin::read_frame(&mut reader, hot)?;
+        hot = prompt;
+        let Some(body) = frame else {
             return Ok(()); // peer closed
         };
         let request = match Request::decode(&body) {
@@ -148,7 +156,7 @@ fn handle_connection(
             }
         };
         let stop = matches!(request, Request::Shutdown);
-        let response = dispatch(request, store, counters);
+        let response = dispatch(request, store, counters, retuning);
         write_frame(&mut writer, &response.encode())?;
         if stop {
             shutdown.store(true, Ordering::SeqCst);
@@ -159,7 +167,12 @@ fn handle_connection(
     }
 }
 
-fn dispatch(request: Request, store: &Arc<TableStore>, counters: &Counters) -> Response {
+fn dispatch(
+    request: Request,
+    store: &Arc<TableStore>,
+    counters: &Counters,
+    retuning: &Arc<Retuning>,
+) -> Response {
     match request {
         Request::Hello => Response::Hello {
             proto: PROTO_VERSION,
@@ -188,8 +201,9 @@ fn dispatch(request: Request, store: &Arc<TableStore>, counters: &Counters) -> R
         }
         Request::Retune { preset } => {
             counters.retunes.fetch_add(1, Ordering::Relaxed);
-            // Detached worker; the swap lands whenever tuning finishes.
-            let (fingerprint, _handle) = spawn_retune(Arc::clone(store), *preset);
+            // Detached worker, or none if one is tuning this preset
+            // already; the swap lands whenever tuning finishes.
+            let fingerprint = retuning.start(store, *preset);
             Response::Retuning { fingerprint }
         }
         Request::Stats => Response::Stats {
