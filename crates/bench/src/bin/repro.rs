@@ -966,7 +966,7 @@ fn synth(cfg: &Cfg) {
         "candidates",
         "simulated",
         "runs",
-        "beamed",
+        "pruned",
         "pareto pts",
         "strict wins",
         "oracle",
@@ -1005,7 +1005,7 @@ fn synth(cfg: &Cfg) {
             r.candidates.to_string(),
             r.simulated.to_string(),
             r.runs.to_string(),
-            r.beamed.to_string(),
+            r.pruned.to_string(),
             points.to_string(),
             wins.to_string(),
             format!("{}/{checked}", checked - failed),

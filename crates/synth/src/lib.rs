@@ -22,17 +22,18 @@
 //! Plus non-power-of-two segment sizes (exact k-way splits of the
 //! message), which the pow-2 menu cannot express.
 //!
-//! The search uses the [`han_tuner::bound`] analytic lower bound as an
-//! admissible heuristic and the simulator as the exact cost oracle. It
-//! simulates every menu candidate, then the beyond-menu extras cheapest
-//! bound first; when the extras outgrow [`search::BEAM`], only the
-//! cheapest-bounded are simulated. Menu candidates are *always*
-//! simulated, so the emitted front can never lose to the menu. Each
-//! candidate is costed at two sizes, and candidates whose
+//! The search is exact: every emitted front is the Pareto front of the
+//! full candidate set. It costs every candidate's latency probe, then
+//! scans each group with the tuner's bound-ordered group search
+//! ([`han_tuner::run_group`]), using the [`han_tuner::bound`] analytic
+//! lower bound and the simulator as the exact cost oracle. A candidate's
+//! bandwidth run is skipped only when a costed sample with no higher
+//! latency provably beats it (a menu candidate also needs a menu sample
+//! that beats it, so the menu's best cost stays exact). Candidates whose
 //! [`han_core::HanConfig::effective`] configs agree build the same
-//! program, so the tuner's full-space sweep ([`han_tuner::cost_each`])
-//! simulates each distinct program once: 1,780 runs for the 3,840
-//! paper-scale candidates instead of 7,680. See [`search`].
+//! program and share one simulation. At paper scale 3,578 of the 5,568
+//! candidates skip their bandwidth run, and the whole search simulates
+//! 928 distinct programs. See [`search`].
 //!
 //! Every emitted schedule is expected to pass the symbolic correctness
 //! oracle ([`oracle::verify_schedule`]: race-free, and delivering the
@@ -46,5 +47,5 @@ pub mod space;
 
 pub use oracle::verify_schedule;
 pub use pareto::{pareto_front, Front, FrontPoint};
-pub use search::{synthesize, SynthOpts, SynthResult, SynthSample};
+pub use search::{synthesize, PrunedCandidate, SynthOpts, SynthResult, SynthSample};
 pub use space::{candidates, default_space, Candidate};

@@ -1,35 +1,42 @@
-//! Bound-guided schedule search with an exact simulator oracle.
+//! Exact schedule search: every candidate's latency is costed, and its
+//! bandwidth cost unless a costed sample provably beats it.
 //!
-//! Each `(coll, m)` group simulates every Table-II menu candidate, then
-//! the beyond-menu extras in ascending order of their analytic lower
-//! bound at `m` (ties broken by enumeration index). When a group has more
-//! extras than [`BEAM`], only the `BEAM` cheapest-bounded ones are
-//! simulated. The bounds are admissible (`bound ≤ cost`, pinned by
-//! the `synth-bound-soundness` guideline), so the beam drops the extras
-//! least likely to reach the front; it is a heuristic, not exact.
+//! **Phase 1** costs the latency probe (`min(m, LAT_PROBE)` bytes) of
+//! every candidate of every `(coll, m)` group through the tuner's
+//! full-space sweep ([`cost_each`]). It is cheap: the probes of the
+//! 5,568 paper-scale candidates collapse to 132 distinct programs.
 //!
-//! Menu candidates are never beamed: the emitted front always contains
-//! the full Table-II sweep, which is what makes the `synth-dominance`
-//! guideline (front winner never loses to the menu winner) hold
-//! unconditionally.
+//! **Phase 2** runs each group through the tuner's bound-ordered scan
+//! ([`run_group`]) with the exact latencies as the second objective:
+//! every candidate, menu and extra alike, in ascending `(lower bound at
+//! m, enumeration index)` order, skipping one whose bandwidth bound a
+//! costed sample with no higher latency strictly beats (a menu candidate
+//! also needs a costed menu sample below its bound). [`run_group`]
+//! proves the rule leaves the Pareto front and the best menu cost
+//! exactly as costing every candidate would; the bounds are admissible
+//! (`bound ≤ cost`, pinned by the `synth-bound-soundness` guideline).
+//! Groups are `sweep_groups` jobs, largest message first, each a
+//! deterministic sequential scan.
 //!
-//! Every visited candidate is costed at `m` and at the latency probe
-//! through the tuner's full-space sweep ([`cost_each`]), where one
-//! simulation serves every candidate that builds the same program: costs
-//! are keyed by `(coll, size, effective config)`
-//! ([`HanConfig::effective`]), so a tree choice on a two-node machine,
-//! a sub-segment past the message or a route that routes nothing costs
-//! no extra run. [`SynthResult::runs`] counts the distinct programs.
+//! One simulation serves every candidate that builds the same program:
+//! phase 1 keys costs by `(coll, size, effective config)`
+//! ([`HanConfig::effective`]), phase 2 by effective config within its
+//! group, and a bandwidth program identical to its latency probe
+//! (`m ≤ LAT_PROBE`) reuses the probe's cost. [`SynthResult::runs`]
+//! counts the distinct programs.
 
 use crate::pareto::{pareto_front, Front, FrontPoint};
 use crate::space::{candidates, Candidate};
-use han_colls::stack::Unsupported;
+use han_colls::stack::{time_coll_on, Unsupported};
 use han_colls::Coll;
-use han_core::HanConfig;
+use han_core::{Han, HanConfig};
 use han_decide::LookupTable;
-use han_machine::MachinePreset;
+use han_machine::{Machine, MachinePreset};
 use han_sim::Time;
-use han_tuner::{cost_each, lower_bound, SearchSpace};
+use han_tuner::{
+    cost_each, largest_first, lower_bound, run_group, sweep_groups, GroupCand, Outcome, SearchSpace,
+};
+use std::collections::HashMap;
 
 /// Knobs for [`synthesize`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -39,16 +46,11 @@ pub struct SynthOpts {
     pub workers: Option<usize>,
 }
 
-/// Beam width over the beyond-menu extras: when a group enumerates more
-/// extras than this, only the `BEAM` cheapest-bounded survive (menu
-/// candidates are exempt).
-pub const BEAM: usize = 96;
-
 /// The latency objective probes each schedule at `min(m, LAT_PROBE)`
 /// bytes.
 pub const LAT_PROBE: u64 = 4096;
 
-/// One simulated schedule (kept for the verify guidelines and reports).
+/// One costed schedule (kept for the verify guidelines and reports).
 #[derive(Debug, Clone)]
 pub struct SynthSample {
     pub coll: Coll,
@@ -65,24 +67,42 @@ pub struct SynthSample {
     pub bound_bw: Option<Time>,
 }
 
+/// A candidate the scan pruned: its latency is costed, its bandwidth
+/// cost is not. The guidelines simulate it to check both the bound and
+/// the skip.
+#[derive(Debug, Clone)]
+pub struct PrunedCandidate {
+    pub coll: Coll,
+    pub m: u64,
+    pub cfg: HanConfig,
+    pub menu: bool,
+    /// Simulated cost at the latency probe size.
+    pub lat: Time,
+    pub bound_lat: Option<Time>,
+    /// The bandwidth bound a costed sample beat (a candidate without one
+    /// is never pruned).
+    pub bound_bw: Time,
+}
+
 /// The synthesis outcome across every `(coll, m)` group.
 #[derive(Debug)]
 pub struct SynthResult {
     pub fronts: Vec<Front>,
     pub samples: Vec<SynthSample>,
+    /// Every pruned candidate, group by group in scan-output order.
+    pub pruned_candidates: Vec<PrunedCandidate>,
     /// Candidates enumerated.
     pub candidates: u64,
-    /// Candidates costed: each visited candidate whose collective the
-    /// stack supports, one sample each.
+    /// Candidates costed in both objectives whose collective the stack
+    /// supports, one sample each.
     pub simulated: u64,
-    /// Distinct programs simulated: each visited candidate needs two
-    /// costs (at `m` and at the latency probe), and candidates whose
-    /// effective configs agree share them.
+    /// Distinct programs simulated: every latency probe, plus each
+    /// bandwidth program a probe did not already cost.
     pub runs: u64,
-    /// Always 0: the search has no bound prune. Kept because the
-    /// benchmark reports it as `synth.pruned`.
+    /// Candidates whose bandwidth cost the scan skipped.
     pub pruned: u64,
-    /// Candidates the beam dropped.
+    /// Always 0: the search has no beam. Kept because the benchmark
+    /// reports it as `synth.beamed`.
     pub beamed: u64,
     pub skipped: Vec<Unsupported>,
 }
@@ -120,101 +140,172 @@ impl SynthResult {
     }
 }
 
-/// One group's visit list: the menu candidates in enumeration order, then
-/// the extras that survive the beam, cheapest bound first — each with its
-/// lower bound at the full message size.
-struct Beam {
-    visit: Vec<(usize, Option<Time>)>,
-    beamed: u64,
+/// One `(coll, m)` group and its candidates' latency probe costs.
+struct Group {
+    coll: Coll,
+    m: u64,
+    cands: Vec<Candidate>,
+    lat: Vec<Result<Time, Unsupported>>,
 }
 
-fn beam(preset: &MachinePreset, coll: Coll, m: u64, cands: &[Candidate]) -> Beam {
-    // Ties are broken by index, so the beamed set — and therefore the
-    // whole scan — is deterministic.
-    let bound = |i: usize| (i, lower_bound(preset, &cands[i].cfg, coll, m));
-    let mut visit: Vec<(usize, Option<Time>)> = (0..cands.len())
-        .filter(|&i| cands[i].menu)
-        .map(bound)
+/// One group's phase-2 output, per candidate in enumeration order: its
+/// bounds at the two sizes and its scan outcome (the probe's error when
+/// its latency probe was unsupported), plus the programs the scan
+/// simulated.
+struct Scanned {
+    bound_bw: Vec<Option<Time>>,
+    bound_lat: Vec<Option<Time>>,
+    outcome: Vec<Outcome>,
+    runs: u64,
+}
+
+fn scan(machine: &mut Machine, preset: &MachinePreset, g: &Group) -> Scanned {
+    let (coll, m) = (g.coll, g.m);
+    let lat_m = m.clamp(1, LAT_PROBE);
+    let bound = |size| -> Vec<Option<Time>> {
+        g.cands
+            .iter()
+            .map(|c| lower_bound(preset, &c.cfg, coll, size))
+            .collect()
+    };
+    let (bound_bw, bound_lat) = (bound(m), bound(lat_m));
+    // Only candidates whose probe ran take part in the scan.
+    let live: Vec<(usize, Time)> = (g.lat.iter().enumerate())
+        .filter_map(|(i, lat)| Some((i, *lat.as_ref().ok()?)))
         .collect();
-    let mut extras: Vec<(usize, Option<Time>)> = (0..cands.len())
-        .filter(|&i| !cands[i].menu)
-        .map(bound)
+    let scan_cands: Vec<GroupCand> = live
+        .iter()
+        .map(|&(i, lat)| GroupCand {
+            bound: bound_bw[i],
+            lat,
+            menu: g.cands[i].menu,
+        })
         .collect();
-    extras.sort_by_key(|&(i, b)| (b.unwrap_or(Time::ZERO), i));
-    let beamed = extras.len().saturating_sub(BEAM) as u64;
-    extras.truncate(BEAM);
-    visit.extend(extras);
-    Beam { visit, beamed }
+    let mut memo: HashMap<HanConfig, Result<Time, Unsupported>> = HashMap::new();
+    let mut runs = 0;
+    let outcomes = run_group(&scan_cands, |k| {
+        let (i, lat) = live[k];
+        if m == lat_m {
+            return Ok(lat);
+        }
+        let cfg = g.cands[i].cfg;
+        memo.entry(cfg.effective(&preset.topology, coll, m))
+            .or_insert_with(|| {
+                runs += 1;
+                time_coll_on(&Han::with_config(cfg), machine, preset, coll, m, 0)
+            })
+            .clone()
+    });
+    let mut outcome: Vec<Outcome> = g.lat.iter().cloned().map(Outcome::Cost).collect();
+    for (&(i, _), o) in live.iter().zip(outcomes) {
+        outcome[i] = o;
+    }
+    Scanned {
+        bound_bw,
+        bound_lat,
+        outcome,
+        runs,
+    }
 }
 
 /// Synthesize schedules for every `(coll, m)` group of `space`,
-/// returning the per-group Pareto fronts plus every simulated sample.
+/// returning the per-group Pareto fronts plus every costed sample.
 ///
-/// The beam is fixed from the bounds first. Each visited candidate then
-/// needs two costs, at `m` and at the latency probe, and [`cost_each`]
-/// simulates every distinct program among them once. The samples are
-/// assembled from its results in visit order, so the result is
-/// bit-identical for any worker count.
+/// Phase 1 costs every candidate's latency probe; phase 2 scans each
+/// group for bandwidth costs (see the module docs). Samples feed the
+/// front in a fixed order — the menu in enumeration order, then the
+/// extras by `(bound, index)` — so ties break as they always have, and
+/// the result is bit-identical for any worker count.
 pub fn synthesize(
     preset: &MachinePreset,
     space: &SearchSpace,
     colls: &[Coll],
     opts: SynthOpts,
 ) -> SynthResult {
-    let mut groups: Vec<(Coll, u64, Vec<Candidate>)> = Vec::new();
+    let mut groups: Vec<Group> = Vec::new();
     for &coll in colls {
         for &m in &space.msg_sizes {
-            groups.push((coll, m, candidates(space, preset, coll, m)));
+            let cands = candidates(space, preset, coll, m);
+            groups.push(Group {
+                coll,
+                m,
+                cands,
+                lat: Vec::new(),
+            });
         }
     }
-    let beams: Vec<Beam> = groups
+
+    // Phase 1: every latency probe.
+    let jobs: Vec<(Coll, u64, HanConfig)> = groups
         .iter()
-        .map(|(coll, m, cands)| beam(preset, *coll, *m, cands))
+        .flat_map(|g| {
+            let lat_m = g.m.clamp(1, LAT_PROBE);
+            g.cands.iter().map(move |c| (g.coll, lat_m, c.cfg))
+        })
         .collect();
-
-    // Each visited candidate's pair of jobs, in visit order: full size,
-    // then latency probe.
-    let mut jobs: Vec<(Coll, u64, HanConfig)> = Vec::new();
-    for (&(coll, m, ref cands), b) in groups.iter().zip(&beams) {
-        for &(i, _) in &b.visit {
-            jobs.push((coll, m, cands[i].cfg));
-            jobs.push((coll, m.clamp(1, LAT_PROBE), cands[i].cfg));
-        }
+    let (lats, lat_runs) = cost_each(preset, &jobs, None, opts.workers);
+    let mut lats = lats.into_iter();
+    for g in &mut groups {
+        g.lat = lats.by_ref().take(g.cands.len()).collect();
     }
-    let (costs, runs) = cost_each(preset, &jobs, None, opts.workers);
-    let mut pairs = costs.chunks_exact(2);
 
-    let candidates_total = groups.iter().map(|(_, _, c)| c.len() as u64).sum();
+    // Phase 2: one bound-ordered scan per group.
+    let scanned = sweep_groups(
+        &groups,
+        &largest_first(groups.iter().map(|g| g.m)),
+        opts.workers,
+        || Machine::from_preset(preset),
+        |machine, g| scan(machine, preset, g),
+    );
+
     let mut result = SynthResult {
         fronts: Vec::new(),
         samples: Vec::new(),
-        candidates: candidates_total,
+        pruned_candidates: Vec::new(),
+        candidates: groups.iter().map(|g| g.cands.len() as u64).sum(),
         simulated: 0,
-        runs,
+        runs: lat_runs + scanned.iter().map(|s| s.runs).sum::<u64>(),
         pruned: 0,
         beamed: 0,
         skipped: Vec::new(),
     };
-    for (&(coll, m, ref cands), b) in groups.iter().zip(&beams) {
-        result.beamed += b.beamed;
-        let lat_m = m.clamp(1, LAT_PROBE);
+    for (g, sc) in groups.iter().zip(scanned) {
+        let (coll, m) = (g.coll, g.m);
+        let mut order: Vec<usize> = (0..g.cands.len()).collect();
+        order.sort_by_key(|&i| {
+            let extra = !g.cands[i].menu;
+            let key = if extra {
+                sc.bound_bw[i].unwrap_or(Time::ZERO)
+            } else {
+                Time::ZERO
+            };
+            (extra, key, i)
+        });
         let mut samples = Vec::new();
-        for (&(i, bound_bw), pair) in b.visit.iter().zip(pairs.by_ref()) {
-            match (&pair[0], &pair[1]) {
-                (Ok(bw), Ok(lat)) => {
-                    let Candidate { cfg, menu } = cands[i];
-                    samples.push(SynthSample {
-                        coll,
-                        m,
-                        cfg,
-                        menu,
-                        lat: *lat,
-                        bw: *bw,
-                        bound_lat: lower_bound(preset, &cfg, coll, lat_m),
-                        bound_bw,
-                    });
-                }
-                (Err(e), _) | (_, Err(e)) => e.clone().note_in(&mut result.skipped),
+        for i in order {
+            let Candidate { cfg, menu } = g.cands[i];
+            let (bound_bw, bound_lat) = (sc.bound_bw[i], sc.bound_lat[i]);
+            match (&g.lat[i], &sc.outcome[i]) {
+                (Err(e), _) | (_, Outcome::Cost(Err(e))) => e.clone().note_in(&mut result.skipped),
+                (Ok(lat), Outcome::Cost(Ok(bw))) => samples.push(SynthSample {
+                    coll,
+                    m,
+                    cfg,
+                    menu,
+                    lat: *lat,
+                    bw: *bw,
+                    bound_lat,
+                    bound_bw,
+                }),
+                (Ok(lat), Outcome::Pruned) => result.pruned_candidates.push(PrunedCandidate {
+                    coll,
+                    m,
+                    cfg,
+                    menu,
+                    lat: *lat,
+                    bound_lat,
+                    bound_bw: bound_bw.expect("only bounded candidates are pruned"),
+                }),
             }
         }
         result.simulated += samples.len() as u64;
@@ -243,6 +334,7 @@ pub fn synthesize(
         });
         result.samples.extend(samples);
     }
+    result.pruned = result.pruned_candidates.len() as u64;
     result
 }
 
@@ -293,9 +385,10 @@ mod tests {
     }
 
     #[test]
-    fn beam_drops_extras_never_menu() {
-        // The paper-scale space on `mini(4, 4)` enumerates more extras
-        // than the beam keeps; building the beam computes bounds only.
+    fn paper_space_prunes_extras_and_menu() {
+        // The paper-scale space on `mini(4, 4)`: the scan must skip
+        // bandwidth runs of menu candidates and extras alike, and every
+        // candidate is either costed or pruned.
         let preset = mini(4, 4);
         let space = SearchSpace {
             msg_sizes: vec![8 << 20],
@@ -303,21 +396,13 @@ mod tests {
             inter: SearchSpace::standard().inter,
             intra: vec![IntraModule::Sm, IntraModule::Solo],
         };
-        let coll = Coll::Allreduce;
-        let m = space.msg_sizes[0];
-        let cands = candidates(&space, &preset, coll, m);
-        let menu = cands.iter().filter(|c| c.menu).count();
-        let extras = cands.len() - menu;
-        assert!(extras > BEAM, "{extras} extras must exceed the beam");
-        let b = beam(&preset, coll, m, &cands);
-        assert_eq!(b.beamed, (extras - BEAM) as u64);
-        assert_eq!(b.visit.len(), menu + BEAM);
-        let visited: Vec<usize> = b.visit.iter().map(|&(i, _)| i).collect();
-        for (i, c) in cands.iter().enumerate() {
-            if c.menu {
-                assert!(visited.contains(&i), "menu candidate {i} was beamed");
-            }
-        }
+        let r = synthesize(&preset, &space, &[Coll::Allreduce], SynthOpts::default());
+        assert!(r.pruned > 0, "the scan pruned nothing");
+        assert_eq!(r.beamed, 0);
+        assert_eq!(r.pruned, r.pruned_candidates.len() as u64);
+        assert_eq!(r.simulated + r.pruned, r.candidates);
+        assert!(r.pruned_candidates.iter().any(|p| p.menu));
+        assert!(r.pruned_candidates.iter().any(|p| !p.menu));
     }
 
     #[test]
@@ -336,10 +421,12 @@ mod tests {
         let colls = [Coll::Bcast, Coll::Allreduce];
         let counts = |preset| {
             let r = synthesize(&preset, &space, &colls, SynthOpts::default());
-            (r.simulated, r.runs)
+            (r.simulated + r.pruned, r.runs)
         };
-        // Two nodes: every tree is the same single edge, so Chain, Binary
-        // and Binomial cost one run per collective (the probe size is `m`).
+        // The probe size is `m`, so every bandwidth cost is its probe's
+        // and the runs are the distinct probes. Two nodes: every tree is
+        // the same single edge, so Chain, Binary and Binomial cost one run
+        // per collective.
         assert_eq!(counts(mini3(2, 2, 2)), (3 + 9, 2));
         // Four nodes: the trees differ, and every candidate is its own run.
         assert_eq!(counts(mini(4, 4)), (3 + 9, 3 + 9));

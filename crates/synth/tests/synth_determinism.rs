@@ -1,5 +1,5 @@
-//! Determinism wall: the emitted Pareto fronts are bit-identical across
-//! worker counts.
+//! Determinism wall: the emitted Pareto fronts, the samples, the pruned
+//! set and every counter are bit-identical across worker counts.
 
 use han_colls::{Coll, InterAlg, InterModule, IntraModule};
 use han_machine::{mini, mini3, MachinePreset};
@@ -51,32 +51,28 @@ fn fronts_are_identical_across_worker_counts() {
             // The scan itself is deterministic too, not just the front.
             assert_eq!(one.simulated, many.simulated, "{what}");
             assert_eq!(one.runs, many.runs, "{what}");
-            assert_eq!(one.beamed, many.beamed, "{what}");
+            assert_eq!(one.pruned, many.pruned, "{what}");
+            assert_eq!(one.beamed, 0, "{what}");
+            assert_eq!(many.beamed, 0, "{what}");
             assert_eq!(one.skipped, many.skipped, "{what}");
-            assert_eq!(one.samples.len(), many.samples.len(), "{what}");
-            for (sa, sb) in one.samples.iter().zip(&many.samples) {
-                assert_eq!(
-                    (
-                        sa.coll,
-                        sa.m,
-                        sa.cfg,
-                        sa.lat,
-                        sa.bw,
-                        sa.bound_lat,
-                        sa.bound_bw
-                    ),
-                    (
-                        sb.coll,
-                        sb.m,
-                        sb.cfg,
-                        sb.lat,
-                        sb.bw,
-                        sb.bound_lat,
-                        sb.bound_bw
-                    ),
-                    "{what}"
-                );
-            }
+            let samples = |r: &SynthResult| -> Vec<_> {
+                r.samples
+                    .iter()
+                    .map(|s| {
+                        let objectives = (s.lat, s.bw, s.bound_lat, s.bound_bw);
+                        (s.coll, s.m, s.cfg, s.menu, objectives)
+                    })
+                    .collect()
+            };
+            assert_eq!(samples(&one), samples(&many), "{what}");
+            let pruned = |r: &SynthResult| -> Vec<_> {
+                r.pruned_candidates
+                    .iter()
+                    .map(|p| (p.coll, p.m, p.cfg, p.menu, p.lat, p.bound_lat, p.bound_bw))
+                    .collect()
+            };
+            assert_eq!(pruned(&one), pruned(&many), "{what}");
         }
+        assert!(one.pruned > 0, "{}: the scan pruned nothing", preset.name);
     }
 }

@@ -168,10 +168,36 @@ fn coll_cost(
     Ok(t)
 }
 
-/// Per-config outcome within one `(coll, m)` group.
-enum Outcome {
+/// One candidate's outcome in a [`run_group`] scan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Outcome {
     Cost(Result<Time, Unsupported>),
     Pruned,
+}
+
+/// One candidate of a [`run_group`] scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupCand {
+    /// Admissible lower bound on the scanned cost (`bound ≤ cost`);
+    /// `None` when no bound covers the candidate, which is never pruned.
+    pub bound: Option<Time>,
+    /// Exact cost in the second objective, known before the scan. A
+    /// one-objective scan gives every candidate the same value.
+    pub lat: Time,
+    /// Whether the candidate is on the menu whose best scanned cost the
+    /// caller reports; a pruned menu candidate is beaten by a menu one.
+    pub menu: bool,
+}
+
+impl GroupCand {
+    /// A candidate of a one-objective, menu-free scan.
+    pub fn single(bound: Option<Time>) -> Self {
+        GroupCand {
+            bound,
+            lat: Time::ZERO,
+            menu: false,
+        }
+    }
 }
 
 /// Run `f` over every job on `workers` threads (`None` = available
@@ -190,7 +216,7 @@ enum Outcome {
 /// # Panics
 ///
 /// If `order` is not a permutation of `0..jobs.len()`.
-fn sweep_groups<J: Sync, S, O: Send>(
+pub fn sweep_groups<J: Sync, S, O: Send>(
     jobs: &[J],
     order: &[usize],
     workers: Option<usize>,
@@ -236,7 +262,7 @@ fn sweep_groups<J: Sync, S, O: Send>(
 
 /// The claim order that starts the largest message sizes first (ties in
 /// job order): simulation cost grows with `m` by orders of magnitude.
-fn largest_first(sizes: impl IntoIterator<Item = u64>) -> Vec<usize> {
+pub fn largest_first(sizes: impl IntoIterator<Item = u64>) -> Vec<usize> {
     let mut order: Vec<(u64, usize)> = sizes.into_iter().zip(0..).collect();
     order.sort_by_key(|&(m, j)| (std::cmp::Reverse(m), j));
     order.into_iter().map(|(_, j)| j).collect()
@@ -315,7 +341,15 @@ fn tune_exhaustive(
         &largest_first(groups.iter().map(|g| g.1)),
         workers,
         || Machine::from_preset(preset),
-        |machine, (coll, m, cfgs)| run_group(machine, preset, *coll, *m, cfgs, cache),
+        |machine, (coll, m, cfgs)| {
+            let cands: Vec<GroupCand> = cfgs
+                .iter()
+                .map(|cfg| GroupCand::single(lower_bound(preset, cfg, *coll, *m)))
+                .collect();
+            run_group(&cands, |i| {
+                coll_cost(machine, preset, *coll, *m, cfgs[i], cache)
+            })
+        },
     );
 
     let mut result = TuneResult {
@@ -348,46 +382,58 @@ fn tune_exhaustive(
     result
 }
 
-/// Benchmark one `(coll, m)` group, pruning candidates whose analytic
-/// lower bound exceeds the incumbent best.
+/// Scan one `(coll, m)` group in ascending `(bound, enumeration index)`
+/// order (a missing bound sorts as zero), costing each candidate through
+/// `cost` unless a sample already costed provably beats it; outcomes come
+/// back in enumeration order. This is the one bound-ordered group search:
+/// the exhaustive tuner scans with one objective, synthesis with two.
 ///
-/// Soundness of the winner set: the true optimum `c*` has
-/// `bound(c*) ≤ cost(c*) ≤ incumbent` at every point of the scan, so it is
-/// never pruned (the comparison is strict); conversely any pruned `c` has
-/// `cost(c) ≥ bound(c) > incumbent ≥ min cost`, so it can neither win nor
-/// tie. The surviving minimum — and, because candidates keep their
-/// enumeration order in the output, the tie-broken winner — is identical
-/// to the unpruned sweep's.
-fn run_group(
-    machine: &mut Machine,
-    preset: &MachinePreset,
-    coll: Coll,
-    m: u64,
-    cfgs: &[HanConfig],
-    cache: Option<&CostCache>,
+/// **Skip rule.** Candidate `c` is pruned when some costed `q` has
+/// `q.lat ≤ c.lat` and `q.cost < c.bound` (strict), and, if `c` is a
+/// menu candidate, some costed menu `q'` has `q'.cost < c.bound` too. A
+/// candidate without a bound is always costed.
+///
+/// **Why it is exact.** Take the Pareto front over `(lat, cost)` of every
+/// candidate, built by sorting on `(lat, cost)` and keeping each point
+/// whose cost is below every point before it. A pruned `c` has
+/// `cost(c) ≥ bound(c) > q.cost` and `c.lat ≥ q.lat`, so `q` sorts
+/// strictly before `c` with a lower cost: `c` is never kept, and for any
+/// point after `c` the minimum cost before it already includes `q`'s,
+/// below `c`'s, so removing `c` keeps no other point out or in. The
+/// witness `q` is costed, hence never removed itself. The menu condition
+/// likewise leaves the best menu cost unchanged. The argument holds for
+/// any order the caller feeds the front in (ties keep the first point),
+/// provided the pruned and the unpruned sets are fed in the same order.
+///
+/// With one objective (every `lat` equal, no menu) the rule reads
+/// `bound > incumbent`, the classic prune: the first minimum `c*` has
+/// `bound(c*) ≤ cost(c*) ≤ incumbent` at every point of the scan, so it
+/// is never pruned, and the winner is identical to the unpruned sweep's.
+pub fn run_group(
+    cands: &[GroupCand],
+    mut cost: impl FnMut(usize) -> Result<Time, Unsupported>,
 ) -> Vec<Outcome> {
-    // Visit candidates cheapest-bound-first: tight early incumbents
-    // maximize later prunes, and the fixed `(bound, index)` key keeps the
-    // scan deterministic.
-    let mut order: Vec<(Option<Time>, usize)> = cfgs
-        .iter()
-        .enumerate()
-        .map(|(i, cfg)| (lower_bound(preset, cfg, coll, m), i))
-        .collect();
-    order.sort_by_key(|&(b, i)| (b.unwrap_or(Time::ZERO), i));
+    // Cheapest bound first: tight early samples maximize later prunes,
+    // and the fixed `(bound, index)` key keeps the scan deterministic.
+    let mut order: Vec<usize> = (0..cands.len()).collect();
+    order.sort_by_key(|&i| (cands[i].bound.unwrap_or(Time::ZERO), i));
 
-    let mut results: Vec<Option<Outcome>> = (0..cfgs.len()).map(|_| None).collect();
-    let mut incumbent: Option<Time> = None;
-    for (bound, i) in order {
-        if let (Some(b), Some(inc)) = (bound, incumbent) {
-            if b > inc {
+    let mut results: Vec<Option<Outcome>> = vec![None; cands.len()];
+    // Every costed sample as `(lat, cost, menu)`.
+    let mut costed: Vec<(Time, Time, bool)> = Vec::new();
+    for i in order {
+        let c = cands[i];
+        if let Some(b) = c.bound {
+            let beaten = costed.iter().any(|&(lat, t, _)| lat <= c.lat && t < b);
+            let menu_beaten = !c.menu || costed.iter().any(|&(_, t, menu)| menu && t < b);
+            if beaten && menu_beaten {
                 results[i] = Some(Outcome::Pruned);
                 continue;
             }
         }
-        let r = coll_cost(machine, preset, coll, m, cfgs[i], cache);
-        if let Ok(t) = &r {
-            incumbent = Some(incumbent.map_or(*t, |inc| inc.min(*t)));
+        let r = cost(i);
+        if let Ok(t) = r {
+            costed.push((c.lat, t, c.menu));
         }
         results[i] = Some(Outcome::Cost(r));
     }

@@ -31,7 +31,7 @@ use han_mpi::check_races;
 use han_sim::Time;
 use han_synth::SynthResult;
 use han_tuner::model::predict;
-use han_tuner::{candidate_costs, lower_bound, SearchSpace, TaskBench};
+use han_tuner::{candidate_costs, cost_each, lower_bound, SearchSpace, TaskBench};
 
 /// Simulated candidate costs for every `(coll, m)` group of a search
 /// space, shared by the dominance and bound-soundness guidelines so the
@@ -403,8 +403,9 @@ pub fn bound_soundness(preset: &MachinePreset, candidates: &CandidateSet) -> Gui
 /// the Table-II menu — the front's bandwidth-optimal winner never costs
 /// more than the best menu schedule of the same `(coll, m)` group, and
 /// no simulated sample may strictly dominate a point the front kept.
-/// Zero tolerance: the menu subset is always simulated exactly, so a
-/// losing winner means the search dropped a schedule it had in hand.
+/// Zero tolerance: the front and the menu best are exact over every
+/// candidate, so a losing winner means the search dropped a schedule it
+/// had in hand.
 pub fn synth_dominance(preset: &MachinePreset, synth: &SynthResult) -> GuidelineReport {
     let mut g = GuidelineReport::new(
         "synth-dominance",
@@ -464,32 +465,112 @@ pub fn synth_dominance(preset: &MachinePreset, synth: &SynthResult) -> Guideline
     g
 }
 
-/// `synth-bound-soundness`: the analytic lower bound used to steer the
-/// synthesis search must stay below the simulated cost of every sample
-/// it admitted — at the bandwidth size *and* at the latency probe size,
-/// with zero tolerance: the beam keeps the cheapest-bounded extras, which
-/// is only sound when the bounds are admissible in both objectives.
-pub fn synth_bound_soundness(preset: &MachinePreset, synth: &SynthResult) -> GuidelineReport {
+/// Simulated bandwidth cost of every candidate the synthesis scan pruned,
+/// in `synth.pruned_candidates` order: the ground truth
+/// [`synth_bound_soundness`] and [`synth_prune_exact`] hold the prune to.
+pub fn pruned_costs(preset: &MachinePreset, synth: &SynthResult) -> Vec<Result<Time, Unsupported>> {
+    let jobs: Vec<(Coll, u64, HanConfig)> = synth
+        .pruned_candidates
+        .iter()
+        .map(|p| (p.coll, p.m, p.cfg))
+        .collect();
+    cost_each(preset, &jobs, None, None).0
+}
+
+/// `synth-bound-soundness`: the analytic lower bound that orders and
+/// prunes the synthesis scan must stay below the simulated cost of every
+/// enumerated candidate — at the bandwidth size *and* at the latency
+/// probe size, with zero tolerance: the scan skips a candidate on its
+/// bandwidth bound, which is only exact when the bound is admissible.
+/// Pruned candidates are checked against `pruned` (from
+/// [`pruned_costs`]).
+pub fn synth_bound_soundness(
+    preset: &MachinePreset,
+    synth: &SynthResult,
+    pruned: &[Result<Time, Unsupported>],
+) -> GuidelineReport {
     let mut g = GuidelineReport::new(
         "synth-bound-soundness",
         "the synthesis lower bound never exceeds simulated cost in either objective",
     );
-    for s in &synth.samples {
-        for (what, bound, cost) in [("bw", s.bound_bw, s.bw), ("lat", s.bound_lat, s.lat)] {
-            let Some(lb) = bound else { continue };
+    let costed = synth.samples.iter().map(|s| {
+        let objectives = [
+            ("bw", s.bound_bw, Some(s.bw)),
+            ("lat", s.bound_lat, Some(s.lat)),
+        ];
+        (s.coll, s.m, s.cfg, objectives)
+    });
+    let skipped = synth.pruned_candidates.iter().zip(pruned).map(|(p, bw)| {
+        let objectives = [
+            ("bw", Some(p.bound_bw), bw.as_ref().ok().copied()),
+            ("lat", p.bound_lat, Some(p.lat)),
+        ];
+        (p.coll, p.m, p.cfg, objectives)
+    });
+    for (coll, m, cfg, objectives) in costed.chain(skipped) {
+        for (what, bound, cost) in objectives {
+            let (Some(lb), Some(cost)) = (bound, cost) else {
+                continue;
+            };
             g.check();
             if lb > cost {
                 g.violate(Violation::new(
                     &g.id.clone(),
                     preset.name,
-                    s.coll.name(),
-                    format!("{}", s.cfg),
-                    s.m,
+                    coll.name(),
+                    format!("{cfg}"),
+                    m,
                     lb.as_ps(),
                     cost.as_ps(),
                     format!("{what} bound {lb} > simulated cost {cost}"),
                 ));
             }
+        }
+    }
+    g
+}
+
+/// `synth-prune-exact`: every candidate the synthesis scan pruned, once
+/// simulated (`pruned`, from [`pruned_costs`]), is strictly beaten as the
+/// skip rule states — some emitted sample of its group has no higher
+/// latency and a strictly lower bandwidth cost, and, for a menu
+/// candidate, some menu sample has a strictly lower bandwidth cost. So
+/// it could neither join its group's front nor set its best menu cost.
+pub fn synth_prune_exact(
+    preset: &MachinePreset,
+    synth: &SynthResult,
+    pruned: &[Result<Time, Unsupported>],
+) -> GuidelineReport {
+    let mut g = GuidelineReport::new(
+        "synth-prune-exact",
+        "every pruned synthesis candidate is strictly beaten by an emitted sample",
+    );
+    for (p, bw) in synth.pruned_candidates.iter().zip(pruned) {
+        let Ok(bw) = *bw else { continue };
+        g.check();
+        let group = || {
+            synth
+                .samples
+                .iter()
+                .filter(|s| s.coll == p.coll && s.m == p.m)
+        };
+        let beaten = group().any(|s| s.lat <= p.lat && s.bw < bw);
+        let menu_beaten = !p.menu || group().any(|s| s.menu && s.bw < bw);
+        if !(beaten && menu_beaten) {
+            let best = group().filter(|s| s.lat <= p.lat).map(|s| s.bw).min();
+            g.violate(Violation::new(
+                &g.id.clone(),
+                preset.name,
+                p.coll.name(),
+                format!("{}", p.cfg),
+                p.m,
+                bw.as_ps(),
+                best.map_or(0, |t| t.as_ps()),
+                format!(
+                    "pruned candidate (lat {}, bw {bw}, menu {}) is not strictly beaten",
+                    p.lat, p.menu
+                ),
+            ));
         }
     }
     g

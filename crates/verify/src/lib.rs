@@ -26,7 +26,8 @@
 //! | `analytic-envelope` | analytic models within a bounded factor |
 //! | `serve-agreement` | han-serve daemon answers ≡ direct table lookups, across hot-swaps |
 //! | `synth-dominance` | synthesized front winners ≤ the Table-II menu winner |
-//! | `synth-bound-soundness` | the synthesis lower bound ≤ simulated cost, both objectives |
+//! | `synth-bound-soundness` | the synthesis lower bound ≤ simulated cost, both objectives, every candidate |
+//! | `synth-prune-exact` | every pruned synthesis candidate is strictly beaten by an emitted sample |
 //! | `schedule-race-free` | no happens-before race in any corner or front-point schedule |
 //!
 //! Every failed inequality becomes a structured [`Violation`] (guideline

@@ -4,9 +4,9 @@
 
 use crate::guidelines::{
     allreduce_composition, analytic_envelope, bcast_composition, bound_soundness,
-    enumerate_candidates, msg_monotonicity, rank_monotonicity, reduce_vs_allreduce,
-    schedule_race_free, serve_agreement, synth_bound_soundness, synth_dominance, table_dominance,
-    task_model_accuracy,
+    enumerate_candidates, msg_monotonicity, pruned_costs, rank_monotonicity, reduce_vs_allreduce,
+    schedule_race_free, serve_agreement, synth_bound_soundness, synth_dominance, synth_prune_exact,
+    table_dominance, task_model_accuracy,
 };
 use crate::report::{GuidelineReport, VerifyReport};
 use han_colls::stack::Coll;
@@ -141,16 +141,20 @@ pub fn run_preset(preset: &MachinePreset, opts: &SuiteOpts) -> Vec<GuidelineRepo
     add(bound_soundness(preset, &cands));
 
     // Schedule synthesis over the same space: front winners must
-    // dominate the menu, and the bound steering the search must be
-    // admissible in both objectives.
+    // dominate the menu, the bound steering the search must be
+    // admissible in both objectives for every candidate, and every
+    // pruned candidate, simulated here, must be beaten as the skip rule
+    // states.
     let synth = han_synth::synthesize(
         preset,
         &opts.space,
         &opts.dominance_colls,
         han_synth::SynthOpts::default(),
     );
+    let pruned = pruned_costs(preset, &synth);
     add(synth_dominance(preset, &synth));
-    add(synth_bound_soundness(preset, &synth));
+    add(synth_bound_soundness(preset, &synth, &pruned));
+    add(synth_prune_exact(preset, &synth, &pruned));
 
     // Every corner schedule and every synthesized front point must be
     // race-free: correct in every order its dependencies allow, not just

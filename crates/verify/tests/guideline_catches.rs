@@ -10,8 +10,9 @@ use han_machine::{mini, Flavor};
 use han_mpi::{BufRange, Comm};
 use han_tuner::{tune, SearchSpace, Strategy};
 use han_verify::guidelines::{
-    enumerate_candidates, msg_monotonicity, schedule_race_free, serve_agreement,
-    serve_agreement_against, synth_bound_soundness, synth_dominance, table_dominance,
+    enumerate_candidates, msg_monotonicity, pruned_costs, schedule_race_free, serve_agreement,
+    serve_agreement_against, synth_bound_soundness, synth_dominance, synth_prune_exact,
+    table_dominance,
 };
 use han_verify::{run_suite_with, SuiteOpts};
 
@@ -242,8 +243,10 @@ fn tampered_synth_front_is_caught() {
         &[Coll::Bcast],
         han_synth::SynthOpts::default(),
     );
+    let pruned = pruned_costs(&preset, &synth);
     assert!(synth_dominance(&preset, &synth).passed());
-    assert!(synth_bound_soundness(&preset, &synth).passed());
+    assert!(synth_bound_soundness(&preset, &synth, &pruned).passed());
+    assert!(synth_prune_exact(&preset, &synth, &pruned).passed());
 
     // Inflate a front winner past the menu best: dominance must flag it.
     let mut tampered = han_synth::synthesize(
@@ -267,9 +270,20 @@ fn tampered_synth_front_is_caught() {
         .find(|s| s.bound_bw.is_some())
         .expect("bounded sample");
     s.bw = han_sim::Time::from_ps(s.bound_bw.unwrap().as_ps() / 2);
-    let bad = synth_bound_soundness(&preset, &synth);
+    let bad = synth_bound_soundness(&preset, &synth, &pruned);
     assert!(!bad.passed(), "sub-bound cost must be caught");
     assert_eq!(bad.violations[0].guideline, "synth-bound-soundness");
+
+    // Give a pruned candidate a latency below every sample of its group:
+    // nothing beats it any more, so prune-exactness must flag it.
+    let p = synth
+        .pruned_candidates
+        .first_mut()
+        .expect("the scan prunes on this space");
+    p.lat = han_sim::Time::ZERO;
+    let bad = synth_prune_exact(&preset, &synth, &pruned);
+    assert!(!bad.passed(), "an unbeaten pruned candidate must be caught");
+    assert_eq!(bad.violations[0].guideline, "synth-prune-exact");
 }
 
 #[test]
