@@ -483,7 +483,6 @@ fn fig8(cfg: &Cfg) {
 /// exhaustive best/median/average of every candidate.
 fn fig9(cfg: &Cfg) {
     let (results, _, cache) = tune_strategies(cfg);
-    let preset = cfg.tuning();
     let space = tuning_space(cfg);
     // Every candidate's cost at every `(coll, m)`, duplicates included,
     // for both exhaustive strategies; the sweep's cache serves the
@@ -492,7 +491,7 @@ fn fig9(cfg: &Cfg) {
         let mut out = Vec::new();
         for coll in TUNED_COLLS {
             for &m in &space.msg_sizes {
-                let costs = candidate_costs(&preset, &space, coll, m, heuristic, Some(&cache));
+                let costs = candidate_costs(&cache, &space, coll, m, heuristic);
                 let costs = costs.into_iter().filter_map(|(_, r)| r.ok()).collect();
                 out.push((coll, m, costs));
             }
@@ -537,7 +536,7 @@ fn fig9(cfg: &Cfg) {
                     .flat_map(|(_, _, costs)| costs.iter().copied()),
             );
             let achieved = |r: &TuneResult| {
-                han_tuner::achieved_latency(&preset, &r.table, coll, m, Some(&cache))
+                han_tuner::achieved_latency(&cache, &r.table, coll, m)
                     .expect("tuned collectives are supported")
             };
             t.row(vec![

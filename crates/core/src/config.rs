@@ -50,8 +50,9 @@ impl Deserialize for SegRoute {
             v.get(key)
                 .ok_or_else(|| Error::custom(format!("missing field {key}")))
         };
+        let pri = u64::from_value(field("pri")?)?;
         Ok(SegRoute {
-            pri: u64::from_value(field("pri")?)? as u8,
+            pri: u8::try_from(pri).map_err(|_| Error::custom(format!("route pri {pri}")))?,
             alt: InterAlg::from_value(field("alt")?)?,
         })
     }
@@ -79,8 +80,9 @@ impl fmt::Display for SegRoute {
 /// recursive hierarchy; `deep[k]` selects the submodule for absolute level
 /// `k + 2` (level 1 stays `smod`). The all-`None` value — every two-level
 /// configuration — falls back to `smod` at every depth and serializes in
-/// the exact seven-field Table-II form above, so persisted tables and
-/// cache fingerprints from the two-level era remain valid.
+/// the exact seven-field Table-II form above, so tables written in the
+/// two-level era (`results/table_*.json`) load and re-serialize byte for
+/// byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HanConfig {
     pub fs: u64,
@@ -146,7 +148,7 @@ impl Deserialize for HanConfig {
             Some(r) => Some(SegRoute::from_value(r)?),
             None => None,
         };
-        Ok(HanConfig {
+        let cfg = HanConfig {
             fs: u64::from_value(field("fs")?)?,
             imod: InterModule::from_value(field("imod")?)?,
             smod: IntraModule::from_value(field("smod")?)?,
@@ -156,7 +158,9 @@ impl Deserialize for HanConfig {
             irs: Option::<u64>::from_value(field("irs")?)?,
             deep,
             route,
-        })
+        };
+        cfg.validate().map_err(Error::custom)?;
+        Ok(cfg)
     }
 }
 
@@ -179,6 +183,28 @@ impl Default for HanConfig {
 }
 
 impl HanConfig {
+    /// `Err` unless every size is at least one byte (`fs`, and `ibs`/`irs`
+    /// when set) and a route's `pri` is in `1..ROUTE_PERIOD` (a window
+    /// that is empty or covers the whole period routes nothing). Every
+    /// decoder of a config — JSON and the serve wire — rejects one that
+    /// fails.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.fs == 0 {
+            return Err("fs 0".to_string());
+        }
+        for (name, size) in [("ibs", self.ibs), ("irs", self.irs)] {
+            if size == Some(0) {
+                return Err(format!("{name} 0"));
+            }
+        }
+        match self.route {
+            Some(r) if !(1..ROUTE_PERIOD).contains(&(r.pri as u64)) => {
+                Err(format!("route pri {} outside 1..{ROUTE_PERIOD}", r.pri))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// The ADAPT submodule instance this configuration selects (only
     /// meaningful when `imod == Adapt`).
     pub fn adapt(&self) -> Adapt {
@@ -521,6 +547,36 @@ mod tests {
         let plain = HanConfig::default();
         assert!(!serde_json::to_string(&plain).unwrap().contains("route"));
         assert!(!plain.routed(3));
+    }
+
+    #[test]
+    fn meaningless_values_do_not_decode() {
+        let good =
+            serde_json::to_string(&HanConfig::default().with_route(4, InterAlg::Chain)).unwrap();
+        assert!(serde_json::from_str::<HanConfig>(&good).is_ok(), "{good}");
+        let decode = |from: &str, to: &str| {
+            assert!(good.contains(from), "{good}");
+            serde_json::from_str::<HanConfig>(&good.replace(from, to))
+        };
+        // `pri` 264 would wrap to the valid-looking 8 as a `u8`.
+        for (from, to) in [
+            ("\"fs\":131072", "\"fs\":0"),
+            ("\"ibs\":null", "\"ibs\":0"),
+            ("\"irs\":null", "\"irs\":0"),
+            ("\"pri\":4", "\"pri\":0"),
+            ("\"pri\":4", "\"pri\":8"),
+            ("\"pri\":4", "\"pri\":264"),
+        ] {
+            assert!(decode(from, to).is_err(), "{to} decoded");
+        }
+        for (from, to) in [
+            ("\"fs\":131072", "\"fs\":1"),
+            ("\"ibs\":null", "\"ibs\":1"),
+            ("\"pri\":4", "\"pri\":1"),
+            ("\"pri\":4", "\"pri\":7"),
+        ] {
+            assert!(decode(from, to).is_ok(), "{to} rejected");
+        }
     }
 
     #[test]

@@ -1,17 +1,21 @@
 //! Stable machine-preset fingerprints.
 //!
-//! Tables, cost caches, and the serving daemon's store are all keyed by
-//! *which machine* a decision was tuned for. The key is a fingerprint —
-//! FNV-1a over the preset's canonical JSON form (topology, node, and
-//! network parameters; floats hash by their shortest decimal
-//! representation). Any change to the machine changes the fingerprint,
-//! so persisted state is invalidated, never merged across machines.
+//! The serving daemon's store keys its tables by *which machine* they
+//! were tuned for. The key is a fingerprint — FNV-1a over the preset's
+//! canonical JSON form (topology, node, and network parameters; floats
+//! hash by their shortest decimal representation). Any change to the
+//! machine changes the fingerprint, so tables are never merged across
+//! machines. Clients compute the fingerprint on their side of the wire,
+//! possibly from another build than the daemon's, so the fingerprint of
+//! an unchanged machine must not change either: that is why the presets'
+//! serde forms are kept stable.
 
 use han_machine::MachinePreset;
 
 /// Stable fingerprint of a machine preset: FNV-1a over its canonical JSON
 /// form. Any change to topology, node, or network parameters changes the
-/// fingerprint and invalidates persisted caches and served tables.
+/// fingerprint, so a table served for one machine never answers for
+/// another.
 pub fn preset_fingerprint(preset: &MachinePreset) -> u64 {
     let text = serde_json::to_string(preset).expect("preset serializes");
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

@@ -50,7 +50,7 @@ pub struct NodeParams {
 
 // Hand-written serde keeps the historical 8-field JSON form whenever the
 // cross-socket factor is neutral, so two-level preset fingerprints (and
-// the persisted cost caches keyed by them) survive the N-level refactor.
+// the served tables keyed by them) survive the N-level refactor.
 impl Serialize for NodeParams {
     fn to_value(&self) -> Value {
         let mut map = vec![
@@ -138,8 +138,7 @@ pub struct NetParams {
 
 // Hand-written serde keeps the historical 4-field JSON form for
 // single-rail networks, so every existing preset fingerprint (and the
-// persisted cost caches and tuned tables keyed by them) survives the
-// multi-rail extension.
+// served tables keyed by them) survives the multi-rail extension.
 impl Serialize for NetParams {
     fn to_value(&self) -> Value {
         let mut map = vec![

@@ -49,7 +49,8 @@
 //! With a flag of `0`, the bytes it guards must be zero, so every value
 //! has exactly one encoding. Decoding checks everything — the count
 //! against the body length before allocating, every enum index and flag
-//! byte, no trailing bytes — and returns an error rather than panicking.
+//! byte, every config's ranges ([`HanConfig::validate`]), no trailing
+//! bytes — and returns an error rather than panicking.
 //!
 //! The protocol is request/response (no streaming, no server push): a
 //! client sends one `Request` frame and reads exactly one `Response`
@@ -346,7 +347,7 @@ fn get_config(r: &mut Reader) -> Result<HanConfig, Error> {
         (false, 0, 0) => None,
         (false, ..) => return Err(Error::custom("payload behind a none flag")),
     };
-    Ok(HanConfig {
+    let cfg = HanConfig {
         fs,
         imod,
         smod,
@@ -356,7 +357,9 @@ fn get_config(r: &mut Reader) -> Result<HanConfig, Error> {
         irs,
         deep,
         route,
-    })
+    };
+    cfg.validate().map_err(Error::custom)?;
+    Ok(cfg)
 }
 
 fn put_answer(out: &mut Vec<u8>, a: &Answer) {

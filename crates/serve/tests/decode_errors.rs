@@ -5,9 +5,11 @@
 //! A daemon answers a malformed body with `Error` and keeps serving.
 
 use han_colls::{Coll, InterAlg, InterModule, IntraModule};
-use han_core::{HanConfig, SegRoute, MAX_DEEP};
+use han_core::{HanConfig, SegRoute, MAX_DEEP, ROUTE_PERIOD};
+use han_decide::LookupTable;
 use han_serve::proto::{read_frame, write_frame, Request, Response};
-use han_serve::{serve, Answer, Query, TableStore};
+use han_serve::{serve, Answer, Client, Query, TableStore};
+use han_sim::Time;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -17,6 +19,7 @@ const JSON_ALPHABET: &[u8] = b"{}[]\",:0123456789-+.eEtrufalsn \\/u\x7f\xc3\xa9"
 /// Answer-body offsets from the layout in the `proto` module docs,
 /// relative to the start of an answer.
 const A_COLL: usize = 8;
+const A_FS: usize = 25;
 const A_IMOD: usize = 33;
 const A_SMOD: usize = 34;
 const A_IBALG: usize = 35;
@@ -51,7 +54,8 @@ fn rejected(body: &[u8]) -> bool {
     Request::decode(body).is_err() && Response::decode(body).is_err()
 }
 
-/// A config whose every field is drawn from `bits`, `fs`, `ibs`, `irs`.
+/// A valid config whose every field is drawn from `bits`, `fs`, `ibs`,
+/// `irs` (each size at least 1, `pri` in `1..ROUTE_PERIOD`).
 fn config(bits: u64, fs: u64, ibs: u64, irs: u64) -> HanConfig {
     let pick = |shift: u32, n: u64| ((bits >> shift) % n) as usize;
     let mut deep = [None; MAX_DEEP];
@@ -59,16 +63,16 @@ fn config(bits: u64, fs: u64, ibs: u64, irs: u64) -> HanConfig {
         *d = [None, Some(IntraModule::Sm), Some(IntraModule::Solo)][pick(20 + 2 * k as u32, 3)];
     }
     HanConfig {
-        fs,
+        fs: fs.max(1),
         imod: InterModule::ALL[pick(0, 2)],
         smod: IntraModule::ALL[pick(1, 2)],
         ibalg: InterAlg::ALL[pick(2, 3)],
         iralg: InterAlg::ALL[pick(4, 3)],
-        ibs: (bits >> 6 & 1 == 1).then_some(ibs),
-        irs: (bits >> 7 & 1 == 1).then_some(irs),
+        ibs: (bits >> 6 & 1 == 1).then_some(ibs.max(1)),
+        irs: (bits >> 7 & 1 == 1).then_some(irs.max(1)),
         deep,
         route: (bits >> 8 & 1 == 1).then(|| SegRoute {
-            pri: (bits >> 9) as u8,
+            pri: 1 + pick(9, ROUTE_PERIOD - 1) as u8,
             alt: InterAlg::ALL[pick(17, 3)],
         }),
     }
@@ -295,6 +299,36 @@ fn bad_flag_bytes_are_errors() {
 }
 
 #[test]
+fn meaningless_config_values_are_errors() {
+    // `fs` 0, an `ibs`/`irs` of 0 and a route `pri` outside
+    // `1..ROUTE_PERIOD` mean nothing, so no answer may carry one.
+    let valid = one_answer_body();
+    let set = |offset: usize, bytes: &[u8]| {
+        let mut body = valid.clone();
+        body[HEADER + offset..][..bytes.len()].copy_from_slice(bytes);
+        body
+    };
+    let zero = 0u64.to_le_bytes();
+    for (what, bad) in [
+        ("fs 0", set(A_FS, &zero)),
+        ("ibs 0", set(A_IBS + 1, &zero)),
+        ("irs 0", set(A_IRS + 1, &zero)),
+        ("pri 0", set(A_ROUTE + 1, &[0])),
+        ("pri 8", set(A_ROUTE + 1, &[ROUTE_PERIOD as u8])),
+        ("pri 255", set(A_ROUTE + 1, &[0xFF])),
+    ] {
+        assert!(rejected(&bad), "{what}");
+    }
+    for (what, good) in [
+        ("fs 1", set(A_FS, &1u64.to_le_bytes())),
+        ("pri 1", set(A_ROUTE + 1, &[1])),
+        ("pri 7", set(A_ROUTE + 1, &[ROUTE_PERIOD as u8 - 1])),
+    ] {
+        assert!(Response::decode(&good).is_ok(), "{what}");
+    }
+}
+
+#[test]
 fn trailing_bytes_are_errors() {
     let query = resolve_body(&[Query {
         fingerprint: 1,
@@ -360,5 +394,29 @@ fn malformed_body_gets_an_error_and_the_connection_keeps_serving() {
         }
         other => panic!("{other:?}"),
     }
+    server.shutdown();
+}
+
+/// Publishing a table that holds a meaningless config is an error, and
+/// the server keeps serving the generation it had.
+#[test]
+fn invalid_published_table_is_an_error_and_the_old_generation_stays() {
+    let mut server = serve("127.0.0.1:0", Arc::new(TableStore::new())).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut table = LookupTable::new(2, 4);
+    table.insert(Coll::Bcast, 1024, HanConfig::default(), Time::from_us(5));
+    assert_eq!(client.publish(7, table.clone()).unwrap(), 1);
+    let q = Query {
+        fingerprint: 7,
+        coll: Coll::Bcast,
+        m: 1024,
+    };
+    let before = client.resolve(q).unwrap();
+    assert_eq!(before.generation, 1);
+
+    table.entries[0].cfg.fs = 0;
+    let err = client.publish(7, table).unwrap_err();
+    assert!(err.to_string().starts_with("bad request"), "{err}");
+    assert_eq!(client.resolve(q).unwrap(), before);
     server.shutdown();
 }

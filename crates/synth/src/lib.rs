@@ -31,7 +31,8 @@
 //! latency provably beats it (a menu candidate also needs a menu sample
 //! that beats it, so the menu's best cost stays exact). Candidates whose
 //! [`han_core::HanConfig::effective`] configs agree build the same
-//! program and share one simulation. At paper scale 3,578 of the 5,568
+//! program and share one simulation, through the one
+//! [`han_tuner::CostCache`] the search costs with. At paper scale 3,578 of the 5,568
 //! candidates skip their bandwidth run, and the whole search simulates
 //! 928 distinct programs. See [`search`].
 //!

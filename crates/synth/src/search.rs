@@ -18,25 +18,29 @@
 //! Groups are `sweep_groups` jobs, largest message first, each a
 //! deterministic sequential scan.
 //!
-//! One simulation serves every candidate that builds the same program:
-//! phase 1 keys costs by `(coll, size, effective config)`
-//! ([`HanConfig::effective`]), phase 2 by effective config within its
-//! group, and a bandwidth program identical to its latency probe
-//! (`m ≤ LAT_PROBE`) reuses the probe's cost. [`SynthResult::runs`]
-//! counts the distinct programs.
+//! Both phases cost through one [`CostCache`], so one simulation serves
+//! every candidate that builds the same program ([`CostCache::key`]:
+//! collective, size and [`HanConfig::effective`] config), and a
+//! bandwidth program identical to its latency probe (`m ≤ LAT_PROBE`)
+//! is the probe's entry. [`SynthResult::runs`] counts the cache's
+//! collective entries: the distinct programs. Phase 1 simulates each key
+//! once ([`cost_each`] plans one job per key); a phase-2 key carries its
+//! group's `(coll, m)`, so no two groups share one, and a group scans
+//! sequentially. Each key is therefore simulated once, and the count is
+//! the same for every worker count.
 
 use crate::pareto::{pareto_front, Front, FrontPoint};
 use crate::space::{candidates, Candidate};
-use han_colls::stack::{time_coll_on, Unsupported};
+use han_colls::stack::Unsupported;
 use han_colls::Coll;
-use han_core::{Han, HanConfig};
+use han_core::HanConfig;
 use han_decide::LookupTable;
 use han_machine::{Machine, MachinePreset};
 use han_sim::Time;
 use han_tuner::{
-    cost_each, largest_first, lower_bound, run_group, sweep_groups, GroupCand, Outcome, SearchSpace,
+    cost_each, largest_first, lower_bound, run_group, sweep_groups, CostCache, GroupCand, Outcome,
+    SearchSpace,
 };
-use std::collections::HashMap;
 
 /// Knobs for [`synthesize`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -96,8 +100,9 @@ pub struct SynthResult {
     /// Candidates costed in both objectives whose collective the stack
     /// supports, one sample each.
     pub simulated: u64,
-    /// Distinct programs simulated: every latency probe, plus each
-    /// bandwidth program a probe did not already cost.
+    /// Distinct programs simulated ([`CostCache::key`]s costed): every
+    /// latency probe, plus each bandwidth program a probe did not
+    /// already cost.
     pub runs: u64,
     /// Candidates whose bandwidth cost the scan skipped.
     pub pruned: u64,
@@ -150,17 +155,15 @@ struct Group {
 
 /// One group's phase-2 output, per candidate in enumeration order: its
 /// bounds at the two sizes and its scan outcome (the probe's error when
-/// its latency probe was unsupported), plus the programs the scan
-/// simulated.
+/// its latency probe was unsupported).
 struct Scanned {
     bound_bw: Vec<Option<Time>>,
     bound_lat: Vec<Option<Time>>,
     outcome: Vec<Outcome>,
-    runs: u64,
 }
 
-fn scan(machine: &mut Machine, preset: &MachinePreset, g: &Group) -> Scanned {
-    let (coll, m) = (g.coll, g.m);
+fn scan(machine: &mut Machine, cache: &CostCache, g: &Group) -> Scanned {
+    let (preset, coll, m) = (cache.preset(), g.coll, g.m);
     let lat_m = m.clamp(1, LAT_PROBE);
     let bound = |size| -> Vec<Option<Time>> {
         g.cands
@@ -181,20 +184,8 @@ fn scan(machine: &mut Machine, preset: &MachinePreset, g: &Group) -> Scanned {
             menu: g.cands[i].menu,
         })
         .collect();
-    let mut memo: HashMap<HanConfig, Result<Time, Unsupported>> = HashMap::new();
-    let mut runs = 0;
     let outcomes = run_group(&scan_cands, |k| {
-        let (i, lat) = live[k];
-        if m == lat_m {
-            return Ok(lat);
-        }
-        let cfg = g.cands[i].cfg;
-        memo.entry(cfg.effective(&preset.topology, coll, m))
-            .or_insert_with(|| {
-                runs += 1;
-                time_coll_on(&Han::with_config(cfg), machine, preset, coll, m, 0)
-            })
-            .clone()
+        cache.coll_cost(machine, coll, m, g.cands[live[k].0].cfg)
     });
     let mut outcome: Vec<Outcome> = g.lat.iter().cloned().map(Outcome::Cost).collect();
     for (&(i, _), o) in live.iter().zip(outcomes) {
@@ -204,7 +195,6 @@ fn scan(machine: &mut Machine, preset: &MachinePreset, g: &Group) -> Scanned {
         bound_bw,
         bound_lat,
         outcome,
-        runs,
     }
 }
 
@@ -243,8 +233,8 @@ pub fn synthesize(
             g.cands.iter().map(move |c| (g.coll, lat_m, c.cfg))
         })
         .collect();
-    let (lats, lat_runs) = cost_each(preset, &jobs, None, opts.workers);
-    let mut lats = lats.into_iter();
+    let cache = CostCache::new(preset);
+    let mut lats = cost_each(&cache, &jobs, opts.workers).into_iter();
     for g in &mut groups {
         g.lat = lats.by_ref().take(g.cands.len()).collect();
     }
@@ -255,7 +245,7 @@ pub fn synthesize(
         &largest_first(groups.iter().map(|g| g.m)),
         opts.workers,
         || Machine::from_preset(preset),
-        |machine, g| scan(machine, preset, g),
+        |machine, g| scan(machine, &cache, g),
     );
 
     let mut result = SynthResult {
@@ -264,7 +254,7 @@ pub fn synthesize(
         pruned_candidates: Vec::new(),
         candidates: groups.iter().map(|g| g.cands.len() as u64).sum(),
         simulated: 0,
-        runs: lat_runs + scanned.iter().map(|s| s.runs).sum::<u64>(),
+        runs: cache.stats().coll_entries as u64,
         pruned: 0,
         beamed: 0,
         skipped: Vec::new(),

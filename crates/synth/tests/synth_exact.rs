@@ -1,7 +1,8 @@
 //! Differential wall: the pruned search emits exactly the fronts of a
 //! reference that costs every candidate in both objectives, with no
 //! prune. Points, their order and menu flags, `menu_best_ps` and winners
-//! must all be identical. Real bounds are rarely tight, so the scan is
+//! must all be identical, and `runs` must count exactly the distinct
+//! programs the search needed. Real bounds are rarely tight, so the scan is
 //! also driven on synthetic groups full of tight bounds and exact ties,
 //! where a non-strict skip would first show.
 
@@ -13,7 +14,8 @@ use han_synth::search::LAT_PROBE;
 use han_synth::{
     candidates, default_space, pareto_front, synthesize, Front, FrontPoint, SynthOpts,
 };
-use han_tuner::{cost_each, lower_bound, run_group, GroupCand, Outcome, SearchSpace};
+use han_tuner::{cost_each, lower_bound, run_group, CostCache, GroupCand, Outcome, SearchSpace};
+use std::collections::HashSet;
 
 const COLLS: [Coll; 3] = [Coll::Bcast, Coll::Allreduce, Coll::Reduce];
 
@@ -31,7 +33,7 @@ fn brute_force(preset: &MachinePreset, space: &SearchSpace, colls: &[Coll]) -> V
                 jobs.push((coll, m, c.cfg));
                 jobs.push((coll, m.clamp(1, LAT_PROBE), c.cfg));
             }
-            let (costs, _) = cost_each(preset, &jobs, None, None);
+            let costs = cost_each(&CostCache::new(preset), &jobs, None);
             let mut order: Vec<usize> = (0..cands.len()).collect();
             order.sort_by_key(|&i| {
                 let c = &cands[i];
@@ -77,6 +79,22 @@ fn assert_exact(preset: &MachinePreset, space: &SearchSpace, colls: &[Coll]) -> 
         "{}",
         preset.name
     );
+    // Distinct programs: every candidate's latency probe, plus the
+    // bandwidth program of each costed candidate above the probe size.
+    let topo = &preset.topology;
+    let mut programs = HashSet::new();
+    for &coll in colls {
+        for &m in &space.msg_sizes {
+            let lat_m = m.clamp(1, LAT_PROBE);
+            for c in candidates(space, preset, coll, m) {
+                programs.insert((coll, lat_m, c.cfg.effective(topo, coll, lat_m)));
+            }
+        }
+    }
+    for s in got.samples.iter().filter(|s| s.m > LAT_PROBE) {
+        programs.insert((s.coll, s.m, s.cfg.effective(topo, s.coll, s.m)));
+    }
+    assert_eq!(got.runs, programs.len() as u64, "{}: runs", preset.name);
     got.pruned
 }
 

@@ -24,9 +24,10 @@
 //!   exhaustive+heuristics, task-based (HAN), task-based+heuristics.
 //! * [`heuristics`] — the pruning rules of section III-C (SOLO only above
 //!   512 KB segments; chain only with enough segments).
-//! * [`cache`] — an in-memory memo table for simulated task and
-//!   collective costs, shared across message sizes, collectives and
-//!   strategies within a run.
+//! * [`cache`] — the one in-memory memo of simulated task and
+//!   collective costs, keyed by the program or measurement it caches and
+//!   shared across message sizes, collectives and strategies within a
+//!   run.
 //!
 //! The tuning output, [`LookupTable`], lives in the dependency-light
 //! [`han_decide`] crate, shared with the serving daemon.

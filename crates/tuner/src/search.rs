@@ -14,12 +14,12 @@
 //! would spend) plus the run count; both are reported per strategy.
 
 use crate::bound::lower_bound;
-use crate::cache::CostCache;
+use crate::cache::{CollKey, CostCache};
 use crate::model::predict;
 use crate::space::SearchSpace;
 use crate::taskbench::{TaskBench, BENCH_ITERS};
-use han_colls::stack::{time_coll_on, Coll, Unsupported};
-use han_core::{ConfigSource, Han, HanConfig};
+use han_colls::stack::{Coll, Unsupported};
+use han_core::{ConfigSource, HanConfig};
 use han_decide::LookupTable;
 use han_machine::{Machine, MachinePreset};
 use han_sim::Time;
@@ -108,10 +108,10 @@ pub fn tune(
     tune_with_opts(preset, space, colls, strategy, None, TuneOpts::default())
 }
 
-/// [`tune`], optionally memoizing simulated costs in a shared
-/// [`CostCache`]. Results (tables, virtual tuning times, counters) are
-/// identical with or without a cache — only host wall-clock differs.
-/// `opts` is ignored.
+/// [`tune`], memoizing simulated costs in `cache` (a fresh one when
+/// `None`). Results (tables, virtual tuning times, counters) are
+/// identical with or without a shared cache — only host wall-clock
+/// differs. `opts` is ignored.
 ///
 /// # Panics
 ///
@@ -124,48 +124,31 @@ pub fn tune_with_opts(
     cache: Option<Arc<CostCache>>,
     _opts: TuneOpts,
 ) -> TuneResult {
-    tune_on(preset, space, colls, strategy, cache, None)
+    let cache = match cache {
+        Some(c) => {
+            c.assert_for(preset);
+            c
+        }
+        None => Arc::new(CostCache::new(preset)),
+    };
+    tune_on(&cache, space, colls, strategy, None)
 }
 
-/// [`tune_with_opts`] on `workers` sweep threads (`None` = available
-/// parallelism). Every result is bit-identical for every worker count;
-/// the tests pin that.
+/// Tune on `cache`'s machine through `cache`, on `workers` sweep threads
+/// (`None` = available parallelism). Every result is bit-identical for
+/// every worker count; the tests pin that.
 fn tune_on(
-    preset: &MachinePreset,
+    cache: &Arc<CostCache>,
     space: &SearchSpace,
     colls: &[Coll],
     strategy: Strategy,
-    cache: Option<Arc<CostCache>>,
     workers: Option<usize>,
 ) -> TuneResult {
-    if let Some(c) = &cache {
-        c.assert_for(preset);
-    }
     if strategy.task_based() {
-        tune_task_based(preset, space, colls, strategy, cache, workers)
+        tune_task_based(cache, space, colls, strategy, workers)
     } else {
-        tune_exhaustive(preset, space, colls, strategy, cache, workers)
+        tune_exhaustive(cache, space, colls, strategy, workers)
     }
-}
-
-/// Simulate (or recall) the latency of one HAN collective configuration
-/// on a worker's machine.
-fn coll_cost(
-    machine: &mut Machine,
-    preset: &MachinePreset,
-    coll: Coll,
-    m: u64,
-    cfg: HanConfig,
-    cache: Option<&CostCache>,
-) -> Result<Time, Unsupported> {
-    if let Some(t) = cache.and_then(|c| c.lookup_coll(coll, &cfg, m)) {
-        return Ok(t);
-    }
-    let t = time_coll_on(&Han::with_config(cfg), machine, preset, coll, m, 0)?;
-    if let Some(c) = cache {
-        c.record_coll(coll, &cfg, m, t);
-    }
-    Ok(t)
 }
 
 /// One candidate's outcome in a [`run_group`] scan.
@@ -268,36 +251,24 @@ pub fn largest_first(sizes: impl IntoIterator<Item = u64>) -> Vec<usize> {
     order.into_iter().map(|(_, j)| j).collect()
 }
 
-/// Simulate (or recall) the cost of every `(coll, m, cfg)` job, in job
-/// order, plus the number of distinct programs simulated.
+/// Simulate (or recall from `cache`) the cost of every `(coll, m, cfg)`
+/// job on the cache's machine, in job order.
 ///
-/// Jobs whose effective configs ([`HanConfig::effective`]) agree build
-/// the same program, so they share one run: jobs are deduplicated by
-/// `(coll, m, effective config)` in first-occurrence order, each distinct
-/// program is simulated once with its first job's config (one
-/// `sweep_groups` job, claimed largest message first) and the result is
-/// fanned back out to every job that shares it. The output is
-/// bit-identical for every worker count.
-///
-/// # Panics
-///
-/// If `cache` was built for a different machine preset.
+/// The job plan holds one job per [`CostCache::key`] in first-occurrence
+/// order: jobs that build the same program share one run, claimed
+/// largest message first, and its cost is fanned back out to every job
+/// that shares it. The output is bit-identical for every worker count.
 pub fn cost_each(
-    preset: &MachinePreset,
+    cache: &CostCache,
     jobs: &[(Coll, u64, HanConfig)],
-    cache: Option<&CostCache>,
     workers: Option<usize>,
-) -> (Vec<Result<Time, Unsupported>>, u64) {
-    if let Some(c) = cache {
-        c.assert_for(preset);
-    }
+) -> Vec<Result<Time, Unsupported>> {
     let mut distinct: Vec<(Coll, u64, HanConfig)> = Vec::new();
-    let mut index: HashMap<(Coll, u64, HanConfig), usize> = HashMap::new();
+    let mut index: HashMap<CollKey, usize> = HashMap::new();
     let slots: Vec<usize> = jobs
         .iter()
         .map(|&(coll, m, cfg)| {
-            let key = (coll, m, cfg.effective(&preset.topology, coll, m));
-            *index.entry(key).or_insert_with(|| {
+            *index.entry(cache.key(coll, m, &cfg)).or_insert_with(|| {
                 distinct.push((coll, m, cfg));
                 distinct.len() - 1
             })
@@ -307,21 +278,20 @@ pub fn cost_each(
         &distinct,
         &largest_first(distinct.iter().map(|j| j.1)),
         workers,
-        || Machine::from_preset(preset),
-        |machine, &(coll, m, cfg)| coll_cost(machine, preset, coll, m, cfg, cache),
+        || Machine::from_preset(cache.preset()),
+        |machine, &(coll, m, cfg)| cache.coll_cost(machine, coll, m, cfg),
     );
-    let out = slots.into_iter().map(|k| costs[k].clone()).collect();
-    (out, distinct.len() as u64)
+    slots.into_iter().map(|k| costs[k].clone()).collect()
 }
 
 fn tune_exhaustive(
-    preset: &MachinePreset,
+    cache: &CostCache,
     space: &SearchSpace,
     colls: &[Coll],
     strategy: Strategy,
-    cache: Option<Arc<CostCache>>,
     workers: Option<usize>,
 ) -> TuneResult {
+    let preset = cache.preset();
     // Enumerate every `(coll, m)` group with its candidate configs up
     // front, in deterministic order. A group is one job: its candidates
     // run sequentially in ascending `(lower bound, enumeration index)`
@@ -335,7 +305,6 @@ fn tune_exhaustive(
             groups.push((coll, m, cfgs));
         }
     }
-    let cache = cache.as_deref();
     let outcomes = sweep_groups(
         &groups,
         &largest_first(groups.iter().map(|g| g.1)),
@@ -346,9 +315,7 @@ fn tune_exhaustive(
                 .iter()
                 .map(|cfg| GroupCand::single(lower_bound(preset, cfg, *coll, *m)))
                 .collect();
-            run_group(&cands, |i| {
-                coll_cost(machine, preset, *coll, *m, cfgs[i], cache)
-            })
+            run_group(&cands, |i| cache.coll_cost(machine, *coll, *m, cfgs[i]))
         },
     );
 
@@ -458,13 +425,13 @@ struct ConfigOut {
 }
 
 fn tune_task_based(
-    preset: &MachinePreset,
+    cache: &Arc<CostCache>,
     space: &SearchSpace,
     colls: &[Coll],
     strategy: Strategy,
-    cache: Option<Arc<CostCache>>,
     workers: Option<usize>,
 ) -> TuneResult {
+    let preset = cache.preset();
     // One job per configuration: every task measurement belongs to one
     // configuration, so each is taken, and charged, exactly once.
     let mut groups: Vec<(Coll, u64, Vec<usize>)> = Vec::new();
@@ -492,13 +459,7 @@ fn tune_task_based(
         &jobs,
         &order,
         workers,
-        || {
-            let tb = TaskBench::new(preset);
-            match &cache {
-                Some(c) => tb.with_shared_cache(c.clone()),
-                None => tb,
-            }
-        },
+        || TaskBench::with_cache(cache.clone()),
         |tb, job| {
             let (spent, runs) = (tb.spent, tb.runs);
             let predicted = job
@@ -548,51 +509,38 @@ fn tune_task_based(
 }
 
 /// Simulate (or recall from `cache`) every candidate configuration
-/// `space` enumerates for one `(coll, m)` group — unpruned, in
-/// enumeration order, duplicates included. This is the full space: the
-/// ground truth a tuned table must dominate (`han_verify`'s
+/// `space` enumerates for one `(coll, m)` group on the cache's machine —
+/// unpruned, in enumeration order, duplicates included. This is the full
+/// space: the ground truth a tuned table must dominate (`han_verify`'s
 /// table-dominance guideline checks the table winner against every
 /// `(cfg, cost)` pair returned here, pinning bound-pruning soundness
 /// end-to-end) and the exhaustive distribution of Fig. 9.
-///
-/// # Panics
-///
-/// If `cache` was built for a different machine preset.
 pub fn candidate_costs(
-    preset: &MachinePreset,
+    cache: &CostCache,
     space: &SearchSpace,
     coll: Coll,
     m: u64,
     heuristic: bool,
-    cache: Option<&CostCache>,
 ) -> Vec<(HanConfig, Result<Time, Unsupported>)> {
-    let cfgs = space.configs_for(m, &preset.topology, heuristic);
+    let cfgs = space.configs_for(m, &cache.preset().topology, heuristic);
     let jobs: Vec<(Coll, u64, HanConfig)> = cfgs.iter().map(|&cfg| (coll, m, cfg)).collect();
-    let (costs, _) = cost_each(preset, &jobs, cache, None);
-    cfgs.into_iter().zip(costs).collect()
+    cfgs.into_iter()
+        .zip(cost_each(cache, &jobs, None))
+        .collect()
 }
 
-/// Measure the *achieved* collective latency of a tuned table: run the
-/// collective with the configuration the table selects (the red/green
-/// bars of Fig. 9), optionally recalling the measurement from a shared
-/// [`CostCache`] instead of re-simulating it.
-///
-/// # Panics
-///
-/// If `cache` was built for a different machine preset.
+/// Measure the *achieved* collective latency of a tuned table on the
+/// cache's machine: run the collective with the configuration the table
+/// selects (the red/green bars of Fig. 9), or recall that run from
+/// `cache`.
 pub fn achieved_latency(
-    preset: &MachinePreset,
+    cache: &CostCache,
     table: &LookupTable,
     coll: Coll,
     m: u64,
-    cache: Option<&CostCache>,
 ) -> Result<Time, Unsupported> {
-    if let Some(c) = cache {
-        c.assert_for(preset);
-    }
-    let cfg = table.config(coll, m);
-    let mut machine = Machine::from_preset(preset);
-    coll_cost(&mut machine, preset, coll, m, cfg, cache)
+    let mut machine = Machine::from_preset(cache.preset());
+    cache.coll_cost(&mut machine, coll, m, table.config(coll, m))
 }
 
 #[cfg(test)]
@@ -600,6 +548,7 @@ mod tests {
     use super::*;
     use crate::space::pow2_range;
     use han_colls::stack::time_coll;
+    use han_core::Han;
     use han_machine::mini;
 
     fn tiny_space() -> SearchSpace {
@@ -646,8 +595,9 @@ mod tests {
         let tk = tune(&preset, &space, &[Coll::Bcast], Strategy::TaskBased);
         for &m in &space.msg_sizes {
             let best = ex.table.get(Coll::Bcast, m).unwrap();
-            let achieved = achieved_latency(&preset, &tk.table, Coll::Bcast, m, None).unwrap();
-            let optimal = achieved_latency(&preset, &ex.table, Coll::Bcast, m, None).unwrap();
+            let cold = || CostCache::new(&preset);
+            let achieved = achieved_latency(&cold(), &tk.table, Coll::Bcast, m).unwrap();
+            let optimal = achieved_latency(&cold(), &ex.table, Coll::Bcast, m).unwrap();
             assert_eq!(
                 Time::from_ps(best.cost_ps),
                 optimal,
@@ -706,6 +656,7 @@ mod tests {
             space.intra = vec![han_colls::IntraModule::Sm, han_colls::IntraModule::Solo];
             let colls = [Coll::Bcast, Coll::Allreduce, Coll::Reduce];
             let fast = tune(&preset, &space, &colls, Strategy::Exhaustive);
+            let cache = CostCache::new(&preset);
             assert!(
                 fast.pruned > 0,
                 "{}: pruning should fire on this space",
@@ -715,7 +666,7 @@ mod tests {
             for &coll in &colls {
                 for &m in &space.msg_sizes {
                     let mut best: Option<(HanConfig, u64)> = None;
-                    for (cfg, r) in candidate_costs(&preset, &space, coll, m, false, None) {
+                    for (cfg, r) in candidate_costs(&cache, &space, coll, m, false) {
                         let t = r.unwrap().as_ps();
                         candidates += 1;
                         if best.map(|(_, bt)| t < bt).unwrap_or(true) {
@@ -756,8 +707,8 @@ mod tests {
             assert!(swept.pruned > 0, "{}", preset.name);
             for &coll in &colls {
                 for &m in &space.msg_sizes {
-                    let cold = candidate_costs(&preset, &space, coll, m, false, None);
-                    let warm = candidate_costs(&preset, &space, coll, m, false, Some(&cache));
+                    let cold = candidate_costs(&CostCache::new(&preset), &space, coll, m, false);
+                    let warm = candidate_costs(&cache, &space, coll, m, false);
                     assert_eq!(cold, warm, "{} {coll:?} m={m}", preset.name);
                     for (cfg, r) in cold {
                         let truth = time_coll(&Han::with_config(cfg), &preset, coll, m, 0);
@@ -802,8 +753,10 @@ mod tests {
         let colls = [Coll::Bcast, Coll::Allreduce, Coll::Reduce];
         for preset in [mini(2, 4), han_machine::mini3(2, 2, 2)] {
             for strategy in Strategy::ALL {
-                let run =
-                    |w| fingerprint(tune_on(&preset, &space, &colls, strategy, None, Some(w)));
+                let run = |w| {
+                    let cache = Arc::new(CostCache::new(&preset));
+                    fingerprint(tune_on(&cache, &space, &colls, strategy, Some(w)))
+                };
                 let one = run(1);
                 assert!(!one.1.is_empty());
                 for w in [2, 3, 8] {
@@ -823,11 +776,12 @@ mod tests {
                     }
                 }
             }
-            let one = cost_each(&preset, &jobs, None, Some(1));
-            assert_eq!(one.0.len(), jobs.len());
+            let run = |w| cost_each(&CostCache::new(&preset), &jobs, Some(w));
+            let one = run(1);
+            assert_eq!(one.len(), jobs.len());
             for w in [2, 3, 8] {
                 assert!(
-                    cost_each(&preset, &jobs, None, Some(w)) == one,
+                    run(w) == one,
                     "{}: cost_each on {w} workers differs from 1",
                     preset.name
                 );
@@ -909,14 +863,6 @@ mod tests {
     #[should_panic(expected = "different machine preset")]
     fn foreign_cache_panics_task_based_heuristic() {
         tune_with_foreign_cache(Strategy::TaskBasedHeuristic);
-    }
-
-    #[test]
-    #[should_panic(expected = "different machine preset")]
-    fn foreign_cache_panics_achieved_latency() {
-        let cache = CostCache::new(&mini(2, 4));
-        let table = LookupTable::for_topology(&mini(4, 4).topology);
-        let _ = achieved_latency(&mini(4, 4), &table, Coll::Bcast, 4096, Some(&cache));
     }
 
     #[test]

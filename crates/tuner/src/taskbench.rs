@@ -16,19 +16,21 @@
 //! * [`TaskBench::occurrence_trace`] re-measures a repeated task
 //!   occurrence by occurrence until its cost stabilizes (Fig. 3).
 //!
-//! Every actual benchmark run adds its virtual duration (× the repetition
-//! count a real harness would use) to [`TaskBench::spent`] — the quantity
-//! Fig. 8 compares across tuning strategies. Memo hits cost nothing,
-//! which is exactly how task reuse across message sizes and collectives
-//! saves tuning time.
+//! Every measurement is taken through the session's [`CostCache`], which
+//! may be shared with other sessions. The first time a session uses a
+//! measurement it adds the run's virtual duration (× the repetition count
+//! a real harness would use) to [`TaskBench::spent`] — the quantity
+//! Fig. 8 compares across tuning strategies — whether the cache simulated
+//! it or recalled it. Later uses cost nothing, which is exactly how task
+//! reuse across message sizes and collectives saves tuning time.
 
-use crate::cache::CostCache;
+use crate::cache::{CostCache, TaskEntry, TaskKey};
 use han_core::task::{task_program, TaskSpec};
 use han_core::HanConfig;
 use han_machine::{Flavor, Machine, MachinePreset};
 use han_mpi::{execute, ExecOpts};
 use han_sim::Time;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Repetitions a real offline tuner would run per measurement (IMB-style).
@@ -72,12 +74,10 @@ pub fn context(spec: TaskSpec) -> &'static [TaskSpec] {
     &pipeline[..at]
 }
 
-/// Memo key: configuration, task, segment size, and the *relative* start
-/// skew pattern (costs are invariant under a uniform shift of all nodes,
-/// but not under changes of the inter-node skew shape — that is the whole
-/// point of the delayed-participation benchmark).
-type Key = (HanConfig, TaskSpec, u64, Vec<u64>);
-
+/// The relative start skew pattern of a measurement's key: costs are
+/// invariant under a uniform shift of all nodes, but not under changes of
+/// the inter-node skew shape — that is the whole point of the
+/// delayed-participation benchmark.
 fn skew_key(skew: &[Time]) -> Vec<u64> {
     let min = skew.iter().copied().min().unwrap_or(Time::ZERO);
     skew.iter().map(|s| (*s - min).as_ps()).collect()
@@ -91,111 +91,59 @@ fn delay(skew: &mut [Time], cost: &[Time]) {
 
 /// A benchmarking session over one machine preset.
 pub struct TaskBench {
-    preset: MachinePreset,
+    cache: Arc<CostCache>,
     machine: Machine,
-    /// Every measurement this session has taken, by its full context.
-    memo: HashMap<Key, Vec<Time>>,
+    /// Every measurement this session has charged to `spent` and `runs`.
+    charged: HashSet<TaskKey>,
     /// Total virtual time spent in actual benchmark runs.
     pub spent: Time,
-    /// Number of actual benchmark runs (memo misses).
+    /// Number of distinct measurements this session has used.
     pub runs: u64,
-    /// Optional cross-run memo: measurements found here skip the
-    /// simulation but are accounted (`spent`, `runs`) exactly as if they
-    /// had run, so virtual tuning-time figures are cache-independent.
-    shared: Option<Arc<CostCache>>,
 }
 
 impl TaskBench {
+    /// A session measuring through a cache of its own.
     pub fn new(preset: &MachinePreset) -> Self {
+        Self::with_cache(Arc::new(CostCache::new(preset)))
+    }
+
+    /// A session on `cache`'s machine that measures through `cache`.
+    /// Measurements found there skip the simulation but are charged
+    /// (`spent`, `runs`) exactly as if they had run, so virtual
+    /// tuning-time figures are cache-independent.
+    pub fn with_cache(cache: Arc<CostCache>) -> Self {
         TaskBench {
-            preset: *preset,
-            machine: Machine::from_preset(preset),
-            memo: HashMap::new(),
+            machine: Machine::from_preset(cache.preset()),
+            cache,
+            charged: HashSet::new(),
             spent: Time::ZERO,
             runs: 0,
-            shared: None,
         }
     }
 
-    /// Attach a shared [`CostCache`] (must be for the same preset).
-    pub fn with_shared_cache(mut self, cache: Arc<CostCache>) -> Self {
-        cache.assert_for(&self.preset);
-        self.shared = Some(cache);
-        self
-    }
-
     pub fn preset(&self) -> &MachinePreset {
-        &self.preset
+        self.cache.preset()
     }
 
     /// Number of node leaders (= nodes).
     pub fn leaders(&self) -> usize {
-        self.preset.topology.nodes()
+        self.preset().topology.nodes()
     }
 
     /// Run `spec` with per-node start skew and return each leader's cost
-    /// (finish − its skew). Every run is charged to `spent` and `runs`;
-    /// a measurement this bench already took is a free memo hit.
+    /// (finish − its skew). The first use of each measurement is charged
+    /// to `spent` and `runs`; a later one is free.
     fn measured(&mut self, cfg: &HanConfig, spec: TaskSpec, seg: u64, skew: &[Time]) -> Vec<Time> {
         let key = (*cfg, spec, seg, skew_key(skew));
-        if let Some(c) = self.memo.get(&key) {
-            return c.clone();
+        let (cache, machine) = (&self.cache, &mut self.machine);
+        let (cost, window) = cache.task_cost(&key, || {
+            simulate(machine, cache.preset(), cfg, spec, seg, skew)
+        });
+        if self.charged.insert(key) {
+            self.spent += window * BENCH_ITERS;
+            self.runs += 1;
         }
-        // Warm path: another bench sharing the cache already simulated
-        // this exact measurement. Account for it identically.
-        let recalled = self
-            .shared
-            .as_ref()
-            .and_then(|shared| shared.lookup_task(cfg, spec, seg, &key.3));
-        let (cost, window) = match recalled {
-            Some(r) => r,
-            None => {
-                let r = self.simulate(cfg, spec, seg, skew);
-                if let Some(shared) = &self.shared {
-                    shared.record_task(cfg, spec, seg, key.3.clone(), &r.0, r.1);
-                }
-                r
-            }
-        };
-        self.spent += window * BENCH_ITERS;
-        self.runs += 1;
-        self.memo.insert(key, cost.clone());
         cost
-    }
-
-    /// Simulate one measurement: each leader's cost plus the window the
-    /// benchmark occupies the cluster.
-    fn simulate(
-        &mut self,
-        cfg: &HanConfig,
-        spec: TaskSpec,
-        seg: u64,
-        skew: &[Time],
-    ) -> (Vec<Time>, Time) {
-        let tp = task_program(&self.preset, cfg, spec, seg, 0);
-        let topo = self.preset.topology;
-        let mut start = vec![Time::ZERO; topo.world_size()];
-        for (node, &s) in skew.iter().enumerate() {
-            for r in topo.node_ranks(node) {
-                start[r] = s;
-            }
-        }
-        let opts = ExecOpts::timing(Flavor::OpenMpi.p2p()).with_skew(start);
-        let rep = execute(&mut self.machine, &tp.program, &opts);
-        // The benchmark occupies the cluster from the first participant's
-        // start to the last completion; the lead-in skew itself is not
-        // re-paid per measurement (a real tuner injects delays relative to
-        // the benchmark's own clock).
-        let window = rep
-            .makespan
-            .saturating_sub(skew.iter().copied().min().unwrap_or(Time::ZERO));
-        let cost = tp
-            .observers
-            .iter()
-            .enumerate()
-            .map(|(ul, &(_, op))| rep.finish(op).saturating_sub(skew[ul]))
-            .collect();
-        (cost, window)
     }
 
     /// Each leader's finish time after running `leadin` in order from a
@@ -256,6 +204,42 @@ impl TaskBench {
     }
 }
 
+/// Simulate one measurement: each leader's cost plus the window the
+/// benchmark occupies the cluster.
+fn simulate(
+    machine: &mut Machine,
+    preset: &MachinePreset,
+    cfg: &HanConfig,
+    spec: TaskSpec,
+    seg: u64,
+    skew: &[Time],
+) -> TaskEntry {
+    let tp = task_program(preset, cfg, spec, seg, 0);
+    let topo = preset.topology;
+    let mut start = vec![Time::ZERO; topo.world_size()];
+    for (node, &s) in skew.iter().enumerate() {
+        for r in topo.node_ranks(node) {
+            start[r] = s;
+        }
+    }
+    let opts = ExecOpts::timing(Flavor::OpenMpi.p2p()).with_skew(start);
+    let rep = execute(machine, &tp.program, &opts);
+    // The benchmark occupies the cluster from the first participant's
+    // start to the last completion; the lead-in skew itself is not
+    // re-paid per measurement (a real tuner injects delays relative to
+    // the benchmark's own clock).
+    let window = rep
+        .makespan
+        .saturating_sub(skew.iter().copied().min().unwrap_or(Time::ZERO));
+    let cost = tp
+        .observers
+        .iter()
+        .enumerate()
+        .map(|(ul, &(_, op))| rep.finish(op).saturating_sub(skew[ul]))
+        .collect();
+    (cost, window)
+}
+
 /// Whether two occurrences' slowest-leader costs agree within
 /// [`STABLE_TOL`].
 fn agree(prev: &[Time], cost: &[Time]) -> bool {
@@ -293,6 +277,21 @@ mod tests {
         tb.first_cost(&cfg, TaskSpec::IB, 64 * 1024);
         assert_eq!(tb.runs, runs, "cache hit must not re-run");
         assert_eq!(tb.spent, spent);
+    }
+
+    #[test]
+    fn shared_cache_hits_are_charged_like_runs() {
+        // A second session on the same cache simulates nothing, yet pays
+        // exactly what the first one paid.
+        let cache = Arc::new(CostCache::new(&mini(4, 4)));
+        let cfg = HanConfig::default();
+        let mut a = TaskBench::with_cache(cache.clone());
+        let mut b = TaskBench::with_cache(cache.clone());
+        let cost = a.task_cost(&cfg, TaskSpec::SB, 64 * 1024);
+        let misses = cache.stats().misses;
+        assert_eq!(b.task_cost(&cfg, TaskSpec::SB, 64 * 1024), cost);
+        assert_eq!(cache.stats().misses, misses, "b recalls every measurement");
+        assert_eq!((b.runs, b.spent), (a.runs, a.spent));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use han_mpi::check_races;
 use han_sim::Time;
 use han_synth::SynthResult;
 use han_tuner::model::predict;
-use han_tuner::{candidate_costs, cost_each, lower_bound, SearchSpace, TaskBench};
+use han_tuner::{candidate_costs, cost_each, lower_bound, CostCache, SearchSpace, TaskBench};
 
 /// Simulated candidate costs for every `(coll, m)` group of a search
 /// space, shared by the dominance and bound-soundness guidelines so the
@@ -44,14 +44,11 @@ pub fn enumerate_candidates(
     space: &SearchSpace,
     colls: &[Coll],
 ) -> CandidateSet {
+    let cache = CostCache::new(preset);
     let mut out = Vec::new();
     for &coll in colls {
         for &m in &space.msg_sizes {
-            out.push((
-                coll,
-                m,
-                candidate_costs(preset, space, coll, m, false, None),
-            ));
+            out.push((coll, m, candidate_costs(&cache, space, coll, m, false)));
         }
     }
     out
@@ -474,7 +471,7 @@ pub fn pruned_costs(preset: &MachinePreset, synth: &SynthResult) -> Vec<Result<T
         .iter()
         .map(|p| (p.coll, p.m, p.cfg))
         .collect();
-    cost_each(preset, &jobs, None, None).0
+    cost_each(&CostCache::new(preset), &jobs, None)
 }
 
 /// `synth-bound-soundness`: the analytic lower bound that orders and

@@ -140,9 +140,9 @@ fn achieved_latency_is_cache_transparent() {
     );
     for coll in colls {
         for &m in &space.msg_sizes {
-            let plain = achieved_latency(&preset, &tuned.table, coll, m, None);
+            let plain = achieved_latency(&CostCache::new(&preset), &tuned.table, coll, m);
             let hits_before = cache.stats().hits;
-            let cached = achieved_latency(&preset, &tuned.table, coll, m, Some(&cache));
+            let cached = achieved_latency(&cache, &tuned.table, coll, m);
             assert_eq!(plain, cached, "{coll:?}@{m}: cached probe must match");
             assert!(
                 cache.stats().hits > hits_before,

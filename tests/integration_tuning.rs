@@ -5,6 +5,7 @@
 use han::prelude::*;
 use han::tuner::search::achieved_latency;
 use han::tuner::space::pow2_range;
+use han::tuner::CostCache;
 use std::sync::Arc;
 
 fn test_space() -> SearchSpace {
@@ -54,10 +55,11 @@ fn tuned_beats_single_fixed_config_overall() {
     let preset = mini(4, 4);
     let result = tune(&preset, &test_space(), &[Coll::Bcast], Strategy::TaskBased);
     let fixed = Han::with_config(HanConfig::default().with_fs(64 * 1024));
+    let cache = CostCache::new(&preset);
     let mut tuned_total = 0f64;
     let mut fixed_total = 0f64;
     for &m in &test_space().msg_sizes {
-        tuned_total += achieved_latency(&preset, &result.table, Coll::Bcast, m, None)
+        tuned_total += achieved_latency(&cache, &result.table, Coll::Bcast, m)
             .unwrap()
             .as_secs_f64();
         fixed_total += time_coll(&fixed, &preset, Coll::Bcast, m, 0)
@@ -99,12 +101,13 @@ fn exhaustive_and_task_based_agree_on_winners() {
     let colls = [Coll::Allreduce, Coll::Bcast];
     let ex = tune(&preset, &space, &colls, Strategy::Exhaustive);
     let tk = tune(&preset, &space, &colls, Strategy::TaskBased);
+    let cache = CostCache::new(&preset);
     for coll in colls {
         let mut ex_total = 0f64;
         let mut tk_total = 0f64;
         for &m in &space.msg_sizes {
-            let best = achieved_latency(&preset, &ex.table, coll, m, None).unwrap();
-            let got = achieved_latency(&preset, &tk.table, coll, m, None).unwrap();
+            let best = achieved_latency(&cache, &ex.table, coll, m).unwrap();
+            let got = achieved_latency(&cache, &tk.table, coll, m).unwrap();
             assert!(
                 got.as_ps() as f64 <= best.as_ps() as f64 * 1.03,
                 "{coll:?} m={m}: task pick {got} vs best {best}"
