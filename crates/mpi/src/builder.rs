@@ -6,16 +6,19 @@
 //! created together, there is no tag ambiguity anywhere in the system.
 //!
 //! Each [`ProgramBuilder::op`] encodes the op into a 16-byte record (a
-//! data op's two ranges go to the program's operands side table) and
-//! appends it and its dependency slice to the program's flat arrays, so a
-//! build makes O(log n) amortized vector growths rather than one
-//! allocation per op. [`ProgramBuilder::new`] starts from the arrays of
-//! the largest program dropped on its thread (see [`crate::program`]), so
-//! a thread that builds programs in a row grows them only when a build
-//! outgrows every earlier one.
+//! data op's two offsets and one length go to the program's 24-byte
+//! operands side table) and appends it and its dependency slice to the
+//! program's flat arrays, so a build makes O(log n) amortized vector
+//! growths rather than one allocation per op. A program holds at most
+//! 2^29 ops and 2^29 messages, and the builder panics on a larger one,
+//! since the executor packs each id with a 3-bit tag.
+//! [`ProgramBuilder::new`] starts from the arrays of the largest program
+//! dropped on its thread (see [`crate::program`]), so a thread that
+//! builds programs in a row grows them only when a build outgrows every
+//! earlier one.
 
 use crate::buffer::BufRange;
-use crate::program::{MsgId, MsgMeta, OpId, OpKind, Program};
+use crate::program::{MsgId, MsgMeta, OpId, OpKind, Program, ID_LIMIT};
 use han_sim::Time;
 
 /// Incremental builder for a [`Program`].
@@ -116,7 +119,9 @@ impl ProgramBuilder {
         rdeps: &[OpId],
     ) -> (OpId, OpId) {
         assert_ne!(src, dst, "self-message from rank {src}");
-        let msg = MsgId(self.prog.msgs.len() as u32);
+        let n = self.prog.msgs.len();
+        assert!(n < ID_LIMIT, "more than 2^29 messages");
+        let msg = MsgId(n as u32);
         self.prog.msgs.push(MsgMeta {
             src: src as u32,
             dst: dst as u32,

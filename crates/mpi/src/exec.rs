@@ -37,11 +37,29 @@
 //! a per-run stack value. All per-op and per-message state lives in flat
 //! vectors indexed by `u32` ids, cleared — not reallocated — between runs
 //! (the per-op records make the round trip through the report, below).
-//! The state an op's dependencies update (ready time, pending-dependency
-//! count, rank) is one 16-byte record, so releasing a child touches one
-//! record. The structure derived from the program's dependency CSR
-//! (children CSR, zero-in-degree roots, message endpoints) lives in a
-//! `DepGraph` that is rebuilt on every run into the same allocations.
+//! Everything the executor keeps per op is one 16-byte record: the ready
+//! time, the pending-dependency count and a dispatch word. The record has
+//! no rank field: a Delay or data op carries its rank in the spare high
+//! bits of its dispatch word, and the others read theirs from the program
+//! (the Send and Recv handlers, from the message). The structure derived
+//! from the program's dependency CSR (children CSR, zero-in-degree roots,
+//! message endpoints) lives in a `DepGraph` that is rebuilt on every run
+//! into the same allocations.
+//!
+//! | array | bytes | per |
+//! |---|---|---|
+//! | op records | 16 | op: ready time, pending dependencies, dispatch word |
+//! | `child_off` | 4 | op, plus one |
+//! | `child` | 4 | dependency edge |
+//! | `roots` | 4 | op without dependencies |
+//! | message timestamps | 32 | message: send and receive posted, arrival, transmit end |
+//! | message endpoints | 8 | message: its send and receive op |
+//! | payload slots | 24 | message, in seeded runs only |
+//!
+//! Releasing a child compares the finished op's rank with the child's,
+//! in `Ranks::release`. A Delay or data child's rank comes from its own
+//! dispatch word, loaded with the record the release updates anyway; only
+//! a Nop, Sleep, Send or Recv child's is read from the program.
 //!
 //! When an op finishes, its record's ready time becomes its finish time,
 //! and its rank's finish time takes the max with it. The [`Report`] then
@@ -53,16 +71,21 @@
 //!
 //! Before a run, `prepare` resolves every op once: it decodes the op's
 //! 16-byte record with [`Program::kind`] (a data op's ranges come from the
-//! program's operands side table) and gives it a one-byte dispatch tag
-//! and a `u32` argument. For Sleep, Delay and the four data kinds the
+//! program's operands side table) and packs a dispatch tag (3 bits) and an
+//! argument (29 bits) into the record's dispatch word. For Sleep the
 //! argument indexes a per-program table of distinct `(cpu, bus)`
-//! durations; for Send and Recv it is the message id. The ready handler
-//! then charges resources from the table without reading the `Op`, the
-//! operands or the topology again; only seeded execution decodes a data
-//! op a second time, to move its bytes.
+//! durations, and for Send and Recv it is the message id. For Delay and
+//! the four data kinds it holds the op's rank above its cost index: the
+//! low `rank_shift` bits index the table, and the bits above are enough
+//! for every rank of the program (17 and 12 on 4096 ranks). An op
+//! whose index does not fit below its rank gets its tag's `WIDE`
+//! variant, whose argument is the index alone, and its rank is read from
+//! the program. The ready handler then charges resources from the table
+//! without reading the `Op`, the operands or the topology; only seeded
+//! execution decodes a data op a second time, to move its bytes.
 
 use crate::buffer::Memory;
-use crate::program::{MsgId, OpId, OpKind, Program};
+use crate::program::{MsgId, OpId, OpKind, Program, ID_LIMIT};
 use han_machine::{Machine, P2pParams, RailPolicy, MAX_LEVELS};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -263,15 +286,25 @@ const UNSET: Time = Time::MAX;
 /// written, ~2 bytes of bus traffic per reduced byte.
 const REDUCE_BUS_FACTOR: u64 = 2;
 
-/// Compact `OpKind` dispatch tags (see `Executor::tag`).
-const TAG_NOP: u8 = 0;
-const TAG_SLEEP: u8 = 1;
-const TAG_DELAY: u8 = 2;
+/// Compact `OpKind` dispatch tags, the top 3 bits of `OpState::dispatch`.
+const TAG_NOP: u32 = 0;
+const TAG_SLEEP: u32 = 1;
+const TAG_SEND: u32 = 2;
+const TAG_RECV: u32 = 3;
+/// Delay: a CPU charge on the op's rank. Its argument, like a data op's,
+/// packs the rank above the cost index (`Executor::rank_shift`).
+const TAG_DELAY: u32 = 4;
 /// Copy, CrossCopy, Reduce and ReduceFrom: a CPU charge, and a bus charge
 /// that starts with it.
-const TAG_DATA: u8 = 3;
-const TAG_SEND: u8 = 4;
-const TAG_RECV: u8 = 5;
+const TAG_DATA: u32 = 5;
+/// Set in a Delay or data tag whose rank and cost index do not fit in
+/// one argument: the argument is the cost index alone, and the rank is
+/// read from the program.
+const WIDE: u32 = 2;
+
+/// Width of the argument below the 3-bit tag of a dispatch word.
+const ID_BITS: u32 = ID_LIMIT.trailing_zeros();
+const ID_MASK: u32 = (1 << ID_BITS) - 1;
 
 /// Cost classes of [`CostTable`]: ops of one class at one level cost the
 /// same for the same size. A vectorized reduction is `CLASS_REDUCE + 1`.
@@ -280,7 +313,7 @@ const CLASS_COPY: usize = 1;
 const CLASS_REDUCE: usize = 2;
 const NCLASSES: usize = 4;
 
-/// What an op's dependencies update, packed into one 16-byte record.
+/// Everything the executor keeps per op, in one 16-byte record.
 #[derive(Debug, Clone, Copy)]
 struct OpState {
     /// Latest dependency release so far, floored at the rank's start time;
@@ -288,7 +321,10 @@ struct OpState {
     at: Time,
     /// Dependencies not yet finished.
     indeg: u32,
-    rank: u32,
+    /// The op's dispatch tag (`TAG_*`, top 3 bits) and argument (low 29
+    /// bits): the message id of a Send/Recv, the cost index of a Sleep,
+    /// and the rank and cost index of a Delay or data op.
+    dispatch: u32,
 }
 
 /// CPU and memory-bus durations of a non-message op (`bus` is zero for
@@ -397,6 +433,19 @@ impl Ranks {
     #[inline]
     fn flag_latency(&self, m: &Machine, a: u32, b: u32) -> Time {
         m.levels.get(self.link_level(m, a, b)).latency
+    }
+}
+
+/// The rank of op `idx`, whose dispatch word is `dispatch`: packed in
+/// the word for a Delay or data op that is not `WIDE` (its argument's
+/// bits from `rank_shift` up), else read from the program.
+#[inline]
+fn rank_of(prog: &Program, idx: usize, dispatch: u32, rank_shift: u32) -> u32 {
+    let tag = dispatch >> ID_BITS;
+    if tag >= TAG_DELAY && tag & WIDE == 0 {
+        (dispatch & ID_MASK) >> rank_shift
+    } else {
+        prog.ops[idx].rank
     }
 }
 
@@ -544,17 +593,19 @@ struct Executor {
     ops: Vec<OpState>,
     /// Latest finish so far on each rank.
     rank_finish: Vec<Time>,
-    /// Per-op dispatch tag (`TAG_*`) and argument: an index into `costs`,
-    /// or the message id of a Send/Recv.
-    tag: Vec<u8>,
-    arg: Vec<u32>,
     costs: CostTable,
+    /// Where a Delay or data op's rank starts in its dispatch argument:
+    /// the cost index takes the bits below, and the rank the
+    /// `ID_BITS - rank_shift` bits above, enough for every rank of the
+    /// program.
+    rank_shift: u32,
     ranks: Ranks,
     // Per-message SoA state ("not yet" = UNSET for the timestamps).
     msg_send_posted: Vec<Time>,
     msg_recv_posted: Vec<Time>,
     msg_arrived: Vec<Time>,
     msg_eff_tx_end: Vec<Time>,
+    /// Each message's payload in flight; sized only in seeded runs.
     msg_payload: Vec<Option<Vec<u8>>>,
     completed: usize,
     mem: Option<Memory>,
@@ -574,8 +625,8 @@ impl Executor {
         opts: &ExecOpts,
         mem: Option<Memory>,
     ) -> (Report, Option<Memory>) {
-        self.prepare(machine, prog, opts);
         self.mem = mem;
+        self.prepare(machine, prog, opts);
         machine.reset();
         let mut cx = Ctx {
             m: machine,
@@ -592,14 +643,19 @@ impl Executor {
 
     /// Reset all per-run state for `prog` (keeping allocations, and taking
     /// the per-op records of the last report dropped on this thread), rebuild
-    /// its dependency structure, resolve every op's dispatch tag and cost
+    /// its dependency structure, resolve every op's dispatch word and cost
     /// on `m`, and seed the ready queue from the zero-in-degree roots.
+    /// Payload slots are sized only when `self.mem` is set.
     /// Kept out of line so that its size does not change how the event
     /// loop in `run` is compiled: inlined, it slowed that loop by about a
     /// tenth on synthesis-sized programs.
     #[inline(never)]
     fn prepare(&mut self, m: &Machine, prog: &Program, opts: &ExecOpts) {
         debug_assert_eq!(prog.validate(), Ok(()));
+        assert!(
+            prog.ops.len() <= ID_LIMIT && prog.msgs.len() <= ID_LIMIT,
+            "more than 2^29 ops or messages"
+        );
         let nm = prog.msgs.len();
         let g = &mut self.graph;
         g.roots.clear();
@@ -612,30 +668,44 @@ impl Executor {
             self.ops = spare;
         }
         self.ops.clear();
+        // Grown once, not push by push: a thread's first run allocates
+        // exactly one record per op, and a later run that outgrows the
+        // records it holds at least doubles them.
+        self.ops.reserve(prog.ops.len());
         self.rank_finish.clear();
         self.rank_finish.resize(prog.nranks, Time::ZERO);
-        self.tag.clear();
-        self.arg.clear();
         self.costs.clear();
         self.ranks.resolve(m, prog.nranks);
         let inner = m.topo.depth() - 1;
+        let rank_bits = (usize::BITS - (prog.nranks.max(1) - 1).leading_zeros()).min(ID_BITS);
+        let shift = ID_BITS - rank_bits;
+        self.rank_shift = shift;
         for (i, op) in prog.ops.iter().enumerate() {
             let rank = op.rank;
             let mut cost = |class, lvl, key| self.costs.intern(m, class, lvl, key);
+            // A Delay or data op's rank goes beside its cost index when
+            // both fit, and is read from the program when not.
+            let on_rank = |tag, c: u32| {
+                if c >> shift == 0 && rank >> rank_bits == 0 {
+                    (tag, rank << shift | c)
+                } else {
+                    (tag | WIDE, c)
+                }
+            };
             // A data op pulling from another rank uses the level linking
             // the two ranks; a local one the innermost level.
             let level = |from: u32| self.ranks.link_level(m, from, rank);
             let (tag, arg) = match prog.kind(OpId(i as u32)) {
                 OpKind::Nop => (TAG_NOP, 0),
                 OpKind::Sleep { dur } => (TAG_SLEEP, cost(CLASS_FIXED, 0, dur.as_ps())),
-                OpKind::Delay { dur } => (TAG_DELAY, cost(CLASS_FIXED, 0, dur.as_ps())),
-                OpKind::Copy { src, .. } => (TAG_DATA, cost(CLASS_COPY, inner, src.len)),
+                OpKind::Delay { dur } => on_rank(TAG_DELAY, cost(CLASS_FIXED, 0, dur.as_ps())),
+                OpKind::Copy { src, .. } => on_rank(TAG_DATA, cost(CLASS_COPY, inner, src.len)),
                 OpKind::CrossCopy { from, src, .. } => {
-                    (TAG_DATA, cost(CLASS_COPY, level(from), src.len))
+                    on_rank(TAG_DATA, cost(CLASS_COPY, level(from), src.len))
                 }
                 OpKind::Reduce {
                     vectorized, src, ..
-                } => (
+                } => on_rank(
                     TAG_DATA,
                     cost(CLASS_REDUCE + usize::from(vectorized), inner, src.len),
                 ),
@@ -644,7 +714,7 @@ impl Executor {
                     vectorized,
                     src,
                     ..
-                } => (
+                } => on_rank(
                     TAG_DATA,
                     cost(CLASS_REDUCE + usize::from(vectorized), level(from), src.len),
                 ),
@@ -657,13 +727,11 @@ impl Executor {
                     (TAG_RECV, msg.0)
                 }
             };
-            self.tag.push(tag);
-            self.arg.push(arg);
             let ndeps = prog.dep_off[i + 1] - prog.dep_off[i];
             self.ops.push(OpState {
                 at: opts.start_time(rank),
                 indeg: ndeps,
-                rank,
+                dispatch: tag << ID_BITS | arg,
             });
             if ndeps == 0 {
                 g.roots.push(i as u32);
@@ -680,7 +748,9 @@ impl Executor {
         self.msg_eff_tx_end.clear();
         self.msg_eff_tx_end.resize(nm, Time::ZERO);
         self.msg_payload.clear();
-        self.msg_payload.resize_with(nm, || None);
+        if self.mem.is_some() {
+            self.msg_payload.resize_with(nm, || None);
+        }
         self.completed = 0;
         for i in 0..self.graph.roots.len() {
             let r = self.graph.roots[i] as usize;
@@ -725,28 +795,41 @@ impl Executor {
 
     fn on_ready(&mut self, cx: &mut Ctx, t: Time, op: OpId) {
         let idx = op.0 as usize;
-        let arg = self.arg[idx];
-        match self.tag[idx] {
+        let dispatch = self.ops[idx].dispatch;
+        let arg = dispatch & ID_MASK;
+        match dispatch >> ID_BITS {
             TAG_NOP => self.q.push(t, Ev::Finish(op)),
             TAG_SLEEP => {
                 let dur = self.costs.get(arg).cpu;
                 self.q.push(t + dur, Ev::Finish(op));
             }
-            TAG_DELAY => {
-                let cpu = cx.m.cpu(self.ops[idx].rank as usize);
-                let (_, e) = cx.m.acquire(cpu, t, self.costs.get(arg).cpu);
-                self.q.push(e, Ev::Finish(op));
-            }
-            TAG_DATA => {
-                let c = self.costs.get(arg);
-                let rank = self.ops[idx].rank as usize;
-                let (s, e) = cx.m.acquire(cx.m.cpu(rank), t, c.cpu);
-                let (_, be) = cx.m.acquire(self.ranks.bus[rank] as usize, s, c.bus);
-                self.q.push(e.max(be), Ev::Finish(op));
-            }
             TAG_SEND => self.on_send_ready(cx, t, MsgId(arg)),
-            _ => self.on_recv_ready(cx, t, MsgId(arg)),
+            TAG_RECV => self.on_recv_ready(cx, t, MsgId(arg)),
+            tag => {
+                let (rank, cost) = self.rank_and_cost(cx.prog, idx, dispatch);
+                let c = self.costs.get(cost);
+                let (s, e) = cx.m.acquire(cx.m.cpu(rank), t, c.cpu);
+                if tag & !WIDE == TAG_DELAY {
+                    self.q.push(e, Ev::Finish(op));
+                } else {
+                    let (_, be) = cx.m.acquire(self.ranks.bus[rank] as usize, s, c.bus);
+                    self.q.push(e.max(be), Ev::Finish(op));
+                }
+            }
         }
+    }
+
+    /// The rank and cost index of Delay or data op `idx`, whose dispatch
+    /// word is `dispatch`.
+    #[inline]
+    fn rank_and_cost(&self, prog: &Program, idx: usize, dispatch: u32) -> (usize, u32) {
+        let arg = dispatch & ID_MASK;
+        let cost = if dispatch >> ID_BITS & WIDE == 0 {
+            arg & ((1 << self.rank_shift) - 1)
+        } else {
+            arg
+        };
+        (rank_of(prog, idx, dispatch, self.rank_shift) as usize, cost)
     }
 
     fn on_send_ready(&mut self, cx: &mut Ctx, t: Time, msg: MsgId) {
@@ -966,7 +1049,7 @@ impl Executor {
         let idx = op.0 as usize;
         let state = &mut self.ops[idx];
         state.at = t;
-        let rank = state.rank;
+        let rank = rank_of(cx.prog, idx, state.dispatch, self.rank_shift);
         let last = &mut self.rank_finish[rank as usize];
         *last = (*last).max(t);
         self.completed += 1;
@@ -981,7 +1064,8 @@ impl Executor {
         );
         for &c in &self.graph.child[lo..hi] {
             let child = &mut self.ops[c as usize];
-            child.at = child.at.max(self.ranks.release(cx.m, rank, child.rank, t));
+            let to = rank_of(cx.prog, c as usize, child.dispatch, self.rank_shift);
+            child.at = child.at.max(self.ranks.release(cx.m, rank, to, t));
             child.indeg -= 1;
             if child.indeg == 0 {
                 self.q.push(child.at, Ev::Ready(OpId(c)));
@@ -1032,7 +1116,7 @@ mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
     use crate::datatype::{DataType, ReduceOp};
-    use han_machine::{mini, Flavor, Machine};
+    use han_machine::{gpu_hier, mini, mini3, Flavor, Machine};
 
     fn machine(nodes: usize, ppn: usize) -> Machine {
         Machine::from_preset(&mini(nodes, ppn))
@@ -1406,6 +1490,102 @@ mod tests {
     #[test]
     fn op_state_is_16_bytes() {
         assert_eq!(std::mem::size_of::<OpState>(), 16);
+    }
+
+    #[test]
+    fn a_dependency_chain_pays_the_flag_latency_of_every_level_it_crosses() {
+        // Three levels, and eight with a latency of its own per level
+        // down to the fifth.
+        for preset in [mini3(2, 2, 2), gpu_hier(&[2; MAX_LEVELS])] {
+            let mut m = Machine::from_preset(&preset);
+            let topo = m.topo;
+            let mut b = ProgramBuilder::new(topo.world_size());
+            let mut expect = Time::from_ns(1);
+            let mut prev = b.delay(0, expect, &[]);
+            let (mut on, mut step) = (0, 1);
+            // From rank 0 to a rank linked to it at level k, a second op
+            // there, and back to rank 0.
+            for k in 1..topo.depth() {
+                let peer = (1..topo.ppn())
+                    .find(|&r| topo.link_level(0, r) == k)
+                    .unwrap();
+                for rank in [peer, peer, 0] {
+                    step += 1;
+                    let dur = Time::from_ns(step);
+                    if rank != on {
+                        expect += m.levels.get(k).latency;
+                    }
+                    expect += dur;
+                    prev = b.delay(rank, dur, &[prev]);
+                    on = rank;
+                }
+            }
+            let p = b.build();
+            let r = execute(&mut m, &p, &opts());
+            assert_eq!(r.makespan, expect, "{}", preset.name);
+            // Each op became ready when `Ranks::release` says its one
+            // dependency released it: a chain of Delays never waits for
+            // a CPU.
+            let mut ranks = Ranks::default();
+            ranks.resolve(&m, p.nranks);
+            for i in 1..p.len() as u32 {
+                let (op, dep) = (OpId(i), p.deps(OpId(i))[0]);
+                let ready = ranks.release(&m, p.op(dep).rank, p.op(op).rank, r.finish(dep));
+                let OpKind::Delay { dur } = p.kind(op) else {
+                    unreachable!()
+                };
+                assert_eq!(r.finish(op), ready + dur, "{} op {i}", preset.name);
+            }
+        }
+    }
+
+    #[test]
+    fn ranks_that_do_not_fit_beside_the_cost_index_are_read_from_the_program() {
+        // 2^16 + 1 ranks take 17 bits of a Delay's or data op's argument
+        // and leave 12 for its cost index: from the 4097th distinct cost
+        // on, the rank is read from the program.
+        let n = (1 << 16) + 1;
+        let last = n - 1;
+        let mut m = machine(1, n);
+        let mut b = ProgramBuilder::new(n);
+        let mut prev = b.nop(last, &[]);
+        let mut expect = Time::ZERO;
+        for ns in 1..=4097 {
+            prev = b.delay(last, Time::from_ns(ns), &[prev]);
+            expect += Time::from_ns(ns);
+        }
+        let (src, dst) = (b.alloc(last, 64), b.alloc(last, 64));
+        let copy = b.op(last, OpKind::Copy { src, dst }, &[prev]);
+        let p = b.build();
+        let r = execute(&mut m, &p, &opts());
+        let tag = |op: OpId| r.ops[op.0 as usize].dispatch >> ID_BITS;
+        assert_eq!(tag(OpId(4096)), TAG_DELAY);
+        assert_eq!(tag(OpId(4097)), TAG_DELAY | WIDE);
+        assert_eq!(tag(copy), TAG_DATA | WIDE);
+        let c = op_cost(&m, CLASS_COPY, m.topo.depth() - 1, 64);
+        assert_eq!(r.finish(OpId(4097)), expect);
+        assert_eq!(r.makespan, expect + c.cpu.max(c.bus));
+        assert_eq!(m.pool().get(m.cpu(last)).busy_time(), expect + c.cpu);
+        assert_eq!(m.pool().get(m.cpu(0)).busy_time(), Time::ZERO);
+        assert_rank_finishes_are_op_maxima(&p, &r);
+    }
+
+    #[test]
+    fn only_seeded_runs_hold_payload_slots() {
+        let mut ex = Executor::default();
+        let mut m = machine(2, 2);
+        let mut b = ProgramBuilder::new(4);
+        let (sbuf, dbuf) = (b.alloc(0, 8), b.alloc(2, 8));
+        b.send_recv(0, 2, sbuf, dbuf, &[], &[]);
+        b.signal(1, 3, 8, &[], &[]);
+        let p = b.build();
+        ex.run(&mut m, &p, &opts(), None);
+        assert_eq!(ex.msg_payload.capacity(), 0, "a first timing run");
+        let mem = Memory::new(&p.mem_size);
+        ex.run(&mut m, &p, &opts(), Some(mem));
+        assert_eq!(ex.msg_payload.len(), p.msgs.len(), "a seeded run");
+        ex.run(&mut m, &p, &opts(), None);
+        assert!(ex.msg_payload.is_empty(), "a timing run after a seeded one");
     }
 
     /// `a` and `b` report the same run.

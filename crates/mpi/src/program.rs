@@ -7,12 +7,27 @@
 //! never performs tag matching; this both simplifies the transport and
 //! guarantees determinism.
 //!
+//! Every per-op fact is stored once, at the width it needs:
+//!
+//! | array | bytes | per |
+//! |---|---|---|
+//! | [`Program::ops`] | 16 | op: rank, kind tag, reduction tags, payload word |
+//! | [`Program::operands`] | 24 | data op: source offset, destination offset, length |
+//! | [`Program::dep_off`] | 4 | op, plus one |
+//! | [`Program::dep`] | 4 | dependency edge |
+//! | [`Program::msgs`] | 56 | message |
+//! | [`Program::mem_size`] | 8 | rank |
+//!
 //! An [`Op`] is a 16-byte record: its rank, a kind tag, a reduction's
 //! three tags and one payload word. Only the four data kinds carry more
 //! than eight bytes, their `src` and `dst` ranges, and those live in a
 //! per-program side table, [`Program::operands`], that the record indexes.
+//! Both ranges of a data op have one length, stored once.
 //! [`Program::push_op`] encodes an [`OpKind`] and [`Program::kind`] decodes
 //! it, so every reader matches on the same `OpKind` the builder was given.
+//! Op and message ids stay below 2^29, so that the executor can pack one
+//! beside a 3-bit tag in a `u32`; [`Program::push_op`] refuses a larger
+//! program.
 //!
 //! The dependency edges are stored once per program in compressed sparse
 //! row (CSR) form: op `i` depends on `dep[dep_off[i]..dep_off[i + 1]]`,
@@ -42,6 +57,10 @@ pub struct OpId(pub u32);
 /// Index of a pre-matched message within a program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MsgId(pub u32);
+
+/// Op and message ids are below this bound: the executor packs an id and
+/// a 3-bit tag into one `u32`.
+pub(crate) const ID_LIMIT: usize = 1 << 29;
 
 /// What an op does. Resource costs are derived by the executor from the
 /// machine parameters; `OpKind` carries only semantics and sizes.
@@ -109,11 +128,13 @@ pub struct MsgMeta {
 }
 
 /// The `src` and `dst` ranges of one data op (`Copy`, `CrossCopy`,
-/// `Reduce`, `ReduceFrom`): an entry of [`Program::operands`].
+/// `Reduce`, `ReduceFrom`), both `len` bytes long: an entry of
+/// [`Program::operands`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Operands {
-    pub src: BufRange,
-    pub dst: BufRange,
+    pub src_off: u64,
+    pub dst_off: u64,
+    pub len: u64,
 }
 
 /// One operation, owned by `rank`, in 16 bytes. It becomes runnable once
@@ -124,7 +145,9 @@ pub struct Operands {
 /// `DataType` tags (zero for other kinds) and one payload word: a Delay or
 /// Sleep duration in picoseconds, a message id, or for a data op its
 /// `from` rank (high half) and its index into [`Program::operands`] (low
-/// half).
+/// half). A data op given ranges of two lengths, which [`Program::validate`]
+/// rejects, is kept exactly: a flag beside `vectorized` says that the
+/// next operands entry holds the destination's length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Op {
     pub rank: u32,
@@ -143,6 +166,12 @@ const REDUCE: u8 = 5;
 const REDUCE_FROM: u8 = 6;
 const SEND: u8 = 7;
 const RECV: u8 = 8;
+
+// Flags in a data op's first reduction byte.
+const VECTORIZED: u8 = 1;
+/// The ranges differ in length; the next operands entry's `len` is the
+/// destination's.
+const SPLIT_LEN: u8 = 2;
 
 /// A complete program over `nranks` world ranks.
 ///
@@ -287,9 +316,28 @@ impl Program {
     pub fn kind(&self, id: OpId) -> OpKind {
         let op = &self.ops[id.0 as usize];
         let from = (op.arg >> 32) as u32;
-        let operands = || self.operands[op.arg as u32 as usize];
         let [v, r, d] = op.red;
-        let reduction = || (v != 0, ReduceOp::ALL[r as usize], DataType::ALL[d as usize]);
+        let ranges = || {
+            let i = op.arg as u32 as usize;
+            let Operands {
+                src_off,
+                dst_off,
+                len,
+            } = self.operands[i];
+            let dst_len = if v & SPLIT_LEN == 0 {
+                len
+            } else {
+                self.operands[i + 1].len
+            };
+            (BufRange::new(src_off, len), BufRange::new(dst_off, dst_len))
+        };
+        let reduction = || {
+            (
+                v & VECTORIZED != 0,
+                ReduceOp::ALL[r as usize],
+                DataType::ALL[d as usize],
+            )
+        };
         match op.tag {
             NOP => OpKind::Nop,
             DELAY => OpKind::Delay {
@@ -299,15 +347,15 @@ impl Program {
                 dur: Time::from_ps(op.arg),
             },
             COPY => {
-                let Operands { src, dst } = operands();
+                let (src, dst) = ranges();
                 OpKind::Copy { src, dst }
             }
             CROSS_COPY => {
-                let Operands { src, dst } = operands();
+                let (src, dst) = ranges();
                 OpKind::CrossCopy { from, src, dst }
             }
             REDUCE => {
-                let Operands { src, dst } = operands();
+                let (src, dst) = ranges();
                 let (vectorized, op, dtype) = reduction();
                 OpKind::Reduce {
                     vectorized,
@@ -318,7 +366,7 @@ impl Program {
                 }
             }
             REDUCE_FROM => {
-                let Operands { src, dst } = operands();
+                let (src, dst) = ranges();
                 let (vectorized, op, dtype) = reduction();
                 OpKind::ReduceFrom {
                     from,
@@ -344,7 +392,9 @@ impl Program {
     /// branch on the kind.
     #[inline]
     pub fn push_op(&mut self, rank: u32, kind: OpKind, deps: &[OpId]) -> OpId {
-        let id = OpId(u32::try_from(self.ops.len()).expect("more than u32::MAX ops"));
+        let n = self.ops.len();
+        assert!(n < ID_LIMIT, "more than 2^29 ops");
+        let id = OpId(n as u32);
         let op = self.encode(rank, kind);
         self.ops.push(op);
         self.dep.extend_from_slice(deps);
@@ -354,23 +404,36 @@ impl Program {
     }
 
     /// Make op `id` do `kind` instead, keeping its rank and dependencies.
-    /// A data op gets a new operands entry; the old one stays in place.
+    /// A data op gets new operands entries; the old ones stay in place.
     pub fn set_kind(&mut self, id: OpId, kind: OpKind) {
         let i = id.0 as usize;
         self.ops[i] = self.encode(self.ops[i].rank, kind);
     }
 
     /// The record of `kind` on `rank`, appending a data op's ranges to
-    /// `operands`.
+    /// `operands`: one entry, or two when their lengths differ.
     #[inline]
     fn encode(&mut self, rank: u32, kind: OpKind) -> Op {
-        let mut data = |from: u32, src, dst| {
+        let mut split = 0;
+        let mut data = |from: u32, src: BufRange, dst: BufRange| {
             let idx = u32::try_from(self.operands.len()).expect("more than u32::MAX data ops");
-            self.operands.push(Operands { src, dst });
+            self.operands.push(Operands {
+                src_off: src.off,
+                dst_off: dst.off,
+                len: src.len,
+            });
+            if dst.len != src.len {
+                split = SPLIT_LEN;
+                self.operands.push(Operands {
+                    src_off: 0,
+                    dst_off: 0,
+                    len: dst.len,
+                });
+            }
             u64::from(from) << 32 | u64::from(idx)
         };
         let red = |v: bool, op: ReduceOp, dtype: DataType| [u8::from(v), op as u8, dtype as u8];
-        let (tag, red, arg) = match kind {
+        let (tag, mut red, arg) = match kind {
             OpKind::Nop => (NOP, [0; 3], 0),
             OpKind::Delay { dur } => (DELAY, [0; 3], dur.as_ps()),
             OpKind::Sleep { dur } => (SLEEP, [0; 3], dur.as_ps()),
@@ -398,6 +461,7 @@ impl Program {
             OpKind::Send { msg } => (SEND, [0; 3], u64::from(msg.0)),
             OpKind::Recv { msg } => (RECV, [0; 3], u64::from(msg.0)),
         };
+        red[0] |= split;
         Op {
             rank,
             tag,
@@ -411,10 +475,11 @@ impl Program {
         if op.tag > RECV {
             return Err(format!("unknown kind tag {}", op.tag));
         }
-        let i = op.arg as u32 as usize;
-        if (COPY..=REDUCE_FROM).contains(&op.tag) && i >= self.operands.len() {
+        let first = op.arg as u32 as usize;
+        let last = first + usize::from(op.red[0] & SPLIT_LEN != 0);
+        if (COPY..=REDUCE_FROM).contains(&op.tag) && last >= self.operands.len() {
             return Err(format!(
-                "operands index {i} out of range ({} entries)",
+                "operands index {last} out of range ({} entries)",
                 self.operands.len()
             ));
         }
@@ -451,6 +516,13 @@ impl Program {
     pub fn validate(&self) -> Result<(), String> {
         if self.mem_size.len() != self.nranks {
             return Err("mem_size length != nranks".into());
+        }
+        if self.ops.len() > ID_LIMIT || self.msgs.len() > ID_LIMIT {
+            return Err(format!(
+                "{} ops and {} messages: at most 2^29 of each",
+                self.ops.len(),
+                self.msgs.len()
+            ));
         }
         self.validate_csr()?;
         let mut send_seen = vec![false; self.msgs.len()];
@@ -623,7 +695,7 @@ mod tests {
         assert_eq!(base.validate(), Ok(()));
         assert_eq!(base.deps(OpId(1)), &[OpId(0)]);
         type Corrupt = fn(&mut Program);
-        let cases: [(&str, Corrupt, &str); 10] = [
+        let cases: [(&str, Corrupt, &str); 11] = [
             ("no offsets", |p| p.dep_off.clear(), "dep_off has 0 entries"),
             (
                 "offset missing",
@@ -658,6 +730,18 @@ mod tests {
                     p.operands.clear();
                 },
                 "op 1: operands index 0 out of range (0 entries)",
+            ),
+            (
+                "second operands entry out of range",
+                |p| {
+                    let copy = OpKind::Copy {
+                        src: BufRange::new(0, 8),
+                        dst: BufRange::new(0, 4),
+                    };
+                    p.set_kind(OpId(1), copy);
+                    p.operands.pop();
+                },
+                "op 1: operands index 1 out of range (1 entries)",
             ),
             (
                 "unknown reduction tags",
@@ -751,11 +835,11 @@ mod tests {
     }
 
     #[test]
-    fn op_is_16_bytes_and_operands_32() {
+    fn op_is_16_bytes_and_operands_24() {
         // A rank, four tag bytes and one payload word; a data op's two
-        // ranges, each size stated once, live in the side table.
+        // offsets and its one length live in the side table.
         assert_eq!(std::mem::size_of::<Op>(), 16);
-        assert_eq!(std::mem::size_of::<Operands>(), 32);
+        assert_eq!(std::mem::size_of::<Operands>(), 24);
     }
 
     #[test]

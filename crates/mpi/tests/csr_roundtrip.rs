@@ -4,12 +4,15 @@
 //! `OpKind` handed to it, and a cloned program — including one cloned
 //! into a scratch that previously held a larger, different program —
 //! executes identically to the original. Kinds also round-trip through
-//! the 16-byte record at the extremes of every field.
+//! the 16-byte record at the extremes of every field. Every op becomes
+//! ready when the latest of its dependencies' releases
+//! (`Ranks::release`, through `trace_execution`) says it does.
 
 use han_machine::{mini, Flavor, Machine};
 use han_mpi::program::MsgId;
 use han_mpi::{
-    execute, BufRange, DataType, ExecOpts, OpId, OpKind, Program, ProgramBuilder, ReduceOp, Report,
+    execute, trace_execution, BufRange, DataType, ExecOpts, OpId, OpKind, Program, ProgramBuilder,
+    ReduceOp, Report,
 };
 use han_sim::Time;
 use proptest::prelude::*;
@@ -282,6 +285,29 @@ proptest! {
         ops in proptest::collection::vec((arb_rank(), arb_kind()), 1..80),
     ) {
         assert_round_trip(&ops);
+    }
+
+    #[test]
+    fn ops_become_ready_at_their_latest_release(
+        specs in arb_ops(),
+        skew in proptest::collection::vec(0u64..50_000, NODES * PPN),
+    ) {
+        let (p, _) = build(&specs);
+        let mut m = Machine::from_preset(&mini(NODES, PPN));
+        let skew = skew.into_iter().map(Time::from_ps).collect();
+        let opts = ExecOpts::timing(Flavor::OpenMpi.p2p()).with_skew(skew);
+        // A span starts at the latest release of the op's dependencies,
+        // floored at its rank's start time. A Nop finishes when it
+        // becomes ready, a Sleep its duration later, and no op earlier.
+        let (r, trace) = trace_execution(&mut m, &p, &opts);
+        for (i, span) in trace.spans.iter().enumerate() {
+            let id = OpId(i as u32);
+            match p.kind(id) {
+                OpKind::Nop => prop_assert_eq!(r.finish(id), span.start),
+                OpKind::Sleep { dur } => prop_assert_eq!(r.finish(id), span.start + dur),
+                _ => prop_assert!(r.finish(id) >= span.start),
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Allocation and storage budget of HAN program construction at paper
-//! scale: building the Fig. 10/13 Bcast and Allreduce on 4096 ranks makes
-//! O(ranks + log ops) heap allocations, not one or more per op, the
-//! built program stores a bounded number of bytes per op, a build after
-//! a dropped one refills its arrays instead of growing new ones, and an
-//! execution after a dropped report refills that report's per-op records.
+//! Allocation and storage budget of HAN program construction and
+//! execution at paper scale: building the Fig. 10/13 Bcast and Allreduce
+//! on 4096 ranks makes O(ranks + log ops) heap allocations, not one or
+//! more per op, the built program stores a bounded number of bytes per
+//! op, a build after a dropped one refills its arrays instead of growing
+//! new ones, a first execution holds a bounded number of bytes per op,
+//! and an execution after a dropped report refills that report's per-op
+//! records.
 //!
 //! This file is its own test binary with a counting global allocator.
 //! The counters are per thread, so a test counts only its own
@@ -104,12 +106,21 @@ fn paper_han() -> (Han, MachinePreset) {
 const BUDGET_PER_OP: f64 = 0.1;
 
 /// Program storage per op allowed, in bytes. A 16-byte op record, a
-/// 32-byte operands entry for about half the ops, about two and a half
+/// 24-byte operands entry for about half the ops, about two and a half
 /// 4-byte dependency edges and one offset per op, and a few messages come
-/// to 43.5–45.8 bytes per op on these programs. The 128 MiB programs have
-/// the same op mix (43.8–46.0 B/op) but are eight times larger, so this
-/// debug-profile test stops at 16 MiB.
-const STORAGE_PER_OP: f64 = 48.0;
+/// to 39.5–42.0 bytes per op on these programs, 128 MiB included.
+const STORAGE_PER_OP: f64 = 44.0;
+
+/// The message sizes whose programs the storage budget covers. The
+/// 128 MiB programs have the same op mix as the 16 MiB ones but are eight
+/// times larger, so a debug build stops at 16 MiB.
+fn budget_sizes() -> &'static [u64] {
+    if cfg!(debug_assertions) {
+        &[1 << 20, 16 << 20]
+    } else {
+        &[1 << 20, 16 << 20, 128 << 20]
+    }
+}
 
 /// Bytes held by `p`'s per-op and per-message vectors: `len × size_of`
 /// summed over ops, operands, the dependency CSR and messages.
@@ -127,7 +138,7 @@ fn paper_scale_han_build_allocates_per_rank_not_per_op() {
     let mut report = Vec::new();
     let (mut worst, mut widest) = (0.0f64, 0.0f64);
     for coll in [Coll::Bcast, Coll::Allreduce] {
-        for m in [1u64 << 20, 16 << 20] {
+        for &m in budget_sizes() {
             let (counts, prog) = allocations(|| build_coll(&han, &preset, coll, m, 0));
             let prog = prog.expect("HAN builds Bcast and Allreduce");
             let allocs = counts.allocs;
@@ -186,6 +197,39 @@ fn a_build_after_a_dropped_one_refills_its_arrays() {
         per_op(second.held)
     );
     assert!(per_op(second.held) < REFILL_BYTES_PER_OP, "{report}");
+    println!("{report}");
+}
+
+/// Bytes per op a first execution may request on a thread that has run
+/// nothing. On the 16 MiB Allreduce (2.39 dependency edges per op) a
+/// 16-byte record per op, a 4-byte child entry per edge and a 4-byte
+/// child offset per op come to 29.5; 40 bytes of state per message, the
+/// event queue's buckets and the per-rank vectors add 2.3. A second
+/// 5-byte dispatch array, or records grown by doubling, would be over.
+const FIRST_EXEC_BYTES_PER_OP: f64 = 32.0;
+
+#[test]
+fn a_first_execution_holds_one_record_per_op() {
+    let (han, preset) = paper_han();
+    let prog = build_coll(&han, &preset, Coll::Allreduce, 16 << 20, 0).unwrap();
+    let opts = ExecOpts::timing(han.flavor().p2p());
+    let mut machine = Machine::from_preset(&preset);
+    // A fresh thread: no executor, and no dropped report to refill.
+    let first = std::thread::scope(|s| {
+        s.spawn(|| allocations(|| execute(&mut machine, &prog, &opts).makespan).0)
+            .join()
+            .unwrap()
+    });
+    let ops = prog.ops.len();
+    let per_op = first.bytes as f64 / ops as f64;
+    let report = format!(
+        "Allreduce 16 MiB, {ops} ops, {} edges, {} messages: a first execution \
+         requested {} B ({per_op:.2} B/op)",
+        prog.dep.len(),
+        prog.msgs.len(),
+        first.bytes
+    );
+    assert!(per_op <= FIRST_EXEC_BYTES_PER_OP, "{report}");
     println!("{report}");
 }
 
