@@ -5,11 +5,14 @@
 //! pre-matched send/recv pairs. Because both halves of every message are
 //! created together, there is no tag ambiguity anywhere in the system.
 //!
-//! Each [`ProgramBuilder::op`] encodes the op into a 16-byte record (a
-//! data op's two offsets and one length go to the program's 24-byte
-//! operands side table) and appends it and its dependency slice to the
-//! program's flat arrays, so a build makes O(log n) amortized vector
-//! growths rather than one allocation per op. A program holds at most
+//! Each [`ProgramBuilder::op`] encodes the op into a 16-byte record and
+//! appends it and its dependency slice to the program's flat arrays, so a
+//! build makes O(log n) amortized vector growths rather than one
+//! allocation per op. A data op's two offsets and one length go to the
+//! program's operands side table, 24 bytes per distinct range triple: an
+//! op whose ranges equal one of the last few entries indexes it, which is
+//! how the hierarchy's primitive, repeated on every rank and segment,
+//! stores its ranges once. A program holds at most
 //! 2^29 ops and 2^29 messages, and the builder panics on a larger one,
 //! since the executor packs each id with a 3-bit tag.
 //! [`ProgramBuilder::new`] starts from the arrays of the largest program

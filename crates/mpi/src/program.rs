@@ -12,7 +12,7 @@
 //! | array | bytes | per |
 //! |---|---|---|
 //! | [`Program::ops`] | 16 | op: rank, kind tag, reduction tags, payload word |
-//! | [`Program::operands`] | 24 | data op: source offset, destination offset, length |
+//! | [`Program::operands`] | 24 | distinct range triple: source offset, destination offset, length |
 //! | [`Program::dep_off`] | 4 | op, plus one |
 //! | [`Program::dep`] | 4 | dependency edge |
 //! | [`Program::msgs`] | 56 | message |
@@ -22,7 +22,12 @@
 //! three tags and one payload word. Only the four data kinds carry more
 //! than eight bytes, their `src` and `dst` ranges, and those live in a
 //! per-program side table, [`Program::operands`], that the record indexes.
-//! Both ranges of a data op have one length, stored once.
+//! Both ranges of a data op have one length, stored once. The table holds
+//! distinct ranges, not one entry per data op: the hierarchy repeats one
+//! primitive on every rank of a node and every segment, so a data op whose
+//! ranges equal one of the last few entries indexes that entry. The
+//! 128 MiB HAN Bcast on 4096 ranks names 256 range triples over 1,015,808
+//! data ops. An entry is never rewritten once pushed.
 //! [`Program::push_op`] encodes an [`OpKind`] and [`Program::kind`] decodes
 //! it, so every reader matches on the same `OpKind` the builder was given.
 //! Op and message ids stay below 2^29, so that the executor can pack one
@@ -127,9 +132,10 @@ pub struct MsgMeta {
     pub payload: Option<(BufRange, BufRange)>,
 }
 
-/// The `src` and `dst` ranges of one data op (`Copy`, `CrossCopy`,
+/// The `src` and `dst` ranges of a data op (`Copy`, `CrossCopy`,
 /// `Reduce`, `ReduceFrom`), both `len` bytes long: an entry of
-/// [`Program::operands`].
+/// [`Program::operands`], 24 bytes per distinct range triple, which every
+/// data op with these ranges nearby in the program shares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Operands {
     pub src_off: u64,
@@ -145,8 +151,9 @@ pub struct Operands {
 /// `DataType` tags (zero for other kinds) and one payload word: a Delay or
 /// Sleep duration in picoseconds, a message id, or for a data op its
 /// `from` rank (high half) and its index into [`Program::operands`] (low
-/// half). A data op given ranges of two lengths, which [`Program::validate`]
-/// rejects, is kept exactly: a flag beside `vectorized` says that the
+/// half). Several data ops may index one entry. A data op given ranges of
+/// two lengths, which [`Program::validate`] rejects, is kept exactly: it
+/// gets two fresh entries, and a flag beside `vectorized` says that the
 /// next operands entry holds the destination's length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Op {
@@ -173,18 +180,27 @@ const VECTORIZED: u8 = 1;
 /// destination's.
 const SPLIT_LEN: u8 = 2;
 
+/// How many of the newest operands entries a data op's ranges are compared
+/// with before they get an entry of their own. The hierarchy repeats one
+/// primitive on every rank of a node, so equal ranges come close together;
+/// four also catches the SM reduce, which alternates a `Copy` and a
+/// `ReduceFrom` over two ranges.
+const INTERN_WINDOW: usize = 4;
+
 /// A complete program over `nranks` world ranks.
 ///
 /// `==` and `Debug` see the encoding: records, operands entries, the
 /// dependency CSR, messages and memory sizes. Two builds that add the same
 /// ops in the same order are equal, but a program edited with
-/// [`Self::set_kind`] keeps the replaced operands entry and so differs
+/// [`Self::set_kind`] keeps the replaced operands entry and so may differ
 /// from a fresh build of the same ops. [`Self::kind`] decodes one op.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     pub ops: Vec<Op>,
-    /// The ranges of every data op, indexed from its record, in the order
-    /// the ops were added.
+    /// The distinct ranges of the data ops, 24 bytes per entry, indexed
+    /// from their records in the order they were first added. A data op
+    /// shares an equal entry among the last few, so there are usually far
+    /// fewer entries than data ops; entries are never rewritten.
     pub operands: Vec<Operands>,
     /// CSR offsets into `dep`, one per op plus a final `dep.len()`:
     /// op `i`'s dependencies are `dep[dep_off[i]..dep_off[i + 1]]`.
@@ -404,32 +420,50 @@ impl Program {
     }
 
     /// Make op `id` do `kind` instead, keeping its rank and dependencies.
-    /// A data op gets new operands entries; the old ones stay in place.
+    /// A data op indexes an equal operands entry among the last few or
+    /// appends new ones, as [`Self::push_op`] does; its old entry stays in
+    /// place, unchanged, for every other op that shares it.
     pub fn set_kind(&mut self, id: OpId, kind: OpKind) {
         let i = id.0 as usize;
         self.ops[i] = self.encode(self.ops[i].rank, kind);
     }
 
-    /// The record of `kind` on `rank`, appending a data op's ranges to
-    /// `operands`: one entry, or two when their lengths differ.
+    /// The record of `kind` on `rank`. A data op whose ranges have one
+    /// length indexes the newest of the last [`INTERN_WINDOW`] operands
+    /// entries equal to them, or appends a new one; ranges of two lengths
+    /// always append two fresh entries. No entry is ever rewritten.
     #[inline]
     fn encode(&mut self, rank: u32, kind: OpKind) -> Op {
         let mut split = 0;
         let mut data = |from: u32, src: BufRange, dst: BufRange| {
-            let idx = u32::try_from(self.operands.len()).expect("more than u32::MAX data ops");
-            self.operands.push(Operands {
+            let entry = Operands {
                 src_off: src.off,
                 dst_off: dst.off,
                 len: src.len,
-            });
-            if dst.len != src.len {
-                split = SPLIT_LEN;
-                self.operands.push(Operands {
-                    src_off: 0,
-                    dst_off: 0,
-                    len: dst.len,
-                });
-            }
+            };
+            let n = self.operands.len();
+            let window = n.saturating_sub(INTERN_WINDOW);
+            let hit = if dst.len == src.len {
+                self.operands[window..].iter().rposition(|e| *e == entry)
+            } else {
+                None
+            };
+            let idx = match hit {
+                Some(j) => window + j,
+                None => {
+                    self.operands.push(entry);
+                    if dst.len != src.len {
+                        split = SPLIT_LEN;
+                        self.operands.push(Operands {
+                            src_off: 0,
+                            dst_off: 0,
+                            len: dst.len,
+                        });
+                    }
+                    n
+                }
+            };
+            let idx = u32::try_from(idx).expect("more than u32::MAX operands entries");
             u64::from(from) << 32 | u64::from(idx)
         };
         let red = |v: bool, op: ReduceOp, dtype: DataType| [u8::from(v), op as u8, dtype as u8];
@@ -840,6 +874,92 @@ mod tests {
         // offsets and its one length live in the side table.
         assert_eq!(std::mem::size_of::<Op>(), 16);
         assert_eq!(std::mem::size_of::<Operands>(), 24);
+    }
+
+    fn copy(src: u64, dst: u64, len: u64) -> OpKind {
+        OpKind::Copy {
+            src: BufRange::new(src, len),
+            dst: BufRange::new(dst, len),
+        }
+    }
+
+    /// Push `kinds` on rank 0 of an empty program, check each decodes to
+    /// what it was given, and return the program.
+    fn pushed(kinds: &[OpKind]) -> Program {
+        let mut p = empty_prog(1);
+        for &k in kinds {
+            p.push_op(0, k, &[]);
+        }
+        for (i, &k) in kinds.iter().enumerate() {
+            assert_eq!(p.kind(OpId(i as u32)), k, "op {i}");
+        }
+        p
+    }
+
+    #[test]
+    fn a_run_of_equal_data_ops_stores_one_entry() {
+        let sum = |src, dst| OpKind::ReduceFrom {
+            from: 7,
+            vectorized: true,
+            op: ReduceOp::Max,
+            dtype: DataType::Float64,
+            src: BufRange::new(src, 8),
+            dst: BufRange::new(dst, 8),
+        };
+        // Kinds and `from` ranks differ; the ranges are one triple.
+        let p = pushed(&[copy(0, 8, 8), sum(0, 8), copy(0, 8, 8), sum(0, 8)]);
+        assert_eq!(p.operands.len(), 1);
+        // Triples that differ in one field are distinct entries.
+        let p = pushed(&[copy(0, 8, 8), copy(0, 16, 8), copy(8, 16, 8), copy(0, 8, 4)]);
+        assert_eq!(p.operands.len(), 4);
+        // The SM reduce's alternation: two triples, taken in turn.
+        let alternating = [copy(0, 64, 8), sum(8, 64)].repeat(3);
+        assert_eq!(pushed(&alternating).operands.len(), 2);
+        // Four triples in turn still hit; a fifth falls out of the window.
+        let cycle = |n: u64| -> Vec<OpKind> { (0..3 * n).map(|i| copy(i % n, 0, 1)).collect() };
+        assert_eq!(pushed(&cycle(4)).operands.len(), 4);
+        assert_eq!(pushed(&cycle(5)).operands.len(), 15);
+    }
+
+    #[test]
+    fn set_kind_never_edits_a_shared_entry() {
+        let mut p = pushed(&[copy(0, 8, 8), copy(0, 8, 8), copy(16, 24, 8)]);
+        assert_eq!(p.operands.len(), 2);
+        // Op 0 moves to new ranges: op 1 keeps the entry they shared.
+        p.set_kind(OpId(0), copy(32, 40, 8));
+        assert_eq!(p.kind(OpId(0)), copy(32, 40, 8));
+        assert_eq!(p.kind(OpId(1)), copy(0, 8, 8));
+        assert_eq!(p.operands.len(), 3);
+        // Moving to ranges in the window reuses their entry.
+        p.set_kind(OpId(1), copy(16, 24, 8));
+        assert_eq!(p.operands.len(), 3);
+        let want = [copy(32, 40, 8), copy(16, 24, 8), copy(16, 24, 8)];
+        for (i, k) in want.into_iter().enumerate() {
+            assert_eq!(p.kind(OpId(i as u32)), k, "op {i}");
+        }
+    }
+
+    #[test]
+    fn ranges_of_two_lengths_get_two_fresh_entries() {
+        let split = OpKind::Copy {
+            src: BufRange::new(0, 8),
+            dst: BufRange::new(8, 4),
+        };
+        // Its first entry, `(0, 8, 8)`, is already in the window.
+        let p = pushed(&[copy(0, 8, 8), split, copy(0, 8, 8)]);
+        let entry = |src_off, dst_off, len| Operands {
+            src_off,
+            dst_off,
+            len,
+        };
+        assert_eq!(
+            p.operands,
+            [entry(0, 8, 8), entry(0, 8, 8), entry(0, 0, 4)],
+            "the split op's entries are fresh and consecutive"
+        );
+        assert_eq!(p.ops[1].arg as u32, 1);
+        // A later equal-length op shares the newest equal entry.
+        assert_eq!(p.ops[2].arg as u32, 1);
     }
 
     #[test]

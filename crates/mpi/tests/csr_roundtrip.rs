@@ -4,7 +4,8 @@
 //! `OpKind` handed to it, and a cloned program — including one cloned
 //! into a scratch that previously held a larger, different program —
 //! executes identically to the original. Kinds also round-trip through
-//! the 16-byte record at the extremes of every field. Every op becomes
+//! the 16-byte record at the extremes of every field, and through an
+//! operands table that stores recurring ranges once. Every op becomes
 //! ready when the latest of its dependencies' releases
 //! (`Ranks::release`, through `trace_execution`) says it does.
 
@@ -144,7 +145,9 @@ fn build(specs: &[OpSpec]) -> (Program, Vec<Given>) {
     (b.build(), given)
 }
 
-/// A range at or near the ends of `u64`, or anywhere.
+/// A range at or near the ends of `u64`, or anywhere; half the time one
+/// of three fixed ranges, so that equal operands recur close together, as
+/// they do in HAN's programs.
 fn arb_range() -> impl Strategy<Value = BufRange> {
     let edge = || {
         prop_oneof![
@@ -155,7 +158,14 @@ fn arb_range() -> impl Strategy<Value = BufRange> {
             any::<u64>()
         ]
     };
-    (edge(), edge()).prop_map(|(off, len)| BufRange::new(off, len))
+    prop_oneof![
+        (edge(), edge()).prop_map(|(off, len)| BufRange::new(off, len)),
+        prop_oneof![
+            Just(BufRange::new(0, 8)),
+            Just(BufRange::new(8, 8)),
+            Just(BufRange::new(u64::MAX, 8)),
+        ],
+    ]
 }
 
 /// A rank at or near the ends of `u32`, or anywhere.
@@ -231,17 +241,46 @@ fn every_reduction() -> Vec<OpKind> {
     kinds
 }
 
-/// Append `(rank, kind)` ops to an empty program, as the builder does,
-/// and check each decodes to exactly what it was given.
-fn assert_round_trip(ops: &[(u32, OpKind)]) {
-    let mut p = Program::default();
-    for (i, &(rank, kind)) in ops.iter().enumerate() {
-        assert_eq!(p.push_op(rank, kind, &[]), OpId(i as u32));
+/// The `src` and `dst` ranges of a data op.
+fn ranges(kind: &OpKind) -> Option<(BufRange, BufRange)> {
+    match *kind {
+        OpKind::Copy { src, dst }
+        | OpKind::CrossCopy { src, dst, .. }
+        | OpKind::Reduce { src, dst, .. }
+        | OpKind::ReduceFrom { src, dst, .. } => Some((src, dst)),
+        _ => None,
     }
+}
+
+/// Append `(rank, kind)` ops to an empty program, as the builder does,
+/// and check each decodes to exactly what it was given, that two such
+/// builds are equal, and that no data op of one range length added more
+/// than one operands entry.
+fn assert_round_trip(ops: &[(u32, OpKind)]) {
+    let push_all = || {
+        let mut p = Program::default();
+        for (i, &(rank, kind)) in ops.iter().enumerate() {
+            assert_eq!(p.push_op(rank, kind, &[]), OpId(i as u32));
+        }
+        p
+    };
+    let p = push_all();
     for (i, &(rank, kind)) in ops.iter().enumerate() {
         let id = OpId(i as u32);
         assert_eq!((p.op(id).rank, p.kind(id)), (rank, kind), "op {i}");
     }
+    assert_eq!(push_all(), p);
+    // Ranges of two lengths take two entries each.
+    let (mut data, mut split) = (0, 0);
+    for (src, dst) in ops.iter().filter_map(|(_, k)| ranges(k)) {
+        data += 1;
+        split += usize::from(src.len != dst.len);
+    }
+    assert!(
+        p.operands.len() <= data + split,
+        "{} operands entries for {data} data ops, {split} with two lengths",
+        p.operands.len()
+    );
 }
 
 #[test]
@@ -285,6 +324,42 @@ proptest! {
         ops in proptest::collection::vec((arb_rank(), arb_kind()), 1..80),
     ) {
         assert_round_trip(&ops);
+    }
+
+    #[test]
+    fn up_to_four_recurring_ranges_are_stored_once_each(
+        ops in proptest::collection::vec((0u32..4, 0usize..4, arb_red()), 1..80),
+    ) {
+        // Four equal-length range pairs, used by every data kind in any
+        // order: each pair is one operands entry however the ops interleave.
+        let pairs = [(0, 64), (8, 64), (16, 72), (64, 0)].map(|(s, d)| {
+            (BufRange::new(s, 8), BufRange::new(d, 8))
+        });
+        let ops: Vec<(u32, OpKind)> = ops
+            .into_iter()
+            .map(|(sel, pair, (vectorized, op, dtype))| {
+                let (src, dst) = pairs[pair];
+                let (op, dtype) = (ReduceOp::ALL[op], DataType::ALL[dtype]);
+                let kind = match sel {
+                    0 => OpKind::Copy { src, dst },
+                    1 => OpKind::CrossCopy { from: 1, src, dst },
+                    2 => OpKind::Reduce { vectorized, op, dtype, src, dst },
+                    _ => OpKind::ReduceFrom { from: 1, vectorized, op, dtype, src, dst },
+                };
+                (0, kind)
+            })
+            .collect();
+        assert_round_trip(&ops);
+        let mut p = Program::default();
+        let mut distinct = Vec::new();
+        for &(rank, kind) in &ops {
+            p.push_op(rank, kind, &[]);
+            let r = ranges(&kind).unwrap();
+            if !distinct.contains(&r) {
+                distinct.push(r);
+            }
+        }
+        prop_assert_eq!(p.operands.len(), distinct.len());
     }
 
     #[test]

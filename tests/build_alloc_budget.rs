@@ -2,18 +2,20 @@
 //! execution at paper scale: building the Fig. 10/13 Bcast and Allreduce
 //! on 4096 ranks makes O(ranks + log ops) heap allocations, not one or
 //! more per op, the built program stores a bounded number of bytes per
-//! op, a build after a dropped one refills its arrays instead of growing
-//! new ones, a first execution holds a bounded number of bytes per op,
-//! and an execution after a dropped report refills that report's per-op
-//! records.
+//! op (as does the largest program of the Fig. 9 sweep) and each distinct
+//! data-op range about once, a build after a dropped one refills its
+//! arrays instead of growing new ones, a first execution holds a bounded
+//! number of bytes per op, and an execution after a dropped report
+//! refills that report's per-op records.
 //!
 //! This file is its own test binary with a counting global allocator.
 //! The counters are per thread, so a test counts only its own
 //! allocations.
 
 use han::mpi::execute;
-use han::mpi::program::{MsgMeta, Op, OpId, Operands, Program};
+use han::mpi::program::{MsgMeta, Op, OpId, OpKind, Operands, Program};
 use han::prelude::*;
+use han::tuner::space::pow2_range;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::mem::size_of;
@@ -100,16 +102,38 @@ fn paper_han() -> (Han, MachinePreset) {
     (Han::tuned(Arc::new(table)), shaheen2_ppn(128, 32))
 }
 
+/// The largest program of the Fig. 9 sweep, at 1 MiB rather than
+/// 16 MiB: Allreduce on the 64-node, 12-per-node tuning machine in 4 KiB
+/// segments, binomial Libnbc trees between nodes and SM within them. Its
+/// SM reduce alternates a `Copy` and a `ReduceFrom` over two ranges.
+fn fig9_largest() -> (Han, MachinePreset) {
+    let cfg = HanConfig::default()
+        .with_fs(4096)
+        .with_inter(InterModule::Libnbc, InterAlg::Binomial)
+        .with_intra(IntraModule::Sm);
+    (Han::with_config(cfg), shaheen2_ppn(64, 12))
+}
+
 /// Allocations per built op allowed. A 4096-rank build needs a handful of
 /// per-rank and per-communicator vectors; one allocation per op would be
 /// 1.0.
 const BUDGET_PER_OP: f64 = 0.1;
 
-/// Program storage per op allowed, in bytes. A 16-byte op record, a
-/// 24-byte operands entry for about half the ops, about two and a half
-/// 4-byte dependency edges and one offset per op, and a few messages come
-/// to 39.5–42.0 bytes per op on these programs, 128 MiB included.
-const STORAGE_PER_OP: f64 = 44.0;
+/// Program storage per op allowed, in bytes. A 16-byte op record, about
+/// two and a half 4-byte dependency edges and one offset per op, and a
+/// few messages come to 28.2–31.0 bytes per op on these programs, 128 MiB
+/// included; the Fig. 9 program is the widest. The operands table adds
+/// little, 24 bytes per distinct range triple: 256 entries for the
+/// 1,015,808 data ops of the 128 MiB Bcast, and 39,117 for the 573,184
+/// of the Fig. 9 program. The margin is one byte per op. An entry per
+/// data op would come to 39.5–43.3 bytes per op, and comparing with the
+/// last entry only to 39.5 on the Fig. 9 program.
+const STORAGE_PER_OP: f64 = 32.0;
+
+/// Operands entries allowed per data op in a Fig. 10/13 program. The
+/// hierarchy repeats each range on every rank of a node and in every
+/// segment, so they read at most 0.0009; one entry per data op is 1.0.
+const OPERANDS_PER_DATA_OP: f64 = 0.01;
 
 /// The message sizes whose programs the storage budget covers. The
 /// 128 MiB programs have the same op mix as the 16 MiB ones but are eight
@@ -132,27 +156,49 @@ fn storage_bytes(p: &Program) -> usize {
         + p.msgs.len() * size_of::<MsgMeta>()
 }
 
+/// How many of `p`'s ops are data ops, which index the operands table.
+fn data_ops(p: &Program) -> usize {
+    (0..p.ops.len() as u32)
+        .filter(|&i| {
+            matches!(
+                p.kind(OpId(i)),
+                OpKind::Copy { .. }
+                    | OpKind::CrossCopy { .. }
+                    | OpKind::Reduce { .. }
+                    | OpKind::ReduceFrom { .. }
+            )
+        })
+        .count()
+}
+
 #[test]
 fn paper_scale_han_build_allocates_per_rank_not_per_op() {
     let (han, preset) = paper_han();
-    let mut report = Vec::new();
-    let (mut worst, mut widest) = (0.0f64, 0.0f64);
+    let (fig9_han, fig9_preset) = fig9_largest();
+    let mut builds = Vec::new();
     for coll in [Coll::Bcast, Coll::Allreduce] {
         for &m in budget_sizes() {
-            let (counts, prog) = allocations(|| build_coll(&han, &preset, coll, m, 0));
-            let prog = prog.expect("HAN builds Bcast and Allreduce");
-            let allocs = counts.allocs;
-            let ops = prog.ops.len();
-            let per_op = allocs as f64 / ops as f64;
-            let bytes_per_op = storage_bytes(&prog) as f64 / ops as f64;
-            report.push(format!(
-                "{} {m} B: {allocs} allocations for {ops} ops ({per_op:.3}/op), \
-                 {bytes_per_op:.1} B/op stored",
-                coll.name()
-            ));
-            worst = worst.max(per_op);
-            widest = widest.max(bytes_per_op);
+            builds.push(("Fig. 10/13", &han, &preset, coll, m));
         }
+    }
+    builds.push(("Fig. 9", &fig9_han, &fig9_preset, Coll::Allreduce, 1 << 20));
+    let mut report = Vec::new();
+    let (mut worst, mut widest) = (0.0f64, 0.0f64);
+    for (figure, han, preset, coll, m) in builds {
+        let (counts, prog) = allocations(|| build_coll(han, preset, coll, m, 0));
+        let prog = prog.expect("HAN builds Bcast and Allreduce");
+        let allocs = counts.allocs;
+        let ops = prog.ops.len();
+        let per_op = allocs as f64 / ops as f64;
+        let bytes_per_op = storage_bytes(&prog) as f64 / ops as f64;
+        report.push(format!(
+            "{figure} {} {m} B: {allocs} allocations for {ops} ops ({per_op:.3}/op), \
+             {} operands entries, {bytes_per_op:.2} B/op stored",
+            coll.name(),
+            prog.operands.len()
+        ));
+        worst = worst.max(per_op);
+        widest = widest.max(bytes_per_op);
     }
     assert!(
         worst <= BUDGET_PER_OP,
@@ -162,6 +208,32 @@ fn paper_scale_han_build_allocates_per_rank_not_per_op() {
     assert!(
         widest <= STORAGE_PER_OP,
         "over the {STORAGE_PER_OP} B/op storage budget:\n{}",
+        report.join("\n")
+    );
+    println!("{}", report.join("\n"));
+}
+
+#[test]
+fn paper_scale_programs_store_each_range_about_once() {
+    let (han, preset) = paper_han();
+    let top = *budget_sizes().last().expect("a size");
+    let mut report = Vec::new();
+    let mut widest = 0.0f64;
+    for coll in [Coll::Bcast, Coll::Allreduce] {
+        for m in pow2_range(4, top) {
+            let prog = build_coll(&han, &preset, coll, m, 0).expect("HAN builds");
+            let (entries, data) = (prog.operands.len(), data_ops(&prog));
+            let per_data_op = entries as f64 / data as f64;
+            report.push(format!(
+                "{} {m} B: {entries} operands entries for {data} data ops ({per_data_op:.4})",
+                coll.name()
+            ));
+            widest = widest.max(per_data_op);
+        }
+    }
+    assert!(
+        widest <= OPERANDS_PER_DATA_OP,
+        "over {OPERANDS_PER_DATA_OP} operands entries per data op:\n{}",
         report.join("\n")
     );
     println!("{}", report.join("\n"));
