@@ -8,13 +8,26 @@
 //! Each [`ProgramBuilder::op`] encodes the op into a 16-byte record and
 //! appends it and its dependency slice to the program's flat arrays, so a
 //! build makes O(log n) amortized vector growths rather than one
-//! allocation per op. A data op's two offsets and one length go to the
-//! program's operands side table, 24 bytes per distinct range triple: an
-//! op whose ranges equal one of the last few entries indexes it, which is
-//! how the hierarchy's primitive, repeated on every rank and segment,
-//! stores its ranges once. A program holds at most
-//! 2^29 ops and 2^29 messages, and the builder panics on a larger one,
-//! since the executor packs each id with a 3-bit tag.
+//! allocation per op:
+//!
+//! | array | bytes | per |
+//! |---|---|---|
+//! | `ops` | 16 | op |
+//! | `operands` | 24 | distinct range triple of a data op |
+//! | `dep_off` | 4 | op |
+//! | `dep` | 2, or 4 once an edge does not fit | dependency edge |
+//! | `msgs` | 56 | send/recv pair |
+//!
+//! A data op's two offsets and one length go to the program's operands
+//! side table, 24 bytes per distinct range triple: an op whose ranges
+//! equal one of the last few entries indexes it, which is how the
+//! hierarchy's primitive, repeated on every rank and segment, stores its
+//! ranges once. Each dependency is stored as its distance back in two
+//! bytes until one is 65,536 or more ops back, or not back at all; the
+//! program's edges are then rewritten as four-byte ids (see
+//! [`crate::program::Edges`]). A program holds at most 2^29 ops and 2^29
+//! messages, and the builder panics on a larger one, since the executor
+//! packs each id with a 3-bit tag.
 //! [`ProgramBuilder::new`] starts from the arrays of the largest program
 //! dropped on its thread (see [`crate::program`]), so a thread that
 //! builds programs in a row grows them only when a build outgrows every
@@ -206,7 +219,7 @@ mod tests {
         let d = b.sleep(0, Time::from_ns(5), &[a, c]);
         let p = b.build();
         assert_eq!(p.validate(), Ok(()));
-        assert_eq!(p.deps(d), &[a, c]);
-        assert_eq!(p.deps(a), &[]);
+        assert!(p.deps(d).eq([a, c]));
+        assert_eq!(p.deps(a).len(), 0);
     }
 }

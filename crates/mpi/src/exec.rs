@@ -44,13 +44,16 @@
 //! (the Send and Recv handlers, from the message). The structure derived
 //! from the program's dependency CSR (children CSR, zero-in-degree roots,
 //! message endpoints) lives in a `DepGraph` that is rebuilt on every run
-//! into the same allocations.
+//! into the same allocations. The children take the width of the
+//! program's edges ([`Edges`]): a child of a narrow program is stored as
+//! its distance forward, which is its edge's distance back, so both
+//! directions cost two bytes per edge.
 //!
 //! | array | bytes | per |
 //! |---|---|---|
 //! | op records | 16 | op: ready time, pending dependencies, dispatch word |
 //! | `child_off` | 4 | op, plus one |
-//! | `child` | 4 | dependency edge |
+//! | `child` | 2 or 4 | dependency edge: at its program's width, the distance forward to the child or its op id |
 //! | `roots` | 4 | op without dependencies |
 //! | message timestamps | 32 | message: send and receive posted, arrival, transmit end |
 //! | message endpoints | 8 | message: its send and receive op |
@@ -85,7 +88,7 @@
 //! execution decodes a data op a second time, to move its bytes.
 
 use crate::buffer::Memory;
-use crate::program::{MsgId, OpId, OpKind, Program, ID_LIMIT};
+use crate::program::{wide_id, wide_words, Edges, MsgId, OpId, OpKind, Program, ID_LIMIT};
 use han_machine::{Machine, P2pParams, RailPolicy, MAX_LEVELS};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -476,9 +479,10 @@ fn op_cost(m: &Machine, class: usize, lvl: usize, key: u64) -> Cost {
 /// `prog.dep_off`/`prog.dep` on every run; only the allocations persist.
 #[derive(Debug, Default)]
 struct DepGraph {
-    /// Children (reverse dependencies) in CSR form.
+    /// Children (reverse dependencies) in CSR form, at the program's
+    /// width: op `i`'s children are edges `child_off[i]..child_off[i + 1]`.
     child_off: Vec<u32>,
-    child: Vec<u32>,
+    child: Edges,
     msg_send_op: Vec<u32>,
     msg_recv_op: Vec<u32>,
     /// Ops with no dependencies, in op-id order: the ready-queue seeds.
@@ -492,23 +496,64 @@ impl DepGraph {
     /// its start, so every list comes out in ascending op order with no
     /// separate cursor array.
     fn build_children(&mut self, prog: &Program) {
-        let n = prog.ops.len();
-        self.child_off.clear();
-        self.child_off.resize(n + 1, 0);
-        for d in &prog.dep {
-            self.child_off[d.0 as usize] += 1;
-        }
-        for i in 1..=n {
-            self.child_off[i] += self.child_off[i - 1];
-        }
-        self.child.clear();
-        self.child.resize(prog.dep.len(), 0);
-        for i in (0..n).rev() {
-            for d in prog.deps(OpId(i as u32)) {
-                let end = &mut self.child_off[d.0 as usize];
-                *end -= 1;
-                self.child[*end as usize] = i as u32;
+        let off = &mut self.child_off;
+        off.clear();
+        off.resize(prog.ops.len() + 1, 0);
+        // One array, refilled at the program's width.
+        let mut child = take(&mut self.child).into_words();
+        self.child = match &prog.dep {
+            Edges::Narrow(dep) => {
+                // A child's distance forward is its edge's distance back.
+                invert(off, &mut child, &prog.dep_off, dep, |i, [d]| {
+                    (i - u32::from(d), [d])
+                });
+                Edges::Narrow(child)
             }
+            Edges::Wide(dep) => {
+                invert(off, &mut child, &prog.dep_off, dep, |i, d| {
+                    (wide_id(d), wide_words(i))
+                });
+                Edges::Wide(child)
+            }
+        };
+    }
+}
+
+/// Fill `child_off` (zeroed, one per op plus one) and `child` with the
+/// children CSR of the edges `dep`, `W` words each, where op `i` lists
+/// edges `dep_off[i]..dep_off[i + 1]`. `edge(i, w)` is the op that edge
+/// `w` of op `i` names, and the edge that op's child list stores for `i`.
+#[inline]
+fn invert<const W: usize>(
+    child_off: &mut [u32],
+    child: &mut Vec<u16>,
+    dep_off: &[u32],
+    dep: &[u16],
+    edge: impl Fn(u32, [u16; W]) -> (u32, [u16; W]),
+) {
+    let n = dep_off.len() - 1;
+    let list = |i: usize| {
+        dep[dep_off[i] as usize * W..dep_off[i + 1] as usize * W]
+            .chunks_exact(W)
+            .map(|w| <[u16; W]>::try_from(w).expect("W words"))
+    };
+    for i in 0..n {
+        for w in list(i) {
+            child_off[edge(i as u32, w).0 as usize] += 1;
+        }
+    }
+    for i in 1..=n {
+        child_off[i] += child_off[i - 1];
+    }
+    child.clear();
+    child.resize(dep.len(), 0);
+    for i in (0..n).rev() {
+        for w in list(i) {
+            let (d, c) = edge(i as u32, w);
+            let end = &mut child_off[d as usize];
+            *end -= 1;
+            let at = *end as usize * W;
+            child[at..at + W].copy_from_slice(&c);
         }
     }
 }
@@ -1062,7 +1107,13 @@ impl Executor {
             self.graph.child_off[idx] as usize,
             self.graph.child_off[idx + 1] as usize,
         );
-        for &c in &self.graph.child[lo..hi] {
+        // One loop body for both widths: a branch per child, which never
+        // changes within a run, keeps the release inlined once.
+        for k in lo..hi {
+            let c = match &self.graph.child {
+                Edges::Narrow(ahead) => op.0 + u32::from(ahead[k]),
+                Edges::Wide(ids) => wide_id([ids[2 * k], ids[2 * k + 1]]),
+            };
             let child = &mut self.ops[c as usize];
             let to = rank_of(cx.prog, c as usize, child.dispatch, self.rank_shift);
             child.at = child.at.max(self.ranks.release(cx.m, rank, to, t));
@@ -1487,6 +1538,67 @@ mod tests {
         assert_eq!(delta, launch, "one Copy pays exactly one launch");
     }
 
+    /// A Delay on rank 0; a Copy on rank 1 and `filler` chained 1 ns
+    /// Delays after it there, the chain not depending on the Copy; then a
+    /// CrossCopy on rank 0 reading what the Copy wrote, after the Delay
+    /// and, if `ordered`, after the Copy. Returns the program, the Copy,
+    /// the chain's last op and the CrossCopy.
+    fn reaching_across(filler: u32, ordered: bool) -> (Program, OpId, OpId, OpId) {
+        let mut b = ProgramBuilder::new(2);
+        let (src, mid, dst) = (b.alloc(1, 64), b.alloc(1, 64), b.alloc(0, 64));
+        let delay = b.delay(0, Time::from_us(1), &[]);
+        let copy = b.op(1, OpKind::Copy { src, dst: mid }, &[]);
+        let mut chain = b.delay(1, Time::from_ns(1), &[]);
+        for _ in 1..filler {
+            chain = b.delay(1, Time::from_ns(1), &[chain]);
+        }
+        let read = OpKind::CrossCopy {
+            from: 1,
+            src: mid,
+            dst,
+        };
+        let deps: &[OpId] = if ordered { &[delay, copy] } else { &[delay] };
+        let last = b.op(0, read, deps);
+        (b.build(), copy, chain, last)
+    }
+
+    #[test]
+    fn a_wide_program_runs_and_checks_as_a_narrow_one_does() {
+        let mut m = machine(1, 2);
+        let inner = m.topo.depth() - 1;
+        let copy_cost = op_cost(&m, CLASS_COPY, inner, 64);
+        let read_cost = op_cost(&m, CLASS_COPY, m.topo.link_level(1, 0), 64);
+        let flag = m.levels.get(m.topo.link_level(1, 0)).latency;
+        let mut answers = Vec::new();
+        for (filler, narrow) in [(1_000, true), (70_000, false)] {
+            let (p, copy, chain, last) = reaching_across(filler, true);
+            assert_eq!(p.dep.is_narrow(), narrow, "{filler} ops on rank 1");
+            let r = execute(&mut m, &p, &opts());
+            // The Delay, then the Copy, then the chain hold rank 1's CPU.
+            assert_eq!(r.finish(OpId(0)), Time::from_us(1));
+            assert_eq!(r.finish(copy), copy_cost.cpu.max(copy_cost.bus));
+            let chain_end = copy_cost.cpu + Time::from_ns(u64::from(filler));
+            assert_eq!(r.finish(chain), chain_end);
+            let ready = Time::from_us(1).max(r.finish(copy) + flag);
+            assert_eq!(r.finish(last), ready + read_cost.cpu.max(read_cost.bus));
+            assert_eq!(r.makespan, r.finish(last).max(chain_end));
+            assert_rank_finishes_are_op_maxima(&p, &r);
+            let (traced, trace) = crate::trace_execution(&mut m, &p, &opts());
+            assert_same_run(&traced, &r);
+            assert_eq!(trace.spans[last.0 as usize].start, ready);
+            // Without the Copy edge, the read races with the Copy.
+            let (racy, ..) = reaching_across(filler, false);
+            assert_eq!(racy.dep.is_narrow(), narrow);
+            let race = crate::check_races(&racy).unwrap_err();
+            let want = format!("op {} (", copy.0);
+            assert!(race.contains(&want), "{race}");
+            assert!(race.contains(&format!("op {} (", last.0)), "{race}");
+            answers.push((crate::check_races(&p), r.finish(last), ready));
+        }
+        assert_eq!(answers[0], answers[1]);
+        assert_eq!(answers[0].0, Ok(()));
+    }
+
     #[test]
     fn op_state_is_16_bytes() {
         assert_eq!(std::mem::size_of::<OpState>(), 16);
@@ -1529,7 +1641,7 @@ mod tests {
             let mut ranks = Ranks::default();
             ranks.resolve(&m, p.nranks);
             for i in 1..p.len() as u32 {
-                let (op, dep) = (OpId(i), p.deps(OpId(i))[0]);
+                let (op, dep) = (OpId(i), p.deps(OpId(i)).next().unwrap());
                 let ready = ranks.release(&m, p.op(dep).rank, p.op(op).rank, r.finish(dep));
                 let OpKind::Delay { dur } = p.kind(op) else {
                     unreachable!()

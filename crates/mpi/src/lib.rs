@@ -47,6 +47,6 @@ pub use builder::ProgramBuilder;
 pub use comm::Comm;
 pub use datatype::{DataType, ReduceOp};
 pub use exec::{engine_totals, execute, execute_seeded, reset_engine_totals, ExecOpts, Report};
-pub use program::{Op, OpId, OpKind, Operands, Program};
+pub use program::{Edges, Op, OpId, OpKind, Operands, Program};
 pub use race::check_races;
 pub use trace::{trace_execution, Span, Trace};

@@ -14,7 +14,7 @@
 //! | [`Program::ops`] | 16 | op: rank, kind tag, reduction tags, payload word |
 //! | [`Program::operands`] | 24 | distinct range triple: source offset, destination offset, length |
 //! | [`Program::dep_off`] | 4 | op, plus one |
-//! | [`Program::dep`] | 4 | dependency edge |
+//! | [`Program::dep`] | 2 or 4 | dependency edge: a distance back if the program is narrow, an op id if wide |
 //! | [`Program::msgs`] | 56 | message |
 //! | [`Program::mem_size`] | 8 | rank |
 //!
@@ -35,10 +35,25 @@
 //! program.
 //!
 //! The dependency edges are stored once per program in compressed sparse
-//! row (CSR) form: op `i` depends on `dep[dep_off[i]..dep_off[i + 1]]`,
-//! read through [`Program::deps`]. Every field is a flat vector of plain
-//! `Copy` data, so building, cloning and dropping a program costs a few
-//! large allocations rather than one per op.
+//! row (CSR) form: op `i` depends on the edges `dep_off[i]..dep_off[i + 1]`
+//! of [`Program::dep`], read through [`Program::deps`]. Every field is a
+//! flat vector of plain `Copy` data, so building, cloning and dropping a
+//! program costs a few large allocations rather than one per op.
+//!
+//! The edges have one width per program, which the program picks from
+//! its own edges ([`Edges`]). The hierarchy repeats one primitive on
+//! every rank and segment, so an op depends on ops emitted shortly before
+//! it: no edge of the Fig. 10/13 programs on 4096 ranks is more than
+//! 33,270 ops long. A program is *narrow* while every edge is 1 to 65,535
+//! ops back, and stores each as that distance in two bytes. The first
+//! edge that does not fit, a longer one or one on the op itself or a
+//! later op, makes the program *wide*: every edge is then rewritten in
+//! place, in order, as the four-byte id it names, and stays so. Both
+//! widths live in one `u16` array, so a program that widens, and a
+//! thread that builds programs of both widths, keep one allocation: two
+//! arrays would each leave the other's pages behind. Some baseline
+//! stacks build wide programs: Open MPI's 128 MiB Bcast on 4096 ranks has
+//! edges over four million ops long.
 //!
 //! Program storage is a per-thread resource, as the executor's state is.
 //! A dropped program hands its six arrays to a one-slot thread-local,
@@ -187,11 +202,88 @@ const SPLIT_LEN: u8 = 2;
 /// `ReduceFrom` over two ranges.
 const INTERN_WINDOW: usize = 4;
 
+/// Longest edge a narrow [`Edges`] array stores, in ops.
+const NARROW_MAX: u32 = u16::MAX as u32;
+
+/// Dependency edges at one width, in one array of `u16` words.
+///
+/// In a program, a narrow edge is one word: the distance from the op
+/// that lists it back to the op it names, 1 to [`u16::MAX`]. A wide edge
+/// is two words, the low and the high half of the id it names. The
+/// executor's child lists take the width of their program, a narrow word
+/// there being the distance forward to the child: the same number as the
+/// edge's distance back. Both widths share one allocation, so a program
+/// widens in place, and a thread that builds or runs programs of both
+/// widths reuses one array.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Edges {
+    Narrow(Vec<u16>),
+    Wide(Vec<u16>),
+}
+
+/// An empty narrow array: every build starts narrow.
+impl Default for Edges {
+    fn default() -> Self {
+        Edges::Narrow(Vec::new())
+    }
+}
+
+impl Edges {
+    pub fn len(&self) -> usize {
+        match self {
+            Edges::Narrow(w) => w.len(),
+            Edges::Wide(w) => w.len() / 2,
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.words().is_empty()
+    }
+
+    pub fn is_narrow(&self) -> bool {
+        matches!(self, Edges::Narrow(_))
+    }
+
+    /// Bytes per edge: 2 narrow, 4 wide.
+    pub fn bytes_per_edge(&self) -> usize {
+        match self {
+            Edges::Narrow(_) => 2,
+            Edges::Wide(_) => 4,
+        }
+    }
+
+    /// The words, at either width.
+    fn words(&self) -> &Vec<u16> {
+        match self {
+            Edges::Narrow(w) | Edges::Wide(w) => w,
+        }
+    }
+
+    /// The array, to be refilled at either width.
+    pub(crate) fn into_words(self) -> Vec<u16> {
+        match self {
+            Edges::Narrow(w) | Edges::Wide(w) => w,
+        }
+    }
+}
+
+/// The two words of a wide edge naming `id`.
+#[inline]
+pub(crate) fn wide_words(id: u32) -> [u16; 2] {
+    [id as u16, (id >> 16) as u16]
+}
+
+/// The id a wide edge's two words name.
+#[inline]
+pub(crate) fn wide_id([lo, hi]: [u16; 2]) -> u32 {
+    u32::from(lo) | u32::from(hi) << 16
+}
+
 /// A complete program over `nranks` world ranks.
 ///
 /// `==` and `Debug` see the encoding: records, operands entries, the
-/// dependency CSR, messages and memory sizes. Two builds that add the same
-/// ops in the same order are equal, but a program edited with
+/// dependency CSR at its width, messages and memory sizes. Two builds that
+/// add the same ops in the same order are equal, but a program edited with
 /// [`Self::set_kind`] keeps the replaced operands entry and so may differ
 /// from a fresh build of the same ops. [`Self::kind`] decodes one op.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,10 +295,11 @@ pub struct Program {
     /// fewer entries than data ops; entries are never rewritten.
     pub operands: Vec<Operands>,
     /// CSR offsets into `dep`, one per op plus a final `dep.len()`:
-    /// op `i`'s dependencies are `dep[dep_off[i]..dep_off[i + 1]]`.
+    /// op `i`'s dependencies are edges `dep_off[i]..dep_off[i + 1]`.
     pub dep_off: Vec<u32>,
-    /// Every op's dependencies, concatenated in op order.
-    pub dep: Vec<OpId>,
+    /// Every op's dependencies, concatenated in op order, at the
+    /// program's width.
+    pub dep: Edges,
     pub msgs: Vec<MsgMeta>,
     pub nranks: usize,
     /// Bump-allocated address-space size per rank (for seeded execution).
@@ -220,7 +313,7 @@ impl Default for Program {
             ops: Vec::new(),
             operands: Vec::new(),
             dep_off: vec![0],
-            dep: Vec::new(),
+            dep: Edges::default(),
             msgs: Vec::new(),
             nranks: 0,
             mem_size: Vec::new(),
@@ -235,7 +328,7 @@ struct Storage {
     ops: Vec<Op>,
     operands: Vec<Operands>,
     dep_off: Vec<u32>,
-    dep: Vec<OpId>,
+    dep: Edges,
     msgs: Vec<MsgMeta>,
     mem_size: Vec<u64>,
 }
@@ -245,7 +338,7 @@ impl Storage {
         ops: Vec::new(),
         operands: Vec::new(),
         dep_off: Vec::new(),
-        dep: Vec::new(),
+        dep: Edges::Narrow(Vec::new()),
         msgs: Vec::new(),
         mem_size: Vec::new(),
     };
@@ -255,7 +348,7 @@ impl Storage {
         self.ops.capacity() * size_of::<Op>()
             + self.operands.capacity() * size_of::<Operands>()
             + self.dep_off.capacity() * size_of::<u32>()
-            + self.dep.capacity() * size_of::<OpId>()
+            + self.dep.words().capacity() * size_of::<u16>()
             + self.msgs.capacity() * size_of::<MsgMeta>()
             + self.mem_size.capacity() * size_of::<u64>()
     }
@@ -293,13 +386,14 @@ impl Drop for Program {
 
 impl Program {
     /// The empty program over `nranks` ranks, in the arrays this thread's
-    /// slot holds (cleared), or in new ones when it holds none.
+    /// slot holds (cleared), or in new ones when it holds none. The build
+    /// starts narrow, in the edge array of either width.
     pub(crate) fn recycled(nranks: usize) -> Program {
         let Storage {
             mut ops,
             mut operands,
             mut dep_off,
-            mut dep,
+            dep,
             mut msgs,
             mut mem_size,
         } = SLOT.try_with(Cell::take).unwrap_or_default();
@@ -307,6 +401,7 @@ impl Program {
         operands.clear();
         dep_off.clear();
         dep_off.push(0);
+        let mut dep = dep.into_words();
         dep.clear();
         msgs.clear();
         mem_size.clear();
@@ -315,7 +410,7 @@ impl Program {
             ops,
             operands,
             dep_off,
-            dep,
+            dep: Edges::Narrow(dep),
             msgs,
             nranks,
             mem_size,
@@ -413,10 +508,46 @@ impl Program {
         let id = OpId(n as u32);
         let op = self.encode(rank, kind);
         self.ops.push(op);
-        self.dep.extend_from_slice(deps);
+        self.push_deps(id.0, deps);
         self.dep_off
             .push(u32::try_from(self.dep.len()).expect("more than u32::MAX dependency edges"));
         id
+    }
+
+    /// Append op `id`'s dependency list, as distances back while every
+    /// edge so far fits in a narrow word, else as ids.
+    #[inline]
+    fn push_deps(&mut self, id: u32, deps: &[OpId]) {
+        let back = |d: &OpId| id.wrapping_sub(d.0);
+        if let Edges::Narrow(words) = &mut self.dep {
+            if deps.iter().all(|d| (1..=NARROW_MAX).contains(&back(d))) {
+                words.extend(deps.iter().map(|d| back(d) as u16));
+                return;
+            }
+            self.widen();
+        }
+        if let Edges::Wide(words) = &mut self.dep {
+            words.extend(deps.iter().flat_map(|d| wide_words(d.0)));
+        }
+    }
+
+    /// Rewrite a narrow program's edges, in place and in order, as the ids
+    /// they name.
+    #[cold]
+    #[inline(never)]
+    fn widen(&mut self) {
+        if let Edges::Narrow(words) = &mut self.dep {
+            words.resize(2 * words.len(), 0);
+            // Back to front: edge `k`'s two words go to `2k` and `2k + 1`,
+            // past every narrow word still to be read.
+            for (i, w) in self.dep_off.windows(2).enumerate().rev() {
+                for k in (w[0] as usize..w[1] as usize).rev() {
+                    let id = (i as u32).wrapping_sub(u32::from(words[k]));
+                    words[2 * k..2 * k + 2].copy_from_slice(&wide_words(id));
+                }
+            }
+            self.dep = Edges::Wide(take(words));
+        }
     }
 
     /// Make op `id` do `kind` instead, keeping its rank and dependencies.
@@ -527,9 +658,15 @@ impl Program {
     /// The ops `id` depends on, in the order they were given to the
     /// builder.
     #[inline]
-    pub fn deps(&self, id: OpId) -> &[OpId] {
+    pub fn deps(&self, id: OpId) -> impl ExactSizeIterator<Item = OpId> + '_ {
         let i = id.0 as usize;
-        &self.dep[self.dep_off[i] as usize..self.dep_off[i + 1] as usize]
+        let edges = self.dep_off[i] as usize..self.dep_off[i + 1] as usize;
+        edges.map(move |k| {
+            OpId(match &self.dep {
+                Edges::Narrow(words) => id.0.wrapping_sub(u32::from(words[k])),
+                Edges::Wide(words) => wide_id([words[2 * k], words[2 * k + 1]]),
+            })
+        })
     }
 
     pub fn msg(&self, id: MsgId) -> &MsgMeta {
@@ -657,7 +794,8 @@ impl Program {
     }
 
     /// The CSR invariants [`Self::deps`] relies on: one offset per op plus
-    /// a final one, starting at 0, never decreasing, ending at `dep.len()`.
+    /// a final one, starting at 0, never decreasing, ending at `dep.len()`,
+    /// and two words per wide edge.
     fn validate_csr(&self) -> Result<(), String> {
         let n = self.ops.len();
         if self.dep_off.len() != n + 1 {
@@ -672,6 +810,14 @@ impl Program {
         }
         if let Some(i) = self.dep_off.windows(2).position(|w| w[0] > w[1]) {
             return Err(format!("dep_off decreases at op {i}"));
+        }
+        if let Edges::Wide(words) = &self.dep {
+            if words.len() % 2 != 0 {
+                return Err(format!(
+                    "wide dep has {} words, not two per edge",
+                    words.len()
+                ));
+            }
         }
         if self.dep_off[n] as usize != self.dep.len() {
             return Err(format!(
@@ -718,6 +864,62 @@ mod tests {
         let mut p = empty_prog(1);
         p.push_op(0, OpKind::Nop, &[OpId(0)]);
         assert!(p.validate().unwrap_err().contains("forward/self dep"));
+        // A self or forward edge after narrow ones widens the program,
+        // keeps the earlier edges and is still reported.
+        for (bad, want) in [
+            (2, "op 2: forward/self dep on 2"),
+            (3, "op 2: forward/self dep on 3"),
+        ] {
+            let mut p = empty_prog(1);
+            p.push_op(0, OpKind::Nop, &[]);
+            p.push_op(0, OpKind::Nop, &[OpId(0)]);
+            assert!(p.dep.is_narrow());
+            p.push_op(0, OpKind::Nop, &[OpId(1), OpId(bad)]);
+            assert!(!p.dep.is_narrow());
+            p.push_op(0, OpKind::Nop, &[OpId(2)]);
+            assert!(p.deps(OpId(1)).eq([OpId(0)]));
+            assert!(p.deps(OpId(2)).eq([OpId(1), OpId(bad)]));
+            assert!(p.deps(OpId(3)).eq([OpId(2)]));
+            assert_eq!(p.validate().unwrap_err(), want);
+        }
+    }
+
+    /// A program of ops on rank 0, each depending on the one before, and
+    /// then an op depending on the last of them and on op 0, `back` ops
+    /// before it.
+    fn reaching_back(back: u32) -> Program {
+        let mut p = empty_prog(1);
+        p.push_op(0, OpKind::Nop, &[]);
+        for i in 1..back {
+            p.push_op(0, OpKind::Nop, &[OpId(i - 1)]);
+        }
+        p.push_op(0, OpKind::Nop, &[OpId(back - 1), OpId(0)]);
+        p
+    }
+
+    #[test]
+    fn an_edge_past_65_535_ops_widens_the_program_and_keeps_every_edge() {
+        for (back, narrow) in [(65_535, true), (65_536, false)] {
+            let mut p = reaching_back(back);
+            assert_eq!(p.dep.is_narrow(), narrow, "{back} ops back");
+            assert_eq!(p.dep.bytes_per_edge(), if narrow { 2 } else { 4 });
+            assert_eq!(p.dep.len(), back as usize + 1);
+            assert_eq!(p.validate(), Ok(()));
+            assert_eq!(p.deps(OpId(0)).len(), 0);
+            for i in 1..back {
+                assert!(p.deps(OpId(i)).eq([OpId(i - 1)]), "op {i}");
+            }
+            let last = OpId(back);
+            assert_eq!(p.deps(last).len(), 2);
+            assert!(p.deps(last).eq([OpId(back - 1), OpId(0)]));
+            // Two builds of the same ops are equal.
+            assert_eq!(reaching_back(back), p);
+            // A short edge after a long one leaves the program at its width.
+            p.push_op(0, OpKind::Nop, &[last]);
+            assert_eq!(p.dep.is_narrow(), narrow);
+            assert!(p.deps(OpId(back + 1)).eq([last]));
+            assert_eq!(p.validate(), Ok(()));
+        }
     }
 
     #[test]
@@ -727,9 +929,10 @@ mod tests {
         base.push_op(0, OpKind::Nop, &[]);
         base.push_op(0, OpKind::Nop, &[OpId(0)]);
         assert_eq!(base.validate(), Ok(()));
-        assert_eq!(base.deps(OpId(1)), &[OpId(0)]);
+        assert!(base.dep.is_narrow());
+        assert!(base.deps(OpId(1)).eq([OpId(0)]));
         type Corrupt = fn(&mut Program);
-        let cases: [(&str, Corrupt, &str); 11] = [
+        let cases: [(&str, Corrupt, &str); 14] = [
             ("no offsets", |p| p.dep_off.clear(), "dep_off has 0 entries"),
             (
                 "offset missing",
@@ -745,8 +948,31 @@ mod tests {
                 |p| p.dep_off = vec![0, 1, 0],
                 "dep_off decreases at op 1",
             ),
-            ("short dep", |p| p.dep.clear(), "dep has 0 entries"),
-            ("dep out of range", |p| p.dep[0] = OpId(7), "out of range"),
+            (
+                "short dep",
+                |p| p.dep = Edges::default(),
+                "dep has 0 entries",
+            ),
+            (
+                "dep out of range",
+                |p| p.dep = Edges::Wide(vec![7, 0]),
+                "out of range",
+            ),
+            (
+                "odd wide words",
+                |p| p.dep = Edges::Wide(vec![0]),
+                "wide dep has 1 words, not two per edge",
+            ),
+            (
+                "zero narrow word",
+                |p| p.dep = Edges::Narrow(vec![0]),
+                "op 1: forward/self dep on 1",
+            ),
+            (
+                "narrow word past op 0",
+                |p| p.dep = Edges::Narrow(vec![2]),
+                "op 1: dep 4294967295 out of range",
+            ),
             (
                 "unknown tag",
                 |p| p.ops[1].tag = 200,

@@ -115,7 +115,7 @@ pub fn check_races(prog: &Program) -> Result<(), String> {
                 OpKind::Recv { msg } => Some(OpId(send_op[msg.0 as usize])),
                 _ => None,
             };
-            for p in prog.deps(OpId(i as u32)).iter().chain(&msg_edge) {
+            for p in prog.deps(OpId(i as u32)).chain(msg_edge) {
                 let p = p.0 as usize;
                 if p < c0 {
                     continue;

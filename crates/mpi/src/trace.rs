@@ -67,10 +67,9 @@ pub fn trace_execution(machine: &mut Machine, prog: &Program, opts: &ExecOpts) -
         let id = OpId(i as u32);
         let start = prog
             .deps(id)
-            .iter()
             .map(|d| {
                 let from = prog.ops[d.0 as usize].rank;
-                ranks.release(machine, from, op.rank, report.finish(*d))
+                ranks.release(machine, from, op.rank, report.finish(d))
             })
             .fold(opts.start_time(op.rank), Time::max);
         let end = report.finish(id);

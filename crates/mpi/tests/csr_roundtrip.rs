@@ -7,7 +7,8 @@
 //! the 16-byte record at the extremes of every field, and through an
 //! operands table that stores recurring ranges once. Every op becomes
 //! ready when the latest of its dependencies' releases
-//! (`Ranks::release`, through `trace_execution`) says it does.
+//! (`Ranks::release`, through `trace_execution`) says it does, whether
+//! the program stores its edges as two-byte distances or four-byte ids.
 
 use han_machine::{mini, Flavor, Machine};
 use han_mpi::program::MsgId;
@@ -291,6 +292,16 @@ fn every_reduction_tag_round_trips() {
     assert_round_trip(&ops);
 }
 
+/// How far back a dependency reaches: a short distance, the longest a
+/// narrow program stores, the shortest it does not, or longer.
+fn arb_back() -> impl Strategy<Value = u32> {
+    prop_oneof![1u32..8, Just(65_535), Just(65_536), 65_537u32..70_000]
+}
+
+/// Ops before the ones under test, so that every `arb_back` distance
+/// reaches an op.
+const LEAD: u32 = 70_000;
+
 fn run(p: &Program) -> Report {
     let mut m = Machine::from_preset(&mini(NODES, PPN));
     execute(&mut m, p, &ExecOpts::timing(Flavor::OpenMpi.p2p()))
@@ -314,7 +325,7 @@ proptest! {
         prop_assert_eq!(p.dep_off.len(), p.len() + 1);
         for (i, g) in given.iter().enumerate() {
             let id = OpId(i as u32);
-            prop_assert_eq!(p.deps(id), g.deps.as_slice());
+            prop_assert_eq!(p.deps(id).collect::<Vec<_>>(), g.deps.clone());
             prop_assert_eq!(p.kind(id), g.kind);
         }
     }
@@ -406,5 +417,44 @@ proptest! {
         scratch.clone_from(&p);
         prop_assert_eq!(&scratch, &p);
         assert_same_run(&run(&scratch), &want);
+    }
+
+    #[test]
+    fn deps_round_trip_and_release_at_either_width(
+        tail in proptest::collection::vec(
+            (0..PPN, proptest::collection::vec(arb_back(), 0..4), 0u64..5_000),
+            1..20,
+        ),
+    ) {
+        // `LEAD` Nops on rank 0, then Sleeps on one node reaching back by
+        // `tail`'s distances: the program is wide iff one is past 65,535.
+        let mut b = ProgramBuilder::new(NODES * PPN);
+        for _ in 0..LEAD {
+            b.nop(0, &[]);
+        }
+        let mut given = Vec::new();
+        for (rank, backs, ps) in &tail {
+            let id = b.num_ops() as u32;
+            let deps: Vec<OpId> = backs.iter().map(|&d| OpId(id - d)).collect();
+            b.sleep(*rank, Time::from_ps(*ps), &deps);
+            given.push(deps);
+        }
+        let p = b.build();
+        let wide = tail.iter().flat_map(|(_, backs, _)| backs).any(|&d| d > 65_535);
+        prop_assert_eq!(p.dep.is_narrow(), !wide);
+        prop_assert_eq!(p.validate(), Ok(()));
+        for (k, deps) in given.iter().enumerate() {
+            let id = OpId(LEAD + k as u32);
+            prop_assert_eq!(p.deps(id).collect::<Vec<_>>(), deps.clone());
+        }
+        // The executor's child lists release each Sleep when the
+        // program's dependency lists say they do.
+        let mut m = Machine::from_preset(&mini(NODES, PPN));
+        let (r, trace) = trace_execution(&mut m, &p, &ExecOpts::timing(Flavor::OpenMpi.p2p()));
+        for (k, (_, _, ps)) in tail.iter().enumerate() {
+            let id = OpId(LEAD + k as u32);
+            let span = &trace.spans[id.0 as usize];
+            prop_assert_eq!(r.finish(id), span.start + Time::from_ps(*ps));
+        }
     }
 }

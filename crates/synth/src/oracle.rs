@@ -538,7 +538,7 @@ mod tests {
     use super::*;
     use han_machine::{dgx_like, mini, mini3};
     use han_mpi::program::{MsgId, MsgMeta};
-    use han_mpi::ProgramBuilder;
+    use han_mpi::{Edges, ProgramBuilder};
 
     #[test]
     fn accepts_known_good_schedules() {
@@ -812,7 +812,13 @@ mod tests {
 
     /// Remove op `op`'s `k`-th dependency edge.
     fn drop_dep(prog: &mut Program, op: usize, k: usize) {
-        prog.dep.remove(prog.dep_off[op] as usize + k);
+        // A narrow edge is a distance from its own op, so removing one
+        // leaves every other edge's word as it was.
+        let edge = prog.dep_off[op] as usize + k;
+        match &mut prog.dep {
+            Edges::Narrow(words) => drop(words.drain(edge..edge + 1)),
+            Edges::Wide(words) => drop(words.drain(2 * edge..2 * edge + 2)),
+        }
         for off in &mut prog.dep_off[op + 1..] {
             *off -= 1;
         }
@@ -828,10 +834,7 @@ mod tests {
         (0..prog.ops.len())
             .find_map(|i| {
                 let id = OpId(i as u32);
-                let k = prog
-                    .deps(id)
-                    .iter()
-                    .position(|&d| pick(side(id), side(d)))?;
+                let k = prog.deps(id).position(|d| pick(side(id), side(d)))?;
                 Some((i, k))
             })
             .expect("a matching dependency edge")

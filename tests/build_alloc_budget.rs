@@ -2,8 +2,9 @@
 //! execution at paper scale: building the Fig. 10/13 Bcast and Allreduce
 //! on 4096 ranks makes O(ranks + log ops) heap allocations, not one or
 //! more per op, the built program stores a bounded number of bytes per
-//! op (as does the largest program of the Fig. 9 sweep) and each distinct
-//! data-op range about once, a build after a dropped one refills its
+//! op (as does the largest program of the Fig. 9 sweep), each distinct
+//! data-op range about once and each dependency edge in two bytes (while
+//! Open MPI's Fig. 10 Bcast keeps four), a build after a dropped one refills its
 //! arrays instead of growing new ones, a first execution holds a bounded
 //! number of bytes per op, and an execution after a dropped report
 //! refills that report's per-op records.
@@ -12,6 +13,7 @@
 //! The counters are per thread, so a test counts only its own
 //! allocations.
 
+use han::colls::TunedOpenMpi;
 use han::mpi::execute;
 use han::mpi::program::{MsgMeta, Op, OpId, OpKind, Operands, Program};
 use han::prelude::*;
@@ -119,16 +121,15 @@ fn fig9_largest() -> (Han, MachinePreset) {
 /// 1.0.
 const BUDGET_PER_OP: f64 = 0.1;
 
-/// Program storage per op allowed, in bytes. A 16-byte op record, about
-/// two and a half 4-byte dependency edges and one offset per op, and a
-/// few messages come to 28.2–31.0 bytes per op on these programs, 128 MiB
-/// included; the Fig. 9 program is the widest. The operands table adds
-/// little, 24 bytes per distinct range triple: 256 entries for the
+/// Program storage per op allowed, in bytes. A 16-byte op record, two
+/// to two and a half 2-byte dependency edges, one 4-byte offset per op
+/// and a few messages come to 24.5–26.8 bytes per op on these programs,
+/// 128 MiB included; the Fig. 9 program is the widest. The operands table
+/// adds little, 24 bytes per distinct range triple: 256 entries for the
 /// 1,015,808 data ops of the 128 MiB Bcast, and 39,117 for the 573,184
-/// of the Fig. 9 program. The margin is one byte per op. An entry per
-/// data op would come to 39.5–43.3 bytes per op, and comparing with the
-/// last entry only to 39.5 on the Fig. 9 program.
-const STORAGE_PER_OP: f64 = 32.0;
+/// of the Fig. 9 program. The margin is about one byte per op. Four-byte
+/// edges would come to 28.7–31.0 bytes per op.
+const STORAGE_PER_OP: f64 = 28.0;
 
 /// Operands entries allowed per data op in a Fig. 10/13 program. The
 /// hierarchy repeats each range on every rank of a node and in every
@@ -147,13 +148,22 @@ fn budget_sizes() -> &'static [u64] {
 }
 
 /// Bytes held by `p`'s per-op and per-message vectors: `len × size_of`
-/// summed over ops, operands, the dependency CSR and messages.
+/// summed over ops, operands, the dependency CSR (at its width) and
+/// messages.
 fn storage_bytes(p: &Program) -> usize {
     p.ops.len() * size_of::<Op>()
         + p.operands.len() * size_of::<Operands>()
-        + p.dep.len() * size_of::<OpId>()
+        + p.dep.len() * p.dep.bytes_per_edge()
         + p.dep_off.len() * size_of::<u32>()
         + p.msgs.len() * size_of::<MsgMeta>()
+}
+
+/// The most ops back that any edge of `p` reaches.
+fn longest_edge(p: &Program) -> u32 {
+    (0..p.ops.len() as u32)
+        .flat_map(|i| p.deps(OpId(i)).map(move |d| i - d.0))
+        .max()
+        .unwrap_or(0)
 }
 
 /// How many of `p`'s ops are data ops, which index the operands table.
@@ -193,10 +203,17 @@ fn paper_scale_han_build_allocates_per_rank_not_per_op() {
         let bytes_per_op = storage_bytes(&prog) as f64 / ops as f64;
         report.push(format!(
             "{figure} {} {m} B: {allocs} allocations for {ops} ops ({per_op:.3}/op), \
-             {} operands entries, {bytes_per_op:.2} B/op stored",
+             {} operands entries, {} edges (longest {}), {bytes_per_op:.2} B/op stored",
             coll.name(),
-            prog.operands.len()
+            prog.operands.len(),
+            prog.dep.len(),
+            longest_edge(&prog)
         ));
+        assert!(
+            prog.dep.is_narrow(),
+            "{figure} {} {m} B is wide",
+            coll.name()
+        );
         worst = worst.max(per_op);
         widest = widest.max(bytes_per_op);
     }
@@ -222,11 +239,14 @@ fn paper_scale_programs_store_each_range_about_once() {
     for coll in [Coll::Bcast, Coll::Allreduce] {
         for m in pow2_range(4, top) {
             let prog = build_coll(&han, &preset, coll, m, 0).expect("HAN builds");
+            assert!(prog.dep.is_narrow(), "{} {m} B is wide", coll.name());
             let (entries, data) = (prog.operands.len(), data_ops(&prog));
             let per_data_op = entries as f64 / data as f64;
             report.push(format!(
-                "{} {m} B: {entries} operands entries for {data} data ops ({per_data_op:.4})",
-                coll.name()
+                "{} {m} B: {entries} operands entries for {data} data ops ({per_data_op:.4}), \
+                 longest edge {} ops",
+                coll.name(),
+                longest_edge(&prog)
             ));
             widest = widest.max(per_data_op);
         }
@@ -237,6 +257,27 @@ fn paper_scale_programs_store_each_range_about_once() {
         report.join("\n")
     );
     println!("{}", report.join("\n"));
+}
+
+/// Edges of Open MPI's 16 MiB Bcast on the 4096 ranks of Fig. 10 that
+/// are 65,536 or more ops long: its program must stay wide.
+const OPEN_MPI_BCAST_LONG_EDGES: usize = 458_752;
+
+#[test]
+fn fig10s_open_mpi_bcast_keeps_four_byte_edges() {
+    let (_, preset) = paper_han();
+    let prog = build_coll(&TunedOpenMpi, &preset, Coll::Bcast, 16 << 20, 0).expect("builds");
+    assert!(!prog.dep.is_narrow());
+    assert_eq!(prog.dep.bytes_per_edge(), 4);
+    let long = (0..prog.ops.len() as u32)
+        .map(|i| prog.deps(OpId(i)).filter(|d| i - d.0 > 65_535).count())
+        .sum::<usize>();
+    assert_eq!(
+        long,
+        OPEN_MPI_BCAST_LONG_EDGES,
+        "of {} edges",
+        prog.dep.len()
+    );
 }
 
 /// Bytes per op a build may newly hold when its thread has already
@@ -274,11 +315,12 @@ fn a_build_after_a_dropped_one_refills_its_arrays() {
 
 /// Bytes per op a first execution may request on a thread that has run
 /// nothing. On the 16 MiB Allreduce (2.39 dependency edges per op) a
-/// 16-byte record per op, a 4-byte child entry per edge and a 4-byte
-/// child offset per op come to 29.5; 40 bytes of state per message, the
-/// event queue's buckets and the per-rank vectors add 2.3. A second
-/// 5-byte dispatch array, or records grown by doubling, would be over.
-const FIRST_EXEC_BYTES_PER_OP: f64 = 32.0;
+/// 16-byte record per op, a 2-byte child entry per edge and a 4-byte
+/// child offset per op come to 24.8; 40 bytes of state per message, the
+/// event queue's buckets and the per-rank vectors add 2.2, for 27.0.
+/// Four-byte child entries would come to 31.8, and a second 5-byte
+/// dispatch array, or records grown by doubling, would be over too.
+const FIRST_EXEC_BYTES_PER_OP: f64 = 28.0;
 
 #[test]
 fn a_first_execution_holds_one_record_per_op() {

@@ -1,9 +1,9 @@
 //! Golden-file regression for program construction and execution: an
 //! FNV-1a digest of every field the executor reads (`ops`, `dep_off`,
-//! `dep`, `msgs`) for HAN and the baseline stacks on two-level,
-//! three-level, multi-rail and deep GPU presets, plus the makespan and
-//! event count of executing each program on its own preset, pinned in
-//! `tests/golden/program_digests.json`.
+//! the decoded `deps` of each op, `msgs`) for HAN and the baseline stacks
+//! on two-level, three-level, multi-rail and deep GPU presets, plus the
+//! makespan and event count of executing each program on its own preset,
+//! pinned in `tests/golden/program_digests.json`.
 //!
 //! The two-level reference grid (every corner configuration on six
 //! two-level shapes, the extended collectives, and the verify suite's
@@ -153,8 +153,11 @@ fn digest(p: &Program) -> String {
     for &o in &p.dep_off {
         h.u64(u64::from(o));
     }
-    for d in &p.dep {
-        h.u64(u64::from(d.0));
+    // The ids each op depends on, decoded from the program's edge width.
+    for i in 0..p.ops.len() as u32 {
+        for d in p.deps(OpId(i)) {
+            h.u64(u64::from(d.0));
+        }
     }
     h.u64(p.msgs.len() as u64);
     for m in &p.msgs {
