@@ -150,8 +150,12 @@ impl Frontier {
         }
     }
 
-    /// Append `ops` to rank `i`'s frontier.
+    /// Append `ops` to rank `i`'s frontier; an empty rank takes them in
+    /// one copy.
     pub fn extend(&mut self, i: usize, ops: &[OpId]) {
+        if self.slots[i].len == 0 {
+            return self.set(i, ops);
+        }
         for &op in ops {
             self.push(i, op);
         }

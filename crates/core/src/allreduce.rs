@@ -1,5 +1,5 @@
 //! Hierarchical task-pipelined `MPI_Allreduce` (paper Fig. 5) and
-//! `MPI_Reduce`, from one pipeline.
+//! `MPI_Reduce`, and their reduction phases.
 //!
 //! Four phases per segment — `sr` (intra-node reduce), `ir` (inter-node
 //! reduce), `ib` (inter-node broadcast), `sb` (intra-node broadcast) —
@@ -8,17 +8,22 @@
 //! algorithm and root so the two overlap on opposite directions of the
 //! full-duplex network (Fig. 6).
 //!
-//! The leader task sequence is `sr(0), irsr(1), ibirsr(2),
-//! sbibirsr(3..u-1), sbibir, sbib, sb` — a 4-stage software pipeline.
-//! Non-leaders run the `sbsr` chain. As in [`crate::bcast`], each
-//! pipeline step ends in an explicit join op on every leader. Reduce is
-//! the first two stages of the same pipeline, `sr(0), irsr(1..u-1), ir`,
-//! toward the root's node — the paper's extension of the design to
-//! "other collective operations … divided into a serial of tasks".
+//! [`build_allreduce`] runs the stage list [`ALLREDUCE`] through the one
+//! HAN pipeline ([`crate::pipeline`]), as [`crate::bcast`] runs Bcast's:
+//! step `t` issues `sr(t)`, `ir(t-1)`, `ib(t-2)`, `sb(t-3)`, then a join
+//! op on every leader. The leader task sequence is `sr(0), irsr(1),
+//! ibirsr(2), sbibirsr(3..u-1), sbibir, sbib, sb` — a 4-stage software
+//! pipeline. Non-leaders run the `sbsr` chain. [`build_reduce`] runs
+//! [`REDUCE`], the first two stages, `sr(0), irsr(1..u-1), ir`, toward
+//! the root's node — the paper's extension of the design to "other
+//! collective operations … divided into a serial of tasks".
+//!
+//! This module also holds the reduction phases the pipeline and the task
+//! programs share: `ir` ([`inter_reduce`]) and `sr` ([`ascend_reduce`]).
 
-use crate::bcast::{descend_bcast, inter_bcast};
 use crate::config::HanConfig;
 use crate::levels::{GroupPlan, NodeSplit};
+use crate::pipeline::{pipeline, ALLREDUCE, REDUCE};
 use han_colls::stack::BuildCtx;
 use han_colls::{Frontier, InterModule, IntraModule, Libnbc, Sm, Solo};
 use han_machine::LevelVec;
@@ -134,9 +139,9 @@ pub(crate) fn ascend_reduce(
     out
 }
 
-/// Build the HAN allreduce (in place over `bufs`, commutative `op`): all
-/// four stages of the reduction pipeline, with the same root for `ir` and
-/// `ib` (paper section III-B).
+/// Build the HAN allreduce (in place over `bufs`, commutative `op`): the
+/// four stages of [`ALLREDUCE`], with the same root for `ir` and `ib`
+/// (paper section III-B).
 pub fn build_allreduce(
     cx: &mut BuildCtx,
     cfg: &HanConfig,
@@ -151,13 +156,12 @@ pub fn build_allreduce(
         return deps.clone();
     }
     let split = NodeSplit::node(comm, &cx.topo);
-    pipeline(cx, cfg, &split, 0, 4, bufs, op, dtype, deps)
+    pipeline(cx, cfg, ALLREDUCE, &split, bufs, dtype, Some(op), deps)
 }
 
-/// Build the HAN `MPI_Reduce` to comm-local `root`: the first two stages
-/// of the reduction pipeline, `sr` and `ir`, with the root leading its
-/// node and the up-communicator (in place at the root; interior buffers
-/// clobbered).
+/// Build the HAN `MPI_Reduce` to comm-local `root`: the two stages of
+/// [`REDUCE`], `sr` and `ir`, with the root leading its node and the
+/// up-communicator (in place at the root; interior buffers clobbered).
 #[allow(clippy::too_many_arguments)]
 pub fn build_reduce(
     cx: &mut BuildCtx,
@@ -173,131 +177,8 @@ pub fn build_reduce(
     if comm.size() == 1 {
         return deps.clone();
     }
-    let root_world = comm.world_rank(root);
-    let split = NodeSplit::rooted(comm, &cx.topo, root_world);
-    let up_root = split
-        .up
-        .local_rank(root_world)
-        .expect("root leads its node");
-    pipeline(cx, cfg, &split, up_root, 2, bufs, op, dtype, deps)
-}
-
-/// The hierarchical reduction pipeline over `split`, the only step loop
-/// behind [`build_reduce`] (`stages == 2`) and [`build_allreduce`]
-/// (`stages == 4`). Step `t` issues `sr(t)`, `ir(t-1)` to up-local
-/// `up_root`, `ib(t-2)` from it and `sb(t-3)`, each for the segments and
-/// stages that exist, then joins each leader's ops of the step.
-#[allow(clippy::too_many_arguments)]
-fn pipeline(
-    cx: &mut BuildCtx,
-    cfg: &HanConfig,
-    split: &NodeSplit,
-    up_root: usize,
-    stages: usize,
-    bufs: &[BufRange],
-    op: ReduceOp,
-    dtype: DataType,
-    deps: &Frontier,
-) -> Frontier {
-    let n = bufs.len();
-    let up = &split.up;
-    let nl = up.size();
-    let (node, levels) = (cx.node, cx.levels);
-    let (fs, u) = cfg.segmentation(dtype, bufs[0].len, &node, &levels);
-
-    // Each leader's join of its previous step. It takes every op the
-    // leader issued there, so stage k + 1 of a segment, issued one step
-    // after stage k, is ordered after it through this join alone.
-    let mut boundary = deps.project(&split.up_locals);
-    let mut child_chain = deps.clone();
-    // Scratch reused by every step: ops issued in the step, per leader and
-    // per non-leader rank, and one phase's buffers and dependencies.
-    let mut issued_leader = Frontier::empty(nl);
-    let mut issued_child = Frontier::empty(n);
-    let mut seg_bufs: Vec<BufRange> = Vec::new();
-    let mut sub_deps = Frontier::default();
-
-    for t in 0..u + stages - 1 {
-        issued_leader.reset(nl);
-        issued_child.reset(n);
-        // Stage k works on segment t - k: sr(t), ir(t-1), ib(t-2), sb(t-3).
-        for k in 0..stages {
-            let Some(i) = t.checked_sub(k).filter(|&i| i < u) else {
-                continue;
-            };
-            if k == 1 || k == 2 {
-                // ir: inter-node reduce to the up-root; ib: inter-node
-                // broadcast of the reduced segment from it.
-                seg_bufs.clear();
-                seg_bufs.extend(split.up_locals.iter().map(|&l| bufs[l].segment(fs, i)));
-                let f = if k == 1 {
-                    inter_reduce(cx.b, cfg, up, up_root, &seg_bufs, &boundary, op, dtype)
-                } else {
-                    inter_bcast(cx.b, cfg, up, up_root, &seg_bufs, &boundary, i as u64)
-                };
-                for ul in 0..nl {
-                    issued_leader.extend(ul, f.get(ul));
-                }
-                continue;
-            }
-            // sr: intra-node reduce; sb: intra-node broadcast of the final
-            // segment, which the leader starts once ib delivered it.
-            for (ni, lc) in split.low.iter().enumerate() {
-                let locals = &split.low_locals[ni];
-                seg_bufs.clear();
-                seg_bufs.extend(locals.iter().map(|&l| bufs[l].segment(fs, i)));
-                sub_deps.reset(lc.size());
-                sub_deps.set(0, boundary.get(ni));
-                for (j, &l) in locals.iter().enumerate().skip(1) {
-                    sub_deps.set(j, child_chain.get(l));
-                }
-                let plan = &split.plans[ni];
-                let f = if k == 0 {
-                    ascend_reduce(
-                        cx.b, cfg, &node, &levels, plan, lc, &seg_bufs, &sub_deps, op, dtype,
-                    )
-                } else {
-                    descend_bcast(cx.b, cfg, &node, &levels, plan, lc, &seg_bufs, &sub_deps)
-                };
-                for (j, &l) in locals.iter().enumerate().skip(1) {
-                    issued_child.extend(l, f.get(j));
-                }
-                if k == 0 {
-                    issued_leader.extend(ni, f.get(0));
-                } else {
-                    // Leader's task joins the whole node's sb (bounce pool
-                    // flow control), as in bcast.
-                    for j in 0..locals.len() {
-                        issued_leader.extend(ni, f.get(j));
-                    }
-                }
-            }
-        }
-
-        // Task boundary joins: each leader's next step starts from one op
-        // joining everything it issued in this one. For u ≥ 1 every step
-        // issues a phase on every leader, and a phase of a one-rank group
-        // hands back its dependencies, so a leader's list is empty only at
-        // step 0 on a node with one rank and no incoming dependencies,
-        // where the join has none either. Reduce shares this rule.
-        for ul in 0..nl {
-            let j = cx.b.nop(up.world_rank(ul), issued_leader.get(ul));
-            boundary.set(ul, &[j]);
-        }
-        // A non-leader that issued nothing carries its chain over.
-        for l in 0..n {
-            if !issued_child.get(l).is_empty() {
-                child_chain.set(l, issued_child.get(l));
-            }
-        }
-    }
-
-    // Leaders end at their last join, everyone else at its own chain.
-    let mut frontier = child_chain;
-    for (ul, &l) in split.up_locals.iter().enumerate() {
-        frontier.set(l, boundary.get(ul));
-    }
-    frontier
+    let split = NodeSplit::rooted(comm, &cx.topo, comm.world_rank(root));
+    pipeline(cx, cfg, REDUCE, &split, bufs, dtype, Some(op), deps)
 }
 
 #[cfg(test)]

@@ -1,21 +1,27 @@
-//! Hierarchical task-pipelined `MPI_Bcast` (paper Fig. 1).
+//! Hierarchical task-pipelined `MPI_Bcast` (paper Fig. 1) and its phases.
 //!
-//! Node leaders execute `ib(0), sbib(1), …, sbib(u-1), sb(u-1)`; every
-//! other rank executes `sb(0) … sb(u-1)`. A task completes on a leader
-//! when *all* of its component operations complete — `sbib(i)` joins the
-//! intra-node broadcast of segment `i-1` (including the consumers' copies,
-//! the shared bounce pool's flow control) with the inter-node broadcast of
-//! segment `i` — and the next task starts from that join, an explicit
-//! no-op on each leader. The autotuner times individual tasks (Figs. 2
-//! and 3) through standalone task programs ([`crate::task`]), not through
-//! these joins.
+//! [`build_bcast`] runs the stage list [`BCAST`] through the one HAN
+//! pipeline ([`crate::pipeline`]): step `t` issues `sb(t-1)`, then
+//! `ib(t)`, then a join op on each node leader. Node leaders execute
+//! `ib(0), sbib(1), …, sbib(u-1), sb(u-1)`; every other rank executes
+//! `sb(0) … sb(u-1)`. A task completes on a leader when *all* of its
+//! component operations complete — `sbib(i)` joins the intra-node
+//! broadcast of segment `i-1` (including the consumers' copies, the
+//! shared bounce pool's flow control) with the inter-node broadcast of
+//! segment `i` — and the next task starts from that join. The autotuner
+//! times individual tasks (Figs. 2 and 3) through standalone task
+//! programs ([`crate::task`]), not through these joins.
+//!
+//! This module also holds the broadcast phases the pipeline and the task
+//! programs share: `ib` ([`inter_bcast`]) and `sb` ([`descend_bcast`]).
 
 use crate::config::HanConfig;
 use crate::levels::{GroupPlan, NodeSplit};
+use crate::pipeline::{pipeline, BCAST};
 use han_colls::stack::BuildCtx;
 use han_colls::{Frontier, InterModule, IntraModule, Libnbc, Sm, Solo};
 use han_machine::LevelVec;
-use han_mpi::{BufRange, Comm, DataType, OpId, ProgramBuilder};
+use han_mpi::{BufRange, Comm, DataType, ProgramBuilder};
 
 /// Dispatch an inter-node broadcast of HAN segment `seg` through the
 /// configured submodule. ADAPT honours the config's segment routing:
@@ -127,88 +133,8 @@ pub fn build_bcast(
     if n == 1 {
         return deps.clone();
     }
-    let root_world = comm.world_rank(root);
-    let split = NodeSplit::rooted(comm, &cx.topo, root_world);
-    let up = &split.up;
-    let up_root = up.local_rank(root_world).expect("root leads its node");
-    let nl = up.size();
-
-    let node = cx.node;
-    let levels = cx.levels;
-    let (fs, u) = cfg.segmentation(DataType::Uint8, bufs[0].len, &node, &levels);
-
-    // Per-leader current boundary (dependency list for the next task) and
-    // per-rank intra-broadcast chains.
-    let mut boundary = deps.project(&split.up_locals);
-    let mut sb_chain = deps.clone();
-    // All node ops of the previous segment's sb, per leader (flow control:
-    // the leader's task joins the whole node's intra broadcast).
-    let mut sb_node_prev = Frontier::empty(nl);
-    // Scratch reused by every segment.
-    let mut seg_bufs: Vec<BufRange> = Vec::new();
-    let mut sub_deps = Frontier::default();
-    let mut join: Vec<OpId> = Vec::new();
-
-    for i in 0..u {
-        // ib(i) over the leaders, from each leader's current boundary.
-        seg_bufs.clear();
-        seg_bufs.extend(split.up_locals.iter().map(|&l| bufs[l].segment(fs, i)));
-        let f_ib = inter_bcast(cx.b, cfg, up, up_root, &seg_bufs, &boundary, i as u64);
-
-        // Task boundary: join ib(i) with sb(i-1) on each leader.
-        for ul in 0..nl {
-            join.clear();
-            join.extend_from_slice(f_ib.get(ul));
-            join.extend_from_slice(sb_node_prev.get(ul));
-            let j = cx.b.nop(up.world_rank(ul), &join);
-            boundary.set(ul, &[j]);
-        }
-
-        // sb(i) on each node: leader starts from the fresh boundary,
-        // non-leaders from their own chains.
-        for (ni, lc) in split.low.iter().enumerate() {
-            let locals = &split.low_locals[ni];
-            seg_bufs.clear();
-            seg_bufs.extend(locals.iter().map(|&l| bufs[l].segment(fs, i)));
-            sub_deps.reset(lc.size());
-            sub_deps.set(0, boundary.get(ni));
-            for (j, &l) in locals.iter().enumerate().skip(1) {
-                sub_deps.set(j, sb_chain.get(l));
-            }
-            let f_sb = descend_bcast(
-                cx.b,
-                cfg,
-                &node,
-                &levels,
-                &split.plans[ni],
-                lc,
-                &seg_bufs,
-                &sub_deps,
-            );
-            join.clear();
-            for (j, &l) in locals.iter().enumerate() {
-                sb_chain.set(l, f_sb.get(j));
-                join.extend_from_slice(f_sb.get(j));
-            }
-            sb_node_prev.set(ni, &join);
-        }
-    }
-
-    // Final task sb(u-1): leaders join the last intra broadcast.
-    for ul in 0..nl {
-        join.clear();
-        join.extend_from_slice(boundary.get(ul));
-        join.extend_from_slice(sb_node_prev.get(ul));
-        let j = cx.b.nop(up.world_rank(ul), &join);
-        boundary.set(ul, &[j]);
-    }
-
-    // Leaders end at their last join, everyone else at its own chain.
-    let mut frontier = sb_chain;
-    for (ul, &l) in split.up_locals.iter().enumerate() {
-        frontier.set(l, boundary.get(ul));
-    }
-    frontier
+    let split = NodeSplit::rooted(comm, &cx.topo, comm.world_rank(root));
+    pipeline(cx, cfg, BCAST, &split, bufs, DataType::Uint8, None, deps)
 }
 
 #[cfg(test)]

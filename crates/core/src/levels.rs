@@ -14,8 +14,8 @@
 //!   communicator by the topology's level-`k` groups, generalizing the
 //!   `split_type(COMM_TYPE_SHARED)` two-level split (level 0 ≡ nodes).
 //! * **Composition** — the builders in [`crate::bcast`] and
-//!   [`crate::allreduce`] (one reduction pipeline for Reduce and
-//!   Allreduce) keep the paper's task pipeline at level 0
+//!   [`crate::allreduce`] (one HAN pipeline, [`crate::pipeline`], for
+//!   Bcast, Reduce and Allreduce) keep the paper's task pipeline at level 0
 //!   (`ib`/`ir` over node leaders) and treat everything below as one
 //!   *composite deep phase*: `descend_bcast` / `ascend_reduce` recurse
 //!   through levels `1..depth`, moving each segment across one level's
@@ -55,23 +55,26 @@ pub(crate) struct NodeSplit {
     pub low_locals: Vec<Vec<usize>>,
     /// `plans[i]`: how `low[i]` recurses through levels `1..depth`.
     pub plans: Vec<GroupPlan>,
+    /// Up-local index of the root's leader (0 for [`NodeSplit::node`]).
+    pub up_root: usize,
 }
 
 impl NodeSplit {
     /// Split by node, each node led by its lowest-local member.
     pub fn node(comm: &Comm, topo: &Topology) -> Self {
         let (low, up) = comm.split_node(topo);
-        Self::index(comm, topo, low, up)
+        Self::index(comm, topo, low, up, 0)
     }
 
     /// Split by node with the root leading its own node (see
     /// [`split_with_root`]).
     pub fn rooted(comm: &Comm, topo: &Topology, root_world: usize) -> Self {
         let (low, up) = split_with_root(comm, topo, root_world);
-        Self::index(comm, topo, low, up)
+        let up_root = up.local_rank(root_world).expect("root leads its node");
+        Self::index(comm, topo, low, up, up_root)
     }
 
-    fn index(comm: &Comm, topo: &Topology, low: Vec<Comm>, up: Comm) -> Self {
+    fn index(comm: &Comm, topo: &Topology, low: Vec<Comm>, up: Comm, up_root: usize) -> Self {
         let index = RankIndex::new(comm);
         NodeSplit {
             up_locals: index.locals(&up),
@@ -79,6 +82,7 @@ impl NodeSplit {
             plans: low.iter().map(|lc| GroupPlan::new(topo, 1, lc)).collect(),
             low,
             up,
+            up_root,
         }
     }
 }

@@ -23,9 +23,13 @@
 //! stages of that pipeline, `irsr(i)`: `ir(i-1) ∥ sr(i)`, toward the
 //! root's node.
 //!
-//! The builders end every task in an explicit join op on each node
-//! leader and return only their completion frontier. All segment the
-//! message by one rule, [`HanConfig::segmentation`], which the task-based
+//! Each collective is one ordered stage list — `(phase, lag)` pairs, in
+//! the order a step issues them — run by one step loop, [`pipeline`].
+//! The list order is part of the collective: Bcast issues `sb(i-1)`
+//! before `ib(i)` in each step. Every step ends in an explicit join op on
+//! each node leader, and the builders return only their completion
+//! frontier. The task-based cost model in `han-tuner` derives its task
+//! sequences from the same lists. All segment the message by one rule, [`HanConfig::segmentation`], which the task-based
 //! cost model and the lower bound in `han-tuner` share. The autotuner
 //! benchmarks tasks rather than whole collectives, as the paper does,
 //! through the standalone task programs in [`task`].
@@ -47,8 +51,10 @@
 //!
 //! * [`config`] — [`config::HanConfig`], the tuned parameter set of
 //!   Table II (`fs`, `imod`, `smod`, `ibalg`, `iralg`, `ibs`, `irs`).
-//! * [`bcast`] / [`allreduce`] — the task-pipelined builders; Reduce and
-//!   Allreduce share one step loop in [`allreduce`].
+//! * [`pipeline`] — the stage lists of Bcast, Reduce and Allreduce and
+//!   the one step loop that runs them.
+//! * [`bcast`] / [`allreduce`] — the builders, which hand the step loop
+//!   their stage lists, and the phases the loop and [`task`] share.
 //! * [`extend`] — Gather / Scatter / Allgather / Barrier via the same
 //!   two-level composition (the paper: "similar designs can be extended to
 //!   other collective operations").
@@ -74,6 +80,7 @@ pub mod config;
 pub mod extend;
 pub mod han;
 pub mod levels;
+pub mod pipeline;
 pub mod task;
 
 pub use config::{HanConfig, SegRoute, MAX_DEEP, ROUTE_PERIOD};

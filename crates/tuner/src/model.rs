@@ -1,14 +1,15 @@
 //! The task-based cost model (paper equations 1–4).
 //!
 //! The cost of a collective is the maximum over node leaders of the sum of
-//! its task costs. The task sequences mirror the pipelines built by
-//! `han-core`:
+//! its task costs. The task sequences are the pipelines `han-core`
+//! builds, derived from the same stage lists ([`han_core::pipeline`]):
+//! step `t` of a `u`-segment message is the task of every phase whose
+//! stage has `0 ≤ t − lag < u` ([`sequence`]).
 //!
-//! * Bcast: `ib(0), sbib(1), …, sbib(u-1), sb(u-1)` — eq. (3):
+//! * Bcast, [`BCAST`]: `ib(0), sbib(1), …, sbib(u-1), sb(u-1)` — eq. (3):
 //!   `max_i( T_i(ib(0)) + (u-1)·T_i(sbib(s)) + T_i(sb(u-1)) )`.
-//! * Allreduce: `sr, irsr, ibirsr, sbibirsr × (u-3), sbibir, sbib, sb` —
-//!   eq. (4) — generalized to short pipelines (`u < 4`) by deriving each
-//!   pipeline step's component set directly.
+//! * Allreduce, [`ALLREDUCE`]: `sr, irsr, ibirsr, sbibirsr × (u-3),
+//!   sbibir, sbib, sb` — eq. (4) — and its short pipelines (`u < 4`).
 //!
 //! Each task's cost is [`TaskBench::task_cost`]: benchmarked once per
 //! `(config, segment size)` in a context fixed by the task alone, so
@@ -19,31 +20,26 @@
 use crate::taskbench::TaskBench;
 use han_colls::stack::Unsupported;
 use han_colls::Coll;
+use han_core::pipeline::{step, steps, Phase, Stage, ALLREDUCE, BCAST};
 use han_core::task::TaskSpec;
 use han_core::HanConfig;
 use han_mpi::DataType;
 use han_sim::Time;
 
-/// The pipeline step sequence for a broadcast of `u` segments.
-pub fn bcast_sequence(u: usize) -> Vec<TaskSpec> {
-    (0..u + 1)
-        .map(|t| TaskSpec {
-            ib: t < u,
-            sb: t >= 1,
-            ir: false,
-            sr: false,
-        })
-        .collect()
-}
-
-/// The pipeline step sequence for an allreduce of `u` segments.
-pub fn allreduce_sequence(u: usize) -> Vec<TaskSpec> {
-    (0..u + 3)
-        .map(|t| TaskSpec {
-            sr: t < u,
-            ir: t >= 1 && t - 1 < u,
-            ib: t >= 2 && t - 2 < u,
-            sb: t >= 3 && t - 3 < u,
+/// The task of each step of `stages` over `u` segments.
+pub fn sequence(stages: &[Stage], u: usize) -> Vec<TaskSpec> {
+    (0..steps(stages, u))
+        .map(|t| {
+            let mut task = TaskSpec::default();
+            for (phase, _) in step(stages, u, t) {
+                *match phase {
+                    Phase::Sb => &mut task.sb,
+                    Phase::Ib => &mut task.ib,
+                    Phase::Ir => &mut task.ir,
+                    Phase::Sr => &mut task.sr,
+                } = true;
+            }
+            task
         })
         .collect()
 }
@@ -59,9 +55,9 @@ pub fn predict(
     coll: Coll,
     m: u64,
 ) -> Result<Time, Unsupported> {
-    let (sequence, dtype): (fn(usize) -> Vec<TaskSpec>, _) = match coll {
-        Coll::Bcast => (bcast_sequence, DataType::Uint8),
-        Coll::Allreduce => (allreduce_sequence, DataType::Float32),
+    let (stages, dtype) = match coll {
+        Coll::Bcast => (BCAST, DataType::Uint8),
+        Coll::Allreduce => (ALLREDUCE, DataType::Float32),
         other => {
             return Err(Unsupported {
                 stack: "HAN task-based cost model".to_string(),
@@ -75,7 +71,7 @@ pub fn predict(
     let seg = fs.min(m.max(1));
     // Eqs. (3)/(4): per leader, each task's cost times its number of
     // (consecutive) occurrences.
-    let seq = sequence(u);
+    let seq = sequence(stages, u);
     let mut acc = vec![Time::ZERO; tb.leaders()];
     let mut i = 0;
     while i < seq.len() {
@@ -97,26 +93,26 @@ mod tests {
 
     #[test]
     fn bcast_sequence_matches_paper_tasks() {
-        let seq = bcast_sequence(4);
+        let seq = sequence(BCAST, 4);
         let names: Vec<_> = seq.iter().map(|s| s.name()).collect();
         assert_eq!(names, vec!["ib", "sbib", "sbib", "sbib", "sb"]);
         // u=1: ib then sb, no sbib.
-        let names: Vec<_> = bcast_sequence(1).iter().map(|s| s.name()).collect();
+        let names: Vec<_> = sequence(BCAST, 1).iter().map(|s| s.name()).collect();
         assert_eq!(names, vec!["ib", "sb"]);
     }
 
     #[test]
     fn allreduce_sequence_matches_paper_tasks() {
-        let names: Vec<_> = allreduce_sequence(6).iter().map(|s| s.name()).collect();
+        let names: Vec<_> = sequence(ALLREDUCE, 6).iter().map(|s| s.name()).collect();
         assert_eq!(
             names,
             vec![
                 "sr", "irsr", "ibirsr", "sbibirsr", "sbibirsr", "sbibirsr", "sbibir", "sbib", "sb"
             ]
         );
-        let names: Vec<_> = allreduce_sequence(1).iter().map(|s| s.name()).collect();
+        let names: Vec<_> = sequence(ALLREDUCE, 1).iter().map(|s| s.name()).collect();
         assert_eq!(names, vec!["sr", "ir", "ib", "sb"]);
-        let names: Vec<_> = allreduce_sequence(2).iter().map(|s| s.name()).collect();
+        let names: Vec<_> = sequence(ALLREDUCE, 2).iter().map(|s| s.name()).collect();
         assert_eq!(names, vec!["sr", "irsr", "ibir", "sbib", "sb"]);
     }
 
@@ -126,12 +122,12 @@ mod tests {
         // allreduce leader path has 7 distinct specs; sbsr (the non-leader
         // task) is the 8th.
         let mut set = std::collections::HashSet::new();
-        for s in bcast_sequence(10) {
+        for s in sequence(BCAST, 10) {
             set.insert(s);
         }
         assert_eq!(set.len(), 3);
         let mut set = std::collections::HashSet::new();
-        for s in allreduce_sequence(10) {
+        for s in sequence(ALLREDUCE, 10) {
             set.insert(s);
         }
         set.insert(TaskSpec::SBSR);

@@ -25,6 +25,8 @@
 //! reuse across message sizes and collectives saves tuning time.
 
 use crate::cache::{CostCache, TaskEntry, TaskKey};
+use crate::model::sequence;
+use han_core::pipeline::{ALLREDUCE, BCAST};
 use han_core::task::{task_program, TaskSpec};
 use han_core::HanConfig;
 use han_machine::{Flavor, Machine, MachinePreset};
@@ -40,38 +42,26 @@ pub const BENCH_ITERS: u64 = 10;
 /// consecutive occurrence measurements count as stabilized.
 const STABLE_TOL: f64 = 0.03;
 
-/// Bcast's steady pipeline: the place of every task without a reduce
-/// phase.
-const BCAST_STEADY: [TaskSpec; 3] = [TaskSpec::IB, TaskSpec::SBIB, TaskSpec::SB];
-
-/// Allreduce's steady pipeline: the place of every other task.
-const ALLREDUCE_STEADY: [TaskSpec; 5] = [
-    TaskSpec::SR,
-    TaskSpec::IRSR,
-    TaskSpec::IBIRSR,
-    TaskSpec::SBIBIRSR,
-    TaskSpec::SBIBIR,
-];
-
 /// The tasks that run before `spec` when it is benchmarked: its
-/// predecessors in the steady pipeline it belongs to. `ir` and `ibir`
-/// appear only in 1- and 2-segment Allreduces, and follow `sr` and
-/// `sr, irsr` as they do there. A task in neither pipeline runs alone.
+/// predecessors in the steady pipeline it belongs to, the step sequence
+/// of a message with as many segments as stages — `ib, sbib, sb` for a
+/// task without a reduce phase, the 4-segment Allreduce for one with.
+/// `ir` and `ibir` appear only in 1- and 2-segment Allreduces, and follow
+/// `sr` and `sr, irsr` as they do there. A task in neither pipeline runs
+/// alone.
 ///
 /// Every context is a prefix of one pipeline, and each task in it has the
 /// shorter prefix before it as its own context.
-pub fn context(spec: TaskSpec) -> &'static [TaskSpec] {
-    let pipeline: &'static [TaskSpec] = if spec.ir || spec.sr {
-        &ALLREDUCE_STEADY
-    } else {
-        &BCAST_STEADY
-    };
+pub fn context(spec: TaskSpec) -> Vec<TaskSpec> {
+    let stages = if spec.ir || spec.sr { ALLREDUCE } else { BCAST };
+    let mut pipeline = sequence(stages, stages.len());
     let at = match spec {
         TaskSpec::IR => 1,
         TaskSpec::IBIR => 2,
         _ => pipeline.iter().position(|&p| p == spec).unwrap_or(0),
     };
-    &pipeline[..at]
+    pipeline.truncate(at);
+    pipeline
 }
 
 /// The relative start skew pattern of a measurement's key: costs are
@@ -162,7 +152,7 @@ impl TaskBench {
     /// having the prefix before it as its own context, is priced by
     /// `task_cost` too. A pure function of its arguments.
     pub fn task_cost(&mut self, cfg: &HanConfig, spec: TaskSpec, seg: u64) -> Vec<Time> {
-        let skew = self.after(cfg, context(spec), seg);
+        let skew = self.after(cfg, &context(spec), seg);
         self.measured(cfg, spec, seg, &skew)
     }
 
@@ -361,7 +351,7 @@ mod tests {
         );
         // Each context task's own context is the prefix before it, so
         // `task_cost` prices every predecessor by `task_cost` too.
-        for spec in crate::model::allreduce_sequence(3) {
+        for spec in sequence(ALLREDUCE, 3) {
             let ctx = context(spec);
             for (i, &pre) in ctx.iter().enumerate() {
                 assert_eq!(context(pre), &ctx[..i], "{}", spec.name());

@@ -407,11 +407,17 @@ fn built_programs_match_golden_digests() {
     let changed: Vec<(&GoldenProgram, &GoldenProgram)> =
         got.iter().zip(&golden).filter(|(g, w)| g != w).collect();
     // A re-bless that moves only dependency edges changes digests alone;
-    // this count tells it apart from one that changes what runs.
-    let moved = changed
-        .iter()
-        .filter(|(g, w)| (g.ops, g.makespan_ps, g.events) != (w.ops, w.makespan_ps, w.events))
-        .count();
+    // these counts tell it apart from one that changes what runs.
+    let runs = |p: &GoldenProgram| (p.ops, p.makespan_ps, p.events);
+    let moved = changed.iter().filter(|(g, w)| runs(g) != runs(w)).count();
+    if !changed.is_empty() {
+        let digest_only = changed
+            .iter()
+            .filter(|(g, w)| g.case == w.case && runs(g) == runs(w))
+            .count();
+        eprintln!("golden diff: {digest_only} entries changed only their digest");
+        eprintln!("golden diff: {moved} entries changed ops, makespan_ps or events");
+    }
     let diffs: Vec<String> = changed
         .iter()
         .map(|(g, w)| {
